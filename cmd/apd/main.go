@@ -56,7 +56,8 @@ func main() {
 		fmt.Printf("APD day %d: %d candidates probed\n", ep.Index, len(ep.Candidates))
 	})
 
-	aliased := p.Filter().AliasedPrefixes()
+	ep := p.Latest()
+	aliased := ep.Filter.AliasedPrefixes()
 	fmt.Printf("\naliased prefixes detected: %d (probes sent: %d)\n", len(aliased), p.APDProbesSent())
 	tp := 0
 	byLen := map[int]int{}
@@ -75,7 +76,7 @@ func main() {
 	}
 	fmt.Println()
 
-	clean, al, _ := p.Filter().SplitSorted(p.Hitlist().SortedSeq(), p.Cfg.Workers)
+	clean, al, _ := ep.Split()
 	fmt.Printf("hitlist split: %d clean, %d aliased (%.1f%%)\n",
 		len(clean), len(al), 100*float64(len(al))/float64(p.Hitlist().Len()))
 

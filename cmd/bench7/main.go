@@ -3,15 +3,12 @@
 // collect → multi-day APD pipeline with per-epoch snapshots, and
 // reports wall time, peak RSS, the planes' self-measured bytes (store
 // shards, APD history), bytes per address, and snapshot save/load
-// throughput (load is a timed, digest-verified Resume). With -audit,
-// each cell is preceded by a baseline leg — membership maps retained,
-// dense history columns — so the JSON carries the measured before/after
-// bytes-per-address of the compaction work rather than an estimate.
+// throughput (load is a timed, digest-verified Resume).
 //
 // Usage:
 //
-//	bench7 [-cells 1:14,4:14,16:14] [-workers 8] [-audit] [-auditcap 14]
-//	       [-maxheap BYTES] [-gcdays N] [-snapdir DIR] [-out BENCH_7.json]
+//	bench7 [-cells 1:14,4:14,16:14] [-workers 8] [-maxheap BYTES]
+//	       [-gcdays N] [-snapdir DIR] [-out BENCH_7.json]
 //
 // -maxheap makes the run fail (exit 1) if any cell's peak RSS exceeds
 // the bound — the CI memory-regression gate.
@@ -40,7 +37,7 @@ type planeBytes struct {
 type cell struct {
 	Scale   float64 `json:"scale"`
 	Days    int     `json:"days"`
-	Mode    string  `json:"mode"` // "compact" or "baseline"
+	Mode    string  `json:"mode"` // always "compact" (committed BENCH_7.json also holds the retired "baseline" legs)
 	Hitlist int     `json:"hitlist_size"`
 	APDIDs  int     `json:"apd_id_space"`
 
@@ -102,33 +99,18 @@ func parseCells(spec string) ([][2]float64, error) {
 	return out, nil
 }
 
-// runCell executes one pipeline run and measures it. In baseline mode
-// the store keeps its membership maps (no Compact), the history records
-// dense day columns, and no snapshots are written — the pre-compaction
-// memory plane this PR's audit measured against.
-func runCell(scale float64, days, workers, gcdays int, baseline bool, snapdir string) cell {
+// runCell executes one pipeline run and measures it.
+func runCell(scale float64, days, workers, gcdays int, snapdir string) cell {
 	cfg := core.DefaultConfig()
 	cfg.Sim.Scale = scale
 	cfg.Workers = workers
 	cfg.ForceGCDays = gcdays
-	dir := ""
-	if !baseline {
-		dir = filepath.Join(snapdir, fmt.Sprintf("s%g_d%d", scale, days))
-		cfg.SnapshotDir = dir
-	}
+	dir := filepath.Join(snapdir, fmt.Sprintf("s%g_d%d", scale, days))
+	cfg.SnapshotDir = dir
 	p := core.New(cfg)
 	c := cell{Scale: scale, Days: days, Mode: "compact"}
 	t0 := time.Now()
-	if baseline {
-		c.Mode = "baseline"
-		p.History().SetDenseColumns(true)
-		// Collection epochs without the post-collect Compact.
-		for e := 0; e < p.Cfg.Sim.Epochs; e++ {
-			p.Store.CollectDay(e * p.Cfg.Sim.EpochDays)
-		}
-	} else {
-		p.Collect()
-	}
+	p.Collect()
 	c.CollectSec = time.Since(t0).Seconds()
 	c.Hitlist = p.Hitlist().Len()
 
@@ -147,7 +129,7 @@ func runCell(scale float64, days, workers, gcdays int, baseline bool, snapdir st
 	c.APDIDs = len(last.Merged)
 
 	storeTotal, storeMaps := p.Store.MemBytes()
-	histTotal, dense, sparse, _ := p.History().MemBytes()
+	histTotal, dense, sparse, _ := p.Builder().History().MemBytes()
 	c.Store = planeBytes{Bytes: storeTotal, BytesPerAddr: float64(storeTotal) / float64(c.Hitlist)}
 	c.StoreMapBytes = storeMaps
 	c.History = planeBytes{Bytes: histTotal, BytesPerAddr: float64(histTotal) / float64(c.APDIDs)}
@@ -155,31 +137,29 @@ func runCell(scale float64, days, workers, gcdays int, baseline bool, snapdir st
 	c.LiveHeap = prof.LiveHeap()
 	c.PeakRSS = prof.PeakRSS()
 
-	if !baseline {
-		st := p.SnapshotStats()
-		c.SnapFiles, c.SnapBytes, c.SnapSaveSec = st.Files, st.Bytes, st.Seconds
-		if st.Seconds > 0 {
-			c.SnapSaveMBs = float64(st.Bytes) / (1 << 20) / st.Seconds
-		}
-		// Release the original pipeline (and its simulated world) before
-		// Resume builds a second one, so the cell's footprint is the max
-		// of the two pipelines, not their sum.
-		wantDigest := last.Digest()
-		p, last = nil, nil
-		runtime.GC()
-		t0 = time.Now()
-		_, ep, err := core.Resume(cfg, dir, days-1)
-		c.SnapLoadSec = time.Since(t0).Seconds()
-		if err != nil {
-			fail(err)
-		}
-		if c.SnapLoadSec > 0 {
-			c.SnapLoadMBs = float64(st.Bytes) / (1 << 20) / c.SnapLoadSec
-		}
-		c.ResumeVerified = ep.Digest() == wantDigest
-		if !c.ResumeVerified {
-			fail(fmt.Errorf("bench7: resumed epoch digest diverged at scale %g", scale))
-		}
+	st := p.SnapshotStats()
+	c.SnapFiles, c.SnapBytes, c.SnapSaveSec = st.Files, st.Bytes, st.Seconds
+	if st.Seconds > 0 {
+		c.SnapSaveMBs = float64(st.Bytes) / (1 << 20) / st.Seconds
+	}
+	// Release the original pipeline (and its simulated world) before
+	// Resume builds a second one, so the cell's footprint is the max
+	// of the two pipelines, not their sum.
+	wantDigest := last.Digest()
+	p, last = nil, nil
+	runtime.GC()
+	t0 = time.Now()
+	_, ep, err := core.Resume(cfg, dir, days-1)
+	c.SnapLoadSec = time.Since(t0).Seconds()
+	if err != nil {
+		fail(err)
+	}
+	if c.SnapLoadSec > 0 {
+		c.SnapLoadMBs = float64(st.Bytes) / (1 << 20) / c.SnapLoadSec
+	}
+	c.ResumeVerified = ep.Digest() == wantDigest
+	if !c.ResumeVerified {
+		fail(fmt.Errorf("bench7: resumed epoch digest diverged at scale %g", scale))
 	}
 	return c
 }
@@ -187,8 +167,6 @@ func runCell(scale float64, days, workers, gcdays int, baseline bool, snapdir st
 func main() {
 	cellSpec := flag.String("cells", "1:14,4:14,16:14", "comma-separated scale:days cells")
 	workers := flag.Int("workers", 0, "scan-engine worker shards per protocol (0 = default)")
-	audit := flag.Bool("audit", false, "run a baseline (uncompacted, dense-column) leg per cell")
-	auditcap := flag.Int("auditcap", 14, "cap baseline-leg day count (memory planes plateau; wall time does not)")
 	maxheap := flag.Int64("maxheap", 0, "fail if any cell's peak RSS exceeds this many bytes (0 = no bound)")
 	gcdays := flag.Int("gcdays", 0, "force a full GC every N probed days (0 = off; bounds the mark-phase heap-goal ratchet on long runs)")
 	snapdir := flag.String("snapdir", "", "snapshot directory (default: a temp dir, removed on exit)")
@@ -220,19 +198,7 @@ func main() {
 	rep := report{Bench: "scale-memory trajectory: per-address audit, compact columns, epoch snapshots", Host: prof.Host()}
 	for _, sd := range cells {
 		scale, days := sd[0], int(sd[1])
-		if *audit {
-			ad := days
-			if ad > *auditcap {
-				ad = *auditcap
-			}
-			c := runCell(scale, ad, *workers, *gcdays, true, dir)
-			rep.Workers = p0Workers(*workers)
-			rep.Cells = append(rep.Cells, c)
-			fmt.Printf("scale %4g days %2d %-8s  wall %7.2fs  peakRSS %s  store %s (%.1f B/addr)  hist %s\n",
-				scale, ad, c.Mode, c.CollectSec+c.RunSec, prof.FmtBytes(c.PeakRSS),
-				prof.FmtBytes(c.Store.Bytes), c.Store.BytesPerAddr, prof.FmtBytes(c.History.Bytes))
-		}
-		c := runCell(scale, days, *workers, *gcdays, false, dir)
+		c := runCell(scale, days, *workers, *gcdays, dir)
 		rep.Workers = p0Workers(*workers)
 		rep.Cells = append(rep.Cells, c)
 		fmt.Printf("scale %4g days %2d %-8s  wall %7.2fs  peakRSS %s  store %s (%.1f B/addr)  hist %s  snap %s save %.1f MB/s load %.1f MB/s\n",
@@ -243,10 +209,9 @@ func main() {
 			fail(fmt.Errorf("bench7: peak RSS %d exceeds -maxheap %d at scale %g", c.PeakRSS, *maxheap, scale))
 		}
 	}
-	rep.Note = "Baseline legs keep per-shard membership maps and dense history day columns; " +
-		"compact legs drop maps post-collection (sorted-column membership) and record sparse " +
-		"day columns, with per-epoch snapshots whose load throughput is a timed, digest-verified " +
-		"Resume. Peak RSS is cumulative across cells in one process (VmHWM never decreases): " +
+	rep.Note = "Cells drop the store's membership maps post-collection (sorted-column membership) " +
+		"and record sparse day columns, with per-epoch snapshots whose load throughput is a timed, " +
+		"digest-verified Resume. Peak RSS is cumulative across cells in one process (VmHWM never decreases): " +
 		"per-cell ordering runs small scales first, so a cell's reading bounds that cell from above."
 
 	f, err := os.Create(*out)

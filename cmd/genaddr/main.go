@@ -36,8 +36,8 @@ func main() {
 	p := core.New(cfg)
 	p.Collect()
 	day := p.World.Horizon()
-	epochs := p.RunDays(day, cfg.APDWindow)
-	clean := epochs[len(epochs)-1].CleanTargets()
+	p.RunDaysFunc(day, cfg.APDWindow, func(*core.Epoch) {})
+	clean := p.CleanTargets()
 	fmt.Printf("non-aliased seed addresses: %d\n", len(clean))
 
 	perAS := map[bgp.ASN][]ip6.Addr{}

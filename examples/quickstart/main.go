@@ -28,7 +28,7 @@ func main() {
 	}
 	clean := p.CleanTargets()
 	fmt.Printf("after de-aliasing: %d targets (%d aliased prefixes)\n",
-		len(clean), len(p.Filter().AliasedPrefixes()))
+		len(clean), len(p.Latest().Filter.AliasedPrefixes()))
 
 	// 4-5. Probe the curated targets on all five protocols.
 	scan := p.Sweep(clean, day)

@@ -32,7 +32,7 @@ func main() {
 		if !p.Hitlist().Contains(a) {
 			newCount++
 		}
-		if !p.World.Table.IsRouted(a) || p.Filter().IsAliased(a) {
+		if !p.World.Table.IsRouted(a) || p.Latest().IsAliased(a) {
 			continue
 		}
 		clean = append(clean, a)

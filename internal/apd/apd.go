@@ -24,7 +24,9 @@ import (
 	"math/rand"
 	"sync"
 
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
+	"expanse/internal/par"
 	"expanse/internal/probe"
 	"expanse/internal/wire"
 )
@@ -71,20 +73,10 @@ func fanOutWith(rng *rand.Rand, p ip6.Prefix) [Branches]ip6.Addr {
 // still fan out to different targets — a plain XOR fold would probe the
 // same pseudo-random addresses for both.
 func fanSeed(p ip6.Prefix) int64 {
-	h := fanMix(p.Addr().Hi() ^ 0x9e3779b97f4a7c15)
-	h = fanMix(h ^ p.Addr().Lo())
-	h = fanMix(h ^ uint64(p.Bits()))
+	h := hash64.Mix(p.Addr().Hi() ^ 0x9e3779b97f4a7c15)
+	h = hash64.Mix(h ^ p.Addr().Lo())
+	h = hash64.Mix(h ^ uint64(p.Bits()))
 	return int64(h)
-}
-
-// fanMix is the splitmix64 finalizer.
-func fanMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // BranchMask records which of the 16 fan-out branches responded (bit i =
@@ -98,7 +90,7 @@ const AllBranches BranchMask = 1<<Branches - 1
 func (m BranchMask) Count() int { return bits.OnesCount16(uint16(m)) }
 
 // Detector runs APD probing rounds. A Detector is not safe for
-// concurrent ProbeDay calls (it accumulates ProbesSent and a fan-out
+// concurrent ProbeDayFlat calls (it accumulates ProbesSent and a fan-out
 // cache); each call parallelizes internally across protocols × worker
 // shards.
 type Detector struct {
@@ -161,13 +153,12 @@ func (d *Detector) Workers() int { return d.workers }
 // Probing runs on the batched columnar path: each protocol's scan writes
 // only an OK bitset (16 × candidates bits, reused across days), and a
 // candidate's branch mask is its 16-bit window of that column ORed across
-// protocols — no per-protocol []Result is materialized. Candidates arrive
+// protocols. Candidates arrive
 // in ComparePrefix order and a prefix's 16 fan-out targets sit inside the
 // prefix, so the batch responder resolves long runs of targets against one
 // aliased region instead of walking a trie per probe. All protocols scan
 // concurrently; the mask fold is sharded over candidates after the
-// barrier. Results are identical to the per-probe protocol-by-protocol
-// merge.
+// barrier.
 func (d *Detector) ProbeDayFlat(cands []Candidate, day int) []BranchMask {
 	// Flatten: 16 targets per candidate, probe once per protocol.
 	if d.fanCache == nil {
@@ -206,39 +197,16 @@ func (d *Detector) ProbeDayFlat(cands []Candidate, day int) []BranchMask {
 	// Sharded fold: each worker extracts its candidates' 16-bit branch
 	// windows from the protocol bitsets.
 	flat := make([]BranchMask, len(cands))
-	chunk := (len(cands) + d.workers - 1) / d.workers
-	if chunk > 0 {
-		for lo := 0; lo < len(cands); lo += chunk {
-			hi := lo + chunk
-			if hi > len(cands) {
-				hi = len(cands)
+	par.Ranges(len(cands), d.workers, 1, 1, func(_, lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			var m BranchMask
+			for pi := range d.cols {
+				m |= BranchMask(d.cols[pi].OK.Extract16(ci * Branches))
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for ci := lo; ci < hi; ci++ {
-					var m BranchMask
-					for pi := range d.cols {
-						m |= BranchMask(d.cols[pi].OK.Extract16(ci * Branches))
-					}
-					flat[ci] = m
-				}
-			}(lo, hi)
+			flat[ci] = m
 		}
-		wg.Wait()
-	}
+	})
 	return flat
-}
-
-// ProbeDay is ProbeDayFlat with the masks assembled into a per-prefix
-// map, duplicate candidate prefixes OR-merged.
-func (d *Detector) ProbeDay(cands []Candidate, day int) map[ip6.Prefix]BranchMask {
-	flat := d.ProbeDayFlat(cands, day)
-	masks := make(map[ip6.Prefix]BranchMask, len(cands))
-	for ci, c := range cands {
-		masks[c.Prefix] |= flat[ci]
-	}
-	return masks
 }
 
 // NestedCase classifies a (more specific, less specific) candidate pair

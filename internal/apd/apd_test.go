@@ -7,6 +7,7 @@ import (
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
+	"expanse/internal/probe"
 	"expanse/internal/wire"
 )
 
@@ -371,6 +372,72 @@ func TestMurdockBaseline(t *testing.T) {
 	}
 	if !found {
 		t.Error("multi-level APD missed the aliased /112 region")
+	}
+}
+
+// murdockPerProbe is the retired per-probe form of MurdockDetector.Detect
+// — one Responder.Probe call per packet, in permutation order, send times
+// from the sequence position — kept as the oracle of the columnar Detect.
+func murdockPerProbe(r wire.Responder, prefixes []ip6.Prefix, day int) (aliased map[ip6.Prefix]bool, probesSent int) {
+	targets := murdockTargets(prefixes)
+	// The detector's scanner: seed 0x96, default 100 kpps (10 μs apart).
+	perm := probe.NewPermutation(len(targets), 0x96^uint64(wire.TCP80)<<32^uint64(day))
+	answered := make([]bool, len(targets))
+	for attempt := 0; attempt < 3; attempt++ {
+		for seq := range targets {
+			idx := perm.At(seq)
+			if r.Probe(targets[idx], wire.TCP80, day, wire.Time(seq)*10).OK {
+				answered[idx] = true
+			}
+			probesSent++
+		}
+	}
+	aliased = map[ip6.Prefix]bool{}
+	for pi, p := range prefixes {
+		if answered[pi*3] && answered[pi*3+1] && answered[pi*3+2] {
+			aliased[p] = true
+		}
+	}
+	return aliased, probesSent
+}
+
+// TestMurdockMatchesPerProbe pins the columnar Detect against the
+// per-probe oracle on the world of core.TestConfig, over the /96s of a
+// hitlist-shaped address set (hosts, aliased and stale records): same
+// verdict set, same probe budget.
+func TestMurdockMatchesPerProbe(t *testing.T) {
+	cfg := netsim.DefaultConfig()
+	cfg.Scale = 0.08
+	cfg.Registry.ASes = 250
+	w := netsim.New(cfg)
+	var addrs []ip6.Addr
+	for _, h := range w.Hosts() {
+		addrs = append(addrs, h.Addr)
+	}
+	for _, rec := range w.AliasRecords() {
+		addrs = append(addrs, rec.Addr)
+	}
+	for _, rec := range w.StaleRecords() {
+		addrs = append(addrs, rec.Addr)
+	}
+	md := NewMurdockDetector(w)
+	cands := md.Candidates(addrs)
+	day := w.Horizon()
+	got := md.Detect(cands, day)
+	want, wantSent := murdockPerProbe(w, cands, day)
+	if len(want) == 0 || len(want) == len(cands) {
+		t.Fatalf("oracle classifies %d of %d /96s aliased; test is vacuous", len(want), len(cands))
+	}
+	if md.ProbesSent != wantSent || wantSent != 9*len(cands) {
+		t.Errorf("ProbesSent = %d, per-probe oracle sent %d (9 per /96 = %d)", md.ProbesSent, wantSent, 9*len(cands))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Detect: %d aliased /96s, per-probe oracle %d", len(got), len(want))
+	}
+	for p := range want {
+		if !got[p] {
+			t.Errorf("Detect misses %v, aliased per the oracle", p)
+		}
 	}
 }
 

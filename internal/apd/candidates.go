@@ -1,8 +1,6 @@
 package apd
 
 import (
-	"sort"
-
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
 )
@@ -26,26 +24,15 @@ func HitlistCandidates(set *ip6.ShardSet, minTargets int) []Candidate {
 	return CandidatesFromSorted(set.SortedSeq(), minTargets)
 }
 
-// HitlistCandidatesAddrs is HitlistCandidates over a plain address slice
-// (Murdock comparisons, ad-hoc target lists); the slice is copied, sorted
-// and fed through the same run-boundary scan. Duplicate addresses count
-// once per occurrence, as in the original bucketing path.
-func HitlistCandidatesAddrs(addrs []ip6.Addr, minTargets int) []Candidate {
-	sorted := make([]ip6.Addr, len(addrs))
-	copy(sorted, addrs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	return CandidatesFromSorted(ip6.Addrs(sorted), minTargets)
-}
-
 // CandidatesFromSorted derives the multi-level candidate set from an
 // ascending address sequence. In sorted order every fixed-length prefix
 // group is one contiguous run, so each depth level is a run-boundary scan
 // (ip6.PrefixRuns, galloping run ends) refining only above-threshold runs
-// through zero-copy ip6.SeqSlice views — the map-bucketing the old
-// implementation paid per level survives only as a property-test
-// reference. Per-depth runs arrive in ascending address order and depths
-// are emitted shallow-to-deep, so the result is already in ComparePrefix
-// order (length, then address) without a sort.
+// through zero-copy ip6.SeqSlice views (the map-bucketing reference it
+// is pinned against lives in legacy_ref_test.go). Per-depth runs arrive
+// in ascending address order and depths are emitted shallow-to-deep, so
+// the result is already in ComparePrefix order (length, then address)
+// without a sort.
 func CandidatesFromSorted(sorted ip6.AddrSeq, minTargets int) []Candidate {
 	if minTargets <= 0 {
 		minTargets = DefaultMinTargets

@@ -250,7 +250,7 @@ func TestHistoryMatchesMapReference(t *testing.T) {
 			di := len(days) - 1
 			col := h.MergedColumn(di, 3, workers)
 			for _, p := range prefixes {
-				id, ok := h.ids[p]
+				id, ok := h.table.ids[p]
 				if !ok {
 					continue
 				}

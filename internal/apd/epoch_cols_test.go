@@ -24,7 +24,7 @@ func TestWindowColumnsPinEpoch(t *testing.T) {
 	for _, d := range days {
 		h.Add(d)
 	}
-	nIDs := len(h.prefixes)
+	nIDs := h.width()
 
 	// Single-day column vs per-prefix window-1 merge.
 	di := h.Len() - 1
@@ -33,7 +33,7 @@ func TestWindowColumnsPinEpoch(t *testing.T) {
 		t.Fatalf("Column width %d, want %d", col.Width(), nIDs)
 	}
 	for _, p := range prefixes {
-		id, ok := h.ids[p]
+		id, ok := h.table.ids[p]
 		if !ok {
 			continue
 		}

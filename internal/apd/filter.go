@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"expanse/internal/ip6"
+	"expanse/internal/par"
 )
 
 // Filter is the longest-prefix-match alias filter of §5.1: it stores the
@@ -91,7 +92,7 @@ func (f *Filter) Classify(sorted ip6.AddrSeq, workers int) []bool {
 	n := sorted.Len()
 	out := make([]bool, n)
 	tab := f.tab
-	chunks(n, workers, func(lo, hi int) {
+	par.Ranges(n, workers, chunkFloor, 1, func(_, lo, hi int) {
 		first := sorted.At(lo)
 		ti := sort.Search(len(tab), func(k int) bool { return first.Compare(tab[k].Hi) <= 0 })
 		for i := lo; i < hi; i++ {

@@ -1,38 +1,36 @@
 package apd
 
 import (
-	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
-	"expanse/internal/ip6"
+	"expanse/internal/par"
+	"expanse/internal/wire"
 )
 
 // History accumulates daily branch masks for the sliding window (§5.2) in
-// columnar form: every distinct prefix has a stable integer ID, and each
-// day stores one []BranchMask column indexed by ID plus a presence bitmap
-// marking the IDs actually probed that day (later days are narrowed to
-// near-aliased candidates). Window evaluation — MergedAt, MergedColumn,
-// AliasedAt, UnstablePrefixes — is therefore array OR-scans over the day
-// columns instead of per-prefix map probes, and the whole-window metrics
-// fan out over chunk-parallel workers.
+// columnar form: every distinct prefix has a stable integer ID — the
+// bound CandidateTable's — and each day stores one []BranchMask column
+// indexed by ID plus a presence bitmap marking the IDs actually probed
+// that day (later days are narrowed to near-aliased candidates). Window
+// evaluation is therefore array OR-scans over the day columns
+// (MergeColumns over WindowColumns, ORDayInto, UnstablePrefixesWorkers)
+// instead of per-prefix map probes, fanned out over chunk-parallel
+// workers. The map-keyed generation of this API (Add, MergedAt,
+// AliasedAt, …) survives in ref_test.go as the test oracle.
 //
-// IDs are assigned by Bind (adopting a CandidateTable's ID space) or
-// lazily by Add, which registers a day's unseen prefixes in sorted order
-// so the assignment never depends on map iteration. The zero value is an
-// empty history ready to use.
+// Bind adopts a table's ID space; the zero value is an empty history.
 type History struct {
-	ids      map[ip6.Prefix]int32
-	prefixes []ip6.Prefix
-	days     []dayColumn
+	table *CandidateTable
+	days  []dayColumn
+}
 
-	// forceDense disables the sparse column representation — the memory-
-	// audit baseline knob of the scale benchmarks, and the reference the
-	// sparse/dense equivalence tests compare against. Results are
-	// identical either way; only the footprint differs.
-	forceDense bool
+// width returns the ID-space width (0 before Bind).
+func (h *History) width() int {
+	if h.table == nil {
+		return 0
+	}
+	return h.table.NumIDs()
 }
 
 // dayColumn is one day's observation in one of two layouts, chosen per
@@ -53,7 +51,7 @@ type History struct {
 // scans. Both layouts are immutable once appended.
 type dayColumn struct {
 	masks   []BranchMask
-	present bitset
+	present wire.Bitset
 	ids     []int32
 	sm      []BranchMask
 	width   int
@@ -82,7 +80,7 @@ func (c *dayColumn) mask(id int32) BranchMask {
 // probed reports whether id was probed that day.
 func (c *dayColumn) probed(id int32) bool {
 	if c.masks != nil {
-		return c.present.get(int(id))
+		return c.present.Get(int(id))
 	}
 	i := sort.Search(len(c.ids), func(k int) bool { return c.ids[k] >= id })
 	return i < len(c.ids) && c.ids[i] == id
@@ -110,98 +108,59 @@ func (c *dayColumn) orInto(dst []BranchMask, lo, hi int) {
 // entries that share an ID (duplicate candidate prefixes), in the layout
 // sparseWorthIt picks for the probed count. The result is a pure function
 // of the observation multiset — input order never shows.
-func makeColumn(ids []int32, masks []BranchMask, width int, forceDense bool) dayColumn {
-	if !forceDense && sparseWorthIt(len(ids), width) {
-		// Sort (id, mask) pairs by ID and OR-merge duplicates.
-		ord := make([]int, len(ids))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool { return ids[ord[a]] < ids[ord[b]] })
-		sids := make([]int32, 0, len(ids))
-		sm := make([]BranchMask, 0, len(ids))
-		for _, i := range ord {
-			if n := len(sids); n > 0 && sids[n-1] == ids[i] {
-				sm[n-1] |= masks[i]
-				continue
-			}
-			sids = append(sids, ids[i])
-			sm = append(sm, masks[i])
-		}
-		return dayColumn{ids: sids, sm: sm, width: width}
+func makeColumn(ids []int32, masks []BranchMask, width int) dayColumn {
+	if !sparseWorthIt(len(ids), width) {
+		return denseColumn(ids, masks, width)
 	}
-	col := dayColumn{masks: make([]BranchMask, width), present: newBitset(width), width: width}
+	// Sort (id, mask) pairs by ID and OR-merge duplicates.
+	ord := make([]int, len(ids))
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.Slice(ord, func(a, b int) bool { return ids[ord[a]] < ids[ord[b]] })
+	sids := make([]int32, 0, len(ids))
+	sm := make([]BranchMask, 0, len(ids))
+	for _, i := range ord {
+		if n := len(sids); n > 0 && sids[n-1] == ids[i] {
+			sm[n-1] |= masks[i]
+			continue
+		}
+		sids = append(sids, ids[i])
+		sm = append(sm, masks[i])
+	}
+	return dayColumn{ids: sids, sm: sm, width: width}
+}
+
+// denseColumn is makeColumn's dense layout.
+func denseColumn(ids []int32, masks []BranchMask, width int) dayColumn {
+	col := dayColumn{masks: make([]BranchMask, width), present: wire.NewBitset(width), width: width}
 	for i, id := range ids {
 		col.masks[id] |= masks[i]
-		col.present.set(int(id))
+		col.present.Set(int(id))
 	}
 	return col
 }
 
 // Bind adopts the table's prefix-ID assignment, so day columns recorded
-// via AddIDs index directly by candidate ID. Bind must be called before
-// any day is added and at most once.
+// via AddIDs index directly by candidate ID. The table is shared, not
+// copied: it is frozen. Bind must be called before any day is added and
+// at most once.
 func (h *History) Bind(t *CandidateTable) {
-	if len(h.days) > 0 || h.ids != nil {
+	if len(h.days) > 0 || h.table != nil {
 		panic("apd: History.Bind on a non-empty history")
 	}
-	h.prefixes = append([]ip6.Prefix(nil), t.prefixes...)
-	h.ids = make(map[ip6.Prefix]int32, len(t.prefixes))
-	for p, id := range t.ids {
-		h.ids[p] = id
-	}
-}
-
-// Add appends one day's observation from a per-prefix mask map. Unseen
-// prefixes are registered in ComparePrefix order, keeping ID assignment a
-// pure function of the observation sequence.
-func (h *History) Add(day map[ip6.Prefix]BranchMask) {
-	var fresh []ip6.Prefix
-	for p := range day {
-		if _, ok := h.ids[p]; !ok {
-			fresh = append(fresh, p)
-		}
-	}
-	if len(fresh) > 0 {
-		sort.Slice(fresh, func(i, j int) bool { return ip6.ComparePrefix(fresh[i], fresh[j]) < 0 })
-		if h.ids == nil {
-			h.ids = make(map[ip6.Prefix]int32, len(fresh))
-		}
-		for _, p := range fresh {
-			if _, ok := h.ids[p]; !ok {
-				h.ids[p] = int32(len(h.prefixes))
-				h.prefixes = append(h.prefixes, p)
-			}
-		}
-	}
-	ids := make([]int32, 0, len(day))
-	masks := make([]BranchMask, 0, len(day))
-	// makeColumn OR-merges per ID either way, but feeding it in sorted
-	// prefix order keeps the column build independent of map iteration
-	// (and matches the AddIDs pipeline path, which probes in
-	// ComparePrefix order).
-	for _, p := range ip6.SortedKeys(day) {
-		ids = append(ids, h.ids[p])
-		masks = append(masks, day[p])
-	}
-	h.days = append(h.days, makeColumn(ids, masks, len(h.prefixes), h.forceDense))
+	h.table = t
 }
 
 // AddIDs appends one day's observation given pre-resolved prefix IDs:
 // masks[i] is the branch mask observed for ids[i]. Entries sharing an ID
-// (duplicate candidate prefixes) OR-merge, exactly like the map form.
+// (duplicate candidate prefixes) OR-merge.
 func (h *History) AddIDs(ids []int32, masks []BranchMask) {
 	if len(ids) != len(masks) {
 		panic("apd: History.AddIDs length mismatch")
 	}
-	h.days = append(h.days, makeColumn(ids, masks, len(h.prefixes), h.forceDense))
+	h.days = append(h.days, makeColumn(ids, masks, h.width()))
 }
-
-// SetDenseColumns pins the history to dense day columns regardless of
-// how narrowed a day is — the memory-audit baseline knob (cmd/bench7
-// -baseline) and the reference representation of the sparse/dense
-// equivalence tests. Affects only days recorded after the call.
-func (h *History) SetDenseColumns(dense bool) { h.forceDense = dense }
 
 // Len returns the number of recorded days.
 func (h *History) Len() int { return len(h.days) }
@@ -220,8 +179,9 @@ func (h *History) Restore(t *CandidateTable, cols []DayColumn) {
 }
 
 // MemBytes estimates the history's resident footprint, split into the
-// day columns (dense vs sparse parts) and the prefix index. The split
-// drives the alias-plane rows of the bytes-per-address audit.
+// day columns (dense vs sparse parts) and the bound table's prefix
+// index. The split drives the alias-plane rows of the bytes-per-address
+// audit.
 func (h *History) MemBytes() (total, denseCols, sparseCols, index int64) {
 	for i := range h.days {
 		d := &h.days[i]
@@ -230,14 +190,16 @@ func (h *History) MemBytes() (total, denseCols, sparseCols, index int64) {
 	}
 	// Prefix = Addr (16B) + length byte, padded to 24; the id map costs
 	// its 24-byte key + 4-byte value plus bucket overhead (~40B/entry).
-	index = int64(cap(h.prefixes))*24 + int64(len(h.ids))*40
+	if t := h.table; t != nil {
+		index = int64(cap(t.prefixes))*24 + int64(len(t.ids))*40
+	}
 	return denseCols + sparseCols + index, denseCols, sparseCols, index
 }
 
 // DayColumn is an immutable snapshot of one recorded day's observation
 // column — dense (per-ID masks plus presence bitmap) or sparse (probed
 // IDs with their masks), matching the live history's layout for that
-// day. A day's column is write-once — AddIDs/Add fill it completely
+// day. A day's column is write-once — AddIDs fills it completely
 // before appending and nothing mutates it afterwards — so the snapshot
 // is a few shared slice headers (copy-on-publish without the copy),
 // safe to read from any goroutine while later days are still being
@@ -265,11 +227,7 @@ func (c DayColumn) ProbedCount() int {
 	if c.col.masks == nil {
 		return len(c.col.ids)
 	}
-	n := 0
-	for _, w := range c.col.present {
-		n += bits.OnesCount64(w)
-	}
-	return n
+	return c.col.present.Count()
 }
 
 // Export returns the column's probed IDs in ascending order with their
@@ -284,7 +242,7 @@ func (c DayColumn) Export() (width int, ids []int32, masks []BranchMask) {
 	ids = make([]int32, 0, n)
 	masks = make([]BranchMask, 0, n)
 	for id := 0; id < len(c.col.masks); id++ {
-		if c.col.present.get(id) {
+		if c.col.present.Get(id) {
 			ids = append(ids, int32(id))
 			masks = append(masks, c.col.masks[id])
 		}
@@ -297,7 +255,7 @@ func (c DayColumn) Export() (width int, ids []int32, masks []BranchMask) {
 // every scan over the imported column behave identically to the
 // original — representation is a pure memory decision.
 func ImportDayColumn(width int, ids []int32, masks []BranchMask) DayColumn {
-	return DayColumn{col: makeColumn(ids, masks, width, false)}
+	return DayColumn{col: makeColumn(ids, masks, width)}
 }
 
 // Column returns day di's immutable column snapshot.
@@ -324,12 +282,11 @@ func (h *History) WindowColumns(di, window int) []DayColumn {
 
 // MergeColumns OR-merges day-column snapshots into a width-nIDs mask
 // array — mask[id] is the union of id's branch masks over the columns —
-// as a chunk-parallel array scan. MergedColumn is this applied to the
-// live history's window; epoch sealing applies it to a draft's pinned
-// window columns. The result is identical for every worker count.
+// as a chunk-parallel array scan; epoch sealing applies it to a draft's
+// pinned window columns. The result is identical for every worker count.
 func MergeColumns(cols []DayColumn, nIDs, workers int) []BranchMask {
 	out := make([]BranchMask, nIDs)
-	chunks(nIDs, workers, func(clo, chi int) {
+	par.Ranges(nIDs, workers, chunkFloor, 1, func(_, clo, chi int) {
 		for i := range cols {
 			cols[i].col.orInto(out, clo, chi)
 		}
@@ -347,36 +304,6 @@ func windowStart(di, window int) int {
 	return lo
 }
 
-// MergedAt returns the branch mask of prefix p at day index di, OR-merged
-// over a sliding window of `window` days TOTAL ending at di (window 1 =
-// that day only; values below 1 are clamped to 1): a branch counts as
-// responsive if its address answered any protocol on any day in the
-// window (§5.2). The paper's 3-day window therefore merges exactly days
-// di-2 .. di — an earlier version merged window+1 days, silently turning
-// the §5.2 evaluation into a 4-day merge.
-func (h *History) MergedAt(p ip6.Prefix, di, window int) BranchMask {
-	if window < 1 {
-		window = 1
-	}
-	id, ok := h.ids[p]
-	if !ok {
-		return 0
-	}
-	var m BranchMask
-	for i := windowStart(di, window); i <= di && i < len(h.days); i++ {
-		m |= h.days[i].mask(id)
-	}
-	return m
-}
-
-// MergedColumn returns the whole ID space's window-merged masks at day
-// index di — mask[id] OR-merged over the `window` days ending at di — as
-// a chunk-parallel array OR-scan over the day columns. The result is
-// indexed by prefix ID (CandidateTable IDs when the history is bound).
-func (h *History) MergedColumn(di, window, workers int) []BranchMask {
-	return MergeColumns(h.WindowColumns(di, window), len(h.prefixes), workers)
-}
-
 // ORDayInto ORs day di's column into dst (indexed by prefix ID), the
 // running-mask update of the pipeline's candidate narrowing, chunk-
 // parallel over disjoint ID ranges.
@@ -386,93 +313,26 @@ func (h *History) ORDayInto(di int, dst []BranchMask, workers int) {
 	if n > len(dst) {
 		n = len(dst)
 	}
-	chunks(n, workers, func(lo, hi int) {
+	par.Ranges(n, workers, chunkFloor, 1, func(_, lo, hi int) {
 		col.orInto(dst, lo, hi)
 	})
 }
 
-// presentUnion returns the union of the presence bitmaps over the window
-// ending at di.
-func (h *History) presentUnion(di, window int) bitset {
-	u := newBitset(len(h.prefixes))
-	for i := windowStart(di, window); i <= di && i < len(h.days); i++ {
-		if d := &h.days[i]; d.masks != nil {
-			u.or(d.present)
-		} else {
-			for _, id := range d.ids {
-				u.set(int(id))
-			}
-		}
-	}
-	return u
-}
-
-// AliasedAt returns the set of prefixes classified aliased at day index
-// di under the given sliding window, scanning with all available CPUs.
-// A prefix participates if it was probed on ANY day of the window, not
-// just day di — later days narrow the probe set to near-aliased
-// candidates, and the old per-day iteration silently dropped prefixes
-// responsive earlier in the window but absent from day di's narrowed
-// probe set.
-func (h *History) AliasedAt(di, window int) map[ip6.Prefix]bool {
-	return h.AliasedAtWorkers(di, window, runtime.GOMAXPROCS(0))
-}
-
-// AliasedAtWorkers is AliasedAt with an explicit worker cap for the
-// column scan (the pipeline's Config.Workers plumbing; the result is
-// identical for every value).
-func (h *History) AliasedAtWorkers(di, window, workers int) map[ip6.Prefix]bool {
-	out := make(map[ip6.Prefix]bool)
-	if di >= len(h.days) || di < 0 {
-		return out
-	}
-	if window < 1 {
-		window = 1
-	}
-	present := h.presentUnion(di, window)
-	merged := h.MergedColumn(di, window, workers)
-	for id, m := range merged {
-		if m == AllBranches && present.get(id) {
-			out[h.prefixes[id]] = true
-		}
-	}
-	return out
-}
-
-// Prefixes returns every prefix ever observed, sorted.
-func (h *History) Prefixes() []ip6.Prefix {
-	seen := h.presentUnion(len(h.days)-1, len(h.days))
-	out := make([]ip6.Prefix, 0, len(h.prefixes))
-	for id, p := range h.prefixes {
-		if seen.get(id) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return ip6.ComparePrefix(out[i], out[j]) < 0 })
-	return out
-}
-
-// UnstablePrefixes counts prefixes whose aliased classification changes
-// across the recorded days when using the given sliding window — the
-// metric of Table 4 — scanning with all available CPUs. Evaluation
-// starts once the window is full, i.e. at day index window-1 (window < 1
-// is clamped to 1, a single-day window).
-func (h *History) UnstablePrefixes(window int) int {
-	return h.UnstablePrefixesWorkers(window, runtime.GOMAXPROCS(0))
-}
-
-// UnstablePrefixesWorkers is UnstablePrefixes with an explicit worker
-// cap (the pipeline's Config.Workers plumbing). The scan is
-// chunk-parallel over the ID space: each prefix's flip count is an
-// independent walk down its mask column, and the per-chunk counts sum
-// to the same total for every worker count.
+// UnstablePrefixesWorkers counts prefixes whose aliased classification
+// changes across the recorded days when using the given sliding window —
+// the metric of Table 4. Evaluation starts once the window is full, i.e.
+// at day index window-1 (window < 1 is clamped to 1, a single-day
+// window). The scan is chunk-parallel over the ID space with the given
+// worker cap: each prefix's flip count is an independent walk down its
+// mask column, and the per-chunk counts sum to the same total for every
+// worker count.
 func (h *History) UnstablePrefixesWorkers(window, workers int) int {
 	if window < 1 {
 		window = 1
 	}
 	start := window - 1
 	var total atomic.Int64
-	chunks(len(h.prefixes), workers, func(lo, hi int) {
+	par.Ranges(h.width(), workers, chunkFloor, 1, func(_, lo, hi int) {
 		unstable := 0
 		for id := lo; id < hi; id++ {
 			var prev, cur bool
@@ -500,47 +360,3 @@ func (h *History) UnstablePrefixesWorkers(window, workers int) int {
 // chunkFloor is the minimum per-worker chunk size of the columnar scans:
 // below this, goroutine fan-out costs more than the scan itself.
 const chunkFloor = 1024
-
-// chunks splits [0,n) into up to `workers` contiguous ranges (at least
-// chunkFloor wide) and runs fn on each concurrently; with one range it
-// runs inline. Used for scans whose per-chunk work is order-independent.
-func chunks(n, workers int, fn func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	if max := (n + chunkFloor - 1) / chunkFloor; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// bitset is a fixed-width presence bitmap.
-type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
-func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
-func (b bitset) get(i int) bool { return i>>6 < len(b) && b[i>>6]&(1<<(i&63)) != 0 }
-
-// or merges another bitmap (possibly narrower) into b.
-func (b bitset) or(o bitset) {
-	for i := range o {
-		b[i] |= o[i]
-	}
-}

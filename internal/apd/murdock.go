@@ -42,34 +42,44 @@ func (d *MurdockDetector) Candidates(addrs []ip6.Addr) []ip6.Prefix {
 	return out
 }
 
+// murdockPerPrefix is the number of random addresses probed per /96.
+const murdockPerPrefix = 3
+
+// murdockTargets draws each prefix's random probe addresses, prefix-major.
+func murdockTargets(prefixes []ip6.Prefix) []ip6.Addr {
+	targets := make([]ip6.Addr, 0, len(prefixes)*murdockPerPrefix)
+	for _, p := range prefixes {
+		rng := rand.New(rand.NewSource(int64(p.Addr().Hi() ^ p.Addr().Lo() ^ 0x96)))
+		for i := 0; i < murdockPerPrefix; i++ {
+			targets = append(targets, p.RandomAddr(rng))
+		}
+	}
+	return targets
+}
+
 // Detect probes the /96 candidates on one day and returns the set
 // classified aliased. Three random addresses per prefix, three probes
 // each (TCP/80, as in the original tool), aliased when all three
 // addresses answered at least once.
 func (d *MurdockDetector) Detect(prefixes []ip6.Prefix, day int) map[ip6.Prefix]bool {
-	const perPrefix = 3
-	targets := make([]ip6.Addr, 0, len(prefixes)*perPrefix)
-	for _, p := range prefixes {
-		rng := rand.New(rand.NewSource(int64(p.Addr().Hi() ^ p.Addr().Lo() ^ 0x96)))
-		for i := 0; i < perPrefix; i++ {
-			targets = append(targets, p.RandomAddr(rng))
-		}
-	}
-	answered := make([]bool, len(targets))
+	targets := murdockTargets(prefixes)
+	// Mask-only columnar scans: an OK bit per target is all the verdict
+	// needs. The three attempts OR word-by-word into answered.
+	var cols wire.ResultColumns
+	answered := wire.NewBitset(len(targets))
 	for attempt := 0; attempt < 3; attempt++ {
-		res := d.scanner.Scan(targets, wire.TCP80, day)
+		cols.ResetOK(len(targets))
+		d.scanner.ScanColumns(ip6.Addrs(targets), wire.TCP80, day, &cols)
 		d.ProbesSent += len(targets)
-		for i, r := range res {
-			if r.OK {
-				answered[i] = true
-			}
+		for w, word := range cols.OK {
+			answered[w] |= word
 		}
 	}
 	out := make(map[ip6.Prefix]bool, len(prefixes))
 	for pi, p := range prefixes {
 		all := true
-		for i := 0; i < perPrefix; i++ {
-			if !answered[pi*perPrefix+i] {
+		for i := 0; i < murdockPerPrefix; i++ {
+			if !answered.Get(pi*murdockPerPrefix + i) {
 				all = false
 				break
 			}

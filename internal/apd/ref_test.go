@@ -1,0 +1,164 @@
+package apd
+
+import (
+	"runtime"
+	"sort"
+
+	"expanse/internal/ip6"
+	"expanse/internal/wire"
+)
+
+// The map-keyed generation of the alias-plane API, retired from
+// production (the pipeline probes through ProbeDayFlat, records through
+// Bind/AddIDs and evaluates through WindowColumns/MergeColumns) and kept
+// here as the oracle the tests drive the columnar entry points against: per-prefix mask maps, lazily registered prefix
+// IDs, per-prefix window lookups and the aliased-set scans.
+
+// ProbeDay is ProbeDayFlat with the masks assembled into a per-prefix
+// map, duplicate candidate prefixes OR-merged.
+func (d *Detector) ProbeDay(cands []Candidate, day int) map[ip6.Prefix]BranchMask {
+	flat := d.ProbeDayFlat(cands, day)
+	masks := make(map[ip6.Prefix]BranchMask, len(cands))
+	for ci, c := range cands {
+		masks[c.Prefix] |= flat[ci]
+	}
+	return masks
+}
+
+// HitlistCandidatesAddrs is HitlistCandidates over a plain address slice;
+// the slice is copied, sorted and fed through the same run-boundary scan.
+// Duplicate addresses count once per occurrence, as in the original
+// bucketing path.
+func HitlistCandidatesAddrs(addrs []ip6.Addr, minTargets int) []Candidate {
+	sorted := make([]ip6.Addr, len(addrs))
+	copy(sorted, addrs)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	return CandidatesFromSorted(ip6.Addrs(sorted), minTargets)
+}
+
+// Add appends one day's observation from a per-prefix mask map. An
+// unbound history grows a private table: unseen prefixes are registered
+// in ComparePrefix order, keeping ID assignment a pure function of the
+// observation sequence.
+func (h *History) Add(day map[ip6.Prefix]BranchMask) {
+	if h.table == nil {
+		h.table = &CandidateTable{ids: map[ip6.Prefix]int32{}}
+	}
+	t := h.table
+	var fresh []ip6.Prefix
+	for p := range day {
+		if _, ok := t.ids[p]; !ok {
+			fresh = append(fresh, p)
+		}
+	}
+	sort.Slice(fresh, func(i, j int) bool { return ip6.ComparePrefix(fresh[i], fresh[j]) < 0 })
+	for _, p := range fresh {
+		t.ids[p] = int32(len(t.prefixes))
+		t.prefixes = append(t.prefixes, p)
+	}
+	ids := make([]int32, 0, len(day))
+	masks := make([]BranchMask, 0, len(day))
+	for _, p := range ip6.SortedKeys(day) {
+		ids = append(ids, t.ids[p])
+		masks = append(masks, day[p])
+	}
+	h.AddIDs(ids, masks)
+}
+
+// MergedAt returns the branch mask of prefix p at day index di, OR-merged
+// over a sliding window of `window` days TOTAL ending at di (window 1 =
+// that day only; values below 1 are clamped to 1): a branch counts as
+// responsive if its address answered any protocol on any day in the
+// window (§5.2). The paper's 3-day window therefore merges exactly days
+// di-2 .. di — an earlier version merged window+1 days, silently turning
+// the §5.2 evaluation into a 4-day merge.
+func (h *History) MergedAt(p ip6.Prefix, di, window int) BranchMask {
+	if window < 1 {
+		window = 1
+	}
+	if h.table == nil {
+		return 0
+	}
+	id, ok := h.table.ids[p]
+	if !ok {
+		return 0
+	}
+	var m BranchMask
+	for i := windowStart(di, window); i <= di && i < len(h.days); i++ {
+		m |= h.days[i].mask(id)
+	}
+	return m
+}
+
+// MergedColumn returns the whole ID space's window-merged masks at day
+// index di — MergeColumns applied to the live history's window.
+func (h *History) MergedColumn(di, window, workers int) []BranchMask {
+	return MergeColumns(h.WindowColumns(di, window), h.width(), workers)
+}
+
+// presentUnion returns the union of the presence bitmaps over the window
+// ending at di.
+func (h *History) presentUnion(di, window int) wire.Bitset {
+	u := wire.NewBitset(h.width())
+	for i := windowStart(di, window); i <= di && i < len(h.days); i++ {
+		if d := &h.days[i]; d.masks != nil {
+			for w, word := range d.present {
+				u[w] |= word
+			}
+		} else {
+			for _, id := range d.ids {
+				u.Set(int(id))
+			}
+		}
+	}
+	return u
+}
+
+// AliasedAt returns the set of prefixes classified aliased at day index
+// di under the given sliding window. A prefix participates if it was
+// probed on ANY day of the window, not just day di — later days narrow
+// the probe set to near-aliased candidates, and the old per-day iteration
+// silently dropped prefixes responsive earlier in the window but absent
+// from day di's narrowed probe set.
+func (h *History) AliasedAt(di, window int) map[ip6.Prefix]bool {
+	return h.AliasedAtWorkers(di, window, runtime.GOMAXPROCS(0))
+}
+
+// AliasedAtWorkers is AliasedAt with an explicit worker cap for the
+// column scan (the result is identical for every value).
+func (h *History) AliasedAtWorkers(di, window, workers int) map[ip6.Prefix]bool {
+	out := make(map[ip6.Prefix]bool)
+	if di >= len(h.days) || di < 0 {
+		return out
+	}
+	if window < 1 {
+		window = 1
+	}
+	present := h.presentUnion(di, window)
+	merged := h.MergedColumn(di, window, workers)
+	for id, m := range merged {
+		if m == AllBranches && present.Get(id) {
+			out[h.table.prefixes[id]] = true
+		}
+	}
+	return out
+}
+
+// Prefixes returns every prefix ever observed, sorted.
+func (h *History) Prefixes() []ip6.Prefix {
+	seen := h.presentUnion(len(h.days)-1, len(h.days))
+	var out []ip6.Prefix
+	for id := 0; id < h.width(); id++ {
+		if seen.Get(id) {
+			out = append(out, h.table.prefixes[id])
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return ip6.ComparePrefix(out[i], out[j]) < 0 })
+	return out
+}
+
+// UnstablePrefixes is UnstablePrefixesWorkers scanning with all
+// available CPUs.
+func (h *History) UnstablePrefixes(window int) int {
+	return h.UnstablePrefixesWorkers(window, runtime.GOMAXPROCS(0))
+}

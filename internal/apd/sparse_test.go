@@ -7,11 +7,12 @@ import (
 	"expanse/internal/ip6"
 )
 
-// buildHistories drives a sparse-enabled and a forced-dense history
-// through an identical observation sequence: day 0 probes the whole ID
-// space, later days random narrowed subsets (some far below the sparse
-// threshold, some above), with duplicate IDs sprinkled in to exercise
-// the OR-merge.
+// buildHistories drives a production history (sparse columns where they
+// pay) and an all-dense reference — its columns appended in-package
+// through denseColumn, bypassing the layout choice — through an identical
+// observation sequence: day 0 probes the whole ID space, later days
+// random narrowed subsets (some far below the sparse threshold, some
+// above), with duplicate IDs sprinkled in to exercise the OR-merge.
 func buildHistories(t *testing.T, seed int64, nIDs, days int) (h, ref *History) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -21,7 +22,6 @@ func buildHistories(t *testing.T, seed int64, nIDs, days int) (h, ref *History) 
 	}
 	table := NewCandidateTable(cands)
 	h, ref = &History{}, &History{}
-	ref.SetDenseColumns(true)
 	h.Bind(table)
 	ref.Bind(table)
 	for d := 0; d < days; d++ {
@@ -46,7 +46,7 @@ func buildHistories(t *testing.T, seed int64, nIDs, days int) (h, ref *History) 
 			masks[i] = BranchMask(rng.Intn(1 << 16))
 		}
 		h.AddIDs(ids, masks)
-		ref.AddIDs(ids, masks)
+		ref.days = append(ref.days, denseColumn(ids, masks, ref.width()))
 	}
 	return h, ref
 }

@@ -19,7 +19,9 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"expanse/internal/par"
 	"expanse/internal/stats"
 )
 
@@ -172,34 +174,13 @@ func assignStep(points [][]float64, centroids [][]float64, assign []int, workers
 		}
 		return changed
 	}
-	if workers <= 1 || n < assignParallelMin {
-		return span(0, n)
-	}
-	w := workers
-	if w > n/assignParallelMin+1 {
-		w = n/assignParallelMin + 1
-	}
-	chunk := (n + w - 1) / w
-	flags := make([]bool, w)
-	var wg sync.WaitGroup
-	for c := 0; c < w; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			flags[c] = span(lo, hi)
-		}(c)
-	}
-	wg.Wait()
-	for _, f := range flags {
-		if f {
-			return true
+	var changed atomic.Bool
+	par.Ranges(n, workers, assignParallelMin, 1, func(_, lo, hi int) {
+		if span(lo, hi) {
+			changed.Store(true)
 		}
-	}
-	return false
+	})
+	return changed.Load()
 }
 
 // seedPlusPlus is k-means++ initialization: the first centroid uniform,

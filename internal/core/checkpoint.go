@@ -70,7 +70,7 @@ type SnapStats struct {
 }
 
 // SnapshotStats returns the accumulated checkpoint-write statistics.
-// Valid after RunDays/RunAPD return; not synchronized with a running
+// Valid after RunDaysFunc/RunAPD return; not synchronized with a running
 // day loop.
 func (p *Pipeline) SnapshotStats() SnapStats { return p.snapStats }
 
@@ -277,8 +277,8 @@ func openSnap(path string, cfg Config) (*snap.Reader, *os.File, error) {
 // and the full column history through that day are loaded; the
 // narrowing and running-mask state replay from the columns; and the
 // epoch itself is re-sealed and published. The returned pipeline
-// continues with RunDays(ep.Day+1, …) exactly as the uninterrupted run
-// would have — published epochs are byte-identical (Epoch.Digest) for
+// continues with RunDaysFunc(ep.Day+1, …) exactly as the uninterrupted
+// run would have — published epochs are byte-identical (Epoch.Digest) for
 // any Workers and Overlap, which deliberately need not match the
 // saving run's.
 //
@@ -378,53 +378,28 @@ func Resume(cfg Config, dir string, epoch int) (*Pipeline, *Epoch, error) {
 		}
 	}
 
-	b := p.builder
-	b.table = table
-	b.hist.Restore(table, cols)
-
 	// Replay the narrowing and the running near-aliased masks from the
 	// column history: day 0 probes every entry; day d keeps entries
 	// whose OR over columns 0..d-1 is near aliased, exactly as
 	// ProbeDay's serial chain decided them the first time.
-	cands := table.Candidates()
-	candIDs := make([]int32, len(cands))
-	for i := range cands {
-		candIDs[i] = table.EntryID(i)
-	}
-	near := make([]apd.BranchMask, table.NumIDs())
+	b := p.builder
+	b.bind(table)
+	b.hist.Restore(table, cols)
 	for d := 0; d <= epoch; d++ {
 		if d > 0 {
-			narrow := cands[:0:0]
-			narrowIDs := candIDs[:0:0]
-			for i, c := range cands {
-				if near[candIDs[i]].Count() >= 12 {
-					narrow = append(narrow, c)
-					narrowIDs = append(narrowIDs, candIDs[i])
-				}
-			}
-			cands, candIDs = narrow, narrowIDs
+			b.narrow()
 		}
-		b.hist.ORDayInto(d, near, cfg.Workers)
+		b.hist.ORDayInto(d, b.nearMask, cfg.Workers)
 	}
-	if len(flat) != len(cands) {
-		return nil, nil, fmt.Errorf("core: epoch %d probe column has %d masks for %d candidates — snapshot and replay disagree", epoch, len(flat), len(cands))
+	if len(flat) != len(b.cands) {
+		return nil, nil, fmt.Errorf("core: epoch %d probe column has %d masks for %d candidates — snapshot and replay disagree", epoch, len(flat), len(b.cands))
 	}
-	b.cands, b.candIDs, b.nearMask = cands, candIDs, near
 	p.detector.ProbesSent = probesSent
 
 	// Re-seal and publish the resume epoch through the normal path; the
 	// draft fields are byte-equal to the original run's, so the epoch is
 	// too (including the optional sweep, which is deterministic).
-	ep := b.Seal(&EpochDraft{
-		index:   epoch,
-		day:     day,
-		cands:   cands,
-		candIDs: candIDs,
-		flat:    flat,
-		column:  b.hist.Column(epoch),
-		window:  b.hist.WindowColumns(epoch, cfg.APDWindow),
-		nIDs:    table.NumIDs(),
-	})
+	ep := b.Seal(b.draft(epoch, day, flat))
 	p.publish(ep)
 	return p, ep, nil
 }

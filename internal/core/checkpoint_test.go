@@ -24,7 +24,7 @@ func baselineRun(t *testing.T, dir string, days int) []string {
 	cfg.SnapshotDir = dir
 	p := New(cfg)
 	p.Collect()
-	eps := p.RunDays(p.World.Horizon(), days)
+	eps := runDays(p, p.World.Horizon(), days)
 	if err := p.SnapshotErr(); err != nil {
 		t.Fatalf("SnapshotErr: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestResumeByteIdentical(t *testing.T) {
 				t.Fatalf("Resume(w=%d o=%d): epoch %d digest %s != baseline %s",
 					workers, overlap, resumeAt, got, base[resumeAt])
 			}
-			rest := rp.RunDays(ep.Day+1, days-1-resumeAt)
+			rest := runDays(rp, ep.Day+1, days-1-resumeAt)
 			for i, e := range rest {
 				if got := e.Digest(); got != base[resumeAt+1+i] {
 					t.Fatalf("Resume(w=%d o=%d): continued epoch %d digest diverged",
@@ -80,7 +80,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	if ep.Digest() != base[0] {
 		t.Fatal("Resume(0): epoch 0 digest diverged")
 	}
-	rest := rp.RunDays(ep.Day+1, days-1)
+	rest := runDays(rp, ep.Day+1, days-1)
 	for i, e := range rest {
 		if e.Digest() != base[1+i] {
 			t.Fatalf("Resume(0): continued epoch %d digest diverged", 1+i)
@@ -134,5 +134,49 @@ func TestResumeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := Resume(cfg, dir, 2); err == nil {
 		t.Fatal("Resume over a corrupted checkpoint succeeded")
+	}
+}
+
+// TestRunAPDIsOneDayOfRunDaysFunc pins that the single-day API is the
+// orchestrator's n = 1 case, not a second day loop: day-by-day RunAPD
+// calls — checkpointing on — publish epochs byte-identical (Digest) to
+// one orchestrated multi-day run without checkpoints, each call returns
+// the epoch it published, every day leaves its checkpoint, and the
+// directory resumes to the same digest.
+func TestRunAPDIsOneDayOfRunDaysFunc(t *testing.T) {
+	const days = 4
+	ref := New(snapTestConfig(4, 2))
+	ref.Collect()
+	want := runDays(ref, ref.World.Horizon(), days)
+
+	dir := t.TempDir()
+	cfg := snapTestConfig(4, 2)
+	cfg.SnapshotDir = dir
+	p := New(cfg)
+	p.Collect()
+	for d := 0; d < days; d++ {
+		ep := p.RunAPD(p.World.Horizon() + d)
+		if ep == nil || ep != p.Latest() || ep.Index != d {
+			t.Fatalf("day %d: RunAPD returned %v, Latest %v", d, ep, p.Latest())
+		}
+		if got := ep.Digest(); got != want[d].Digest() {
+			t.Fatalf("day %d: RunAPD digest %s != RunDaysFunc digest %s", d, got, want[d].Digest())
+		}
+		if _, err := os.Stat(EpochPath(dir, d)); err != nil {
+			t.Fatalf("day %d: RunAPD wrote no checkpoint: %v", d, err)
+		}
+	}
+	if err := p.SnapshotErr(); err != nil {
+		t.Fatalf("SnapshotErr: %v", err)
+	}
+	if got, want := p.APDProbesSent(), ref.APDProbesSent(); got != want {
+		t.Errorf("APD probes: %d via RunAPD, %d via RunDaysFunc", got, want)
+	}
+	_, ep, err := Resume(snapTestConfig(1, 1), dir, days-1)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if ep.Digest() != want[days-1].Digest() {
+		t.Fatal("resumed RunAPD checkpoint diverged from the orchestrated run")
 	}
 }

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"expanse/internal/ip6"
 	"strings"
 	"sync"
 	"testing"
 
+	"expanse/internal/apd"
+	"expanse/internal/ip6"
 	"expanse/internal/wire"
 )
 
@@ -20,7 +21,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal("empty hitlist")
 	}
 	all := p.Hitlist().Sorted()
-	clean, aliased := p.Filter().Split(all)
+	clean, aliased := p.Latest().Filter.Split(all)
 	share := float64(len(aliased)) / float64(len(all))
 	if share < 0.15 || share > 0.75 {
 		t.Errorf("aliased share = %.2f, want ~half", share)
@@ -121,15 +122,18 @@ func TestFig7ICMPDominance(t *testing.T) {
 
 func TestTable4WindowMonotone(t *testing.T) {
 	lab.ensureAPDDays(14)
+	unstable := func(w int) int {
+		return lab.P.Builder().History().UnstablePrefixesWorkers(w, lab.P.Cfg.Workers)
+	}
 	prev := -1
 	for w := 0; w <= 5; w++ {
-		u := lab.P.History().UnstablePrefixes(w)
+		u := unstable(w)
 		if prev >= 0 && u > prev+2 {
 			t.Errorf("unstable count rose sharply at window %d: %d -> %d", w, prev, u)
 		}
 		prev = u
 	}
-	if lab.P.History().UnstablePrefixes(3) > lab.P.History().UnstablePrefixes(0) {
+	if unstable(3) > unstable(0) {
 		t.Error("window 3 must not be worse than window 0")
 	}
 }
@@ -359,8 +363,12 @@ func TestAPDNarrowingEquivalence(t *testing.T) {
 		// set as it stands before the next narrowing.
 		expected := map[ip6.Prefix]bool{}
 		for _, c := range b.cands {
+			// The OR of the prefix's masks over days 0..di, for every di.
+			id, _ := b.table.ID(c.Prefix)
+			var merged apd.BranchMask
 			for di := 0; di < b.hist.Len(); di++ {
-				if b.hist.MergedAt(c.Prefix, di, b.hist.Len()).Count() >= 12 {
+				merged |= b.hist.Column(di).Mask(id)
+				if merged.Count() >= 12 {
 					expected[c.Prefix] = true
 					break
 				}

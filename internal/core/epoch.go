@@ -13,9 +13,10 @@ import (
 // Epoch is one published day of the daily hitlist service: an immutable,
 // cheaply-shareable snapshot of everything the day's consumers read.
 // The publish point is atomic (Pipeline.publish swaps an RCU pointer),
-// so a reader that obtains an epoch — via Pipeline.Latest or a RunDays
-// result — sees a fully-built, internally-consistent view forever: the
-// hitlist pinned at its sorted mutation epoch (ip6.FrozenView), the
+// so a reader that obtains an epoch — via Pipeline.Latest or a
+// RunDaysFunc callback — sees a fully-built, internally-consistent view
+// forever: the hitlist pinned at its sorted mutation epoch
+// (ip6.FrozenView), the
 // interval-compiled alias filter, the per-prefix verdicts, the day's
 // probed candidates with their raw scan masks, the day's history column
 // plus the sliding window it was judged under, and (when the pipeline
@@ -128,8 +129,7 @@ func (d *EpochDraft) Index() int { return d.index }
 //     the post-collection hitlist, so any number of Seal calls may run
 //     concurrently with each other and with later ProbeDay calls.
 //
-// The day orchestrator (sched.go) pipelines the two; the serial
-// Pipeline.RunAPD composes them back to back.
+// The day orchestrator (sched.go) pipelines the two.
 type EpochBuilder struct {
 	cfg      Config
 	world    *netsim.Internet
@@ -147,49 +147,44 @@ type EpochBuilder struct {
 // Days returns how many APD days have been probed so far.
 func (b *EpochBuilder) Days() int { return b.hist.Len() }
 
-// History exposes the builder's live observation history. Callers must
-// not read it concurrently with ProbeDay; published epochs carry
-// immutable column snapshots for that.
+// History exposes the builder's live observation history — the one
+// history accessor of the pipeline. Callers must not read it concurrently
+// with ProbeDay; published epochs carry immutable column snapshots for
+// that.
 func (b *EpochBuilder) History() *apd.History { return &b.hist }
 
-// ProbeDay runs the probe-chain half of one APD day: on the first call
-// it derives and freezes the candidate universe (hitlist multi-level
-// mapping plus all BGP-announced prefixes); later calls first narrow to
-// prefixes whose running mask is near aliased (>= 12 branches), since a
-// full daily re-derivation would be probe-for-probe identical in the
-// simulator but pointlessly slow (see DESIGN.md). It then probes the
-// day's fan-out targets, appends the history column, and folds it into
-// the running masks. The returned draft is immutable.
-func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
-	if b.table == nil {
-		cands := apd.HitlistCandidates(b.store.All(), b.cfg.MinTargets)
-		cands = append(cands, apd.BGPCandidates(b.world.Table)...)
-		b.table = apd.NewCandidateTable(cands)
-		b.hist.Bind(b.table)
-		b.nearMask = make([]apd.BranchMask, b.table.NumIDs())
-		b.cands = cands
-		b.candIDs = make([]int32, len(cands))
-		for i := range cands {
-			b.candIDs[i] = b.table.EntryID(i)
-		}
-	} else if b.hist.Len() > 0 {
-		// Narrow to near-aliased prefixes (running mask >= 12 branches).
-		// Fresh slices every day: the previous day's draft keeps the old
-		// ones, so sealed-but-unpublished epochs never see this mutation.
-		narrow := b.cands[:0:0]
-		narrowIDs := b.candIDs[:0:0]
-		for i, c := range b.cands {
-			if b.nearMask[b.candIDs[i]].Count() >= 12 {
-				narrow = append(narrow, c)
-				narrowIDs = append(narrowIDs, b.candIDs[i])
-			}
-		}
-		b.cands, b.candIDs = narrow, narrowIDs
+// bind freezes the candidate universe: day 0 probes every entry, and the
+// running near-aliased masks start empty. The caller binds or restores
+// the history against the same table.
+func (b *EpochBuilder) bind(table *apd.CandidateTable) {
+	b.table = table
+	b.cands = table.Candidates()
+	b.candIDs = make([]int32, len(b.cands))
+	for i := range b.cands {
+		b.candIDs[i] = table.EntryID(i)
 	}
-	flat := b.detector.ProbeDayFlat(b.cands, day)
-	b.hist.AddIDs(b.candIDs, flat)
-	di := b.hist.Len() - 1
-	b.hist.ORDayInto(di, b.nearMask, b.cfg.Workers)
+	b.nearMask = make([]apd.BranchMask, table.NumIDs())
+}
+
+// narrow keeps the candidates whose running mask is near aliased (>= 12
+// branches). Fresh slices every day: the previous day's draft keeps the
+// old ones, so sealed-but-unpublished epochs never see this mutation.
+func (b *EpochBuilder) narrow() {
+	narrow := b.cands[:0:0]
+	narrowIDs := b.candIDs[:0:0]
+	for i, c := range b.cands {
+		if b.nearMask[b.candIDs[i]].Count() >= 12 {
+			narrow = append(narrow, c)
+			narrowIDs = append(narrowIDs, b.candIDs[i])
+		}
+	}
+	b.cands, b.candIDs = narrow, narrowIDs
+}
+
+// draft snapshots history day di — probed on absolute day `day` over the
+// builder's current candidate subset, with raw masks flat — into an
+// immutable EpochDraft.
+func (b *EpochBuilder) draft(di, day int, flat []apd.BranchMask) *EpochDraft {
 	return &EpochDraft{
 		index:   di,
 		day:     day,
@@ -200,6 +195,30 @@ func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
 		window:  b.hist.WindowColumns(di, b.cfg.APDWindow),
 		nIDs:    b.table.NumIDs(),
 	}
+}
+
+// ProbeDay runs the probe-chain half of one APD day: on the first call
+// it derives and freezes the candidate universe (hitlist multi-level
+// mapping plus all BGP-announced prefixes); later calls first narrow to
+// prefixes whose running mask is near aliased, since a full daily
+// re-derivation would be probe-for-probe identical in the simulator but
+// pointlessly slow (see DESIGN.md). It then probes the day's fan-out
+// targets, appends the history column, and folds it into the running
+// masks. The returned draft is immutable.
+func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
+	if b.table == nil {
+		cands := apd.HitlistCandidates(b.store.All(), b.cfg.MinTargets)
+		cands = append(cands, apd.BGPCandidates(b.world.Table)...)
+		b.bind(apd.NewCandidateTable(cands))
+		b.hist.Bind(b.table)
+	} else {
+		b.narrow()
+	}
+	flat := b.detector.ProbeDayFlat(b.cands, day)
+	b.hist.AddIDs(b.candIDs, flat)
+	di := b.hist.Len() - 1
+	b.hist.ORDayInto(di, b.nearMask, b.cfg.Workers)
+	return b.draft(di, day, flat)
 }
 
 // Seal turns a probed draft into a publish-ready epoch: the window

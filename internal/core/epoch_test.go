@@ -45,6 +45,13 @@ func epochDigest(e *Epoch) string {
 	return b.String()
 }
 
+// runDays collects the epochs of an n-day orchestrated run in day order.
+func runDays(p *Pipeline, start, n int) []*Epoch {
+	var eps []*Epoch
+	p.RunDaysFunc(start, n, func(e *Epoch) { eps = append(eps, e) })
+	return eps
+}
+
 func runEpochs(t *testing.T, workers, overlap, days int) []string {
 	t.Helper()
 	cfg := TestConfig()
@@ -55,7 +62,7 @@ func runEpochs(t *testing.T, workers, overlap, days int) []string {
 	cfg.EpochSweep = true
 	p := New(cfg)
 	p.Collect()
-	eps := p.RunDays(p.World.Horizon(), days)
+	eps := runDays(p, p.World.Horizon(), days)
 	out := make([]string, len(eps))
 	for i, e := range eps {
 		out[i] = epochDigest(e)
@@ -89,9 +96,9 @@ func TestEpochPipelineGoldens(t *testing.T) {
 // TestRunDaysFuncStreams pins the streaming contract: the callback
 // observes every epoch exactly once, in day order, after the publish
 // point has swapped (Latest is the callback's epoch), and the stream
-// is byte-identical to the slice RunDays returns for the same
-// configuration. The streaming leg also forces periodic collections
-// (ForceGCDays) to pin that the knob is output-neutral.
+// is byte-identical to a reference run of the same configuration. The
+// checked leg also forces periodic collections (ForceGCDays) to pin that
+// the knob is output-neutral.
 func TestRunDaysFuncStreams(t *testing.T) {
 	const days = 5
 	build := func(forceGC int) *Pipeline {
@@ -105,7 +112,7 @@ func TestRunDaysFuncStreams(t *testing.T) {
 		return p
 	}
 	ref := build(0)
-	want := ref.RunDays(ref.World.Horizon(), days)
+	want := runDays(ref, ref.World.Horizon(), days)
 
 	p := build(2)
 	var got []string
@@ -203,7 +210,7 @@ func TestEpochConcurrentReaders(t *testing.T) {
 		}()
 	}
 
-	eps := p.RunDays(p.World.Horizon(), days)
+	eps := runDays(p, p.World.Horizon(), days)
 	close(done)
 	wg.Wait()
 
@@ -235,11 +242,14 @@ func TestCleanTargetsBeforeEpochPanics(t *testing.T) {
 	p.CleanTargets()
 }
 
-// TestAccessorsNilBeforeEpoch pins the documented nil returns of the
-// epoch-backed accessors before the first publish.
+// TestAccessorsNilBeforeEpoch pins the documented pre-epoch state: Latest
+// is nil and the builder's history is empty before the first publish.
 func TestAccessorsNilBeforeEpoch(t *testing.T) {
 	p := New(TestConfig())
-	if p.Latest() != nil || p.Filter() != nil || p.Verdicts() != nil || p.Candidates() != nil {
-		t.Error("epoch accessors non-nil before first publish")
+	if p.Latest() != nil {
+		t.Error("Latest non-nil before first publish")
+	}
+	if b := p.Builder(); b.Days() != 0 || b.History().Len() != 0 {
+		t.Error("builder history non-empty before the first probed day")
 	}
 }

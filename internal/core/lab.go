@@ -102,7 +102,9 @@ func (l *Lab) ensureAPDDays(n int) {
 	defer l.apdMu.Unlock()
 	if len(l.epochs) < n {
 		start := l.measureDay() + len(l.epochs)
-		l.epochs = append(l.epochs, l.P.RunDays(start, n-len(l.epochs))...)
+		// The Lab keeps every epoch deliberately: experiments index back
+		// into the sequence (windowEpoch, the stability study).
+		l.P.RunDaysFunc(start, n-len(l.epochs), func(e *Epoch) { l.epochs = append(l.epochs, e) })
 	}
 }
 
@@ -147,7 +149,7 @@ func (l *Lab) verdicts() map[ip6.Prefix]bool {
 func (l *Lab) unstablePrefixes(window int) int {
 	l.apdMu.Lock()
 	defer l.apdMu.Unlock()
-	return l.P.History().UnstablePrefixesWorkers(window, l.P.Cfg.Workers)
+	return l.P.Builder().History().UnstablePrefixesWorkers(window, l.P.Cfg.Workers)
 }
 
 // ensureScanFull sweeps the complete hitlist once (the pre-APD view that

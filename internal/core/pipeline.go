@@ -48,8 +48,8 @@ type Config struct {
 	// knob.
 	Workers int
 	// Overlap is the day orchestrator's pipeline depth: how many APD
-	// days may be in flight at once in RunDays (default 2; 1 degenerates
-	// to the fully serial day loop). Published epochs are byte-identical
+	// days may be in flight at once in RunDaysFunc (default 2; 1
+	// degenerates to the fully serial day loop). Published epochs are byte-identical
 	// for every value — like Workers, purely a throughput knob.
 	Overlap int
 	// EpochSweep, when set, gives every published epoch its own
@@ -172,29 +172,20 @@ func (p *Pipeline) Collect() {
 // shared: treat it as read-only.
 func (p *Pipeline) Hitlist() *ip6.ShardSet { return p.Store.All() }
 
-// RunAPD performs one day's aliased prefix detection serially — probe
-// chain and seal back to back — and publishes the resulting epoch. On
-// the first call the builder derives the candidate set (hitlist
-// multi-level mapping plus all BGP-announced prefixes); later calls
-// re-probe only prefixes that were close to aliased before — full
-// re-derivation daily would be probe-for-probe identical in the
-// simulator but pointlessly slow (see DESIGN.md). For multi-day runs,
-// RunDays (sched.go) pipelines the same two halves across days.
+// RunAPD runs one APD day and returns its published epoch: the n = 1
+// case of RunDaysFunc (sched.go). On the first day the builder derives
+// the candidate set (hitlist multi-level mapping plus all BGP-announced
+// prefixes); later days re-probe only prefixes that were close to
+// aliased before (see EpochBuilder.ProbeDay).
 func (p *Pipeline) RunAPD(day int) *Epoch {
-	draft := p.builder.ProbeDay(day)
-	if p.Cfg.SnapshotDir != "" {
-		p.saveCheckpoint(draft)
-	}
-	p.maybeForceGC()
-	ep := p.builder.Seal(draft)
-	p.publish(ep)
+	var ep *Epoch
+	p.RunDaysFunc(day, 1, func(e *Epoch) { ep = e })
 	return ep
 }
 
 // maybeForceGC runs the Config.ForceGCDays collection when the probe
 // chain has just finished a multiple-of-N day. Called from the probe
-// chain only (RunAPD and the orchestrator), where the builder's day
-// count is stable.
+// chain only, where the builder's day count is stable.
 func (p *Pipeline) maybeForceGC() {
 	if n := p.Cfg.ForceGCDays; n > 0 && p.builder.Days()%n == 0 {
 		runtime.GC()
@@ -206,8 +197,8 @@ func (p *Pipeline) maybeForceGC() {
 
 // publish is the epoch publish point: one atomic pointer swap. Readers
 // holding the previous epoch keep a fully-consistent view; new readers
-// see the new day. Epochs must be published in day order (RunAPD and
-// the orchestrator both guarantee this).
+// see the new day. Epochs must be published in day order (the
+// orchestrator guarantees this).
 func (p *Pipeline) publish(e *Epoch) { p.latest.Store(e) }
 
 // Latest returns the most recently published epoch, RCU-style: a single
@@ -215,43 +206,11 @@ func (p *Pipeline) publish(e *Epoch) { p.latest.Store(e) }
 // The returned epoch is immutable — hold it as long as needed.
 func (p *Pipeline) Latest() *Epoch { return p.latest.Load() }
 
-// Filter returns the latest published epoch's alias filter. It returns
-// nil before the first APD epoch is published — callers that cannot
-// tolerate that should go through Latest and check for nil once.
-func (p *Pipeline) Filter() *apd.Filter {
-	if e := p.Latest(); e != nil {
-		return e.Filter
-	}
-	return nil
-}
-
-// Verdicts returns the latest published epoch's per-prefix aliased
-// verdicts (nil before the first epoch). Read-only.
-func (p *Pipeline) Verdicts() map[ip6.Prefix]bool {
-	if e := p.Latest(); e != nil {
-		return e.Verdicts
-	}
-	return nil
-}
-
-// Candidates returns the candidate subset probed on the latest
-// published epoch's day (nil before the first epoch). Read-only.
-func (p *Pipeline) Candidates() []apd.Candidate {
-	if e := p.Latest(); e != nil {
-		return e.Candidates
-	}
-	return nil
-}
-
 // Builder exposes the epoch builder that owns the day loop's mutable
-// state. Probing methods must only be driven from one goroutine at a
+// state (and, through Builder().History(), the live observation
+// history). Probing methods must only be driven from one goroutine at a
 // time; casual consumers want Latest instead.
 func (p *Pipeline) Builder() *EpochBuilder { return p.builder }
-
-// History exposes the live APD observation history. It must not be read
-// concurrently with RunAPD/RunDays; published epochs carry immutable
-// per-day column snapshots for concurrent consumption.
-func (p *Pipeline) History() *apd.History { return &p.builder.hist }
 
 // APDProbesSent reports probe packets spent on APD so far.
 func (p *Pipeline) APDProbesSent() int { return p.detector.ProbesSent }
@@ -318,39 +277,18 @@ func (s *Scan) Count(p wire.Proto) int {
 	return s.counts[p]
 }
 
-// Sweep probes the targets on all five protocols for one day (§6).
+// Sweep probes the targets on all five protocols for one day (§6). The
+// returned Scan shares targets in Addrs: read-only.
 func (p *Pipeline) Sweep(targets []ip6.Addr, day int) *Scan {
-	return &Scan{Day: day, Addrs: targets, Masks: p.scanner.Sweep(targets, day)}
+	return &Scan{Day: day, Addrs: targets, Masks: p.scanner.SweepSeqInto(ip6.Addrs(targets), day, nil)}
 }
 
-// SweepSet probes every address of the set in sorted order on all five
-// protocols. The scan indexes the set's cached sorted view directly —
-// the hitlist is sorted at most once per mutation epoch and never copied
-// per sweep. The returned Scan shares that view in Addrs: read-only.
-func (p *Pipeline) SweepSet(set *ip6.ShardSet, day int) *Scan {
-	sorted := set.Sorted()
-	return &Scan{Day: day, Addrs: sorted, Masks: p.scanner.SweepSeq(ip6.Addrs(sorted), day)}
-}
+// SweepSet sweeps the set's cached sorted view — sorted at most once per
+// mutation epoch, never copied per sweep.
+func (p *Pipeline) SweepSet(set *ip6.ShardSet, day int) *Scan { return p.Sweep(set.Sorted(), day) }
 
-// ScanOne probes the targets on a single protocol.
-func (p *Pipeline) ScanOne(targets []ip6.Addr, proto wire.Proto, day int) []probe.Result {
-	return p.scanner.Scan(targets, proto, day)
-}
-
-// ProbePairs sends the §5.4 fingerprinting probe pairs (the per-probe
-// reference path, routed through the AddrSeq entry point).
-func (p *Pipeline) ProbePairs(targets []ip6.Addr, day int) []probe.Pair {
-	return p.scanner.ProbePairsSeq(ip6.Addrs(targets), wire.TCP80, day)
-}
-
-// ProbePairsSeq is ProbePairs over an indexed target view — no
-// flatten-copy when fed from the ShardSet's cached sorted view.
-func (p *Pipeline) ProbePairsSeq(targets ip6.AddrSeq, day int) []probe.Pair {
-	return p.scanner.ProbePairsSeq(targets, wire.TCP80, day)
-}
-
-// ProbePairColumns sends the §5.4 pairs on the batched columnar path,
-// with SYN-ACK fingerprints interned in the pipeline's table (TCPTable).
+// ProbePairColumns sends the §5.4 fingerprinting probe pairs, with
+// SYN-ACK fingerprints interned in the pipeline's table (TCPTable).
 func (p *Pipeline) ProbePairColumns(targets []ip6.Addr, day int, out *probe.PairColumns) {
 	p.scanner.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, day, out)
 }
@@ -375,7 +313,7 @@ func (p *Pipeline) SweepDays(targets []ip6.Addr, day0, days int, fn func(day int
 func (p *Pipeline) CleanTargets() []ip6.Addr {
 	e := p.Latest()
 	if e == nil {
-		panic("core: CleanTargets called before any APD epoch was published — run RunAPD or RunDays first")
+		panic("core: CleanTargets called before any APD epoch was published — run RunAPD or RunDaysFunc first")
 	}
 	return e.CleanTargets()
 }

@@ -2,10 +2,10 @@ package core
 
 import "sync"
 
-// This file is the day orchestrator: the serial collect → probe → merge
-// → publish day loop refactored into a small dependency DAG with a
-// defined publish point per day, so consecutive days overlap without
-// giving up byte-identical determinism.
+// This file is the day orchestrator: the probe → merge → publish day
+// loop as a small dependency DAG with a defined publish point per day,
+// so consecutive days overlap without giving up byte-identical
+// determinism.
 //
 // Per day d the DAG has two nodes:
 //
@@ -32,39 +32,28 @@ import "sync"
 // with the same contents as the serial loop produces — so the published
 // epochs, and every report derived from them, are byte-identical at any
 // worker count and overlap depth (pinned by TestEpochPipelineGoldens
-// and the -race stress test).
+// and the -race stress test). A single day is the same DAG with n = 1
+// (Pipeline.RunAPD), not a second code path.
 
-// RunDays runs n consecutive APD days starting at absolute day `start`
-// through the publish-point pipeline and returns the published epochs
-// in day order. Cfg.Overlap bounds how many days are in flight (1 =
-// serial); Cfg.EpochSweep adds each day's curated-target sweep to its
-// epoch. Epochs are published to Pipeline.Latest in day order as they
-// complete, so concurrent readers can consume epoch K while day K+1 is
-// still probing.
+// RunDaysFunc runs n consecutive APD days starting at absolute day
+// `start` through the publish-point pipeline. Cfg.Overlap bounds how
+// many days are in flight (1 = serial); Cfg.EpochSweep adds each day's
+// curated-target sweep to its epoch. Epochs are published to
+// Pipeline.Latest in day order as they complete, so concurrent readers
+// can consume epoch K while day K+1 is still probing.
 //
-// The returned slice pins every epoch of the run. At large scale each
-// epoch retains its own verdict map, compiled filter and candidate
-// columns (~hundreds of MB per day at scale 16), so a long run's slice
-// can dwarf the pipeline's own working set — callers that only need
-// the stream, or the final day, should use RunDaysFunc and let dead
-// epochs be collected.
-func (p *Pipeline) RunDays(start, n int) []*Epoch {
-	if n <= 0 {
-		return nil
-	}
-	epochs := make([]*Epoch, 0, n)
-	p.RunDaysFunc(start, n, func(e *Epoch) { epochs = append(epochs, e) })
-	return epochs
-}
-
-// RunDaysFunc is RunDays streaming: fn observes each epoch at its
-// publish point — in day order, serially, after Pipeline.Latest has
-// swapped — and the orchestrator keeps no reference of its own
-// afterwards, so an epoch the callback drops becomes garbage as soon
-// as the sliding window moves past its pinned columns. fn runs on the
-// sealing goroutine ahead of the publish of day d+1 and the probe of
-// day d+depth: a slow callback backpressures the pipeline rather than
-// racing it.
+// fn observes each epoch at its publish point — in day order, serially,
+// after Pipeline.Latest has swapped — and the orchestrator keeps no
+// reference of its own afterwards, so an epoch the callback drops
+// becomes garbage as soon as the sliding window moves past its pinned
+// columns. That matters at scale: each epoch retains its own verdict
+// map, compiled filter and candidate columns (~hundreds of MB per day at
+// scale 16), so a caller that collects every epoch of a long run holds
+// far more than the pipeline's own working set — keep the stream, or the
+// final day, unless the whole sequence is needed. fn runs on the sealing
+// goroutine ahead of the publish of day d+1 and the probe of day
+// d+depth: a slow callback backpressures the pipeline rather than racing
+// it.
 func (p *Pipeline) RunDaysFunc(start, n int, fn func(*Epoch)) {
 	if n <= 0 {
 		return

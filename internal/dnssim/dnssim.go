@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
 )
@@ -56,18 +57,8 @@ type Server struct {
 	rtree   *RTree
 }
 
-// hashString is FNV-1a, for deterministic per-domain decisions.
-func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 func visFor(name string, class string) Vis {
-	h := hashString(name)
+	h := hash64.String(name)
 	p := func(bit uint, prob float64) Vis {
 		if float64(h>>(bit*8)&0xff)/256 < prob {
 			return 1 << bit

@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/stats"
 )
@@ -304,8 +305,5 @@ func newSplitMix(seed uint64) *splitMix { return &splitMix{s: seed} }
 
 func (r *splitMix) next() uint64 {
 	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
+	return hash64.Mix(r.s)
 }

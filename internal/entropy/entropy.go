@@ -23,6 +23,7 @@ import (
 
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
+	"expanse/internal/par"
 	"expanse/internal/stats"
 )
 
@@ -76,52 +77,20 @@ func countNybbles(addrs ip6.AddrSeq, a, b, workers int) [][16]int {
 		tally(addrs, a, b, 0, n, counts)
 		return counts
 	}
-	w := chunkCount(n, workers, parallelMin)
-	partials := make([][][16]int, w)
-	forChunks(n, w, func(c, lo, hi int) {
+	partials := make([][][16]int, workers)
+	par.Ranges(n, workers, parallelMin, 1, func(c, lo, hi int) {
 		part := make([][16]int, b-a+1)
 		tally(addrs, a, b, lo, hi, part)
 		partials[c] = part
 	})
 	for _, part := range partials {
-		for i := range counts {
+		for i := range part {
 			for v := 0; v < 16; v++ {
 				counts[i][v] += part[i][v]
 			}
 		}
 	}
 	return counts
-}
-
-// chunkCount clamps a worker count so each contiguous chunk of [0, n)
-// gets at least minPer elements (always at least one chunk).
-func chunkCount(n, w, minPer int) int {
-	if w <= 0 {
-		w = 1
-	}
-	if w > n/minPer+1 {
-		w = n/minPer + 1
-	}
-	return w
-}
-
-// forChunks splits [0, n) into nChunks contiguous chunks and runs
-// fn(chunkIndex, lo, hi) on every chunk concurrently.
-func forChunks(n, nChunks int, fn func(c, lo, hi int)) {
-	chunk := (n + nChunks - 1) / nChunks
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			fn(c, lo, hi)
-		}(c)
-	}
-	wg.Wait()
 }
 
 func tally(addrs ip6.AddrSeq, a, b, lo, hi int, counts [][16]int) {
@@ -311,9 +280,8 @@ func lookupChunks[K comparable](addrs ip6.AddrSeq, workers int, lookup func(ip6.
 	if n > math.MaxInt32 {
 		panic("entropy: address view exceeds int32 index space")
 	}
-	w := chunkCount(n, workers, 256)
-	chunks := make([]lookupChunk[K], w)
-	forChunks(n, w, func(c, lo, hi int) {
+	chunks := make([]lookupChunk[K], max(workers, 1))
+	par.Ranges(n, workers, 256, 1, func(c, lo, hi int) {
 		ch := lookupChunk[K]{m: make(map[K]*chunkEntry)}
 		for i := lo; i < hi; i++ {
 			key, asn, ok := lookup(addrs.At(i))

@@ -14,17 +14,6 @@ import (
 	"expanse/internal/wire"
 )
 
-// Sample is one fingerprintable response.
-type Sample struct {
-	// SentAt is the probe's virtual send time (receive time differs by a
-	// near-constant RTT, which linear regression absorbs).
-	SentAt wire.Time
-	// HopLimit is the received hop limit.
-	HopLimit uint8
-	// TCP is the SYN-ACK option data (nil = no usable response).
-	TCP *wire.TCPInfo
-}
-
 // ITTL rounds a received hop limit up to the initial TTL the sender chose:
 // one of 32, 64, 128, 255 (§5.4: "rounding the TTL value up to the next
 // power of 2"; 255 is the ceiling for values above 128).
@@ -72,65 +61,28 @@ func (r Report) Inconsistent() bool {
 // R2Threshold is the paper's regression acceptance bound.
 const R2Threshold = 0.8
 
-// Analyze runs all §5.4 tests over the fingerprint samples of one prefix.
-func Analyze(samples []Sample) Report {
-	var rep Report
-	var usable []Sample
-	for _, s := range samples {
-		if s.TCP != nil {
-			usable = append(usable, s)
-		}
-	}
-	rep.Samples = len(usable)
-	if len(usable) < 2 {
-		rep.TSIndecisive = true
-		return rep
-	}
-
-	first := usable[0]
-	for _, s := range usable[1:] {
-		if ITTL(s.HopLimit) != ITTL(first.HopLimit) {
-			rep.ITTLInconsistent = true
-		}
-		if s.TCP.OptionsText != first.TCP.OptionsText {
-			rep.OptionsInconsistent = true
-		}
-		if s.TCP.WScale != first.TCP.WScale {
-			rep.WScaleInconsistent = true
-		}
-		if s.TCP.MSS != first.TCP.MSS {
-			rep.MSSInconsistent = true
-		}
-		if s.TCP.WSize != first.TCP.WSize {
-			rep.WSizeInconsistent = true
-		}
-	}
-
-	rep.TSConsistent, rep.TSWhichPassed = timestampTest(usable)
-	rep.TSIndecisive = !rep.TSConsistent
-	return rep
-}
-
-// RefSample is the columnar form of Sample: the SYN-ACK's static
-// fingerprint as an interned table ref instead of a heap TCPInfo, plus
-// the per-probe timestamp value. It is what the batched scan plane
-// produces (wire.ResultColumns rows).
+// RefSample is one fingerprintable response: the SYN-ACK's static
+// fingerprint as an interned table ref plus the per-probe timestamp
+// value — a row of the scan plane's wire.ResultColumns.
 type RefSample struct {
-	SentAt   wire.Time
+	// SentAt is the probe's virtual send time (receive time differs by a
+	// near-constant RTT, which linear regression absorbs).
+	SentAt wire.Time
+	// HopLimit is the received hop limit.
 	HopLimit uint8
 	// Ref indexes the interned fingerprint (wire.NoTCP = no usable
-	// response; such samples are skipped, like nil-TCP Samples).
+	// response; such samples are skipped).
 	Ref wire.TCPRef
 	// TSVal is the TCP timestamp value (meaningful iff the interned
 	// fingerprint has TSPresent).
 	TSVal uint32
 }
 
-// AnalyzeRefs is Analyze over interned fingerprint refs: two samples from
-// the same machine profile compare as one integer, so the per-field value
-// tests (options layout string included) run only when refs differ.
-// Results are identical to Analyze on the materialized samples (pinned by
-// test).
+// AnalyzeRefs runs all §5.4 tests over the fingerprint samples of one
+// prefix. Two samples from the same machine profile compare as one
+// integer, so the per-field value tests (options layout string included)
+// run only when refs differ. The per-sample reference it is property-
+// pinned against lives in ref_test.go.
 func AnalyzeRefs(samples []RefSample, table *wire.TCPTable) Report {
 	var rep Report
 	usable := make([]RefSample, 0, len(samples))
@@ -175,7 +127,7 @@ func AnalyzeRefs(samples []RefSample, table *wire.TCPTable) Report {
 	return rep
 }
 
-// timestampTestRefs is timestampTest over interned samples.
+// timestampTestRefs applies the three §5.4 timestamp checks in order.
 func timestampTestRefs(usable []RefSample, table *wire.TCPTable) (bool, string) {
 	var ts []RefSample
 	for _, s := range usable {
@@ -226,65 +178,6 @@ func timestampTestRefs(usable []RefSample, table *wire.TCPTable) (bool, string) 
 	for i, s := range ordered {
 		x[i] = float64(s.SentAt) / 1e6
 		y[i] = float64(s.TSVal)
-	}
-	if r := stats.LinearRegression(x, y); r.R2 > R2Threshold {
-		return true, "regression"
-	}
-	return false, ""
-}
-
-// timestampTest applies the three §5.4 checks in order.
-func timestampTest(usable []Sample) (bool, string) {
-	// Split into with/without timestamps.
-	var ts []Sample
-	for _, s := range usable {
-		if s.TCP.TSPresent {
-			ts = append(ts, s)
-		}
-	}
-	// Check 1: "whether all hosts send the same (or missing) timestamps".
-	if len(ts) == 0 {
-		return true, "same" // uniformly missing
-	}
-	if len(ts) == len(usable) {
-		same := true
-		for _, s := range ts[1:] {
-			if s.TCP.TSVal != ts[0].TCP.TSVal {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true, "same"
-		}
-	} else {
-		// Mixed present/missing: cannot be one machine's clock.
-		return false, ""
-	}
-	if len(ts) < 3 {
-		return false, ""
-	}
-	ordered := make([]Sample, len(ts))
-	copy(ordered, ts)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].SentAt < ordered[j].SentAt })
-	// Check 2: monotonic across the whole prefix in probe order.
-	monotonic := true
-	for i := 1; i < len(ordered); i++ {
-		if ordered[i].TCP.TSVal < ordered[i-1].TCP.TSVal {
-			monotonic = false
-			break
-		}
-	}
-	if monotonic {
-		return true, "monotonic"
-	}
-	// Check 3: global linear counter — regression of TSval against
-	// receive time with R² > 0.8.
-	x := make([]float64, len(ordered))
-	y := make([]float64, len(ordered))
-	for i, s := range ordered {
-		x[i] = float64(s.SentAt) / 1e6
-		y[i] = float64(s.TCP.TSVal)
 	}
 	if r := stats.LinearRegression(x, y); r.R2 > R2Threshold {
 		return true, "regression"

@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+
+	"expanse/internal/hash64"
 )
 
 // Addr is a 128-bit IPv6 address stored in network byte order.
@@ -178,18 +180,8 @@ func AddrFromNybbles(n [32]byte) Addr {
 // pattern of hashing the formatted String() (an allocation plus a
 // 39-byte format per call).
 func (a Addr) Hash64() uint64 {
-	h := hashMix64(a.hi + 0x9e3779b97f4a7c15)
-	return hashMix64(h ^ a.lo)
-}
-
-// hashMix64 is the splitmix64 finalizer.
-func hashMix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	h := hash64.Mix(a.hi + 0x9e3779b97f4a7c15)
+	return hash64.Mix(h ^ a.lo)
 }
 
 // IID returns the low 64 bits, the interface identifier under the

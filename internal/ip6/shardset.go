@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"expanse/internal/par"
 )
 
 // NumShards is the fixed shard count of a ShardSet. Shard assignment is a
@@ -198,7 +200,7 @@ func (s *ShardSet) CompactCols() { s.clipAndDropMaps() }
 // its insertion columns at exact length (append growth leaves up to ~2×
 // slack on sets built by many small batches).
 func (s *ShardSet) clipAndDropMaps() {
-	runChunks(NumShards, s.workerCount(), func(lo, hi int) {
+	par.Ranges(NumShards, s.workerCount(), 1, 1, func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			sh := &s.shards[si]
 			sh.mu.Lock()
@@ -284,26 +286,14 @@ func (s *ShardSet) addBatch(addrs []Addr, collect bool) (int, []Addr) {
 	// Bucketing pays off even at w=1: phase 2 then takes each shard lock
 	// once and fills each shard map in a tight run — about 2× faster than
 	// per-address lock/insert on a batch of 10⁶ (see the benchmarks).
-	chunk := (n + w - 1) / w
-	nChunks := (n + chunk - 1) / chunk
-	buckets := make([][NumShards][]int32, nChunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nChunks; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			b := &buckets[c]
-			for i := lo; i < hi; i++ {
-				si := shardOf(addrs[i])
-				b[si] = append(b[si], int32(i))
-			}
-		}(c)
-	}
-	wg.Wait()
+	buckets := make([][NumShards][]int32, w)
+	par.Ranges(n, w, 1, 1, func(c, lo, hi int) {
+		b := &buckets[c]
+		for i := lo; i < hi; i++ {
+			si := shardOf(addrs[i])
+			b[si] = append(b[si], int32(i))
+		}
+	})
 	// Phase 2: each worker owns a contiguous shard range and visits only
 	// its shards' bucketed indices, chunk-major — chunks partition the
 	// input in order, so per-shard insertion order equals input order
@@ -313,11 +303,11 @@ func (s *ShardSet) addBatch(addrs []Addr, collect bool) (int, []Addr) {
 	if collect {
 		freshPer = make([][]Addr, NumShards)
 	}
-	runChunks(NumShards, w, func(slo, shi int) {
+	par.Ranges(NumShards, w, 1, 1, func(_, slo, shi int) {
 		for si := slo; si < shi; si++ {
 			sh := &s.shards[si]
 			sh.mu.Lock()
-			for c := 0; c < nChunks; c++ {
+			for c := range buckets {
 				for _, i := range buckets[c][si] {
 					if sh.add(addrs[i]) {
 						counts[si]++
@@ -354,7 +344,7 @@ func (s *ShardSet) AddAll(other *ShardSet) int {
 	s.uncompact()
 	views := other.ShardSeqs()
 	counts := make([]int, NumShards)
-	runChunks(NumShards, s.workerCount(), func(slo, shi int) {
+	par.Ranges(NumShards, s.workerCount(), 1, 1, func(_, slo, shi int) {
 		for si := slo; si < shi; si++ {
 			v := views[si]
 			if v.Len() == 0 {
@@ -500,7 +490,7 @@ func (v FrozenView) Contains(a Addr) bool {
 // and the previous cache slice is left intact for existing readers.
 func (s *ShardSet) rebuildSorted() []Addr {
 	tails := make([]ShardCols, NumShards)
-	runChunks(NumShards, s.workerCount(), func(slo, shi int) {
+	par.Ranges(NumShards, s.workerCount(), 1, 1, func(_, slo, shi int) {
 		for si := slo; si < shi; si++ {
 			sh := &s.shards[si]
 			v := s.shardView(si)
@@ -535,35 +525,6 @@ func (s *ShardSet) rebuildSorted() []Addr {
 	out = append(out, old[i:]...)
 	out = append(out, fresh[j:]...)
 	return out
-}
-
-// runChunks splits [0,n) into up to w contiguous chunks and runs fn on
-// each concurrently. With w == 1 it runs inline.
-func runChunks(n, w int, fn func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // sortColumns sorts the parallel (hi, lo) arrays in ascending (hi, lo)

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"expanse/internal/hash64"
 )
 
 // refSet is the plain-map reference the property tests compare against.
@@ -307,7 +309,7 @@ func benchAddrs(n int) []Addr {
 	out := make([]Addr, n)
 	x := uint64(0x16c18)
 	for i := range out {
-		x = hashMix64(x + 0x9e3779b97f4a7c15)
+		x = hash64.Mix(x + 0x9e3779b97f4a7c15)
 		out[i] = AddrFromUint64(0x2001_0db8_0000_0000|x>>40, x)
 	}
 	return out

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"expanse/internal/bgp"
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/wire"
 )
@@ -95,16 +96,16 @@ func (in *Internet) planAliases(nextDomain func() uint32) {
 
 	quirkFor := func(key uint64) AliasQuirk {
 		var q AliasQuirk
-		h := mix64(key ^ 0x9e12c5)
+		h := hash64.Mix(key ^ 0x9e12c5)
 		// Rates tuned to Table 5: optionstext ~0.5%, WScale ~0.5%,
 		// MSS ~5%, WSize ~5%, iTTL ≈ 0 (handled by explicit flip regions).
 		if chance(h, 0.005) {
 			q |= QuirkProxyMix
 		}
-		if chance(mix64(h^1), 0.052) {
+		if chance(hash64.Mix(h^1), 0.052) {
 			q |= QuirkWSizeVary
 		}
-		if chance(mix64(h^2), 0.050) {
+		if chance(hash64.Mix(h^2), 0.050) {
 			q |= QuirkMSSVary
 		}
 		return q
@@ -126,12 +127,12 @@ func (in *Internet) planAliases(nextDomain func() uint32) {
 				Prefix:  p,
 				ASN:     asn,
 				Machine: key,
-				Serves:  webMask(chance(mix64(key), 0.4)),
+				Serves:  webMask(chance(hash64.Mix(key), 0.4)),
 				Quirks:  quirkFor(key),
-				Loss:    0.004 + unit(mix64(key^3))*0.01,
+				Loss:    0.004 + unit(hash64.Mix(key^3))*0.01,
 			}
-			if chance(mix64(key^4), 0.02) {
-				r.Loss = 0.1 + unit(mix64(key^5))*0.15
+			if chance(hash64.Mix(key^4), 0.02) {
+				r.Loss = 0.1 + unit(hash64.Mix(key^5))*0.15
 			}
 			addRecords(in.addRegion(r), recordsPer(p, 420))
 		}
@@ -174,7 +175,7 @@ func (in *Internet) planAliases(nextDomain func() uint32) {
 		if nw.prefix.Bits() > 40 {
 			continue
 		}
-		if !chance(mix64(nw.key^0x64a1), 0.42) {
+		if !chance(hash64.Mix(nw.key^0x64a1), 0.42) {
 			continue
 		}
 		n := 1 + int(hash2(nw.key, 0x64)%4)
@@ -183,15 +184,15 @@ func (in *Internet) planAliases(nextDomain func() uint32) {
 			key := hash3(in.key^0x64a2, nw.key, uint64(i))
 			r := AliasRegion{
 				Prefix: p64, ASN: nw.asn, Machine: key,
-				Serves: webMask(chance(mix64(key), 0.3)),
+				Serves: webMask(chance(hash64.Mix(key), 0.3)),
 				Quirks: quirkFor(key),
-				Loss:   0.004 + unit(mix64(key^6))*0.012,
+				Loss:   0.004 + unit(hash64.Mix(key^6))*0.012,
 			}
-			if chance(mix64(key^7), 0.012) {
+			if chance(hash64.Mix(key^7), 0.012) {
 				r.Quirks |= QuirkTTLFlip // the 2 iTTL-flipping /48 parents
 			}
-			if chance(mix64(key^8), 0.03) {
-				r.Loss = 0.1 + unit(mix64(key^9))*0.12
+			if chance(hash64.Mix(key^8), 0.03) {
+				r.Loss = 0.1 + unit(hash64.Mix(key^9))*0.12
 			}
 			addRecords(in.addRegion(r), recordsPer(p64, 16))
 		}
@@ -284,7 +285,7 @@ func (in *Internet) planRDNS(nextDomain func() uint32) {
 		if nw.kind != bgp.KindHoster && nw.kind != bgp.KindInternetService {
 			continue
 		}
-		if nw.prefix.Bits() > 36 || !chance(mix64(nw.key^0x4d0), 0.5) {
+		if nw.prefix.Bits() > 36 || !chance(hash64.Mix(nw.key^0x4d0), 0.5) {
 			continue
 		}
 		n := int(float64(16+hash2(nw.key, 0x4d1)%48) * in.cfg.Scale)
@@ -294,16 +295,16 @@ func (in *Internet) planRDNS(nextDomain func() uint32) {
 			hk := hashAddr(nw.key, addr)
 			var serves wire.RespMask
 			serves.Set(wire.ICMPv6)
-			if chance(mix64(hk^1), 0.35) {
+			if chance(hash64.Mix(hk^1), 0.35) {
 				serves.Set(wire.TCP80)
 			}
-			if chance(mix64(hk^2), 0.2) {
+			if chance(hash64.Mix(hk^2), 0.2) {
 				serves.Set(wire.TCP443)
 			}
 			in.addHost(Host{
 				Addr: addr, ASN: nw.asn, Class: ClassWebServer,
 				Serves: serves, Machine: hash2(nw.key^0x4d2, uint64(i)),
-				DeathDay: deathDay(mix64(hk^3), 0.002, 3*in.Horizon()),
+				DeathDay: deathDay(hash64.Mix(hk^3), 0.002, 3*in.Horizon()),
 			})
 			in.rdns = append(in.rdns, addr)
 		}

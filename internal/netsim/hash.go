@@ -1,6 +1,9 @@
 package netsim
 
-import "expanse/internal/ip6"
+import (
+	"expanse/internal/hash64"
+	"expanse/internal/ip6"
+)
 
 // The simulator answers questions like "does this address respond to
 // TCP/80 on day 12?" for an address space far too large to materialize.
@@ -8,21 +11,13 @@ import "expanse/internal/ip6"
 // deterministic (reproducible runs, stable tests) yet statistically
 // indistinguishable from random for the algorithms under test.
 
-// mix64 is the splitmix64 finalizer, a high-quality 64-bit mixer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // hash2 combines a key and one value.
-func hash2(key, a uint64) uint64 { return mix64(key ^ mix64(a)) }
+func hash2(key, a uint64) uint64 { return hash64.Mix(key ^ hash64.Mix(a)) }
 
 // hash3 combines a key and two values.
-func hash3(key, a, b uint64) uint64 { return mix64(hash2(key, a) ^ mix64(b+0x9e3779b97f4a7c15)) }
+func hash3(key, a, b uint64) uint64 {
+	return hash64.Mix(hash2(key, a) ^ hash64.Mix(b+0x9e3779b97f4a7c15))
+}
 
 // hashAddr folds an address into the keyed hash chain.
 func hashAddr(key uint64, a ip6.Addr) uint64 {

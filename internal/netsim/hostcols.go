@@ -109,9 +109,9 @@ func packMeta(class HostClass, quicFlaky bool) uint8 {
 }
 
 // worldBuilder is the construction-time host registry: the map/AoS
-// representation the sealed columns replace. plan() fills one, sealing
-// gathers it into columns and drops it; the retainBuilder test hook
-// keeps it alive as the in-test legacy reference.
+// representation the sealed columns replace. planBulk and planRDNS fill
+// one each, sealing gathers it into columns and drops it (worldpin_test
+// keeps its own merged copy as the map/AoS reference).
 type worldBuilder struct {
 	hosts map[ip6.Addr]int32
 	arr   []Host

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 )
 
@@ -104,7 +105,7 @@ func (l *lineISP) mac(line uint64) [6]byte {
 	if idx == len(vendorOUIs)-1 {
 		// Long tail: synthesize one of ~240 other vendor OUIs.
 		v := hash2(l.key^0xcdef, line) % 240
-		oui = [3]byte{0x40, byte(v), byte(mix64(v) >> 3)}
+		oui = [3]byte{0x40, byte(v), byte(hash64.Mix(v) >> 3)}
 	}
 	return [6]byte{oui[0], oui[1], oui[2], byte(h >> 16), byte(h >> 8), byte(h)}
 }

@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"expanse/internal/bgp"
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/wire"
 )
@@ -216,21 +217,28 @@ type Internet struct {
 	// responder path (see batch.go).
 	batchOnce sync.Once
 	batch     *batchTabs
-	// b is the construction-time host builder; nil once sealed. ref
-	// retains the builder as the in-test map/AoS reference when the
-	// retainBuilder hook is set.
-	b   *worldBuilder
-	ref *worldBuilder
+	// b is the construction-time host builder; nil once sealed.
+	b *worldBuilder
 }
 
-// retainBuilder makes New keep the map/AoS builder on Internet.ref after
-// sealing. Test hook: the property tests pin the sealed columns against
-// the retained legacy representation.
-var retainBuilder bool
-
 // New builds the world. Generation cost is O(total hosts); the default
-// scale builds in well under a second.
+// scale builds in well under a second. Construction is a two-phase seal:
+// the bulk population is planned into the map/AoS builder and frozen into
+// sorted columns before the rDNS pass (the host map drops at the
+// construction peak, and planRDNS sweeps the sorted columns), then the
+// rDNS-only additions merge in from a small delta builder.
 func New(cfg Config) *Internet {
+	in := newUnsealed(cfg)
+	nextDomain := in.planBulk()
+	in.sealPhase1()
+	in.planRDNS(nextDomain)
+	in.sealDelta()
+	return in
+}
+
+// newUnsealed applies the config defaults and returns an empty world
+// with a fresh builder, ready for planBulk.
+func newUnsealed(cfg Config) *Internet {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1.0
 	}
@@ -240,37 +248,25 @@ func New(cfg Config) *Internet {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 10
 	}
-	in := &Internet{
+	return &Internet{
 		cfg:   cfg,
 		Table: bgp.Generate(cfg.Registry),
 		b:     newWorldBuilder(),
-		key:   mix64(uint64(cfg.Seed)),
+		key:   hash64.Mix(uint64(cfg.Seed)),
 	}
-	in.plan()
-	return in
 }
 
 // sealPhase1 freezes the bulk of the host population into sorted columns
 // and swaps in a small delta builder for the late (rDNS-only) additions.
-// Sealing before planRDNS drops the host map at the construction peak and
-// lets the rDNS sweep run over the sorted columns.
 func (in *Internet) sealPhase1() {
 	in.hc = sealHosts(in.b)
-	if retainBuilder {
-		in.ref = in.b
-	}
 	in.b = newWorldBuilder()
 }
 
 // sealDelta merges the post-seal additions into the columns and drops the
-// builders for good.
+// builder for good.
 func (in *Internet) sealDelta() {
 	in.hc = mergeSealed(in.hc, in.b)
-	if retainBuilder {
-		for _, h := range in.b.arr {
-			in.ref.add(h)
-		}
-	}
 	in.b = nil
 }
 
@@ -477,7 +473,7 @@ func (r *AliasRegion) quirkedMachine(dstKey uint64) uint64 {
 	m := r.Machine
 	if r.Quirks&QuirkProxyMix != 0 && dstKey%7 == 0 {
 		// ~1/7 of addresses front a different backend.
-		m = mix64(m ^ 0xbac0e4d)
+		m = hash64.Mix(m ^ 0xbac0e4d)
 	}
 	return m
 }
@@ -533,7 +529,7 @@ func clientOnline(key uint64, day int, at wire.Time) bool {
 	}
 	start := h % 86_400_000_000 // μs offset of window start
 	// Window length: roughly log-uniform between 30 min and 24 h.
-	frac := unit(mix64(h))
+	frac := unit(hash64.Mix(h))
 	dur := uint64(1800_000_000) << uint(frac*5.5) // 0.5h .. 24h (capped)
 	if dur > 86_400_000_000 {
 		dur = 86_400_000_000

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"expanse/internal/bgp"
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/wire"
 )
@@ -61,9 +62,11 @@ func (s Scheme) String() string {
 // dominate, structured second, then pseudo-random, then MAC-based.
 var schemeWeights = []float64{0.46, 0.22, 0.15, 0.07, 0.07, 0.03}
 
-// plan builds the whole world: per-announcement metadata, alias regions,
-// server farms, routers, subscriber pools, Atlas probes and Bitcoin nodes.
-func (in *Internet) plan() {
+// planBulk plans everything but the rDNS-only hosts into the builder:
+// per-announcement metadata, alias regions, server farms, routers,
+// subscriber pools, Atlas probes and Bitcoin nodes. It returns the domain
+// ID allocator, which planRDNS continues after the phase-1 seal.
+func (in *Internet) planBulk() (nextDomain func() uint32) {
 	anns := in.Table.Announcements()
 
 	// Group announcements per AS so roles can be assigned per operator.
@@ -85,22 +88,22 @@ func (in *Internet) plan() {
 			kind:    info.Kind,
 			key:     key,
 			pathLen: uint8(3 + key%9),
-			jitter:  chance(mix64(key^1), 0.28),
-			loss:    0.004 + unit(mix64(key^2))*0.016,
+			jitter:  chance(hash64.Mix(key^1), 0.28),
+			loss:    0.004 + unit(hash64.Mix(key^2))*0.016,
 			isp:     -1,
 			// One operator, one addressing plan: all announcements of an
 			// AS share a scheme (the homogeneity Fig. 3b observes).
 			scheme: pickScheme(hash2(in.key, uint64(a.Origin))),
 		}
-		if chance(mix64(key^3), 0.03) {
-			nw.loss = 0.08 + unit(mix64(key^4))*0.2 // high-loss networks (§5.2)
+		if chance(hash64.Mix(key^3), 0.03) {
+			nw.loss = 0.08 + unit(hash64.Mix(key^4))*0.2 // high-loss networks (§5.2)
 		}
 		in.nets = append(in.nets, nw)
 		in.netT.Insert(a.Prefix, int32(len(in.nets)-1))
 	}
 
 	domainID := uint32(1)
-	nextDomain := func() uint32 { d := domainID; domainID++; return d }
+	nextDomain = func() uint32 { d := domainID; domainID++; return d }
 
 	for i := range in.nets {
 		nw := &in.nets[i]
@@ -117,15 +120,11 @@ func (in *Internet) plan() {
 	in.planAtlas()
 	in.planBitnodes()
 	in.planTier1()
-	// Seal the bulk population before the rDNS pass: the host map drops
-	// at the construction peak, and planRDNS sweeps the sorted columns.
-	in.sealPhase1()
-	in.planRDNS(nextDomain)
-	in.sealDelta()
+	return nextDomain
 }
 
 func pickScheme(key uint64) Scheme {
-	r := unit(mix64(key ^ 0x5c3e3e))
+	r := unit(hash64.Mix(key ^ 0x5c3e3e))
 	acc := 0.0
 	for i, w := range schemeWeights {
 		acc += w
@@ -228,7 +227,7 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 	}
 	// Only the first announcement of small operators hosts a farm; big
 	// ones host on every /32 announcement but not on each tiny /48.
-	if nw.prefix.Bits() > 40 && !chance(mix64(nw.key^7), 0.25) {
+	if nw.prefix.Bits() > 40 && !chance(hash64.Mix(nw.key^7), 0.25) {
 		return
 	}
 	n := int(float64(lognormalInt(rng, median, 0.9)) * scale)
@@ -239,7 +238,7 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 	quicFlaky := nw.asn == bgp.FindASN("Akamai") || nw.asn == bgp.FindASN("HDNet")
 	// A quarter of sizable pools are one machine with many bound
 	// addresses (the §5.4 validation deep-dive population).
-	cloned := n >= 16 && chance(mix64(nw.key^8), 0.25)
+	cloned := n >= 16 && chance(hash64.Mix(nw.key^8), 0.25)
 	clonedKey := hash2(nw.key, 0xc104ed)
 
 	perSubnet := 200
@@ -253,23 +252,23 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 
 		serves := wire.RespMask(0)
 		serves.Set(wire.ICMPv6)
-		isDNS := chance(mix64(hk^1), dnsShare(nw.kind))
+		isDNS := chance(hash64.Mix(hk^1), dnsShare(nw.kind))
 		if isDNS {
 			serves.Set(wire.UDP53)
-			if chance(mix64(hk^2), 0.14) {
+			if chance(hash64.Mix(hk^2), 0.14) {
 				serves.Set(wire.TCP80)
 			}
 		} else {
 			serves.Set(wire.TCP80)
-			if chance(mix64(hk^3), 0.62) {
+			if chance(hash64.Mix(hk^3), 0.62) {
 				serves.Set(wire.TCP443)
-				if chance(mix64(hk^4), 0.30) || quicFlaky {
+				if chance(hash64.Mix(hk^4), 0.30) || quicFlaky {
 					serves.Set(wire.UDP443)
 				}
 			}
 		}
 		// A small share of hosts drop ICMP at the border.
-		if chance(mix64(hk^5), 0.05) {
+		if chance(hash64.Mix(hk^5), 0.05) {
 			m := serves
 			m &^= 1 << wire.ICMPv6
 			if m != 0 {
@@ -290,14 +289,14 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 			Class:     class,
 			Serves:    serves,
 			Machine:   mk,
-			DeathDay:  deathDay(mix64(hk^6), 0.0012, 3*in.Horizon()),
+			DeathDay:  deathDay(hash64.Mix(hk^6), 0.0012, 3*in.Horizon()),
 			QUICFlaky: quicFlaky,
 			Domain:    nextDomain(),
 		})
 	}
 	// Stale siblings: the counter continued past the live range in old
 	// DNS records; they resolve but do not respond.
-	nStale := int(float64(n) * (1.0 + unit(mix64(nw.key^9))*1.5))
+	nStale := int(float64(n) * (1.0 + unit(hash64.Mix(nw.key^9))*1.5))
 	for i := 0; i < nStale; i++ {
 		subnet := farmSubnet(nw, uint64((n+i)/perSubnet))
 		addr := hostIID(nw, subnet, uint64((n+i)%perSubnet))
@@ -347,7 +346,7 @@ func (in *Internet) planISP(nw *network, all []ip6.Prefix) {
 	// Only the covering announcement carries the pool.
 	if len(all) > 0 && nw.prefix != all[0] {
 		// Secondary announcements behave like small farms occasionally.
-		if chance(mix64(nw.key^0x15b), 0.2) {
+		if chance(hash64.Mix(nw.key^0x15b), 0.2) {
 			in.planFarm(nw, func() uint32 { return 0 })
 		}
 		return
@@ -378,9 +377,9 @@ func (in *Internet) planISP(nw *network, all []ip6.Prefix) {
 	rotate := 0
 	// Half of the large European ISPs renumber aggressively (DE/FR DSL).
 	cc := in.Table.AS(nw.asn).Country
-	if (cc == "DE" || cc == "FR" || cc == "CH" || cc == "AT" || cc == "PL") && chance(mix64(nw.key^0x407a), 0.75) {
+	if (cc == "DE" || cc == "FR" || cc == "CH" || cc == "AT" || cc == "PL") && chance(hash64.Mix(nw.key^0x407a), 0.75) {
 		rotate = 1 + int(hash2(nw.key, 0x707)%3)
-	} else if chance(mix64(nw.key^0x407b), 0.15) {
+	} else if chance(hash64.Mix(nw.key^0x407b), 0.15) {
 		rotate = 2 + int(hash2(nw.key, 0x708)%5)
 	}
 	g := hash2(nw.key, 0x6) | 1
@@ -393,8 +392,8 @@ func (in *Internet) planISP(nw *network, all []ip6.Prefix) {
 		mulG:        g,
 		invG:        invOdd(g),
 		rotate:      rotate,
-		hostShare:   0.12 + unit(mix64(nw.key^0xd0))*0.18,
-		clientShare: 0.3 + unit(mix64(nw.key^0xc1))*0.3,
+		hostShare:   0.12 + unit(hash64.Mix(nw.key^0xd0))*0.18,
+		clientShare: 0.3 + unit(hash64.Mix(nw.key^0xc1))*0.3,
 	}
 	// Count the domain-hosting lines once so LineHosts can pre-size its
 	// output exactly instead of growing from nil.
@@ -416,7 +415,7 @@ func (in *Internet) planAtlas() {
 		if nw.prefix.Bits() > 36 {
 			continue
 		}
-		if !chance(mix64(nw.key^0xa71a5), 0.55) {
+		if !chance(hash64.Mix(nw.key^0xa71a5), 0.55) {
 			continue
 		}
 		probes := 1 + int(hash2(nw.key, 0xa7)%3)
@@ -471,7 +470,7 @@ func (in *Internet) planBitnodes() {
 			addr := ip6.AddrFromUint64(sub.Addr().Hi(), iid)
 			var serves wire.RespMask
 			serves.Set(wire.ICMPv6)
-			if chance(mix64(iid), 0.5) {
+			if chance(hash64.Mix(iid), 0.5) {
 				serves.Set(wire.TCP80) // some run web panels
 			}
 			in.addHost(Host{

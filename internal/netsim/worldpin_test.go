@@ -16,8 +16,8 @@ import (
 // published report checksums were produced on); the sealed columns must
 // reproduce them bit for bit. The property tests then pin every columnar
 // access path — construction order, HostAt, the batched merge cursor —
-// against the retained legacy builder across populations, orders and
-// batch splits.
+// against the legacy builder (see buildWithRef) across populations,
+// orders and batch splits.
 
 // pinnedDigests maps config name → hex SHA-256 of Digest() captured at
 // the last map/AoS commit. Changing world generation intentionally means
@@ -49,13 +49,29 @@ func TestWorldDigestPinned(t *testing.T) {
 	}
 }
 
-// buildWithRef builds a world retaining the legacy map/AoS builder as the
-// reference representation.
-func buildWithRef(t *testing.T, cfg Config) *Internet {
+// buildWithRef builds a world by driving New's two seal steps itself, so
+// it can keep what New drops: the bulk builder, with the delta builder's
+// hosts appended, is the legacy map/AoS representation of the same
+// population — the reference the sealed columns are pinned against. The
+// world it returns must be the one New builds (digest-checked).
+func buildWithRef(t *testing.T, cfg Config) (*Internet, *worldBuilder) {
 	t.Helper()
-	retainBuilder = true
-	defer func() { retainBuilder = false }()
-	return New(cfg)
+	in := newUnsealed(cfg)
+	nextDomain := in.planBulk()
+	ref := in.b
+	in.sealPhase1()
+	in.planRDNS(nextDomain)
+	for _, h := range in.b.arr {
+		ref.add(h)
+	}
+	in.sealDelta()
+	if in.b != nil {
+		t.Fatal("sealDelta left a builder behind")
+	}
+	if got, want := in.Digest(), New(cfg).Digest(); got != want {
+		t.Fatalf("hand-driven seal built a different world than New: %x vs %x", got, want)
+	}
+	return in, ref
 }
 
 // refConfigs are small worlds diverse enough to cover every population
@@ -72,11 +88,7 @@ func refConfigs() []Config {
 // builder: same population, same insertion order, same per-host fields.
 func TestColumnsMatchBuilder(t *testing.T) {
 	for ci, cfg := range refConfigs() {
-		in := buildWithRef(t, cfg)
-		ref := in.ref
-		if ref == nil {
-			t.Fatal("retainBuilder hook did not retain the builder")
-		}
+		in, ref := buildWithRef(t, cfg)
 		if got, want := in.hc.n(), len(ref.arr); got != want {
 			t.Fatalf("config %d: %d hosts in columns, %d in builder", ci, got, want)
 		}
@@ -109,8 +121,7 @@ func TestColumnsMatchBuilder(t *testing.T) {
 // TestHostAtMatchesReference pins HostAt (binary search) against the
 // retained map for hits, near-misses (members ±1) and random misses.
 func TestHostAtMatchesReference(t *testing.T) {
-	in := buildWithRef(t, testConfig())
-	ref := in.ref
+	in, ref := buildWithRef(t, testConfig())
 	rng := rand.New(rand.NewSource(0x40a7))
 	var queries []ip6.Addr
 	for addr := range ref.hosts {
@@ -138,8 +149,7 @@ func TestHostAtMatchesReference(t *testing.T) {
 // map across query orders (sorted ascending, descending, shuffled) and
 // restart splits, over a mix dense in members, neighbours and misses.
 func TestHostRunMatchesReference(t *testing.T) {
-	in := buildWithRef(t, testConfig())
-	ref := in.ref
+	in, ref := buildWithRef(t, testConfig())
 	rng := rand.New(rand.NewSource(0x40a8))
 	var queries []ip6.Addr
 	for addr := range ref.hosts {
@@ -183,8 +193,7 @@ func TestHostRunMatchesReference(t *testing.T) {
 // TestHostsClassFilter pins the class-filtered enumeration against a
 // builder-side filter in insertion order.
 func TestHostsClassFilter(t *testing.T) {
-	in := buildWithRef(t, testConfig())
-	ref := in.ref
+	in, ref := buildWithRef(t, testConfig())
 	for _, classes := range [][]HostClass{
 		nil,
 		{ClassWebServer},

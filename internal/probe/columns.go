@@ -4,45 +4,29 @@ import (
 	"sync"
 
 	"expanse/internal/ip6"
+	"expanse/internal/par"
 	"expanse/internal/wire"
 )
 
-// This file is the batched, structure-of-arrays side of the scan engine.
-// Where Scan/ScanSeq call the responder once per probe and materialize a
-// []Result, ScanColumns walks each worker's shard in TARGET-INDEX order —
-// so a sorted target view presents the responder with sorted runs it can
-// resolve once per run — and hands the responder whole batches that write
-// straight into wire.ResultColumns. Virtual send times are unchanged: a
-// probe's time is fixed by its position in the per-protocol permutation,
-// recovered through the inverse permutation, so the batched engine is
-// probe-for-probe identical to the per-probe reference at any worker
-// count and chunk size (pinned by test).
+// This file is the scan engine. ScanColumns walks each worker's shard in
+// TARGET-INDEX order — so a sorted target view presents the responder
+// with sorted runs it can resolve once per run — and hands the responder
+// whole batches that write straight into wire.ResultColumns. A probe's
+// virtual send time is fixed by its position in the per-protocol
+// permutation, recovered through the inverse permutation, so the batched
+// engine is probe-for-probe identical to the per-probe reference
+// (ref_test.go) at any worker count and chunk size.
 
 // batchLen is the inner batch size handed to the responder: large enough
 // to amortize the call, small enough to keep gather scratch cache-warm.
 const batchLen = 512
 
-// shardAligned is shard with chunk boundaries aligned to 64 indices, so
-// concurrent workers never share a word of the OK bitset.
-func (s *Scanner) shardAligned(n int, fn func(lo, hi int)) {
-	chunk := (n + s.workers - 1) / s.workers
-	chunk = (chunk + 63) &^ 63
-	if chunk == 0 {
-		chunk = 64
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+// shards runs fn over [0,n) split across the scanner's workers. Virtual
+// send times are a pure function of sequence position, so sharding never
+// changes what goes on the (simulated) wire. Boundaries are aligned to
+// 64 indices: concurrent workers never share a word of an OK bitset.
+func (s *Scanner) shards(n int, fn func(c, lo, hi int)) {
+	par.Ranges(n, s.workers, 1, 64, fn)
 }
 
 // TCPTable returns the scanner's fingerprint interning table. All columnar
@@ -53,8 +37,14 @@ func (s *Scanner) TCPTable() *wire.TCPTable { return s.tcp }
 // ScanColumns probes every target once (plus retries) on the given
 // protocol during the given day, writing results into out, which must
 // have been Reset (or ResetOK, for mask-only consumers) for exactly
-// targets.Len() targets. Column i describes target i; probe order over
-// the wire and virtual send times are identical to Scan's.
+// targets.Len() targets. Column i describes target i. The probe ORDER
+// over the wire follows a pseudo-random permutation, like ZMap's address
+// randomization, so bursts never hammer one prefix.
+//
+// ScanColumns is safe for concurrent use: the Scanner carries no per-scan
+// state beyond its pooled buffers, so the sweep and the APD detector run
+// several scans in parallel against one Scanner as long as the Responder
+// honors the concurrency contract documented in netsim.
 func (s *Scanner) ScanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *wire.ResultColumns) {
 	s.scanColumns(targets, proto, day, out, nil)
 }
@@ -74,7 +64,7 @@ func (s *Scanner) scanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, ou
 	// forward cache's job ends here, so recycle it before the scan.
 	s.recyclePermutation(perm, permBuf)
 	iv := s.interval()
-	s.shardAligned(n, func(lo, hi int) {
+	s.shards(n, func(_, lo, hi int) {
 		s.scanChunk(targets, proto, day, lo, hi, inv, iv, out)
 	})
 }
@@ -156,7 +146,7 @@ func (s *Scanner) scanChunk(targets ip6.AddrSeq, proto wire.Proto, day int, lo, 
 
 // retryState holds the scratch of the in-chunk retry passes: the failed
 // subset is re-batched with each attempt's send time shifted one full
-// scan length later, exactly like the per-probe engine's retry loop.
+// scan length later.
 type retryState struct {
 	idx  []int
 	dsts []ip6.Addr
@@ -217,9 +207,11 @@ type sweepBufs struct {
 
 // sweepInto runs one day's five-protocol sweep into masks (len ==
 // targets.Len(), fully overwritten). The five scans run concurrently,
-// each fanned out over the scanner's worker shards and writing only its
-// OK bitset; the masks fold the five bitsets word-by-word after the
-// barrier — no per-protocol []Result is ever materialized.
+// each fanned out over the scanner's worker shards (protocols × shards
+// goroutines in flight) and writing only its OK bitset. Every protocol
+// keeps its own permutation and virtual send-time line, so the result is
+// bit-identical to running the protocols one after another; the masks
+// fold the five bitsets word-by-word after the barrier.
 func (s *Scanner) sweepInto(targets ip6.AddrSeq, day int, bufs *sweepBufs, masks []wire.RespMask) {
 	n := targets.Len()
 	var wg sync.WaitGroup
@@ -234,7 +226,7 @@ func (s *Scanner) sweepInto(targets ip6.AddrSeq, day int, bufs *sweepBufs, masks
 	wg.Wait()
 	// Fold: protocol pi's OK bit is exactly mask bit pi (Protos is the
 	// canonical order), so each 64-target block folds five words.
-	s.shardAligned(n, func(lo, hi int) {
+	s.shards(n, func(_, lo, hi int) {
 		for w := lo >> 6; w<<6 < hi; w++ {
 			base := w << 6
 			end := base + 64
@@ -256,6 +248,27 @@ func (s *Scanner) sweepInto(targets ip6.AddrSeq, day int, bufs *sweepBufs, masks
 			}
 		}
 	})
+}
+
+// SweepSeqInto probes every target on all five protocols for one day —
+// the paper's daily responsiveness scan (§6) — into a caller-owned mask
+// column: masks is resized to targets.Len() (reallocating only when
+// capacity is short), fully overwritten, and returned. This is the
+// per-day column handoff of the epoch pipeline — each published day keeps
+// its own mask column while the scan scratch (per-protocol OK bitsets,
+// inverse permutations) stays internal to the call. Safe for concurrent
+// use: mask-only sweeps share no scanner state beyond the pooled inverse
+// buffers, so overlapping days may sweep in parallel.
+func (s *Scanner) SweepSeqInto(targets ip6.AddrSeq, day int, masks []wire.RespMask) []wire.RespMask {
+	n := targets.Len()
+	if cap(masks) < n {
+		masks = make([]wire.RespMask, n)
+	} else {
+		masks = masks[:n]
+	}
+	var bufs sweepBufs
+	s.sweepInto(targets, day, &bufs, masks)
+	return masks
 }
 
 // SweepDays streams a multi-day sweep over one target list: days
@@ -281,9 +294,9 @@ type PairColumns struct {
 	First, Second wire.ResultColumns
 }
 
-// ProbePairColumns is the batched ProbePairsSeq: two back-to-back probes
-// per target written into pair columns, probe-for-probe identical to the
-// per-probe path (same permutation, same send times).
+// ProbePairColumns sends two back-to-back probes with the TCP options
+// module to every target (§5.4) and writes them into pair columns; the
+// second probe of a pair leaves one send interval after the first.
 func (s *Scanner) ProbePairColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *PairColumns) {
 	n := targets.Len()
 	out.First.Reset(n, s.tcp)
@@ -295,7 +308,7 @@ func (s *Scanner) ProbePairColumns(targets ip6.AddrSeq, proto wire.Proto, day in
 	inv := *invBuf
 	s.recyclePermutation(perm, permBuf)
 	iv := s.interval()
-	s.shardAligned(n, func(lo, hi int) {
+	s.shards(n, func(_, lo, hi int) {
 		ats1 := make([]wire.Time, 0, batchLen)
 		ats2 := make([]wire.Time, 0, batchLen)
 		forEachBatch(targets, lo, hi, func(dsts []ip6.Addr, b, e int) {

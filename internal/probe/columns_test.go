@@ -2,6 +2,7 @@ package probe
 
 import (
 	"sort"
+	"sync"
 	"testing"
 
 	"expanse/internal/ip6"
@@ -60,11 +61,37 @@ func TestScanColumnsMatchesScanSeq(t *testing.T) {
 		for _, workers := range []int{1, 3, 16} {
 			for _, retries := range []int{0, 3} {
 				s := New(f, WithWorkers(workers), WithRetries(retries), WithRate(1000))
-				ref := s.ScanSeq(ip6.Addrs(targets), wire.TCP80, 2)
+				ref := s.scanSeq(ip6.Addrs(targets), wire.TCP80, 2)
 				var cols wire.ResultColumns
 				cols.Reset(n, s.TCPTable())
 				s.ScanColumns(ip6.Addrs(targets), wire.TCP80, 2, &cols)
 				checkColumnsMatchScan(t, ref, &cols)
+			}
+		}
+	}
+}
+
+// TestShardsWordAligned pins the scan engine's write-safety invariant:
+// every shard boundary but the end is a multiple of 64, so no two
+// workers ever write the same word of an OK bitset, and a scan that fits
+// one word runs inline.
+func TestShardsWordAligned(t *testing.T) {
+	for _, workers := range []int{1, 3, 8, 16} {
+		s := New(&fakeResponder{}, WithWorkers(workers))
+		for _, n := range []int{1, 64, 65, 500, 1000, 4097} {
+			var mu sync.Mutex
+			covered, calls := 0, 0
+			s.shards(n, func(_, lo, hi int) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				covered += hi - lo
+				if lo%64 != 0 || (hi%64 != 0 && hi != n) {
+					t.Errorf("workers=%d n=%d: shard [%d,%d) splits a bitset word", workers, n, lo, hi)
+				}
+			})
+			if covered != n || calls > workers {
+				t.Errorf("workers=%d n=%d: %d shards cover %d indices", workers, n, calls, covered)
 			}
 		}
 	}
@@ -83,7 +110,7 @@ func TestScanColumnsSeqView(t *testing.T) {
 		}
 	}
 	s := New(f, WithWorkers(4))
-	ref := s.ScanSeq(ip6.Addrs(targets), wire.ICMPv6, 1)
+	ref := s.scanSeq(ip6.Addrs(targets), wire.ICMPv6, 1)
 	var cols wire.ResultColumns
 	cols.Reset(len(targets), s.TCPTable())
 	s.ScanColumns(view{targets}, wire.ICMPv6, 1, &cols)
@@ -96,21 +123,6 @@ type view struct{ a []ip6.Addr }
 
 func (v view) Len() int          { return len(v.a) }
 func (v view) At(i int) ip6.Addr { return v.a[i] }
-
-// legacySweepSeq is the pre-columnar sweep: five per-probe scans folded
-// into masks through full []Result slices. Kept as the semantic reference
-// and benchmark baseline for the batched sweep.
-func legacySweepSeq(s *Scanner, targets ip6.AddrSeq, day int) []wire.RespMask {
-	masks := make([]wire.RespMask, targets.Len())
-	for _, p := range wire.Protos {
-		for i, r := range s.ScanSeq(targets, p, day) {
-			if r.OK {
-				masks[i].Set(p)
-			}
-		}
-	}
-	return masks
-}
 
 // TestSweepSeqMatchesLegacy pins the bitset-folded sweep against the
 // legacy per-probe fold at several worker counts.
@@ -135,8 +147,8 @@ func TestSweepSeqMatchesLegacy(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 16} {
 		s := New(f, WithWorkers(workers))
-		want := legacySweepSeq(s, ip6.Addrs(targets), 2)
-		got := s.SweepSeq(ip6.Addrs(targets), 2)
+		want := s.sweepSeq(ip6.Addrs(targets), 2)
+		got := s.SweepSeqInto(ip6.Addrs(targets), 2, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: mask %d = %v, want %v", workers, i, got[i], want[i])
@@ -162,7 +174,7 @@ func TestSweepDaysMatchesSweep(t *testing.T) {
 	days := 0
 	s.SweepDays(ip6.Addrs(targets), 4, 5, func(day int, masks []wire.RespMask) {
 		days++
-		want := s.SweepSeq(ip6.Addrs(targets), day)
+		want := s.SweepSeqInto(ip6.Addrs(targets), day, nil)
 		for i := range want {
 			if masks[i] != want[i] {
 				t.Fatalf("day %d: mask %d = %v, want %v", day, i, masks[i], want[i])
@@ -175,7 +187,7 @@ func TestSweepDaysMatchesSweep(t *testing.T) {
 }
 
 // TestProbePairColumnsMatchesPairs pins the batched pair probing against
-// the per-probe ProbePairsSeq.
+// the per-probe probePairsSeq.
 func TestProbePairColumnsMatchesPairs(t *testing.T) {
 	targets := addrs(90)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
@@ -188,7 +200,7 @@ func TestProbePairColumnsMatchesPairs(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 16} {
 		s := New(f, WithWorkers(workers))
-		ref := s.ProbePairsSeq(ip6.Addrs(targets), wire.TCP80, 3)
+		ref := s.probePairsSeq(ip6.Addrs(targets), wire.TCP80, 3)
 		var cols PairColumns
 		s.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, 3, &cols)
 		first := make([]Result, len(ref))
@@ -228,7 +240,7 @@ func TestScanColumnsNetsimAcrossWorkers(t *testing.T) {
 	sRef, targets := netsimScanner(1)
 	day := 42
 	for _, proto := range []wire.Proto{wire.ICMPv6, wire.TCP80} {
-		ref := sRef.ScanSeq(ip6.Addrs(targets), proto, day)
+		ref := sRef.scanSeq(ip6.Addrs(targets), proto, day)
 		for _, workers := range []int{1, 4, 16} {
 			s, _ := netsimScanner(workers)
 			var cols wire.ResultColumns
@@ -245,7 +257,7 @@ func BenchmarkSweep(b *testing.B) {
 	s, targets := netsimScanner(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SweepSeq(ip6.Addrs(targets), 42)
+		s.SweepSeqInto(ip6.Addrs(targets), 42, nil)
 	}
 }
 
@@ -255,7 +267,7 @@ func BenchmarkSweepLegacy(b *testing.B) {
 	s, targets := netsimScanner(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		legacySweepSeq(s, ip6.Addrs(targets), 42)
+		s.sweepSeq(ip6.Addrs(targets), 42)
 	}
 }
 
@@ -271,11 +283,11 @@ func BenchmarkProbeBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeBatchLegacy is the same scan via per-probe Scan.
+// BenchmarkProbeBatchLegacy is the same scan via the per-probe scanSeq.
 func BenchmarkProbeBatchLegacy(b *testing.B) {
 	s, targets := netsimScanner(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ScanSeq(ip6.Addrs(targets), wire.TCP80, 42)
+		s.scanSeq(ip6.Addrs(targets), wire.TCP80, 42)
 	}
 }

@@ -5,6 +5,14 @@
 // onto virtual send times, a concurrent worker pool, and a TCP options
 // module that records fingerprint data (§5.4).
 //
+// The engine is columnar and batched (columns.go): every scan takes an
+// ip6.AddrSeq target view and writes wire.ResultColumns. The Scanner's
+// whole surface is ScanColumns (one protocol), SweepSeqInto and SweepDays
+// (the five-protocol responsiveness sweep, one day or streamed),
+// ProbePairColumns (the §5.4 fingerprint pairs) and TCPTable. The
+// per-probe engine it is pinned against probe-for-probe lives in
+// ref_test.go.
+//
 // Concurrency model (see DESIGN.md): a sweep fans out protocols × worker
 // shards. Virtual send times are a pure function of a probe's position in
 // the per-protocol permutation, never of goroutine scheduling, so scan
@@ -19,19 +27,8 @@ package probe
 import (
 	"sync"
 
-	"expanse/internal/ip6"
 	"expanse/internal/wire"
 )
-
-// Result is the outcome of probing one target on one protocol.
-type Result struct {
-	Addr     ip6.Addr
-	Proto    wire.Proto
-	OK       bool
-	HopLimit uint8
-	TCP      *wire.TCPInfo
-	SentAt   wire.Time
-}
 
 // Scanner is a reusable scanning engine. The zero value is not usable;
 // construct with New.
@@ -109,155 +106,6 @@ func (s *Scanner) interval() wire.Time {
 		iv = 1
 	}
 	return iv
-}
-
-// shard splits the sequence positions [0,n) into s.workers contiguous
-// chunks and runs fn(lo,hi) for each on its own goroutine, returning once
-// all chunks finish. Virtual send times are a pure function of sequence
-// position, so sharding never changes what goes on the (simulated) wire —
-// only how many goroutines walk the sequence.
-func (s *Scanner) shard(n int, fn func(lo, hi int)) {
-	chunk := (n + s.workers - 1) / s.workers
-	if chunk == 0 {
-		chunk = 1
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// Scan probes every target once (plus retries) on the given protocol
-// during the given day. Results are returned in target order; the probe
-// ORDER over the wire follows a pseudo-random permutation, like ZMap's
-// address randomization, so bursts never hammer one prefix.
-//
-// Scan is safe for concurrent use: the Scanner carries no per-scan state,
-// so callers (e.g. Sweep and the APD detector) may run several Scans in
-// parallel against the same Scanner as long as the Responder honors the
-// concurrency contract documented in netsim.
-func (s *Scanner) Scan(targets []ip6.Addr, proto wire.Proto, day int) []Result {
-	return s.ScanSeq(ip6.Addrs(targets), proto, day)
-}
-
-// ScanSeq is Scan over an indexed target view. Sweeping a ShardSet's
-// cached sorted view (or any other columnar representation) through here
-// avoids the per-consumer flatten-copy into a fresh []Addr.
-func (s *Scanner) ScanSeq(targets ip6.AddrSeq, proto wire.Proto, day int) []Result {
-	n := targets.Len()
-	results := make([]Result, n)
-	perm := NewPermutation(n, s.seed^uint64(proto)<<32^uint64(day))
-	iv := s.interval()
-
-	s.shard(n, func(lo, hi int) {
-		// Each worker walks its slice of the *permuted* sequence;
-		// the sequence position fixes the virtual send time, so
-		// results are identical regardless of worker count.
-		for seq := lo; seq < hi; seq++ {
-			idx := perm.At(seq)
-			addr := targets.At(idx)
-			at := wire.Time(seq) * iv
-			r := s.probeOnce(addr, proto, day, at)
-			for a := 0; !r.OK && a < s.retries; a++ {
-				at += wire.Time(n) * iv // retry pass later
-				r = s.probeOnce(addr, proto, day, at)
-			}
-			results[idx] = r
-		}
-	})
-	return results
-}
-
-func (s *Scanner) probeOnce(addr ip6.Addr, proto wire.Proto, day int, at wire.Time) Result {
-	resp := s.responder.Probe(addr, proto, day, at)
-	return Result{
-		Addr: addr, Proto: proto,
-		OK: resp.OK, HopLimit: resp.HopLimit, TCP: resp.TCP,
-		SentAt: at,
-	}
-}
-
-// Sweep probes every target on all five protocols and aggregates a
-// responsiveness mask per target (the paper's daily responsiveness scan).
-//
-// The five protocol scans run concurrently, each fanned out over the
-// scanner's worker shards (protocols × shards goroutines in flight).
-// Every protocol keeps its own permutation and virtual send-time line, so
-// the result is bit-identical to running the protocols one after another
-// at any worker count; only the mask fold happens after the barrier.
-func (s *Scanner) Sweep(targets []ip6.Addr, day int) []wire.RespMask {
-	return s.SweepSeq(ip6.Addrs(targets), day)
-}
-
-// SweepSeq is Sweep over an indexed target view (see ScanSeq). It runs on
-// the batched columnar path: each protocol writes an OK bitset through
-// ScanColumns and the five bitsets fold into the masks word-by-word — no
-// per-protocol []Result is ever materialized (see columns.go).
-func (s *Scanner) SweepSeq(targets ip6.AddrSeq, day int) []wire.RespMask {
-	return s.SweepSeqInto(targets, day, nil)
-}
-
-// SweepSeqInto is SweepSeq writing into a caller-owned mask column:
-// masks is resized to targets.Len() (reallocating only when capacity is
-// short), fully overwritten, and returned. This is the per-day column
-// handoff of the epoch pipeline — each published day keeps its own mask
-// column while the scan scratch (per-protocol OK bitsets, inverse
-// permutations) stays internal to the call. Safe for concurrent use:
-// mask-only sweeps share no scanner state beyond the pooled inverse
-// buffers, so overlapping days may sweep in parallel.
-func (s *Scanner) SweepSeqInto(targets ip6.AddrSeq, day int, masks []wire.RespMask) []wire.RespMask {
-	n := targets.Len()
-	if cap(masks) < n {
-		masks = make([]wire.RespMask, n)
-	} else {
-		masks = masks[:n]
-	}
-	var bufs sweepBufs
-	s.sweepInto(targets, day, &bufs, masks)
-	return masks
-}
-
-// Pair holds the two consecutive fingerprint probes of §5.4.
-type Pair struct {
-	First, Second Result
-}
-
-// ProbePairs sends two back-to-back TCP probes with the options module to
-// every target, for fingerprint consistency analysis.
-func (s *Scanner) ProbePairs(targets []ip6.Addr, proto wire.Proto, day int) []Pair {
-	return s.ProbePairsSeq(ip6.Addrs(targets), proto, day)
-}
-
-// ProbePairsSeq is ProbePairs over an indexed target view, so columnar
-// callers (the ShardSet's cached sorted view, zero-copy SeqSlice windows)
-// need no flatten-copy. This is the per-probe reference path; the batched
-// twin is ProbePairColumns in columns.go.
-func (s *Scanner) ProbePairsSeq(targets ip6.AddrSeq, proto wire.Proto, day int) []Pair {
-	n := targets.Len()
-	out := make([]Pair, n)
-	iv := s.interval()
-	perm := NewPermutation(n, s.seed^0xfb^uint64(day))
-	s.shard(n, func(lo, hi int) {
-		for seq := lo; seq < hi; seq++ {
-			idx := perm.At(seq)
-			addr := targets.At(idx)
-			at := wire.Time(seq) * iv * 2
-			out[idx] = Pair{
-				First:  s.probeOnce(addr, proto, day, at),
-				Second: s.probeOnce(addr, proto, day, at+iv),
-			}
-		}
-	})
-	return out
 }
 
 // Permutation is a pseudo-random permutation of [0,n), the ZMap-style

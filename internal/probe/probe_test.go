@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,35 @@ func addrs(n int) []ip6.Addr {
 	return out
 }
 
+// scan runs one full-column production scan.
+func scan(s *Scanner, targets []ip6.Addr, proto wire.Proto, day int) *wire.ResultColumns {
+	var cols wire.ResultColumns
+	cols.Reset(len(targets), s.TCPTable())
+	s.ScanColumns(ip6.Addrs(targets), proto, day, &cols)
+	return &cols
+}
+
+// sweep runs one five-protocol production sweep.
+func sweep(s *Scanner, targets []ip6.Addr, day int) []wire.RespMask {
+	return s.SweepSeqInto(ip6.Addrs(targets), day, nil)
+}
+
+// TestScannerMethodSet pins the production surface: exactly the five
+// columnar entry points. A re-added slice adapter or per-probe twin
+// (Scan, Sweep, SweepSeq, ProbePairs, …) fails here; the per-probe
+// oracle in ref_test.go is unexported for the same reason.
+func TestScannerMethodSet(t *testing.T) {
+	want := []string{"ProbePairColumns", "ScanColumns", "SweepDays", "SweepSeqInto", "TCPTable"}
+	typ := reflect.TypeOf((*Scanner)(nil))
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Scanner methods = %v, want exactly %v", got, want)
+	}
+}
+
 func TestScanBasic(t *testing.T) {
 	targets := addrs(100)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
@@ -53,24 +83,22 @@ func TestScanBasic(t *testing.T) {
 		}
 	}
 	s := New(f, WithWorkers(4))
-	res := s.Scan(targets, wire.ICMPv6, 0)
-	if len(res) != 100 {
-		t.Fatalf("got %d results", len(res))
+	res := scan(s, targets, wire.ICMPv6, 0)
+	if len(res.SentAt) != 100 {
+		t.Fatalf("got %d results", len(res.SentAt))
 	}
-	for i, r := range res {
-		if r.Addr != targets[i] {
-			t.Fatalf("result %d misaligned", i)
-		}
-		if want := i%2 == 0; r.OK != want {
-			t.Errorf("target %d OK=%v want %v", i, r.OK, want)
+	// Column i describes target i: exactly the even targets are up.
+	for i := range targets {
+		if want := i%2 == 0; res.OK.Get(i) != want {
+			t.Errorf("target %d OK=%v want %v", i, res.OK.Get(i), want)
 		}
 	}
 }
 
 // TestScanDeterministicAcrossWorkers pins the engine's core contract:
-// Scan, Sweep and ProbePairs return identical results for any worker
-// count, because virtual send times follow permutation position, not
-// goroutine scheduling.
+// ScanColumns, SweepSeqInto and ProbePairColumns return identical results
+// for any worker count, because virtual send times follow permutation
+// position, not goroutine scheduling.
 func TestScanDeterministicAcrossWorkers(t *testing.T) {
 	targets := addrs(500)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
@@ -88,31 +116,33 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	ref := New(f, WithWorkers(1))
-	refScan := ref.Scan(targets, wire.TCP80, 2)
-	refSweep := ref.Sweep(targets, 2)
-	refPairs := ref.ProbePairs(targets, wire.TCP80, 2)
+	refScan := scan(ref, targets, wire.TCP80, 2)
+	refSweep := sweep(ref, targets, 2)
+	var refPairs PairColumns
+	ref.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, 2, &refPairs)
 	for _, workers := range []int{1, 4, 16} {
 		s := New(f, WithWorkers(workers))
-		res := s.Scan(targets, wire.TCP80, 2)
-		for i := range refScan {
-			if refScan[i].OK != res[i].OK || refScan[i].SentAt != res[i].SentAt {
+		res := scan(s, targets, wire.TCP80, 2)
+		for i := range targets {
+			if refScan.OK.Get(i) != res.OK.Get(i) || refScan.SentAt[i] != res.SentAt[i] {
 				t.Fatalf("workers=%d: result %d differs from serial scan", workers, i)
 			}
-			if refScan[i].TCP != nil && res[i].TCP != nil && refScan[i].TCP.TSVal != res[i].TCP.TSVal {
+			if refScan.TSVal[i] != res.TSVal[i] {
 				t.Fatalf("workers=%d: fingerprint %d differs", workers, i)
 			}
 		}
-		sweep := s.Sweep(targets, 2)
+		masks := sweep(s, targets, 2)
 		for i := range refSweep {
-			if sweep[i] != refSweep[i] {
-				t.Fatalf("workers=%d: sweep mask %d = %v, want %v", workers, i, sweep[i], refSweep[i])
+			if masks[i] != refSweep[i] {
+				t.Fatalf("workers=%d: sweep mask %d = %v, want %v", workers, i, masks[i], refSweep[i])
 			}
 		}
-		pairs := s.ProbePairs(targets, wire.TCP80, 2)
-		for i := range refPairs {
-			if pairs[i].First.SentAt != refPairs[i].First.SentAt ||
-				pairs[i].Second.SentAt != refPairs[i].Second.SentAt ||
-				pairs[i].First.OK != refPairs[i].First.OK {
+		var pairs PairColumns
+		s.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, 2, &pairs)
+		for i := range targets {
+			if pairs.First.SentAt[i] != refPairs.First.SentAt[i] ||
+				pairs.Second.SentAt[i] != refPairs.Second.SentAt[i] ||
+				pairs.First.OK.Get(i) != refPairs.First.OK.Get(i) {
 				t.Fatalf("workers=%d: pair %d differs", workers, i)
 			}
 		}
@@ -123,16 +153,16 @@ func TestScanRateSpacing(t *testing.T) {
 	targets := addrs(10)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
 	s := New(f, WithRate(1000), WithWorkers(1)) // 1000 μs interval
-	res := s.Scan(targets, wire.ICMPv6, 0)
+	res := scan(s, targets, wire.ICMPv6, 0)
 	seen := map[wire.Time]bool{}
-	for _, r := range res {
-		if r.SentAt%1000 != 0 {
-			t.Errorf("send time %d not on 1000μs grid", r.SentAt)
+	for _, at := range res.SentAt {
+		if at%1000 != 0 {
+			t.Errorf("send time %d not on 1000μs grid", at)
 		}
-		if seen[r.SentAt] {
-			t.Errorf("duplicate send slot %d", r.SentAt)
+		if seen[at] {
+			t.Errorf("duplicate send slot %d", at)
 		}
-		seen[r.SentAt] = true
+		seen[at] = true
 	}
 }
 
@@ -146,20 +176,10 @@ func TestRetries(t *testing.T) {
 	}
 	// Without retries, early probes fail (sent before failBefore).
 	s0 := New(f, WithRate(1000), WithWorkers(1), WithRetries(0))
-	ok0 := 0
-	for _, r := range s0.Scan(targets, wire.ICMPv6, 0) {
-		if r.OK {
-			ok0++
-		}
-	}
+	ok0 := scan(s0, targets, wire.ICMPv6, 0).OK.Count()
 	// With retries, the second pass lands after the threshold.
 	s3 := New(f, WithRate(1000), WithWorkers(1), WithRetries(9))
-	ok3 := 0
-	for _, r := range s3.Scan(targets, wire.ICMPv6, 0) {
-		if r.OK {
-			ok3++
-		}
-	}
+	ok3 := scan(s3, targets, wire.ICMPv6, 0).OK.Count()
 	if ok3 <= ok0 {
 		t.Errorf("retries did not help: %d vs %d", ok3, ok0)
 	}
@@ -176,7 +196,7 @@ func TestSweep(t *testing.T) {
 	m.Set(wire.UDP53)
 	f.up[targets[7]] = m
 	s := New(f, WithWorkers(3))
-	masks := s.Sweep(targets, 0)
+	masks := sweep(s, targets, 0)
 	if !masks[7].Has(wire.ICMPv6) || !masks[7].Has(wire.UDP53) || masks[7].Has(wire.TCP80) {
 		t.Errorf("mask[7] = %v", masks[7])
 	}
@@ -194,15 +214,16 @@ func TestProbePairs(t *testing.T) {
 		f.up[a] = m
 	}
 	s := New(f, WithWorkers(4))
-	pairs := s.ProbePairs(targets, wire.TCP80, 0)
-	for i, pr := range pairs {
-		if !pr.First.OK || !pr.Second.OK {
+	var pairs PairColumns
+	s.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, 0, &pairs)
+	for i := range targets {
+		if !pairs.First.OK.Get(i) || !pairs.Second.OK.Get(i) {
 			t.Fatalf("pair %d not answered", i)
 		}
-		if pr.Second.SentAt <= pr.First.SentAt {
+		if pairs.Second.SentAt[i] <= pairs.First.SentAt[i] {
 			t.Errorf("pair %d out of order", i)
 		}
-		if pr.First.TCP == nil || pr.Second.TCP == nil {
+		if pairs.First.TCPRef[i] == wire.NoTCP || pairs.Second.TCPRef[i] == wire.NoTCP {
 			t.Fatalf("pair %d missing fingerprints", i)
 		}
 	}
@@ -262,12 +283,12 @@ func TestProbeCount(t *testing.T) {
 	targets := addrs(100)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
 	s := New(f, WithRetries(0), WithWorkers(2))
-	s.Scan(targets, wire.ICMPv6, 0)
+	scan(s, targets, wire.ICMPv6, 0)
 	if got := f.probes.Load(); got != 100 {
 		t.Errorf("sent %d probes, want 100", got)
 	}
 	f.probes.Store(0)
-	s.Sweep(targets, 0)
+	sweep(s, targets, 0)
 	if got := f.probes.Load(); got != 500 {
 		t.Errorf("sweep sent %d probes, want 500", got)
 	}
@@ -278,7 +299,9 @@ func BenchmarkScan(b *testing.B) {
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
 	s := New(f, WithWorkers(8))
 	b.ResetTimer()
+	var cols wire.ResultColumns
 	for i := 0; i < b.N; i++ {
-		s.Scan(targets, wire.ICMPv6, 0)
+		cols.ResetOK(len(targets))
+		s.ScanColumns(ip6.Addrs(targets), wire.ICMPv6, 0, &cols)
 	}
 }

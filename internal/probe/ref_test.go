@@ -1,0 +1,124 @@
+package probe
+
+import (
+	"sync"
+
+	"expanse/internal/ip6"
+	"expanse/internal/wire"
+)
+
+// The per-probe scan engine, retired from production and kept as the
+// probe-for-probe oracle of the columnar engine: one Responder.Probe call
+// and one materialized Result per probe, walking the permutation in
+// SEQUENCE order (the columnar engine walks target-index order and
+// recovers send times through the inverse permutation). Same
+// permutations, same virtual send times, same retry schedule.
+
+// Result is the outcome of probing one target on one protocol.
+type Result struct {
+	Addr     ip6.Addr
+	Proto    wire.Proto
+	OK       bool
+	HopLimit uint8
+	TCP      *wire.TCPInfo
+	SentAt   wire.Time
+}
+
+// Pair holds the two consecutive fingerprint probes of §5.4.
+type Pair struct {
+	First, Second Result
+}
+
+// shard splits the sequence positions [0,n) into s.workers contiguous
+// chunks — deliberately NOT 64-aligned, unlike the production shards —
+// and runs fn(lo,hi) for each on its own goroutine.
+func (s *Scanner) shard(n int, fn func(lo, hi int)) {
+	chunk := (n + s.workers - 1) / s.workers
+	if chunk == 0 {
+		chunk = 1
+	}
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		hi := lo + chunk
+		if hi > n {
+			hi = n
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}
+
+// scanSeq probes every target once (plus retries) on the given protocol
+// during the given day; results are returned in target order.
+func (s *Scanner) scanSeq(targets ip6.AddrSeq, proto wire.Proto, day int) []Result {
+	n := targets.Len()
+	results := make([]Result, n)
+	perm := NewPermutation(n, s.seed^uint64(proto)<<32^uint64(day))
+	iv := s.interval()
+
+	s.shard(n, func(lo, hi int) {
+		// Each worker walks its slice of the *permuted* sequence;
+		// the sequence position fixes the virtual send time, so
+		// results are identical regardless of worker count.
+		for seq := lo; seq < hi; seq++ {
+			idx := perm.At(seq)
+			addr := targets.At(idx)
+			at := wire.Time(seq) * iv
+			r := s.probeOnce(addr, proto, day, at)
+			for a := 0; !r.OK && a < s.retries; a++ {
+				at += wire.Time(n) * iv // retry pass later
+				r = s.probeOnce(addr, proto, day, at)
+			}
+			results[idx] = r
+		}
+	})
+	return results
+}
+
+func (s *Scanner) probeOnce(addr ip6.Addr, proto wire.Proto, day int, at wire.Time) Result {
+	resp := s.responder.Probe(addr, proto, day, at)
+	return Result{
+		Addr: addr, Proto: proto,
+		OK: resp.OK, HopLimit: resp.HopLimit, TCP: resp.TCP,
+		SentAt: at,
+	}
+}
+
+// sweepSeq is the per-probe sweep: five per-probe scans folded into
+// masks through full []Result slices.
+func (s *Scanner) sweepSeq(targets ip6.AddrSeq, day int) []wire.RespMask {
+	masks := make([]wire.RespMask, targets.Len())
+	for _, p := range wire.Protos {
+		for i, r := range s.scanSeq(targets, p, day) {
+			if r.OK {
+				masks[i].Set(p)
+			}
+		}
+	}
+	return masks
+}
+
+// probePairsSeq sends two back-to-back TCP probes with the options
+// module to every target, one Probe call each.
+func (s *Scanner) probePairsSeq(targets ip6.AddrSeq, proto wire.Proto, day int) []Pair {
+	n := targets.Len()
+	out := make([]Pair, n)
+	iv := s.interval()
+	perm := NewPermutation(n, s.seed^0xfb^uint64(day))
+	s.shard(n, func(lo, hi int) {
+		for seq := lo; seq < hi; seq++ {
+			idx := perm.At(seq)
+			addr := targets.At(idx)
+			at := wire.Time(seq) * iv * 2
+			out[idx] = Pair{
+				First:  s.probeOnce(addr, proto, day, at),
+				Second: s.probeOnce(addr, proto, day, at+iv),
+			}
+		}
+	})
+	return out
+}

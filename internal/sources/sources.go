@@ -8,12 +8,13 @@ package sources
 import (
 	"runtime"
 	"sort"
-	"sync"
 
 	"expanse/internal/bgp"
 	"expanse/internal/dnssim"
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
+	"expanse/internal/par"
 )
 
 // Canonical source names, in the paper's table order.
@@ -39,15 +40,6 @@ type Source interface {
 	Collect(day int, hitlist *ip6.ShardSet) []ip6.Addr
 }
 
-func hashStr(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // firstEpoch deterministically assigns the collection epoch at which a
 // name becomes visible to a source — this produces the cumulative runup
 // of Figure 1a.
@@ -55,14 +47,14 @@ func firstEpoch(key string, salt string, epochs int) int {
 	if epochs <= 1 {
 		return 0
 	}
-	return int(hashStr(key+"|"+salt) % uint64(epochs))
+	return int(hash64.String(key+"|"+salt) % uint64(epochs))
 }
 
 // addrEpoch is firstEpoch for address-keyed sources. It draws from
 // Addr.Hash64 mixed with the salt hash instead of formatting the address
-// to text — hashStr(a.String()) cost an allocation plus an RFC 5952
+// to text — hash64.String(a.String()) cost an allocation plus an RFC 5952
 // format per address per collection day on the Bitnodes/Atlas/scamper
-// hot paths. The XOR is re-finalized through mix64: several consumers
+// hot paths. The XOR is re-finalized through hash64.Mix: several consumers
 // reduce the same Hash64 by small moduli (the Atlas router filter, this
 // epoch draw), and without the extra mix those draws share parity and
 // correlate instead of being independent.
@@ -70,17 +62,7 @@ func addrEpoch(a ip6.Addr, salt string, epochs int) int {
 	if epochs <= 1 {
 		return 0
 	}
-	return int(mix64(a.Hash64()^hashStr(salt)) % uint64(epochs))
-}
-
-// mix64 is the splitmix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return int(hash64.Mix(a.Hash64()^hash64.String(salt)) % uint64(epochs))
 }
 
 // dnsSource is a generic forward-DNS-based collector.
@@ -412,41 +394,24 @@ func attribution(set *ip6.ShardSet, table *bgp.Table, workers int) (map[bgp.ASN]
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	type local struct {
 		as  map[bgp.ASN]int
 		pfx map[ip6.Prefix]int
 	}
 	locals := make([]local, workers)
-	chunk := (len(shards) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			l := local{as: map[bgp.ASN]int{}, pfx: map[ip6.Prefix]int{}}
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(shards) {
-				hi = len(shards)
-			}
-			for si := lo; si < hi; si++ {
-				v := shards[si]
-				for i := 0; i < v.Len(); i++ {
-					if p, asn, ok := table.Lookup(v.At(i)); ok {
-						l.as[asn]++
-						l.pfx[p]++
-					}
+	par.Ranges(len(shards), workers, 1, 1, func(w, lo, hi int) {
+		l := local{as: map[bgp.ASN]int{}, pfx: map[ip6.Prefix]int{}}
+		for si := lo; si < hi; si++ {
+			v := shards[si]
+			for i := 0; i < v.Len(); i++ {
+				if p, asn, ok := table.Lookup(v.At(i)); ok {
+					l.as[asn]++
+					l.pfx[p]++
 				}
 			}
-			locals[w] = l
-		}(w)
-	}
-	wg.Wait()
+		}
+		locals[w] = l
+	})
 	asCount := map[bgp.ASN]int{}
 	pfxCount := map[ip6.Prefix]int{}
 	for _, l := range locals {

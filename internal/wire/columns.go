@@ -41,8 +41,9 @@ func (b *Bitset) Reset(n int) {
 // Set sets bit i.
 func (b Bitset) Set(i int) { b[i>>6] |= 1 << (i & 63) }
 
-// Get reports bit i.
-func (b Bitset) Get(i int) bool { return b[i>>6]>>(i&63)&1 != 0 }
+// Get reports bit i; bits beyond the bitset read as unset (a history day
+// column answers for IDs registered after it was recorded).
+func (b Bitset) Get(i int) bool { return i>>6 < len(b) && b[i>>6]>>(i&63)&1 != 0 }
 
 // Count returns the number of set bits.
 func (b Bitset) Count() int {

@@ -23,6 +23,15 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Count() != 5 {
 		t.Fatalf("count = %d", b.Count())
 	}
+	// Bits beyond the recorded width read as absent, never panic.
+	for _, i := range []int{192, 1 << 20} {
+		if b.Get(i) {
+			t.Fatalf("bit %d beyond the bitset reads set", i)
+		}
+	}
+	if Bitset(nil).Get(0) {
+		t.Fatal("nil bitset reads set")
+	}
 	b.Reset(130)
 	if b.Count() != 0 {
 		t.Fatal("Reset left bits")
