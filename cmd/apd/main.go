@@ -82,9 +82,9 @@ func main() {
 
 	if *murdock {
 		md := apd.NewMurdockDetector(p.World)
-		cands := md.Candidates(p.Hitlist().Sorted())
-		verdicts := md.Detect(cands, day)
+		cands := md.Candidates(p.Hitlist().SortedSeq())
+		aliased := apd.NewFilter(md.Detect(cands, day)).AliasedPrefixes()
 		fmt.Printf("\nMurdock /96 baseline: %d candidates, %d aliased, %d probes\n",
-			len(cands), len(verdicts), md.ProbesSent)
+			len(cands), len(aliased), md.ProbesSent)
 	}
 }

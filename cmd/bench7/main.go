@@ -8,7 +8,7 @@
 // Usage:
 //
 //	bench7 [-cells 1:14,4:14,16:14] [-workers 8] [-maxheap BYTES]
-//	       [-gcdays N] [-snapdir DIR] [-out BENCH_7.json]
+//	       [-snapdir DIR] [-out BENCH_7.json]
 //
 // -maxheap makes the run fail (exit 1) if any cell's peak RSS exceeds
 // the bound — the CI memory-regression gate.
@@ -100,11 +100,10 @@ func parseCells(spec string) ([][2]float64, error) {
 }
 
 // runCell executes one pipeline run and measures it.
-func runCell(scale float64, days, workers, gcdays int, snapdir string) cell {
+func runCell(scale float64, days, workers int, snapdir string) cell {
 	cfg := core.DefaultConfig()
 	cfg.Sim.Scale = scale
 	cfg.Workers = workers
-	cfg.ForceGCDays = gcdays
 	dir := filepath.Join(snapdir, fmt.Sprintf("s%g_d%d", scale, days))
 	cfg.SnapshotDir = dir
 	p := core.New(cfg)
@@ -116,7 +115,7 @@ func runCell(scale float64, days, workers, gcdays int, snapdir string) cell {
 
 	t0 = time.Now()
 	// Stream the epochs, keeping only the last: retaining a long run's
-	// full epoch slice would hold every day's verdict map and filter
+	// full epoch slice would hold every day's verdict column and filter
 	// live (~hundreds of MB per day at scale 16) and swamp the very
 	// memory plane this bench measures.
 	var last *core.Epoch
@@ -168,7 +167,6 @@ func main() {
 	cellSpec := flag.String("cells", "1:14,4:14,16:14", "comma-separated scale:days cells")
 	workers := flag.Int("workers", 0, "scan-engine worker shards per protocol (0 = default)")
 	maxheap := flag.Int64("maxheap", 0, "fail if any cell's peak RSS exceeds this many bytes (0 = no bound)")
-	gcdays := flag.Int("gcdays", 0, "force a full GC every N probed days (0 = off; bounds the mark-phase heap-goal ratchet on long runs)")
 	snapdir := flag.String("snapdir", "", "snapshot directory (default: a temp dir, removed on exit)")
 	out := flag.String("out", "BENCH_7.json", "output path")
 	profiles := prof.Flags(flag.CommandLine)
@@ -198,7 +196,7 @@ func main() {
 	rep := report{Bench: "scale-memory trajectory: per-address audit, compact columns, epoch snapshots", Host: prof.Host()}
 	for _, sd := range cells {
 		scale, days := sd[0], int(sd[1])
-		c := runCell(scale, days, *workers, *gcdays, dir)
+		c := runCell(scale, days, *workers, dir)
 		rep.Workers = p0Workers(*workers)
 		rep.Cells = append(rep.Cells, c)
 		fmt.Printf("scale %4g days %2d %-8s  wall %7.2fs  peakRSS %s  store %s (%.1f B/addr)  hist %s  snap %s save %.1f MB/s load %.1f MB/s\n",

@@ -8,12 +8,14 @@
 // The package is organized around the columnar alias plane:
 // candidates.go derives the candidate set from the hitlist's cached
 // sorted view by run-boundary scanning and freezes it into a
-// CandidateTable with stable prefix IDs; history.go keeps the sliding-
-// window observations as per-day mask columns indexed by those IDs;
-// filter.go compiles the per-prefix verdicts into a sorted interval
-// table merged linearly against sorted address streams. This file holds
-// the probing machinery (fan-out, branch masks, the Detector) and the
-// §5.1 nested-pair taxonomy.
+// CandidateTable with stable prefix IDs and one (address, length) order;
+// history.go keeps the sliding-window observations as per-day mask
+// columns indexed by those IDs; verdicts.go turns a day's window-merged
+// masks into a verdict column in the table's order; filter.go compiles
+// that column into a sorted interval table merged linearly against
+// sorted address streams. This file holds the probing machinery
+// (fan-out, branch masks, the Detector) and the §5.1 nested-pair
+// taxonomy.
 //
 // The static-/96 detection of Murdock et al., which the paper compares
 // against in §5.5, is implemented in murdock.go.
@@ -47,6 +49,19 @@ var DefaultProtocols = []wire.Proto{wire.ICMPv6, wire.TCP80}
 // every day — the sliding window of §5.2 tracks per-address responses.
 func FanOut(p ip6.Prefix) [Branches]ip6.Addr {
 	return fanOutWith(rand.New(rand.NewSource(fanSeed(p))), p)
+}
+
+// FanOutColumn returns the fan-out targets of every candidate as one
+// flat column, Branches addresses per entry in entry order — the probe
+// column Detector.ProbeDayFlat scans.
+func FanOutColumn(cands []Candidate) []ip6.Addr {
+	rng := rand.New(rand.NewSource(0))
+	out := make([]ip6.Addr, 0, len(cands)*Branches)
+	for _, c := range cands {
+		fo := fanOutWith(rng, c.Prefix)
+		out = append(out, fo[:]...)
+	}
+	return out
 }
 
 // fanOutWith is FanOut over a caller-owned generator, reseeded in place.
@@ -90,26 +105,17 @@ const AllBranches BranchMask = 1<<Branches - 1
 func (m BranchMask) Count() int { return bits.OnesCount16(uint16(m)) }
 
 // Detector runs APD probing rounds. A Detector is not safe for
-// concurrent ProbeDayFlat calls (it accumulates ProbesSent and a fan-out
-// cache); each call parallelizes internally across protocols × worker
-// shards.
+// concurrent ProbeDayFlat calls (it accumulates ProbesSent and reuses its
+// result columns); each call parallelizes internally across protocols ×
+// worker shards.
 type Detector struct {
 	scanner   *probe.Scanner
 	protocols []wire.Proto
 	workers   int
-	// fanCache memoizes per-prefix fan-out targets: candidates are
-	// re-probed daily with the same deterministic targets (§5.2), so the
-	// 16 RNG draws per prefix are paid once, not once per day.
-	fanCache map[ip6.Prefix][Branches]ip6.Addr
 	// cols are the per-protocol mask-only result columns of ProbeDayFlat,
 	// reused across probing days (an OK bit per fan-out target is all the
 	// branch merge needs).
 	cols []wire.ResultColumns
-	// fanRNG is the reseeded-per-prefix generator behind fanCache fills;
-	// targets is the flattened fan-out target scratch, reused across days
-	// (day 0 sizes it at the full candidate set; narrowed days reslice).
-	fanRNG  *rand.Rand
-	targets []ip6.Addr
 	// ProbesSent accumulates the number of probe packets sent, for the
 	// bandwidth comparison of §5.5.
 	ProbesSent int
@@ -142,43 +148,23 @@ func NewDetectorWorkers(r wire.Responder, workers int, protocols ...wire.Proto) 
 // Workers returns the configured per-protocol worker-shard count.
 func (d *Detector) Workers() int { return d.workers }
 
-// ProbeDayFlat probes every candidate's fan-out targets on all protocols
-// for one day and returns the per-candidate branch masks in input order,
-// with cross-protocol merging already applied ("we treat an address as
-// responsive even if it replies to only the ICMPv6 or the TCP/80 probe").
-// The flat slice is the columnar form the candidate table and day history
-// consume directly; entries sharing a prefix get independent masks here
-// and OR-merge at the history layer.
+// ProbeDayFlat probes a fan-out target column (FanOutColumn: Branches
+// addresses per candidate) on all protocols for one day and returns the
+// per-candidate branch masks in column order, with cross-protocol merging
+// already applied ("we treat an address as responsive even if it replies
+// to only the ICMPv6 or the TCP/80 probe"). The flat slice is the
+// columnar form the day history consumes directly; entries sharing a
+// prefix get independent masks here and OR-merge at the history layer.
 //
 // Probing runs on the batched columnar path: each protocol's scan writes
-// only an OK bitset (16 × candidates bits, reused across days), and a
+// only an OK bitset (one bit per target, reused across days), and a
 // candidate's branch mask is its 16-bit window of that column ORed across
-// protocols. Candidates arrive
-// in ComparePrefix order and a prefix's 16 fan-out targets sit inside the
-// prefix, so the batch responder resolves long runs of targets against one
-// aliased region instead of walking a trie per probe. All protocols scan
-// concurrently; the mask fold is sharded over candidates after the
-// barrier.
-func (d *Detector) ProbeDayFlat(cands []Candidate, day int) []BranchMask {
-	// Flatten: 16 targets per candidate, probe once per protocol.
-	if d.fanCache == nil {
-		d.fanCache = make(map[ip6.Prefix][Branches]ip6.Addr, len(cands))
-		d.fanRNG = rand.New(rand.NewSource(0))
-	}
-	if want := len(cands) * Branches; cap(d.targets) < want {
-		d.targets = make([]ip6.Addr, 0, want)
-	}
-	targets := d.targets[:0]
-	for _, c := range cands {
-		fo, ok := d.fanCache[c.Prefix]
-		if !ok {
-			fo = fanOutWith(d.fanRNG, c.Prefix)
-			d.fanCache[c.Prefix] = fo
-		}
-		targets = append(targets, fo[:]...)
-	}
-	d.targets = targets
-
+// protocols. Candidates are probed in ComparePrefix order and a prefix's
+// 16 fan-out targets sit inside the prefix, so the batch responder
+// resolves long runs of targets against one aliased region instead of
+// walking a trie per probe. All protocols scan concurrently; the mask
+// fold is sharded over candidates after the barrier.
+func (d *Detector) ProbeDayFlat(targets []ip6.Addr, day int) []BranchMask {
 	if d.cols == nil {
 		d.cols = make([]wire.ResultColumns, len(d.protocols))
 	}
@@ -196,8 +182,8 @@ func (d *Detector) ProbeDayFlat(cands []Candidate, day int) []BranchMask {
 
 	// Sharded fold: each worker extracts its candidates' 16-bit branch
 	// windows from the protocol bitsets.
-	flat := make([]BranchMask, len(cands))
-	par.Ranges(len(cands), d.workers, 1, 1, func(_, lo, hi int) {
+	flat := make([]BranchMask, len(targets)/Branches)
+	par.Ranges(len(flat), d.workers, 1, 1, func(_, lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
 			var m BranchMask
 			for pi := range d.cols {
@@ -222,33 +208,30 @@ const (
 )
 
 // CaseCounts tallies the §5.1 taxonomy over all nested candidate pairs,
-// comparing each prefix against its closest probed ancestor — a single
-// depth-capped LPM walk per prefix (Trie.LookupMax below the prefix's own
-// length), not one exact-match probe per bit length.
-func CaseCounts(verdicts map[ip6.Prefix]bool) map[NestedCase]int {
-	var t ip6.Trie[bool]
-	for p, v := range verdicts {
-		t.Insert(p, v)
-	}
+// comparing each prefix against its closest probed ancestor. In the
+// verdict column's order a prefix follows all its ancestors, so the open
+// ancestors form a stack and the closest one is its top.
+func CaseCounts(v Verdicts) map[NestedCase]int {
 	counts := map[NestedCase]int{}
-	for p, more := range verdicts {
-		if p.Bits() == 0 {
-			continue
+	var open []int // indices of the prefixes containing the current one
+	for i, p := range v.Prefixes {
+		for len(open) > 0 && !v.Prefixes[open[len(open)-1]].Contains(p.Addr()) {
+			open = open[:len(open)-1]
 		}
-		_, less, ok := t.LookupMax(p.Addr(), p.Bits()-1)
-		if !ok {
-			continue
+		if len(open) > 0 {
+			more, less := v.Aliased[i], v.Aliased[open[len(open)-1]]
+			switch {
+			case more && less:
+				counts[CaseBothAliased]++
+			case !more && !less:
+				counts[CaseBothNonAliased]++
+			case more && !less:
+				counts[CaseMoreAliasedLessNot]++
+			default:
+				counts[CaseMoreNotLessAliased]++
+			}
 		}
-		switch {
-		case more && less:
-			counts[CaseBothAliased]++
-		case !more && !less:
-			counts[CaseBothNonAliased]++
-		case more && !less:
-			counts[CaseMoreAliasedLessNot]++
-		default:
-			counts[CaseMoreNotLessAliased]++
-		}
+		open = append(open, i)
 	}
 	return counts
 }

@@ -272,7 +272,7 @@ func TestFilterLPMSemantics(t *testing.T) {
 	// are rescued (§5.1's case 3 handling).
 	p96 := ip6.MustParsePrefix("2001:db8:1::/96")
 	p100 := ip6.MustParsePrefix("2001:db8:1::/100")
-	f := NewFilter(map[ip6.Prefix]bool{p96: true, p100: false})
+	f := NewFilter(verdictsOf(map[ip6.Prefix]bool{p96: true, p100: false}))
 	inside100 := ip6.MustParseAddr("2001:db8:1::123")
 	outside100 := ip6.MustParseAddr("2001:db8:1::f000:1")
 	if f.IsAliased(inside100) {
@@ -304,7 +304,7 @@ func TestCaseCounts(t *testing.T) {
 		ip6.MustParsePrefix("2001:db8:0:3::/64"): true,
 		ip6.MustParsePrefix("2001:db8:0:3::/68"): false, // case 4 (anomaly)
 	}
-	counts := CaseCounts(verdicts)
+	counts := CaseCounts(verdictsOf(verdicts))
 	if counts[CaseBothAliased] != 1 || counts[CaseBothNonAliased] != 1 ||
 		counts[CaseMoreAliasedLessNot] != 1 || counts[CaseMoreNotLessAliased] != 1 {
 		t.Errorf("case counts = %v", counts)
@@ -339,9 +339,9 @@ func TestMurdockBaseline(t *testing.T) {
 	}
 	addrs = append(addrs, smallAddrs...)
 	md := NewMurdockDetector(world)
-	cands := md.Candidates(addrs)
-	verdicts := md.Detect(cands, 1)
-	f := MurdockFilter(verdicts)
+	sortAddrs(addrs)
+	cands := md.Candidates(ip6.Addrs(addrs))
+	f := NewFilter(md.Detect(cands, 1))
 	bigDetected, smallDetected := 0, 0
 	for _, a := range addrs {
 		if big.Contains(a) && f.IsAliased(a) {
@@ -421,7 +421,8 @@ func TestMurdockMatchesPerProbe(t *testing.T) {
 		addrs = append(addrs, rec.Addr)
 	}
 	md := NewMurdockDetector(w)
-	cands := md.Candidates(addrs)
+	sortAddrs(addrs)
+	cands := md.Candidates(ip6.Addrs(addrs))
 	day := w.Horizon()
 	got := md.Detect(cands, day)
 	want, wantSent := murdockPerProbe(w, cands, day)
@@ -431,12 +432,12 @@ func TestMurdockMatchesPerProbe(t *testing.T) {
 	if md.ProbesSent != wantSent || wantSent != 9*len(cands) {
 		t.Errorf("ProbesSent = %d, per-probe oracle sent %d (9 per /96 = %d)", md.ProbesSent, wantSent, 9*len(cands))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("Detect: %d aliased /96s, per-probe oracle %d", len(got), len(want))
+	if len(got.Prefixes) != len(cands) || len(got.Aliased) != len(cands) {
+		t.Fatalf("Detect: %d prefixes / %d verdicts for %d candidates", len(got.Prefixes), len(got.Aliased), len(cands))
 	}
-	for p := range want {
-		if !got[p] {
-			t.Errorf("Detect misses %v, aliased per the oracle", p)
+	for i, p := range got.Prefixes {
+		if p != cands[i] || got.Aliased[i] != want[p] {
+			t.Errorf("Detect[%d] = (%v, %v), candidate %v aliased per the oracle: %v", i, p, got.Aliased[i], cands[i], want[p])
 		}
 	}
 }

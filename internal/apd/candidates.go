@@ -1,6 +1,8 @@
 package apd
 
 import (
+	"slices"
+
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
 )
@@ -84,11 +86,19 @@ func BGPCandidates(table *bgp.Table) []Candidate {
 // bookkeeping is array scans rather than per-prefix map probes. Entries
 // may repeat a prefix (hitlist- and BGP-derived candidates are probed
 // independently); such entries share one ID.
+//
+// The table is the one place the alias plane hashes or sorts a prefix:
+// ids resolves a prefix to its ID, and order lists the IDs in
+// ip6.CompareNested (address, length) order, fixed at freeze. Every
+// day's verdict column (Verdicts) is a walk of that order, so nothing
+// downstream — filter compilation, the epoch digest, the nested-pair
+// taxonomy — sorts or looks a prefix up again.
 type CandidateTable struct {
 	cands    []Candidate
 	entryID  []int32
 	prefixes []ip6.Prefix
 	ids      map[ip6.Prefix]int32
+	order    []int32
 }
 
 // NewCandidateTable freezes a candidate list, assigning IDs in first-
@@ -108,6 +118,13 @@ func NewCandidateTable(cands []Candidate) *CandidateTable {
 		}
 		t.entryID[i] = id
 	}
+	t.order = make([]int32, len(t.prefixes))
+	for i := range t.order {
+		t.order[i] = int32(i)
+	}
+	slices.SortFunc(t.order, func(a, b int32) int {
+		return ip6.CompareNested(t.prefixes[a], t.prefixes[b])
+	})
 	return t
 }
 

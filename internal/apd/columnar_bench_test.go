@@ -44,7 +44,7 @@ func BenchmarkHitlistCandidates(b *testing.B) {
 func BenchmarkFilterSplit(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	verdicts := randomVerdicts(rng, 5000)
-	f := NewFilter(verdicts)
+	f := NewFilter(verdictsOf(verdicts))
 	ref := newLegacyTrieFilter(verdicts)
 	sorted := make([]ip6.Addr, 1<<18)
 	for i := range sorted {

@@ -99,7 +99,7 @@ func TestFilterMatchesTrieReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 10; trial++ {
 		verdicts := randomVerdicts(rng, 1+rng.Intn(150))
-		f := NewFilter(verdicts)
+		f := NewFilter(verdictsOf(verdicts))
 		ref := newLegacyTrieFilter(verdicts)
 
 		var probes []ip6.Addr

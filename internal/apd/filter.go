@@ -12,7 +12,7 @@ import (
 // closely covering probed prefix, so a non-aliased more-specific rescues
 // its addresses from an aliased less-specific.
 //
-// The verdict trie is compiled at construction into a sorted table of
+// The verdict column is compiled at construction into a sorted table of
 // disjoint (lo, hi, aliased) address intervals (ip6.CompileIntervals)
 // with most-specific-wins semantics baked in. Point queries are a binary
 // search; classifying a sorted address stream (Classify/SplitSorted) is a
@@ -24,31 +24,15 @@ type Filter struct {
 	aliased []ip6.Prefix // aliased-verdict prefixes, (address, length) order
 }
 
-// NewFilter builds a filter from per-prefix verdicts.
-func NewFilter(verdicts map[ip6.Prefix]bool) *Filter {
-	ps := make([]ip6.Prefix, 0, len(verdicts))
-	vals := make([]bool, 0, len(verdicts))
-	for p := range verdicts {
-		ps = append(ps, p)
-	}
-	// Sort by (address, length) — the trie's walk order — so both the
-	// compiled table and AliasedPrefixes are pure functions of the
-	// verdict set.
-	sort.Slice(ps, func(i, j int) bool {
-		if c := ps[i].Addr().Compare(ps[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
-	f := &Filter{}
-	for _, p := range ps {
-		v := verdicts[p]
-		vals = append(vals, v)
-		if v {
+// NewFilter compiles a day's verdict column. The column is already in
+// the compiler's input order, so this is two linear passes.
+func NewFilter(v Verdicts) *Filter {
+	f := &Filter{tab: ip6.CompileIntervals(v.Prefixes, v.Aliased)}
+	for i, p := range v.Prefixes {
+		if v.Aliased[i] {
 			f.aliased = append(f.aliased, p)
 		}
 	}
-	f.tab = ip6.CompileIntervals(ps, vals)
 	return f
 }
 
@@ -67,20 +51,6 @@ func (f *Filter) AliasedPrefixes() []ip6.Prefix {
 
 // Intervals exposes the compiled interval table. Read-only.
 func (f *Filter) Intervals() []ip6.Interval[bool] { return f.tab }
-
-// Split partitions addresses into non-aliased and aliased per the filter.
-// The input may be in any order; each address costs one binary search.
-// For the sorted hitlist, SplitSorted is the linear-merge fast path.
-func (f *Filter) Split(addrs []ip6.Addr) (clean, aliased []ip6.Addr) {
-	for _, a := range addrs {
-		if f.IsAliased(a) {
-			aliased = append(aliased, a)
-		} else {
-			clean = append(clean, a)
-		}
-	}
-	return clean, aliased
-}
 
 // Classify returns the per-address aliased flag for an ASCENDING address
 // sequence (the ShardSet's cached sorted view) by linearly merging the
@@ -112,8 +82,7 @@ func (f *Filter) Classify(sorted ip6.AddrSeq, workers int) []bool {
 // and aliased slices via Classify, preserving order, and also returns
 // the raw classification aligned with the input (bits[i]: address i is
 // aliased) for consumers that need per-address flags alongside the
-// partition. The slices are byte-for-byte the result of Split on the
-// same input, at linear-merge cost.
+// partition.
 func (f *Filter) SplitSorted(sorted ip6.AddrSeq, workers int) (clean, aliased []ip6.Addr, bits []bool) {
 	bits = f.Classify(sorted, workers)
 	nAliased := 0

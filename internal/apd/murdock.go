@@ -2,7 +2,6 @@ package apd
 
 import (
 	"math/rand"
-	"sort"
 
 	"expanse/internal/ip6"
 	"expanse/internal/probe"
@@ -28,17 +27,14 @@ func NewMurdockDetector(r wire.Responder) *MurdockDetector {
 	}
 }
 
-// Candidates maps hitlist addresses to their static /96 prefixes.
-func (d *MurdockDetector) Candidates(addrs []ip6.Addr) []ip6.Prefix {
-	seen := map[ip6.Prefix]bool{}
-	for _, a := range addrs {
-		seen[ip6.PrefixFrom(a, 96)] = true
-	}
-	out := make([]ip6.Prefix, 0, len(seen))
-	for p := range seen {
+// Candidates maps an ascending hitlist (the ShardSet's sorted view) to
+// its static /96 prefixes, ascending: one run-boundary scan.
+func (d *MurdockDetector) Candidates(sorted ip6.AddrSeq) []ip6.Prefix {
+	var out []ip6.Prefix
+	ip6.PrefixRuns(sorted, 96, func(p ip6.Prefix, _, _ int) bool {
 		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return ip6.ComparePrefix(out[i], out[j]) < 0 })
+		return true
+	})
 	return out
 }
 
@@ -57,11 +53,13 @@ func murdockTargets(prefixes []ip6.Prefix) []ip6.Addr {
 	return targets
 }
 
-// Detect probes the /96 candidates on one day and returns the set
-// classified aliased. Three random addresses per prefix, three probes
-// each (TCP/80, as in the original tool), aliased when all three
-// addresses answered at least once.
-func (d *MurdockDetector) Detect(prefixes []ip6.Prefix, day int) map[ip6.Prefix]bool {
+// Detect probes the /96 candidates (ascending, as Candidates returns
+// them) on one day and returns their verdict column. Three random
+// addresses per prefix, three probes each (TCP/80, as in the original
+// tool), aliased when all three addresses answered at least once. All
+// candidates share one length, so NewFilter's LPM over the column
+// degenerates to exact covering.
+func (d *MurdockDetector) Detect(prefixes []ip6.Prefix, day int) Verdicts {
 	targets := murdockTargets(prefixes)
 	// Mask-only columnar scans: an OK bit per target is all the verdict
 	// needs. The three attempts OR word-by-word into answered.
@@ -75,24 +73,13 @@ func (d *MurdockDetector) Detect(prefixes []ip6.Prefix, day int) map[ip6.Prefix]
 			answered[w] |= word
 		}
 	}
-	out := make(map[ip6.Prefix]bool, len(prefixes))
-	for pi, p := range prefixes {
+	v := Verdicts{Prefixes: prefixes, Aliased: make([]bool, len(prefixes))}
+	for pi := range prefixes {
 		all := true
 		for i := 0; i < murdockPerPrefix; i++ {
-			if !answered.Get(pi*murdockPerPrefix + i) {
-				all = false
-				break
-			}
+			all = all && answered.Get(pi*murdockPerPrefix+i)
 		}
-		if all {
-			out[p] = true
-		}
+		v.Aliased[pi] = all
 	}
-	return out
-}
-
-// MurdockFilter builds an LPM filter from the /96 verdicts (every /96 is
-// the same length, so LPM degenerates to exact covering).
-func MurdockFilter(aliased map[ip6.Prefix]bool) *Filter {
-	return NewFilter(aliased)
+	return v
 }

@@ -2,6 +2,7 @@ package apd
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 
 	"expanse/internal/ip6"
@@ -14,15 +15,75 @@ import (
 // here as the oracle the tests drive the columnar entry points against: per-prefix mask maps, lazily registered prefix
 // IDs, per-prefix window lookups and the aliased-set scans.
 
-// ProbeDay is ProbeDayFlat with the masks assembled into a per-prefix
-// map, duplicate candidate prefixes OR-merged.
+// ProbeDay is ProbeDayFlat over the candidates' fan-out column with the
+// masks assembled into a per-prefix map, duplicate candidate prefixes
+// OR-merged.
 func (d *Detector) ProbeDay(cands []Candidate, day int) map[ip6.Prefix]BranchMask {
-	flat := d.ProbeDayFlat(cands, day)
+	flat := d.ProbeDayFlat(FanOutColumn(cands), day)
 	masks := make(map[ip6.Prefix]BranchMask, len(cands))
 	for ci, c := range cands {
 		masks[c.Prefix] |= flat[ci]
 	}
 	return masks
+}
+
+// verdictsOf turns a per-prefix verdict map — the form Seal built before
+// the verdict column — into Verdicts: keys sorted by (address, length).
+func verdictsOf(m map[ip6.Prefix]bool) Verdicts {
+	v := Verdicts{Prefixes: make([]ip6.Prefix, 0, len(m)), Aliased: make([]bool, 0, len(m))}
+	for p := range m {
+		v.Prefixes = append(v.Prefixes, p)
+	}
+	slices.SortFunc(v.Prefixes, ip6.CompareNested)
+	for _, p := range v.Prefixes {
+		v.Aliased = append(v.Aliased, m[p])
+	}
+	return v
+}
+
+// caseCountsTrie is the retired trie-backed CaseCounts: every prefix
+// finds its closest probed ancestor by exact-match probes down the bit
+// lengths.
+func caseCountsTrie(verdicts map[ip6.Prefix]bool) map[NestedCase]int {
+	var t ip6.Trie[bool]
+	for p, v := range verdicts {
+		t.Insert(p, v)
+	}
+	counts := map[NestedCase]int{}
+	for p, more := range verdicts {
+		for bits := p.Bits() - 1; bits >= 0; bits-- {
+			less, ok := t.Get(ip6.PrefixFrom(p.Addr(), bits))
+			if !ok {
+				continue
+			}
+			switch {
+			case more && less:
+				counts[CaseBothAliased]++
+			case !more && !less:
+				counts[CaseBothNonAliased]++
+			case more && !less:
+				counts[CaseMoreAliasedLessNot]++
+			default:
+				counts[CaseMoreNotLessAliased]++
+			}
+			break
+		}
+	}
+	return counts
+}
+
+// Split partitions addresses in any order into non-aliased and aliased,
+// one binary search each — the oracle SplitSorted's linear merge is
+// pinned against.
+func (f *Filter) Split(addrs []ip6.Addr) (clean, aliased []ip6.Addr) {
+	for _, a := range addrs {
+		if f.IsAliased(a) {
+			aliased = append(aliased, a)
+		} else {
+			clean = append(clean, a)
+		}
+	}
+	return clean, aliased
 }
 
 // HitlistCandidatesAddrs is HitlistCandidates over a plain address slice;

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"expanse/internal/apd"
@@ -22,10 +21,10 @@ import (
 // A snapshot directory holds three kinds of files:
 //
 //	hitlist.snap    the post-collection hitlist as one sorted address
-//	                column — written once per run (the hitlist is
-//	                static during the day loop).
+//	                column — written once per run, with APD day 0 (the
+//	                hitlist is static during the day loop).
 //	table.snap      the frozen candidate universe in entry order —
-//	                written once, after the first probed day derives it.
+//	                written with APD day 0, which derives it.
 //	epoch_NNNN.snap one per APD day index: the day's history column
 //	                (canonical Export form), the raw per-entry probe
 //	                masks, and the cumulative probe budget.
@@ -40,11 +39,11 @@ import (
 // byte-identity guarantee cheap to state: a resumed run feeds Seal and
 // ProbeDay the same inputs the uninterrupted run fed them.
 //
-// Every file carries a config pin (simulation seed/scale/epochs plus
-// the APD parameters). Resume refuses a directory whose pin differs
-// from its Config — EXCEPT Workers and Overlap, which are throughput
-// knobs with byte-identical results and may differ freely between the
-// saving and the resuming run.
+// Every file carries a config pin (simulation seed/scale/epochs, the
+// routing registry, and the APD parameters). Resume refuses a directory
+// whose pin differs from its Config — EXCEPT Workers and Overlap, which
+// are throughput knobs with byte-identical results and may differ freely
+// between the saving and the resuming run.
 
 // EpochPath returns the snapshot file path of APD day index i.
 func EpochPath(dir string, i int) string {
@@ -74,32 +73,39 @@ type SnapStats struct {
 // day loop.
 func (p *Pipeline) SnapshotStats() SnapStats { return p.snapStats }
 
-// pin writes the config fingerprint shared by every snapshot file.
+// pin writes the config fingerprint shared by every snapshot file:
+// everything that shapes the world, the hitlist or the verdicts.
 func (p *Pipeline) pin(w *snap.Writer) {
-	w.U64(uint64(p.Cfg.Sim.Seed))
-	w.F64(p.Cfg.Sim.Scale)
-	w.Int(p.Cfg.Sim.Epochs)
-	w.Int(p.Cfg.Sim.EpochDays)
+	sim := p.Cfg.Sim
+	w.U64(uint64(sim.Seed))
+	w.F64(sim.Scale)
+	w.Int(sim.Epochs)
+	w.Int(sim.EpochDays)
+	w.Int(sim.Registry.ASes)
+	w.F64(sim.Registry.PrefixesPerAS)
+	w.U64(uint64(sim.Registry.Seed))
 	w.Int(p.Cfg.APDWindow)
 	w.Int(p.Cfg.MinTargets)
 }
 
 // checkPin validates a file's config fingerprint against cfg.
 func checkPin(r *snap.Reader, cfg Config) error {
-	seed := r.U64()
-	scale := r.F64()
-	epochs := r.Int()
-	epochDays := r.Int()
+	sim := cfg.Sim
+	sim.Seed = int64(r.U64())
+	sim.Scale = r.F64()
+	sim.Epochs = r.Int()
+	sim.EpochDays = r.Int()
+	sim.Registry.ASes = r.Int()
+	sim.Registry.PrefixesPerAS = r.F64()
+	sim.Registry.Seed = int64(r.U64())
 	window := r.Int()
 	minTargets := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if seed != uint64(cfg.Sim.Seed) || scale != cfg.Sim.Scale ||
-		epochs != cfg.Sim.Epochs || epochDays != cfg.Sim.EpochDays ||
-		window != cfg.APDWindow || minTargets != cfg.MinTargets {
-		return fmt.Errorf("core: snapshot config pin (seed=%#x scale=%g epochs=%d epochDays=%d window=%d minTargets=%d) does not match the resuming config",
-			seed, scale, epochs, epochDays, window, minTargets)
+	if sim != cfg.Sim || window != cfg.APDWindow || minTargets != cfg.MinTargets {
+		return fmt.Errorf("core: snapshot config pin (sim=%+v window=%d minTargets=%d) does not match the resuming config",
+			sim, window, minTargets)
 	}
 	return nil
 }
@@ -177,9 +183,10 @@ func u16ToMasks(vs []uint16) []apd.BranchMask {
 // saveCheckpoint persists one probed day. It runs on the serial probe
 // chain — immediately after ProbeDay, before the seal goroutine is
 // spawned — so the detector's cumulative probe counter is sampled at
-// exactly the point the checkpoint represents. On the first saved day
-// it also writes the run-static files (hitlist, candidate table) if
-// they are not already present.
+// exactly the point the checkpoint represents. APD day 0 also writes
+// the run-static files (hitlist, candidate table) — always, so a
+// directory reused by a run with another config never keeps files whose
+// pin every later Resume would refuse.
 func (p *Pipeline) saveCheckpoint(d *EpochDraft) {
 	if p.snapErr != nil {
 		return
@@ -194,30 +201,34 @@ func (p *Pipeline) trySave(d *EpochDraft) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if _, err := os.Stat(hitlistPath(dir)); os.IsNotExist(err) {
-		n, err := writeSnapFile(hitlistPath(dir), func(w *snap.Writer) {
+	write := func(path string, fill func(w *snap.Writer)) error {
+		n, err := writeSnapFile(path, func(w *snap.Writer) {
 			w.Section("PIN ")
 			p.pin(w)
+			fill(w)
+		})
+		if err == nil {
+			p.snapStats.Files++
+			p.snapStats.Bytes += n
+		}
+		return err
+	}
+	if d.index == 0 {
+		err := write(hitlistPath(dir), func(w *snap.Writer) {
 			w.Section("HITL")
 			w.AddrCols(p.Store.All().Sorted())
 		})
 		if err != nil {
 			return err
 		}
-		p.snapStats.Files++
-		p.snapStats.Bytes += n
-	}
-	if _, err := os.Stat(tablePath(dir)); os.IsNotExist(err) {
-		entries := p.builder.table.Candidates()
+		entries := d.table.Candidates()
 		prefixes := make([]ip6.Prefix, len(entries))
 		targets := make([]int32, len(entries))
 		for i, c := range entries {
 			prefixes[i] = c.Prefix
 			targets[i] = int32(c.Targets)
 		}
-		n, err := writeSnapFile(tablePath(dir), func(w *snap.Writer) {
-			w.Section("PIN ")
-			p.pin(w)
+		err = write(tablePath(dir), func(w *snap.Writer) {
 			w.Section("CAND")
 			w.PrefixCols(prefixes)
 			w.I32s(targets)
@@ -225,14 +236,10 @@ func (p *Pipeline) trySave(d *EpochDraft) error {
 		if err != nil {
 			return err
 		}
-		p.snapStats.Files++
-		p.snapStats.Bytes += n
 	}
 	probesSent := p.detector.ProbesSent
 	width, ids, masks := d.column.Export()
-	n, err := writeSnapFile(EpochPath(dir, d.index), func(w *snap.Writer) {
-		w.Section("PIN ")
-		p.pin(w)
+	return write(EpochPath(dir, d.index), func(w *snap.Writer) {
 		w.Section("META")
 		w.Int(d.index)
 		w.Int(d.day)
@@ -244,12 +251,6 @@ func (p *Pipeline) trySave(d *EpochDraft) error {
 		w.Section("PROB")
 		w.U16s(masksToU16(d.flat))
 	})
-	if err != nil {
-		return err
-	}
-	p.snapStats.Files++
-	p.snapStats.Bytes += n
-	return nil
 }
 
 // openSnap opens a snapshot file and validates its config pin.
@@ -430,28 +431,14 @@ func (e *Epoch) Digest() string {
 		w.Bool(iv.Val)
 	}
 	w.Section("VERD")
-	ps := make([]ip6.Prefix, 0, len(e.Verdicts))
-	for pfx := range e.Verdicts {
-		ps = append(ps, pfx)
-	}
-	sort.Slice(ps, func(i, j int) bool {
-		if c := ps[i].Addr().Compare(ps[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
-	verdictBits := make([]bool, len(ps))
+	w.PrefixCols(e.Verdicts.Prefixes)
+	w.Bits(e.Verdicts.Aliased)
 	prefixes := make([]ip6.Prefix, len(e.Candidates))
 	candTargets := make([]int32, len(e.Candidates))
 	for i, c := range e.Candidates {
 		prefixes[i] = c.Prefix
 		candTargets[i] = int32(c.Targets)
 	}
-	for i, pfx := range ps {
-		verdictBits[i] = e.Verdicts[pfx]
-	}
-	w.PrefixCols(ps)
-	w.Bits(verdictBits)
 	w.Section("CAND")
 	w.PrefixCols(prefixes)
 	w.I32s(candTargets)

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"expanse/internal/apd"
 )
 
 func snapTestConfig(workers, overlap int) Config {
@@ -178,5 +180,109 @@ func TestRunAPDIsOneDayOfRunDaysFunc(t *testing.T) {
 	}
 	if ep.Digest() != want[days-1].Digest() {
 		t.Fatal("resumed RunAPD checkpoint diverged from the orchestrated run")
+	}
+}
+
+// TestResumePinsRegistry pins that the snapshot pin covers the routing
+// registry: a different registry builds a different world under the
+// snapshotted hitlist, so Resume must refuse it like any other config
+// mismatch — and still accept the saving run's own registry.
+func TestResumePinsRegistry(t *testing.T) {
+	dir := t.TempDir()
+	base := baselineRun(t, dir, 2)
+	cfg := snapTestConfig(4, 2)
+	for name, mutate := range map[string]func(*Config){
+		"ASes":          func(c *Config) { c.Sim.Registry.ASes = 121 },
+		"PrefixesPerAS": func(c *Config) { c.Sim.Registry.PrefixesPerAS += 0.5 },
+		"Seed":          func(c *Config) { c.Sim.Registry.Seed++ },
+	} {
+		other := cfg
+		mutate(&other)
+		if _, _, err := Resume(other, dir, 1); err == nil || !strings.Contains(err.Error(), "config pin") {
+			t.Errorf("Resume with another Registry.%s: err = %v, want the config-pin error", name, err)
+		}
+	}
+	_, ep, err := Resume(cfg, dir, 1)
+	if err != nil {
+		t.Fatalf("Resume with the saving registry: %v", err)
+	}
+	if ep.Digest() != base[1] {
+		t.Error("Resume with the saving registry diverged from the live run")
+	}
+}
+
+// TestSnapshotDirReuse pins that a directory a previous run with another
+// config checkpointed into is fully taken over: day 0 rewrites the
+// run-static files, so the second run resumes to its own live digest
+// instead of failing the first run's pin.
+func TestSnapshotDirReuse(t *testing.T) {
+	dir := t.TempDir()
+	var cfg Config
+	var want string
+	for _, seed := range []int64{1, 2} {
+		cfg = snapTestConfig(4, 2)
+		cfg.Sim.Seed = seed
+		cfg.SnapshotDir = dir
+		p := New(cfg)
+		p.Collect()
+		want = runDays(p, p.World.Horizon(), 2)[1].Digest()
+		if err := p.SnapshotErr(); err != nil {
+			t.Fatalf("seed %d: SnapshotErr: %v", seed, err)
+		}
+	}
+	_, ep, err := Resume(cfg, dir, 1)
+	if err != nil {
+		t.Fatalf("Resume of the second run: %v", err)
+	}
+	if ep.Digest() != want {
+		t.Error("Resume of the second run diverged from its live digest")
+	}
+}
+
+// TestFanOutColumnTracksCandidates pins the builder's probe column: 16
+// targets per current candidate, equal to apd.FanOut of its prefix, on
+// day 0, after narrowing, and when a resumed builder — which replays its
+// narrowing without the column — fills it on its first probed day.
+func TestFanOutColumnTracksCandidates(t *testing.T) {
+	check := func(b *EpochBuilder, when string) {
+		t.Helper()
+		if len(b.fan) != len(b.cands)*apd.Branches {
+			t.Fatalf("%s: %d targets for %d candidates", when, len(b.fan), len(b.cands))
+		}
+		for i, c := range b.cands {
+			want := apd.FanOut(c.Prefix)
+			for k, a := range b.fan[i*apd.Branches : (i+1)*apd.Branches] {
+				if a != want[k] {
+					t.Fatalf("%s: candidate %d (%v) branch %d = %v, FanOut %v", when, i, c.Prefix, k, a, want[k])
+				}
+			}
+		}
+	}
+	cfg := snapTestConfig(4, 1)
+	cfg.SnapshotDir = t.TempDir()
+	p := New(cfg)
+	p.Collect()
+	day := p.World.Horizon()
+	p.RunAPD(day)
+	check(p.builder, "day 0")
+	universe := len(p.builder.cands)
+	p.RunAPD(day + 1)
+	check(p.builder, "after narrow")
+	if n := len(p.builder.cands); n == 0 || n >= universe {
+		t.Fatalf("narrowing kept %d of %d candidates; the test needs a proper subset", n, universe)
+	}
+	want := p.RunAPD(day + 2).Digest()
+
+	rp, ep, err := Resume(cfg, cfg.SnapshotDir, 1)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if rp.builder.fan != nil {
+		t.Error("Resume built a fan-out column it never probes")
+	}
+	got := rp.RunAPD(ep.Day + 1).Digest()
+	check(rp.builder, "after Resume")
+	if got != want {
+		t.Error("resumed day 2 diverged from the live run")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // RunDaysFunc callback — sees a fully-built, internally-consistent view
 // forever: the hitlist pinned at its sorted mutation epoch
 // (ip6.FrozenView), the
-// interval-compiled alias filter, the per-prefix verdicts, the day's
+// interval-compiled alias filter, the verdict column, the day's
 // probed candidates with their raw scan masks, the day's history column
 // plus the sliding window it was judged under, and (when the pipeline
 // runs with EpochSweep) the day's responsiveness sweep of the curated
@@ -39,9 +39,10 @@ type Epoch struct {
 	// Filter is the day's interval-compiled longest-prefix-match alias
 	// filter (never nil on a published epoch).
 	Filter *apd.Filter
-	// Verdicts maps each candidate prefix probed this day to its
-	// window-merged aliased verdict. Read-only.
-	Verdicts map[ip6.Prefix]bool
+	// Verdicts is the day's verdict column: each distinct prefix probed
+	// this day, in (address, length) order, with its window-merged
+	// aliased verdict. Read-only.
+	Verdicts apd.Verdicts
 	// Candidates is the day's probed candidate subset in probe order
 	// (day 0: the full universe; later days: the near-aliased narrowing),
 	// and Probed its raw per-entry branch masks — the day's scan columns
@@ -109,17 +110,16 @@ type EpochDraft struct {
 	flat       []apd.BranchMask
 	column     apd.DayColumn
 	window     []apd.DayColumn
-	nIDs       int
+	table      *apd.CandidateTable
 }
 
 // Index returns the draft's 0-based APD day index.
 func (d *EpochDraft) Index() int { return d.index }
 
-// EpochBuilder owns all the mutable state of the day loop that used to
-// smear across Pipeline's fields: the frozen candidate universe, the
-// currently-probed (narrowed) candidate subset, the columnar day
-// history, and the running near-aliased masks. The contract splits each
-// day in two:
+// EpochBuilder owns all the mutable state of the day loop: the frozen
+// candidate universe, the currently-probed (narrowed) candidate subset
+// with its fan-out target column, the columnar day history, and the
+// running near-aliased masks. The contract splits each day in two:
 //
 //   - ProbeDay (the probe chain) mutates: it narrows candidates, probes
 //     the day's fan-out targets, appends the history column and updates
@@ -137,9 +137,15 @@ type EpochBuilder struct {
 	detector *apd.Detector
 	scanner  *probe.Scanner
 
-	table    *apd.CandidateTable
-	cands    []apd.Candidate
-	candIDs  []int32
+	table   *apd.CandidateTable
+	cands   []apd.Candidate
+	candIDs []int32
+	// fan is the probe column: apd.Branches fan-out targets per current
+	// candidate, parallel to cands/candIDs. Candidates are re-probed
+	// daily with the same deterministic targets (§5.2), so the RNG draws
+	// per prefix are paid once: the first ProbeDay after bind fills it (a
+	// Resume replays its narrowing without it) and narrow compacts it.
+	fan      []ip6.Addr
 	hist     apd.History
 	nearMask []apd.BranchMask
 }
@@ -169,16 +175,23 @@ func (b *EpochBuilder) bind(table *apd.CandidateTable) {
 // narrow keeps the candidates whose running mask is near aliased (>= 12
 // branches). Fresh slices every day: the previous day's draft keeps the
 // old ones, so sealed-but-unpublished epochs never see this mutation.
+// The fan-out column no draft references, so it compacts in place (the
+// write index never passes the read index) and a day allocates nothing
+// for it.
 func (b *EpochBuilder) narrow() {
 	narrow := b.cands[:0:0]
 	narrowIDs := b.candIDs[:0:0]
+	fan := b.fan[:0]
 	for i, c := range b.cands {
 		if b.nearMask[b.candIDs[i]].Count() >= 12 {
 			narrow = append(narrow, c)
 			narrowIDs = append(narrowIDs, b.candIDs[i])
+			if b.fan != nil {
+				fan = append(fan, b.fan[i*apd.Branches:][:apd.Branches]...)
+			}
 		}
 	}
-	b.cands, b.candIDs = narrow, narrowIDs
+	b.cands, b.candIDs, b.fan = narrow, narrowIDs, fan
 }
 
 // draft snapshots history day di — probed on absolute day `day` over the
@@ -193,7 +206,7 @@ func (b *EpochBuilder) draft(di, day int, flat []apd.BranchMask) *EpochDraft {
 		flat:    flat,
 		column:  b.hist.Column(di),
 		window:  b.hist.WindowColumns(di, b.cfg.APDWindow),
-		nIDs:    b.table.NumIDs(),
+		table:   b.table,
 	}
 }
 
@@ -214,7 +227,10 @@ func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
 	} else {
 		b.narrow()
 	}
-	flat := b.detector.ProbeDayFlat(b.cands, day)
+	if b.fan == nil {
+		b.fan = apd.FanOutColumn(b.cands)
+	}
+	flat := b.detector.ProbeDayFlat(b.fan, day)
 	b.hist.AddIDs(b.candIDs, flat)
 	di := b.hist.Len() - 1
 	b.hist.ORDayInto(di, b.nearMask, b.cfg.Workers)
@@ -222,20 +238,17 @@ func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
 }
 
 // Seal turns a probed draft into a publish-ready epoch: the window
-// merge over the draft's pinned columns, the verdict map, the interval
-// compilation of the filter, the frozen hitlist pin, and (with
-// Config.EpochSweep) the day's sweep of the curated targets. Seal is a
-// pure function of the draft and the post-collection hitlist — it never
-// touches the builder's mutable state — so seals of different days may
-// run concurrently with each other and with later ProbeDay calls, and
-// the result is byte-identical to the serial loop's for every worker
-// count and overlap depth.
+// merge over the draft's pinned columns, the verdict column (one walk of
+// the candidate table's order), its interval compilation into the
+// filter, the frozen hitlist pin, and (with Config.EpochSweep) the day's
+// sweep of the curated targets. Seal is a pure function of the draft and
+// the post-collection hitlist — it never touches the builder's mutable
+// state — so seals of different days may run concurrently with each
+// other and with later ProbeDay calls, and the result is byte-identical
+// to the serial loop's for every worker count and overlap depth.
 func (b *EpochBuilder) Seal(d *EpochDraft) *Epoch {
-	merged := apd.MergeColumns(d.window, d.nIDs, b.cfg.Workers)
-	verdicts := make(map[ip6.Prefix]bool, len(d.cands))
-	for i, c := range d.cands {
-		verdicts[c.Prefix] = merged[d.candIDs[i]] == apd.AllBranches
-	}
+	merged := apd.MergeColumns(d.window, d.table.NumIDs(), b.cfg.Workers)
+	verdicts := d.table.Verdicts(d.candIDs, merged)
 	e := &Epoch{
 		Index:      d.index,
 		Day:        d.day,

@@ -16,12 +16,12 @@ func epochDigest(e *Epoch) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "index=%d day=%d hitlist=%d cands=%d", e.Index, e.Day, e.Hitlist.Len(), len(e.Candidates))
 	aliased := 0
-	for _, v := range e.Verdicts {
+	for _, v := range e.Verdicts.Aliased {
 		if v {
 			aliased++
 		}
 	}
-	fmt.Fprintf(&b, " verdicts=%d aliased=%d prefixes=%d", len(e.Verdicts), aliased, len(e.Filter.AliasedPrefixes()))
+	fmt.Fprintf(&b, " verdicts=%d aliased=%d prefixes=%d", len(e.Verdicts.Prefixes), aliased, len(e.Filter.AliasedPrefixes()))
 	var probedBits, mergedBits int
 	for _, m := range e.Probed {
 		probedBits += m.Count()
@@ -96,25 +96,22 @@ func TestEpochPipelineGoldens(t *testing.T) {
 // TestRunDaysFuncStreams pins the streaming contract: the callback
 // observes every epoch exactly once, in day order, after the publish
 // point has swapped (Latest is the callback's epoch), and the stream
-// is byte-identical to a reference run of the same configuration. The
-// checked leg also forces periodic collections (ForceGCDays) to pin that
-// the knob is output-neutral.
+// is byte-identical to a reference run of the same configuration.
 func TestRunDaysFuncStreams(t *testing.T) {
 	const days = 5
-	build := func(forceGC int) *Pipeline {
+	build := func() *Pipeline {
 		cfg := TestConfig()
 		cfg.Sim.Scale = 0.03
 		cfg.Sim.Registry.ASes = 120
 		cfg.Overlap = 2
-		cfg.ForceGCDays = forceGC
 		p := New(cfg)
 		p.Collect()
 		return p
 	}
-	ref := build(0)
+	ref := build()
 	want := runDays(ref, ref.World.Horizon(), days)
 
-	p := build(2)
+	p := build()
 	var got []string
 	p.RunDaysFunc(p.World.Horizon(), days, func(e *Epoch) {
 		if latest := p.Latest(); latest != e {
@@ -178,7 +175,7 @@ func TestEpochConcurrentReaders(t *testing.T) {
 					}
 				}
 				// No half-built epoch: every field a consumer reads is set.
-				if e.Filter == nil || e.Verdicts == nil || e.Hitlist.Len() == 0 {
+				if e.Filter == nil || e.Verdicts.Prefixes == nil || e.Hitlist.Len() == 0 {
 					t.Error("observed half-built epoch")
 					return
 				}

@@ -253,12 +253,11 @@ func (l *Lab) aliasedFingerprintReports() []fingerprint.Report {
 	var reports []fingerprint.Report
 	var cols probe.PairColumns
 	var samples []fingerprint.RefSample
-	// Sorted keys pin the per-prefix probe schedule and the reports
-	// order; Tabulate's sums are order-insensitive, but the probes
-	// themselves should not follow map iteration.
-	verdicts := l.verdicts()
-	for _, p := range ip6.SortedKeys(verdicts) {
-		if !verdicts[p] || p.Bits() != 64 {
+	// The verdict column's order pins the per-prefix probe schedule and
+	// the reports order (among /64s it is plain address order).
+	verdicts := l.windowEpoch().Verdicts
+	for i, p := range verdicts.Prefixes {
+		if !verdicts.Aliased[i] || p.Bits() != 64 {
 			continue
 		}
 		fo := apd.FanOut(p)
@@ -347,9 +346,8 @@ func (l *Lab) Sec55() *Report {
 	r := &Report{ID: "Sec 5.5", Title: "Multi-level APD vs Murdock et al. static /96"}
 	hitlist := l.P.Hitlist().Sorted()
 	md := apd.NewMurdockDetector(l.P.World)
-	cands := md.Candidates(hitlist)
-	verdicts := md.Detect(cands, l.measureDay())
-	mf := apd.MurdockFilter(verdicts)
+	cands := md.Candidates(ip6.Addrs(hitlist))
+	mf := apd.NewFilter(md.Detect(cands, l.measureDay()))
 
 	// Both filters classify the sorted hitlist by linear interval merge;
 	// ours is the memoized window-snapshot split.
@@ -374,7 +372,7 @@ func (l *Lab) Sec55() *Report {
 	r.addf("probe packets: multi-level %d vs Murdock %d (%.2fx)",
 		l.P.APDProbesSent(), md.ProbesSent, float64(md.ProbesSent)/float64(maxInt(l.P.APDProbesSent(), 1)))
 	// §5.1 case taxonomy over our verdicts.
-	cc := apd.CaseCounts(l.verdicts())
+	cc := apd.CaseCounts(l.windowEpoch().Verdicts)
 	r.addf("nested-pair cases: both-aliased=%d both-clean=%d more-aliased=%d anomaly(case 4)=%d",
 		cc[apd.CaseBothAliased], cc[apd.CaseBothNonAliased], cc[apd.CaseMoreAliasedLessNot], cc[apd.CaseMoreNotLessAliased])
 	return r

@@ -139,11 +139,6 @@ func (l *Lab) filter() *apd.Filter {
 	return l.windowEpoch().Filter
 }
 
-// verdicts returns the per-prefix verdicts of the window epoch.
-func (l *Lab) verdicts() map[ip6.Prefix]bool {
-	return l.windowEpoch().Verdicts
-}
-
 // unstablePrefixes evaluates the Table 4 metric under the APD mutex, so
 // it never reads the history while another experiment is extending it.
 func (l *Lab) unstablePrefixes(window int) int {

@@ -15,9 +15,7 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +24,6 @@ import (
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
 	"expanse/internal/probe"
-	"expanse/internal/prof"
 	"expanse/internal/sources"
 	"expanse/internal/wire"
 )
@@ -64,17 +61,6 @@ type Config struct {
 	// restarts a run from any checkpointed epoch byte-identically (see
 	// checkpoint.go). Empty by default: no persistence.
 	SnapshotDir string
-	// ForceGCDays, when > 0, forces a full garbage collection on the
-	// probe chain every N probed days. Long runs on large worlds ratchet
-	// the heap goal otherwise: with multi-second concurrent mark phases,
-	// each day's transient scan garbage is allocated black, inflating the
-	// marked-live estimate — and with it the next goal — day after day
-	// until peak RSS far exceeds true live (and any GOMEMLIMIT). A forced
-	// collection from the quiet point between days re-measures live
-	// honestly and resets the ratchet. Purely a memory/throughput knob;
-	// published epochs are byte-identical with or without it. 0 (the
-	// default) never forces a collection.
-	ForceGCDays int
 }
 
 // DefaultConfig returns the paper-faithful configuration at default
@@ -181,18 +167,6 @@ func (p *Pipeline) RunAPD(day int) *Epoch {
 	var ep *Epoch
 	p.RunDaysFunc(day, 1, func(e *Epoch) { ep = e })
 	return ep
-}
-
-// maybeForceGC runs the Config.ForceGCDays collection when the probe
-// chain has just finished a multiple-of-N day. Called from the probe
-// chain only, where the builder's day count is stable.
-func (p *Pipeline) maybeForceGC() {
-	if n := p.Cfg.ForceGCDays; n > 0 && p.builder.Days()%n == 0 {
-		runtime.GC()
-		// Post-collection quiet point: the ideal moment for a mid-run
-		// heap snapshot (no-op unless EXPANSE_HEAPPROF_DIR is set).
-		prof.HeapSnapshotEnv(fmt.Sprintf("day%03d", p.builder.Days()))
-	}
 }
 
 // publish is the epoch publish point: one atomic pointer swap. Readers

@@ -16,7 +16,7 @@ import "sync"
 //	           d's fold — which is also what keeps the probe sequence
 //	           identical to the serial loop's.
 //	seal(d)    Seal + publish: window merge over the draft's pinned
-//	           column snapshots, verdict map, filter compilation, the
+//	           column snapshots, verdict column, filter compilation, the
 //	           optional epoch sweep, then the atomic publish. Seal reads
 //	           only immutable draft state, so it runs concurrently with
 //	           probe(d+1), probe(d+2), … and with other seals.
@@ -47,8 +47,8 @@ import "sync"
 // reference of its own afterwards, so an epoch the callback drops
 // becomes garbage as soon as the sliding window moves past its pinned
 // columns. That matters at scale: each epoch retains its own verdict
-// map, compiled filter and candidate columns (~hundreds of MB per day at
-// scale 16), so a caller that collects every epoch of a long run holds
+// column, compiled filter and candidate columns (~hundreds of MB per day
+// at scale 16), so a caller that collects every epoch of a long run holds
 // far more than the pipeline's own working set — keep the stream, or the
 // final day, unless the whole sequence is needed. fn runs on the sealing
 // goroutine ahead of the publish of day d+1 and the probe of day
@@ -78,7 +78,6 @@ func (p *Pipeline) RunDaysFunc(start, n int, fn func(*Epoch)) {
 			// earlier days never touch it).
 			p.saveCheckpoint(draft)
 		}
-		p.maybeForceGC()
 		wg.Add(1)
 		go func(d int, draft *EpochDraft) {
 			defer wg.Done()

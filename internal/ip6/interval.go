@@ -20,10 +20,15 @@ type Interval[V any] struct {
 // by none of the prefixes fall between intervals. Adjacent intervals with
 // equal values are coalesced, so the table is also minimal.
 //
-// The prefixes must be unique; the table is a pure function of the
-// (prefix, value) set, independent of input order. Each prefix appears as
-// at most O(len) rows (its range minus the ranges of its more-specifics),
-// so the table has at most O(n·128) rows and in practice close to n.
+// The prefixes must be unique and in CompareNested (address, length)
+// order, in which a prefix precedes everything it contains and nesting
+// is stack-shaped (prefixes are nested or disjoint, never partially
+// overlapping). Both callers already hold that order (the alias plane's
+// verdict column, netsim's dedupeByPrefix); the sweep checks it as it
+// goes and panics on a violation, which only a caller bug can produce.
+// Each prefix appears as at most O(len) rows (its range minus the ranges
+// of its more-specifics), so the table has at most O(n·128) rows and in
+// practice close to n.
 func CompileIntervals[V comparable](prefixes []Prefix, vals []V) []Interval[V] {
 	if len(prefixes) != len(vals) {
 		panic("ip6: CompileIntervals length mismatch")
@@ -32,21 +37,6 @@ func CompileIntervals[V comparable](prefixes []Prefix, vals []V) []Interval[V] {
 	if n == 0 {
 		return nil
 	}
-	// Sort by (base address, length): a prefix precedes everything it
-	// contains, and nesting is stack-shaped (prefixes are nested or
-	// disjoint, never partially overlapping).
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, pb := prefixes[order[a]], prefixes[order[b]]
-		if c := pa.Addr().Compare(pb.Addr()); c != 0 {
-			return c < 0
-		}
-		return pa.Bits() < pb.Bits()
-	})
-
 	out := make([]Interval[V], 0, n)
 	emit := func(lo, hi Addr, v V) {
 		if k := len(out); k > 0 && out[k-1].Val == v && out[k-1].Hi.Next() == lo {
@@ -74,8 +64,11 @@ func CompileIntervals[V comparable](prefixes []Prefix, vals []V) []Interval[V] {
 			cur = top.last.Next()
 		}
 	}
-	for _, oi := range order {
-		p, v := prefixes[oi], vals[oi]
+	for i, p := range prefixes {
+		if i > 0 && CompareNested(prefixes[i-1], p) >= 0 {
+			panic("ip6: CompileIntervals input not unique and (address, length)-sorted")
+		}
+		v := vals[i]
 		start := p.Addr()
 		// Pop every stacked prefix that ends before this one starts,
 		// emitting its remaining uncovered tail.

@@ -2,6 +2,7 @@ package ip6
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,26 +54,37 @@ func TestCompileIntervalsDisjointSortedMinimal(t *testing.T) {
 	}
 }
 
-func TestCompileIntervalsOrderIndependent(t *testing.T) {
+// TestCompileIntervalsRejectsUnsorted pins the input contract: the sweep
+// panics on out-of-order and on duplicate prefixes instead of compiling
+// a wrong table, and accepts the same set once it is in order.
+func TestCompileIntervalsRejectsUnsorted(t *testing.T) {
+	p96 := MustParsePrefix("2001:db8:1::/96")
+	p100 := MustParsePrefix("2001:db8:1::/100")
+	other := MustParsePrefix("2001:db8:2::/48")
+	panics := func(ps ...Prefix) (r any) {
+		defer func() { r = recover() }()
+		CompileIntervals(ps, make([]bool, len(ps)))
+		return nil
+	}
+	for name, ps := range map[string][]Prefix{
+		"child before parent": {p100, p96},
+		"address descending":  {other, p96},
+		"duplicate":           {p96, p96},
+		"late disorder":       {p96, p100, other, p100},
+	} {
+		if panics(ps...) == nil {
+			t.Errorf("%s: CompileIntervals accepted %v", name, ps)
+		}
+	}
+	if r := panics(p96, p100, other); r != nil {
+		t.Errorf("sorted unique input panicked: %v", r)
+	}
 	rng := rand.New(rand.NewSource(9))
-	ps, vals := randomPrefixSet(rng, 150)
-	want := CompileIntervals(ps, vals)
-	for trial := 0; trial < 5; trial++ {
-		perm := rng.Perm(len(ps))
-		sp := make([]Prefix, len(ps))
-		sv := make([]bool, len(ps))
-		for i, j := range perm {
-			sp[i], sv[i] = ps[j], vals[j]
-		}
-		got := CompileIntervals(sp, sv)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d intervals, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: interval %d = %+v, want %+v", trial, i, got[i], want[i])
-			}
-		}
+	ps, _ := randomPrefixSet(rng, 150)
+	i := 1 + rng.Intn(len(ps)-1)
+	ps[i-1], ps[i] = ps[i], ps[i-1]
+	if panics(ps...) == nil {
+		t.Errorf("one adjacent swap at %d went unnoticed", i)
 	}
 }
 
@@ -136,11 +148,11 @@ func TestCompileIntervalsFullSpace(t *testing.T) {
 
 // randomPrefixSet builds a set of unique random prefixes with aggressive
 // nesting: children are derived from earlier prefixes so the stack sweep
-// sees deep containment chains.
+// sees deep containment chains. The set comes back in CompareNested
+// order, as CompileIntervals requires.
 func randomPrefixSet(rng *rand.Rand, n int) ([]Prefix, []bool) {
 	seen := map[Prefix]bool{}
 	var ps []Prefix
-	var vals []bool
 	for len(ps) < n {
 		var p Prefix
 		if len(ps) > 0 && rng.Intn(2) == 0 {
@@ -159,7 +171,11 @@ func randomPrefixSet(rng *rand.Rand, n int) ([]Prefix, []bool) {
 		}
 		seen[p] = true
 		ps = append(ps, p)
-		vals = append(vals, rng.Intn(2) == 0)
+	}
+	slices.SortFunc(ps, CompareNested)
+	vals := make([]bool, n)
+	for i := range vals {
+		vals[i] = rng.Intn(2) == 0
 	}
 	return ps, vals
 }

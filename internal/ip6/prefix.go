@@ -210,6 +210,17 @@ func ComparePrefix(a, b Prefix) int {
 	return a.addr.Compare(b.addr)
 }
 
+// CompareNested orders prefixes by base address first and length second
+// — the trie walk order, in which a prefix sorts directly before
+// everything it contains. It is the order of the alias plane's verdict
+// column and the input contract of CompileIntervals.
+func CompareNested(a, b Prefix) int {
+	if c := a.addr.Compare(b.addr); c != 0 {
+		return c
+	}
+	return int(a.bits) - int(b.bits)
+}
+
 // SortedKeys returns the keys of a prefix-keyed map in ComparePrefix
 // order. Ranging over a map whose iteration order can reach a report,
 // digest or probe schedule is the repo's canonical determinism bug

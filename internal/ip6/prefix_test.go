@@ -186,6 +186,11 @@ func TestComparePrefix(t *testing.T) {
 	if ComparePrefix(a, a) != 0 {
 		t.Error("equal prefixes compare 0")
 	}
+	// CompareNested: address first, so the /48 inside a sorts between a
+	// and c although it is longer than both.
+	if CompareNested(a, b) >= 0 || CompareNested(b, c) >= 0 || CompareNested(c, a) <= 0 || CompareNested(b, b) != 0 {
+		t.Error("CompareNested must order by address, then length")
+	}
 }
 
 // Property: prefix round-trips through its string form.

@@ -97,37 +97,6 @@ func (t *Trie[V]) Lookup(a Addr) (p Prefix, val V, ok bool) {
 	return PrefixFrom(a, bestDepth), bestVal, true
 }
 
-// LookupMax returns the value of the most specific stored prefix of
-// length at most maxDepth containing a, together with that prefix, or
-// ok=false if no such prefix exists. It is a single depth-capped LPM walk:
-// APD's nested-pair taxonomy uses it to find a prefix's closest probed
-// ancestor in one descent instead of one exact-match probe per bit length.
-func (t *Trie[V]) LookupMax(a Addr, maxDepth int) (p Prefix, val V, ok bool) {
-	if maxDepth > 128 {
-		maxDepth = 128
-	}
-	n := t.root
-	depth := 0
-	bestDepth := -1
-	var bestVal V
-	for n != nil && depth <= maxDepth {
-		if n.set {
-			bestDepth = depth
-			bestVal = n.val
-		}
-		if depth == 128 {
-			break
-		}
-		n = n.child[a.Bit(depth)]
-		depth++
-	}
-	if bestDepth < 0 {
-		var zero V
-		return Prefix{}, zero, false
-	}
-	return PrefixFrom(a, bestDepth), bestVal, true
-}
-
 // LookupShortest returns the value of the LEAST specific stored prefix
 // containing a. APD uses this to find the enclosing BGP announcement.
 func (t *Trie[V]) LookupShortest(a Addr) (p Prefix, val V, ok bool) {

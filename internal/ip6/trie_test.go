@@ -221,68 +221,3 @@ func BenchmarkTrieInsert(b *testing.B) {
 		}
 	}
 }
-
-func TestTrieLookupMax(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(MustParsePrefix("2001:db8::/32"), 32)
-	tr.Insert(MustParsePrefix("2001:db8::/48"), 48)
-	tr.Insert(MustParsePrefix("2001:db8::/64"), 64)
-	a := MustParseAddr("2001:db8::1")
-	for _, tc := range []struct {
-		max  int
-		want int
-		ok   bool
-	}{
-		{128, 64, true}, {64, 64, true}, {63, 48, true}, {48, 48, true},
-		{47, 32, true}, {32, 32, true}, {31, 0, false}, {-1, 0, false},
-	} {
-		p, v, ok := tr.LookupMax(a, tc.max)
-		if ok != tc.ok || (ok && (v != tc.want || p.Bits() != tc.want)) {
-			t.Errorf("LookupMax(max=%d) = (%v,%d,%v), want bits %d ok=%v", tc.max, p, v, ok, tc.want, tc.ok)
-		}
-	}
-	// Uncovered address: no match at any cap.
-	if _, _, ok := tr.LookupMax(MustParseAddr("2001:db9::1"), 128); ok {
-		t.Error("uncovered address matched")
-	}
-}
-
-// TestTrieLookupMaxMatchesGetLoop pins LookupMax against the retired
-// closest-ancestor search (one exact Get per bit length, most specific
-// first) on random prefix sets — the APD §5.1 taxonomy's old inner loop.
-func TestTrieLookupMaxMatchesGetLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
-		var tr Trie[int]
-		var ps []Prefix
-		for i := 0; i < 1+rng.Intn(60); i++ {
-			p := PrefixFrom(AddrFromUint64(rng.Uint64()&0xffff<<48, 0), 8+rng.Intn(20)*4)
-			tr.Insert(p, p.Bits())
-			ps = append(ps, p)
-		}
-		for i := 0; i < 200; i++ {
-			var a Addr
-			if i%2 == 0 {
-				a = ps[rng.Intn(len(ps))].RandomAddr(rng)
-			} else {
-				a = AddrFromUint64(rng.Uint64()&0xffff<<48, rng.Uint64())
-			}
-			max := rng.Intn(130) - 1
-			var wantV int
-			wantOK := false
-			for bits := max; bits >= 0 && !wantOK; bits-- {
-				if bits > 128 {
-					continue
-				}
-				if v, ok := tr.Get(PrefixFrom(a, bits)); ok {
-					wantV, wantOK = v, true
-				}
-			}
-			_, gotV, gotOK := tr.LookupMax(a, max)
-			if gotOK != wantOK || (gotOK && gotV != wantV) {
-				t.Fatalf("trial %d: LookupMax(%v, %d) = (%d,%v), Get loop = (%d,%v)",
-					trial, a, max, gotV, gotOK, wantV, wantOK)
-			}
-		}
-	}
-}

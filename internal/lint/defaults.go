@@ -8,14 +8,16 @@ package lint
 // DefaultSealedTypes lists the RCU-published snapshot types and their
 // seal packages. core.Epoch is the published day (Pipeline.Latest);
 // ip6.FrozenView pins the hitlist a published epoch was sealed
-// against; apd.DayColumn and apd.CandidateTable are the write-once
-// history column and frozen candidate universe the window merge reads
+// against; apd.DayColumn, apd.CandidateTable and apd.Verdicts are the
+// write-once history column, the frozen candidate universe and the
+// day's verdict column the seal stage and every epoch reader share
 // lock-free.
 var DefaultSealedTypes = []SealedType{
 	{Qualified: "expanse/internal/core.Epoch", SealPkg: "expanse/internal/core"},
 	{Qualified: "expanse/internal/ip6.FrozenView", SealPkg: "expanse/internal/ip6"},
 	{Qualified: "expanse/internal/apd.DayColumn", SealPkg: "expanse/internal/apd"},
 	{Qualified: "expanse/internal/apd.CandidateTable", SealPkg: "expanse/internal/apd"},
+	{Qualified: "expanse/internal/apd.Verdicts", SealPkg: "expanse/internal/apd"},
 	// netsim.Internet is the sealed columnar world plane: sorted host
 	// columns, flat net/region/ISP columns. Only construction (inside the
 	// package) writes it; every probe-time reader depends on the freeze.

@@ -13,6 +13,7 @@ const src = "testdata/src"
 // package, mirroring DefaultSealedTypes' shape.
 var fixtureSealed = []lint.SealedType{
 	{Qualified: "sealedtypes.Epoch", SealPkg: "sealedtypes"},
+	{Qualified: "sealedtypes.Verdicts", SealPkg: "sealedtypes"},
 	{Qualified: "sealedtypes.Column", SealPkg: "sealedtypes"},
 	{Qualified: "sealedtypes.World", SealPkg: "sealedtypes"},
 	{Qualified: "sealedtypes.Net", SealPkg: "sealedtypes"},

@@ -6,9 +6,16 @@ package sealedtypes
 // Epoch mirrors core.Epoch: a published, immutable day snapshot.
 type Epoch struct {
 	Index    int
-	Verdicts map[string]bool
+	Verdicts Verdicts
 	Masks    []uint16
 	Column   Column
+}
+
+// Verdicts mirrors apd.Verdicts: a write-once verdict column, two
+// parallel slices shared by every reader of the epoch.
+type Verdicts struct {
+	Prefixes []string
+	Aliased  []bool
 }
 
 // Column mirrors apd.DayColumn: a write-once history column.
@@ -33,8 +40,8 @@ type Net struct {
 // Build is the seal package's builder: writes here are sanctioned.
 func Build(n int) *Epoch {
 	e := &Epoch{Index: n}
-	e.Verdicts = map[string]bool{}
-	e.Verdicts["p"] = true
+	e.Verdicts = Verdicts{Prefixes: []string{"p"}, Aliased: []bool{false}}
+	e.Verdicts.Aliased[0] = true
 	e.Masks = append(e.Masks, 1)
 	e.Column.Width = n
 	return e

@@ -1,7 +1,8 @@
 // Package sealedwrite is the sealedwrite fixture: every way a reader
 // has historically been tempted to mutate a published epoch, next to
-// the reads that stay legal. The analyzer runs with sealedtypes.Epoch
-// and sealedtypes.Column sealed to package sealedtypes.
+// the reads that stay legal. The analyzer runs with sealedtypes.Epoch,
+// sealedtypes.Verdicts and sealedtypes.Column sealed to package
+// sealedtypes.
 package sealedwrite
 
 import "sealedtypes"
@@ -11,10 +12,18 @@ func badFieldWrite(e *sealedtypes.Epoch) {
 	e.Index = 7 // want `write to field Index of sealed type sealedtypes.Epoch`
 }
 
-// badMapWrite mutates the published verdict map in place — the exact
-// torn-read hazard for concurrent Pipeline.Latest readers.
-func badMapWrite(e *sealedtypes.Epoch) {
-	e.Verdicts["p"] = false // want `write to field Verdicts of sealed type sealedtypes.Epoch`
+// badVerdictWrite flips a bit of the published verdict column in place
+// — the exact torn-read hazard for concurrent Pipeline.Latest readers.
+func badVerdictWrite(e *sealedtypes.Epoch) {
+	e.Verdicts.Aliased[0] = false // want `write to field Verdicts of sealed type sealedtypes.Epoch` `write to field Aliased of sealed type sealedtypes.Verdicts`
+}
+
+// badVerdictColumn mutates or rebuilds a verdict column held by value:
+// its slices are still the published epoch's.
+func badVerdictColumn(v sealedtypes.Verdicts) sealedtypes.Verdicts {
+	v.Prefixes[0] = "q"                             // want `write to field Prefixes of sealed type sealedtypes.Verdicts`
+	v.Aliased = append(v.Aliased, true)             // want `write to field Aliased of sealed type sealedtypes.Verdicts`
+	return sealedtypes.Verdicts{Aliased: v.Aliased} // want `composite literal of sealed type sealedtypes.Verdicts`
 }
 
 // badSliceWrite mutates a published column element.
@@ -47,7 +56,7 @@ func badLiteral() sealedtypes.Epoch {
 // goodReads only reads: always legal.
 func goodReads(e *sealedtypes.Epoch) int {
 	n := e.Index + len(e.Masks)
-	if e.Verdicts["p"] {
+	if e.Verdicts.Aliased[0] {
 		n++
 	}
 	return n + e.Column.Width

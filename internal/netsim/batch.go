@@ -88,18 +88,15 @@ func compileShortest[V comparable](items []V, prefixOf func(V) ip6.Prefix) []ip6
 }
 
 // dedupeByPrefix sorts entries by (base address, prefix length) and drops
-// all but the last entry per exact prefix (trie Insert replaces).
+// all but the last entry per exact prefix (trie Insert replaces) — the
+// unique, sorted input ip6.CompileIntervals requires.
 func dedupeByPrefix[V any](items []V, prefixOf func(V) ip6.Prefix) ([]ip6.Prefix, []V) {
 	order := make([]int, len(items))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		pa, pb := prefixOf(items[order[a]]), prefixOf(items[order[b]])
-		if c := pa.Addr().Compare(pb.Addr()); c != 0 {
-			return c < 0
-		}
-		return pa.Bits() < pb.Bits()
+		return ip6.CompareNested(prefixOf(items[order[a]]), prefixOf(items[order[b]])) < 0
 	})
 	var prefixes []ip6.Prefix
 	var vals []V

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
@@ -74,26 +73,6 @@ func (p *Profiles) Stop() error {
 	}
 	defer f.Close()
 	runtime.GC()
-	return pprof.Lookup("heap").WriteTo(f, 0)
-}
-
-// HeapSnapshotEnv writes an inuse heap profile to
-// $EXPANSE_HEAPPROF_DIR/heap_<tag>.pprof and is a no-op when the
-// variable is unset. Long-running phases call it from quiet points
-// (the day loop's forced-GC hook) so a run's heap growth can be
-// diffed profile-against-profile mid-flight — end-of-run -memprofile
-// only shows the final state, which is exactly what a
-// retention-during-the-run bug hides from.
-func HeapSnapshotEnv(tag string) error {
-	dir := os.Getenv("EXPANSE_HEAPPROF_DIR")
-	if dir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(dir, "heap_"+tag+".pprof"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	return pprof.Lookup("heap").WriteTo(f, 0)
 }
 
