@@ -35,31 +35,31 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer func() {
+	stopProfiles := func() {
 		if err := profiles.Stop(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
-	}()
-
-	cfg := core.DefaultConfig()
-	cfg.Sim.Scale = *scale
-	cfg.Workers = *workers
-	if *seed != 0 {
-		cfg.Sim.Seed = *seed
 	}
-	lab := core.NewLab(cfg)
+	defer stopProfiles()
+	// fail is the one error exit: os.Exit skips deferred calls, so the
+	// requested profiles are flushed here first.
+	fail := func(code int, msg any) {
+		fmt.Fprintln(os.Stderr, msg)
+		stopProfiles()
+		os.Exit(code)
+	}
 
-	reports := map[string]func() *core.Report{
-		"table1": lab.Table1, "table2": lab.Table2,
-		"fig1a": lab.Fig1a, "fig1b": lab.Fig1b, "fig1c": lab.Fig1c,
-		"fig2a": lab.Fig2a, "fig2b": lab.Fig2b, "fig3a": lab.Fig3a, "fig3b": lab.Fig3b,
-		"table3": lab.Table3, "table4": lab.Table4, "sec53": lab.Sec53,
-		"fig4": lab.Fig4, "fig5": lab.Fig5, "table5": lab.Table5,
-		"table6": lab.Table6, "sec55": lab.Sec55,
-		"fig6": lab.Fig6, "fig7": lab.Fig7, "fig8": lab.Fig8,
-		"sec72": lab.Sec72, "sec73": lab.Sec73, "table7": lab.Table7, "fig9": lab.Fig9,
-		"sec8": lab.Sec8, "table8": lab.Table8, "fig10": lab.Fig10,
-		"table9": lab.Table9, "sec93": lab.Sec93, "ablation": lab.AblationGenerators,
+	reports := map[string]func(*core.Lab) *core.Report{
+		"table1": (*core.Lab).Table1, "table2": (*core.Lab).Table2,
+		"fig1a": (*core.Lab).Fig1a, "fig1b": (*core.Lab).Fig1b, "fig1c": (*core.Lab).Fig1c,
+		"fig2a": (*core.Lab).Fig2a, "fig2b": (*core.Lab).Fig2b, "fig3a": (*core.Lab).Fig3a, "fig3b": (*core.Lab).Fig3b,
+		"table3": (*core.Lab).Table3, "table4": (*core.Lab).Table4, "sec53": (*core.Lab).Sec53,
+		"fig4": (*core.Lab).Fig4, "fig5": (*core.Lab).Fig5, "table5": (*core.Lab).Table5,
+		"table6": (*core.Lab).Table6, "sec55": (*core.Lab).Sec55,
+		"fig6": (*core.Lab).Fig6, "fig7": (*core.Lab).Fig7, "fig8": (*core.Lab).Fig8,
+		"sec72": (*core.Lab).Sec72, "sec73": (*core.Lab).Sec73, "table7": (*core.Lab).Table7, "fig9": (*core.Lab).Fig9,
+		"sec8": (*core.Lab).Sec8, "table8": (*core.Lab).Table8, "fig10": (*core.Lab).Fig10,
+		"table9": (*core.Lab).Table9, "sec93": (*core.Lab).Sec93, "ablation": (*core.Lab).AblationGenerators,
 	}
 	order := []string{
 		"table1", "table2", "fig1a", "fig1b", "fig1c",
@@ -70,6 +70,8 @@ func main() {
 		"sec8", "table8", "fig10", "table9", "sec93", "ablation",
 	}
 
+	// The ids are checked before the Lab exists: building the world is
+	// the expensive part, and a typo should not have to wait for it.
 	var selected []string
 	if *report == "all" {
 		selected = order
@@ -77,26 +79,31 @@ func main() {
 		for _, id := range strings.Split(*report, ",") {
 			id = strings.TrimSpace(strings.ToLower(id))
 			if _, ok := reports[id]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown report %q\n", id)
-				os.Exit(2)
+				fail(2, fmt.Sprintf("unknown report %q", id))
 			}
 			selected = append(selected, id)
 		}
 	}
+
+	cfg := core.DefaultConfig()
+	cfg.Sim.Scale = *scale
+	cfg.Workers = *workers
+	if *seed != 0 {
+		cfg.Sim.Seed = *seed
+	}
+	lab := core.NewLab(cfg)
 	for _, id := range selected {
-		fmt.Println(reports[id]().String())
+		fmt.Println(reports[id](lab).String())
 	}
 
 	if *svgdir != "" {
 		if err := os.MkdirAll(*svgdir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		write := func(name, svg string) {
 			path := filepath.Join(*svgdir, name)
 			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fail(1, err)
 			}
 			fmt.Println("wrote", path)
 		}

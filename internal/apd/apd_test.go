@@ -376,17 +376,16 @@ func TestMurdockBaseline(t *testing.T) {
 }
 
 // murdockPerProbe is the retired per-probe form of MurdockDetector.Detect
-// — one Responder.Probe call per packet, in permutation order, send times
-// from the sequence position — kept as the oracle of the columnar Detect.
+// — one Responder.Probe call per packet, send times from each target's
+// position in the scan order — kept as the oracle of the columnar Detect.
 func murdockPerProbe(r wire.Responder, prefixes []ip6.Prefix, day int) (aliased map[ip6.Prefix]bool, probesSent int) {
 	targets := murdockTargets(prefixes)
 	// The detector's scanner: seed 0x96, default 100 kpps (10 μs apart).
-	perm := probe.NewPermutation(len(targets), 0x96^uint64(wire.TCP80)<<32^uint64(day))
+	inv := probe.InversePermutation(nil, len(targets), 0x96^uint64(wire.TCP80)<<32^uint64(day))
 	answered := make([]bool, len(targets))
 	for attempt := 0; attempt < 3; attempt++ {
-		for seq := range targets {
-			idx := perm.At(seq)
-			if r.Probe(targets[idx], wire.TCP80, day, wire.Time(seq)*10).OK {
+		for idx, dst := range targets {
+			if r.Probe(dst, wire.TCP80, day, wire.Time(inv[idx])*10).OK {
 				answered[idx] = true
 			}
 			probesSent++

@@ -45,9 +45,11 @@ type Config struct {
 	// knob.
 	Workers int
 	// Overlap is the day orchestrator's pipeline depth: how many APD
-	// days may be in flight at once in RunDaysFunc (default 2; 1
-	// degenerates to the fully serial day loop). Published epochs are byte-identical
-	// for every value — like Workers, purely a throughput knob.
+	// days may be in flight at once in RunDaysFunc. 1 is the fully serial
+	// day loop, which is also what New turns an unset (zero or negative)
+	// value into; DefaultConfig sets 2. Published epochs are
+	// byte-identical for every value — like Workers, purely a throughput
+	// knob.
 	Overlap int
 	// EpochSweep, when set, gives every published epoch its own
 	// five-protocol responsiveness sweep over the epoch's curated

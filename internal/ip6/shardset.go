@@ -11,8 +11,8 @@ import (
 
 // NumShards is the fixed shard count of a ShardSet. Shard assignment is a
 // pure function of the address (Hash64 & (NumShards-1)), so two sets with
-// the same contents always agree shard by shard — the property AddAll and
-// the reference-equivalence tests rely on.
+// the same contents always agree shard by shard — the property the
+// reference-equivalence tests rely on.
 const (
 	shardBits = 6
 	NumShards = 1 << shardBits
@@ -25,10 +25,10 @@ const (
 //
 // Layout: each of the NumShards shards holds a membership map plus
 // parallel (hi, lo) column arrays in insertion order. Batch mutation
-// (AddSlice, AddAll) partitions work by shard and runs shards on parallel
+// (AddSlice) partitions work by shard and runs shards on parallel
 // workers; membership reads take only a shard-local read lock.
 //
-// Sorted view: Sorted/EachSorted serve a cached globally-sorted view.
+// Sorted view: Sorted/SortedSeq serve a cached globally-sorted view.
 // The cache is invalidated by any write and rebuilt at most once per
 // mutation epoch — parallel per-shard tail sorts, a k-way merge of the
 // tails, and a linear merge with the previous cache — so N consumers of
@@ -260,23 +260,9 @@ func (s *ShardSet) Len() int { return int(s.count.Load()) }
 // were new. Within each shard, insertion order follows input order, so
 // iteration order is independent of the worker count.
 func (s *ShardSet) AddSlice(addrs []Addr) int {
-	n, _ := s.addBatch(addrs, false)
-	return n
-}
-
-// AddSliceCollect inserts every address in addrs in parallel and returns
-// the newly added ones (each distinct new address exactly once, in
-// shard-major order). This is the batch analog of "Add returned true",
-// used for new-address attribution without a second membership pass.
-func (s *ShardSet) AddSliceCollect(addrs []Addr) []Addr {
-	_, fresh := s.addBatch(addrs, true)
-	return fresh
-}
-
-func (s *ShardSet) addBatch(addrs []Addr, collect bool) (int, []Addr) {
 	n := len(addrs)
 	if n == 0 {
-		return 0, nil
+		return 0
 	}
 	s.uncompact()
 	w := s.workerCount()
@@ -299,10 +285,6 @@ func (s *ShardSet) addBatch(addrs []Addr, collect bool) (int, []Addr) {
 	// input in order, so per-shard insertion order equals input order
 	// regardless of w, and no two workers ever touch the same shard.
 	counts := make([]int, NumShards)
-	var freshPer [][]Addr
-	if collect {
-		freshPer = make([][]Addr, NumShards)
-	}
 	par.Ranges(NumShards, w, 1, 1, func(_, slo, shi int) {
 		for si := slo; si < shi; si++ {
 			sh := &s.shards[si]
@@ -311,50 +293,7 @@ func (s *ShardSet) addBatch(addrs []Addr, collect bool) (int, []Addr) {
 				for _, i := range buckets[c][si] {
 					if sh.add(addrs[i]) {
 						counts[si]++
-						if collect {
-							freshPer[si] = append(freshPer[si], addrs[i])
-						}
 					}
-				}
-			}
-			sh.mu.Unlock()
-		}
-	})
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total > 0 {
-		s.count.Add(int64(total))
-	}
-	if !collect {
-		return total, nil
-	}
-	fresh := make([]Addr, 0, total)
-	for _, f := range freshPer {
-		fresh = append(fresh, f...)
-	}
-	return total, fresh
-}
-
-// AddAll inserts every address of other, returning how many were new.
-// Shard assignment is content-determined, so shard i of other feeds only
-// shard i of s and all shards proceed in parallel without cross-locking.
-func (s *ShardSet) AddAll(other *ShardSet) int {
-	s.uncompact()
-	views := other.ShardSeqs()
-	counts := make([]int, NumShards)
-	par.Ranges(NumShards, s.workerCount(), 1, 1, func(_, slo, shi int) {
-		for si := slo; si < shi; si++ {
-			v := views[si]
-			if v.Len() == 0 {
-				continue
-			}
-			sh := &s.shards[si]
-			sh.mu.Lock()
-			for i := 0; i < v.Len(); i++ {
-				if sh.add(v.At(i)) {
-					counts[si]++
 				}
 			}
 			sh.mu.Unlock()
@@ -423,16 +362,6 @@ func (s *ShardSet) Sorted() []Addr {
 	}
 	s.sorted = s.rebuildSorted()
 	return s.sorted
-}
-
-// EachSorted calls fn for every address in ascending order, stopping
-// early if fn returns false. It consumes the cached sorted view.
-func (s *ShardSet) EachSorted(fn func(Addr) bool) {
-	for _, a := range s.Sorted() {
-		if !fn(a) {
-			return
-		}
-	}
 }
 
 // SortedSeq returns the cached sorted view as an AddrSeq, for consumers

@@ -94,8 +94,8 @@ func TestShardSetVsReference(t *testing.T) {
 }
 
 // TestShardSetAcrossWorkers pins worker-count independence: the same
-// insertion history must yield identical Len, new-counts, Sorted views,
-// Each order, and AddSliceCollect results for workers 1, 4 and 16.
+// insertion history must yield identical Len, new-counts, Sorted views
+// and Each order for workers 1, 4 and 16.
 func TestShardSetAcrossWorkers(t *testing.T) {
 	batch1 := randAddrs(5000, 3)
 	batch2 := randAddrs(5000, 4) // overlaps pool space of batch1? distinct seeds → mostly disjoint
@@ -103,26 +103,22 @@ func TestShardSetAcrossWorkers(t *testing.T) {
 
 	type snapshot struct {
 		new1, new2 int
-		fresh2     []Addr
 		sorted     []Addr
 		each       []Addr
 	}
 	build := func(workers int) snapshot {
 		s := NewShardSetWorkers(0, workers)
 		n1 := s.AddSlice(batch1)
-		fresh := s.AddSliceCollect(batch2)
+		n2 := s.AddSlice(batch2)
 		var each []Addr
 		s.Each(func(a Addr) bool { each = append(each, a); return true })
-		return snapshot{new1: n1, new2: len(fresh), fresh2: fresh, sorted: s.Sorted(), each: each}
+		return snapshot{new1: n1, new2: n2, sorted: s.Sorted(), each: each}
 	}
 	ref := build(1)
 	for _, w := range []int{4, 16} {
 		got := build(w)
 		if got.new1 != ref.new1 || got.new2 != ref.new2 {
 			t.Errorf("workers=%d: new counts (%d,%d), want (%d,%d)", w, got.new1, got.new2, ref.new1, ref.new2)
-		}
-		if !addrsEqual(got.fresh2, ref.fresh2) {
-			t.Errorf("workers=%d: AddSliceCollect order/content differs", w)
 		}
 		if !addrsEqual(got.sorted, ref.sorted) {
 			t.Errorf("workers=%d: sorted view differs", w)
@@ -196,41 +192,17 @@ func TestShardSetSortedInvalidation(t *testing.T) {
 	}
 }
 
-func TestShardSetAddAll(t *testing.T) {
-	a, b := NewShardSet(0), NewShardSet(0)
-	addrs := randAddrs(1000, 5)
-	a.AddSlice(addrs[:600])
-	b.AddSlice(addrs[400:])
-	if n := a.AddAll(b); n != 400 {
-		t.Errorf("AddAll new = %d, want 400", n)
-	}
-	if a.Len() != 1000 {
-		t.Errorf("Len = %d, want 1000", a.Len())
-	}
-	ref := refSet{}
-	for _, x := range addrs {
-		ref.add(x)
-	}
-	if !addrsEqual(a.Sorted(), ref.sorted()) {
-		t.Error("AddAll contents wrong")
-	}
-}
-
-func TestShardSetEachSorted(t *testing.T) {
+func TestShardSetSortedSeq(t *testing.T) {
 	s := NewShardSet(0)
 	s.AddSlice(randAddrs(500, 6))
-	var got []Addr
-	s.EachSorted(func(a Addr) bool { got = append(got, a); return true })
-	if !addrsEqual(got, s.Sorted()) {
-		t.Error("EachSorted != Sorted")
+	seq, sorted := s.SortedSeq(), s.Sorted()
+	if seq.Len() != s.Len() || seq.Len() != len(sorted) {
+		t.Fatalf("SortedSeq has %d addresses, Sorted %d, Len %d", seq.Len(), len(sorted), s.Len())
 	}
-	n := 0
-	s.EachSorted(func(Addr) bool { n++; return n < 10 })
-	if n != 10 {
-		t.Errorf("EachSorted early stop visited %d", n)
-	}
-	if s.SortedSeq().Len() != s.Len() || s.SortedSeq().At(0) != got[0] {
-		t.Error("SortedSeq view inconsistent")
+	for i, a := range sorted {
+		if seq.At(i) != a {
+			t.Fatalf("SortedSeq.At(%d) = %v, Sorted has %v", i, seq.At(i), a)
+		}
 	}
 }
 

@@ -4,9 +4,11 @@ package ip6
 // It supports exact insertion, longest-prefix-match lookup, and ordered
 // walking. The zero value is an empty trie ready to use.
 //
-// The trie is the substrate for the BGP routing table and for the aliased
-// prefix filter, both of which answer "which announced/aliased prefix most
-// specifically covers this address" on the prober hot path.
+// The trie is the substrate of the BGP routing table (bgp.Table's
+// longest-prefix match) and of the test oracles the compiled forms are
+// pinned against. The per-address hot paths — the aliased-prefix filter,
+// the simulated world's resolver — read interval tables compiled from
+// sorted prefixes instead (CompileIntervals), never a trie walk.
 type Trie[V any] struct {
 	root *trieNode[V]
 	size int

@@ -52,9 +52,11 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/probe", Func: "scanChunk"},
 	{PkgPath: "expanse/internal/netsim", Func: "ProbeBatch"},
 	{PkgPath: "expanse/internal/netsim", Func: "emit"},
-	// The columnar world plane's resolution primitives: the sorted-column
-	// binary searches and the batch-path merge cursors (hostRun.lookup and
-	// ivalRun.lookup both match "lookup" — both are per-probe hot).
+	// The columnar world plane's resolution primitives: resolve, the one
+	// per-probe owner decision behind both Probe and ProbeBatch, the
+	// sorted-column binary searches and its run cursors (hostRun.lookup
+	// and ivalRun.lookup both match "lookup" — both are per-probe hot).
+	{PkgPath: "expanse/internal/netsim", Func: "resolve"},
 	{PkgPath: "expanse/internal/netsim", Func: "find"},
 	{PkgPath: "expanse/internal/netsim", Func: "search"},
 	{PkgPath: "expanse/internal/netsim", Func: "lookup"},

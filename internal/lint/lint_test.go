@@ -30,6 +30,7 @@ var fixtureDetRand = lint.DetRandConfig{
 var fixtureHot = []lint.HotFunc{
 	{PkgPath: "hotalloc", Func: "ScanColumns"},
 	{PkgPath: "hotalloc", Func: "MergeColumns"},
+	{PkgPath: "hotalloc", Func: "resolve"},
 }
 
 func TestMapOrder(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package hotalloc is the hotalloc fixture: the allocation regressions
 // PRs 4-7 hunted by profile — per-probe Addr.String keys, fmt in
 // responders, per-iteration scratch — written into a designated hot
-// function (the analyzer runs with ScanColumns and MergeColumns of
-// this package in its hot table), next to a cold function where the
+// function (the analyzer runs with ScanColumns, MergeColumns and resolve
+// of this package in its hot table), next to a cold function where the
 // same constructs are fine and the hoisted patterns that keep hot
 // paths clean.
 package hotalloc
@@ -34,6 +34,16 @@ func MergeColumns(ids []int) string {
 		header = header + string(rune(id)) // want `string concatenation allocates per iteration in hot path MergeColumns`
 	}
 	return header
+}
+
+// resolve is a designated hot function with no loop of its own — it is
+// the per-probe body of its callers' loops. A debug key built from the
+// destination is flagged there all the same.
+func resolve(trace map[string]int, lo, hi uint64, dst ip6.Addr) bool {
+	if trace != nil {
+		trace[dst.String()]++ // want `Addr.String in hot path resolve`
+	}
+	return dst.Hi() >= lo && dst.Hi() <= hi
 }
 
 // coldHelper is not in the hot table: identical constructs pass.

@@ -29,12 +29,11 @@ type AliasRecord struct {
 	Region int32
 }
 
-// addRegion registers an alias region in the trie and the flat region
-// column, returning its dense ID.
+// addRegion appends an alias region to the flat region column, returning
+// its dense ID.
 func (in *Internet) addRegion(r AliasRegion) int32 {
 	id := int32(len(in.regions))
 	in.regions = append(in.regions, r)
-	in.aliasT.Insert(r.Prefix, id)
 	return id
 }
 

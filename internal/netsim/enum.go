@@ -120,7 +120,7 @@ func (in *Internet) Networks() []NetworkInfo {
 // InSubscriberSpace reports whether addr falls inside an ISP line pool —
 // the space where traceroutes keep discovering fresh CPE hops.
 func (in *Internet) InSubscriberSpace(addr ip6.Addr) bool {
-	_, ni, ok := in.netT.LookupShortest(addr)
+	ni, ok := ip6.LookupInterval(in.tabs.pools, addr)
 	return ok && in.nets[ni].isp >= 0
 }
 

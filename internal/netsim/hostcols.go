@@ -21,12 +21,13 @@ import (
 // 1 serves + 8 machine + 2 death + 4 domain + 4 rank).
 //
 // Lookup strategies:
-//   - random access (Probe, HostAt, traceroute hops): binary search on
-//     the address columns — hostCols.find;
-//   - batch access (ProbeBatch over sorted probe runs): hostRun, an
-//     amortized merge cursor that caches the hit-or-gap run containing
-//     the last query and advances monotonically — one or two compares
-//     per address on sorted input instead of a map probe;
+//   - random access (HostAt, traceroute hops): binary search on the
+//     address columns — hostCols.find;
+//   - probe resolution (resolve, over ProbeBatch's sorted probe runs or
+//     Probe's single destination): hostRun, an amortized merge cursor
+//     that caches the hit-or-gap run containing the last query and
+//     advances monotonically — one or two compares per address on sorted
+//     input instead of a map probe, one binary search when fresh;
 //   - enumeration in insertion order (Hosts, and everything downstream
 //     that is order-sensitive): the byRank permutation maps insertion
 //     rank to sorted position, so the sealed plane reproduces the
@@ -227,7 +228,7 @@ func mergeSealed(hc hostCols, delta *worldBuilder) hostCols {
 	return out
 }
 
-// hostRun is the batch-path merge cursor over the sorted host columns:
+// hostRun is resolve's merge cursor over the sorted host columns:
 // the parallel of ivalRun for point membership. It caches the *run*
 // containing the last query — the exact address it hit, or the gap
 // between neighbouring hosts it missed into — so a query inside the
@@ -304,7 +305,7 @@ type WorldMem struct {
 	// representation dominated).
 	Hosts int64
 	// Topo covers flat networks, regions, ISP pools, tier-1 routers and
-	// the compiled batch tables, when built.
+	// the compiled resolution tables.
 	Topo int64
 	// Records covers stale DNS, alias records and rDNS addresses — input
 	// data for the sources, not lookup state.
@@ -346,10 +347,8 @@ func (in *Internet) MemBytes() WorldMem {
 	m.Topo = int64(cap(in.nets))*networkBytes +
 		int64(cap(in.regions))*aliasRegionBytes +
 		int64(cap(in.isps))*lineISPBytes +
-		int64(cap(in.tier1))*16
-	if in.batch != nil {
-		m.Topo += int64(cap(in.batch.alias)+cap(in.batch.nets)+cap(in.batch.pools)) * intervalBytes
-	}
+		int64(cap(in.tier1))*16 +
+		int64(cap(in.tabs.alias)+cap(in.tabs.nets)+cap(in.tabs.pools))*intervalBytes
 	m.Records = int64(cap(in.stale))*staleRecordBytes +
 		int64(cap(in.aliasRecords))*aliasRecordBytes +
 		int64(cap(in.rdns))*16

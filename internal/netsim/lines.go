@@ -153,25 +153,26 @@ func (l *lineISP) cpeMachine(line uint64) uint64 { return hash2(l.key^0x3c9e, li
 // clientMachine returns the machine key of a line's client device.
 func (l *lineISP) clientMachine(line uint64) uint64 { return hash2(l.key^0x3c11, line) }
 
+// lineContaining returns the line whose current /56 contains addr.
+func (l *lineISP) lineContaining(addr ip6.Addr, day int) (uint64, bool) {
+	if !l.base.Contains(addr) {
+		return 0, false
+	}
+	// Slot index: bits [base.Bits(), 56) of the address. Slots only occupy
+	// the low l.bits of the span; higher slots are never assigned.
+	span := 56 - l.base.Bits()
+	slot := addr.Hi() >> 8 & (1<<span - 1)
+	if l.bits < span && slot>>l.bits != 0 {
+		return 0, false
+	}
+	return l.lineOf(slot, l.rotEpoch(day))
+}
+
 // lineAt resolves an address inside the pool to (line, member kind) for
 // the given day. It reports lineNone if the address is not a currently
 // valid line member.
 func (l *lineISP) lineAt(addr ip6.Addr, day int) (uint64, addrKind, bool) {
-	if !l.base.Contains(addr) {
-		return 0, lineNone, false
-	}
-	// Slot index: bits [base.Bits(), 56) of the address.
-	span := 56 - l.base.Bits()
-	slot := addr.Hi() >> 8 & (1<<span - 1)
-	if l.bits < span {
-		// Slots only occupy the low l.bits of the span; higher slots are
-		// never assigned.
-		if slot>>l.bits != 0 {
-			return 0, lineNone, false
-		}
-	}
-	k := l.rotEpoch(day)
-	line, ok := l.lineOf(slot, k)
+	line, ok := l.lineContaining(addr, day)
 	if !ok {
 		return 0, lineNone, false
 	}

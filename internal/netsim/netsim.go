@@ -174,24 +174,30 @@ type lineISP struct {
 
 // network is per-announcement metadata used when answering probes. The
 // topology is columnar: networks live in the flat Internet.nets slice and
-// every lookup structure (trie, interval table) carries dense int32 IDs
-// into it, so resolving a probe touches cache-line-contiguous data
-// instead of chasing per-network heap pointers.
+// the interval tables carry dense int32 IDs into it, so resolving a probe
+// touches cache-line-contiguous data instead of chasing per-network heap
+// pointers.
 type network struct {
-	prefix  ip6.Prefix
-	asn     bgp.ASN
-	kind    bgp.Kind
-	key     uint64
-	pathLen uint8
-	jitter  bool // TTL varies per probe (on-path effects)
-	loss    float64
-	isp     int32 // index into Internet.isps; -1 for non-subscriber nets
-	scheme  Scheme
+	prefix ip6.Prefix
+	// routerSub is the /64 traceroutes draw this network's core routers
+	// from: its own for announcements of length <= 36 (where planRouters
+	// puts them), else that of the operator's first announcement <= /36
+	// overlapping it; zero if there is none.
+	routerSub ip6.Prefix
+	asn       bgp.ASN
+	kind      bgp.Kind
+	key       uint64
+	pathLen   uint8
+	jitter    bool // TTL varies per probe (on-path effects)
+	loss      float64
+	isp       int32 // index into Internet.isps; -1 for non-subscriber nets
+	scheme    Scheme
 }
 
 // Internet is the simulated world. After New returns it is sealed: the
 // host population lives in sorted SoA columns (hostCols), networks,
 // alias regions and ISP pools in flat columns addressed by int32 IDs,
+// the interval tables every address resolution reads (tabs) are compiled,
 // and nothing is mutated again (cmd/expanselint's sealedwrite analyzer
 // enforces the freeze outside this package).
 type Internet struct {
@@ -200,10 +206,11 @@ type Internet struct {
 	// hc is the sealed columnar host plane (see hostcols.go).
 	hc      hostCols
 	regions []AliasRegion
-	aliasT  ip6.Trie[int32]
 	nets    []network
-	netT    ip6.Trie[int32]
 	isps    []lineISP
+	// tabs are the compiled resolution tables over regions and nets (see
+	// resolve.go), assigned once by sealDelta.
+	tabs tables
 	// tier1 transit router addresses shared across traceroute paths.
 	tier1        []ip6.Addr
 	stale        []StaleRecord
@@ -213,10 +220,6 @@ type Internet struct {
 	// machines memoizes fingerprint profiles per machine key; the only
 	// state Probe mutates (append-only, race-free — see machineFor).
 	machines sync.Map // uint64 → machine
-	// batch holds the lazily compiled interval tables of the batched
-	// responder path (see batch.go).
-	batchOnce sync.Once
-	batch     *batchTabs
 	// b is the construction-time host builder; nil once sealed.
 	b *worldBuilder
 }
@@ -263,10 +266,12 @@ func (in *Internet) sealPhase1() {
 	in.b = newWorldBuilder()
 }
 
-// sealDelta merges the post-seal additions into the columns and drops the
-// builder for good.
+// sealDelta merges the post-seal additions into the columns, compiles the
+// resolution tables from the now-final region and network columns, and
+// drops the builder for good.
 func (in *Internet) sealDelta() {
 	in.hc = mergeSealed(in.hc, in.b)
+	in.tabs = compileTables(in.regions, in.nets)
 	in.b = nil
 }
 
@@ -336,7 +341,7 @@ func (in *Internet) AliasedRegions() []*AliasRegion {
 // (outside any hole). SYN-proxy regions are not aliased: the proxy only
 // mimics responsiveness under attack thresholds (§5.1).
 func (in *Internet) GroundTruthAliased(addr ip6.Addr) bool {
-	_, ri, ok := in.aliasT.Lookup(addr)
+	ri, ok := ip6.LookupInterval(in.tabs.alias, addr)
 	if !ok {
 		return false
 	}
@@ -354,7 +359,7 @@ func (in *Internet) GroundTruthAliased(addr ip6.Addr) bool {
 //
 // Concurrency contract: Probe is safe for unlimited concurrent use once
 // New has returned. The world is immutable after construction — every
-// lookup structure (host map, alias trie, network trie) is read-only, all
+// lookup structure (host columns, interval tables) is read-only, all
 // per-probe variation derives from pure keyed hashes, and the only shared
 // mutable state is the machine-profile memo cache, which is append-only
 // and race-free (see machineFor). A probe's answer depends solely on its
@@ -362,33 +367,16 @@ func (in *Internet) GroundTruthAliased(addr ip6.Addr) bool {
 // callers observes identical responses. The concurrent scan engine in
 // internal/probe relies on this contract.
 //
-// Probe is the per-probe semantic reference: it resolves the destination
-// through the construction-time tries. The batched path (ProbeBatch in
-// batch.go) resolves through interval-compiled forms of the same tables
-// and shares every decision below the resolution step, and is pinned
-// per-index against Probe by test.
+// Probe is a one-destination call of the batch path: the same resolve
+// step ProbeBatch runs per probe, over fresh cursors, with the answer
+// materialized as a wire.Response instead of written into columns.
 func (in *Internet) Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time) wire.Response {
-	// 1. Aliased regions (including their special-behaviour quirks).
-	if _, ri, ok := in.aliasT.Lookup(dst); ok {
-		if raw, handled := in.probeAliasRaw(&in.regions[ri], dst, p, day, at); handled {
-			return in.materialize(raw, day, at)
-		}
-	}
-	// 2. Finite hosts: binary search on the sorted host columns.
-	if i, ok := in.hc.find(dst); ok {
-		return in.materialize(in.probeHostRaw(i, dst, p, day, at, in.networkOf(dst)), day, at)
-	}
-	// 3. Functional populations: rotating subscriber lines. Pools hang
-	// off the operator's covering announcement, so resolve with the
-	// SHORTEST match (more-specific announcements may overlap the pool).
-	if _, ni, ok := in.netT.LookupShortest(dst); ok && in.nets[ni].isp >= 0 {
-		return in.materialize(in.probeLineRaw(&in.nets[ni], dst, p, day, at), day, at)
-	}
-	return wire.Response{}
+	c := in.cursors()
+	return in.materialize(in.resolve(&c, dst, p, day, at), day, at)
 }
 
-// rawResponse is the allocation-free internal probe answer shared by the
-// per-probe and batched paths: the OK flag, the hop limit, and — for TCP
+// rawResponse is the allocation-free internal probe answer resolve
+// returns: the OK flag, the hop limit, and — for TCP
 // probes — the responding machine profile plus the per-probe fingerprint
 // deltas the alias quirks apply. materialize turns it into a wire.Response
 // (heap TCPInfo); the batch emitter writes it straight into result columns
@@ -404,7 +392,7 @@ type rawResponse struct {
 }
 
 // materialize expands a rawResponse into the per-probe Response form,
-// allocating the TCPInfo the legacy vocabulary carries.
+// allocating the TCPInfo a wire.Response carries.
 func (in *Internet) materialize(raw rawResponse, day int, at wire.Time) wire.Response {
 	if !raw.ok {
 		return wire.Response{}
@@ -484,9 +472,8 @@ func (r *AliasRegion) pathLen(in *Internet) uint8 {
 
 // probeHostRaw answers probes to the finite host at sorted column
 // position hi. nwi is the most-specific announcement covering dst (-1 if
-// unannounced); the per-probe path resolves it through the network trie,
-// the batch path through the interval table. Taking indices instead of
-// pointers keeps both resolution paths on the flat columns.
+// unannounced). Taking indices instead of pointers keeps resolution on
+// the flat columns.
 func (in *Internet) probeHostRaw(hi int32, dst ip6.Addr, p wire.Proto, day int, at wire.Time, nwi int32) rawResponse {
 	hc := &in.hc
 	if dd := hc.deathDay[hi]; dd >= 0 && day >= int(dd) {
@@ -590,7 +577,7 @@ func (in *Internet) probeLineRaw(nw *network, dst ip6.Addr, p wire.Proto, day in
 // answerRaw builds a positive answer: hop limit plus, for TCP probes, the
 // machine whose fingerprint the response carries. Timestamp values and
 // TCPInfo materialization are deferred to the emitters (materialize for
-// the per-probe path, the column emitter in batch.go for the batched one).
+// Probe, the column emitter in resolve.go for ProbeBatch).
 func (in *Internet) answerRaw(effKey, dstKey uint64, p wire.Proto, at wire.Time, path uint8, ttlFlip bool) rawResponse {
 	m := in.machineFor(effKey)
 	ittl := m.iTTL
@@ -616,7 +603,7 @@ func (in *Internet) answerRaw(effKey, dstKey uint64, p wire.Proto, at wire.Time,
 // networkOf returns the ID of the most-specific announcement covering
 // addr, or -1 if unannounced.
 func (in *Internet) networkOf(addr ip6.Addr) int32 {
-	_, ni, ok := in.netT.Lookup(addr)
+	ni, ok := ip6.LookupInterval(in.tabs.nets, addr)
 	if !ok {
 		return -1
 	}

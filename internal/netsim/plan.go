@@ -76,21 +76,22 @@ func (in *Internet) planBulk() (nextDomain func() uint32) {
 	}
 
 	// Per-announcement network metadata: a flat, exactly-sized column.
-	// The announcement count is final here, so net IDs handed to the trie
-	// below stay stable for the world's lifetime.
+	// The announcement count is final here, so net IDs (the values of the
+	// seal-time interval tables) stay stable for the world's lifetime.
 	in.nets = make([]network, 0, len(anns))
 	for _, a := range anns {
 		info := in.Table.AS(a.Origin)
 		key := hash3(in.key, uint64(a.Origin), a.Prefix.Addr().Hi())
 		nw := network{
-			prefix:  a.Prefix,
-			asn:     a.Origin,
-			kind:    info.Kind,
-			key:     key,
-			pathLen: uint8(3 + key%9),
-			jitter:  chance(hash64.Mix(key^1), 0.28),
-			loss:    0.004 + unit(hash64.Mix(key^2))*0.016,
-			isp:     -1,
+			prefix:    a.Prefix,
+			routerSub: routerSubnet(a.Prefix, byAS[a.Origin]),
+			asn:       a.Origin,
+			kind:      info.Kind,
+			key:       key,
+			pathLen:   uint8(3 + key%9),
+			jitter:    chance(hash64.Mix(key^1), 0.28),
+			loss:      0.004 + unit(hash64.Mix(key^2))*0.016,
+			isp:       -1,
 			// One operator, one addressing plan: all announcements of an
 			// AS share a scheme (the homogeneity Fig. 3b observes).
 			scheme: pickScheme(hash2(in.key, uint64(a.Origin))),
@@ -99,7 +100,6 @@ func (in *Internet) planBulk() (nextDomain func() uint32) {
 			nw.loss = 0.08 + unit(hash64.Mix(key^4))*0.2 // high-loss networks (§5.2)
 		}
 		in.nets = append(in.nets, nw)
-		in.netT.Insert(a.Prefix, int32(len(in.nets)-1))
 	}
 
 	domainID := uint32(1)
@@ -121,6 +121,23 @@ func (in *Internet) planBulk() (nextDomain func() uint32) {
 	in.planBitnodes()
 	in.planTier1()
 	return nextDomain
+}
+
+// routerSubnet returns the /64 holding the core routers traceroutes show
+// towards p: routers live on announcements of length <= 36 (planRouters),
+// so a longer announcement borrows the subnet of its operator's first
+// announcement <= /36 that overlaps it. sameAS lists the operator's
+// announcements in table order; the zero Prefix means no such cover.
+func routerSubnet(p ip6.Prefix, sameAS []ip6.Prefix) ip6.Prefix {
+	if p.Bits() <= 36 {
+		return p.Subprefix(64, 0xffff)
+	}
+	for _, cand := range sameAS {
+		if cand.Bits() <= 36 && cand.Overlaps(p) {
+			return cand.Subprefix(64, 0xffff)
+		}
+	}
+	return ip6.Prefix{}
 }
 
 func pickScheme(key uint64) Scheme {
@@ -324,7 +341,7 @@ func (in *Internet) planRouters(nw *network) {
 		return
 	}
 	n := 2 + int(hash2(nw.key, 0x4007e4)%6)
-	sub := nw.prefix.Subprefix(64, 0xffff)
+	sub := nw.routerSub
 	for i := 0; i < n; i++ {
 		addr := ip6.AddrFromUint64(sub.Addr().Hi(), uint64(i)+1)
 		var serves wire.RespMask

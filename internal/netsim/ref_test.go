@@ -1,0 +1,278 @@
+package netsim
+
+import (
+	"math/rand"
+	"testing"
+
+	"expanse/internal/ip6"
+	"expanse/internal/wire"
+)
+
+// Naive oracles for the one resolver (resolve.go). The trie-walking
+// per-probe resolution and the per-target announcement scan were
+// production code until the interval tables became the sealed world's
+// only resolver; they live on here, next to brute-force linear scans of
+// the enumeration API, as what the tables are pinned against.
+
+// refTries are the bit tries the world used to fill at construction time,
+// rebuilt from the sealed region and network columns in the same
+// insertion order (a later duplicate prefix replaces an earlier one).
+type refTries struct {
+	alias, nets ip6.Trie[int32]
+}
+
+func buildRefTries(in *Internet) *refTries {
+	rt := &refTries{}
+	for i := range in.regions {
+		rt.alias.Insert(in.regions[i].Prefix, int32(i))
+	}
+	for i := range in.nets {
+		rt.nets.Insert(in.nets[i].prefix, int32(i))
+	}
+	return rt
+}
+
+func (rt *refTries) networkOf(addr ip6.Addr) int32 {
+	_, ni, ok := rt.nets.Lookup(addr)
+	if !ok {
+		return -1
+	}
+	return ni
+}
+
+// probeRef is the retired trie-walking Probe body, verbatim but for
+// reading its tries from rt: one LPM walk per structure per probe.
+func (in *Internet) probeRef(rt *refTries, dst ip6.Addr, p wire.Proto, day int, at wire.Time) wire.Response {
+	// 1. Aliased regions (including their special-behaviour quirks).
+	if _, ri, ok := rt.alias.Lookup(dst); ok {
+		if raw, handled := in.probeAliasRaw(&in.regions[ri], dst, p, day, at); handled {
+			return in.materialize(raw, day, at)
+		}
+	}
+	// 2. Finite hosts: binary search on the sorted host columns.
+	if i, ok := in.hc.find(dst); ok {
+		return in.materialize(in.probeHostRaw(i, dst, p, day, at, rt.networkOf(dst)), day, at)
+	}
+	// 3. Functional populations: rotating subscriber lines. Pools hang
+	// off the operator's covering announcement, so resolve with the
+	// SHORTEST match (more-specific announcements may overlap the pool).
+	if _, ni, ok := rt.nets.LookupShortest(dst); ok && in.nets[ni].isp >= 0 {
+		return in.materialize(in.probeLineRaw(&in.nets[ni], dst, p, day, at), day, at)
+	}
+	return wire.Response{}
+}
+
+// coveringRouterSubnetScan is the retired per-target form of the
+// network.routerSub column: a linear scan of every announcement for the
+// first same-AS one of length <= 36 overlapping nw.
+func coveringRouterSubnetScan(in *Internet, nw *network) ip6.Prefix {
+	if nw.prefix.Bits() <= 36 {
+		return nw.prefix.Subprefix(64, 0xffff)
+	}
+	// Find a shorter covering announcement of the same AS.
+	for i := range in.nets {
+		cand := &in.nets[i]
+		if cand.asn == nw.asn && cand.prefix.Bits() <= 36 && cand.prefix.Overlaps(nw.prefix) {
+			return cand.prefix.Subprefix(64, 0xffff)
+		}
+	}
+	return ip6.Prefix{}
+}
+
+// TestProbeMatchesRef pins Probe — resolve over fresh cursors — against
+// the trie-walking oracle per target: all five protocols, two days, the
+// whole response including the SYN-ACK fingerprint and timestamp value.
+func TestProbeMatchesRef(t *testing.T) {
+	rt := buildRefTries(world)
+	targets := batchTargets(world, rand.New(rand.NewSource(0x9e0be)))
+	for _, day := range []int{0, 9} {
+		for _, proto := range wire.Protos {
+			for i, dst := range targets {
+				at := wire.Time(i) * 10
+				got := world.Probe(dst, proto, day, at)
+				want := world.probeRef(rt, dst, proto, day, at)
+				if got.OK != want.OK || got.HopLimit != want.HopLimit || (got.TCP == nil) != (want.TCP == nil) {
+					t.Fatalf("day %d %v target %d (%v): %+v, oracle says %+v", day, proto, i, dst, got, want)
+				}
+				if got.TCP != nil && *got.TCP != *want.TCP {
+					t.Fatalf("day %d %v target %d (%v): fingerprint %+v, oracle says %+v", day, proto, i, dst, *got.TCP, *want.TCP)
+				}
+			}
+		}
+	}
+}
+
+// TestResolversMatchBruteForce pins the point readers of the interval
+// tables — GroundTruthAliased, InSubscriberSpace, networkOf — against
+// linear scans of AliasedRegions() and Networks(), over the batch target
+// mix plus every region's and hole's boundary addresses, and checks the
+// mix really reached the interesting cases.
+func TestResolversMatchBruteForce(t *testing.T) {
+	regions := world.AliasedRegions()
+	nets := world.Networks()
+	addrs := batchTargets(world, rand.New(rand.NewSource(0x17ab)))
+	for _, r := range regions {
+		for _, p := range []ip6.Prefix{r.Prefix, r.Hole} {
+			if !p.IsZero() {
+				addrs = append(addrs, p.Addr(), p.Addr().Prev(), p.Last(), p.Last().Next())
+			}
+		}
+	}
+	var nested, outermost, holes, synProxy int
+	for _, a := range addrs {
+		// Most specific region; the last of equal prefixes wins.
+		region, covering := -1, 0
+		for i, r := range regions {
+			if r.Prefix.Contains(a) {
+				covering++
+				if region < 0 || r.Prefix.Bits() >= regions[region].Prefix.Bits() {
+					region = i
+				}
+			}
+		}
+		wantAliased := region >= 0
+		if wantAliased {
+			r := regions[region]
+			if covering > 1 {
+				nested++
+			}
+			if r.Quirks&QuirkSYNProxy != 0 {
+				synProxy++
+				wantAliased = false
+			}
+			if !r.Hole.IsZero() && r.Hole.Contains(a) {
+				holes++
+				wantAliased = false
+			}
+		}
+		if got := world.GroundTruthAliased(a); got != wantAliased {
+			t.Fatalf("GroundTruthAliased(%v) = %v, scan of AliasedRegions says %v", a, got, wantAliased)
+		}
+
+		// Most specific and outermost announcement.
+		longest, shortest := -1, -1
+		for i, nw := range nets {
+			if nw.Prefix.Contains(a) {
+				if longest < 0 || nw.Prefix.Bits() >= nets[longest].Prefix.Bits() {
+					longest = i
+				}
+				if shortest < 0 || nw.Prefix.Bits() < nets[shortest].Prefix.Bits() {
+					shortest = i
+				}
+			}
+		}
+		if longest != shortest {
+			outermost++
+		}
+		if got := world.networkOf(a); got != int32(longest) {
+			t.Fatalf("networkOf(%v) = %d, scan of Networks says %d", a, got, longest)
+		}
+		wantSub := shortest >= 0 && nets[shortest].IsISP
+		if got := world.InSubscriberSpace(a); got != wantSub {
+			t.Fatalf("InSubscriberSpace(%v) = %v, scan of Networks says %v", a, got, wantSub)
+		}
+	}
+	if nested == 0 || outermost == 0 || holes == 0 || synProxy == 0 {
+		t.Fatalf("address mix missed a case: nested regions %d, nested announcements %d, holes %d, SYN proxy %d",
+			nested, outermost, holes, synProxy)
+	}
+}
+
+// TestRouterSubnetColumnMatchesScan pins the plan-time routerSub column
+// against the per-target announcement scan for every network.
+func TestRouterSubnetColumnMatchesScan(t *testing.T) {
+	worlds := []*Internet{world}
+	for _, cfg := range refConfigs()[1:] {
+		worlds = append(worlds, New(cfg))
+	}
+	for wi, in := range worlds {
+		borrowed := 0
+		for i := range in.nets {
+			nw := &in.nets[i]
+			if got, want := nw.routerSub, coveringRouterSubnetScan(in, nw); got != want {
+				t.Fatalf("world %d net %d (%v): routerSub %v, scan says %v", wi, i, nw.prefix, got, want)
+			}
+			if nw.prefix.Bits() > 36 && !nw.routerSub.IsZero() {
+				borrowed++
+			}
+		}
+		if borrowed == 0 {
+			t.Fatalf("world %d: no long announcement borrows a router subnet", wi)
+		}
+	}
+}
+
+// fuzzAddr spreads two bytes over an address so that prefixes of every
+// length up to /128 differ and nest.
+func fuzzAddr(b0, b1 byte) ip6.Addr {
+	const ones = 0x0101010101010101
+	return ip6.AddrFromUint64(uint64(b0)*ones, uint64(b1)*ones)
+}
+
+// FuzzIvalRun drives one ivalRun cursor through an arbitrary — unsorted,
+// repeating, boundary-heavy — query sequence over a fuzzed prefix set: at
+// every step the cursor, a fresh ip6.LookupInterval binary search and a
+// brute-force longest match over the prefixes must agree. Input layout:
+// a prefix count, three bytes per prefix (address pattern, length), then
+// three bytes per query (prefix to aim at, which of its edges, jitter).
+func FuzzIvalRun(f *testing.F) {
+	f.Add([]byte{})
+	// ::/0 and its wrap-around edges.
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 3, 0})
+	// A gap, then the first address of the interval that ends it.
+	f.Add([]byte{1, 0x30, 0x30, 48, 0, 2, 0, 0, 0, 0})
+	// A duplicated /32 around a /48, queried out of order.
+	f.Add([]byte{3, 0x20, 0x01, 32, 0x20, 0x01, 48, 0x20, 0x01, 32,
+		0, 0, 0, 1, 1, 0, 1, 3, 0, 0, 2, 0, 1, 4, 9, 2, 5, 77})
+	// Both ends of the address space.
+	f.Add([]byte{4, 0xff, 0xff, 128, 0xff, 0xff, 64, 0, 0, 128, 0x80, 0, 1,
+		0, 3, 0, 2, 2, 0, 1, 1, 0, 3, 0, 0, 3, 1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 24
+		data = data[1:]
+		var prefixes []ip6.Prefix
+		for ; len(prefixes) < n && len(data) >= 3; data = data[3:] {
+			prefixes = append(prefixes, ip6.PrefixFrom(fuzzAddr(data[0], data[1]), int(data[2])%129))
+		}
+		if len(prefixes) == 0 {
+			return
+		}
+		tab := compileLongest(idRange(len(prefixes)), func(i int32) ip6.Prefix { return prefixes[i] })
+		cur := ivalRun[int32]{tab: tab}
+		for ; len(data) >= 3; data = data[3:] {
+			p := prefixes[int(data[0])%len(prefixes)]
+			var a ip6.Addr
+			switch data[1] % 6 {
+			case 0:
+				a = p.Addr()
+			case 1:
+				a = p.Last()
+			case 2:
+				a = p.Addr().Prev()
+			case 3:
+				a = p.Last().Next()
+			case 4:
+				a = ip6.AddrFromUint64(p.Addr().Hi(), p.Addr().Lo()^uint64(data[2]))
+			default:
+				a = fuzzAddr(data[2], data[0])
+			}
+			want, wantOK := int32(-1), false
+			for i, q := range prefixes {
+				if q.Contains(a) && (!wantOK || q.Bits() >= prefixes[want].Bits()) {
+					want, wantOK = int32(i), true
+				}
+			}
+			got, gotOK := cur.lookup(a)
+			if gotOK != wantOK || (gotOK && got != want) {
+				t.Fatalf("cursor(%v) = %d,%v; longest match over %v is %d,%v", a, got, gotOK, prefixes, want, wantOK)
+			}
+			got, gotOK = ip6.LookupInterval(tab, a)
+			if gotOK != wantOK || (gotOK && got != want) {
+				t.Fatalf("LookupInterval(%v) = %d,%v; longest match over %v is %d,%v", a, got, gotOK, prefixes, want, wantOK)
+			}
+		}
+	})
+}

@@ -7,26 +7,25 @@ import (
 	"expanse/internal/wire"
 )
 
-// This file implements the batched side of the responder: ProbeBatch
-// answers whole probe batches into wire.ResultColumns. Resolution — which
-// aliased region, finite host, or subscriber pool owns a destination —
-// runs over interval-compiled forms of the construction-time tries, so a
-// batch of sorted targets pays one binary search per *run* of addresses
-// sharing a resolution instead of one trie walk per probe (the same
-// flattening the alias plane's Filter uses, see ip6.CompileIntervals).
-// Everything below the resolution step is shared with the per-probe
-// Probe via rawResponse; TestProbeBatchMatchesProbe pins the two paths
-// per-index.
+// This file is the sealed world's one resolver: which aliased region,
+// finite host or subscriber pool owns an address. Every entry point reads
+// the same three interval tables, compiled once at seal time from the
+// final region and network columns (the flattening the alias plane's
+// Filter uses, see ip6.CompileIntervals): Probe and ProbeBatch through
+// resolve and its run cursors, so a batch of sorted targets pays one
+// binary search per *run* of addresses sharing a resolution; ground
+// truth, networkOf, InSubscriberSpace and TraceroutePath through
+// ip6.LookupInterval point reads. The trie-walking form it replaced is
+// the probeRef oracle in ref_test.go.
 
-// batchTabs are the interval-compiled lookup tables, built lazily on
-// first ProbeBatch from the immutable world. Interval values are dense
-// int32 IDs into the flat region/network columns — the tables carry no
-// pointers.
-type batchTabs struct {
-	// alias is the most-specific-wins flattening of the alias-region trie.
+// tables are the interval-compiled lookup tables. Interval values are
+// dense int32 IDs into the flat region/network columns — the tables carry
+// no pointers.
+type tables struct {
+	// alias is the most-specific-wins flattening of the alias regions.
 	alias []ip6.Interval[int32]
-	// nets is the most-specific-wins flattening of the announcement trie
-	// (the networkOf resolution hosts use for loss/path parameters).
+	// nets is the most-specific-wins flattening of the announcements (the
+	// networkOf resolution hosts use for loss/path parameters).
 	nets []ip6.Interval[int32]
 	// pools is the SHORTEST-match form of the announcement table: only the
 	// outermost announcements, which are disjoint — subscriber pools hang
@@ -34,20 +33,62 @@ type batchTabs struct {
 	pools []ip6.Interval[int32]
 }
 
-// batchTables compiles (once) and returns the interval tables.
-func (in *Internet) batchTables() *batchTabs {
-	in.batchOnce.Do(func() {
-		regionIDs := idRange(len(in.regions))
-		netIDs := idRange(len(in.nets))
-		regionPrefix := func(i int32) ip6.Prefix { return in.regions[i].Prefix }
-		netPrefix := func(i int32) ip6.Prefix { return in.nets[i].prefix }
-		in.batch = &batchTabs{
-			alias: compileLongest(regionIDs, regionPrefix),
-			nets:  compileLongest(netIDs, netPrefix),
-			pools: compileShortest(netIDs, netPrefix),
+// compileTables flattens the region and network columns into their
+// interval tables.
+func compileTables(regions []AliasRegion, nets []network) tables {
+	regionIDs := idRange(len(regions))
+	netIDs := idRange(len(nets))
+	regionPrefix := func(i int32) ip6.Prefix { return regions[i].Prefix }
+	netPrefix := func(i int32) ip6.Prefix { return nets[i].prefix }
+	return tables{
+		alias: compileLongest(regionIDs, regionPrefix),
+		nets:  compileLongest(netIDs, netPrefix),
+		pools: compileShortest(netIDs, netPrefix),
+	}
+}
+
+// cursors is one resolution's worth of run cursors: one per table plus
+// the host-column merge cursor.
+type cursors struct {
+	alias, nets, pools ivalRun[int32]
+	hosts              hostRun
+}
+
+// cursors returns fresh run cursors over the tables and host columns.
+func (in *Internet) cursors() cursors {
+	return cursors{
+		alias: ivalRun[int32]{tab: in.tabs.alias},
+		nets:  ivalRun[int32]{tab: in.tabs.nets},
+		pools: ivalRun[int32]{tab: in.tabs.pools},
+		hosts: hostRun{hc: &in.hc},
+	}
+}
+
+// resolve answers one probe: it finds dst's owner and lets that owner
+// answer. The order is the world's semantics — an aliased region first
+// (unless dst sits in its hole), then a finite host (with the most
+// specific announcement's loss/path parameters), then a subscriber pool,
+// resolved with the SHORTEST announcement match because pools hang off
+// the operator's covering announcement and more-specifics may overlap
+// them. Nobody owns anything else. c carries the caller's cursors:
+// ProbeBatch keeps them across a batch, Probe passes fresh ones.
+func (in *Internet) resolve(c *cursors, dst ip6.Addr, p wire.Proto, day int, at wire.Time) rawResponse {
+	if ri, ok := c.alias.lookup(dst); ok {
+		if raw, handled := in.probeAliasRaw(&in.regions[ri], dst, p, day, at); handled {
+			return raw
 		}
-	})
-	return in.batch
+	}
+	if hi, ok := c.hosts.lookup(dst); ok {
+		nwi, ok := c.nets.lookup(dst)
+		if !ok {
+			nwi = -1
+		}
+		return in.probeHostRaw(hi, dst, p, day, at, nwi)
+	}
+	if ni, ok := c.pools.lookup(dst); ok && in.nets[ni].isp >= 0 {
+		return in.probeLineRaw(&in.nets[ni], dst, p, day, at)
+	}
+	return rawResponse{}
 }
 
 // idRange returns the dense ID column [0, n).
@@ -61,7 +102,7 @@ func idRange(n int) []int32 {
 
 // compileLongest flattens (prefix → value) entries into the disjoint
 // interval table equivalent to a longest-prefix-match trie. Duplicate
-// prefixes keep the last entry, matching trie insertion order.
+// prefixes keep the last entry, as a trie's replacing Insert would.
 func compileLongest[V comparable](items []V, prefixOf func(V) ip6.Prefix) []ip6.Interval[V] {
 	prefixes, vals := dedupeByPrefix(items, prefixOf)
 	return ip6.CompileIntervals(prefixes, vals)
@@ -88,8 +129,8 @@ func compileShortest[V comparable](items []V, prefixOf func(V) ip6.Prefix) []ip6
 }
 
 // dedupeByPrefix sorts entries by (base address, prefix length) and drops
-// all but the last entry per exact prefix (trie Insert replaces) — the
-// unique, sorted input ip6.CompileIntervals requires.
+// all but the last entry per exact prefix — the unique, sorted input
+// ip6.CompileIntervals requires.
 func dedupeByPrefix[V any](items []V, prefixOf func(V) ip6.Prefix) ([]ip6.Prefix, []V) {
 	order := make([]int, len(items))
 	for i := range order {
@@ -103,7 +144,7 @@ func dedupeByPrefix[V any](items []V, prefixOf func(V) ip6.Prefix) ([]ip6.Prefix
 	for _, oi := range order {
 		p := prefixOf(items[oi])
 		if n := len(prefixes); n > 0 && prefixes[n-1] == p {
-			vals[n-1] = items[oi] // last insertion wins, like the trie
+			vals[n-1] = items[oi] // last insertion wins
 			continue
 		}
 		prefixes = append(prefixes, p)
@@ -117,7 +158,8 @@ func dedupeByPrefix[V any](items []V, prefixOf func(V) ip6.Prefix) ([]ip6.Prefix
 // between intervals it missed into. Queries inside the cached run are two
 // address compares; only a run change pays the binary search. This is
 // what makes batched resolution cheap: sorted targets advance through
-// runs monotonically.
+// runs monotonically. A fresh cursor's first lookup is one binary search,
+// the point query Probe makes.
 type ivalRun[V any] struct {
 	tab    []ip6.Interval[V]
 	lo, hi ip6.Addr // cached run bounds (inclusive)
@@ -159,29 +201,9 @@ func (c *ivalRun[V]) lookup(a ip6.Addr) (V, bool) {
 // concurrent calls must target non-overlapping 64-aligned column ranges
 // (see wire.BatchResponder).
 func (in *Internet) ProbeBatch(dsts []ip6.Addr, p wire.Proto, day int, at []wire.Time, out *wire.ResultColumns, base int) {
-	tabs := in.batchTables()
-	aliasRun := ivalRun[int32]{tab: tabs.alias}
-	netRun := ivalRun[int32]{tab: tabs.nets}
-	poolRun := ivalRun[int32]{tab: tabs.pools}
-	hosts := hostRun{hc: &in.hc}
+	c := in.cursors()
 	for k, dst := range dsts {
-		var raw rawResponse
-		handled := false
-		if ri, ok := aliasRun.lookup(dst); ok {
-			raw, handled = in.probeAliasRaw(&in.regions[ri], dst, p, day, at[k])
-		}
-		if !handled {
-			if hi, ok := hosts.lookup(dst); ok {
-				nwi, ok := netRun.lookup(dst)
-				if !ok {
-					nwi = -1
-				}
-				raw = in.probeHostRaw(hi, dst, p, day, at[k], nwi)
-			} else if ni, ok := poolRun.lookup(dst); ok && in.nets[ni].isp >= 0 {
-				raw = in.probeLineRaw(&in.nets[ni], dst, p, day, at[k])
-			}
-		}
-		in.emit(out, base+k, raw, day, at[k])
+		in.emit(out, base+k, in.resolve(&c, dst, p, day, at[k]), day, at[k])
 	}
 }
 

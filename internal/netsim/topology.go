@@ -25,9 +25,16 @@ func (in *Internet) TraceroutePath(dst ip6.Addr, day int) []Hop {
 	var path []Hop
 	dk := hashAddr(in.key^0x7e4ace, dst)
 
+	// The destination's most specific announcement: its origin AS picks
+	// the transit routers, its router subnet the core hops.
+	nwi := in.networkOf(dst)
+	var asn bgp.ASN
+	if nwi >= 0 {
+		asn = in.nets[nwi].asn
+	}
+
 	// Transit: 2-3 of the tier-1 routers, selected by destination ASN so
 	// paths are stable but diverse.
-	asn, _ := in.Table.Origin(dst)
 	tk := hash3(in.key^0x7e4a, uint64(asn), dk%4) // mild path diversity
 	nTransit := 2 + int(tk%2)
 	for i := 0; i < nTransit && len(in.tier1) > 0; i++ {
@@ -38,14 +45,12 @@ func (in *Internet) TraceroutePath(dst ip6.Addr, day int) []Hop {
 		}
 	}
 
-	nwi := in.networkOf(dst)
 	if nwi < 0 {
 		return path
 	}
 	nw := &in.nets[nwi]
 	// Destination network core routers: 1-3 from the router subnet.
-	sub := coveringRouterSubnet(in, nw)
-	if !sub.IsZero() {
+	if sub := nw.routerSub; !sub.IsZero() {
 		n := 1 + int(hash2(nw.key, dk%8)%3)
 		for i := 0; i < n; i++ {
 			a := ip6.AddrFromUint64(sub.Addr().Hi(), 1+hash3(nw.key, dk%4, uint64(i))%6)
@@ -59,10 +64,10 @@ func (in *Internet) TraceroutePath(dst ip6.Addr, day int) []Hop {
 	}
 	// Last hop before subscriber targets: the line's CPE. The pool hangs
 	// off the covering announcement, so resolve with the shortest match.
-	if _, ni, ok := in.netT.LookupShortest(dst); ok && in.nets[ni].isp >= 0 {
+	if ni, ok := ip6.LookupInterval(in.tabs.pools, dst); ok && in.nets[ni].isp >= 0 {
 		poolNw := &in.nets[ni]
 		isp := &in.isps[poolNw.isp]
-		if line, ok := lineContaining(isp, dst, day); ok {
+		if line, ok := isp.lineContaining(dst, day); ok {
 			cpe := isp.cpeAddr(line, day)
 			if cpe != dst {
 				path = append(path, Hop{Addr: cpe, ASN: poolNw.asn})
@@ -70,33 +75,4 @@ func (in *Internet) TraceroutePath(dst ip6.Addr, day int) []Hop {
 		}
 	}
 	return path
-}
-
-// coveringRouterSubnet finds the router /64 of the announcement covering
-// the network (routers live on announcements of length <= 36).
-func coveringRouterSubnet(in *Internet, nw *network) ip6.Prefix {
-	if nw.prefix.Bits() <= 36 {
-		return nw.prefix.Subprefix(64, 0xffff)
-	}
-	// Find a shorter covering announcement of the same AS.
-	for i := range in.nets {
-		cand := &in.nets[i]
-		if cand.asn == nw.asn && cand.prefix.Bits() <= 36 && cand.prefix.Overlaps(nw.prefix) {
-			return cand.prefix.Subprefix(64, 0xffff)
-		}
-	}
-	return ip6.Prefix{}
-}
-
-// lineContaining returns the line whose current /56 contains dst.
-func lineContaining(l *lineISP, dst ip6.Addr, day int) (uint64, bool) {
-	if !l.base.Contains(dst) {
-		return 0, false
-	}
-	span := 56 - l.base.Bits()
-	slot := dst.Hi() >> 8 & (1<<span - 1)
-	if l.bits < span && slot>>l.bits != 0 {
-		return 0, false
-	}
-	return l.lineOf(slot, l.rotEpoch(day))
 }

@@ -51,18 +51,14 @@ func (s *Scanner) ScanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, ou
 
 func (s *Scanner) scanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *wire.ResultColumns, invBuf *[]uint32) {
 	n := targets.Len()
-	perm, permBuf := s.pooledPermutation(n, s.seed^uint64(proto)<<32^uint64(day))
 	if invBuf == nil {
 		// Callers without their own scratch (the APD detector probes
 		// millions of fan-out targets per day) share pooled buffers.
 		invBuf = s.pooledInv()
 		defer s.invPool.Put(invBuf)
 	}
-	*invBuf = perm.Inverse(*invBuf)
+	*invBuf = InversePermutation(*invBuf, n, s.seed^uint64(proto)<<32^uint64(day))
 	inv := *invBuf
-	// The batched engine walks targets in index order through inv; the
-	// forward cache's job ends here, so recycle it before the scan.
-	s.recyclePermutation(perm, permBuf)
 	iv := s.interval()
 	s.shards(n, func(_, lo, hi int) {
 		s.scanChunk(targets, proto, day, lo, hi, inv, iv, out)
@@ -75,23 +71,6 @@ func (s *Scanner) pooledInv() *[]uint32 {
 		return buf
 	}
 	return new([]uint32)
-}
-
-// pooledPermutation builds the (proto, day) permutation over a recycled
-// cache buffer. Return the cache with recyclePermutation once the
-// permutation is no longer needed.
-func (s *Scanner) pooledPermutation(n int, seed uint64) (*Permutation, *[]uint32) {
-	buf, ok := s.permPool.Get().(*[]uint32)
-	if !ok {
-		buf = new([]uint32)
-	}
-	perm := NewPermutationInto(*buf, n, seed)
-	*buf = perm.Cache()
-	return perm, buf
-}
-
-func (s *Scanner) recyclePermutation(p *Permutation, buf *[]uint32) {
-	s.permPool.Put(buf)
 }
 
 // forEachBatch slices [lo,hi) into batchLen windows and materializes each
@@ -301,12 +280,10 @@ func (s *Scanner) ProbePairColumns(targets ip6.AddrSeq, proto wire.Proto, day in
 	n := targets.Len()
 	out.First.Reset(n, s.tcp)
 	out.Second.Reset(n, s.tcp)
-	perm, permBuf := s.pooledPermutation(n, s.seed^0xfb^uint64(day))
 	invBuf := s.pooledInv()
 	defer s.invPool.Put(invBuf)
-	*invBuf = perm.Inverse(*invBuf)
+	*invBuf = InversePermutation(*invBuf, n, s.seed^0xfb^uint64(day))
 	inv := *invBuf
-	s.recyclePermutation(perm, permBuf)
 	iv := s.interval()
 	s.shards(n, func(_, lo, hi int) {
 		ats1 := make([]wire.Time, 0, batchLen)

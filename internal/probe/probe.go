@@ -42,15 +42,12 @@ type Scanner struct {
 	// this scanner (see TCPTable).
 	tcp *wire.TCPTable
 	// invPool recycles inverse-permutation buffers (*[]uint32) across
-	// columnar scans for callers without their own scratch; permPool does
-	// the same for materialized permutation caches, whose lifetime on the
-	// columnar paths ends once the inverse is built. Recycling matters
-	// beyond allocator throughput: multi-day runs allocate these columns
-	// every (protocol, day), and transient columns marked live during the
-	// GC's concurrent mark phase inflate the next heap goal — on big
-	// worlds that ratchet dominated peak RSS.
-	invPool  sync.Pool
-	permPool sync.Pool
+	// columnar scans for callers without their own scratch. Recycling
+	// matters beyond allocator throughput: multi-day runs allocate these
+	// columns every (protocol, day), and transient columns marked live
+	// during the GC's concurrent mark phase inflate the next heap goal — on
+	// big worlds that ratchet dominated peak RSS.
+	invPool sync.Pool
 }
 
 // Option configures a Scanner.
@@ -108,77 +105,38 @@ func (s *Scanner) interval() wire.Time {
 	return iv
 }
 
-// Permutation is a pseudo-random permutation of [0,n), the ZMap-style
-// address randomizer: it visits every index exactly once in an order
-// uncorrelated with numeric target order, using an affine walk over the
-// next power of two with out-of-range skipping.
-type Permutation struct {
-	n     int
-	mask  uint64
-	mul   uint64
-	add   uint64
-	cache []uint32 // materialized order (n is bounded by target lists)
-}
-
-// NewPermutation builds the permutation for n elements from a seed.
-func NewPermutation(n int, seed uint64) *Permutation {
-	return NewPermutationInto(nil, n, seed)
-}
-
-// NewPermutationInto is NewPermutation with a caller-provided cache
-// buffer, reused when its capacity suffices. The materialized order is
-// a pure function of (n, seed) — identical whatever buf held before.
-func NewPermutationInto(buf []uint32, n int, seed uint64) *Permutation {
-	p := &Permutation{n: n}
+// InversePermutation returns the scan order of n targets under seed, in
+// the form the engine consumes: inv[idx] is the sequence position at
+// which target idx goes on the wire. The order is the ZMap-style address
+// randomizer — a pseudo-random permutation of [0,n) that visits every
+// index exactly once, uncorrelated with numeric target order: an affine
+// walk over the next power of two with out-of-range slots skipped. The
+// engine walks targets in index order — sorted views then present the
+// responder with sorted runs — and recovers each probe's virtual send
+// time from its position through inv, so the forward order is never
+// materialized (the Permutation oracle in ref_test.go does). buf's
+// backing array is reused when large enough; the result is a pure
+// function of (n, seed), identical whatever buf held before.
+func InversePermutation(buf []uint32, n int, seed uint64) []uint32 {
+	if cap(buf) < n {
+		buf = make([]uint32, n)
+	} else {
+		buf = buf[:n]
+	}
 	size := uint64(1)
 	for size < uint64(n) {
 		size <<= 1
 	}
-	p.mask = size - 1
-	h := seed
-	h = h*0x9e3779b97f4a7c15 + 0x85ebca6b
-	p.mul = h<<1 | 1 // odd ⇒ bijective over 2^k
-	p.add = h >> 17
-	// Materialize: the affine walk visits each slot of [0,2^k) once;
-	// indices >= n are skipped. Materializing keeps At() O(1) for the
-	// concurrent workers.
-	if cap(buf) >= n {
-		p.cache = buf[:0]
-	} else {
-		p.cache = make([]uint32, 0, n)
-	}
-	for i := uint64(0); i <= p.mask && len(p.cache) < n; i++ {
-		v := (i*p.mul + p.add) & p.mask
-		if v < uint64(n) {
-			p.cache = append(p.cache, uint32(v))
+	mask := size - 1
+	h := seed*0x9e3779b97f4a7c15 + 0x85ebca6b
+	mul := h<<1 | 1 // odd ⇒ bijective over 2^k
+	add := h >> 17
+	seq := 0
+	for i := uint64(0); i <= mask && seq < n; i++ {
+		if v := (i*mul + add) & mask; v < uint64(n) {
+			buf[v] = uint32(seq)
+			seq++
 		}
-	}
-	return p
-}
-
-// Cache exposes the materialized order's backing array for recycling.
-// The permutation must not be used after its cache is handed elsewhere.
-func (p *Permutation) Cache() []uint32 { return p.cache }
-
-// At returns the target index at sequence position seq.
-func (p *Permutation) At(seq int) int { return int(p.cache[seq]) }
-
-// Inverse returns inv with inv[idx] = seq such that At(seq) == idx,
-// reusing buf's backing array when it is large enough. The batched scan
-// engine walks targets in index order — sorted views then present the
-// responder with sorted runs — and recovers each probe's virtual send
-// time from its permutation position through this inverse.
-func (p *Permutation) Inverse(buf []uint32) []uint32 {
-	if cap(buf) < p.n {
-		buf = make([]uint32, p.n)
-	} else {
-		buf = buf[:p.n]
-	}
-	for seq, idx := range p.cache {
-		buf[idx] = uint32(seq)
 	}
 	return buf
 }
-
-// Len returns the number of elements.
-func (p *Permutation) Len() int { return p.n }

@@ -279,6 +279,42 @@ func TestPermutationEmptyAndOne(t *testing.T) {
 	}
 }
 
+// TestInversePermutationMatchesOracle pins the directly built inverse
+// against the materialized forward order — inv[perm.At(seq)] == seq at
+// every position — for random sizes and seeds, the degenerate sizes, and
+// a dirty reused buffer.
+func TestInversePermutationMatchesOracle(t *testing.T) {
+	check := func(size int, seed uint64, buf []uint32) bool {
+		p := NewPermutation(size, seed)
+		inv := InversePermutation(buf, size, seed)
+		if len(inv) != size {
+			return false
+		}
+		for seq := 0; seq < size; seq++ {
+			if inv[p.At(seq)] != uint32(seq) {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(n uint16, seed uint64) bool { return check(int(n)%2000+1, seed, nil) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	dirty := make([]uint32, 4096)
+	for _, size := range []int{0, 1, 2, 3, 64, 1000, 1024, 1025, 4096} {
+		for i := range dirty {
+			dirty[i] = 0xdeadbeef
+		}
+		if !check(size, 7, dirty) || !check(size, 0x96^uint64(size)<<32, nil) {
+			t.Errorf("size %d: inverse differs from the oracle", size)
+		}
+	}
+	if inv := InversePermutation(dirty, 100, 3); &inv[0] != &dirty[0] {
+		t.Error("a large enough buffer was not reused")
+	}
+}
+
 func TestProbeCount(t *testing.T) {
 	targets := addrs(100)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}

@@ -14,6 +14,43 @@ import (
 // recovers send times through the inverse permutation). Same
 // permutations, same virtual send times, same retry schedule.
 
+// Permutation is the forward, materialized form of the scan order
+// InversePermutation produces: a pseudo-random permutation of [0,n) by an
+// affine walk over the next power of two with out-of-range skipping.
+type Permutation struct {
+	n     int
+	cache []uint32 // materialized order
+}
+
+// NewPermutation builds the permutation for n elements from a seed.
+func NewPermutation(n int, seed uint64) *Permutation {
+	p := &Permutation{n: n, cache: make([]uint32, 0, n)}
+	size := uint64(1)
+	for size < uint64(n) {
+		size <<= 1
+	}
+	mask := size - 1
+	h := seed
+	h = h*0x9e3779b97f4a7c15 + 0x85ebca6b
+	mul := h<<1 | 1 // odd ⇒ bijective over 2^k
+	add := h >> 17
+	// Materialize: the affine walk visits each slot of [0,2^k) once;
+	// indices >= n are skipped.
+	for i := uint64(0); i <= mask && len(p.cache) < n; i++ {
+		v := (i*mul + add) & mask
+		if v < uint64(n) {
+			p.cache = append(p.cache, uint32(v))
+		}
+	}
+	return p
+}
+
+// At returns the target index at sequence position seq.
+func (p *Permutation) At(seq int) int { return int(p.cache[seq]) }
+
+// Len returns the number of elements.
+func (p *Permutation) Len() int { return p.n }
+
 // Result is the outcome of probing one target on one protocol.
 type Result struct {
 	Addr     ip6.Addr
