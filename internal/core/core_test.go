@@ -302,9 +302,11 @@ func TestLabConcurrentExperiments(t *testing.T) {
 // hitlist split, Sec 5.5's Murdock comparison), the scan family (Fig 6's
 // pre-sized extractions, Fig 7's mask-fed matrix, Fig 8's streamed
 // multi-day sweep, Table 8's rDNS scans, the §5.4 interned-fingerprint
-// pair analyses of Tables 5/6) — must be byte-identical no matter how
-// many workers the store, scanner, detector, history scans and clustering
-// engine fan out over.
+// pair analyses of Tables 5/6), the §7 generation family (the per-AS
+// Entropy/IP and 6Gen fan-out merged in AS order) — must be
+// byte-identical no matter how many workers the store, scanner,
+// detector, history scans, clustering engine and generation study fan
+// out over.
 func TestReportsIdenticalAcrossWorkers(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Sim.Scale = 0.03
@@ -318,13 +320,22 @@ func TestReportsIdenticalAcrossWorkers(t *testing.T) {
 			l.Fig6, l.Fig7, l.Fig8, l.Table8, l.Fig10,
 		}
 	}
+	// The §7 family never enters the day loop, so it rides the serial
+	// overlap depth only: workers 1, 4 and 16.
+	genFamily := func(l *Lab) []func() *Report {
+		return []func() *Report{l.Sec72, l.Sec73, l.Table7, l.Fig9, l.AblationGenerators}
+	}
 	build := func(workers, overlap int) []string {
 		c := cfg
 		c.Workers = workers
 		c.Overlap = overlap
 		l := NewLab(c)
+		exps := experiments(l)
+		if overlap == 1 {
+			exps = append(exps, genFamily(l)...)
+		}
 		var out []string
-		for _, exp := range experiments(l) {
+		for _, exp := range exps {
 			out = append(out, exp().String())
 		}
 		return out
@@ -336,7 +347,7 @@ func TestReportsIdenticalAcrossWorkers(t *testing.T) {
 		{1, 2}, {4, 2}, {16, 3}, // orchestrated day loop on top
 	} {
 		got := build(tc.workers, tc.overlap)
-		for i := range ref {
+		for i := range got {
 			if got[i] != ref[i] {
 				t.Errorf("workers=%d overlap=%d: report %d differs:\nserial:\n%s\ngot:\n%s",
 					tc.workers, tc.overlap, i, ref[i], got[i])

@@ -7,6 +7,7 @@ import (
 	"expanse/internal/bgp"
 	"expanse/internal/eip"
 	"expanse/internal/ip6"
+	"expanse/internal/par"
 	"expanse/internal/sixgen"
 	"expanse/internal/stats"
 	"expanse/internal/wire"
@@ -40,19 +41,24 @@ func (l *Lab) ensureGenStudy() {
 	l.genOnce.Do(l.buildGenStudy)
 }
 
-func (l *Lab) buildGenStudy() {
-	g := &genStudyState{}
-	l.genStudy = g
-
-	// Seeds: all addresses in non-aliased prefixes, split by AS.
+// cleanTargetsByAS splits the curated hitlist — the addresses outside
+// aliased prefixes — by origin AS: the seed sets of §7.
+func (l *Lab) cleanTargetsByAS() map[bgp.ASN][]ip6.Addr {
 	perAS := map[bgp.ASN][]ip6.Addr{}
 	for _, a := range l.cleanTargets() {
 		if asn, ok := l.P.World.Table.Origin(a); ok {
 			perAS[asn] = append(perAS[asn], a)
 		}
 	}
+	return perAS
+}
+
+func (l *Lab) buildGenStudy() {
+	g := &genStudyState{}
+	l.genStudy = g
+
+	perAS := l.cleanTargetsByAS()
 	minSeeds := l.groupMin()
-	rng := newRand(0x6e6)
 	var asns []bgp.ASN
 	for _, asn := range stats.SortedKeys(perAS) {
 		if len(perAS[asn]) >= minSeeds {
@@ -61,20 +67,35 @@ func (l *Lab) buildGenStudy() {
 	}
 	g.eligibleASes = len(asns)
 
+	// One slot per AS. The seed samples share one rng and are drawn in AS
+	// order; the models are independent and fan out; the dedup below
+	// merges in AS order again, so the study is the same at any Workers.
+	type asGen struct{ seeds, eip, sixgen []ip6.Addr }
+	gens := make([]asGen, len(asns))
+	rng := newRand(0x6e6)
+	for i, asn := range asns {
+		gens[i].seeds = stats.SampleCap(perAS[asn], 100_000, rng)
+	}
+	par.Ranges(len(gens), l.P.Cfg.Workers, 1, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ag := &gens[i]
+			// Entropy/IP: exhaustive most-probable-first walk.
+			ag.eip = eip.Build(ag.seeds).Generate(genBudgetPerAS)
+			// 6Gen: dense-range growth.
+			ag.sixgen = sixgen.Generate(ag.seeds, genBudgetPerAS, sixgen.Config{})
+		}
+	})
+
 	hitlist := l.P.Hitlist()
 	seenEIP := ip6.NewSet(1 << 16)
 	seen6G := ip6.NewSet(1 << 16)
-	for _, asn := range asns {
-		seeds := stats.SampleCap(perAS[asn], 100_000, rng)
-		// Entropy/IP: exhaustive most-probable-first walk.
-		m := eip.Build(seeds)
-		for _, a := range m.Generate(genBudgetPerAS) {
+	for _, ag := range gens {
+		for _, a := range ag.eip {
 			if seenEIP.Add(a) {
 				g.genEIP = append(g.genEIP, a)
 			}
 		}
-		// 6Gen: dense-range growth.
-		for _, a := range sixgen.Generate(seeds, genBudgetPerAS, sixgen.Config{}) {
+		for _, a := range ag.sixgen {
 			if seen6G.Add(a) {
 				g.gen6Gen = append(g.gen6Gen, a)
 			}
@@ -255,12 +276,7 @@ func (l *Lab) AblationGenerators() *Report {
 	l.ensureGenStudy()
 	r := &Report{ID: "Ablation", Title: "Exhaustive vs random Entropy/IP generator walk"}
 	l.ensureAPD()
-	perAS := map[bgp.ASN][]ip6.Addr{}
-	for _, a := range l.cleanTargets() {
-		if asn, ok := l.P.World.Table.Origin(a); ok {
-			perAS[asn] = append(perAS[asn], a)
-		}
-	}
+	perAS := l.cleanTargetsByAS()
 	// Use the largest few ASes for a focused comparison.
 	type kv struct {
 		asn bgp.ASN

@@ -11,9 +11,9 @@
 package eip
 
 import (
-	"container/heap"
 	"math"
 	"sort"
+	"sync"
 
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
@@ -37,14 +37,28 @@ type Model struct {
 	Segments []Segment
 	// Values[s] are segment s's mined values, sorted by P descending.
 	Values [][]Value
-	// trans[s] maps a value index of segment s-1 to the conditional
-	// distribution over segment s's value indexes (Bayesian chain).
-	trans []map[int][]float64
-	seeds map[ip6.Addr]bool
+	// chain[s][pv] is the distribution over segment s's value indexes
+	// given value pv of segment s-1 (Bayesian chain); contexts no seed
+	// showed share the marginal. Segment 0 has the single row chain[0][0].
+	chain [][]dist
+	seeds *ip6.Set
+}
+
+// dist is a distribution with its log, taken once per model so the walk
+// adds table entries instead of calling math.Log per child.
+type dist struct{ p, log []float64 }
+
+func newDist(p []float64) dist {
+	d := dist{p, make([]float64, len(p))}
+	for i, x := range p {
+		d.log[i] = math.Log(x)
+	}
+	return d
 }
 
 // maxValuesPerSegment caps the mined value list; rarer values are dropped
-// (the model focuses budget on probable addresses anyway).
+// (the model focuses budget on probable addresses anyway). Value indexes
+// therefore fit the walk's one-byte choice cells.
 const maxValuesPerSegment = 64
 
 // entropySplitThreshold starts a new segment when adjacent nybble
@@ -56,10 +70,8 @@ const maxSegmentLen = 4
 
 // Build learns a model from seed addresses. It needs at least 2 seeds.
 func Build(seeds []ip6.Addr) *Model {
-	m := &Model{seeds: make(map[ip6.Addr]bool, len(seeds))}
-	for _, a := range seeds {
-		m.seeds[a] = true
-	}
+	m := &Model{seeds: ip6.NewSet(len(seeds))}
+	m.seeds.AddSlice(seeds)
 	if len(seeds) == 0 {
 		return m
 	}
@@ -133,23 +145,35 @@ func Build(seeds []ip6.Addr) *Model {
 	}
 
 	// 3. Bayesian chain: P(value_s | value_{s-1}) with Laplace smoothing.
-	m.trans = make([]map[int][]float64, len(m.Segments))
-	for si := 1; si < len(m.Segments); si++ {
-		counts := map[int][]float64{}
+	m.chain = make([][]dist, len(m.Segments))
+	for si := range m.Segments {
+		p := make([]float64, len(m.Values[si]))
+		for ci, v := range m.Values[si] {
+			p[ci] = v.P
+		}
+		marginal := newDist(p)
+		if si == 0 {
+			m.chain[0] = []dist{marginal}
+			continue
+		}
+		counts := make([][]float64, len(m.Values[si-1]))
 		for _, a := range seeds {
 			pv, ok1 := valIdx[si-1][segVal(a, m.Segments[si-1])]
 			cv, ok2 := valIdx[si][segVal(a, m.Segments[si])]
 			if !ok1 || !ok2 {
 				continue
 			}
-			row := counts[pv]
-			if row == nil {
-				row = make([]float64, len(m.Values[si]))
-				counts[pv] = row
+			if counts[pv] == nil {
+				counts[pv] = make([]float64, len(p))
 			}
-			row[cv]++
+			counts[pv][cv]++
 		}
-		for _, row := range counts {
+		m.chain[si] = make([]dist, len(counts))
+		for pv, row := range counts {
+			if row == nil {
+				m.chain[si][pv] = marginal
+				continue
+			}
 			total := 0.0
 			for i := range row {
 				row[i]++ // Laplace
@@ -158,37 +182,121 @@ func Build(seeds []ip6.Addr) *Model {
 			for i := range row {
 				row[i] /= total
 			}
+			m.chain[si][pv] = newDist(row)
 		}
-		m.trans[si] = counts
 	}
 	return m
 }
 
-// condP returns P(value cv of segment si | value pv of segment si-1),
-// falling back to the marginal when the context was never seen.
-func (m *Model) condP(si, pv, cv int) float64 {
-	if si == 0 {
-		return m.Values[0][cv].P
-	}
-	if row, ok := m.trans[si][pv]; ok {
-		return row[cv]
-	}
-	return m.Values[si][cv].P
+// node is a best-first search node, 16 bytes on the frontier heap; its
+// depth segment choices sit in slab[slot].
+type node struct {
+	logP        float64
+	slot, depth int32
 }
 
-// partial is a best-first search node: a prefix of segment choices.
-type partial struct {
-	logP    float64
-	choices []int // value index per segment, len = depth
+// prefix holds one value index per segment: a segment is at least one
+// nybble, so no model has more than 32.
+type prefix [32]uint8
+
+// walk is Generate's scratch: the frontier as a binary max-heap on logP,
+// a slab of choice prefixes and the slab's free slots. A slot is freed
+// when its node is popped or trimmed, so the slab never outgrows the
+// frontier bound (maxFrontier plus one expansion); walks are pooled, so a
+// warm Generate allocates only its result.
+//
+// Equal logP is pervasive (a Laplace-smoothed row is mostly one value),
+// so which of two ties pops first is part of the output: push, pop and
+// trim make exactly the moves of container/heap's Push, Pop and Init, and
+// the trim sorts with sort.Sort over the same Less. generateRef in
+// ref_test.go is the oracle.
+type walk struct {
+	heap []node
+	slab []prefix
+	free []int32
 }
 
-type pqueue []*partial
+var walkPool = sync.Pool{New: func() any { return new(walk) }}
 
-func (q pqueue) Len() int           { return len(q) }
-func (q pqueue) Less(i, j int) bool { return q[i].logP > q[j].logP }
-func (q pqueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pqueue) Push(x any)        { *q = append(*q, x.(*partial)) }
-func (q *pqueue) Pop() any          { old := *q; n := len(old); v := old[n-1]; *q = old[:n-1]; return v }
+func (w *walk) Len() int           { return len(w.heap) }
+func (w *walk) Less(i, j int) bool { return w.heap[i].logP > w.heap[j].logP }
+func (w *walk) Swap(i, j int)      { w.heap[i], w.heap[j] = w.heap[j], w.heap[i] }
+
+// expand pushes the children of the node (logP, p[:depth]): one per value
+// of segment depth, whose log distribution given the node's last choice
+// is row. Every model probability is positive (counts and Laplace terms
+// are at least one), so no child is skipped.
+func (w *walk) expand(logP float64, p *prefix, depth int32, row []float64) {
+	for ci, lp := range row {
+		slot := int32(len(w.slab))
+		if n := len(w.free); n > 0 {
+			slot, w.free = w.free[n-1], w.free[:n-1]
+			w.slab[slot] = *p
+		} else {
+			w.slab = append(w.slab, *p)
+		}
+		w.slab[slot][depth] = uint8(ci)
+		w.push(node{logP + lp, slot, depth + 1})
+	}
+}
+
+func (w *walk) push(n node) {
+	h := append(w.heap, n)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(n.logP > h[i].logP) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = n
+	w.heap = h
+}
+
+func (w *walk) pop() node {
+	top, last := w.heap[0], len(w.heap)-1
+	w.heap[0] = w.heap[last]
+	w.heap = w.heap[:last]
+	if last > 0 {
+		w.down(0)
+	}
+	return top
+}
+
+// down sifts heap[i] towards the leaves.
+func (w *walk) down(i int) {
+	h := w.heap
+	x := h[i]
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if j2 := j + 1; j2 < len(h) && h[j2].logP > h[j].logP {
+			j = j2
+		}
+		if !(h[j].logP > x.logP) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = x
+}
+
+// trim drops all but the keep most probable frontier nodes.
+func (w *walk) trim(keep int) {
+	sort.Sort(w) // heap order is partial; full sort then cut
+	for _, n := range w.heap[keep:] {
+		w.free = append(w.free, n.slot)
+	}
+	w.heap = w.heap[:keep]
+	for i := keep/2 - 1; i >= 0; i-- {
+		w.down(i)
+	}
+}
 
 // Generate walks the model exhaustively in probability order and returns
 // up to budget addresses, most probable first. Seed addresses are
@@ -197,48 +305,37 @@ func (m *Model) Generate(budget int) []ip6.Addr {
 	if budget <= 0 || len(m.Segments) == 0 {
 		return nil
 	}
-	var out []ip6.Addr
-	q := &pqueue{}
+	w := walkPool.Get().(*walk)
+	defer walkPool.Put(w)
+	w.heap, w.slab, w.free = w.heap[:0], w.slab[:0], w.free[:0]
+	// One allocation at the study's budgets; larger ones grow by append.
+	out := make([]ip6.Addr, 0, min(budget, 4096))
 	// Beam-bound the frontier so generation stays near-linear in budget.
 	maxFrontier := budget*8 + 1024
 
-	for ci := range m.Values[0] {
-		heap.Push(q, &partial{logP: math.Log(m.Values[0][ci].P), choices: []int{ci}})
-	}
-	for q.Len() > 0 && len(out) < budget {
-		node := heap.Pop(q).(*partial)
-		depth := len(node.choices)
-		if depth == len(m.Segments) {
-			a := m.assemble(node.choices)
-			if !m.seeds[a] {
+	var p prefix
+	w.expand(0, &p, 0, m.chain[0][0].log)
+	for len(w.heap) > 0 && len(out) < budget {
+		n := w.pop()
+		p = w.slab[n.slot]
+		w.free = append(w.free, n.slot)
+		if int(n.depth) == len(m.Segments) {
+			if a := m.assemble(&p); !m.seeds.Contains(a) {
 				out = append(out, a)
 			}
 			continue
 		}
-		prev := node.choices[depth-1]
-		for ci := range m.Values[depth] {
-			p := m.condP(depth, prev, ci)
-			if p <= 0 {
-				continue
-			}
-			child := &partial{
-				logP:    node.logP + math.Log(p),
-				choices: append(append([]int(nil), node.choices...), ci),
-			}
-			heap.Push(q, child)
-		}
+		w.expand(n.logP, &p, n.depth, m.chain[n.depth][p[n.depth-1]].log)
 		// Trim the frontier: drop the least probable half when oversized.
-		if q.Len() > maxFrontier {
-			sort.Sort(*q) // heap order is partial; full sort then cut
-			*q = (*q)[:maxFrontier/2]
-			heap.Init(q)
+		if len(w.heap) > maxFrontier {
+			w.trim(maxFrontier / 2)
 		}
 	}
 	return out
 }
 
 // assemble builds the address for a full choice vector.
-func (m *Model) assemble(choices []int) ip6.Addr {
+func (m *Model) assemble(choices *prefix) ip6.Addr {
 	var nyb [32]byte
 	for si, seg := range m.Segments {
 		v := m.Values[si][choices[si]].Bits
@@ -260,37 +357,29 @@ func (m *Model) RandomGenerate(budget int, seed int64) []ip6.Addr {
 	seen := make(map[ip6.Addr]bool, budget)
 	var out []ip6.Addr
 	attempts := 0
+	var choices prefix // every segment's cell is rewritten per attempt
 	for len(out) < budget && attempts < budget*30 {
 		attempts++
-		choices := make([]int, len(m.Segments))
 		prev := 0
-		ok := true
 		for si := range m.Segments {
 			r := float64(rng.next()>>11) / float64(1<<53)
 			acc := 0.0
 			pick := -1
-			for ci := range m.Values[si] {
-				acc += m.condP(si, prev, ci)
+			for ci, p := range m.chain[si][prev].p {
+				acc += p
 				if r < acc {
 					pick = ci
 					break
 				}
 			}
 			if pick < 0 {
-				pick = len(m.Values[si]) - 1
+				pick = len(m.Values[si]) - 1 // rounding left r above the sum
 			}
-			if pick < 0 {
-				ok = false
-				break
-			}
-			choices[si] = pick
+			choices[si] = uint8(pick)
 			prev = pick
 		}
-		if !ok {
-			continue
-		}
-		a := m.assemble(choices)
-		if m.seeds[a] || seen[a] {
+		a := m.assemble(&choices)
+		if m.seeds.Contains(a) || seen[a] {
 			continue
 		}
 		seen[a] = true

@@ -37,6 +37,10 @@ var DefaultDetRand = DetRandConfig{
 		"expanse/internal/netsim",
 		"expanse/internal/cluster",
 		"expanse/internal/entropy",
+		// The §7 generators run under the per-AS fan-out of the
+		// generation study; their output is merged in AS order.
+		"expanse/internal/eip",
+		"expanse/internal/sixgen",
 	},
 	Exempt: []string{
 		"expanse/cmd/bench",
@@ -65,6 +69,10 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/wire", Func: "ProbeBatchInto"},
 	{PkgPath: "expanse/internal/ip6", Func: "LookupInterval"},
 	{PkgPath: "expanse/internal/ip6", Func: "CompileIntervals"},
+	// The Entropy/IP best-first walk: one expand per popped frontier
+	// node, one child per mined value — the loop that used to allocate a
+	// node and a choice vector per child.
+	{PkgPath: "expanse/internal/eip", Func: "expand"},
 }
 
 // DefaultAnalyzers returns the full suite wired to the repo tables.

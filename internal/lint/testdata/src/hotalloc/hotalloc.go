@@ -1,8 +1,8 @@
 // Package hotalloc is the hotalloc fixture: the allocation regressions
 // PRs 4-7 hunted by profile — per-probe Addr.String keys, fmt in
 // responders, per-iteration scratch — written into a designated hot
-// function (the analyzer runs with ScanColumns, MergeColumns and resolve
-// of this package in its hot table), next to a cold function where the
+// function (the analyzer runs with ScanColumns, MergeColumns, resolve and
+// expand of this package in its hot table), next to a cold function where the
 // same constructs are fine and the hoisted patterns that keep hot
 // paths clean.
 package hotalloc
@@ -44,6 +44,19 @@ func resolve(trace map[string]int, lo, hi uint64, dst ip6.Addr) bool {
 		trace[dst.String()]++ // want `Addr.String in hot path resolve`
 	}
 	return dst.Hi() >= lo && dst.Hi() <= hi
+}
+
+// expand is a designated hot function: the best-first walk's per-child
+// loop as the seed wrote it, a copied choice vector per child. Writing
+// the child's cell into a slab the caller owns is the clean shape.
+func expand(frontier *[][]int, slab [][32]uint8, choices []int, values int) {
+	for ci := 0; ci < values; ci++ {
+		child := make([]int, len(choices)+1) // want `make allocates per iteration in hot path expand`
+		copy(child, choices)
+		child[len(choices)] = ci
+		*frontier = append(*frontier, child)
+		slab[ci][len(choices)] = uint8(ci)
+	}
 }
 
 // coldHelper is not in the hot table: identical constructs pass.
