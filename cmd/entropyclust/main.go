@@ -40,10 +40,7 @@ func main() {
 
 	threshold := *min
 	if threshold <= 0 {
-		threshold = int(100 * *scale)
-		if threshold < 20 {
-			threshold = 20
-		}
+		threshold = cfg.GroupMin()
 	}
 	var groups []entropy.Group
 	switch *group {

@@ -10,12 +10,10 @@ import (
 	"flag"
 	"fmt"
 
-	"expanse/internal/bgp"
 	"expanse/internal/core"
 	"expanse/internal/eip"
 	"expanse/internal/ip6"
 	"expanse/internal/sixgen"
-	"expanse/internal/stats"
 )
 
 func main() {
@@ -40,33 +38,20 @@ func main() {
 	clean := p.CleanTargets()
 	fmt.Printf("non-aliased seed addresses: %d\n", len(clean))
 
-	perAS := map[bgp.ASN][]ip6.Addr{}
-	for _, a := range clean {
-		if asn, ok := p.World.Table.Origin(a); ok {
-			perAS[asn] = append(perAS[asn], a)
-		}
-	}
-	min := int(100 * *scale)
-	if min < 20 {
-		min = 20
-	}
-
-	// AS order fixes the generated-address order and with it the sweep's
-	// probe schedule; raw map order would leak into the responsive
-	// counts below.
-	asns := stats.SortedKeys(perAS)
+	// The split is in AS order, which fixes the generated-address order
+	// and with it the sweep's probe schedule.
+	perAS := p.World.Table.SplitByAS(clean, p.Cfg.Workers)
 
 	runTool := func(name string, gen func(seeds []ip6.Addr) []ip6.Addr) {
 		seen := ip6.NewSet(1 << 16)
 		var out []ip6.Addr
 		ases := 0
-		for _, asn := range asns {
-			seeds := perAS[asn]
-			if len(seeds) < min {
+		for _, as := range perAS {
+			if len(as.Addrs) < cfg.GroupMin() {
 				continue
 			}
 			ases++
-			for _, a := range gen(seeds) {
+			for _, a := range gen(as.Addrs) {
 				if p.World.Table.IsRouted(a) && !p.Hitlist().Contains(a) && seen.Add(a) {
 					out = append(out, a)
 				}
@@ -91,11 +76,4 @@ func main() {
 			return sixgen.Generate(seeds, *budget, sixgen.Config{})
 		})
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

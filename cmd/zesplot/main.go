@@ -19,7 +19,6 @@ import (
 
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
-	"expanse/internal/netsim"
 	"expanse/internal/zesplot"
 )
 
@@ -86,14 +85,11 @@ func parse(r io.Reader) ([]zesplot.Item, error) {
 	return items, sc.Err()
 }
 
+// fromWorld plots the simulated world's routing table — the one
+// netsim.New generates from the default registry.
 func fromWorld() []zesplot.Item {
-	world := netsim.New(netsim.Config{
-		Seed:     0x16C18,
-		Registry: bgp.DefaultRegistryConfig(),
-		Scale:    0.2,
-	})
 	var items []zesplot.Item
-	for _, ann := range world.Table.Announcements() {
+	for _, ann := range bgp.Generate(bgp.DefaultRegistryConfig()).Announcements() {
 		items = append(items, zesplot.Item{Prefix: ann.Prefix, ASN: ann.Origin, Value: 1})
 	}
 	return items

@@ -5,13 +5,12 @@ package main
 
 import (
 	"fmt"
-	"sort"
 
-	"expanse/internal/bgp"
 	"expanse/internal/core"
 	"expanse/internal/eip"
 	"expanse/internal/ip6"
 	"expanse/internal/sixgen"
+	"expanse/internal/stats"
 )
 
 func main() {
@@ -24,38 +23,28 @@ func main() {
 
 	// Seeds: non-aliased addresses, split by AS (§7.1: aliased prefixes
 	// would artificially inflate response rates).
-	perAS := map[bgp.ASN][]ip6.Addr{}
-	for _, a := range p.CleanTargets() {
-		if asn, ok := p.World.Table.Origin(a); ok {
-			perAS[asn] = append(perAS[asn], a)
-		}
-	}
-	// Work on the five largest eligible ASes for a readable report.
-	type asSeeds struct {
-		asn   bgp.ASN
-		seeds []ip6.Addr
-	}
-	var list []asSeeds
-	for asn, seeds := range perAS {
-		if len(seeds) >= 50 {
-			list = append(list, asSeeds{asn, seeds})
-		}
-	}
-	sort.Slice(list, func(i, j int) bool { return len(list[i].seeds) > len(list[j].seeds) })
-	if len(list) > 5 {
-		list = list[:5]
+	perAS := p.World.Table.SplitByAS(p.CleanTargets(), p.Cfg.Workers)
+	sizes := make([]int, len(perAS))
+	for i, as := range perAS {
+		sizes[i] = len(as.Addrs)
 	}
 
 	const budget = 800
 	fmt.Printf("%-24s %7s %12s %12s %10s %10s\n", "AS", "seeds", "eip-new", "6gen-new", "eip-resp", "6gen-resp")
-	for _, e := range list {
-		model := eip.Build(e.seeds)
+	// Work on the five largest eligible ASes for a readable report
+	// (equal sizes rank by ASN, so the list never flickers between runs).
+	for _, i := range stats.TopN(sizes, 5) {
+		e := perAS[i]
+		if len(e.Addrs) < 50 {
+			break
+		}
+		model := eip.Build(e.Addrs)
 		eipGen := filterNew(p, model.Generate(budget))
-		sixGen := filterNew(p, sixgen.Generate(e.seeds, budget, sixgen.Config{}))
+		sixGen := filterNew(p, sixgen.Generate(e.Addrs, budget, sixgen.Config{}))
 		eipResp := len(p.Sweep(eipGen, day).AnyResponsive())
 		sixResp := len(p.Sweep(sixGen, day).AnyResponsive())
 		fmt.Printf("%-24s %7d %12d %12d %10d %10d\n",
-			p.World.Table.AS(e.asn).Name, len(e.seeds), len(eipGen), len(sixGen), eipResp, sixResp)
+			p.World.Table.AS(e.ASN).Name, len(e.Addrs), len(eipGen), len(sixGen), eipResp, sixResp)
 	}
 	fmt.Println("\nthe paper's lesson (§7.3): the tools find complementary sets —")
 	fmt.Println("run both and merge.")

@@ -121,16 +121,9 @@ type Detector struct {
 	ProbesSent int
 }
 
-// NewDetector builds a detector over a responder with the default worker
-// count. Protocols defaults to ICMPv6+TCP/80.
-func NewDetector(r wire.Responder, protocols ...wire.Proto) *Detector {
-	return NewDetectorWorkers(r, 0, protocols...)
-}
-
-// NewDetectorWorkers builds a detector with an explicit per-protocol
-// worker-shard count (<= 0 selects the default of 8). This is how the
-// pipeline plumbs its configured concurrency through; NewDetector exists
-// for callers that don't care.
+// NewDetectorWorkers builds a detector over a responder with an explicit
+// per-protocol worker-shard count (<= 0 selects the default of 8).
+// Protocols defaults to ICMPv6+TCP/80.
 func NewDetectorWorkers(r wire.Responder, workers int, protocols ...wire.Proto) *Detector {
 	if len(protocols) == 0 {
 		protocols = DefaultProtocols

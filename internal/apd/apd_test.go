@@ -84,7 +84,7 @@ func TestHitlistCandidates(t *testing.T) {
 	for i := uint64(0); i < 5; i++ {
 		addrs = append(addrs, sparse.NthAddr(i<<32))
 	}
-	set := ip6.NewShardSet(len(addrs))
+	set := ip6.NewShardSetWorkers(len(addrs), 0)
 	set.AddSlice(addrs)
 	cands := HitlistCandidates(set, 100)
 	byPrefix := map[ip6.Prefix]int{}
@@ -135,7 +135,7 @@ func TestDetectAliasedRegion(t *testing.T) {
 		t.Fatal("no non-aliased server")
 	}
 
-	det := NewDetector(world)
+	det := NewDetectorWorkers(world, 0)
 	masks := det.ProbeDay([]Candidate{{Prefix: region}, {Prefix: server64}}, 1)
 	if m := masks[region]; m != AllBranches {
 		t.Errorf("aliased region mask = %016b (%d branches)", m, m.Count())
@@ -163,8 +163,8 @@ func TestCrossProtocolMergingHelps(t *testing.T) {
 		t.Fatal("no rate-limited region")
 	}
 	cands := []Candidate{{Prefix: region}}
-	merged := NewDetector(world) // ICMP + TCP80
-	icmpOnly := NewDetector(world, wire.ICMPv6)
+	merged := NewDetectorWorkers(world, 0) // ICMP + TCP80
+	icmpOnly := NewDetectorWorkers(world, 0, wire.ICMPv6)
 	mergedHits, icmpHits := 0, 0
 	for day := 0; day < 8; day++ {
 		if merged.ProbeDay(cands, day)[region] == AllBranches {
@@ -186,7 +186,7 @@ func TestSlidingWindowReducesInstability(t *testing.T) {
 	for _, r := range world.AliasedRegions() {
 		cands = append(cands, Candidate{Prefix: r.Prefix})
 	}
-	det := NewDetector(world)
+	det := NewDetectorWorkers(world, 0)
 	var hist History
 	for day := 0; day < 10; day++ {
 		hist.Add(det.ProbeDay(cands, day))
@@ -361,7 +361,7 @@ func TestMurdockBaseline(t *testing.T) {
 		t.Error("probe accounting broken")
 	}
 	// Multi-level APD catches the /112 via hitlist candidates.
-	det := NewDetector(world)
+	det := NewDetectorWorkers(world, 0)
 	hlCands := HitlistCandidatesAddrs(addrs, 100)
 	masks := det.ProbeDay(hlCands, 1)
 	found := false
@@ -456,7 +456,7 @@ func TestHitlistCandidatesSetMatchesSlice(t *testing.T) {
 	for i := uint64(0); i < 300; i++ {
 		addrs = append(addrs, dense.NthAddr(i))
 	}
-	set := ip6.NewShardSet(len(addrs))
+	set := ip6.NewShardSetWorkers(len(addrs), 0)
 	set.AddSlice(addrs)
 	// The slice path must dedup like the set does to compare counts.
 	fromSlice := HitlistCandidatesAddrs(set.Sorted(), 100)
@@ -513,7 +513,7 @@ func TestDetectorWorkers(t *testing.T) {
 	if NewDetectorWorkers(world, 3).Workers() != 3 {
 		t.Error("explicit worker count not plumbed through")
 	}
-	if NewDetector(world).Workers() != 8 {
+	if NewDetectorWorkers(world, 0).Workers() != 8 {
 		t.Error("default worker count changed")
 	}
 	var cands []Candidate
@@ -548,7 +548,7 @@ func BenchmarkProbeDay(b *testing.B) {
 	for _, r := range world.AliasedRegions() {
 		cands = append(cands, Candidate{Prefix: r.Prefix})
 	}
-	det := NewDetector(world)
+	det := NewDetectorWorkers(world, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det.ProbeDay(cands, i)

@@ -1,17 +1,22 @@
 // Package bgp provides the routing substrate for the hitlist pipeline: a
-// table of announced IPv6 prefixes with origin ASes (longest-prefix match
-// backed by a radix trie), an AS registry with operator names and
-// categories, and a generator that builds a synthetic-but-realistic global
-// routing table for the simulated Internet.
+// table of announced IPv6 prefixes with origin ASes, an AS registry with
+// operator names and categories, a generator that builds a
+// synthetic-but-realistic global routing table for the simulated
+// Internet, and the attribution kernel every per-prefix and per-AS tally
+// of the analysis plane goes through.
 //
 // The paper resolves every hitlist address to its announced BGP prefix and
 // origin AS (via pyasn over RIB dumps); this package plays that role.
+// Table is build-then-read: Announce appends, and the read side is one
+// sorted announcement column plus the disjoint interval table compiled
+// from it (ip6.CompileIntervals), so a point query is a binary search and
+// a sorted address stream is a cursor walk (ip6.IntervalCursor) — the
+// same table, by reference, that the simulated world probes against.
 package bgp
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"expanse/internal/ip6"
 )
@@ -70,96 +75,6 @@ type ASInfo struct {
 type Announcement struct {
 	Prefix ip6.Prefix
 	Origin ASN
-}
-
-// Table is an IPv6 routing table: announced prefixes with origin ASes and
-// the AS registry. The zero value is an empty table ready for Announce.
-type Table struct {
-	trie ip6.Trie[ASN]
-	as   map[ASN]ASInfo
-}
-
-// NewTable returns an empty routing table.
-func NewTable() *Table {
-	return &Table{as: make(map[ASN]ASInfo)}
-}
-
-// Register adds (or replaces) an AS in the registry.
-func (t *Table) Register(info ASInfo) {
-	if t.as == nil {
-		t.as = make(map[ASN]ASInfo)
-	}
-	t.as[info.ASN] = info
-}
-
-// Announce inserts a prefix announcement. Re-announcing a prefix replaces
-// its origin.
-func (t *Table) Announce(p ip6.Prefix, origin ASN) {
-	t.trie.Insert(p, origin)
-}
-
-// Lookup returns the most specific announced prefix covering a and its
-// origin AS.
-func (t *Table) Lookup(a ip6.Addr) (ip6.Prefix, ASN, bool) {
-	return t.trie.Lookup(a)
-}
-
-// Origin returns only the origin AS for a (0, false if unrouted).
-func (t *Table) Origin(a ip6.Addr) (ASN, bool) {
-	_, asn, ok := t.trie.Lookup(a)
-	return asn, ok
-}
-
-// IsRouted reports whether any announced prefix covers a.
-func (t *Table) IsRouted(a ip6.Addr) bool {
-	return t.trie.Covers(a)
-}
-
-// AS returns registry information for an ASN. Unregistered ASNs yield a
-// placeholder with a synthesized name.
-func (t *Table) AS(asn ASN) ASInfo {
-	if info, ok := t.as[asn]; ok {
-		return info
-	}
-	return ASInfo{ASN: asn, Name: fmt.Sprintf("AS%d", asn), Kind: KindEnterprise, Country: "ZZ"}
-}
-
-// NumPrefixes returns the number of announced prefixes.
-func (t *Table) NumPrefixes() int { return t.trie.Len() }
-
-// NumASes returns the number of registered ASes.
-func (t *Table) NumASes() int { return len(t.as) }
-
-// Announcements returns every announcement ordered by address then length.
-func (t *Table) Announcements() []Announcement {
-	out := make([]Announcement, 0, t.trie.Len())
-	t.trie.Walk(func(p ip6.Prefix, asn ASN) bool {
-		out = append(out, Announcement{Prefix: p, Origin: asn})
-		return true
-	})
-	return out
-}
-
-// ASes returns all registered ASes sorted by ASN.
-func (t *Table) ASes() []ASInfo {
-	out := make([]ASInfo, 0, len(t.as))
-	for _, info := range t.as {
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
-}
-
-// PrefixesOf returns all announcements originated by asn, ordered.
-func (t *Table) PrefixesOf(asn ASN) []ip6.Prefix {
-	var out []ip6.Prefix
-	t.trie.Walk(func(p ip6.Prefix, a ASN) bool {
-		if a == asn {
-			out = append(out, p)
-		}
-		return true
-	})
-	return out
 }
 
 // RegistryConfig controls synthetic routing-table generation.
@@ -311,6 +226,7 @@ func Generate(cfg RegistryConfig) *Table {
 			t.Announce(alloc.Subprefix(length, uint64(j)), asn)
 		}
 	}
+	t.compiled()
 	return t
 }
 

@@ -37,16 +37,11 @@ type Result struct {
 // not worth fanning out.
 const assignParallelMin = 1 << 10
 
-// KMeans clusters points into k groups. Deterministic for a given seed.
-// Points must all have equal dimension. Empty input or k <= 0 yields an
-// empty result; k > len(points) is clamped.
-func KMeans(points [][]float64, k int, seed int64) Result {
-	return KMeansWorkers(points, k, seed, 1)
-}
-
-// KMeansWorkers is KMeans with the assignment step chunked over up to
-// workers goroutines. The worker count is purely a throughput knob: the
-// result is byte-identical for every value.
+// KMeansWorkers clusters points into k groups. Deterministic for a given
+// seed. Points must all have equal dimension. Empty input or k <= 0
+// yields an empty result; k > len(points) is clamped. The assignment step
+// is chunked over up to workers goroutines; the worker count is purely a
+// throughput knob: the result is byte-identical for every value.
 //
 // Ties in the assignment step keep the incumbent cluster (a point moves
 // only on strict improvement). Empty clusters are repaired by reseeding

@@ -28,7 +28,7 @@ func blobs(centers [][]float64, n int, spread float64, seed int64) [][]float64 {
 func TestKMeansSeparatesBlobs(t *testing.T) {
 	centers := [][]float64{{0, 0}, {10, 10}, {0, 10}}
 	pts := blobs(centers, 50, 0.5, 1)
-	res := KMeans(pts, 3, 7)
+	res := KMeansWorkers(pts, 3, 7, 1)
 	if res.K != 3 {
 		t.Fatalf("K = %d", res.K)
 	}
@@ -49,8 +49,8 @@ func TestKMeansSeparatesBlobs(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	pts := blobs([][]float64{{0, 0}, {5, 5}}, 100, 1, 2)
-	a := KMeans(pts, 2, 9)
-	b := KMeans(pts, 2, 9)
+	a := KMeansWorkers(pts, 2, 9, 1)
+	b := KMeansWorkers(pts, 2, 9, 1)
 	if a.SSE != b.SSE {
 		t.Error("SSE differs between identical runs")
 	}
@@ -78,20 +78,20 @@ func TestKMeansWorkersIdentical(t *testing.T) {
 }
 
 func TestKMeansEdgeCases(t *testing.T) {
-	if r := KMeans(nil, 3, 1); r.K != 0 || r.Assign != nil {
+	if r := KMeansWorkers(nil, 3, 1, 1); r.K != 0 || r.Assign != nil {
 		t.Error("empty input should give empty result")
 	}
-	if r := KMeans([][]float64{{1}}, 0, 1); r.K != 0 {
+	if r := KMeansWorkers([][]float64{{1}}, 0, 1, 1); r.K != 0 {
 		t.Error("k=0 should give empty result")
 	}
 	// k > n clamps.
-	r := KMeans([][]float64{{1}, {2}}, 10, 1)
+	r := KMeansWorkers([][]float64{{1}, {2}}, 10, 1, 1)
 	if r.K != 2 {
 		t.Errorf("K = %d, want clamp to 2", r.K)
 	}
 	// Identical points: SSE 0, single effective cluster fine.
 	same := [][]float64{{3, 3}, {3, 3}, {3, 3}}
-	r = KMeans(same, 2, 1)
+	r = KMeansWorkers(same, 2, 1, 1)
 	if r.SSE != 0 {
 		t.Errorf("identical points SSE = %v", r.SSE)
 	}
@@ -115,7 +115,7 @@ func TestKMeansEmptyClusterRepair(t *testing.T) {
 	}
 	for ci, pts := range cases {
 		for seed := int64(0); seed < 50; seed++ {
-			res := KMeans(pts, 3, seed)
+			res := KMeansWorkers(pts, 3, seed, 1)
 			if res.K != 3 {
 				t.Fatalf("case %d seed %d: K = %d", ci, seed, res.K)
 			}
@@ -149,7 +149,7 @@ func TestKMeansEmptyClusterRepair(t *testing.T) {
 	}
 	// k == n with fewer distinct values: the repair splits the duplicate
 	// pair across clusters, so every cluster owns its own point exactly.
-	res := KMeans([][]float64{{1}, {1}, {5}}, 3, 3)
+	res := KMeansWorkers([][]float64{{1}, {1}, {5}}, 3, 3, 1)
 	if res.SSE != 0 {
 		t.Errorf("k==n with duplicates: SSE = %v, want 0", res.SSE)
 	}
@@ -199,7 +199,7 @@ func TestChooseKReturnsSweepResult(t *testing.T) {
 	if res.SSE != curve[res.K-1] {
 		t.Errorf("result SSE %v != curve[%d] %v", res.SSE, res.K-1, curve[res.K-1])
 	}
-	if want := KMeans(pts, res.K, 17); !reflect.DeepEqual(res, want) {
+	if want := KMeansWorkers(pts, res.K, 17, 1); !reflect.DeepEqual(res, want) {
 		t.Error("ChooseK result differs from a fresh KMeans at the chosen k")
 	}
 }
@@ -238,7 +238,7 @@ func TestSummarize(t *testing.T) {
 	pts := blobs([][]float64{{0, 0}, {10, 10}}, 30, 0.3, 6)
 	// Make blob sizes unequal: drop 10 points of the second blob.
 	pts = pts[:50]
-	res := KMeans(pts, 2, 7)
+	res := KMeansWorkers(pts, 2, 7, 1)
 	sums := Summarize(pts, res)
 	if len(sums) != 2 {
 		t.Fatalf("summaries = %d", len(sums))
@@ -267,7 +267,7 @@ func TestSummarize(t *testing.T) {
 func TestAssignmentsNearest(t *testing.T) {
 	f := func(seed int64) bool {
 		pts := blobs([][]float64{{0, 0}, {6, 6}}, 25, 1.2, seed)
-		res := KMeans(pts, 3, seed)
+		res := KMeansWorkers(pts, 3, seed, 1)
 		for i, p := range pts {
 			a := res.Assign[i]
 			if a < 0 || a >= res.K {
@@ -291,7 +291,7 @@ func BenchmarkKMeans(b *testing.B) {
 	pts := blobs([][]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}, {5, 5}, {15, 15}}, 300, 1, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KMeans(pts, 6, 9)
+		KMeansWorkers(pts, 6, 9, 1)
 	}
 }
 
@@ -329,8 +329,8 @@ func BenchmarkLegacyElbowSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		curve := make([]float64, 20)
 		for k := 1; k <= 20; k++ {
-			curve[k-1] = KMeans(pts, k, 0x16c18).SSE
+			curve[k-1] = KMeansWorkers(pts, k, 0x16c18, 1).SSE
 		}
-		KMeans(pts, Elbow(curve), 0x16c18)
+		KMeansWorkers(pts, Elbow(curve), 0x16c18, 1)
 	}
 }

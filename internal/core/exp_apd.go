@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"expanse/internal/apd"
 	"expanse/internal/bgp"
@@ -59,46 +58,17 @@ func (l *Lab) Sec53() *Report {
 	r.addf("after removing aliased:  %d (%.1f%% remain)", len(clean), 100*float64(len(clean))/float64(len(all)))
 	r.addf("aliased addresses:       %d (%.1f%%)", len(aliased), 100*float64(len(aliased))/float64(len(all)))
 
-	asCover := func(addrs []ip6.Addr) (int, int) {
-		ases, pfx := map[bgp.ASN]bool{}, map[ip6.Prefix]bool{}
-		for _, a := range addrs {
-			if p, asn, ok := l.P.World.Table.Lookup(a); ok {
-				ases[asn] = true
-				pfx[p] = true
-			}
-		}
-		return len(ases), len(pfx)
-	}
-	asAll, pfxAll := asCover(all)
-	asClean, pfxClean := asCover(clean)
+	allT, cleanT := l.tally(ip6.Addrs(all)), l.tally(ip6.Addrs(clean))
+	asAll, pfxAll := allT.ASes(), allT.Prefixes()
+	asClean, pfxClean := cleanT.ASes(), cleanT.Prefixes()
 	r.addf("AS coverage: %d -> %d (lost %d)", asAll, asClean, asAll-asClean)
 	r.addf("prefix coverage: %d -> %d (-%.1f%%)", pfxAll, pfxClean, 100*(1-float64(pfxClean)/float64(maxInt(pfxAll, 1))))
 
 	// Where do aliased addresses live? (The paper: mostly Amazon /48s.)
-	asCount := map[bgp.ASN]int{}
-	for _, a := range aliased {
-		if asn, ok := l.P.World.Table.Origin(a); ok {
-			asCount[asn]++
-		}
-	}
 	top := ""
-	type kv struct {
-		asn bgp.ASN
-		c   int
-	}
-	var list []kv
-	for a, c := range asCount {
-		list = append(list, kv{a, c})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].c != list[j].c {
-			return list[i].c > list[j].c
-		}
-		return list[i].asn < list[j].asn // deterministic tie-break over map order
-	})
-	for i := 0; i < 3 && i < len(list); i++ {
-		top += fmt.Sprintf(" %s=%.1f%%", l.P.World.Table.AS(list[i].asn).Name,
-			100*float64(list[i].c)/float64(maxInt(len(aliased), 1)))
+	for _, e := range l.tally(ip6.Addrs(aliased)).TopAS(3) {
+		top += fmt.Sprintf(" %s=%.1f%%", l.P.World.Table.AS(e.ASN).Name,
+			100*float64(e.Count)/float64(maxInt(len(aliased), 1)))
 	}
 	r.addf("top ASes among aliased addresses:%s", top)
 
@@ -126,8 +96,8 @@ func (l *Lab) Sec53() *Report {
 func (l *Lab) Fig4() *Report {
 	l.ensureAPD()
 	r := &Report{ID: "Fig 4", Title: "Prefix and AS distribution: aliased vs non-aliased vs all"}
-	all := l.P.Hitlist().Sorted()
 	clean, aliased, _ := l.hitlistSplit()
+	allT, aliasedT, cleanT := l.tally(l.P.Hitlist().SortedSeq()), l.tally(ip6.Addrs(aliased)), l.tally(ip6.Addrs(clean))
 	points := stats.LogPoints(1000)
 	header := fmt.Sprintf("%-24s", "population")
 	for _, x := range points {
@@ -136,17 +106,17 @@ func (l *Lab) Fig4() *Report {
 	r.Lines = append(r.Lines, header)
 	for _, row := range []struct {
 		name  string
-		addrs []ip6.Addr
+		tally *bgp.Tally
 		byAS  bool
 	}{
-		{"All IPs [AS]", all, true},
-		{"All IPs [Prefix]", all, false},
-		{"Aliased IPs [AS]", aliased, true},
-		{"Aliased IPs [Prefix]", aliased, false},
-		{"Non-aliased [AS]", clean, true},
-		{"Non-aliased [Prefix]", clean, false},
+		{"All IPs [AS]", allT, true},
+		{"All IPs [Prefix]", allT, false},
+		{"Aliased IPs [AS]", aliasedT, true},
+		{"Aliased IPs [Prefix]", aliasedT, false},
+		{"Non-aliased [AS]", cleanT, true},
+		{"Non-aliased [Prefix]", cleanT, false},
 	} {
-		conc := l.concentrationOf(ip6.Addrs(row.addrs), row.byAS)
+		conc := row.tally.Concentration(row.byAS)
 		line := fmt.Sprintf("%-24s", row.name)
 		for _, f := range conc.Curve(points) {
 			line += fmt.Sprintf(" %6.3f", f)
@@ -154,27 +124,9 @@ func (l *Lab) Fig4() *Report {
 		r.Lines = append(r.Lines, line)
 	}
 	// The headline shape: aliased concentrated in very few ASes.
-	ac := l.concentrationOf(ip6.Addrs(aliased), true)
-	nc := l.concentrationOf(ip6.Addrs(clean), true)
-	r.addf("top-1 AS share: aliased %.2f vs non-aliased %.2f", ac.TopFraction(1), nc.TopFraction(1))
+	r.addf("top-1 AS share: aliased %.2f vs non-aliased %.2f",
+		aliasedT.Concentration(true).TopFraction(1), cleanT.Concentration(true).TopFraction(1))
 	return r
-}
-
-// concentrationOf builds the AS (or prefix) concentration of a
-// population, given as a slice (ip6.Addrs) or a set's cached sorted view
-// (ShardSet.SortedSeq).
-func (l *Lab) concentrationOf(addrs ip6.AddrSeq, byAS bool) *stats.Concentration {
-	asC, pfxC := map[bgp.ASN]int{}, map[ip6.Prefix]int{}
-	for i := 0; i < addrs.Len(); i++ {
-		if p, asn, ok := l.P.World.Table.Lookup(addrs.At(i)); ok {
-			asC[asn]++
-			pfxC[p]++
-		}
-	}
-	if byAS {
-		return stats.NewConcentration(asC)
-	}
-	return stats.NewConcentration(pfxC)
 }
 
 // Fig5 reproduces the APD zesplot pair: ICMP responses without APD
@@ -184,8 +136,8 @@ func (l *Lab) Fig5() *Report {
 	l.ensureAPD()
 	r := &Report{ID: "Fig 5", Title: "Responses to ICMP echo: full input vs detected aliased prefixes"}
 	icmp := l.scanFull.Responsive(wire.ICMPv6)
-	counts, _ := l.prefixCounts(ip6.Addrs(icmp))
-	r.addf("(a) prefixes with ICMP responses (no APD): %d, responses: %d", len(counts), len(icmp))
+	covered := l.tally(ip6.Addrs(icmp)).Prefixes()
+	r.addf("(a) prefixes with ICMP responses (no APD): %d, responses: %d", covered, len(icmp))
 
 	aliasedPrefixes := l.filter().AliasedPrefixes()
 	// The "hook": aliased /48s by AS.
@@ -200,7 +152,7 @@ func (l *Lab) Fig5() *Report {
 		}
 	}
 	r.addf("(b) detected aliased prefixes: %d (%.1f%% of plotted)", len(aliasedPrefixes),
-		100*float64(len(aliasedPrefixes))/float64(maxInt(len(counts), 1)))
+		100*float64(len(aliasedPrefixes))/float64(maxInt(covered, 1)))
 	amazon := by48[bgp.FindASN("Amazon")]
 	incap := by48[bgp.FindASN("Incapsula")]
 	r.addf("aliased /48s: %d total; Amazon %d (outer hook), Incapsula %d (inner hook)", n48, amazon, incap)
@@ -212,13 +164,13 @@ func (l *Lab) Fig5SVGs() (noAPD, aliased string) {
 	l.ensureScanFull()
 	l.ensureAPD()
 	icmp := l.scanFull.Responsive(wire.ICMPv6)
-	counts, _ := l.prefixCounts(ip6.Addrs(icmp))
-	items := l.allPrefixItems(counts)
+	tally := l.tally(ip6.Addrs(icmp))
+	items := l.allPrefixItems(tally)
 	noAPD = zesplot.SVG(items, zesplot.Options{Sized: false, Title: "Fig 5a: ICMP responses without APD"})
 	var alItems []zesplot.Item
 	for _, p := range l.filter().AliasedPrefixes() {
 		asn, _ := l.P.World.Table.Origin(p.Addr())
-		alItems = append(alItems, zesplot.Item{Prefix: p, ASN: asn, Value: float64(counts[p] + 1)})
+		alItems = append(alItems, zesplot.Item{Prefix: p, ASN: asn, Value: float64(tally.Of(p) + 1)})
 	}
 	aliased = zesplot.SVG(alItems, zesplot.Options{Sized: false, Title: "Fig 5b: detected aliased prefixes"})
 	return noAPD, aliased

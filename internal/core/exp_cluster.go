@@ -56,7 +56,7 @@ func clusteringReport(r *Report, groups []entropy.Group, a, workers int) (cluste
 func (l *Lab) Fig2a() *Report {
 	l.ensureCollected()
 	r := &Report{ID: "Fig 2a", Title: "Entropy clustering of /32s, full-address fingerprints F9-32"}
-	groups := entropy.ByPrefixLen(l.P.Hitlist().SortedSeq(), 32, l.groupMin(), 9, 32, l.P.Cfg.Workers)
+	groups := entropy.ByPrefixLen(l.P.Hitlist().SortedSeq(), 32, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
 	clusteringReport(r, groups, 9, l.P.Cfg.Workers)
 	return r
 }
@@ -66,7 +66,7 @@ func (l *Lab) Fig2a() *Report {
 func (l *Lab) Fig2b() *Report {
 	l.ensureCollected()
 	r := &Report{ID: "Fig 2b", Title: "Entropy clustering of /32s, IID fingerprints F17-32"}
-	groups := entropy.ByPrefixLen(l.P.Hitlist().SortedSeq(), 32, l.groupMin(), 17, 32, l.P.Cfg.Workers)
+	groups := entropy.ByPrefixLen(l.P.Hitlist().SortedSeq(), 32, l.P.Cfg.GroupMin(), 17, 32, l.P.Cfg.Workers)
 	clusteringReport(r, groups, 17, l.P.Cfg.Workers)
 	return r
 }
@@ -79,7 +79,7 @@ func (l *Lab) Fig3a() *Report {
 	l.ensureScanClean()
 	r := &Report{ID: "Fig 3a", Title: "Entropy clustering of /32s with UDP/53 responders, F9-32"}
 	dns := l.scanClean.Responsive(wire.UDP53)
-	min := l.groupMin() / 2
+	min := l.P.Cfg.GroupMin() / 2
 	if min < 10 {
 		min = 10
 	}
@@ -95,7 +95,7 @@ func (l *Lab) Fig3a() *Report {
 func (l *Lab) Fig3b() *Report {
 	l.ensureCollected()
 	r := &Report{ID: "Fig 3b", Title: "BGP prefixes colored by F9-32 cluster (unsized zesplot)"}
-	groups := entropy.ByBGPPrefix(l.P.Hitlist().SortedSeq(), l.P.World.Table, l.groupMin(), 9, 32, l.P.Cfg.Workers)
+	groups := entropy.ByBGPPrefix(l.P.Hitlist().SortedSeq(), l.P.World.Table, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
 	res, groups := clusteringReport(r, groups, 9, l.P.Cfg.Workers)
 	if res.K == 0 {
 		return r

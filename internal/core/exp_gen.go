@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"expanse/internal/bgp"
 	"expanse/internal/eip"
@@ -42,40 +41,28 @@ func (l *Lab) ensureGenStudy() {
 }
 
 // cleanTargetsByAS splits the curated hitlist — the addresses outside
-// aliased prefixes — by origin AS: the seed sets of §7.
-func (l *Lab) cleanTargetsByAS() map[bgp.ASN][]ip6.Addr {
-	perAS := map[bgp.ASN][]ip6.Addr{}
-	for _, a := range l.cleanTargets() {
-		if asn, ok := l.P.World.Table.Origin(a); ok {
-			perAS[asn] = append(perAS[asn], a)
-		}
-	}
-	return perAS
+// aliased prefixes — by origin AS, ASN ascending: the seed sets of §7.
+func (l *Lab) cleanTargetsByAS() []bgp.ASGroup {
+	return l.P.World.Table.SplitByAS(l.cleanTargets(), l.P.Cfg.Workers)
 }
 
 func (l *Lab) buildGenStudy() {
 	g := &genStudyState{}
 	l.genStudy = g
 
-	perAS := l.cleanTargetsByAS()
-	minSeeds := l.groupMin()
-	var asns []bgp.ASN
-	for _, asn := range stats.SortedKeys(perAS) {
-		if len(perAS[asn]) >= minSeeds {
-			asns = append(asns, asn)
+	// One slot per eligible AS. The seed samples share one rng and are
+	// drawn in AS order; the models are independent and fan out; the dedup
+	// below merges in AS order again, so the study is the same at any
+	// Workers.
+	type asGen struct{ seeds, eip, sixgen []ip6.Addr }
+	var gens []asGen
+	rng := newRand(0x6e6)
+	for _, as := range l.cleanTargetsByAS() {
+		if len(as.Addrs) >= l.P.Cfg.GroupMin() {
+			gens = append(gens, asGen{seeds: stats.SampleCap(as.Addrs, 100_000, rng)})
 		}
 	}
-	g.eligibleASes = len(asns)
-
-	// One slot per AS. The seed samples share one rng and are drawn in AS
-	// order; the models are independent and fan out; the dedup below
-	// merges in AS order again, so the study is the same at any Workers.
-	type asGen struct{ seeds, eip, sixgen []ip6.Addr }
-	gens := make([]asGen, len(asns))
-	rng := newRand(0x6e6)
-	for i, asn := range asns {
-		gens[i].seeds = stats.SampleCap(perAS[asn], 100_000, rng)
-	}
+	g.eligibleASes = len(gens)
 	par.Ranges(len(gens), l.P.Cfg.Workers, 1, 1, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ag := &gens[i]
@@ -150,7 +137,7 @@ func (l *Lab) Sec72() *Report {
 	l.ensureGenStudy()
 	g := l.genStudy
 	r := &Report{ID: "Sec 7.2", Title: "Learned addresses: Entropy/IP and 6Gen"}
-	r.addf("eligible ASes (>= %d non-aliased seeds): %d", l.groupMin(), g.eligibleASes)
+	r.addf("eligible ASes (>= %d non-aliased seeds): %d", l.P.Cfg.GroupMin(), g.eligibleASes)
 	r.addf("Entropy/IP new routable addresses: %d", g.newEIP)
 	r.addf("6Gen new routable addresses:       %d", g.new6Gen)
 	total := g.newEIP + g.new6Gen
@@ -177,16 +164,8 @@ func (l *Lab) Sec73() *Report {
 			g.respOverlap, len(g.overlap), 100*float64(g.respOverlap)/float64(len(g.overlap)))
 	}
 	// AS coverage of responders per tool.
-	asOf := func(addrs []ip6.Addr) int {
-		s := map[bgp.ASN]bool{}
-		for _, a := range addrs {
-			if asn, ok := l.P.World.Table.Origin(a); ok {
-				s[asn] = true
-			}
-		}
-		return len(s)
-	}
-	r.addf("responsive ASes: 6Gen %d, Entropy/IP %d", asOf(g.respAddr6Gen), asOf(g.respAddrEIP))
+	r.addf("responsive ASes: 6Gen %d, Entropy/IP %d",
+		l.tally(ip6.Addrs(g.respAddr6Gen)).ASes(), l.tally(ip6.Addrs(g.respAddrEIP)).ASes())
 	return r
 }
 
@@ -195,44 +174,23 @@ func (l *Lab) Table7() *Report {
 	l.ensureGenStudy()
 	g := l.genStudy
 	r := &Report{ID: "Table 7", Title: "Top responsive protocol combinations: 6Gen vs Entropy/IP"}
-	comboCount := func(masks []wire.RespMask) map[wire.RespMask]int {
-		m := map[wire.RespMask]int{}
-		for _, mask := range masks {
-			m[mask]++
-		}
-		return m
+	// Combination counts, indexed by mask value; combos rank by combined
+	// frequency.
+	const masks = 1 << wire.NumProtos
+	var c6, ce, all [masks]int
+	for _, m := range g.resp6Gen {
+		c6[m]++
+		all[m]++
 	}
-	c6, ce := comboCount(g.resp6Gen), comboCount(g.respEIP)
-	// Rank combos by combined frequency.
-	all := map[wire.RespMask]int{}
-	for k, v := range c6 {
-		all[k] += v
+	for _, m := range g.respEIP {
+		ce[m]++
+		all[m]++
 	}
-	for k, v := range ce {
-		all[k] += v
-	}
-	type kv struct {
-		m wire.RespMask
-		c int
-	}
-	var list []kv
-	for m, c := range all {
-		list = append(list, kv{m, c})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].c != list[j].c {
-			return list[i].c > list[j].c
-		}
-		return list[i].m < list[j].m // deterministic tie-break over map order
-	})
 	r.addf("%-40s %8s %12s", "combination", "6Gen", "Entropy/IP")
-	for i, e := range list {
-		if i >= 5 {
-			break
-		}
-		p6 := 100 * float64(c6[e.m]) / float64(maxInt(len(g.resp6Gen), 1))
-		pe := 100 * float64(ce[e.m]) / float64(maxInt(len(g.respEIP), 1))
-		r.addf("%-40s %7.1f%% %11.1f%%", e.m.String(), p6, pe)
+	for _, m := range stats.TopN(all[:], 5) {
+		p6 := 100 * float64(c6[m]) / float64(maxInt(len(g.resp6Gen), 1))
+		pe := 100 * float64(ce[m]) / float64(maxInt(len(g.respEIP), 1))
+		r.addf("%-40s %7.1f%% %11.1f%%", wire.RespMask(m).String(), p6, pe)
 	}
 	return r
 }
@@ -249,17 +207,18 @@ func (l *Lab) Fig9() *Report {
 		header += fmt.Sprintf(" %6d", x)
 	}
 	r.Lines = append(r.Lines, header)
+	sixT, eipT := l.tally(ip6.Addrs(g.respAddr6Gen)), l.tally(ip6.Addrs(g.respAddrEIP))
 	for _, row := range []struct {
 		name  string
-		addrs []ip6.Addr
+		tally *bgp.Tally
 		byAS  bool
 	}{
-		{"6Gen [AS]", g.respAddr6Gen, true},
-		{"EIP [AS]", g.respAddrEIP, true},
-		{"6Gen [Prefix]", g.respAddr6Gen, false},
-		{"EIP [Prefix]", g.respAddrEIP, false},
+		{"6Gen [AS]", sixT, true},
+		{"EIP [AS]", eipT, true},
+		{"6Gen [Prefix]", sixT, false},
+		{"EIP [Prefix]", eipT, false},
 	} {
-		conc := l.concentrationOf(ip6.Addrs(row.addrs), row.byAS)
+		conc := row.tally.Concentration(row.byAS)
 		line := fmt.Sprintf("%-18s", row.name)
 		for _, f := range conc.Curve(points) {
 			line += fmt.Sprintf(" %6.3f", f)
@@ -277,30 +236,17 @@ func (l *Lab) AblationGenerators() *Report {
 	r := &Report{ID: "Ablation", Title: "Exhaustive vs random Entropy/IP generator walk"}
 	l.ensureAPD()
 	perAS := l.cleanTargetsByAS()
-	// Use the largest few ASes for a focused comparison.
-	type kv struct {
-		asn bgp.ASN
-		n   int
-	}
-	var list []kv
-	for asn, s := range perAS {
-		list = append(list, kv{asn, len(s)})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].n != list[j].n {
-			return list[i].n > list[j].n
-		}
-		return list[i].asn < list[j].asn // deterministic tie-break over map order
-	})
-	if len(list) > 10 {
-		list = list[:10]
+	sizes := make([]int, len(perAS))
+	for i, as := range perAS {
+		sizes[i] = len(as.Addrs)
 	}
 	day := l.measureDay()
 	var exh, rnd []ip6.Addr
-	for _, e := range list {
-		m := eip.Build(perAS[e.asn])
+	// Use the largest few ASes for a focused comparison.
+	for _, i := range stats.TopN(sizes, 10) {
+		m := eip.Build(perAS[i].Addrs)
 		exh = append(exh, m.Generate(genBudgetPerAS)...)
-		rnd = append(rnd, m.RandomGenerate(genBudgetPerAS, int64(e.asn))...)
+		rnd = append(rnd, m.RandomGenerate(genBudgetPerAS, int64(perAS[i].ASN))...)
 	}
 	rate := func(targets []ip6.Addr) float64 {
 		if len(targets) == 0 {

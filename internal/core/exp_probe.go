@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"expanse/internal/ip6"
+	"expanse/internal/sources"
 	"expanse/internal/stats"
 	"expanse/internal/wire"
 	"expanse/internal/zesplot"
@@ -15,33 +17,19 @@ func (l *Lab) Fig6() *Report {
 	l.ensureScanClean()
 	r := &Report{ID: "Fig 6", Title: "ICMP-responsive addresses per BGP prefix (curated hitlist)"}
 	icmp := l.scanClean.Responsive(wire.ICMPv6)
-	counts, covered := l.prefixCounts(ip6.Addrs(icmp))
-	anns := l.P.World.Table.NumPrefixes()
-	asSet := map[uint32]bool{}
-	for _, a := range icmp {
-		if asn, ok := l.P.World.Table.Origin(a); ok {
-			asSet[uint32(asn)] = true
-		}
-	}
+	tally := l.tally(ip6.Addrs(icmp))
 	r.addf("responsive addresses (ICMP): %d", len(icmp))
 	r.addf("responsive (any protocol):   %d of %d targets", len(l.scanClean.AnyResponsive()), len(l.scanClean.Addrs))
-	r.addf("BGP prefixes with responses: %d of %d announced", covered, anns)
-	r.addf("ASes with responses:         %d", len(asSet))
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	r.addf("max responses in one prefix: %d", max)
+	r.addf("BGP prefixes with responses: %d of %d announced", tally.Prefixes(), l.P.World.Table.NumPrefixes())
+	r.addf("ASes with responses:         %d", tally.ASes())
+	r.addf("max responses in one prefix: %d", slices.Max(tally.Counts))
 	return r
 }
 
 // Fig6SVG returns the Figure 6 zesplot SVG.
 func (l *Lab) Fig6SVG() string {
 	l.ensureScanClean()
-	counts, _ := l.prefixCounts(ip6.Addrs(l.scanClean.Responsive(wire.ICMPv6)))
-	items := l.allPrefixItems(counts)
+	items := l.allPrefixItems(l.tally(ip6.Addrs(l.scanClean.Responsive(wire.ICMPv6))))
 	return zesplot.SVG(items, zesplot.Options{Sized: false, Title: "Fig 6: ICMP responses per BGP prefix"})
 }
 
@@ -121,7 +109,7 @@ func (l *Lab) buildLongitudinal() {
 		"Domainlists": "DL", "FDNS": "FDNS", "Bitnodes": "Bitnodes",
 		"RIPE Atlas": "RIPE Atlas", "Scamper": "Scamper",
 	}
-	for _, src := range l.sourceNames() {
+	for _, src := range sources.Names {
 		set := l.P.Store.PerSource(src)
 		var anyBase, quicBase []ip6.Addr
 		set.Each(func(a ip6.Addr) bool {

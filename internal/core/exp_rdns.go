@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
@@ -104,31 +103,10 @@ func (l *Lab) Table8() *Report {
 	st := l.rdnsStudy
 	r := &Report{ID: "Table 8", Title: "Top 5 rDNS ASes: input, ICMP responders, TCP/80 responders"}
 	top5 := func(addrs []ip6.Addr) []string {
-		counts := map[bgp.ASN]int{}
-		for _, a := range addrs {
-			if asn, ok := l.P.World.Table.Origin(a); ok {
-				counts[asn]++
-			}
-		}
-		type kv struct {
-			asn bgp.ASN
-			c   int
-		}
-		var list []kv
-		for a, c := range counts {
-			list = append(list, kv{a, c})
-		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].c != list[j].c {
-				return list[i].c > list[j].c
-			}
-			return list[i].asn < list[j].asn
-		})
 		var out []string
-		for i := 0; i < 5 && i < len(list); i++ {
+		for _, e := range l.tally(ip6.Addrs(addrs)).TopAS(5) {
 			out = append(out, fmt.Sprintf("%s %.1f%%",
-				l.P.World.Table.AS(list[i].asn).Name,
-				100*float64(list[i].c)/float64(maxInt(len(addrs), 1))))
+				l.P.World.Table.AS(e.ASN).Name, 100*float64(e.Count)/float64(maxInt(len(addrs), 1))))
 		}
 		return out
 	}
@@ -158,11 +136,11 @@ func (l *Lab) Fig10() *Report {
 		header += fmt.Sprintf(" %6d", x)
 	}
 	r.Lines = append(r.Lines, header)
-	hitlist := l.P.Hitlist().SortedSeq()
-	walked := ip6.Addrs(l.rdnsStudy.walked)
+	hitlist := l.tally(l.P.Hitlist().SortedSeq())
+	walked := l.tally(ip6.Addrs(l.rdnsStudy.walked))
 	for _, row := range []struct {
 		name  string
-		addrs ip6.AddrSeq
+		tally *bgp.Tally
 		byAS  bool
 	}{
 		{"Hitlist [Prefix]", hitlist, false},
@@ -170,7 +148,7 @@ func (l *Lab) Fig10() *Report {
 		{"rDNS [Prefix]", walked, false},
 		{"rDNS [AS]", walked, true},
 	} {
-		conc := l.concentrationOf(row.addrs, row.byAS)
+		conc := row.tally.Concentration(row.byAS)
 		line := fmt.Sprintf("%-18s", row.name)
 		for _, f := range conc.Curve(points) {
 			line += fmt.Sprintf(" %6.3f", f)

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
+	"expanse/internal/sources"
 	"expanse/internal/stats"
 	"expanse/internal/zesplot"
 )
@@ -47,7 +49,7 @@ func (l *Lab) Fig1a() *Report {
 	l.ensureCollected()
 	r := &Report{ID: "Fig 1a", Title: "Cumulative runup of IPv6 addresses per source"}
 	runup := l.P.Store.Runup()
-	names := l.sourceNames()
+	names := sources.Names
 	r.Lines = append(r.Lines, fmt.Sprintf("%-6s%s %12s", "day", joinPadded(names, 12), "total"))
 	for _, pt := range runup {
 		line := fmt.Sprintf("%-6d", pt.Day)
@@ -75,8 +77,8 @@ func (l *Lab) Fig1b() *Report {
 		header += fmt.Sprintf(" %6d", x)
 	}
 	r.Lines = append(r.Lines, header)
-	for _, name := range l.sourceNames() {
-		conc := l.sourceConcentration(name, true)
+	for _, name := range sources.Names {
+		conc := l.P.World.Table.Tally(l.P.Cfg.Workers, l.P.Store.PerSource(name).ShardSeqs()...).Concentration(true)
 		line := fmt.Sprintf("%-12s", name)
 		for _, f := range conc.Curve(points) {
 			line += fmt.Sprintf(" %6.3f", f)
@@ -92,76 +94,41 @@ func (l *Lab) Fig1b() *Report {
 func (l *Lab) Fig1c() *Report {
 	l.ensureCollected()
 	r := &Report{ID: "Fig 1c", Title: "Hitlist addresses mapped to BGP prefixes (zesplot)"}
-	counts, covered := l.prefixCounts(l.P.Hitlist().SortedSeq())
-	items := l.allPrefixItems(counts)
+	tally := l.tally(l.P.Hitlist().SortedSeq())
+	items := l.allPrefixItems(tally)
 	rects := zesplot.Layout(items, zesplot.Options{Sized: true})
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
+	covered := tally.Prefixes()
 	r.addf("announced prefixes plotted: %d", len(rects))
 	r.addf("prefixes with hitlist addresses: %d (%.1f%%)", covered, 100*float64(covered)/float64(maxInt(len(items), 1)))
-	r.addf("max addresses in one prefix: %d", max)
+	r.addf("max addresses in one prefix: %d", slices.Max(tally.Counts))
 	return r
 }
 
 // Fig1cSVG returns the actual SVG document for Figure 1c.
 func (l *Lab) Fig1cSVG() string {
 	l.ensureCollected()
-	counts, _ := l.prefixCounts(l.P.Hitlist().SortedSeq())
-	items := l.allPrefixItems(counts)
+	items := l.allPrefixItems(l.tally(l.P.Hitlist().SortedSeq()))
 	return zesplot.SVG(items, zesplot.Options{Sized: true, Title: "Fig 1c: hitlist addresses per BGP prefix"})
 }
 
-// prefixCounts maps addresses onto their announced prefixes. Reports
-// pass either a plain slice (ip6.Addrs) or a set's cached sorted view
-// (ShardSet.SortedSeq) — the latter costs no per-report address copy.
-func (l *Lab) prefixCounts(addrs ip6.AddrSeq) (map[ip6.Prefix]int, int) {
-	counts := map[ip6.Prefix]int{}
-	for i := 0; i < addrs.Len(); i++ {
-		if p, _, ok := l.P.World.Table.Lookup(addrs.At(i)); ok {
-			counts[p]++
-		}
-	}
-	return counts, len(counts)
+// tally attributes addresses to their announced prefixes and origin ASes
+// (bgp.Table.Tally) — the one path behind every per-prefix and per-AS
+// figure. Reports pass a plain slice (ip6.Addrs) or a set's cached sorted
+// view (ShardSet.SortedSeq); all but the rDNS walk are address-sorted, so
+// the attribution is a cursor walk.
+func (l *Lab) tally(addrs ip6.AddrSeq) *bgp.Tally {
+	return l.P.World.Table.Tally(l.P.Cfg.Workers, addrs)
 }
 
-// allPrefixItems builds zesplot items for every announced prefix with
-// the given counts (zero-count prefixes render white).
-func (l *Lab) allPrefixItems(counts map[ip6.Prefix]int) []zesplot.Item {
+// allPrefixItems builds zesplot items for every announced prefix, valued
+// by the tally (zero-count prefixes render white).
+func (l *Lab) allPrefixItems(tally *bgp.Tally) []zesplot.Item {
 	anns := l.P.World.Table.Announcements()
-	items := make([]zesplot.Item, 0, len(anns))
-	for _, ann := range anns {
-		items = append(items, zesplot.Item{
-			Prefix: ann.Prefix, ASN: ann.Origin, Value: float64(counts[ann.Prefix]),
-		})
+	items := make([]zesplot.Item, len(anns))
+	for id, ann := range anns {
+		items[id] = zesplot.Item{Prefix: ann.Prefix, ASN: ann.Origin, Value: float64(tally.Counts[id])}
 	}
 	return items
-}
-
-func (l *Lab) sourceNames() []string {
-	return []string{"Domainlists", "FDNS", "CT", "AXFR", "Bitnodes", "RIPE Atlas", "Scamper"}
-}
-
-// sourceConcentration builds the AS (or prefix) concentration of one
-// source's accumulated addresses.
-func (l *Lab) sourceConcentration(name string, byAS bool) *stats.Concentration {
-	set := l.P.Store.PerSource(name)
-	asCounts := map[bgp.ASN]int{}
-	pfxCounts := map[ip6.Prefix]int{}
-	set.Each(func(a ip6.Addr) bool {
-		if p, asn, ok := l.P.World.Table.Lookup(a); ok {
-			asCounts[asn]++
-			pfxCounts[p]++
-		}
-		return true
-	})
-	if byAS {
-		return stats.NewConcentration(asCounts)
-	}
-	return stats.NewConcentration(pfxCounts)
 }
 
 func maxInt(a, b int) int {

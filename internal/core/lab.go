@@ -173,13 +173,3 @@ func (s *Scan) maskIndex() map[ip6.Addr]wire.RespMask {
 	}
 	return m
 }
-
-// groupMin adapts the paper's ≥100-address group threshold to the
-// simulation scale so the clustering experiments keep enough groups.
-func (l *Lab) groupMin() int {
-	min := int(100 * l.P.Cfg.Sim.Scale)
-	if min < 20 {
-		min = 20
-	}
-	return min
-}

@@ -65,6 +65,11 @@ type Config struct {
 	SnapshotDir string
 }
 
+// GroupMin adapts the paper's ≥100-address group threshold (entropy
+// clustering groups, §7's per-AS seed sets) to the simulation scale so
+// the experiments keep enough groups.
+func (c Config) GroupMin() int { return max(20, int(100*c.Sim.Scale)) }
+
 // DefaultConfig returns the paper-faithful configuration at default
 // simulation scale.
 func DefaultConfig() Config {

@@ -9,14 +9,13 @@
 // view (ip6.AddrSeq) instead of a materialized []Addr: in a sorted view
 // every fixed-length-prefix group is a contiguous run, so ByPrefixLen is
 // a boundary scan over zero-copy views rather than a map-bucketing pass.
-// BGP/AS grouping batches table lookups over worker chunks, and per-group
-// fingerprint counting fans out over worker shards; every result is
-// byte-identical for every worker count (nybble counts are integers, and
-// chunk merges always happen in input order).
+// BGP/AS grouping buckets the routing table's announcement-ID column
+// (bgp.Table.Resolve, Buckets), and per-group fingerprint counting fans
+// out over worker shards; every result is byte-identical for every worker
+// count (nybble counts are integers merged position-wise).
 package entropy
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -156,149 +155,50 @@ func ByPrefixLen(sorted ip6.AddrSeq, bits, min, a, b, workers int) []Group {
 	return out
 }
 
-// pfxBucket accumulates one BGP prefix group during the parallel
-// lookup+bucket stage.
-type pfxBucket struct {
-	asn bgp.ASN
-	idx []int32
-}
-
 // ByBGPPrefix groups addresses by their announced prefix. Unrouted
-// addresses are skipped. Lookups run batched over worker chunks (the
-// routing trie is immutable, so lookups are safe to fan out); chunk
-// buckets are merged in input order, so group membership, sizes and
-// fingerprints are identical for every worker count.
+// addresses are skipped. Attribution is the routing table's kernel
+// (bgp.Table.Resolve into per-announcement position buckets), so group
+// membership, sizes and fingerprints are identical for every worker
+// count.
 func ByBGPPrefix(addrs ip6.AddrSeq, table *bgp.Table, min, a, b, workers int) []Group {
-	if min <= 0 {
-		min = MinGroupSize
-	}
-	chunks := lookupChunks(addrs, workers, func(addr ip6.Addr) (ip6.Prefix, bgp.ASN, bool) {
-		return table.Lookup(addr)
-	})
-	// Merge chunk-major: chunks partition the input in order, so per-prefix
-	// index lists follow input order and the first-seen key order is the
-	// global first-occurrence order, independent of the worker count.
-	buckets := make(map[ip6.Prefix]*pfxBucket)
-	order := make([]ip6.Prefix, 0, 64)
-	for _, ch := range chunks {
-		for _, p := range ch.order {
-			e := ch.m[p]
-			g, ok := buckets[p]
-			if !ok {
-				g = &pfxBucket{asn: e.asn}
-				buckets[p] = g
-				order = append(order, p)
-			}
-			g.idx = append(g.idx, e.idx...)
-		}
-	}
-	var kept []ip6.Prefix
-	for _, p := range order {
-		if len(buckets[p].idx) >= min {
-			kept = append(kept, p)
-		}
-	}
-	out := make([]Group, len(kept))
-	fingerprintEach(len(kept), workers, func(i, w int) {
-		p := kept[i]
-		g := buckets[p]
-		out[i] = Group{
-			Key:    p.String(),
-			Prefix: p,
-			ASN:    g.asn,
-			Size:   len(g.idx),
-			FP:     FingerprintSeq(idxSeq{seq: addrs, idx: g.idx}, a, b, w),
-		}
-	})
-	sortGroups(out)
-	return out
+	anns := table.Announcements()
+	return byBuckets(addrs, table.Buckets(table.Resolve(addrs, workers), false), min, a, b, workers,
+		func(id int) Group {
+			return Group{Key: anns[id].Prefix.String(), Prefix: anns[id].Prefix, ASN: anns[id].Origin}
+		})
 }
 
 // ByAS groups addresses by origin AS. Unrouted addresses are skipped.
-// Like ByBGPPrefix, origin lookups are batched over worker chunks with an
-// input-order merge.
 func ByAS(addrs ip6.AddrSeq, table *bgp.Table, min, a, b, workers int) []Group {
+	origins := table.Origins()
+	return byBuckets(addrs, table.Buckets(table.Resolve(addrs, workers), true), min, a, b, workers,
+		func(k int) Group {
+			return Group{Key: "AS" + itoa(uint64(origins[k])), ASN: origins[k]}
+		})
+}
+
+// byBuckets fingerprints every position bucket holding at least min
+// addresses; label names bucket k's group.
+func byBuckets(addrs ip6.AddrSeq, buckets [][]int32, min, a, b, workers int, label func(k int) Group) []Group {
 	if min <= 0 {
 		min = MinGroupSize
 	}
-	chunks := lookupChunks(addrs, workers, func(addr ip6.Addr) (bgp.ASN, bgp.ASN, bool) {
-		asn, ok := table.Origin(addr)
-		return asn, asn, ok
-	})
-	byAS := make(map[bgp.ASN][]int32)
-	var order []bgp.ASN
-	for _, ch := range chunks {
-		for _, asn := range ch.order {
-			if _, ok := byAS[asn]; !ok {
-				order = append(order, asn)
-			}
-			byAS[asn] = append(byAS[asn], ch.m[asn].idx...)
-		}
-	}
-	var kept []bgp.ASN
-	for _, asn := range order {
-		if len(byAS[asn]) >= min {
-			kept = append(kept, asn)
+	var kept []int
+	for k, idx := range buckets {
+		if len(idx) >= min {
+			kept = append(kept, k)
 		}
 	}
 	out := make([]Group, len(kept))
 	fingerprintEach(len(kept), workers, func(i, w int) {
-		asn := kept[i]
-		idx := byAS[asn]
-		out[i] = Group{
-			Key:  "AS" + itoa(uint64(asn)),
-			ASN:  asn,
-			Size: len(idx),
-			FP:   FingerprintSeq(idxSeq{seq: addrs, idx: idx}, a, b, w),
-		}
+		g := label(kept[i])
+		idx := buckets[kept[i]]
+		g.Size = len(idx)
+		g.FP = FingerprintSeq(idxSeq{seq: addrs, idx: idx}, a, b, w)
+		out[i] = g
 	})
 	sortGroups(out)
 	return out
-}
-
-// lookupChunk is one worker's bucketed lookup results: per-key entries
-// plus first-seen key order, so the merge can stay deterministic.
-type lookupChunk[K comparable] struct {
-	m     map[K]*chunkEntry
-	order []K
-}
-
-type chunkEntry struct {
-	asn bgp.ASN
-	idx []int32
-}
-
-// lookupChunks splits addrs into up to workers contiguous chunks and runs
-// the lookup over each concurrently, bucketing hit indices by key (the
-// announced prefix or the origin ASN). The routing trie is immutable
-// after construction, so concurrent lookups are safe. Bucketed indices
-// are int32 — the same compactness trade the data plane's batch insert
-// makes — so a view beyond 2^31 addresses (a >32 GB materialized slice)
-// fails loudly instead of silently truncating.
-func lookupChunks[K comparable](addrs ip6.AddrSeq, workers int, lookup func(ip6.Addr) (K, bgp.ASN, bool)) []lookupChunk[K] {
-	n := addrs.Len()
-	if n > math.MaxInt32 {
-		panic("entropy: address view exceeds int32 index space")
-	}
-	chunks := make([]lookupChunk[K], max(workers, 1))
-	par.Ranges(n, workers, 256, 1, func(c, lo, hi int) {
-		ch := lookupChunk[K]{m: make(map[K]*chunkEntry)}
-		for i := lo; i < hi; i++ {
-			key, asn, ok := lookup(addrs.At(i))
-			if !ok {
-				continue
-			}
-			e, ok := ch.m[key]
-			if !ok {
-				e = &chunkEntry{asn: asn}
-				ch.m[key] = e
-				ch.order = append(ch.order, key)
-			}
-			e.idx = append(e.idx, int32(i))
-		}
-		chunks[c] = ch
-	})
-	return chunks
 }
 
 // idxSeq is a zero-copy view of a subset of a sequence selected by index.

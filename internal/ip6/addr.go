@@ -1,8 +1,9 @@
 // Package ip6 provides the IPv6 address machinery that the rest of the
 // library builds on: a compact 128-bit address type, RFC 4291 parsing and
 // RFC 5952 canonical formatting, nybble-level access (the unit of analysis
-// for entropy fingerprints and aliased prefix detection), prefixes, and a
-// longest-prefix-match radix trie.
+// for entropy fingerprints and aliased prefix detection), prefixes, the
+// interval-compiled longest-prefix-match tables every resolver reads, and
+// the radix trie their tests are pinned against.
 //
 // The package is self-contained and deliberately does not depend on
 // net/netip so that nybble arithmetic, prefix fan-out, and address

@@ -12,7 +12,7 @@ import (
 func TestShardSetCompactMembership(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pool := randAddrs(4000, 17)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	ref := refSet{}
 	for _, a := range pool[:3000] {
 		s.Add(a)
@@ -73,7 +73,7 @@ func TestShardSetCompactMembership(t *testing.T) {
 // re-compacted.
 func TestShardSetCompactBatch(t *testing.T) {
 	pool := randAddrs(6000, 23)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	ref := refSet{}
 	s.AddSlice(pool[:4000])
 	for _, a := range pool[:4000] {
@@ -113,7 +113,7 @@ func TestShardSetCompactBatch(t *testing.T) {
 // compaction reuses the same cached sorted view (no copy).
 func TestShardSetCompactFreeze(t *testing.T) {
 	pool := randAddrs(3000, 29)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(pool)
 	fv := s.Freeze()
 	s.Compact()
@@ -131,7 +131,7 @@ func TestShardSetCompactFreeze(t *testing.T) {
 // drop the map component to zero and leave columns and the sorted view
 // in place.
 func TestShardSetMemBytes(t *testing.T) {
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(randAddrs(10000, 31))
 	s.Sorted()
 	total, maps, cols, sorted := s.MemBytes()
@@ -161,7 +161,7 @@ func TestShardSetMemBytes(t *testing.T) {
 func TestShardSetCompactCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pool := randAddrs(5000, 37)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	ref := refSet{}
 	for _, a := range pool[:3500] {
 		s.Add(a)

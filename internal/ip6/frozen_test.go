@@ -9,7 +9,7 @@ import "testing"
 // a handed-out one).
 func TestFrozenViewPinsSortedEpoch(t *testing.T) {
 	pool := randAddrs(3000, 5)
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(pool[:2000])
 	fv := s.Freeze()
 	want := append([]Addr(nil), s.Sorted()...)

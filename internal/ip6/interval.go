@@ -23,9 +23,10 @@ type Interval[V any] struct {
 // The prefixes must be unique and in CompareNested (address, length)
 // order, in which a prefix precedes everything it contains and nesting
 // is stack-shaped (prefixes are nested or disjoint, never partially
-// overlapping). Both callers already hold that order (the alias plane's
-// verdict column, netsim's dedupeByPrefix); the sweep checks it as it
-// goes and panics on a violation, which only a caller bug can produce.
+// overlapping). Every caller already holds that order (the alias plane's
+// verdict column, bgp.Table's announcement column, netsim's
+// dedupeByPrefix); the sweep checks it as it goes and panics on a
+// violation, which only a caller bug can produce.
 // Each prefix appears as at most O(len) rows (its range minus the ranges
 // of its more-specifics), so the table has at most O(n·128) rows and in
 // practice close to n.
@@ -101,4 +102,56 @@ func LookupInterval[V any](tab []Interval[V], a Addr) (val V, ok bool) {
 		return tab[i].Val, true
 	}
 	return val, false
+}
+
+// IntervalCursor is a cursor over a sorted disjoint interval table
+// (CompileIntervals output) that caches the run containing the last query
+// — the interval it hit, or the gap between intervals it missed into.
+// Queries inside the cached run are two address compares; only a run
+// change pays the binary search. This is what makes batched resolution
+// cheap: sorted addresses advance through runs monotonically, and an
+// unsorted stream degrades to LookupInterval's one search per address.
+// A fresh cursor's first Lookup is one binary search, the point query.
+// A cursor is single-goroutine state; concurrent walkers each take their
+// own over the shared read-only table.
+type IntervalCursor[V any] struct {
+	tab    []Interval[V]
+	lo, hi Addr // cached run bounds (inclusive)
+	val    V
+	hit    bool // cached run is an interval (else a gap)
+	valid  bool
+}
+
+// NewIntervalCursor returns a fresh cursor over tab.
+func NewIntervalCursor[V any](tab []Interval[V]) IntervalCursor[V] {
+	return IntervalCursor[V]{tab: tab}
+}
+
+// Lookup returns the value of the interval containing a, or ok=false if a
+// falls between intervals.
+func (c *IntervalCursor[V]) Lookup(a Addr) (V, bool) {
+	if c.valid && !a.Less(c.lo) && a.Compare(c.hi) <= 0 {
+		return c.val, c.hit
+	}
+	var zero V
+	c.val, c.hit, c.valid = zero, false, true
+	i := sort.Search(len(c.tab), func(k int) bool { return a.Compare(c.tab[k].Hi) <= 0 })
+	if i < len(c.tab) && !a.Less(c.tab[i].Lo) {
+		c.lo, c.hi = c.tab[i].Lo, c.tab[i].Hi
+		c.val, c.hit = c.tab[i].Val, true
+		return c.val, true
+	}
+	// A gap: from past the previous interval (or the space's bottom) to
+	// before the next (or the space's top).
+	if i > 0 {
+		c.lo = c.tab[i-1].Hi.Next()
+	} else {
+		c.lo = Addr{}
+	}
+	if i < len(c.tab) {
+		c.hi = c.tab[i].Lo.Prev()
+	} else {
+		c.hi = MaxAddr()
+	}
+	return zero, false
 }

@@ -68,12 +68,9 @@ type shard struct {
 	sortedN int
 }
 
-// NewShardSet returns a set preallocated for about n addresses, using all
-// available CPUs for batch operations.
-func NewShardSet(n int) *ShardSet { return NewShardSetWorkers(n, 0) }
-
-// NewShardSetWorkers returns a set with an explicit parallelism cap for
-// batch operations (<= 0 selects GOMAXPROCS). The worker count is purely
+// NewShardSetWorkers returns a set preallocated for about n addresses
+// with an explicit parallelism cap for batch operations (<= 0 selects
+// GOMAXPROCS). The worker count is purely
 // a throughput knob: every observable result is identical for every
 // value.
 func NewShardSetWorkers(n, workers int) *ShardSet {
@@ -335,11 +332,11 @@ func (s *ShardSet) shardView(i int) ShardCols {
 	return v
 }
 
-// ShardSeqs returns point-in-time columnar views of all shards, the unit
-// of work for shard-parallel consumers (Store.Stats attribution, APD
-// candidate bucketing).
-func (s *ShardSet) ShardSeqs() []ShardCols {
-	out := make([]ShardCols, NumShards)
+// ShardSeqs returns point-in-time columnar views of all shards (each a
+// ShardCols), the unit of work for consumers that take the set shard by
+// shard as address sequences — Store.Stats' attribution tally.
+func (s *ShardSet) ShardSeqs() []AddrSeq {
+	out := make([]AddrSeq, NumShards)
 	for i := range out {
 		out[i] = s.shardView(i)
 	}

@@ -47,7 +47,7 @@ func addrsEqual(a, b []Addr) bool {
 // Contains, Sorted) and requires identical observable state throughout.
 func TestShardSetVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	ref := refSet{}
 	pool := randAddrs(2000, 11)
 	for step := 0; step < 200; step++ {
@@ -134,7 +134,7 @@ func TestShardSetAcrossWorkers(t *testing.T) {
 // interleaved write invalidates it and the next Sorted reflects the new
 // contents.
 func TestShardSetSortedInvalidation(t *testing.T) {
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(randAddrs(300, 9))
 	v1 := s.Sorted()
 	v2 := s.Sorted()
@@ -193,7 +193,7 @@ func TestShardSetSortedInvalidation(t *testing.T) {
 }
 
 func TestShardSetSortedSeq(t *testing.T) {
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(randAddrs(500, 6))
 	seq, sorted := s.SortedSeq(), s.Sorted()
 	if seq.Len() != s.Len() || seq.Len() != len(sorted) {
@@ -210,7 +210,7 @@ func TestShardSetSortedSeq(t *testing.T) {
 // under -race: batch writers, point writers, membership readers, Each
 // walkers and Sorted rebuilders all at once.
 func TestShardSetConcurrentReadersAndWriters(t *testing.T) {
-	s := NewShardSet(0)
+	s := NewShardSetWorkers(0, 0)
 	pool := randAddrs(4000, 8)
 	s.AddSlice(pool[:1000])
 	var wg sync.WaitGroup
@@ -359,7 +359,7 @@ func BenchmarkHitlistSorted(b *testing.B) {
 		})
 	}
 	b.Run("warm-invalidate", func(b *testing.B) {
-		s := NewShardSet(n)
+		s := NewShardSetWorkers(n, 0)
 		s.AddSlice(addrs)
 		s.Sorted()
 		x := uint64(1)
@@ -371,7 +371,7 @@ func BenchmarkHitlistSorted(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		s := NewShardSet(n)
+		s := NewShardSetWorkers(n, 0)
 		s.AddSlice(addrs)
 		s.Sorted()
 		b.ResetTimer()

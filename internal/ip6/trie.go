@@ -4,11 +4,12 @@ package ip6
 // It supports exact insertion, longest-prefix-match lookup, and ordered
 // walking. The zero value is an empty trie ready to use.
 //
-// The trie is the substrate of the BGP routing table (bgp.Table's
-// longest-prefix match) and of the test oracles the compiled forms are
-// pinned against. The per-address hot paths — the aliased-prefix filter,
-// the simulated world's resolver — read interval tables compiled from
-// sorted prefixes instead (CompileIntervals), never a trie walk.
+// No production code imports the trie: every longest-prefix match — the
+// BGP routing table, the aliased-prefix filter, the simulated world's
+// resolver — reads an interval table compiled from sorted prefixes
+// (CompileIntervals). The trie stays as the independent oracle those
+// compiled forms are pinned against in the bgp, apd, netsim and ip6
+// tests, with exactly the operations the oracles call.
 type Trie[V any] struct {
 	root *trieNode[V]
 	size int
@@ -41,24 +42,6 @@ func (t *Trie[V]) Insert(p Prefix, val V) {
 	}
 	n.val = val
 	n.set = true
-}
-
-// Remove deletes the value stored at exactly p, reporting whether a value
-// was present. Interior nodes are not pruned; for the sizes used here
-// (tens of thousands of prefixes, built once per day) this is fine.
-func (t *Trie[V]) Remove(p Prefix) bool {
-	n := t.root
-	for i := 0; n != nil && i < p.Bits(); i++ {
-		n = n.child[p.Addr().Bit(i)]
-	}
-	if n == nil || !n.set {
-		return false
-	}
-	n.set = false
-	var zero V
-	n.val = zero
-	t.size--
-	return true
 }
 
 // Get returns the value stored at exactly p.
@@ -100,7 +83,8 @@ func (t *Trie[V]) Lookup(a Addr) (p Prefix, val V, ok bool) {
 }
 
 // LookupShortest returns the value of the LEAST specific stored prefix
-// containing a. APD uses this to find the enclosing BGP announcement.
+// containing a — the subscriber-pool resolution of netsim's probeRef
+// oracle.
 func (t *Trie[V]) LookupShortest(a Addr) (p Prefix, val V, ok bool) {
 	n := t.root
 	depth := 0
@@ -116,12 +100,6 @@ func (t *Trie[V]) LookupShortest(a Addr) (p Prefix, val V, ok bool) {
 	}
 	var zero V
 	return Prefix{}, zero, false
-}
-
-// Covers reports whether any stored prefix contains a.
-func (t *Trie[V]) Covers(a Addr) bool {
-	_, _, ok := t.Lookup(a)
-	return ok
 }
 
 // Walk visits every stored prefix in address order (depth-first, zero
@@ -153,14 +131,4 @@ func setBit(a Addr, i int) Addr {
 		a.lo |= 1 << (127 - i)
 	}
 	return a
-}
-
-// Prefixes returns all stored prefixes in address order.
-func (t *Trie[V]) Prefixes() []Prefix {
-	out := make([]Prefix, 0, t.size)
-	t.Walk(func(p Prefix, _ V) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
 }

@@ -47,7 +47,7 @@ func TestTrieLookupShortest(t *testing.T) {
 	}
 }
 
-func TestTrieGetRemove(t *testing.T) {
+func TestTrieGet(t *testing.T) {
 	var tr Trie[int]
 	p := MustParsePrefix("2001:db8::/32")
 	tr.Insert(p, 7)
@@ -56,15 +56,6 @@ func TestTrieGetRemove(t *testing.T) {
 	}
 	if _, ok := tr.Get(MustParsePrefix("2001:db8::/48")); ok {
 		t.Error("Get of unstored more-specific must miss")
-	}
-	if !tr.Remove(p) || tr.Len() != 0 {
-		t.Error("Remove failed")
-	}
-	if tr.Remove(p) {
-		t.Error("double Remove should report false")
-	}
-	if tr.Covers(MustParseAddr("2001:db8::1")) {
-		t.Error("Covers after Remove")
 	}
 }
 
@@ -178,18 +169,6 @@ func TestTrieMatchesLinearScan(t *testing.T) {
 					trial, a, v, p.Bits(), bestVal, bestLen)
 			}
 		}
-	}
-}
-
-func TestTriePrefixes(t *testing.T) {
-	var tr Trie[struct{}]
-	in := []string{"2001:db8::/32", "2001:db8:1::/48", "fe80::/10"}
-	for _, s := range in {
-		tr.Insert(MustParsePrefix(s), struct{}{})
-	}
-	got := tr.Prefixes()
-	if len(got) != len(in) {
-		t.Fatalf("Prefixes() returned %d", len(got))
 	}
 }
 

@@ -58,8 +58,8 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/netsim", Func: "emit"},
 	// The columnar world plane's resolution primitives: resolve, the one
 	// per-probe owner decision behind both Probe and ProbeBatch, the
-	// sorted-column binary searches and its run cursors (hostRun.lookup
-	// and ivalRun.lookup both match "lookup" — both are per-probe hot).
+	// sorted-column binary searches and its host-column run cursor
+	// (hostRun.lookup; the interval cursor is ip6's, below).
 	{PkgPath: "expanse/internal/netsim", Func: "resolve"},
 	{PkgPath: "expanse/internal/netsim", Func: "find"},
 	{PkgPath: "expanse/internal/netsim", Func: "search"},
@@ -69,6 +69,13 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/wire", Func: "ProbeBatchInto"},
 	{PkgPath: "expanse/internal/ip6", Func: "LookupInterval"},
 	{PkgPath: "expanse/internal/ip6", Func: "CompileIntervals"},
+	// The one interval cursor (IntervalCursor.Lookup): per-probe in the
+	// world's resolve, per-address in the routing table's attribution.
+	{PkgPath: "expanse/internal/ip6", Func: "Lookup"},
+	// The routing table's point query and the attribution kernel's
+	// per-address walk, behind every per-prefix and per-AS report tally.
+	{PkgPath: "expanse/internal/bgp", Func: "Lookup"},
+	{PkgPath: "expanse/internal/bgp", Func: "Resolve"},
 	// The Entropy/IP best-first walk: one expand per popped frontier
 	// node, one child per mined value — the loop that used to allocate a
 	// node and a choice vector per child.

@@ -31,6 +31,7 @@ var fixtureHot = []lint.HotFunc{
 	{PkgPath: "hotalloc", Func: "ScanColumns"},
 	{PkgPath: "hotalloc", Func: "MergeColumns"},
 	{PkgPath: "hotalloc", Func: "resolve"},
+	{PkgPath: "hotalloc", Func: "resolveSeq"},
 	{PkgPath: "hotalloc", Func: "expand"},
 }
 

@@ -1,10 +1,10 @@
 // Package hotalloc is the hotalloc fixture: the allocation regressions
 // PRs 4-7 hunted by profile — per-probe Addr.String keys, fmt in
 // responders, per-iteration scratch — written into a designated hot
-// function (the analyzer runs with ScanColumns, MergeColumns, resolve and
-// expand of this package in its hot table), next to a cold function where the
-// same constructs are fine and the hoisted patterns that keep hot
-// paths clean.
+// function (the analyzer runs with ScanColumns, MergeColumns, resolve,
+// resolveSeq and expand of this package in its hot table), next to a
+// cold function where the same constructs are fine and the hoisted
+// patterns that keep hot paths clean.
 package hotalloc
 
 import (
@@ -44,6 +44,30 @@ func resolve(trace map[string]int, lo, hi uint64, dst ip6.Addr) bool {
 		trace[dst.String()]++ // want `Addr.String in hot path resolve`
 	}
 	return dst.Hi() >= lo && dst.Hi() <= hi
+}
+
+// resolveSeq is a designated hot function: the attribution kernel's
+// per-address walk over a sequence. The ID column allocated once up front
+// is the clean shape; a per-address scratch or label inside the walk is
+// flagged.
+func resolveSeq(seq []ip6.Addr, bounds []uint64) []int32 {
+	ids := make([]int32, len(seq))
+	for i, a := range seq {
+		hit := make([]int32, 0, 1) // want `make allocates per iteration in hot path resolveSeq`
+		for k, b := range bounds {
+			if a.Hi() <= b {
+				hit = append(hit, int32(k))
+				break
+			}
+		}
+		ids[i] = -1
+		if len(hit) > 0 {
+			ids[i] = hit[0]
+		}
+		label := "AS" + a.String() // want `Addr.String in hot path resolveSeq` `string concatenation allocates per iteration in hot path resolveSeq`
+		_ = label
+	}
+	return ids
 }
 
 // expand is a designated hot function: the best-first walk's per-child

@@ -229,7 +229,7 @@ func mergeSealed(hc hostCols, delta *worldBuilder) hostCols {
 }
 
 // hostRun is resolve's merge cursor over the sorted host columns:
-// the parallel of ivalRun for point membership. It caches the *run*
+// the parallel of ip6.IntervalCursor for point membership. It caches the *run*
 // containing the last query — the exact address it hit, or the gap
 // between neighbouring hosts it missed into — so a query inside the
 // cached run is answered in at most two compares. A forward miss

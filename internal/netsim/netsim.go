@@ -271,7 +271,7 @@ func (in *Internet) sealPhase1() {
 // drops the builder for good.
 func (in *Internet) sealDelta() {
 	in.hc = mergeSealed(in.hc, in.b)
-	in.tabs = compileTables(in.regions, in.nets)
+	in.tabs = compileTables(in.regions, in.nets, in.Table)
 	in.b = nil
 }
 

@@ -202,6 +202,36 @@ func TestRouterSubnetColumnMatchesScan(t *testing.T) {
 	}
 }
 
+// TestNetsTableIsRoutingTables pins the table the world shares with
+// bgp.Table against the compile it replaced — the longest-match
+// flattening of the network column itself — row for row, in every
+// reference world: a net ID is an announcement ID.
+func TestNetsTableIsRoutingTables(t *testing.T) {
+	worlds := []*Internet{world}
+	for _, cfg := range refConfigs()[1:] {
+		worlds = append(worlds, New(cfg))
+	}
+	for wi, in := range worlds {
+		// The column is (address, length)-sorted and unique — what
+		// CompileIntervals insists on — so its flattening needs no dedupe.
+		prefixes := make([]ip6.Prefix, len(in.nets))
+		ids := make([]int32, len(in.nets))
+		for i := range in.nets {
+			prefixes[i], ids[i] = in.nets[i].prefix, int32(i)
+		}
+		want := ip6.CompileIntervals(prefixes, ids)
+		got := in.tabs.nets
+		if len(got) != len(want) || len(got) == 0 {
+			t.Fatalf("world %d: %d rows from the routing table, %d compiled from the network column", wi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("world %d row %d: %+v from the routing table, %+v compiled from the network column", wi, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // fuzzAddr spreads two bytes over an address so that prefixes of every
 // length up to /128 differ and nest.
 func fuzzAddr(b0, b1 byte) ip6.Addr {
@@ -209,11 +239,14 @@ func fuzzAddr(b0, b1 byte) ip6.Addr {
 	return ip6.AddrFromUint64(uint64(b0)*ones, uint64(b1)*ones)
 }
 
-// FuzzIvalRun drives one ivalRun cursor through an arbitrary — unsorted,
-// repeating, boundary-heavy — query sequence over a fuzzed prefix set: at
-// every step the cursor, a fresh ip6.LookupInterval binary search and a
-// brute-force longest match over the prefixes must agree. Input layout:
-// a prefix count, three bytes per prefix (address pattern, length), then
+// FuzzIvalRun drives one interval-run cursor over compileAlias's table of
+// a fuzzed region set — nested, unsorted, with duplicated prefixes —
+// through an arbitrary, boundary-heavy query sequence: at every step the
+// cursor, a fresh ip6.LookupInterval binary search and a brute-force
+// longest match in which the last of equal prefixes wins must agree. It
+// is what holds compileAlias's sort and last-wins dedupe to a trie's
+// replacing Insert (the cursor itself is fuzzed in ip6). Input layout: a
+// prefix count, three bytes per prefix (address pattern, length), then
 // three bytes per query (prefix to aim at, which of its edges, jitter).
 func FuzzIvalRun(f *testing.F) {
 	f.Add([]byte{})
@@ -240,8 +273,12 @@ func FuzzIvalRun(f *testing.F) {
 		if len(prefixes) == 0 {
 			return
 		}
-		tab := compileLongest(idRange(len(prefixes)), func(i int32) ip6.Prefix { return prefixes[i] })
-		cur := ivalRun[int32]{tab: tab}
+		regions := make([]AliasRegion, len(prefixes))
+		for i, p := range prefixes {
+			regions[i].Prefix = p
+		}
+		tab := compileAlias(regions)
+		cur := ip6.NewIntervalCursor(tab)
 		for ; len(data) >= 3; data = data[3:] {
 			p := prefixes[int(data[0])%len(prefixes)]
 			var a ip6.Addr
@@ -265,7 +302,7 @@ func FuzzIvalRun(f *testing.F) {
 					want, wantOK = int32(i), true
 				}
 			}
-			got, gotOK := cur.lookup(a)
+			got, gotOK := cur.Lookup(a)
 			if gotOK != wantOK || (gotOK && got != want) {
 				t.Fatalf("cursor(%v) = %d,%v; longest match over %v is %d,%v", a, got, gotOK, prefixes, want, wantOK)
 			}

@@ -7,14 +7,12 @@ package sources
 
 import (
 	"runtime"
-	"sort"
 
 	"expanse/internal/bgp"
 	"expanse/internal/dnssim"
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
-	"expanse/internal/par"
 )
 
 // Canonical source names, in the paper's table order.
@@ -274,14 +272,11 @@ type RunupPoint struct {
 	Total      int
 }
 
-// NewStore creates a store over the given sources (order = priority for
-// "new address" attribution, mirroring Table 2's source order), using all
-// available CPUs for batch set operations.
-func NewStore(srcs ...Source) *Store { return NewStoreWorkers(0, srcs...) }
-
-// NewStoreWorkers creates a store with an explicit data-plane worker
-// count (<= 0 selects GOMAXPROCS). Purely a throughput knob: store
-// contents, statistics and iteration order are identical for every value.
+// NewStoreWorkers creates a store over the given sources (order =
+// priority for "new address" attribution, mirroring Table 2's source
+// order) with an explicit data-plane worker count (<= 0 selects
+// GOMAXPROCS). Purely a throughput knob: store contents, statistics and
+// iteration order are identical for every value.
 func NewStoreWorkers(workers int, srcs ...Source) *Store {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -384,102 +379,36 @@ type ASShare struct {
 	Share float64
 }
 
-// attribution maps a set's addresses onto origin ASes and announced
-// prefixes, fanning the table lookups out over the set's shards. Each
-// worker fills private count maps for its shard range; the merges happen
-// in shard order. Counts are sums, so the result is identical to the old
-// serial walk for any worker count.
-func attribution(set *ip6.ShardSet, table *bgp.Table, workers int) (map[bgp.ASN]int, map[ip6.Prefix]int) {
-	shards := set.ShardSeqs()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// stat fills a Table 2 row's attribution columns from the set's tally.
+// The hash shards are not address-sorted, so this is the attribution
+// kernel's search-per-address case; shards resolve one after another,
+// each chunk-parallel.
+func (st *Store) stat(row SourceStat, set *ip6.ShardSet, table *bgp.Table) SourceStat {
+	tally := table.Tally(st.workers, set.ShardSeqs()...)
+	row.ASes = tally.ASes()
+	row.Prefixes = tally.Prefixes()
+	for _, e := range tally.TopAS(3) {
+		row.TopAS = append(row.TopAS, ASShare{
+			ASN:   e.ASN,
+			Name:  table.AS(e.ASN).Name,
+			Share: float64(e.Count) / float64(set.Len()),
+		})
 	}
-	type local struct {
-		as  map[bgp.ASN]int
-		pfx map[ip6.Prefix]int
-	}
-	locals := make([]local, workers)
-	par.Ranges(len(shards), workers, 1, 1, func(w, lo, hi int) {
-		l := local{as: map[bgp.ASN]int{}, pfx: map[ip6.Prefix]int{}}
-		for si := lo; si < hi; si++ {
-			v := shards[si]
-			for i := 0; i < v.Len(); i++ {
-				if p, asn, ok := table.Lookup(v.At(i)); ok {
-					l.as[asn]++
-					l.pfx[p]++
-				}
-			}
-		}
-		locals[w] = l
-	})
-	asCount := map[bgp.ASN]int{}
-	pfxCount := map[ip6.Prefix]int{}
-	for _, l := range locals {
-		for a, c := range l.as {
-			asCount[a] += c
-		}
-		for p, c := range l.pfx {
-			pfxCount[p] += c
-		}
-	}
-	return asCount, pfxCount
+	return row
 }
 
-// Stats computes Table 2 for the current store contents. AS and prefix
-// attribution runs shard-parallel per source.
+// Stats computes Table 2 for the current store contents.
 func (st *Store) Stats(table *bgp.Table) []SourceStat {
 	var out []SourceStat
 	for _, s := range st.sources {
 		set := st.perSrc[s.Name()]
-		stat := SourceStat{
-			Name:   s.Name(),
-			IPs:    set.Len(),
-			NewIPs: st.newCount[s.Name()],
-		}
-		asCount, pfxCount := attribution(set, table, st.workers)
-		stat.ASes = len(asCount)
-		stat.Prefixes = len(pfxCount)
-		stat.TopAS = topShares(asCount, table, 3, set.Len())
-		out = append(out, stat)
+		row := SourceStat{Name: s.Name(), IPs: set.Len(), NewIPs: st.newCount[s.Name()]}
+		out = append(out, st.stat(row, set, table))
 	}
 	return out
 }
 
 // TotalStat computes the "Total" row of Table 2.
 func (st *Store) TotalStat(table *bgp.Table) SourceStat {
-	stat := SourceStat{Name: "Total", IPs: st.all.Len(), NewIPs: st.all.Len()}
-	asCount, pfxCount := attribution(st.all, table, st.workers)
-	stat.ASes = len(asCount)
-	stat.Prefixes = len(pfxCount)
-	stat.TopAS = topShares(asCount, table, 3, st.all.Len())
-	return stat
-}
-
-func topShares(counts map[bgp.ASN]int, table *bgp.Table, n, total int) []ASShare {
-	type kv struct {
-		asn bgp.ASN
-		c   int
-	}
-	var all []kv
-	for a, c := range counts {
-		all = append(all, kv{a, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
-		}
-		return all[i].asn < all[j].asn
-	})
-	if len(all) > n {
-		all = all[:n]
-	}
-	var out []ASShare
-	for _, e := range all {
-		out = append(out, ASShare{
-			ASN:   e.asn,
-			Name:  table.AS(e.asn).Name,
-			Share: float64(e.c) / float64(total),
-		})
-	}
-	return out
+	return st.stat(SourceStat{Name: "Total", IPs: st.all.Len(), NewIPs: st.all.Len()}, st.all, table)
 }

@@ -37,7 +37,7 @@ func allSources() []Source {
 }
 
 func TestAllSourcesProduce(t *testing.T) {
-	st := NewStore(allSources()...)
+	st := NewStoreWorkers(0, allSources()...)
 	st.CollectDay(0)
 	st.CollectDay(world.Config().EpochDays * (world.Config().Epochs - 1))
 	for _, name := range Names {
@@ -51,7 +51,7 @@ func TestAllSourcesProduce(t *testing.T) {
 }
 
 func TestRunupGrows(t *testing.T) {
-	st := NewStore(allSources()...)
+	st := NewStoreWorkers(0, allSources()...)
 	cfg := world.Config()
 	for e := 0; e < cfg.Epochs; e++ {
 		st.CollectDay(e * cfg.EpochDays)
@@ -100,7 +100,7 @@ func TestCTExcludesDL(t *testing.T) {
 }
 
 func TestScamperFindsSLAACRouters(t *testing.T) {
-	st := NewStore(allSources()...)
+	st := NewStoreWorkers(0, allSources()...)
 	cfg := world.Config()
 	// SLAAC dominance builds up over epochs: every renumbering period the
 	// rotating lines' CPEs appear under fresh addresses (§3).
@@ -127,7 +127,7 @@ func TestScamperFindsSLAACRouters(t *testing.T) {
 }
 
 func TestStatsShape(t *testing.T) {
-	st := NewStore(allSources()...)
+	st := NewStoreWorkers(0, allSources()...)
 	cfg := world.Config()
 	for e := 0; e < cfg.Epochs; e++ {
 		st.CollectDay(e * cfg.EpochDays)
@@ -165,7 +165,7 @@ func TestStatsShape(t *testing.T) {
 }
 
 func TestDLIsCDNHeavy(t *testing.T) {
-	st := NewStore(allSources()...)
+	st := NewStoreWorkers(0, allSources()...)
 	cfg := world.Config()
 	for e := 0; e < cfg.Epochs; e++ {
 		st.CollectDay(e * cfg.EpochDays)
@@ -187,7 +187,7 @@ func TestDLIsCDNHeavy(t *testing.T) {
 }
 
 func TestAccumulationKeepsOldAddresses(t *testing.T) {
-	st := NewStore(allSources()...)
+	st := NewStoreWorkers(0, allSources()...)
 	st.CollectDay(0)
 	before := st.All().Len()
 	st.CollectDay(7)
@@ -205,7 +205,7 @@ func TestAccumulationKeepsOldAddresses(t *testing.T) {
 // Add/attribution) fed the same source outputs.
 func TestStoreMatchesMapReference(t *testing.T) {
 	cfg := world.Config()
-	st := NewStore(allSources()...)
+	st := NewStoreWorkers(0, allSources()...)
 
 	// Reference: the old CollectDay loop over plain sets. The reference
 	// keeps its own hitlist mirror to feed scamper, built with serial

@@ -22,15 +22,35 @@ type Concentration struct {
 	total  int
 }
 
-// NewConcentration builds a concentration curve from group→count data.
-func NewConcentration[K comparable](counts map[K]int) *Concentration {
-	c := &Concentration{counts: make([]int, 0, len(counts))}
+// NewConcentration builds a concentration curve from one count per
+// candidate group (a dense tally column: per announcement, per AS).
+// Candidates with a zero count are not groups.
+func NewConcentration(counts []int) *Concentration {
+	c := &Concentration{}
 	for _, n := range counts {
-		c.counts = append(c.counts, n)
-		c.total += n
+		if n > 0 {
+			c.counts = append(c.counts, n)
+			c.total += n
+		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(c.counts)))
 	return c
+}
+
+// TopN ranks a dense count column: it returns the indices of the n
+// largest non-zero counts, count descending, ties by ascending index.
+// Dense columns are keyed in ascending key order (ASNs, announcement IDs,
+// bitmask values), so the tie-break is "by key" and no ranking leaks an
+// iteration order into a report.
+func TopN(counts []int, n int) []int {
+	var idx []int
+	for i, c := range counts {
+		if c > 0 {
+			idx = append(idx, i)
+		}
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return counts[idx[a]] > counts[idx[b]] })
+	return idx[:min(n, len(idx))]
 }
 
 // Groups returns the number of distinct groups.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestConcentration(t *testing.T) {
-	c := NewConcentration(map[string]int{"a": 50, "b": 30, "c": 20})
+	c := NewConcentration([]int{30, 0, 50, 20, 0}) // zero counts are not groups
 	if c.Groups() != 3 || c.Total() != 100 {
 		t.Fatalf("Groups=%d Total=%d", c.Groups(), c.Total())
 	}
@@ -29,8 +29,8 @@ func TestConcentration(t *testing.T) {
 func TestConcentrationMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := map[int]int{}
-		for i := 0; i < 50; i++ {
+		m := make([]int, 50)
+		for i := range m {
 			m[i] = rng.Intn(1000) + 1
 		}
 		c := NewConcentration(m)
@@ -46,6 +46,35 @@ func TestConcentrationMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTopN pins the one ranking rule: count descending, ties by
+// ascending index, zero counts never ranked, n beyond the column clipped.
+func TestTopN(t *testing.T) {
+	counts := []int{3, 0, 7, 3, 7, 1}
+	for _, tc := range []struct {
+		n    int
+		want []int
+	}{
+		{0, []int{}},
+		{1, []int{2}},
+		{3, []int{2, 4, 0}},
+		{5, []int{2, 4, 0, 3, 5}},
+		{99, []int{2, 4, 0, 3, 5}},
+	} {
+		got := TopN(counts, tc.n)
+		if len(got) != len(tc.want) {
+			t.Fatalf("TopN(%v, %d) = %v, want %v", counts, tc.n, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("TopN(%v, %d) = %v, want %v", counts, tc.n, got, tc.want)
+			}
+		}
+	}
+	if got := TopN(nil, 3); len(got) != 0 {
+		t.Errorf("TopN(nil) = %v", got)
 	}
 }
 
@@ -67,15 +96,15 @@ func TestLogPoints(t *testing.T) {
 }
 
 func TestGini(t *testing.T) {
-	even := NewConcentration(map[int]int{0: 10, 1: 10, 2: 10, 3: 10})
+	even := NewConcentration([]int{10, 10, 10, 10})
 	if g := even.Gini(); math.Abs(g) > 1e-9 {
 		t.Errorf("even Gini = %v, want 0", g)
 	}
-	skewed := NewConcentration(map[int]int{0: 1000, 1: 1, 2: 1, 3: 1})
+	skewed := NewConcentration([]int{1000, 1, 1, 1})
 	if g := skewed.Gini(); g < 0.7 {
 		t.Errorf("skewed Gini = %v, want high", g)
 	}
-	if g := NewConcentration(map[int]int{}).Gini(); g != 0 {
+	if g := NewConcentration(nil).Gini(); g != 0 {
 		t.Errorf("empty Gini = %v", g)
 	}
 }

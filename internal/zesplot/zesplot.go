@@ -230,19 +230,3 @@ func xmlEscape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
 }
-
-// FromCounts builds items from a prefix→count map with AS attribution.
-func FromCounts(counts map[ip6.Prefix]int, table *bgp.Table) []Item {
-	// Sort (via Layout) re-orders items with full tie-breaks anyway,
-	// but the returned slice should never carry map iteration order to
-	// callers that skip it.
-	items := make([]Item, 0, len(counts))
-	for _, p := range ip6.SortedKeys(counts) {
-		var asn bgp.ASN
-		if a, ok := table.Origin(p.Addr()); ok {
-			asn = a
-		}
-		items = append(items, Item{Prefix: p, ASN: asn, Value: float64(counts[p])})
-	}
-	return items
-}

@@ -182,16 +182,6 @@ func TestLayoutEmpty(t *testing.T) {
 	}
 }
 
-func TestFromCounts(t *testing.T) {
-	table := bgp.NewTable()
-	p := ip6.MustParsePrefix("2001:db8::/32")
-	table.Announce(p, 64496)
-	items := FromCounts(map[ip6.Prefix]int{p: 42}, table)
-	if len(items) != 1 || items[0].ASN != 64496 || items[0].Value != 42 {
-		t.Errorf("FromCounts = %+v", items)
-	}
-}
-
 func BenchmarkLayout(b *testing.B) {
 	var items []Item
 	base := ip6.MustParsePrefix("2000::/12")
