@@ -4,7 +4,11 @@
 //
 // Usage:
 //
-//	apd [-scale 0.3] [-days 4] [-window 3] [-workers 8] [-overlap 2] [-murdock]
+//	apd [-scale 0.3] [-days 4] [-window 3] [-workers 8] [-overlap 2] [-sweep] [-murdock]
+//
+// With -sweep every day is sealed with its five-protocol responsiveness
+// sweep of the curated targets — the daily service of §6, and the shape to
+// profile (-cpuprofile, -memprofile) when sizing day-loop work.
 package main
 
 import (
@@ -23,6 +27,7 @@ func main() {
 	window := flag.Int("window", 3, "sliding window (days)")
 	workers := flag.Int("workers", 0, "scan-engine worker shards per protocol (0 = default)")
 	overlap := flag.Int("overlap", 0, "day-orchestrator pipeline depth (0 = default, 1 = serial)")
+	sweep := flag.Bool("sweep", false, "seal every day with its five-protocol sweep of the clean targets")
 	murdock := flag.Bool("murdock", false, "also run the Murdock et al. /96 baseline")
 	profiles := prof.Flags(flag.CommandLine)
 	flag.Parse()
@@ -40,6 +45,7 @@ func main() {
 	cfg.Sim.Scale = *scale
 	cfg.APDWindow = *window
 	cfg.Workers = *workers
+	cfg.EpochSweep = *sweep
 	if *overlap > 0 {
 		cfg.Overlap = *overlap
 	}
@@ -53,7 +59,11 @@ func main() {
 	// epoch, and dropping each one keeps long -days runs at the
 	// pipeline's working set instead of retaining every day's filter.
 	p.RunDaysFunc(day, *days, func(ep *core.Epoch) {
-		fmt.Printf("APD day %d: %d candidates probed\n", ep.Index, len(ep.Candidates))
+		fmt.Printf("APD day %d: %d candidates probed", ep.Index, len(ep.Candidates))
+		if ep.Scan != nil {
+			fmt.Printf(", %d clean targets swept, %d responsive", len(ep.Scan.Addrs), ep.Scan.AnyCount())
+		}
+		fmt.Println()
 	})
 
 	ep := p.Latest()

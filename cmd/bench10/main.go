@@ -46,16 +46,15 @@ type cell struct {
 	RecordBytes  int64   `json:"record_plane_bytes"`
 	BytesPerHost float64 `json:"host_plane_bytes_per_host"`
 
-	// Sweep over finite hosts in sorted order, mask-only columns. The cold
-	// pass pays the one-time machine-profile derivations; the warm pass
-	// re-answers the same probes and isolates the resolution plane (merge
-	// cursor + columns). Capped at -sweepcap probes so the machine memo
-	// stays bounded at large scales.
-	SweepProbes      int     `json:"sweep_probes"`
-	SweepOK          int     `json:"sweep_responsive"`
-	SweepColdSec     float64 `json:"sweep_cold_seconds"`
-	SweepWarmSec     float64 `json:"sweep_warm_seconds"`
-	SweepWarmMProbes float64 `json:"sweep_warm_mprobes_per_sec"`
+	// Sweep over finite hosts in sorted order, mask-only columns: the
+	// resolution plane (merge cursor + columns). The world keeps nothing
+	// per probe, so one pass is the measurement; -sweepcap only bounds its
+	// wall time at large scales (and, at 1, leaves it out of a
+	// construction-only run).
+	SweepProbes  int     `json:"sweep_probes"`
+	SweepOK      int     `json:"sweep_responsive"`
+	SweepSec     float64 `json:"sweep_seconds"`
+	SweepMProbes float64 `json:"sweep_mprobes_per_sec"`
 
 	// Per-probe (binary search) reference over a deterministic sample.
 	SampleProbes    int     `json:"sample_probes"`
@@ -108,9 +107,7 @@ func runCell(scale float64, sample, sweepcap int) cell {
 	c.Aliens = len(world.AliasedRegions())
 
 	// Batched sweep: finite hosts in sorted address order (the shape a
-	// sorted hitlist scan presents to the responder). Capped: an uncapped
-	// sweep at scale 100 would memoize tens of millions of machine
-	// profiles — first-touch state the pipeline never accumulates.
+	// sorted hitlist scan presents to the responder), capped at sweepcap.
 	addrs := make([]ip6.Addr, 0, m.NHosts)
 	for _, h := range world.Hosts() {
 		addrs = append(addrs, h.Addr)
@@ -126,26 +123,17 @@ func runCell(scale float64, sample, sweepcap int) cell {
 	}
 	var cols wire.ResultColumns
 	cols.ResetOK(sweepChunk)
-	sweep := func(tally bool) float64 {
-		t0 := time.Now()
-		for lo := 0; lo < len(addrs); lo += sweepChunk {
-			hi := lo + sweepChunk
-			if hi > len(addrs) {
-				hi = len(addrs)
-			}
-			cols.OK.Reset(hi - lo)
-			world.ProbeBatch(addrs[lo:hi], wire.ICMPv6, 3, at[:hi-lo], &cols, 0)
-			if tally {
-				c.SweepOK += cols.OK.Count()
-			}
-		}
-		return time.Since(t0).Seconds()
-	}
 	c.SweepProbes = len(addrs)
-	c.SweepColdSec = sweep(true)
-	c.SweepWarmSec = sweep(false)
-	if c.SweepWarmSec > 0 {
-		c.SweepWarmMProbes = float64(c.SweepProbes) / 1e6 / c.SweepWarmSec
+	t0 = time.Now()
+	for lo := 0; lo < len(addrs); lo += sweepChunk {
+		hi := min(lo+sweepChunk, len(addrs))
+		cols.OK.Reset(hi - lo)
+		world.ProbeBatch(addrs[lo:hi], wire.ICMPv6, 3, at[:hi-lo], &cols, 0)
+		c.SweepOK += cols.OK.Count()
+	}
+	c.SweepSec = time.Since(t0).Seconds()
+	if c.SweepSec > 0 {
+		c.SweepMProbes = float64(c.SweepProbes) / 1e6 / c.SweepSec
 	}
 
 	// Per-probe sample: a deterministic stride over the same addresses,
@@ -201,20 +189,21 @@ func main() {
 	for _, scale := range scales {
 		c := runCell(scale, *sample, *sweepcap)
 		rep.Cells = append(rep.Cells, c)
-		fmt.Printf("scale %4g  hosts %9d  build %6.2fs  host plane %s (%.1f B/host)  topo %s  records %s  sweep cold %6.2fs warm %6.2fs (%.1f Mp/s)  peakRSS %s\n",
+		fmt.Printf("scale %4g  hosts %9d  build %6.2fs  host plane %s (%.1f B/host)  topo %s  records %s  sweep %6.2fs (%.1f Mp/s)  peakRSS %s\n",
 			scale, c.Hosts, c.BuildSec, prof.FmtBytes(c.HostBytes), c.BytesPerHost,
 			prof.FmtBytes(c.TopoBytes), prof.FmtBytes(c.RecordBytes),
-			c.SweepColdSec, c.SweepWarmSec, c.SweepWarmMProbes, prof.FmtBytes(c.PeakRSS))
+			c.SweepSec, c.SweepMProbes, prof.FmtBytes(c.PeakRSS))
 		if *maxheap > 0 && c.PeakRSS > *maxheap {
 			fail(fmt.Errorf("bench10: peak RSS %d exceeds -maxheap %d at scale %g", c.PeakRSS, *maxheap, scale))
 		}
 	}
-	rep.Note = "Host plane is the sealed SoA columns (40 B/host flat: 16 addr + 4 asn + 1 meta + " +
-		"1 serves + 8 machine + 2 death + 4 domain + 4 rank). The retired map/AoS plane measured " +
-		"92.3 B/host at scale 16 and 99.0 B/host at scale 4 (live-heap deltas, pre-refactor). " +
+	rep.Note = "Host plane is the sealed SoA columns (48 B/host flat: 16 addr + 4 asn + 1 meta + " +
+		"1 serves + 8 machine + 8 profile + 2 death + 4 domain + 4 rank). The retired map/AoS plane " +
+		"measured 92.3 B/host at scale 16 and 99.0 B/host at scale 4 (live-heap deltas, pre-refactor). " +
 		"Sweep is ProbeBatch over finite hosts in sorted order (merge-cursor resolution), capped " +
-		"per -sweepcap; the cold pass pays one-time machine-profile derivation, the warm pass " +
-		"re-answers the same probes and measures the resolution plane. Sample is the per-probe " +
+		"per -sweepcap; one pass, since machine profiles are a sealed column and probing leaves " +
+		"nothing behind (records before PR 17 carry a cold pass that derived and memoized every " +
+		"profile, and a warm one). Sample is the per-probe " +
 		"Probe path (binary search) over a deterministic stride. Peak RSS is cumulative across " +
 		"cells in one process (VmHWM never decreases): run scales ascending, so a cell's reading " +
 		"bounds that cell from above."

@@ -1,9 +1,8 @@
 package apd
 
 import (
-	"math/rand"
-
 	"expanse/internal/ip6"
+	"expanse/internal/lazyrand"
 )
 
 // Ablation support for the §5.1 design argument: fan-out probing places
@@ -16,10 +15,10 @@ import (
 // RandomTargets returns n purely random addresses inside p (no branch
 // enforcement), deterministically derived from the prefix and salt.
 func RandomTargets(p ip6.Prefix, n int, salt int64) []ip6.Addr {
-	rng := rand.New(rand.NewSource(int64(p.Addr().Hi()^p.Addr().Lo()) ^ salt))
+	rng := lazyrand.New(int64(p.Addr().Hi()^p.Addr().Lo()) ^ salt)
 	out := make([]ip6.Addr, n)
 	for i := range out {
-		out[i] = p.RandomAddr(rng)
+		out[i] = p.WithHostBits(rng.Uint64(), rng.Uint64())
 	}
 	return out
 }

@@ -23,11 +23,11 @@ package apd
 
 import (
 	"math/bits"
-	"math/rand"
 	"sync"
 
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
+	"expanse/internal/lazyrand"
 	"expanse/internal/par"
 	"expanse/internal/probe"
 	"expanse/internal/wire"
@@ -48,38 +48,38 @@ var DefaultProtocols = []wire.Proto{wire.ICMPv6, wire.TCP80}
 // addresses are deterministic per prefix, so the same targets are probed
 // every day — the sliding window of §5.2 tracks per-address responses.
 func FanOut(p ip6.Prefix) [Branches]ip6.Addr {
-	return fanOutWith(rand.New(rand.NewSource(fanSeed(p))), p)
+	var out [Branches]ip6.Addr
+	fanOutWith(out[:], p)
+	return out
 }
 
 // FanOutColumn returns the fan-out targets of every candidate as one
 // flat column, Branches addresses per entry in entry order — the probe
-// column Detector.ProbeDayFlat scans.
-func FanOutColumn(cands []Candidate) []ip6.Addr {
-	rng := rand.New(rand.NewSource(0))
-	out := make([]ip6.Addr, 0, len(cands)*Branches)
-	for _, c := range cands {
-		fo := fanOutWith(rng, c.Prefix)
-		out = append(out, fo[:]...)
-	}
+// column Detector.ProbeDayFlat scans. Candidates fan out independently,
+// so up to workers goroutines fill disjoint windows of the column.
+func FanOutColumn(cands []Candidate, workers int) []ip6.Addr {
+	out := make([]ip6.Addr, len(cands)*Branches)
+	par.Ranges(len(cands), workers, 1024, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fanOutWith(out[i*Branches:(i+1)*Branches], cands[i].Prefix)
+		}
+	})
 	return out
 }
 
-// fanOutWith is FanOut over a caller-owned generator, reseeded in place.
-// Seeding math/rand fills a 607-word state array; deriving millions of
-// day-0 candidates through fresh sources churned gigabytes of garbage,
-// while reseeding rewrites one array. Output is identical: a reseeded
-// generator is state-for-state a freshly constructed one.
-func fanOutWith(rng *rand.Rand, p ip6.Prefix) [Branches]ip6.Addr {
-	rng.Seed(fanSeed(p))
-	var out [Branches]ip6.Addr
+// fanOutWith writes p's fan-out targets into out (Branches long): 32
+// draws of the math/rand stream seeded with fanSeed(p). The lazily seeded
+// source computes only the register words those draws read, which is what
+// keeps millions of day-0 candidates from paying a 607-word seed each.
+func fanOutWith(out []ip6.Addr, p ip6.Prefix) {
+	rng := lazyrand.New(fanSeed(p))
 	sub := p.Bits() + 4
 	if sub > 128 {
 		sub = 128
 	}
-	for i := 0; i < Branches; i++ {
-		out[i] = p.Subprefix(sub, uint64(i)).RandomAddr(rng)
+	for i := range out {
+		out[i] = p.Subprefix(sub, uint64(i)).WithHostBits(rng.Uint64(), rng.Uint64())
 	}
-	return out
 }
 
 // fanSeed derives the fan-out RNG seed from a prefix. Hi and Lo are mixed

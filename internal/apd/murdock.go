@@ -1,9 +1,8 @@
 package apd
 
 import (
-	"math/rand"
-
 	"expanse/internal/ip6"
+	"expanse/internal/lazyrand"
 	"expanse/internal/probe"
 	"expanse/internal/wire"
 )
@@ -45,9 +44,9 @@ const murdockPerPrefix = 3
 func murdockTargets(prefixes []ip6.Prefix) []ip6.Addr {
 	targets := make([]ip6.Addr, 0, len(prefixes)*murdockPerPrefix)
 	for _, p := range prefixes {
-		rng := rand.New(rand.NewSource(int64(p.Addr().Hi() ^ p.Addr().Lo() ^ 0x96)))
+		rng := lazyrand.New(int64(p.Addr().Hi() ^ p.Addr().Lo() ^ 0x96))
 		for i := 0; i < murdockPerPrefix; i++ {
-			targets = append(targets, p.RandomAddr(rng))
+			targets = append(targets, p.WithHostBits(rng.Uint64(), rng.Uint64()))
 		}
 	}
 	return targets

@@ -1,6 +1,7 @@
 package apd
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -19,12 +20,38 @@ import (
 // masks assembled into a per-prefix map, duplicate candidate prefixes
 // OR-merged.
 func (d *Detector) ProbeDay(cands []Candidate, day int) map[ip6.Prefix]BranchMask {
-	flat := d.ProbeDayFlat(FanOutColumn(cands), day)
+	flat := d.ProbeDayFlat(FanOutColumn(cands, d.workers), day)
 	masks := make(map[ip6.Prefix]BranchMask, len(cands))
 	for ci, c := range cands {
 		masks[c.Prefix] |= flat[ci]
 	}
 	return masks
+}
+
+// fanOutRef is FanOut over a freshly seeded math/rand generator — the
+// production form until lazyrand computed the same 32 draws directly.
+func fanOutRef(p ip6.Prefix) [Branches]ip6.Addr {
+	rng := rand.New(rand.NewSource(fanSeed(p)))
+	var out [Branches]ip6.Addr
+	sub := p.Bits() + 4
+	if sub > 128 {
+		sub = 128
+	}
+	for i := 0; i < Branches; i++ {
+		out[i] = p.Subprefix(sub, uint64(i)).RandomAddr(rng)
+	}
+	return out
+}
+
+// randomTargetsRef draws n addresses inside p from math/rand seeded with
+// seed: the retired body of RandomTargets and, per /96, murdockTargets.
+func randomTargetsRef(p ip6.Prefix, n int, seed int64) []ip6.Addr {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]ip6.Addr, n)
+	for i := range out {
+		out[i] = p.RandomAddr(rng)
+	}
+	return out
 }
 
 // verdictsOf turns a per-prefix verdict map — the form Seal built before

@@ -2,6 +2,7 @@ package apd
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -82,26 +83,68 @@ func TestCaseCountsMatchesTrieReference(t *testing.T) {
 	}
 }
 
-// TestFanOutColumn pins the flat probe column against FanOut per entry,
-// duplicates included: the shared reseeded generator must leave no state
-// behind between prefixes.
+// TestFanOutColumn pins the flat probe column, at every worker count,
+// against the math/rand oracle per entry — duplicates included, and
+// enough candidates that the column really is filled in several chunks —
+// and FanOut against the same oracle.
 func TestFanOutColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(139))
 	var cands []Candidate
-	for p := range randomVerdicts(rng, 60) {
+	for p := range randomVerdicts(rng, 2500) {
 		cands = append(cands, Candidate{Prefix: p}, Candidate{Prefix: p})
 	}
 	sort.Slice(cands, func(i, j int) bool { return ip6.ComparePrefix(cands[i].Prefix, cands[j].Prefix) < 0 })
-	col := FanOutColumn(cands)
-	if len(col) != len(cands)*Branches {
-		t.Fatalf("column holds %d targets for %d candidates", len(col), len(cands))
-	}
-	for i, c := range cands {
-		want := FanOut(c.Prefix)
-		for b := range want {
-			if col[i*Branches+b] != want[b] {
-				t.Fatalf("candidate %d (%v) branch %d = %v, FanOut %v", i, c.Prefix, b, col[i*Branches+b], want[b])
+	for _, workers := range []int{1, 4, 16} {
+		col := FanOutColumn(cands, workers)
+		if len(col) != len(cands)*Branches {
+			t.Fatalf("workers %d: column holds %d targets for %d candidates", workers, len(col), len(cands))
+		}
+		for i, c := range cands {
+			want := fanOutRef(c.Prefix)
+			if got := FanOut(c.Prefix); got != want {
+				t.Fatalf("FanOut(%v) = %v, math/rand oracle %v", c.Prefix, got, want)
 			}
+			for b := range want {
+				if col[i*Branches+b] != want[b] {
+					t.Fatalf("workers %d: candidate %d (%v) branch %d = %v, oracle %v", workers, i, c.Prefix, b, col[i*Branches+b], want[b])
+				}
+			}
+		}
+	}
+}
+
+// TestFanOutAllocatesNothing holds fanOutWith to what its hotalloc entry
+// claims and the syntactic lint cannot see: the lazily seeded source is a
+// value and must stay on the stack, which passing it through an
+// interface would undo.
+func TestFanOutAllocatesNothing(t *testing.T) {
+	p := ip6.MustParsePrefix("2001:db8:40::/48")
+	var out [Branches]ip6.Addr
+	if n := testing.AllocsPerRun(100, func() { fanOutWith(out[:], p) }); n != 0 {
+		t.Fatalf("fanOutWith allocates %v times per candidate, want 0", n)
+	}
+}
+
+// TestRandomTargetsMatchMathRand pins the two other per-prefix seeding
+// sites, the ablation's RandomTargets and the Murdock baseline's three
+// addresses per /96, against math/rand.
+func TestRandomTargetsMatchMathRand(t *testing.T) {
+	rng := rand.New(rand.NewSource(149))
+	var prefixes []ip6.Prefix
+	for p := range randomVerdicts(rng, 200) {
+		prefixes = append(prefixes, p)
+	}
+	murdock := murdockTargets(prefixes)
+	for i, p := range prefixes {
+		seed := int64(p.Addr().Hi() ^ p.Addr().Lo())
+		for _, n := range []int{3, 16, 300} {
+			if got, want := RandomTargets(p, n, int64(i)), randomTargetsRef(p, n, seed^int64(i)); !slices.Equal(got, want) {
+				t.Fatalf("RandomTargets(%v, %d, %d) differs from math/rand", p, n, i)
+			}
+		}
+		got := murdock[i*murdockPerPrefix : (i+1)*murdockPerPrefix]
+		if want := randomTargetsRef(p, murdockPerPrefix, seed^0x96); !slices.Equal(got, want) {
+			t.Fatalf("murdockTargets(%v) = %v, math/rand %v", p, got, want)
 		}
 	}
 }

@@ -228,7 +228,7 @@ func (b *EpochBuilder) ProbeDay(day int) *EpochDraft {
 		b.narrow()
 	}
 	if b.fan == nil {
-		b.fan = apd.FanOutColumn(b.cands)
+		b.fan = apd.FanOutColumn(b.cands, b.cfg.Workers)
 	}
 	flat := b.detector.ProbeDayFlat(b.fan, day)
 	b.hist.AddIDs(b.candIDs, flat)

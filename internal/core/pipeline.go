@@ -258,6 +258,12 @@ func (s *Scan) Count(p wire.Proto) int {
 	return s.counts[p]
 }
 
+// AnyCount returns how many targets answered at least one protocol.
+func (s *Scan) AnyCount() int {
+	s.ensureCounts()
+	return s.anyCount
+}
+
 // Sweep probes the targets on all five protocols for one day (§6). The
 // returned Scan shares targets in Addrs: read-only.
 func (p *Pipeline) Sweep(targets []ip6.Addr, day int) *Scan {

@@ -135,17 +135,24 @@ func (p Prefix) NumAddresses() uint64 {
 // RandomAddr returns a pseudo-random address inside the prefix drawn from
 // rng. The host bits are uniform random; the network bits are fixed.
 func (p Prefix) RandomAddr(rng *rand.Rand) Addr {
-	r := Addr{hi: rng.Uint64(), lo: rng.Uint64()}
+	return p.WithHostBits(rng.Uint64(), rng.Uint64())
+}
+
+// WithHostBits returns the address inside the prefix whose host bits are
+// those of hi:lo — RandomAddr for callers that draw the two words from a
+// source of their own (a value-type lazyrand.Source stays on the stack
+// this way, where an interface parameter would move it to the heap).
+func (p Prefix) WithHostBits(hi, lo uint64) Addr {
 	l := int(p.bits)
 	switch {
 	case l <= 0:
-		return r
+		return Addr{hi: hi, lo: lo}
 	case l >= 128:
 		return p.addr
 	case l <= 64:
-		return Addr{hi: p.addr.hi | r.hi&(^uint64(0)>>l), lo: r.lo}
+		return Addr{hi: p.addr.hi | hi&(^uint64(0)>>l), lo: lo}
 	default:
-		return Addr{hi: p.addr.hi, lo: p.addr.lo | r.lo&(^uint64(0)>>(l-64))}
+		return Addr{hi: p.addr.hi, lo: p.addr.lo | lo&(^uint64(0)>>(l-64))}
 	}
 }
 

@@ -64,6 +64,15 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/netsim", Func: "find"},
 	{PkgPath: "expanse/internal/netsim", Func: "search"},
 	{PkgPath: "expanse/internal/netsim", Func: "lookup"},
+	// A positive answer and the machine profile behind it: per responding
+	// probe for hosts and regions (answerRaw), per answer for subscriber-line
+	// devices and per host at seal (newProfile).
+	{PkgPath: "expanse/internal/netsim", Func: "answerRaw"},
+	{PkgPath: "expanse/internal/netsim", Func: "newProfile"},
+	// Per-candidate fan-out derivation and the lazily seeded generator's
+	// draw under it and under newProfile.
+	{PkgPath: "expanse/internal/apd", Func: "fanOutWith"},
+	{PkgPath: "expanse/internal/lazyrand", Func: "Uint64"},
 	{PkgPath: "expanse/internal/apd", Func: "ProbeDayFlat"},
 	{PkgPath: "expanse/internal/apd", Func: "MergeColumns"},
 	{PkgPath: "expanse/internal/wire", Func: "ProbeBatchInto"},

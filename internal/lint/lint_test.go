@@ -33,6 +33,8 @@ var fixtureHot = []lint.HotFunc{
 	{PkgPath: "hotalloc", Func: "resolve"},
 	{PkgPath: "hotalloc", Func: "resolveSeq"},
 	{PkgPath: "hotalloc", Func: "expand"},
+	{PkgPath: "hotalloc", Func: "newProfile"},
+	{PkgPath: "hotalloc", Func: "fanOutWith"},
 }
 
 func TestMapOrder(t *testing.T) {

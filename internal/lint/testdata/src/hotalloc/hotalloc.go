@@ -2,9 +2,9 @@
 // PRs 4-7 hunted by profile — per-probe Addr.String keys, fmt in
 // responders, per-iteration scratch — written into a designated hot
 // function (the analyzer runs with ScanColumns, MergeColumns, resolve,
-// resolveSeq and expand of this package in its hot table), next to a
-// cold function where the same constructs are fine and the hoisted
-// patterns that keep hot paths clean.
+// resolveSeq, expand, newProfile and fanOutWith of this package in its
+// hot table), next to a cold function where the same constructs are fine
+// and the hoisted patterns that keep hot paths clean.
 package hotalloc
 
 import (
@@ -80,6 +80,34 @@ func expand(frontier *[][]int, slab [][32]uint8, choices []int, values int) {
 		child[len(choices)] = ci
 		*frontier = append(*frontier, child)
 		slab[ci][len(choices)] = uint8(ci)
+	}
+}
+
+// newProfile is a designated hot function: the per-machine profile
+// derivation with a field's weight table rebuilt as a slice literal per
+// draw. Package-level tables, their totals summed once, are the clean
+// shape.
+func newProfile(draws []float64) (wscale uint8) {
+	for i, r := range draws {
+		weights := []float64{0.5, 0.2, 0.15, 0.1, 0.05} // want `composite literal allocates per iteration in hot path newProfile`
+		for k, w := range weights {
+			if r -= w; r < 0 {
+				wscale = uint8(k + i)
+				break
+			}
+		}
+	}
+	return wscale
+}
+
+// fanOutWith is a designated hot function: the per-candidate fan-out with
+// a result slice made per branch instead of written into the caller's
+// window of the column.
+func fanOutWith(out []ip6.Addr, hi uint64) {
+	for i := range out {
+		one := make([]ip6.Addr, 1) // want `make allocates per iteration in hot path fanOutWith`
+		one[0] = ip6.AddrFromUint64(hi, uint64(i))
+		out[i] = one[0]
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"expanse/internal/ip6"
+	"expanse/internal/prof"
 	"expanse/internal/wire"
 )
 
@@ -119,6 +120,54 @@ func TestProbeBatchMaskOnly(t *testing.T) {
 		if cols.OK.Get(i) != world.Probe(dst, wire.TCP80, 5, at[i]).OK {
 			t.Fatalf("target %d: OK mismatch in mask-only mode", i)
 		}
+	}
+}
+
+// TestProbingRetainsNothing pins what deleting the machine memo bought:
+// thirty days of sweeping every subscriber line's CPE, NAS and client
+// address — rotating pools move them daily, and each device's profile is
+// derived on the prober's stack — leave the heap where they found it. The
+// memo kept ≈ 180 B per line device, 450 KB over this world's pools; the
+// 256 KiB bound sits between that and the runtime's own bookkeeping, race
+// detector included.
+func TestProbingRetainsNothing(t *testing.T) {
+	lines := 0
+	for i := range world.isps {
+		lines += world.isps[i].lines
+	}
+	targets := make([]ip6.Addr, 0, 3*lines)
+	at := make([]wire.Time, 0, 3*lines)
+	var cols wire.ResultColumns
+	cols.ResetOK(3 * lines)
+	before := prof.LiveHeap()
+	answered := 0
+	for day := 0; day < 30; day++ {
+		targets, at = targets[:0], at[:0]
+		for i := range world.isps {
+			isp := &world.isps[i]
+			for line := uint64(0); line < uint64(isp.lines); line++ {
+				targets = append(targets, isp.cpeAddr(line, day), isp.nasAddr(line, day))
+				if a, ok := isp.clientAddr(line, day); ok {
+					targets = append(targets, a)
+				}
+			}
+		}
+		sort.Slice(targets, func(i, j int) bool { return targets[i].Less(targets[j]) })
+		for i := range targets {
+			at = append(at, wire.Time(i)*10)
+		}
+		for _, proto := range []wire.Proto{wire.ICMPv6, wire.TCP80} {
+			cols.ResetOK(len(targets))
+			world.ProbeBatch(targets, proto, day, at, &cols, 0)
+			answered += cols.OK.Count()
+		}
+	}
+	grew := prof.LiveHeap() - before
+	if answered < lines {
+		t.Fatalf("only %d answers from %d lines in 30 days", answered, lines)
+	}
+	if grew > 256<<10 {
+		t.Fatalf("30 days of line sweeps (%d lines, %d answers) grew the live heap by %d bytes", lines, answered, grew)
 	}
 }
 

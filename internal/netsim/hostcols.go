@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
 
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
+	"expanse/internal/par"
 	"expanse/internal/wire"
 )
 
@@ -17,8 +19,8 @@ import (
 // address columns plus SoA parallel columns: the sorted column IS the
 // membership structure (the PR 2/5 pattern the hitlist planes use), so
 // the ~38 B/entry map overhead and the 40-byte padded Host structs are
-// gone, and a host costs 40 bytes flat (16 addr + 4 ASN + 1 meta +
-// 1 serves + 8 machine + 2 death + 4 domain + 4 rank).
+// gone, and a host costs 48 bytes flat (16 addr + 4 ASN + 1 meta +
+// 1 serves + 8 machine + 8 profile + 2 death + 4 domain + 4 rank).
 //
 // Lookup strategies:
 //   - random access (HostAt, traceroute hops): binary search on the
@@ -40,13 +42,15 @@ const (
 )
 
 // hostCols is the sealed SoA host plane. All columns are parallel and
-// sorted by (hi,lo); byRank is the insertion-order permutation.
+// sorted by (hi,lo); byRank is the insertion-order permutation. profile
+// is derived from machine by the final seal (fillProfiles) and nil before.
 type hostCols struct {
 	hi, lo   []uint64
 	asn      []bgp.ASN
 	meta     []uint8
 	serves   []wire.RespMask
 	machine  []uint64
+	profile  []profile
 	deathDay []int16
 	domain   []uint32
 	byRank   []int32
@@ -174,6 +178,17 @@ func (hc *hostCols) setFrom(pos int32, h *Host) {
 	hc.machine[pos] = h.Machine
 	hc.deathDay[pos] = h.DeathDay
 	hc.domain[pos] = h.Domain
+}
+
+// fillProfiles derives the profile column from the machine keys, fanned
+// out over the host range (each entry is a pure function of its key).
+func (hc *hostCols) fillProfiles() {
+	hc.profile = make([]profile, hc.n())
+	par.Ranges(hc.n(), runtime.GOMAXPROCS(0), 4096, 1, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			hc.profile[i] = newProfile(hc.machine[i])
+		}
+	})
 }
 
 // mergeSealed merges a (small) builder of late additions into sealed
@@ -342,7 +357,7 @@ func (in *Internet) MemBytes() WorldMem {
 	m.NHosts = hc.n()
 	m.Hosts = int64(cap(hc.hi))*8 + int64(cap(hc.lo))*8 +
 		int64(cap(hc.asn))*4 + int64(cap(hc.meta)) + int64(cap(hc.serves)) +
-		int64(cap(hc.machine))*8 + int64(cap(hc.deathDay))*2 +
+		int64(cap(hc.machine))*8 + int64(cap(hc.profile))*8 + int64(cap(hc.deathDay))*2 +
 		int64(cap(hc.domain))*4 + int64(cap(hc.byRank))*4
 	m.Topo = int64(cap(in.nets))*networkBytes +
 		int64(cap(in.regions))*aliasRegionBytes +

@@ -1,8 +1,7 @@
 package netsim
 
 import (
-	"math/rand"
-
+	"expanse/internal/lazyrand"
 	"expanse/internal/wire"
 )
 
@@ -38,9 +37,65 @@ type machine struct {
 	key     uint64 // per-machine hash key (per-tuple ts, jitter)
 }
 
+// profile is a machine's personality packed into one word: indices into
+// the value tables below in the low 17 bits, tsBase in the high 32. It is
+// what the sealed world stores per host and per alias region.
+type profile uint64
+
+// machineRef is a machine as resolution hands it around and a probe
+// answer carries it: the packed profile plus the key the per-tuple
+// timestamp hashes need. unpack gives the working form.
+type machineRef struct {
+	prof profile
+	key  uint64
+}
+
+// deriveMachine derives a machine from its key alone — the path of
+// subscriber-line devices, a functional population with no columns.
+func deriveMachine(key uint64) machineRef { return machineRef{newProfile(key), key} }
+
+// Field offsets of the packed indices (widths follow the table sizes).
+const (
+	profOptShift    = 2
+	profMSSShift    = 5
+	profWScaleShift = 7
+	profWSizeShift  = 10
+	profTSModeShift = 13
+	profTSHzShift   = 15
+	profTSBaseShift = 32
+)
+
+// weighted is a discrete distribution: weights plus their total, summed
+// once at init in slice order so every draw compares against the same
+// float64 a per-call summation would produce.
+type weighted struct {
+	w     []float64
+	total float64
+}
+
+func newWeighted(w ...float64) weighted {
+	total := 0.0
+	for _, x := range w {
+		total += x
+	}
+	return weighted{w, total}
+}
+
+// pick draws an index with probability proportional to its weight.
+func (d weighted) pick(rng *lazyrand.Source) profile {
+	r := rng.Float64() * d.total
+	for i, x := range d.w {
+		r -= x
+		if r < 0 {
+			return profile(i)
+		}
+	}
+	return profile(len(d.w) - 1)
+}
+
 // Common option layouts: the paper finds 99.5% of responsive hosts choose
 // MSS-SACK-TS-N-WS; the rest use variants.
-var optLayouts = []string{
+var optLayouts = [...]string{
 	"MSS-SACK-TS-N-WS",     // dominant (Linux-style)
 	"MSS-N-WS-N-N-TS-SACK", // macOS-style
 	"MSS-N-WS-SACK-TS",
@@ -48,70 +103,59 @@ var optLayouts = []string{
 	"MSS",
 }
 
-var optLayoutWeights = []float64{0.995, 0.002, 0.0015, 0.001, 0.0005}
+// The value tables a profile indexes, each with its popularity.
+var (
+	ittlValues   = [...]uint8{64, 255, 128, 32}
+	mssValues    = [...]uint16{1440, 1460, 1380, 8940}
+	wscaleValues = [...]uint8{7, 8, 9, 5, 2}
+	wsizeValues  = [...]uint16{28800, 65535, 64240, 14600, 29200}
+	tsModes      = [...]tsMode{tsMonotonic, tsPerTuple, tsConstant, tsNone}
+	tsHzValues   = [...]uint32{1000, 250, 100}
 
-var ittlValues = []uint8{64, 255, 128, 32}
-var ittlWeights = []float64{0.72, 0.17, 0.10, 0.01}
+	ittlDist   = newWeighted(0.72, 0.17, 0.10, 0.01)
+	optDist    = newWeighted(0.995, 0.002, 0.0015, 0.001, 0.0005)
+	mssDist    = newWeighted(0.55, 0.35, 0.07, 0.03)
+	wscaleDist = newWeighted(0.5, 0.2, 0.15, 0.1, 0.05)
+	wsizeDist  = newWeighted(0.35, 0.25, 0.2, 0.1, 0.1)
+	tsModeDist = newWeighted(0.52, 0.36, 0.04, 0.08)
+	tsHzDist   = newWeighted(0.6, 0.25, 0.15)
+)
 
-// machineFor returns the memoized machine profile for a key. Keys come
-// from a population bounded by the world's machines (hosts, CPE lines,
-// alias regions, plus quirk-derived variants), but profiles are needed on
-// every probe answer: deriving one seeds a full math/rand generator (a
-// 607-word fill), which dominated probe cost before memoization. The
-// cache lives on the Internet — keys are salted with the world key, so
-// sharing across worlds would only accumulate dead entries — and
-// sync.Map gives the lock-free read path the concurrent scanner workers
-// need.
-func (in *Internet) machineFor(key uint64) machine {
-	if m, ok := in.machines.Load(key); ok {
-		return m.(machine)
-	}
-	m := newMachine(key)
-	in.machines.Store(key, m)
-	return m
+// newProfile derives a machine's deterministic profile from its key:
+// eight draws of the math/rand stream seeded with the key. lazyrand
+// computes just the register words those draws read, which makes it cheap
+// enough to run per host at seal time and per answer for subscriber-line
+// devices (about one answer in a hundred of a sweep).
+func newProfile(key uint64) profile {
+	rng := lazyrand.New(int64(key))
+	p := ittlDist.pick(&rng)
+	p |= optDist.pick(&rng) << profOptShift
+	p |= mssDist.pick(&rng) << profMSSShift
+	p |= wscaleDist.pick(&rng) << profWScaleShift
+	p |= wsizeDist.pick(&rng) << profWSizeShift
+	p |= tsModeDist.pick(&rng) << profTSModeShift
+	p |= profile(rng.Uint32()) << profTSBaseShift
+	p |= tsHzDist.pick(&rng) << profTSHzShift
+	return p
 }
 
-// newMachine derives a deterministic machine profile from a key.
-func newMachine(key uint64) machine {
-	rng := rand.New(rand.NewSource(int64(key)))
-	m := machine{key: key}
-	m.iTTL = pickWeighted(rng, ittlValues, ittlWeights)
-	m.optText = pickWeighted(rng, optLayouts, optLayoutWeights)
-	m.mss = []uint16{1440, 1460, 1380, 8940}[weightedIdx(rng, []float64{0.55, 0.35, 0.07, 0.03})]
-	m.wscale = []uint8{7, 8, 9, 5, 2}[weightedIdx(rng, []float64{0.5, 0.2, 0.15, 0.1, 0.05})]
-	m.wsize = []uint16{28800, 65535, 64240, 14600, 29200}[weightedIdx(rng, []float64{0.35, 0.25, 0.2, 0.1, 0.1})]
-	switch weightedIdx(rng, []float64{0.52, 0.36, 0.04, 0.08}) {
-	case 0:
-		m.tsMode = tsMonotonic
-	case 1:
-		m.tsMode = tsPerTuple
-	case 2:
-		m.tsMode = tsConstant
-	default:
-		m.tsMode = tsNone
-	}
-	m.tsBase = rng.Uint32()
-	m.tsHz = []uint32{1000, 250, 100}[weightedIdx(rng, []float64{0.6, 0.25, 0.15})]
-	return m
-}
+// iTTL returns the profile's initial hop limit.
+func (p profile) iTTL() uint8 { return ittlValues[p&3] }
 
-func pickWeighted[T any](rng *rand.Rand, vals []T, w []float64) T {
-	return vals[weightedIdx(rng, w)]
-}
-
-func weightedIdx(rng *rand.Rand, w []float64) int {
-	total := 0.0
-	for _, x := range w {
-		total += x
+// unpack expands the packed profile into the working form.
+func (m machineRef) unpack() machine {
+	p := m.prof
+	return machine{
+		iTTL:    p.iTTL(),
+		optText: optLayouts[p>>profOptShift&7],
+		mss:     mssValues[p>>profMSSShift&3],
+		wscale:  wscaleValues[p>>profWScaleShift&7],
+		wsize:   wsizeValues[p>>profWSizeShift&7],
+		tsMode:  tsModes[p>>profTSModeShift&3],
+		tsBase:  uint32(p >> profTSBaseShift),
+		tsHz:    tsHzValues[p>>profTSHzShift&3],
+		key:     m.key,
 	}
-	r := rng.Float64() * total
-	for i, x := range w {
-		r -= x
-		if r < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }
 
 // hasTS reports whether the layout carries a timestamp option.

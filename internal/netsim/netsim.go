@@ -20,11 +20,11 @@ package netsim
 
 import (
 	"math/rand"
-	"sync"
 
 	"expanse/internal/bgp"
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
+	"expanse/internal/lazyrand"
 	"expanse/internal/wire"
 )
 
@@ -149,6 +149,9 @@ type AliasRegion struct {
 	// Loss is the per-probe loss probability (high-loss networks are what
 	// the sliding window of §5.2 exists for).
 	Loss float64
+	// prof is Machine's profile and mixProf that of the second backend a
+	// QuirkProxyMix region fronts (see quirkedMachine), filled at seal.
+	prof, mixProf profile
 }
 
 // lineISP describes a pool of subscriber lines inside one ISP
@@ -217,9 +220,6 @@ type Internet struct {
 	aliasRecords []AliasRecord
 	rdns         []ip6.Addr
 	key          uint64
-	// machines memoizes fingerprint profiles per machine key; the only
-	// state Probe mutates (append-only, race-free — see machineFor).
-	machines sync.Map // uint64 → machine
 	// b is the construction-time host builder; nil once sealed.
 	b *worldBuilder
 }
@@ -266,11 +266,17 @@ func (in *Internet) sealPhase1() {
 	in.b = newWorldBuilder()
 }
 
-// sealDelta merges the post-seal additions into the columns, compiles the
-// resolution tables from the now-final region and network columns, and
-// drops the builder for good.
+// sealDelta merges the post-seal additions into the columns, derives
+// every host's and region's machine profile, compiles the resolution
+// tables from the now-final region and network columns, and drops the
+// builder for good.
 func (in *Internet) sealDelta() {
 	in.hc = mergeSealed(in.hc, in.b)
+	in.hc.fillProfiles()
+	for i := range in.regions {
+		r := &in.regions[i]
+		r.prof, r.mixProf = newProfile(r.Machine), newProfile(r.mixMachine())
+	}
 	in.tabs = compileTables(in.regions, in.nets, in.Table)
 	in.b = nil
 }
@@ -359,12 +365,12 @@ func (in *Internet) GroundTruthAliased(addr ip6.Addr) bool {
 //
 // Concurrency contract: Probe is safe for unlimited concurrent use once
 // New has returned. The world is immutable after construction — every
-// lookup structure (host columns, interval tables) is read-only, all
-// per-probe variation derives from pure keyed hashes, and the only shared
-// mutable state is the machine-profile memo cache, which is append-only
-// and race-free (see machineFor). A probe's answer depends solely on its
-// arguments, never on probe ordering, so any interleaving of concurrent
-// callers observes identical responses. The concurrent scan engine in
+// lookup structure (host columns, interval tables) is read-only, machine
+// profiles are sealed columns or derived on the caller's stack, and all
+// per-probe variation derives from pure keyed hashes: Probe writes no
+// shared state at all. A probe's answer depends solely on its arguments,
+// never on probe ordering, so any interleaving of concurrent callers
+// observes identical responses. The concurrent scan engine in
 // internal/probe relies on this contract.
 //
 // Probe is a one-destination call of the batch path: the same resolve
@@ -377,17 +383,17 @@ func (in *Internet) Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time) wir
 
 // rawResponse is the allocation-free internal probe answer resolve
 // returns: the OK flag, the hop limit, and — for TCP
-// probes — the responding machine profile plus the per-probe fingerprint
-// deltas the alias quirks apply. materialize turns it into a wire.Response
-// (heap TCPInfo); the batch emitter writes it straight into result columns
-// with the fingerprint interned instead.
+// probes — the responding machine and the per-probe fingerprint deltas
+// the alias quirks apply. materialize turns it into a wire.Response (heap
+// TCPInfo); the batch emitter writes it straight into result columns with
+// the fingerprint interned instead.
 type rawResponse struct {
 	ok       bool
 	tcp      bool
 	hop      uint8
 	wsizeAdd uint16 // QuirkWSizeVary per-probe window delta
 	mssSub   uint16 // QuirkMSSVary per-address MSS delta
-	m        machine
+	m        machineRef
 	dstKey   uint64
 }
 
@@ -399,7 +405,8 @@ func (in *Internet) materialize(raw rawResponse, day int, at wire.Time) wire.Res
 	}
 	resp := wire.Response{OK: true, HopLimit: raw.hop}
 	if raw.tcp {
-		info := raw.m.tcpAnswer(raw.dstKey, day, at)
+		m := raw.m.unpack()
+		info := m.tcpAnswer(raw.dstKey, day, at)
 		info.WSize += raw.wsizeAdd
 		info.MSS -= raw.mssSub
 		resp.TCP = info
@@ -455,16 +462,18 @@ func (in *Internet) probeAliasRaw(r *AliasRegion, dst ip6.Addr, p wire.Proto, da
 	return raw, true
 }
 
-// quirkedMachine derives the effective machine key for a destination,
+// quirkedMachine returns the effective machine for a destination,
 // implementing the per-address fingerprint variation quirks.
-func (r *AliasRegion) quirkedMachine(dstKey uint64) uint64 {
-	m := r.Machine
+func (r *AliasRegion) quirkedMachine(dstKey uint64) machineRef {
 	if r.Quirks&QuirkProxyMix != 0 && dstKey%7 == 0 {
 		// ~1/7 of addresses front a different backend.
-		m = hash64.Mix(m ^ 0xbac0e4d)
+		return machineRef{r.mixProf, r.mixMachine()}
 	}
-	return m
+	return machineRef{r.prof, r.Machine}
 }
+
+// mixMachine is the key of a QuirkProxyMix region's second backend.
+func (r *AliasRegion) mixMachine() uint64 { return hash64.Mix(r.Machine ^ 0xbac0e4d) }
 
 func (r *AliasRegion) pathLen(in *Internet) uint8 {
 	return uint8(3 + hash2(in.key^0x9a70, uint64(r.ASN))%9)
@@ -504,7 +513,7 @@ func (in *Internet) probeHostRaw(hi int32, dst ip6.Addr, p wire.Proto, day int, 
 	if chance(hash3(in.key^0x1055, dstKey, uint64(day)<<3|uint64(p)), loss) {
 		return rawResponse{}
 	}
-	return in.answerRaw(mk, dstKey, p, at, path, jitter)
+	return in.answerRaw(machineRef{hc.profile[hi], mk}, dstKey, p, at, path, jitter)
 }
 
 // clientOnline models a client's daily uptime window (mean ≈ 8h).
@@ -545,7 +554,7 @@ func (in *Internet) probeLineRaw(nw *network, dst ip6.Addr, p wire.Proto, day in
 		if chance(hash3(in.key^0xc9e, dstKey, uint64(day)), nw.loss+0.02) {
 			return rawResponse{}
 		}
-		return in.answerRaw(isp.cpeMachine(line), dstKey, p, at, nw.pathLen, nw.jitter)
+		return in.answerRaw(deriveMachine(isp.cpeMachine(line)), dstKey, p, at, nw.pathLen, nw.jitter)
 	case lineNAS:
 		// Self-hosted servers behind CPE: web panel plus ICMP.
 		if p != wire.ICMPv6 && p != wire.TCP80 {
@@ -555,7 +564,7 @@ func (in *Internet) probeLineRaw(nw *network, dst ip6.Addr, p wire.Proto, day in
 		if chance(hash3(in.key^0x4a5a, dstKey, uint64(day)<<3|uint64(p)), nw.loss+0.03) {
 			return rawResponse{}
 		}
-		return in.answerRaw(mk, dstKey, p, at, nw.pathLen+1, nw.jitter)
+		return in.answerRaw(deriveMachine(mk), dstKey, p, at, nw.pathLen+1, nw.jitter)
 	case lineClient:
 		if p != wire.ICMPv6 {
 			return rawResponse{}
@@ -569,18 +578,18 @@ func (in *Internet) probeLineRaw(nw *network, dst ip6.Addr, p wire.Proto, day in
 		if !clientOnline(mk, day, at) {
 			return rawResponse{}
 		}
-		return in.answerRaw(mk, dstKey, p, at, nw.pathLen+1, nw.jitter)
+		return in.answerRaw(deriveMachine(mk), dstKey, p, at, nw.pathLen+1, nw.jitter)
 	}
 	return rawResponse{}
 }
 
-// answerRaw builds a positive answer: hop limit plus, for TCP probes, the
-// machine whose fingerprint the response carries. Timestamp values and
-// TCPInfo materialization are deferred to the emitters (materialize for
-// Probe, the column emitter in resolve.go for ProbeBatch).
-func (in *Internet) answerRaw(effKey, dstKey uint64, p wire.Proto, at wire.Time, path uint8, ttlFlip bool) rawResponse {
-	m := in.machineFor(effKey)
-	ittl := m.iTTL
+// answerRaw builds machine m's positive answer: hop limit plus, for TCP
+// probes, the machine whose fingerprint the response carries. Timestamp
+// values and TCPInfo materialization are deferred to the emitters
+// (materialize for Probe, the column emitter in resolve.go for
+// ProbeBatch).
+func (in *Internet) answerRaw(m machineRef, dstKey uint64, p wire.Proto, at wire.Time, path uint8, ttlFlip bool) rawResponse {
+	ittl := m.prof.iTTL()
 	if ttlFlip && dstKey&1 == 1 {
 		if ittl == 64 {
 			ittl = 255
@@ -611,6 +620,12 @@ func (in *Internet) networkOf(addr ip6.Addr) int32 {
 }
 
 // rngFor derives a deterministic rand.Rand for a construction sub-task.
-func (in *Internet) rngFor(tag uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(hash2(in.key, tag))))
+func (in *Internet) rngFor(tag uint64) *rand.Rand { return seededRand(hash2(in.key, tag)) }
+
+// seededRand returns the generator rand.New(rand.NewSource(int64(key)))
+// would, over a lazily seeded source: the planners draw a handful of
+// values per network.
+func seededRand(key uint64) *rand.Rand {
+	src := lazyrand.New(int64(key))
+	return rand.New(&src)
 }

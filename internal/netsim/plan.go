@@ -222,7 +222,7 @@ func hostIID(nw *network, subnet ip6.Prefix, i uint64) ip6.Addr {
 // planFarm populates a hosting/CDN/service/academic network with servers
 // plus stale sibling addresses (old DNS records that no longer respond).
 func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
-	rng := rand.New(rand.NewSource(int64(nw.key)))
+	rng := seededRand(nw.key)
 	scale := in.cfg.Scale
 
 	var median float64
@@ -368,7 +368,7 @@ func (in *Internet) planISP(nw *network, all []ip6.Prefix) {
 		}
 		return
 	}
-	rng := rand.New(rand.NewSource(int64(nw.key ^ 0x115b)))
+	rng := seededRand(nw.key ^ 0x115b)
 	scale := in.cfg.Scale
 	var lines int
 	switch nw.asn {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/wire"
 )
@@ -77,6 +78,119 @@ func coveringRouterSubnetScan(in *Internet, nw *network) ip6.Prefix {
 		}
 	}
 	return ip6.Prefix{}
+}
+
+// newMachineRef is the retired derivation of a machine profile, verbatim:
+// a full math/rand generator seeded per key, the unpacked struct filled
+// field by field from per-call value and weight slices. It is what the
+// packed profile (newProfile, lazily seeded) must reproduce bit for bit.
+func newMachineRef(key uint64) machine {
+	rng := rand.New(rand.NewSource(int64(key)))
+	m := machine{key: key}
+	m.iTTL = pickWeightedRef(rng, []uint8{64, 255, 128, 32}, []float64{0.72, 0.17, 0.10, 0.01})
+	m.optText = pickWeightedRef(rng, optLayouts[:], []float64{0.995, 0.002, 0.0015, 0.001, 0.0005})
+	m.mss = []uint16{1440, 1460, 1380, 8940}[weightedIdxRef(rng, []float64{0.55, 0.35, 0.07, 0.03})]
+	m.wscale = []uint8{7, 8, 9, 5, 2}[weightedIdxRef(rng, []float64{0.5, 0.2, 0.15, 0.1, 0.05})]
+	m.wsize = []uint16{28800, 65535, 64240, 14600, 29200}[weightedIdxRef(rng, []float64{0.35, 0.25, 0.2, 0.1, 0.1})]
+	switch weightedIdxRef(rng, []float64{0.52, 0.36, 0.04, 0.08}) {
+	case 0:
+		m.tsMode = tsMonotonic
+	case 1:
+		m.tsMode = tsPerTuple
+	case 2:
+		m.tsMode = tsConstant
+	default:
+		m.tsMode = tsNone
+	}
+	m.tsBase = rng.Uint32()
+	m.tsHz = []uint32{1000, 250, 100}[weightedIdxRef(rng, []float64{0.6, 0.25, 0.15})]
+	return m
+}
+
+func pickWeightedRef[T any](rng *rand.Rand, vals []T, w []float64) T {
+	return vals[weightedIdxRef(rng, w)]
+}
+
+func weightedIdxRef(rng *rand.Rand, w []float64) int {
+	total := 0.0
+	for _, x := range w {
+		total += x
+	}
+	r := rng.Float64() * total
+	for i, x := range w {
+		r -= x
+		if r < 0 {
+			return i
+		}
+	}
+	return len(w) - 1
+}
+
+// newMachine is the production derivation in the oracle's terms: the
+// packed profile of a key, unpacked.
+func newMachine(key uint64) machine { return deriveMachine(key).unpack() }
+
+// TestProfilesMatchRef pins the packed profiles against newMachineRef:
+// on demand over 10⁵ keys (the subscriber-line path), and as sealed —
+// the profile column entry of every host and both profile words of every
+// alias region, in every reference world. It also checks the keys reached
+// every value of every profile table, so no packed field goes untested.
+func TestProfilesMatchRef(t *testing.T) {
+	seen := map[any]bool{}
+	check := func(what string, got machine) {
+		t.Helper()
+		want := newMachineRef(got.key)
+		if got != want {
+			t.Fatalf("%s: key %#x unpacks to %+v, math/rand derivation %+v", what, got.key, got, want)
+		}
+		for _, v := range []any{want.iTTL, want.optText, want.mss, [2]any{"wscale", want.wscale}, want.wsize, want.tsMode, want.tsHz} {
+			seen[v] = true
+		}
+	}
+	for i := uint64(0); i < 100_000; i++ {
+		key := i
+		if i >= 1000 {
+			key = hash64.Mix(i)
+		}
+		check("on demand", newMachine(key))
+	}
+	want := len(ittlValues) + len(optLayouts) + len(mssValues) + len(wscaleValues) + len(wsizeValues) + len(tsModes) + len(tsHzValues)
+	if len(seen) != want {
+		t.Fatalf("keys reached %d distinct profile values, tables hold %d", len(seen), want)
+	}
+
+	worlds := []*Internet{world}
+	for _, cfg := range refConfigs()[1:] {
+		worlds = append(worlds, New(cfg))
+	}
+	for _, in := range worlds {
+		if len(in.hc.profile) != in.hc.n() || in.hc.n() == 0 {
+			t.Fatalf("profile column holds %d entries for %d hosts", len(in.hc.profile), in.hc.n())
+		}
+		for i, key := range in.hc.machine {
+			check("host column", machineRef{in.hc.profile[i], key}.unpack())
+		}
+		for i := range in.regions {
+			r := in.regions[i]
+			check("region", machineRef{r.prof, r.Machine}.unpack())
+			check("region proxy backend", machineRef{r.mixProf, r.mixMachine()}.unpack())
+			// quirkedMachine hands out exactly these two: the backend for
+			// every seventh destination of a proxy-mix region (forced on a
+			// copy here — few regions draw the quirk), the machine otherwise.
+			for _, quirks := range []AliasQuirk{r.Quirks &^ QuirkProxyMix, r.Quirks | QuirkProxyMix} {
+				r.Quirks = quirks
+				for dstKey := uint64(0); dstKey < 14; dstKey++ {
+					want := machineRef{r.prof, r.Machine}
+					if quirks&QuirkProxyMix != 0 && dstKey%7 == 0 {
+						want = machineRef{r.mixProf, hash64.Mix(r.Machine ^ 0xbac0e4d)}
+					}
+					if got := r.quirkedMachine(dstKey); got != want {
+						t.Fatalf("region %d quirks %#x dst %d: machine %+v, want %+v", i, quirks, dstKey, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestProbeMatchesRef pins Probe — resolve over fresh cursors — against

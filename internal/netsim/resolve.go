@@ -162,11 +162,12 @@ func (in *Internet) emit(out *wire.ResultColumns, i int, raw rawResponse, day in
 		out.HopLimit[i] = raw.hop
 	}
 	if raw.tcp && out.TCPRef != nil {
-		fp := raw.m.fingerprint()
+		m := raw.m.unpack()
+		fp := m.fingerprint()
 		fp.WSize += raw.wsizeAdd
 		fp.MSS -= raw.mssSub
 		out.TCPRef[i] = out.Table.Intern(fp)
-		if present, v := raw.m.tsVal(raw.dstKey, day, at); present {
+		if present, v := m.tsVal(raw.dstKey, day, at); present {
 			out.TSVal[i] = v
 		}
 	}
