@@ -2,10 +2,13 @@ package core
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"expanse/internal/apd"
+	"expanse/internal/ip6"
+	"expanse/internal/sources"
 )
 
 func snapTestConfig(workers, overlap int) Config {
@@ -90,6 +93,58 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 	if latest := rp.Latest(); latest == nil || latest.Index != days-1 {
 		t.Fatal("resumed pipeline did not publish through Latest")
+	}
+}
+
+// TestResumeThenCollect pins what Collect does on a resumed pipeline,
+// whose fresh sources meet a hitlist they did not build: every source
+// reports its full visible set once — all of it already restored — and
+// scamper traces the whole restored hitlist, so nothing is lost and the
+// result (hitlist and the next epoch's digest) is the same at every
+// worker count. The hitlist is not left unchanged, and was not before
+// collection became incremental either: tracing the finished hitlist
+// on the early collection days reaches lines that held a later target's
+// /56 back then, and their CPE hops are new addresses.
+func TestResumeThenCollect(t *testing.T) {
+	dir := t.TempDir()
+	baselineRun(t, dir, 3)
+	var wantHitlist []ip6.Addr
+	var wantDigest string
+	for _, workers := range []int{1, 4} {
+		rp, ep, err := Resume(snapTestConfig(workers, 2), dir, 1)
+		if err != nil {
+			t.Fatalf("Resume(w=%d): %v", workers, err)
+		}
+		restored := rp.Hitlist().Sorted()
+		rp.Collect()
+		after := rp.Hitlist()
+		for _, a := range restored {
+			if !after.Contains(a) {
+				t.Fatalf("w=%d: Collect after Resume lost %v", workers, a)
+			}
+		}
+		st := rp.Store
+		for _, name := range sources.Names {
+			if st.PerSource(name).Len() == 0 {
+				t.Errorf("w=%d: %s reported nothing to the resumed store", workers, name)
+			}
+			// Only scamper's re-trace reaches addresses the restored
+			// hitlist lacks.
+			if name != sources.Scamper && st.NewCount(name) != 0 {
+				t.Errorf("w=%d: %s contributed %d addresses the restored hitlist lacked", workers, name, st.NewCount(name))
+			}
+		}
+		digest := runDays(rp, ep.Day+1, 1)[0].Digest()
+		if wantHitlist == nil {
+			wantHitlist, wantDigest = after.Sorted(), digest
+			continue
+		}
+		if !slices.Equal(after.Sorted(), wantHitlist) {
+			t.Errorf("w=%d: hitlist after Resume+Collect differs from workers=1 (%d vs %d addresses)", workers, after.Len(), len(wantHitlist))
+		}
+		if digest != wantDigest {
+			t.Errorf("w=%d: next epoch's digest after Resume+Collect differs from workers=1", workers)
+		}
 	}
 }
 

@@ -16,8 +16,20 @@ func Mix(x uint64) uint64 {
 }
 
 // String is 64-bit FNV-1a over the bytes of s.
-func String(s string) uint64 {
+func String(s string) uint64 { return fnv1a(14695981039346656037, s) }
+
+// Strings is String over the concatenation of parts, without building
+// the concatenated string.
+func Strings(parts ...string) uint64 {
 	h := uint64(14695981039346656037)
+	for _, s := range parts {
+		h = fnv1a(h, s)
+	}
+	return h
+}
+
+// fnv1a folds the bytes of s into the running FNV-1a state h.
+func fnv1a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211

@@ -2,6 +2,7 @@ package hash64
 
 import (
 	"hash/fnv"
+	"strings"
 	"testing"
 )
 
@@ -26,6 +27,17 @@ func TestStringIsFNV1a(t *testing.T) {
 		h.Write([]byte(s))
 		if got, want := String(s), h.Sum64(); got != want {
 			t.Errorf("String(%q) = %#x, want %#x", s, got, want)
+		}
+	}
+}
+
+// TestStringsIsStringOfConcatenation pins Strings equal to String of the
+// joined parts: the per-name collection epochs hash name, separator and
+// source without concatenating them.
+func TestStringsIsStringOfConcatenation(t *testing.T) {
+	for _, parts := range [][]string{nil, {""}, {"", ""}, {"a"}, {"www.example.com", "|", "CT"}, {"x.example.", "|", ""}, {"", "|", "FDNS"}} {
+		if got, want := Strings(parts...), String(strings.Join(parts, "")); got != want {
+			t.Errorf("Strings(%q) = %#x, String of the concatenation = %#x", parts, got, want)
 		}
 	}
 }

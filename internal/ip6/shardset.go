@@ -89,7 +89,9 @@ func NewShardSetWorkers(n, workers int) *ShardSet {
 // on insertion history or worker count.
 func shardOf(a Addr) int { return int(a.Hash64() & (NumShards - 1)) }
 
-func (s *ShardSet) workerCount() int {
+// Workers returns the parallelism of the set's batch operations, for
+// consumers that fan their own pass over its shards out the same way.
+func (s *ShardSet) Workers() int {
 	w := s.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
@@ -197,7 +199,7 @@ func (s *ShardSet) CompactCols() { s.clipAndDropMaps() }
 // its insertion columns at exact length (append growth leaves up to ~2×
 // slack on sets built by many small batches).
 func (s *ShardSet) clipAndDropMaps() {
-	par.Ranges(NumShards, s.workerCount(), 1, 1, func(_, lo, hi int) {
+	par.Ranges(NumShards, s.Workers(), 1, 1, func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			sh := &s.shards[si]
 			sh.mu.Lock()
@@ -262,7 +264,7 @@ func (s *ShardSet) AddSlice(addrs []Addr) int {
 		return 0
 	}
 	s.uncompact()
-	w := s.workerCount()
+	w := s.Workers()
 	// Phase 1: each contiguous input chunk buckets its element indices by
 	// shard, in parallel. (Indices fit int32: a batch beyond 2^31
 	// addresses is a >32GB argument slice, far past any hitlist batch.)
@@ -416,7 +418,7 @@ func (v FrozenView) Contains(a Addr) bool {
 // and the previous cache slice is left intact for existing readers.
 func (s *ShardSet) rebuildSorted() []Addr {
 	tails := make([]ShardCols, NumShards)
-	par.Ranges(NumShards, s.workerCount(), 1, 1, func(_, slo, shi int) {
+	par.Ranges(NumShards, s.Workers(), 1, 1, func(_, slo, shi int) {
 		for si := slo; si < shi; si++ {
 			sh := &s.shards[si]
 			v := s.shardView(si)

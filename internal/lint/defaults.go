@@ -41,6 +41,10 @@ var DefaultDetRand = DetRandConfig{
 		// generation study; their output is merged in AS order.
 		"expanse/internal/eip",
 		"expanse/internal/sixgen",
+		// The collectors keep state between epochs (what each source has
+		// reported, scamper's cursors and hop references): all of it a
+		// function of the call sequence, none of the clock.
+		"expanse/internal/sources",
 	},
 	Exempt: []string{
 		"expanse/cmd/bench",
@@ -85,6 +89,13 @@ var DefaultHotFuncs = []HotFunc{
 	// per-address walk, behind every per-prefix and per-AS report tally.
 	{PkgPath: "expanse/internal/bgp", Func: "Lookup"},
 	{PkgPath: "expanse/internal/bgp", Func: "Resolve"},
+	// Collection's traceroute plane: the hop-reference kernel behind
+	// TraceroutePath and scamper, scamper's per-new-target loop and its
+	// per-subscriber-target CPE pass — the loops that used to build a hop
+	// slice per target and dedup through a map.
+	{PkgPath: "expanse/internal/netsim", Func: "HopRefs"},
+	{PkgPath: "expanse/internal/sources", Func: "traceTargets"},
+	{PkgPath: "expanse/internal/sources", Func: "cpeHops"},
 	// The Entropy/IP best-first walk: one expand per popped frontier
 	// node, one child per mined value — the loop that used to allocate a
 	// node and a choice vector per child.

@@ -21,7 +21,8 @@ type HotFunc struct {
 // hot functions this analyzer flags the recurring offenders at review
 // time instead: any fmt print-family call or ip6.Addr.String call
 // anywhere in the function, and per-iteration allocations — make, new,
-// slice/map composite literals, string concatenation — inside its
+// slice/map composite literals, string concatenation, append onto a
+// slice declared inside the loop, an ip6 set constructor — inside its
 // loops. Hoist the allocation, use the pooled scratch the function
 // already owns, or document the exception with //lint:allow.
 func NewHotAlloc(hot []HotFunc) *Analyzer {
@@ -59,27 +60,39 @@ func runHotAlloc(p *Pass, table map[string]map[string]bool) {
 }
 
 func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
-	var walk func(n ast.Node, inLoop bool)
-	walk = func(n ast.Node, inLoop bool) {
+	// loop is the body of the outermost loop around n, nil outside loops:
+	// what is declared inside it is fresh on every iteration.
+	var walk func(n ast.Node, loop *ast.BlockStmt)
+	walk = func(n ast.Node, loop *ast.BlockStmt) {
+		inLoop := loop != nil
+		// body walks a loop body, which opens the outermost loop when n
+		// is not inside one yet.
+		body := func(b *ast.BlockStmt) {
+			if inLoop {
+				walk(b, loop)
+			} else {
+				walk(b, b)
+			}
+		}
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ForStmt:
 				if n.Init != nil {
-					walk(n.Init, inLoop)
+					walk(n.Init, loop)
 				}
 				if n.Cond != nil {
-					walk(n.Cond, inLoop)
+					walk(n.Cond, loop)
 				}
 				if n.Post != nil {
-					walk(n.Post, inLoop)
+					walk(n.Post, loop)
 				}
-				walk(n.Body, true)
+				body(n.Body)
 				return false
 			case *ast.RangeStmt:
-				walk(n.Body, true)
+				body(n.Body)
 				return false
 			case *ast.CallExpr:
-				checkHotCall(p, fd, n, inLoop)
+				checkHotCall(p, fd, n, loop)
 			case *ast.CompositeLit:
 				if inLoop && allocatingLit(p.TypeOf(n)) {
 					p.Reportf(n.Pos(), "composite literal allocates per iteration in hot path %s: hoist it or reuse scratch", fd.Name.Name)
@@ -92,10 +105,15 @@ func checkHotFunc(p *Pass, fd *ast.FuncDecl) {
 			return true
 		})
 	}
-	walk(fd.Body, false)
+	walk(fd.Body, nil)
 }
 
-func checkHotCall(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, inLoop bool) {
+// setConstructors are the ip6 constructors that allocate a map-backed
+// set: one per iteration of a hot loop is a per-target hash table.
+var setConstructors = map[string]bool{"NewSet": true, "NewShardSetWorkers": true}
+
+func checkHotCall(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, loop *ast.BlockStmt) {
+	inLoop := loop != nil
 	// fmt print family and Addr.String: forbidden anywhere in a hot
 	// function — both allocate and format per call.
 	switch fun := call.Fun.(type) {
@@ -112,6 +130,9 @@ func checkHotCall(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, inLoop bool) {
 					return
 				}
 			}
+			if inLoop && sig != nil && sig.Recv() == nil && obj.Pkg().Path() == "expanse/internal/ip6" && setConstructors[obj.Name()] {
+				p.Reportf(call.Pos(), "ip6.%s allocates a set per iteration in hot path %s: accumulate into columns or a set the caller owns", obj.Name(), fd.Name.Name)
+			}
 		}
 	case *ast.Ident:
 		if obj, ok := p.ObjectOf(fun).(*types.Builtin); ok && inLoop {
@@ -120,6 +141,14 @@ func checkHotCall(p *Pass, fd *ast.FuncDecl, call *ast.CallExpr, inLoop bool) {
 				p.Reportf(call.Pos(), "make allocates per iteration in hot path %s: hoist it or reuse scratch", fd.Name.Name)
 			case "new":
 				p.Reportf(call.Pos(), "new allocates per iteration in hot path %s: hoist it or reuse scratch", fd.Name.Name)
+			case "append":
+				// A slice declared inside the loop starts empty every
+				// iteration, so growing it allocates every iteration.
+				if id, ok := call.Args[0].(*ast.Ident); ok {
+					if v := p.ObjectOf(id); v != nil && loop.Pos() <= v.Pos() && v.Pos() < loop.End() {
+						p.Reportf(call.Pos(), "append grows %s, declared inside the loop, per iteration in hot path %s: hoist it and reuse it with [:0], or write into the caller's columns", id.Name, fd.Name.Name)
+					}
+				}
 			}
 		}
 	}

@@ -35,6 +35,7 @@ var fixtureHot = []lint.HotFunc{
 	{PkgPath: "hotalloc", Func: "expand"},
 	{PkgPath: "hotalloc", Func: "newProfile"},
 	{PkgPath: "hotalloc", Func: "fanOutWith"},
+	{PkgPath: "hotalloc", Func: "traceTargets"},
 }
 
 func TestMapOrder(t *testing.T) {

@@ -2,9 +2,9 @@
 // PRs 4-7 hunted by profile — per-probe Addr.String keys, fmt in
 // responders, per-iteration scratch — written into a designated hot
 // function (the analyzer runs with ScanColumns, MergeColumns, resolve,
-// resolveSeq, expand, newProfile and fanOutWith of this package in its
-// hot table), next to a cold function where the same constructs are fine
-// and the hoisted patterns that keep hot paths clean.
+// resolveSeq, expand, newProfile, fanOutWith and traceTargets of this
+// package in its hot table), next to a cold function where the same
+// constructs are fine and the hoisted patterns that keep hot paths clean.
 package hotalloc
 
 import (
@@ -56,7 +56,7 @@ func resolveSeq(seq []ip6.Addr, bounds []uint64) []int32 {
 		hit := make([]int32, 0, 1) // want `make allocates per iteration in hot path resolveSeq`
 		for k, b := range bounds {
 			if a.Hi() <= b {
-				hit = append(hit, int32(k))
+				hit = append(hit, int32(k)) // want `append grows hit, declared inside the loop, per iteration in hot path resolveSeq`
 				break
 			}
 		}
@@ -109,6 +109,34 @@ func fanOutWith(out []ip6.Addr, hi uint64) {
 		one[0] = ip6.AddrFromUint64(hi, uint64(i))
 		out[i] = one[0]
 	}
+}
+
+// hop stands in for netsim.Hop.
+type hop struct {
+	addr ip6.Addr
+	asn  uint32
+}
+
+// traceTargets is a designated hot function: scamper's per-target loop
+// as it was, a hop slice built and a scratch set made for every target.
+// ORing hop references into masks the caller owns, and appending the few
+// targets worth keeping to the caller's own slice, is the clean shape.
+func traceTargets(targets []ip6.Addr, transit []uint64, subs []ip6.Addr) []ip6.Addr {
+	for i, a := range targets {
+		var path []hop
+		path = append(path, hop{addr: a}) // want `append grows path, declared inside the loop, per iteration in hot path traceTargets`
+		seen := ip6.NewSet(len(path))     // want `ip6.NewSet allocates a set per iteration in hot path traceTargets`
+		for _, h := range path {
+			dup := []hop(nil)
+			dup = append(dup, h) // want `append grows dup, declared inside the loop, per iteration in hot path traceTargets`
+			seen.Add(dup[0].addr)
+		}
+		transit[i/64] |= 1 << (i % 64)
+		if a.Lo()&1 == 0 {
+			subs = append(subs, a)
+		}
+	}
+	return subs
 }
 
 // coldHelper is not in the hot table: identical constructs pass.

@@ -119,10 +119,7 @@ func (in *Internet) Networks() []NetworkInfo {
 
 // InSubscriberSpace reports whether addr falls inside an ISP line pool —
 // the space where traceroutes keep discovering fresh CPE hops.
-func (in *Internet) InSubscriberSpace(addr ip6.Addr) bool {
-	ni, ok := ip6.LookupInterval(in.tabs.pools, addr)
-	return ok && in.nets[ni].isp >= 0
-}
+func (in *Internet) InSubscriberSpace(addr ip6.Addr) bool { return in.poolOf(addr) >= 0 }
 
 // nasAddr is the line's self-hosted server: subnet 3 of the /56, with a
 // low-entropy IID (people configure ::3:1 style addresses by hand).

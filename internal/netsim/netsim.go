@@ -619,6 +619,16 @@ func (in *Internet) networkOf(addr ip6.Addr) int32 {
 	return ni
 }
 
+// poolOf returns the ID of the subscriber pool holding addr, or -1
+// outside subscriber space. Pools hang off the operator's covering
+// announcement, so this is the SHORTEST match.
+func (in *Internet) poolOf(addr ip6.Addr) int32 {
+	if ni, ok := ip6.LookupInterval(in.tabs.pools, addr); ok && in.nets[ni].isp >= 0 {
+		return ni
+	}
+	return -1
+}
+
 // rngFor derives a deterministic rand.Rand for a construction sub-task.
 func (in *Internet) rngFor(tag uint64) *rand.Rand { return seededRand(hash2(in.key, tag)) }
 

@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"expanse/internal/bgp"
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/wire"
@@ -426,4 +428,113 @@ func FuzzIvalRun(f *testing.F) {
 			}
 		}
 	})
+}
+
+// traceroutePathRef is the retired hop-by-hop TraceroutePath body,
+// verbatim: it resolves every hop as it walks the path, where
+// TraceroutePath now resolves the references HopRefs returns.
+func (in *Internet) traceroutePathRef(dst ip6.Addr, day int) []Hop {
+	var path []Hop
+	dk := hashAddr(in.key^0x7e4ace, dst)
+
+	nwi := in.networkOf(dst)
+	var asn bgp.ASN
+	if nwi >= 0 {
+		asn = in.nets[nwi].asn
+	}
+
+	tk := hash3(in.key^0x7e4a, uint64(asn), dk%4)
+	nTransit := 2 + int(tk%2)
+	for i := 0; i < nTransit && len(in.tier1) > 0; i++ {
+		idx := hash3(tk, uint64(i), 0) % uint64(len(in.tier1))
+		a := in.tier1[idx]
+		if h, ok := in.HostAt(a); ok {
+			path = append(path, Hop{Addr: a, ASN: h.ASN})
+		}
+	}
+
+	if nwi < 0 {
+		return path
+	}
+	nw := &in.nets[nwi]
+	if sub := nw.routerSub; !sub.IsZero() {
+		n := 1 + int(hash2(nw.key, dk%8)%3)
+		for i := 0; i < n; i++ {
+			a := ip6.AddrFromUint64(sub.Addr().Hi(), 1+hash3(nw.key, dk%4, uint64(i))%6)
+			if h, ok := in.HostAt(a); ok {
+				if !chance(hash3(in.key^0xa404, hashAddr(in.key, a), uint64(day/7)), 0.15) {
+					path = append(path, Hop{Addr: a, ASN: h.ASN})
+				}
+			}
+		}
+	}
+	if ni, ok := ip6.LookupInterval(in.tabs.pools, dst); ok && in.nets[ni].isp >= 0 {
+		poolNw := &in.nets[ni]
+		isp := &in.isps[poolNw.isp]
+		if line, ok := isp.lineContaining(dst, day); ok {
+			cpe := isp.cpeAddr(line, day)
+			if cpe != dst {
+				path = append(path, Hop{Addr: cpe, ASN: poolNw.asn})
+			}
+		}
+	}
+	return path
+}
+
+// TestTraceroutePathMatchesRef pins the reference-resolving
+// TraceroutePath against the hop-by-hop walk, hop for hop — order,
+// repeated transit routers and the nil path included — over hitlist-like,
+// subscriber, unrouted and router-subnet destinations, on days either
+// side of a weekly anonymity redraw and of line rotations, and checks
+// the mix reached every kind of hop.
+func TestTraceroutePathMatchesRef(t *testing.T) {
+	for ci, cfg := range refConfigs() {
+		in := world
+		if ci > 0 {
+			in = New(cfg)
+		}
+		dsts := batchTargets(in, rand.New(rand.NewSource(0x7ace)))
+		for i := range in.nets {
+			if sub := in.nets[i].routerSub; !sub.IsZero() {
+				dsts = append(dsts, ip6.AddrFromUint64(sub.Addr().Hi(), 1+uint64(i%6)))
+			}
+		}
+		var repeats, cores, silent, cpes, selfCPE, unrouted int
+		for _, day := range []int{0, 6, 7, 62} {
+			for _, lh := range in.LineHosts() {
+				dsts = append(dsts, lh.Addr(day)) // NAS behind the CPE, or the CPE itself
+			}
+			for _, dst := range dsts {
+				got, want := in.TraceroutePath(dst, day), in.traceroutePathRef(dst, day)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("config %d day %d: TraceroutePath(%v) = %v, hop-by-hop walk says %v", ci, day, dst, got, want)
+				}
+				r := in.HopRefs(dst)
+				if r.NTransit >= 2 && r.Transit[0] == r.Transit[1] {
+					repeats++
+				}
+				cores += int(r.NCore)
+				for _, slot := range r.Core[:r.NCore] {
+					if _, ok := in.CoreHop(r.Net, slot, day); !ok {
+						silent++
+					}
+				}
+				if r.Net < 0 {
+					unrouted++
+				}
+				if r.Pool >= 0 {
+					if _, ok := in.CPEHop(r.Pool, dst, day); ok {
+						cpes++
+					} else if line, ok := in.isps[in.nets[r.Pool].isp].lineContaining(dst, day); ok &&
+						in.isps[in.nets[r.Pool].isp].cpeAddr(line, day) == dst {
+						selfCPE++
+					}
+				}
+			}
+		}
+		if repeats == 0 || cores == 0 || silent == 0 || cpes == 0 || selfCPE == 0 || unrouted == 0 {
+			t.Fatalf("config %d: destination mix missed a case: repeated transit %d, core refs %d, silent or empty core slots %d, CPE hops %d, CPE destinations %d, unrouted %d",
+				ci, repeats, cores, silent, cpes, selfCPE, unrouted)
+		}
+	}
 }

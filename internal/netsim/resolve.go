@@ -16,7 +16,7 @@ import (
 // own longest-match table: Probe and ProbeBatch through
 // resolve and its run cursors, so a batch of sorted targets pays one
 // binary search per *run* of addresses sharing a resolution; ground
-// truth, networkOf, InSubscriberSpace and TraceroutePath through
+// truth, networkOf, poolOf (InSubscriberSpace, HopRefs) through
 // ip6.LookupInterval point reads. The trie-walking form it replaced is
 // the probeRef oracle in ref_test.go.
 

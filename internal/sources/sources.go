@@ -6,13 +6,16 @@
 package sources
 
 import (
+	"math/bits"
 	"runtime"
+	"slices"
 
 	"expanse/internal/bgp"
 	"expanse/internal/dnssim"
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
+	"expanse/internal/par"
 )
 
 // Canonical source names, in the paper's table order.
@@ -30,11 +33,23 @@ const (
 var Names = []string{DL, FDNS, CT, AXFR, BIT, RA, Scamper}
 
 // Source produces addresses on collection days.
+//
+// An instance serves one accumulating hitlist, fed in ascending day
+// order: Collect returns what the source sees on the given day that no
+// earlier call on this instance has returned — everything visible on a
+// fresh instance's first call, the epoch's delta afterwards — so adding
+// every call's output to one set accumulates exactly what re-reporting
+// the full visible set each day would, in the same insertion order.
+// Addresses that move (dynamic-DNS names, CPE hops) are re-derived on
+// every call. What an instance remembers is a cache over the hitlist it
+// feeds, never the record of it: fresh instances handed a populated
+// hitlist (core.Resume) report their full visible set once, all of it
+// already in the set, and deltas from then on.
 type Source interface {
 	Name() string
-	// Collect returns the addresses visible to this source on the given
-	// day. hitlist is the current accumulated hitlist (used by scamper,
-	// which traceroutes all known targets).
+	// Collect returns the addresses newly visible to this source on the
+	// given day. hitlist is the accumulated hitlist the output is added
+	// to (read by scamper, which traceroutes all known targets).
 	Collect(day int, hitlist *ip6.ShardSet) []ip6.Addr
 }
 
@@ -45,7 +60,7 @@ func firstEpoch(key string, salt string, epochs int) int {
 	if epochs <= 1 {
 		return 0
 	}
-	return int(hash64.String(key+"|"+salt) % uint64(epochs))
+	return int(hash64.Strings(key, "|", salt) % uint64(epochs))
 }
 
 // addrEpoch is firstEpoch for address-keyed sources. It draws from
@@ -63,24 +78,57 @@ func addrEpoch(a ip6.Addr, salt string, epochs int) int {
 	return int(hash64.Mix(a.Hash64()^hash64.String(salt)) % uint64(epochs))
 }
 
-// dnsSource is a generic forward-DNS-based collector.
+// reported is the delta bookkeeping of the epoch-keyed sources: the
+// first collection epoch an instance has not reported yet.
+type reported struct {
+	perDay int
+	next   int16
+}
+
+// window returns the first-epoch range [from, to] a call on the given
+// day reports for the first time (from > to: nothing new) and marks it
+// reported.
+func (r *reported) window(day int) (from, to int16) {
+	from, to = r.next, int16(day/r.perDay)
+	r.next = max(r.next, to+1)
+	return from, to
+}
+
+// dnsSource is a generic forward-DNS-based collector. Per visible name
+// it keeps the first epoch and the fixed AAAA target as columns; only
+// the dynamic names, which re-resolve on every call, keep a pointer to
+// their zone entry.
 type dnsSource struct {
-	name    string
-	domains []dnssim.Domain
-	epochs  []int // firstEpoch per domain, precomputed at construction
-	perDay  int
+	name   string
+	addrs  []ip6.Addr // static target per name; unused for dynamic names
+	epochs []int16    // firstEpoch per name
+	dyn    []dynName  // the dynamic names, ascending by column index
+	reported
+}
+
+type dynName struct {
+	i int32 // index in the dnsSource columns
+	d *dnssim.Domain
 }
 
 func (s *dnsSource) Name() string { return s.name }
 
 func (s *dnsSource) Collect(day int, _ *ip6.ShardSet) []ip6.Addr {
-	epoch := day / s.perDay
+	from, to := s.window(day)
 	var out []ip6.Addr
-	for i := range s.domains {
-		if s.epochs[i] > epoch {
-			continue
+	k := 0 // next dynamic name
+	for i, e := range s.epochs {
+		var d *dnssim.Domain
+		if k < len(s.dyn) && s.dyn[k].i == int32(i) {
+			d, k = s.dyn[k].d, k+1
 		}
-		out = append(out, s.domains[i].Resolve(day))
+		switch {
+		case e > to:
+		case d != nil:
+			out = append(out, d.Resolve(day))
+		case e >= from:
+			out = append(out, s.addrs[i])
+		}
 	}
 	return out
 }
@@ -115,12 +163,18 @@ func NewAXFR(dns *dnssim.Server, cfg netsim.Config) Source {
 }
 
 func newDNSSource(name string, dns *dnssim.Server, cfg netsim.Config, keep func(*dnssim.Domain) bool) Source {
-	s := &dnsSource{name: name, perDay: cfg.EpochDays}
-	for _, d := range dns.Domains() {
-		if keep(&d) {
-			s.domains = append(s.domains, d)
-			s.epochs = append(s.epochs, firstEpoch(d.Name, name, cfg.Epochs))
+	s := &dnsSource{name: name, reported: reported{perDay: cfg.EpochDays}}
+	domains := dns.Domains()
+	for i := range domains {
+		d := &domains[i]
+		if !keep(d) {
+			continue
 		}
+		if d.Dynamic() {
+			s.dyn = append(s.dyn, dynName{i: int32(len(s.epochs)), d: d})
+		}
+		s.addrs = append(s.addrs, d.Static)
+		s.epochs = append(s.epochs, int16(firstEpoch(d.Name, name, cfg.Epochs)))
 	}
 	return s
 }
@@ -133,7 +187,7 @@ type bitnodesSource struct {
 	addrs  []ip6.Addr
 	death  []int16 // DeathDay per peer (-1: beyond horizon)
 	epochs []int16 // firstEpoch per peer, precomputed at construction
-	perDay int
+	reported
 }
 
 // NewBitnodes builds the Bitnodes API source.
@@ -141,10 +195,10 @@ func NewBitnodes(world *netsim.Internet) Source {
 	cfg := world.Config()
 	hosts := world.Hosts(netsim.ClassBitnode)
 	s := &bitnodesSource{
-		addrs:  make([]ip6.Addr, 0, len(hosts)),
-		death:  make([]int16, 0, len(hosts)),
-		epochs: make([]int16, 0, len(hosts)),
-		perDay: cfg.EpochDays,
+		addrs:    make([]ip6.Addr, 0, len(hosts)),
+		death:    make([]int16, 0, len(hosts)),
+		epochs:   make([]int16, 0, len(hosts)),
+		reported: reported{perDay: cfg.EpochDays},
 	}
 	for _, h := range hosts {
 		s.addrs = append(s.addrs, h.Addr)
@@ -157,17 +211,18 @@ func NewBitnodes(world *netsim.Internet) Source {
 func (s *bitnodesSource) Name() string { return BIT }
 
 func (s *bitnodesSource) Collect(day int, _ *ip6.ShardSet) []ip6.Addr {
-	epoch := int16(day / s.perDay)
+	from, to := s.window(day)
 	var out []ip6.Addr
-	for i, a := range s.addrs {
-		if s.epochs[i] > epoch {
+	for i, e := range s.epochs {
+		if e < from || e > to {
 			continue
 		}
-		// The API only lists currently connected peers.
+		// The API only lists currently connected peers. A peer that is
+		// gone on the first day it would be listed is never listed.
 		if s.death[i] >= 0 && day >= int(s.death[i]) {
 			continue
 		}
-		out = append(out, a)
+		out = append(out, s.addrs[i])
 	}
 	return out
 }
@@ -177,7 +232,7 @@ func (s *bitnodesSource) Collect(day int, _ *ip6.ShardSet) []ip6.Addr {
 type atlasSource struct {
 	addrs  []ip6.Addr
 	epochs []int16 // firstEpoch per address, precomputed at construction
-	perDay int
+	reported
 }
 
 // NewAtlas builds the RIPE Atlas source (probes + traceroute/ipmap data).
@@ -192,9 +247,9 @@ func NewAtlas(world *netsim.Internet) Source {
 		}
 	}
 	s := &atlasSource{
-		addrs:  make([]ip6.Addr, 0, len(hosts)),
-		epochs: make([]int16, 0, len(hosts)),
-		perDay: cfg.EpochDays,
+		addrs:    make([]ip6.Addr, 0, len(hosts)),
+		epochs:   make([]int16, 0, len(hosts)),
+		reported: reported{perDay: cfg.EpochDays},
 	}
 	for _, h := range hosts {
 		s.addrs = append(s.addrs, h.Addr)
@@ -206,19 +261,70 @@ func NewAtlas(world *netsim.Internet) Source {
 func (s *atlasSource) Name() string { return RA }
 
 func (s *atlasSource) Collect(day int, _ *ip6.ShardSet) []ip6.Addr {
-	epoch := int16(day / s.perDay)
+	from, to := s.window(day)
 	var out []ip6.Addr
-	for i, a := range s.addrs {
-		if s.epochs[i] <= epoch {
-			out = append(out, a)
+	for i, e := range s.epochs {
+		if e >= from && e <= to {
+			out = append(out, s.addrs[i])
 		}
 	}
 	return out
 }
 
 // scamperSource traceroutes all known targets and harvests router hops.
+//
+// The paper traceroutes every known address daily. Which routers a path
+// crosses is fixed per target (netsim.HopRefs), so each target is
+// classified and its hop references recorded once, when it first
+// appears on the hitlist; a collection day then resolves every
+// referenced router once — whether it answers is a weekly draw — and
+// re-derives only the CPE hops, which move as subscriber lines
+// renumber. Paths into datacenter space repeat the same few
+// transit/core hops for thousands of targets, so tracing a
+// deterministic 1-in-16 sample there loses no router addresses in
+// practice; subscriber space is always traced in full because each
+// target can reveal a distinct CPE hop (performance substitution, see
+// DESIGN.md).
 type scamperSource struct {
 	world *netsim.Internet
+
+	// What the instance knows about the hitlist it serves. The set's
+	// shard columns are append-only, so a per-shard cursor separates the
+	// targets already traced from the new ones.
+	set     *ip6.ShardSet
+	cursor  [ip6.NumShards]int
+	refs    hopRefSet
+	emitted []ip6.Addr // every address returned so far, ascending
+}
+
+// hopRefSet is the union of the hop references of a set of traced
+// targets.
+type hopRefSet struct {
+	transit []uint64    // bitset over tier-1 router indices
+	core    []uint8     // per network: bitmask of core-router slots
+	subs    []subTarget // the targets in subscriber space
+}
+
+// subTarget is a traced target whose last hop is a line's CPE.
+type subTarget struct {
+	addr ip6.Addr
+	pool int32
+}
+
+func newHopRefSet(world *netsim.Internet) hopRefSet {
+	transit, nets := world.TopologySize()
+	return hopRefSet{transit: make([]uint64, (transit+63)/64), core: make([]uint8, nets)}
+}
+
+// merge ORs o into r.
+func (r *hopRefSet) merge(o hopRefSet) {
+	for i, w := range o.transit {
+		r.transit[i] |= w
+	}
+	for i, m := range o.core {
+		r.core[i] |= m
+	}
+	r.subs = append(r.subs, o.subs...)
 }
 
 // NewScamper builds the traceroute source.
@@ -232,23 +338,116 @@ func (s *scamperSource) Collect(day int, hitlist *ip6.ShardSet) []ip6.Addr {
 	if hitlist == nil {
 		return nil
 	}
-	seen := ip6.NewSet(1024)
-	hitlist.Each(func(a ip6.Addr) bool {
-		// The paper traceroutes every known address daily. Paths into
-		// datacenter space repeat the same few transit/core hops for
-		// thousands of targets, so tracing a deterministic 1-in-16
-		// sample there loses no router addresses in practice; subscriber
-		// space is always traced in full because each target can reveal
-		// a distinct CPE hop (performance substitution, see DESIGN.md).
-		if !s.world.InSubscriberSpace(a) && a.Hash64()%16 != 0 {
-			return true
+	if hitlist != s.set {
+		*s = scamperSource{world: s.world, set: hitlist, refs: newHopRefSet(s.world)}
+	}
+	workers := hitlist.Workers()
+
+	// New targets: one partial reference set per chunk of shards.
+	seqs := hitlist.ShardSeqs()
+	parts := make([]hopRefSet, workers)
+	par.Ranges(ip6.NumShards, workers, 1, 1, func(c, lo, hi int) {
+		parts[c] = newHopRefSet(s.world)
+		for si := lo; si < hi; si++ {
+			s.traceTargets(seqs[si], s.cursor[si], &parts[c])
+			s.cursor[si] = seqs[si].Len()
 		}
-		for _, hop := range s.world.TraceroutePath(a, day) {
-			seen.Add(hop.Addr)
-		}
-		return true
 	})
-	return seen.Sorted()
+	for _, p := range parts {
+		s.refs.merge(p)
+	}
+
+	// Today's hops: every referenced router, every subscriber target's CPE.
+	found := s.routerHops(day)
+	cpes := make([][]ip6.Addr, workers)
+	par.Ranges(len(s.refs.subs), workers, 2048, 1, func(c, lo, hi int) {
+		cpes[c] = s.cpeHops(s.refs.subs[lo:hi], day)
+	})
+	for _, c := range cpes {
+		found = append(found, c...)
+	}
+	slices.SortFunc(found, ip6.Addr.Compare)
+	return s.emit(slices.Compact(found))
+}
+
+// traced reports whether scamper traceroutes target a: everything in
+// subscriber space, a 1-in-16 sample elsewhere.
+func (s *scamperSource) traced(a ip6.Addr) bool {
+	return a.Hash64()%16 == 0 || s.world.InSubscriberSpace(a)
+}
+
+// traceTargets classifies targets[from:] and ORs the hop references of
+// the traced ones into refs.
+func (s *scamperSource) traceTargets(targets ip6.AddrSeq, from int, refs *hopRefSet) {
+	for j := from; j < targets.Len(); j++ {
+		a := targets.At(j)
+		if !s.traced(a) {
+			continue
+		}
+		r := s.world.HopRefs(a)
+		for _, i := range r.Transit[:r.NTransit] {
+			refs.transit[i/64] |= 1 << (i % 64)
+		}
+		for _, slot := range r.Core[:r.NCore] {
+			refs.core[r.Net] |= 1 << slot
+		}
+		if r.Pool >= 0 {
+			refs.subs = append(refs.subs, subTarget{addr: a, pool: r.Pool})
+		}
+	}
+}
+
+// routerHops resolves every referenced transit and core router for the
+// given day.
+func (s *scamperSource) routerHops(day int) []ip6.Addr {
+	var out []ip6.Addr
+	for w, word := range s.refs.transit {
+		for ; word != 0; word &= word - 1 {
+			if h, ok := s.world.TransitHop(int32(w*64 + bits.TrailingZeros64(word))); ok {
+				out = append(out, h.Addr)
+			}
+		}
+	}
+	for net, mask := range s.refs.core {
+		for ; mask != 0; mask &= mask - 1 {
+			if h, ok := s.world.CoreHop(int32(net), uint8(bits.TrailingZeros8(mask)), day); ok {
+				out = append(out, h.Addr)
+			}
+		}
+	}
+	return out
+}
+
+// cpeHops returns the CPE hop in front of each subscriber target on the
+// given day.
+func (s *scamperSource) cpeHops(subs []subTarget, day int) []ip6.Addr {
+	out := make([]ip6.Addr, 0, len(subs))
+	for _, t := range subs {
+		if h, ok := s.world.CPEHop(t.pool, t.addr, day); ok {
+			out = append(out, h.Addr)
+		}
+	}
+	return out
+}
+
+// emit returns the addresses of found (ascending, distinct) that no
+// earlier call returned, and records them as returned.
+func (s *scamperSource) emit(found []ip6.Addr) []ip6.Addr {
+	merged := make([]ip6.Addr, 0, len(s.emitted)+len(found))
+	fresh := found[:0]
+	old := s.emitted
+	for _, a := range found {
+		for len(old) > 0 && old[0].Less(a) {
+			merged, old = append(merged, old[0]), old[1:]
+		}
+		if len(old) > 0 && old[0] == a {
+			continue // merged takes it from old
+		}
+		fresh = append(fresh, a)
+		merged = append(merged, a)
+	}
+	s.emitted = append(merged, old...)
+	return fresh
 }
 
 // Store accumulates source output over collection epochs: addresses stay
@@ -296,7 +495,11 @@ func NewStoreWorkers(workers int, srcs ...Source) *Store {
 
 // CollectDay runs every source for one collection day and accumulates.
 // Sources run in priority order (new-address attribution depends on it);
-// within a source, per-set dedup fans out over shards.
+// within a source, per-set dedup fans out over shards. Days must ascend:
+// each source reports only what it has not reported to this store before
+// (see Source), so a day's work is proportional to what became visible
+// since the previous call, and the sets, NewCount and Runup come out as
+// if every source had re-reported everything it sees.
 //
 // New-address attribution is a counter, not a set: an address new to the
 // accumulated hitlist can never become new again (the hitlist is
