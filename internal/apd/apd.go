@@ -23,7 +23,6 @@ package apd
 
 import (
 	"math/bits"
-	"sync"
 
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
@@ -106,8 +105,8 @@ func (m BranchMask) Count() int { return bits.OnesCount16(uint16(m)) }
 
 // Detector runs APD probing rounds. A Detector is not safe for
 // concurrent ProbeDayFlat calls (it accumulates ProbesSent and reuses its
-// result columns); each call parallelizes internally across protocols ×
-// worker shards.
+// result columns); each call parallelizes internally across worker
+// shards.
 type Detector struct {
 	scanner   *probe.Scanner
 	protocols []wire.Proto
@@ -149,28 +148,22 @@ func (d *Detector) Workers() int { return d.workers }
 // columnar form the day history consumes directly; entries sharing a
 // prefix get independent masks here and OR-merge at the history layer.
 //
-// Probing runs on the batched columnar path: each protocol's scan writes
-// only an OK bitset (one bit per target, reused across days), and a
-// candidate's branch mask is its 16-bit window of that column ORed across
-// protocols. Candidates are probed in ComparePrefix order and a prefix's
-// 16 fan-out targets sit inside the prefix, so the batch responder
-// resolves long runs of targets against one aliased region instead of
-// walking a trie per probe. All protocols scan concurrently; the mask
-// fold is sharded over candidates after the barrier.
+// Probing runs on the batched columnar path: each protocol's lane of the
+// scan writes only an OK bitset (one bit per target, reused across days),
+// and a candidate's branch mask is its 16-bit window of that column ORed
+// across protocols. Candidates are probed in ComparePrefix order and a
+// prefix's 16 fan-out targets sit inside the prefix, so the batch
+// responder resolves long runs of targets against one aliased region —
+// once for all protocols — instead of walking a trie per probe. The mask
+// fold is sharded over candidates after the scan.
 func (d *Detector) ProbeDayFlat(targets []ip6.Addr, day int) []BranchMask {
 	if d.cols == nil {
 		d.cols = make([]wire.ResultColumns, len(d.protocols))
 	}
-	var wg sync.WaitGroup
-	for pi, proto := range d.protocols {
-		wg.Add(1)
-		go func(pi int, proto wire.Proto) {
-			defer wg.Done()
-			d.cols[pi].ResetOK(len(targets))
-			d.scanner.ScanColumns(ip6.Addrs(targets), proto, day, &d.cols[pi])
-		}(pi, proto)
+	for pi := range d.cols {
+		d.cols[pi].ResetOK(len(targets))
 	}
-	wg.Wait()
+	d.scanner.ScanProtos(ip6.Addrs(targets), d.protocols, day, d.cols)
 	d.ProbesSent += len(d.protocols) * len(targets)
 
 	// Sharded fold: each worker extracts its candidates' 16-bit branch

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -359,7 +360,10 @@ func TestReportsIdenticalAcrossWorkers(t *testing.T) {
 // TestAPDNarrowingEquivalence pins the O(1)-per-day near-aliased
 // bookkeeping: before each later APD day, the candidates the running
 // mask keeps must be exactly those the old O(days²) full-history scan
-// would keep.
+// would keep. It also pins how narrowing hands the candidate slices on:
+// a day that drops nothing gives the next draft the very same backing
+// arrays (drafts only read them), a day that drops some gives it fresh
+// ones and leaves the previous draft's untouched.
 func TestAPDNarrowingEquivalence(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Sim.Scale = 0.03
@@ -369,7 +373,10 @@ func TestAPDNarrowingEquivalence(t *testing.T) {
 	day := p.World.Horizon()
 	p.RunAPD(day)
 	b := p.Builder()
+	dropDays, keepDays := 0, 0
 	for d := 1; d < 5; d++ {
+		prev, prevIDs := b.cands, b.candIDs
+		prevCopy, prevIDsCopy := append([]apd.Candidate(nil), prev...), append([]int32(nil), prevIDs...)
 		// Old condition over the full history, evaluated on the candidate
 		// set as it stands before the next narrowing.
 		expected := map[ip6.Prefix]bool{}
@@ -395,6 +402,21 @@ func TestAPDNarrowingEquivalence(t *testing.T) {
 				t.Errorf("day %d: kept %v, which the history scan drops", d, c.Prefix)
 			}
 		}
+		shared := &b.cands[0] == &prev[0] && &b.candIDs[0] == &prevIDs[0]
+		if len(b.cands) == len(prev) {
+			keepDays++
+			if !shared {
+				t.Errorf("day %d dropped nothing but reallocated the candidate slices", d)
+			}
+		} else {
+			dropDays++
+			if shared || !reflect.DeepEqual(prev, prevCopy) || !reflect.DeepEqual(prevIDs, prevIDsCopy) {
+				t.Errorf("day %d dropped %d candidates into the previous draft's slices", d, len(prev)-len(b.cands))
+			}
+		}
+	}
+	if dropDays == 0 || keepDays == 0 {
+		t.Fatalf("%d narrowing days dropped candidates and %d kept all: both cases must occur", dropDays, keepDays)
 	}
 }
 

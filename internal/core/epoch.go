@@ -173,17 +173,30 @@ func (b *EpochBuilder) bind(table *apd.CandidateTable) {
 }
 
 // narrow keeps the candidates whose running mask is near aliased (>= 12
-// branches). Fresh slices every day: the previous day's draft keeps the
-// old ones, so sealed-but-unpublished epochs never see this mutation.
-// The fan-out column no draft references, so it compacts in place (the
-// write index never passes the read index) and a day allocates nothing
-// for it.
+// branches). Drafts share the candidate slices and never write them, so a
+// day that drops nothing — every day once the set has settled — keeps
+// yesterday's slices and fan-out column as they are. A day that drops
+// some gets fresh slices at exact size: the previous day's draft keeps
+// the old ones, so sealed-but-unpublished epochs never see this
+// mutation. The fan-out column no draft references, so it compacts in
+// place (the write index never passes the read index) and a day
+// allocates nothing for it.
 func (b *EpochBuilder) narrow() {
-	narrow := b.cands[:0:0]
-	narrowIDs := b.candIDs[:0:0]
+	near := func(i int) bool { return b.nearMask[b.candIDs[i]].Count() >= 12 }
+	kept := 0
+	for i := range b.cands {
+		if near(i) {
+			kept++
+		}
+	}
+	if kept == len(b.cands) {
+		return
+	}
+	narrow := make([]apd.Candidate, 0, kept)
+	narrowIDs := make([]int32, 0, kept)
 	fan := b.fan[:0]
 	for i, c := range b.cands {
-		if b.nearMask[b.candIDs[i]].Count() >= 12 {
+		if near(i) {
 			narrow = append(narrow, c)
 			narrowIDs = append(narrowIDs, b.candIDs[i])
 			if b.fan != nil {

@@ -55,16 +55,25 @@ var DefaultDetRand = DetRandConfig{
 // DefaultHotFuncs designates the per-probe/per-candidate inner loops —
 // the functions PRs 4-7 repeatedly had to de-allocate by profile.
 var DefaultHotFuncs = []HotFunc{
+	// The scan engine: every scan is scanLanes, whose per-batch loop hands
+	// the responder all lanes of a batch at once (a lane slice or a
+	// send-time scratch made per batch there is the regression to catch).
 	{PkgPath: "expanse/internal/probe", Func: "ScanColumns"},
-	{PkgPath: "expanse/internal/probe", Func: "scanColumns"},
-	{PkgPath: "expanse/internal/probe", Func: "scanChunk"},
+	{PkgPath: "expanse/internal/probe", Func: "ScanProtos"},
+	{PkgPath: "expanse/internal/probe", Func: "scanLanes"},
+	// The responder kernel: ProbeLanes and its per-destination loop
+	// (probeLanes), ProbeBatch its one-lane call, emit its column writer.
+	{PkgPath: "expanse/internal/netsim", Func: "ProbeLanes"},
+	{PkgPath: "expanse/internal/netsim", Func: "probeLanes"},
 	{PkgPath: "expanse/internal/netsim", Func: "ProbeBatch"},
 	{PkgPath: "expanse/internal/netsim", Func: "emit"},
-	// The columnar world plane's resolution primitives: resolve, the one
-	// per-probe owner decision behind both Probe and ProbeBatch, the
-	// sorted-column binary searches and its host-column run cursor
-	// (hostRun.lookup; the interval cursor is ip6's, below).
-	{PkgPath: "expanse/internal/netsim", Func: "resolve"},
+	// The columnar world plane's resolution primitives: locate, the one
+	// per-destination owner decision behind both Probe and ProbeLanes,
+	// answer, the per-lane half, the sorted-column binary searches and the
+	// host-column run cursor (hostRun.lookup; the interval cursor is
+	// ip6's, below).
+	{PkgPath: "expanse/internal/netsim", Func: "locate"},
+	{PkgPath: "expanse/internal/netsim", Func: "answer"},
 	{PkgPath: "expanse/internal/netsim", Func: "find"},
 	{PkgPath: "expanse/internal/netsim", Func: "search"},
 	{PkgPath: "expanse/internal/netsim", Func: "lookup"},
@@ -83,7 +92,7 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/ip6", Func: "LookupInterval"},
 	{PkgPath: "expanse/internal/ip6", Func: "CompileIntervals"},
 	// The one interval cursor (IntervalCursor.Lookup): per-probe in the
-	// world's resolve, per-address in the routing table's attribution.
+	// world's locate, per-address in the routing table's attribution.
 	{PkgPath: "expanse/internal/ip6", Func: "Lookup"},
 	// The routing table's point query and the attribution kernel's
 	// per-address walk, behind every per-prefix and per-AS report tally.

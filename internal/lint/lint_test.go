@@ -36,6 +36,8 @@ var fixtureHot = []lint.HotFunc{
 	{PkgPath: "hotalloc", Func: "newProfile"},
 	{PkgPath: "hotalloc", Func: "fanOutWith"},
 	{PkgPath: "hotalloc", Func: "traceTargets"},
+	{PkgPath: "hotalloc", Func: "scanLanes"},
+	{PkgPath: "hotalloc", Func: "goodLanes"},
 }
 
 func TestMapOrder(t *testing.T) {

@@ -2,15 +2,17 @@
 // PRs 4-7 hunted by profile — per-probe Addr.String keys, fmt in
 // responders, per-iteration scratch — written into a designated hot
 // function (the analyzer runs with ScanColumns, MergeColumns, resolve,
-// resolveSeq, expand, newProfile, fanOutWith and traceTargets of this
-// package in its hot table), next to a cold function where the same
-// constructs are fine and the hoisted patterns that keep hot paths clean.
+// resolveSeq, expand, newProfile, fanOutWith, traceTargets, scanLanes and
+// goodLanes of this package in its hot table), next to a cold function
+// where the same constructs are fine and the hoisted patterns that keep
+// hot paths clean.
 package hotalloc
 
 import (
 	"fmt"
 
 	"expanse/internal/ip6"
+	"expanse/internal/wire"
 )
 
 // ScanColumns is a designated hot function.
@@ -137,6 +139,41 @@ func traceTargets(targets []ip6.Addr, transit []uint64, subs []ip6.Addr) []ip6.A
 		}
 	}
 	return subs
+}
+
+// scanLanes is a designated hot function: the multi-lane scan's batch
+// loop with the per-lane send-time scratch and the responder's view of
+// the lanes rebuilt for every batch. One of each per shard, made before
+// the loop and re-pointed per batch (as goodLanes does), is the clean
+// shape.
+func scanLanes(targets []ip6.Addr, protos []wire.Proto, outs []wire.ResultColumns, probe func([]ip6.Addr, []wire.Lane)) {
+	for b := 0; b < len(targets); b += 512 {
+		e := min(b+512, len(targets))
+		ats := make([][]wire.Time, len(protos)) // want `make allocates per iteration in hot path scanLanes`
+		for li := range ats {
+			ats[li] = make([]wire.Time, e-b) // want `make allocates per iteration in hot path scanLanes`
+		}
+		lanes := []wire.Lane{{Proto: protos[0], At: ats[0], Out: &outs[0]}} // want `composite literal allocates per iteration in hot path scanLanes`
+		probe(targets[b:e], lanes)
+	}
+}
+
+// goodLanes is scanLanes' sanctioned shape, designated hot as well and
+// clean: lane views and scratch made once, each batch only re-slicing
+// them.
+func goodLanes(targets []ip6.Addr, protos []wire.Proto, outs []wire.ResultColumns, probe func([]ip6.Addr, []wire.Lane)) {
+	lanes := make([]wire.Lane, len(protos))
+	ats := make([]wire.Time, len(protos)*512)
+	for li, p := range protos {
+		lanes[li] = wire.Lane{Proto: p, Out: &outs[li]}
+	}
+	for b := 0; b < len(targets); b += 512 {
+		e := min(b+512, len(targets))
+		for li := range lanes {
+			lanes[li].At = ats[li*512:][:e-b]
+		}
+		probe(targets[b:e], lanes)
+	}
 }
 
 // coldHelper is not in the hot table: identical constructs pass.

@@ -1,10 +1,12 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"expanse/internal/apd"
 	"expanse/internal/ip6"
 	"expanse/internal/prof"
 	"expanse/internal/wire"
@@ -46,56 +48,189 @@ func batchTargets(in *Internet, rng *rand.Rand) []ip6.Addr {
 	return out
 }
 
-// TestProbeBatchMatchesProbe property-pins the batched responder against
-// its one-destination form: for every destination mix, order (sorted and
-// shuffled), batch split, protocol and day, ProbeBatch must answer probe
-// k exactly as Probe(dsts[k], …) — OK, hop limit, and the full SYN-ACK
-// fingerprint including the timestamp value.
+// fanOutTargets is an APD probe column over the world: the fan-out
+// targets (apd.FanOutColumn, 16 per candidate) of every annEvery-th
+// announcement and of every aliased region and hole, candidates in the
+// alias plane's nested-prefix order — not address order.
+func fanOutTargets(in *Internet, annEvery int) []ip6.Addr {
+	var cands []apd.Candidate
+	for i, c := range apd.BGPCandidates(in.Table) {
+		if i%annEvery == 0 {
+			cands = append(cands, c)
+		}
+	}
+	for _, r := range in.AliasedRegions() {
+		cands = append(cands, apd.Candidate{Prefix: r.Prefix})
+		if !r.Hole.IsZero() {
+			cands = append(cands, apd.Candidate{Prefix: r.Hole})
+		}
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return ip6.CompareNested(cands[i].Prefix, cands[j].Prefix) < 0 })
+	return apd.FanOutColumn(cands, 2)
+}
+
+// laneTargets is batchTargets plus what the lane kernel must not get
+// wrong: every subscriber line's CPE, client and NAS address on each of
+// the given days (an address valid on one is stale on the other where
+// the pool rotated in between), and a denser sample of the regions whose
+// quirks change the answer per destination or per protocol.
+func laneTargets(in *Internet, rng *rand.Rand, days []int) []ip6.Addr {
+	out := batchTargets(in, rng)
+	for i := range in.isps {
+		isp := &in.isps[i]
+		for line := uint64(0); line < uint64(isp.lines); line += 5 {
+			for _, day := range days {
+				out = append(out, isp.cpeAddr(line, day), isp.nasAddr(line, day))
+				if a, ok := isp.clientAddr(line, day); ok {
+					out = append(out, a)
+				}
+			}
+		}
+	}
+	for _, r := range in.AliasedRegions() {
+		if r.Quirks&(QuirkProxyMix|QuirkRateLimit|QuirkSYNProxy) != 0 {
+			for i := 0; i < 64; i++ {
+				out = append(out, r.Prefix.RandomAddr(rng))
+			}
+		}
+	}
+	return out
+}
+
+// TestProbeBatchMatchesProbe property-pins the lane kernel against its
+// one-destination, one-lane form and against the retired
+// one-protocol-per-resolution batch (probeBatchRef): for every lane set
+// production sends and two it does not (one protocol, APD's two, the
+// sweep's five, a fingerprint pair's two time lines of one protocol, a
+// protocol repeated on one line), every target order (sorted, as
+// generated, apd.FanOutColumn's nested-prefix order), every batch split
+// and a day on either side of a pool rotation, ProbeLanes must answer
+// destination k on lane l exactly as Probe(dsts[k], l.Proto, day,
+// l.At[k]) — OK, hop limit, and the full SYN-ACK fingerprint including
+// the timestamp value — and ProbeBatch as its one-lane call. The target
+// mix must reach the owners whose answers vary most: holes, the SYN
+// proxy, the rate-limited region, a proxy-mix backend and QUIC-flaky
+// hosts.
 func TestProbeBatchMatchesProbe(t *testing.T) {
+	days := []int{5, 6} // rotation periods 2, 3 and 6 all turn over between them
 	rng := rand.New(rand.NewSource(0xba7c4))
-	targets := batchTargets(world, rng)
+	targets := laneTargets(world, rng, days)
 
 	sorted := append([]ip6.Addr(nil), targets...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
 
-	for _, order := range [][]ip6.Addr{sorted, targets} {
-		for _, chunk := range []int{len(order), 64, 7, 1} {
-			for _, proto := range []wire.Proto{wire.ICMPv6, wire.TCP80, wire.UDP443} {
-				day := 3 + int(proto)
-				at := make([]wire.Time, len(order))
-				for i := range at {
-					at[i] = wire.Time(i) * 10
+	fanout := fanOutTargets(world, 8)
+
+	var holes, synProxy, rateLimited, proxyMix, quicFlaky, lineMembers int
+	for _, dst := range targets {
+		if ri, ok := ip6.LookupInterval(world.tabs.alias, dst); ok {
+			switch r := &world.regions[ri]; {
+			case !r.Hole.IsZero() && r.Hole.Contains(dst):
+				holes++
+			case r.Quirks&QuirkSYNProxy != 0:
+				synProxy++
+			case r.Quirks&QuirkRateLimit != 0:
+				rateLimited++
+			case r.Quirks&QuirkProxyMix != 0 && hashAddr(world.key, dst)%7 == 0:
+				proxyMix++
+			}
+		} else if hi, ok := world.hc.find(dst); ok && world.hc.meta[hi]&hostFlagQUIC != 0 {
+			quicFlaky++
+		} else if ni := world.poolOf(dst); ni >= 0 {
+			for _, day := range days {
+				if _, _, ok := world.isps[world.nets[ni].isp].lineAt(dst, day); ok {
+					lineMembers++
 				}
-				var table wire.TCPTable
-				var cols wire.ResultColumns
-				cols.Reset(len(order), &table)
-				for lo := 0; lo < len(order); lo += chunk {
-					hi := lo + chunk
-					if hi > len(order) {
-						hi = len(order)
-					}
-					world.ProbeBatch(order[lo:hi], proto, day, at[lo:hi], &cols, lo)
+			}
+		}
+	}
+	if holes == 0 || synProxy == 0 || rateLimited == 0 || proxyMix == 0 || quicFlaky == 0 || lineMembers == 0 {
+		t.Fatalf("target mix missed an owner: holes %d, SYN proxy %d, rate-limited %d, proxy-mix backend %d, QUIC-flaky %d, line members %d",
+			holes, synProxy, rateLimited, proxyMix, quicFlaky, lineMembers)
+	}
+
+	// A lane set is protocols plus the offset of each lane's time line.
+	type laneSpec struct {
+		proto wire.Proto
+		off   wire.Time
+	}
+	laneSets := map[string][]laneSpec{
+		"one":      {{wire.UDP443, 4}},
+		"apd":      {{wire.ICMPv6, 0}, {wire.TCP80, 1}},
+		"sweep":    {{wire.ICMPv6, 0}, {wire.TCP80, 1}, {wire.TCP443, 2}, {wire.UDP53, 3}, {wire.UDP443, 4}},
+		"pair":     {{wire.TCP80, 1}, {wire.TCP80, 11}},
+		"repeated": {{wire.TCP80, 1}, {wire.ICMPv6, 0}, {wire.TCP80, 1}},
+	}
+	var table wire.TCPTable
+	check := func(what string, i int, dst ip6.Addr, cols *wire.ResultColumns, want wire.Response) {
+		t.Helper()
+		if cols.OK.Get(i) != want.OK {
+			t.Fatalf("%s target %d (%v): OK=%v want %v", what, i, dst, cols.OK.Get(i), want.OK)
+		}
+		if !want.OK {
+			return
+		}
+		if cols.HopLimit[i] != want.HopLimit {
+			t.Fatalf("%s target %d (%v): hop=%d want %d", what, i, dst, cols.HopLimit[i], want.HopLimit)
+		}
+		got := cols.TCPInfoAt(i)
+		if (got == nil) != (want.TCP == nil) {
+			t.Fatalf("%s target %d (%v): TCP presence mismatch", what, i, dst)
+		}
+		if got != nil && *got != *want.TCP {
+			t.Fatalf("%s target %d (%v): fingerprint %+v want %+v", what, i, dst, *got, *want.TCP)
+		}
+	}
+	for orderName, order := range map[string][]ip6.Addr{"sorted": sorted, "generated": targets, "fanout": fanout} {
+		for _, day := range days {
+			// Probe's answers once per (order, day, lane) — the lane sets
+			// share lanes — with ProbeBatch, the one-lane call, and the
+			// retired one-protocol batch held to them on the way.
+			type answers struct {
+				at   []wire.Time
+				want []wire.Response
+			}
+			byLane := map[laneSpec]answers{}
+			lane := func(ls laneSpec) answers {
+				if a, ok := byLane[ls]; ok {
+					return a
 				}
+				a := answers{make([]wire.Time, len(order)), make([]wire.Response, len(order))}
+				var one, ref wire.ResultColumns
+				one.Reset(len(order), &table)
+				ref.Reset(len(order), &table)
 				for i, dst := range order {
-					want := world.Probe(dst, proto, day, at[i])
-					if cols.OK.Get(i) != want.OK {
-						t.Fatalf("chunk=%d proto=%v target %d (%v): OK=%v want %v",
-							chunk, proto, i, dst, cols.OK.Get(i), want.OK)
+					a.at[i] = wire.Time(i)*20 + ls.off
+					a.want[i] = world.Probe(dst, ls.proto, day, a.at[i])
+				}
+				world.ProbeBatch(order, ls.proto, day, a.at, &one, 0)
+				world.probeBatchRef(order, ls.proto, day, a.at, &ref, 0)
+				for i, dst := range order {
+					check(fmt.Sprintf("%s day %d ProbeBatch %v", orderName, day, ls), i, dst, &one, a.want[i])
+					check(fmt.Sprintf("%s day %d probeBatchRef %v", orderName, day, ls), i, dst, &ref, a.want[i])
+				}
+				byLane[ls] = a
+				return a
+			}
+			for setName, set := range laneSets {
+				for _, chunk := range []int{len(order), 64, 7, 1} {
+					cols := make([]wire.ResultColumns, len(set))
+					lanes := make([]wire.Lane, len(set))
+					for li := range set {
+						cols[li].Reset(len(order), &table)
 					}
-					if !want.OK {
-						continue
+					for lo := 0; lo < len(order); lo += chunk {
+						hi := min(lo+chunk, len(order))
+						for li, ls := range set {
+							lanes[li] = wire.Lane{Proto: ls.proto, At: lane(ls).at[lo:hi], Out: &cols[li]}
+						}
+						world.ProbeLanes(order[lo:hi], day, lanes, lo)
 					}
-					if cols.HopLimit[i] != want.HopLimit {
-						t.Fatalf("chunk=%d proto=%v target %d: hop=%d want %d",
-							chunk, proto, i, cols.HopLimit[i], want.HopLimit)
-					}
-					got := cols.TCPInfoAt(i)
-					if (got == nil) != (want.TCP == nil) {
-						t.Fatalf("chunk=%d proto=%v target %d: TCP presence mismatch", chunk, proto, i)
-					}
-					if got != nil && *got != *want.TCP {
-						t.Fatalf("chunk=%d proto=%v target %d: fingerprint %+v want %+v",
-							chunk, proto, i, *got, *want.TCP)
+					for li, ls := range set {
+						what := fmt.Sprintf("%s/%s day %d chunk %d lane %d", orderName, setName, day, chunk, li)
+						for i, dst := range order {
+							check(what, i, dst, &cols[li], lane(ls).want[i])
+						}
 					}
 				}
 			}
@@ -192,6 +327,74 @@ func BenchmarkProbeBatchLegacy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for k, dst := range targets {
 			_ = world.Probe(dst, wire.TCP80, 3, at[k])
+		}
+	}
+}
+
+// BenchmarkProbeLanes measures the responder kernel at the lane counts
+// production sends — one (ScanColumns, Murdock, the report tables), APD's
+// two, the sweep's five, all mask-only — over the three target orders it
+// meets: a sorted hitlist, a seeded shuffle of it (every cursor misses)
+// and apd.FanOutColumn's nested-prefix order. Batches are the scan
+// engine's 512 with fresh cursors each. ns/probe is per lane answered;
+// locates/op must equal the target count on every row — a destination is
+// located once however many lanes it has. The one-lane rows guard the
+// single-protocol callers.
+func BenchmarkProbeLanes(b *testing.B) {
+	var hitlist []ip6.Addr
+	for _, h := range world.Hosts() {
+		hitlist = append(hitlist, h.Addr)
+	}
+	for _, rec := range world.AliasRecords() {
+		hitlist = append(hitlist, rec.Addr)
+	}
+	for _, rec := range world.StaleRecords() {
+		hitlist = append(hitlist, rec.Addr)
+	}
+	sort.Slice(hitlist, func(i, j int) bool { return hitlist[i].Less(hitlist[j]) })
+	shuffled := append([]ip6.Addr(nil), hitlist...)
+	rand.New(rand.NewSource(0x5eed)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	fanout := fanOutTargets(world, 1)
+
+	const batch = 512
+	for _, order := range []struct {
+		name    string
+		targets []ip6.Addr
+	}{{"sorted", hitlist}, {"shuffled", shuffled}, {"fanout", fanout}} {
+		for _, protos := range [][]wire.Proto{{wire.ICMPv6}, {wire.ICMPv6, wire.TCP80}, wire.Protos[:]} {
+			b.Run(fmt.Sprintf("%s/lanes=%d", order.name, len(protos)), func(b *testing.B) {
+				targets := order.targets
+				cols := make([]wire.ResultColumns, len(protos))
+				lanes := make([]wire.Lane, len(protos))
+				at := make([]wire.Time, batch)
+				for i := range at {
+					at[i] = wire.Time(i) * 10
+				}
+				located := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for li, p := range protos {
+						cols[li].ResetOK(len(targets))
+						lanes[li] = wire.Lane{Proto: p, Out: &cols[li]}
+					}
+					for lo := 0; lo < len(targets); lo += batch {
+						hi := min(lo+batch, len(targets))
+						for li := range lanes {
+							lanes[li].At = at[:hi-lo]
+						}
+						c := world.cursors()
+						world.probeLanes(&c, targets[lo:hi], 3, lanes, lo)
+						located += c.located
+					}
+				}
+				b.StopTimer()
+				probes := float64(b.N * len(targets) * len(protos))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
+				b.ReportMetric(float64(located)/float64(b.N), "locates/op")
+				b.ReportMetric(float64(len(targets)), "targets/op")
+			})
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 // Lookup strategies:
 //   - random access (HostAt, traceroute hops): binary search on the
 //     address columns — hostCols.find;
-//   - probe resolution (resolve, over ProbeBatch's sorted probe runs or
+//   - probe resolution (locate, over ProbeLanes' sorted probe runs or
 //     Probe's single destination): hostRun, an amortized merge cursor
 //     that caches the hit-or-gap run containing the last query and
 //     advances monotonically — one or two compares per address on sorted
@@ -243,7 +243,7 @@ func mergeSealed(hc hostCols, delta *worldBuilder) hostCols {
 	return out
 }
 
-// hostRun is resolve's merge cursor over the sorted host columns:
+// hostRun is locate's merge cursor over the sorted host columns:
 // the parallel of ip6.IntervalCursor for point membership. It caches the *run*
 // containing the last query — the exact address it hit, or the gap
 // between neighbouring hosts it missed into — so a query inside the

@@ -152,6 +152,9 @@ type AliasRegion struct {
 	// prof is Machine's profile and mixProf that of the second backend a
 	// QuirkProxyMix region fronts (see quirkedMachine), filled at seal.
 	prof, mixProf profile
+	// path is pathLen's value, filled at seal with the profiles: answering
+	// hashes nothing that is constant for the region.
+	path uint8
 }
 
 // lineISP describes a pool of subscriber lines inside one ISP
@@ -276,6 +279,7 @@ func (in *Internet) sealDelta() {
 	for i := range in.regions {
 		r := &in.regions[i]
 		r.prof, r.mixProf = newProfile(r.Machine), newProfile(r.mixMachine())
+		r.path = r.pathLen(in)
 	}
 	in.tabs = compileTables(in.regions, in.nets, in.Table)
 	in.b = nil
@@ -373,20 +377,27 @@ func (in *Internet) GroundTruthAliased(addr ip6.Addr) bool {
 // observes identical responses. The concurrent scan engine in
 // internal/probe relies on this contract.
 //
-// Probe is a one-destination call of the batch path: the same resolve
-// step ProbeBatch runs per probe, over fresh cursors, with the answer
-// materialized as a wire.Response instead of written into columns.
+// Probe is a one-destination, one-lane call of the batch path: the same
+// locate and answer steps ProbeLanes runs, over fresh cursors, with the
+// answer materialized as a wire.Response instead of written into columns.
 func (in *Internet) Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time) wire.Response {
 	c := in.cursors()
-	return in.materialize(in.resolve(&c, dst, p, day, at), day, at)
+	var o owner
+	var raw rawResponse
+	in.locate(&c, dst, day, &o)
+	in.answer(&o, p, day, at, &raw)
+	return in.materialize(&raw, day, at)
 }
 
-// rawResponse is the allocation-free internal probe answer resolve
-// returns: the OK flag, the hop limit, and — for TCP
+// rawResponse is the allocation-free internal probe answer an owner
+// gives: the OK flag, the hop limit, and — for TCP
 // probes — the responding machine and the per-probe fingerprint deltas
 // the alias quirks apply. materialize turns it into a wire.Response (heap
 // TCPInfo); the batch emitter writes it straight into result columns with
-// the fingerprint interned instead.
+// the fingerprint interned instead. The answer functions fill one through
+// a pointer: a struct of this many fields returned by value is spilled
+// field by field and copied whole at every level it passes through, a
+// store-forwarding stall per level per probe.
 type rawResponse struct {
 	ok       bool
 	tcp      bool
@@ -399,7 +410,7 @@ type rawResponse struct {
 
 // materialize expands a rawResponse into the per-probe Response form,
 // allocating the TCPInfo a wire.Response carries.
-func (in *Internet) materialize(raw rawResponse, day int, at wire.Time) wire.Response {
+func (in *Internet) materialize(raw *rawResponse, day int, at wire.Time) wire.Response {
 	if !raw.ok {
 		return wire.Response{}
 	}
@@ -414,41 +425,40 @@ func (in *Internet) materialize(raw rawResponse, day int, at wire.Time) wire.Res
 	return resp
 }
 
-// probeAliasRaw answers probes that land in an aliased region.
-// handled=false means the address is in the region's hole and resolution
-// must continue.
-func (in *Internet) probeAliasRaw(r *AliasRegion, dst ip6.Addr, p wire.Proto, day int, at wire.Time) (rawResponse, bool) {
-	if !r.Hole.IsZero() && r.Hole.Contains(dst) {
-		return rawResponse{}, false
-	}
-	dstKey := hashAddr(in.key, dst)
+// probeAliasRaw answers a probe to an address region r owns (locate has
+// already sent the region's hole elsewhere) into raw, which arrives zero
+// and stays zero when the region is silent.
+func (in *Internet) probeAliasRaw(r *AliasRegion, o *owner, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
 	if r.Quirks&QuirkSYNProxy != 0 {
 		// SYN proxy: TCP only, and only when today's connection-count
 		// threshold hash says the proxy is in "defence mode" for this
 		// branch. 3-5 of 16 branches respond, differing per day (§5.1).
 		if !p.IsTCP() {
-			return rawResponse{}, true
+			return
 		}
-		branch := dst.Nybble(r.Prefix.Bits() / 4) // first nybble below prefix
+		branch := o.dst.Nybble(r.Prefix.Bits() / 4) // first nybble below prefix
 		if !chance(hash3(r.Machine, uint64(day), uint64(branch)), 0.25) {
-			return rawResponse{}, true
+			return
 		}
-		return in.answerRaw(r.quirkedMachine(dstKey), dstKey, p, at, r.pathLen(in), false), true
+		dstKey := o.key(in)
+		in.answerRaw(r.quirkedMachine(dstKey), dstKey, p, at, r.path, false, raw)
+		return
 	}
 	if !r.Serves.Has(p) {
-		return rawResponse{}, true
+		return
 	}
+	dstKey := o.key(in)
 	// Per-probe loss (plus rate limiting on specific branches per day).
 	if chance(hash3(in.key, dstKey, uint64(day)<<3|uint64(p)), r.Loss) {
-		return rawResponse{}, true
+		return
 	}
 	if r.Quirks&QuirkRateLimit != 0 {
-		branch := dst.Nybble(r.Prefix.Bits() / 4)
+		branch := o.dst.Nybble(r.Prefix.Bits() / 4)
 		if chance(hash3(r.Machine^0xacce1, uint64(day)<<5|uint64(p), uint64(branch)), 0.18) {
-			return rawResponse{}, true
+			return
 		}
 	}
-	raw := in.answerRaw(r.quirkedMachine(dstKey), dstKey, p, at, r.pathLen(in), r.Quirks&QuirkTTLFlip != 0)
+	in.answerRaw(r.quirkedMachine(dstKey), dstKey, p, at, r.path, r.Quirks&QuirkTTLFlip != 0, raw)
 	if raw.tcp {
 		if r.Quirks&QuirkWSizeVary != 0 {
 			// Host-state-dependent receive window: varies per probe.
@@ -459,7 +469,6 @@ func (in *Internet) probeAliasRaw(r *AliasRegion, dst ip6.Addr, p wire.Proto, da
 			raw.mssSub = 8
 		}
 	}
-	return raw, true
 }
 
 // quirkedMachine returns the effective machine for a destination,
@@ -475,45 +484,48 @@ func (r *AliasRegion) quirkedMachine(dstKey uint64) machineRef {
 // mixMachine is the key of a QuirkProxyMix region's second backend.
 func (r *AliasRegion) mixMachine() uint64 { return hash64.Mix(r.Machine ^ 0xbac0e4d) }
 
+// pathLen is the hop count to the region: a function of the world key
+// and the region's AS alone, sealed into r.path.
 func (r *AliasRegion) pathLen(in *Internet) uint8 {
 	return uint8(3 + hash2(in.key^0x9a70, uint64(r.ASN))%9)
 }
 
-// probeHostRaw answers probes to the finite host at sorted column
-// position hi. nwi is the most-specific announcement covering dst (-1 if
-// unannounced). Taking indices instead of pointers keeps resolution on
-// the flat columns.
-func (in *Internet) probeHostRaw(hi int32, dst ip6.Addr, p wire.Proto, day int, at wire.Time, nwi int32) rawResponse {
-	hc := &in.hc
+// probeHostRaw answers a probe to the finite host at sorted column
+// position o.id, with the loss and path parameters of o.net, the most
+// specific announcement covering it (-1 if unannounced). Indices instead
+// of pointers keep resolution on the flat columns. raw arrives zero and
+// stays zero when the host is silent.
+func (in *Internet) probeHostRaw(o *owner, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
+	hc, hi := &in.hc, o.id
 	if dd := hc.deathDay[hi]; dd >= 0 && day >= int(dd) {
-		return rawResponse{}
+		return
 	}
 	if !hc.serves[hi].Has(p) {
-		return rawResponse{}
+		return
 	}
-	dstKey := hashAddr(in.key, dst)
+	dstKey := o.key(in)
 	meta, mk := hc.meta[hi], hc.machine[hi]
 	if meta&hostFlagQUIC != 0 && p == wire.UDP443 {
 		// Flapping QUIC deployment: up only on "test days" per address.
 		if !chance(hash3(mk^0x901c, uint64(day), dstKey), 0.75) {
-			return rawResponse{}
+			return
 		}
 	}
 	loss, path, jitter := 0.01, uint8(5), false
-	if nwi >= 0 {
-		nw := &in.nets[nwi]
+	if o.net >= 0 {
+		nw := &in.nets[o.net]
 		loss, path, jitter = nw.loss, nw.pathLen, nw.jitter
 	}
 	if class := HostClass(meta & hostClassMask); class == ClassClient || class == ClassBitnode {
 		// Clients: session windows; see §9.3. Deterministic per (host,day).
 		if !clientOnline(mk, day, at) {
-			return rawResponse{}
+			return
 		}
 	}
 	if chance(hash3(in.key^0x1055, dstKey, uint64(day)<<3|uint64(p)), loss) {
-		return rawResponse{}
+		return
 	}
-	return in.answerRaw(machineRef{hc.profile[hi], mk}, dstKey, p, at, path, jitter)
+	in.answerRaw(machineRef{hc.profile[hi], mk}, dstKey, p, at, path, jitter, raw)
 }
 
 // clientOnline models a client's daily uptime window (mean ≈ 8h).
@@ -538,57 +550,57 @@ func clientOnline(key uint64, day int, at wire.Time) bool {
 	return t >= start || t < end-86_400_000_000
 }
 
-// probeLineRaw answers probes into subscriber pools (rotating CPE/clients).
-func (in *Internet) probeLineRaw(nw *network, dst ip6.Addr, p wire.Proto, day int, at wire.Time) rawResponse {
-	isp := &in.isps[nw.isp]
-	line, kind, ok := isp.lineAt(dst, day)
-	if !ok {
-		return rawResponse{}
-	}
-	dstKey := hashAddr(in.key, dst)
-	switch kind {
+// probeLineRaw answers a probe to a subscriber-line device: member
+// o.member of line o.line in the pool hanging off announcement o.id, as
+// locate's lineAt found it for the day (rotating CPE/clients). raw
+// arrives zero and stays zero when the device is silent.
+func (in *Internet) probeLineRaw(o *owner, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
+	nw := &in.nets[o.id]
+	isp, line := &in.isps[nw.isp], o.line
+	switch o.member {
 	case lineCPE:
 		if p != wire.ICMPv6 {
-			return rawResponse{}
+			return
 		}
+		dstKey := o.key(in)
 		if chance(hash3(in.key^0xc9e, dstKey, uint64(day)), nw.loss+0.02) {
-			return rawResponse{}
+			return
 		}
-		return in.answerRaw(deriveMachine(isp.cpeMachine(line)), dstKey, p, at, nw.pathLen, nw.jitter)
+		in.answerRaw(deriveMachine(isp.cpeMachine(line)), dstKey, p, at, nw.pathLen, nw.jitter, raw)
 	case lineNAS:
 		// Self-hosted servers behind CPE: web panel plus ICMP.
 		if p != wire.ICMPv6 && p != wire.TCP80 {
-			return rawResponse{}
+			return
 		}
 		mk := isp.cpeMachine(line) ^ 0x4a5
+		dstKey := o.key(in)
 		if chance(hash3(in.key^0x4a5a, dstKey, uint64(day)<<3|uint64(p)), nw.loss+0.03) {
-			return rawResponse{}
+			return
 		}
-		return in.answerRaw(deriveMachine(mk), dstKey, p, at, nw.pathLen+1, nw.jitter)
+		in.answerRaw(deriveMachine(mk), dstKey, p, at, nw.pathLen+1, nw.jitter, raw)
 	case lineClient:
 		if p != wire.ICMPv6 {
-			return rawResponse{}
+			return
 		}
 		mk := isp.clientMachine(line)
 		// Most residential clients filter inbound ICMPv6 ("outbound
 		// only", RFC 7084): only ~1 in 5 respond at all.
 		if !chance(hash2(mk, 0xf117e8), 0.22) {
-			return rawResponse{}
+			return
 		}
 		if !clientOnline(mk, day, at) {
-			return rawResponse{}
+			return
 		}
-		return in.answerRaw(deriveMachine(mk), dstKey, p, at, nw.pathLen+1, nw.jitter)
+		in.answerRaw(deriveMachine(mk), o.key(in), p, at, nw.pathLen+1, nw.jitter, raw)
 	}
-	return rawResponse{}
 }
 
 // answerRaw builds machine m's positive answer: hop limit plus, for TCP
 // probes, the machine whose fingerprint the response carries. Timestamp
 // values and TCPInfo materialization are deferred to the emitters
 // (materialize for Probe, the column emitter in resolve.go for
-// ProbeBatch).
-func (in *Internet) answerRaw(m machineRef, dstKey uint64, p wire.Proto, at wire.Time, path uint8, ttlFlip bool) rawResponse {
+// ProbeLanes).
+func (in *Internet) answerRaw(m machineRef, dstKey uint64, p wire.Proto, at wire.Time, path uint8, ttlFlip bool, raw *rawResponse) {
 	ittl := m.prof.iTTL()
 	if ttlFlip && dstKey&1 == 1 {
 		if ittl == 64 {
@@ -606,7 +618,7 @@ func (in *Internet) answerRaw(m machineRef, dstKey uint64, p wire.Proto, at wire
 	if ittl > hops {
 		hl = ittl - hops
 	}
-	return rawResponse{ok: true, tcp: p.IsTCP(), hop: hl, m: m, dstKey: dstKey}
+	*raw = rawResponse{ok: true, tcp: p.IsTCP(), hop: hl, m: m, dstKey: dstKey}
 }
 
 // networkOf returns the ID of the most-specific announcement covering

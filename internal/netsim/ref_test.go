@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"expanse/internal/bgp"
@@ -44,25 +45,73 @@ func (rt *refTries) networkOf(addr ip6.Addr) int32 {
 }
 
 // probeRef is the retired trie-walking Probe body, verbatim but for
-// reading its tries from rt: one LPM walk per structure per probe.
+// reading its tries from rt and handing each plane's answer function the
+// owner it found: one LPM walk per structure per probe.
 func (in *Internet) probeRef(rt *refTries, dst ip6.Addr, p wire.Proto, day int, at wire.Time) wire.Response {
+	var raw rawResponse
 	// 1. Aliased regions (including their special-behaviour quirks).
 	if _, ri, ok := rt.alias.Lookup(dst); ok {
-		if raw, handled := in.probeAliasRaw(&in.regions[ri], dst, p, day, at); handled {
-			return in.materialize(raw, day, at)
+		if r := &in.regions[ri]; r.Hole.IsZero() || !r.Hole.Contains(dst) {
+			in.probeAliasRaw(r, &owner{dst: dst}, p, day, at, &raw)
+			return in.materialize(&raw, day, at)
 		}
 	}
 	// 2. Finite hosts: binary search on the sorted host columns.
 	if i, ok := in.hc.find(dst); ok {
-		return in.materialize(in.probeHostRaw(i, dst, p, day, at, rt.networkOf(dst)), day, at)
+		in.probeHostRaw(&owner{id: i, net: rt.networkOf(dst), dst: dst}, p, day, at, &raw)
+		return in.materialize(&raw, day, at)
 	}
 	// 3. Functional populations: rotating subscriber lines. Pools hang
 	// off the operator's covering announcement, so resolve with the
 	// SHORTEST match (more-specific announcements may overlap the pool).
 	if _, ni, ok := rt.nets.LookupShortest(dst); ok && in.nets[ni].isp >= 0 {
-		return in.materialize(in.probeLineRaw(&in.nets[ni], dst, p, day, at), day, at)
+		in.probeLineRef(ni, dst, p, day, at, &raw)
+		return in.materialize(&raw, day, at)
 	}
 	return wire.Response{}
+}
+
+// probeLineRef is the head of the retired probeLineRaw: the pool's lineAt
+// paid per probe, where locate now pays it once per destination and day.
+func (in *Internet) probeLineRef(ni int32, dst ip6.Addr, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
+	if line, member, ok := in.isps[in.nets[ni].isp].lineAt(dst, day); ok {
+		in.probeLineRaw(&owner{member: member, id: ni, line: line, dst: dst}, p, day, at, raw)
+	}
+}
+
+// resolveRef is the retired one-protocol resolve, verbatim but for the
+// owner it hands each plane's answer function: every probe finds its
+// destination's owner for itself, over the caller's run cursors, where
+// locate now finds it once for all of a destination's lanes.
+func (in *Internet) resolveRef(c *cursors, dst ip6.Addr, p wire.Proto, day int, at wire.Time) (raw rawResponse) {
+	if ri, ok := c.alias.Lookup(dst); ok {
+		if r := &in.regions[ri]; r.Hole.IsZero() || !r.Hole.Contains(dst) {
+			in.probeAliasRaw(r, &owner{dst: dst}, p, day, at, &raw)
+			return raw
+		}
+	}
+	if hi, ok := c.hosts.lookup(dst); ok {
+		nwi, ok := c.nets.Lookup(dst)
+		if !ok {
+			nwi = -1
+		}
+		in.probeHostRaw(&owner{id: hi, net: nwi, dst: dst}, p, day, at, &raw)
+		return raw
+	}
+	if ni, ok := c.pools.Lookup(dst); ok && in.nets[ni].isp >= 0 {
+		in.probeLineRef(ni, dst, p, day, at, &raw)
+	}
+	return raw
+}
+
+// probeBatchRef is the retired one-protocol ProbeBatch body over
+// resolveRef: one set of cursors per batch and protocol.
+func (in *Internet) probeBatchRef(dsts []ip6.Addr, p wire.Proto, day int, at []wire.Time, out *wire.ResultColumns, base int) {
+	c := in.cursors()
+	for k, dst := range dsts {
+		raw := in.resolveRef(&c, dst, p, day, at[k])
+		in.emit(out, base+k, &raw, day, at[k])
+	}
 }
 
 // coveringRouterSubnetScan is the retired per-target form of the
@@ -195,7 +244,7 @@ func TestProfilesMatchRef(t *testing.T) {
 	}
 }
 
-// TestProbeMatchesRef pins Probe — resolve over fresh cursors — against
+// TestProbeMatchesRef pins Probe — locate and answer over fresh cursors — against
 // the trie-walking oracle per target: all five protocols, two days, the
 // whole response including the SYN-ACK fingerprint and timestamp value.
 func TestProbeMatchesRef(t *testing.T) {
@@ -425,6 +474,97 @@ func FuzzIvalRun(f *testing.F) {
 			got, gotOK = ip6.LookupInterval(tab, a)
 			if gotOK != wantOK || (gotOK && got != want) {
 				t.Fatalf("LookupInterval(%v) = %d,%v; longest match over %v is %d,%v", a, got, gotOK, prefixes, want, wantOK)
+			}
+		}
+	})
+}
+
+// fuzzHostAddr maps two bytes to a host address: sixteen /64 groups — the
+// bottom and the top of the address space among them — with up to 4096
+// interface IDs each, so fuzzed columns hold dense counter-style blocks,
+// wide gaps and both extremes.
+func fuzzHostAddr(b0, b1 byte) ip6.Addr {
+	lo := uint64(b0&15)<<8 | uint64(b1)
+	switch g := uint64(b0 >> 4); g {
+	case 0:
+		return ip6.AddrFromUint64(0, lo)
+	case 15:
+		return ip6.AddrFromUint64(^uint64(0), ^lo)
+	default:
+		return ip6.AddrFromUint64(g<<60|g, lo)
+	}
+}
+
+// FuzzHostRun drives one hostRun — the merge cursor locate leans on once
+// per target — over a fuzzed host column through an arbitrary query
+// sequence: forward, backward, repeated, into gaps, onto both ends of the
+// address space and outside every group. At every step the cursor,
+// hostCols.find's binary search and a linear scan of the column must
+// agree on (position, hit). Input layout: a host count, two bytes per
+// host (fuzzHostAddr), then three bytes per query (host to aim at, how,
+// jitter).
+func FuzzHostRun(f *testing.F) {
+	f.Add([]byte{})
+	// An empty column: every query misses into the one whole-space gap.
+	f.Add([]byte{0, 0, 5, 0, 0, 6, 0, 0, 0, 0})
+	// A counter-style block longer than hostRunAdvance, walked forward
+	// one host at a time, then jumped over, then walked backward.
+	f.Add([]byte{12, 0x20, 1, 0x20, 2, 0x20, 3, 0x20, 4, 0x20, 5, 0x20, 6, 0x20, 7, 0x20, 8, 0x20, 9, 0x20, 10, 0x20, 11, 0x20, 40,
+		0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 1, 0, 11, 0, 0, 10, 2, 0, 3, 0, 0, 3, 4, 0, 0, 2, 0})
+	// Hosts at both ends of the space, queried top, bottom, top.
+	f.Add([]byte{3, 0x00, 0, 0xf0, 0, 0x80, 7, 0, 6, 0, 0, 5, 0, 1, 0, 0, 0, 1, 0, 2, 7, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 64
+		data = data[1:]
+		var addrs []ip6.Addr
+		for ; len(addrs) < n && len(data) >= 2; data = data[2:] {
+			addrs = append(addrs, fuzzHostAddr(data[0], data[1]))
+		}
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
+		var hc hostCols
+		for i, a := range addrs {
+			if i == 0 || a != addrs[i-1] {
+				hc.hi, hc.lo = append(hc.hi, a.Hi()), append(hc.lo, a.Lo())
+			}
+		}
+		cur := hostRun{hc: &hc}
+		var q ip6.Addr
+		for ; len(data) >= 3; data = data[3:] {
+			aim := fuzzHostAddr(data[0], data[2])
+			if hc.n() > 0 {
+				aim = hc.addrAt(int32(int(data[0]) % hc.n()))
+			}
+			switch data[1] % 8 {
+			case 0:
+				q = aim
+			case 1:
+				q = aim.Next()
+			case 2:
+				q = aim.Prev()
+			case 3:
+				q = ip6.AddrFromUint64(aim.Hi(), aim.Lo()^uint64(data[2]))
+			case 4: // the previous query again
+			case 5:
+				q = ip6.Addr{}
+			case 6:
+				q = ip6.MaxAddr()
+			default:
+				q = ip6.AddrFromUint64(uint64(data[2])<<56|uint64(data[0]), uint64(data[2]))
+			}
+			want, wantOK := int32(0), false
+			for i := int32(0); i < int32(hc.n()); i++ {
+				if hc.addrAt(i) == q {
+					want, wantOK = i, true
+				}
+			}
+			if got, ok := cur.lookup(q); got != want || ok != wantOK {
+				t.Fatalf("cursor(%v) = %d,%v; a scan of %d hosts says %d,%v", q, got, ok, hc.n(), want, wantOK)
+			}
+			if got, ok := hc.find(q); got != want || ok != wantOK {
+				t.Fatalf("find(%v) = %d,%v; a scan of %d hosts says %d,%v", q, got, ok, hc.n(), want, wantOK)
 			}
 		}
 	})

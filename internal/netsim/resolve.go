@@ -13,12 +13,14 @@ import (
 // the same three interval tables, fixed at seal time — two compiled from
 // the final region and network columns (the flattening the alias plane's
 // Filter uses, see ip6.CompileIntervals), the third the routing table's
-// own longest-match table: Probe and ProbeBatch through
-// resolve and its run cursors, so a batch of sorted targets pays one
-// binary search per *run* of addresses sharing a resolution; ground
-// truth, networkOf, poolOf (InSubscriberSpace, HopRefs) through
-// ip6.LookupInterval point reads. The trie-walking form it replaced is
-// the probeRef oracle in ref_test.go.
+// own longest-match table: Probe and ProbeLanes through
+// locate and its run cursors, so a batch of sorted targets pays one
+// binary search per *run* of addresses sharing a resolution, and a
+// target probed on several lanes (protocols, send-time lines) is located
+// once for all of them; ground truth, networkOf, poolOf
+// (InSubscriberSpace, HopRefs) through ip6.LookupInterval point reads.
+// The trie-walking form it replaced is the probeRef oracle in
+// ref_test.go, the one-protocol-per-resolution form resolveRef beside it.
 
 // tables are the interval-compiled lookup tables. Interval values are
 // dense int32 IDs into the flat region/network columns — the tables carry
@@ -53,6 +55,10 @@ func compileTables(regions []AliasRegion, nets []network, table *bgp.Table) tabl
 type cursors struct {
 	alias, nets, pools ip6.IntervalCursor[int32]
 	hosts              hostRun
+	// located counts the locate calls made through these cursors — the
+	// kernel's unit of work, one per destination whatever the number of
+	// lanes (BenchmarkProbeLanes reports it).
+	located int
 }
 
 // cursors returns fresh run cursors over the tables and host columns.
@@ -65,18 +71,71 @@ func (in *Internet) cursors() cursors {
 	}
 }
 
-// resolve answers one probe: it finds dst's owner and lets that owner
-// answer. The order is the world's semantics — an aliased region first
-// (unless dst sits in its hole), then a finite host (with the most
-// specific announcement's loss/path parameters), then a subscriber pool,
-// resolved with the SHORTEST announcement match because pools hang off
-// the operator's covering announcement and more-specifics may overlap
-// them. Nobody owns anything else. c carries the caller's cursors:
-// ProbeBatch keeps them across a batch, Probe passes fresh ones.
-func (in *Internet) resolve(c *cursors, dst ip6.Addr, p wire.Proto, day int, at wire.Time) rawResponse {
+// ownerKind says which plane of the world owns an address.
+type ownerKind uint8
+
+const (
+	ownerNone ownerKind = iota
+	ownerAlias
+	ownerHost
+	ownerLine
+)
+
+// owner is who answers for an address on a given day, as locate found
+// it: everything about a probe that does not depend on its protocol or
+// send time. One owner answers every lane of its destination.
+type owner struct {
+	kind ownerKind
+	// member is which device of the line dst is (ownerLine).
+	member addrKind
+	keyed  bool
+	// id is the region ID (ownerAlias), the sorted host-column position
+	// (ownerHost) or the pool's network ID (ownerLine).
+	id int32
+	// net is the most specific announcement covering an ownerHost, -1 if
+	// unannounced.
+	net  int32
+	line uint64 // ownerLine: the subscriber line dst sits on today
+	dst  ip6.Addr
+	// dstKey is hashAddr(in.key, dst) once keyed: four Mix rounds most
+	// silent owners (a dead host, a protocol nobody serves) never need
+	// and no destination needs twice.
+	dstKey uint64
+}
+
+// key returns the destination's keyed hash, computing it on first use
+// (out of line, so the cached read inlines into the answer functions).
+func (o *owner) key(in *Internet) uint64 {
+	if o.keyed {
+		return o.dstKey
+	}
+	return o.hashKey(in)
+}
+
+// hashKey is key's first use.
+func (o *owner) hashKey(in *Internet) uint64 {
+	o.dstKey, o.keyed = hashAddr(in.key, o.dst), true
+	return o.dstKey
+}
+
+// locate finds dst's owner on the given day. The order is the world's
+// semantics — an aliased region first (unless dst sits in its hole), then
+// a finite host (with the most specific announcement's loss/path
+// parameters), then a subscriber pool, resolved with the SHORTEST
+// announcement match because pools hang off the operator's covering
+// announcement and more-specifics may overlap them, and within the pool
+// the line member dst is today. Nobody owns anything else. locate never
+// sees a protocol or a send time, so its result serves every lane of
+// dst; the day enters only through the pool's rotation. c carries the
+// caller's cursors: ProbeLanes keeps them across a batch, Probe passes
+// fresh ones. The owner is filled in place for the reason a rawResponse
+// is (see there).
+func (in *Internet) locate(c *cursors, dst ip6.Addr, day int, o *owner) {
+	c.located++
 	if ri, ok := c.alias.Lookup(dst); ok {
-		if raw, handled := in.probeAliasRaw(&in.regions[ri], dst, p, day, at); handled {
-			return raw
+		if r := &in.regions[ri]; r.Hole.IsZero() || !r.Hole.Contains(dst) {
+			*o = owner{kind: ownerAlias, id: ri, dst: dst}
+			return
 		}
 	}
 	if hi, ok := c.hosts.lookup(dst); ok {
@@ -84,12 +143,30 @@ func (in *Internet) resolve(c *cursors, dst ip6.Addr, p wire.Proto, day int, at 
 		if !ok {
 			nwi = -1
 		}
-		return in.probeHostRaw(hi, dst, p, day, at, nwi)
+		*o = owner{kind: ownerHost, id: hi, net: nwi, dst: dst}
+		return
 	}
 	if ni, ok := c.pools.Lookup(dst); ok && in.nets[ni].isp >= 0 {
-		return in.probeLineRaw(&in.nets[ni], dst, p, day, at)
+		if line, member, ok := in.isps[in.nets[ni].isp].lineAt(dst, day); ok {
+			*o = owner{kind: ownerLine, member: member, id: ni, line: line, dst: dst}
+			return
+		}
 	}
-	return rawResponse{}
+	*o = owner{}
+}
+
+// answer lets o answer one probe into raw: the per-protocol,
+// per-send-time half of a resolution. A silent owner leaves raw zero.
+func (in *Internet) answer(o *owner, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
+	*raw = rawResponse{}
+	switch o.kind {
+	case ownerAlias:
+		in.probeAliasRaw(&in.regions[o.id], o, p, day, at, raw)
+	case ownerHost:
+		in.probeHostRaw(o, p, day, at, raw)
+	case ownerLine:
+		in.probeLineRaw(o, p, day, at, raw)
+	}
 }
 
 // compileAlias flattens the alias regions into their longest-match
@@ -139,21 +216,45 @@ func compileShortest(nets []network) []ip6.Interval[int32] {
 	return ip6.CompileIntervals(prefixes, ids)
 }
 
-// ProbeBatch implements wire.BatchResponder: it answers probe k exactly
-// as Probe(dsts[k], p, day, at[k]) would, writing into out at base+k.
-// Safe for unlimited concurrent use under the same contract as Probe;
-// concurrent calls must target non-overlapping 64-aligned column ranges
-// (see wire.BatchResponder).
-func (in *Internet) ProbeBatch(dsts []ip6.Addr, p wire.Proto, day int, at []wire.Time, out *wire.ResultColumns, base int) {
+// ProbeLanes implements wire.BatchResponder: it answers destination k on
+// lane l exactly as Probe(dsts[k], l.Proto, day, l.At[k]) would, writing
+// into l.Out at base+k — every lane of a destination from the one owner
+// located for it. Safe for unlimited concurrent use under the same
+// contract as Probe; concurrent calls must target non-overlapping
+// 64-aligned column ranges (see wire.BatchResponder).
+func (in *Internet) ProbeLanes(dsts []ip6.Addr, day int, lanes []wire.Lane, base int) {
 	c := in.cursors()
+	in.probeLanes(&c, dsts, day, lanes, base)
+}
+
+// probeLanes is ProbeLanes over the caller's cursors.
+func (in *Internet) probeLanes(c *cursors, dsts []ip6.Addr, day int, lanes []wire.Lane, base int) {
+	var o owner
+	var raw rawResponse
 	for k, dst := range dsts {
-		in.emit(out, base+k, in.resolve(&c, dst, p, day, at[k]), day, at[k])
+		in.locate(c, dst, day, &o)
+		if o.kind == ownerNone {
+			continue
+		}
+		for li := range lanes {
+			l := &lanes[li]
+			at := l.At[k]
+			in.answer(&o, l.Proto, day, at, &raw)
+			in.emit(l.Out, base+k, &raw, day, at)
+		}
 	}
+}
+
+// ProbeBatch is the one-lane call of ProbeLanes: probe k answered exactly
+// as Probe(dsts[k], p, day, at[k]) would be, into out at base+k.
+func (in *Internet) ProbeBatch(dsts []ip6.Addr, p wire.Proto, day int, at []wire.Time, out *wire.ResultColumns, base int) {
+	lane := [1]wire.Lane{{Proto: p, At: at, Out: out}}
+	in.ProbeLanes(dsts, day, lane[:], base)
 }
 
 // emit writes a rawResponse into column i, interning the TCP fingerprint
 // instead of allocating a TCPInfo.
-func (in *Internet) emit(out *wire.ResultColumns, i int, raw rawResponse, day int, at wire.Time) {
+func (in *Internet) emit(out *wire.ResultColumns, i int, raw *rawResponse, day int, at wire.Time) {
 	if !raw.ok {
 		return
 	}

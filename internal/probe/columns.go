@@ -1,21 +1,25 @@
 package probe
 
 import (
-	"sync"
-
 	"expanse/internal/ip6"
 	"expanse/internal/par"
 	"expanse/internal/wire"
 )
 
-// This file is the scan engine. ScanColumns walks each worker's shard in
-// TARGET-INDEX order — so a sorted target view presents the responder
-// with sorted runs it can resolve once per run — and hands the responder
-// whole batches that write straight into wire.ResultColumns. A probe's
-// virtual send time is fixed by its position in the per-protocol
-// permutation, recovered through the inverse permutation, so the batched
-// engine is probe-for-probe identical to the per-probe reference
-// (ref_test.go) at any worker count and chunk size.
+// This file is the scan engine. Every scan is a set of LANES over one
+// target list — a lane is a protocol, the permutation that orders it on
+// the wire and the send-time line over that order — and one engine,
+// scanLanes, runs them all: ScanColumns is its one-lane case, the
+// five-protocol sweep its five-lane case, the §5.4 fingerprint pairs two
+// lanes of one protocol a send interval apart. scanLanes walks each
+// worker's shard in TARGET-INDEX order — so a sorted target view presents
+// the responder with sorted runs it can resolve once per run — and hands
+// the responder whole batches of every lane at once, so it resolves a
+// target once for all its lanes, writing straight into each lane's
+// wire.ResultColumns. A probe's virtual send time is fixed by its
+// position in its lane's permutation, recovered through the inverse
+// permutation, so the batched engine is probe-for-probe identical to the
+// per-probe reference (ref_test.go) at any worker count and chunk size.
 
 // batchLen is the inner batch size handed to the responder: large enough
 // to amortize the call, small enough to keep gather scratch cache-warm.
@@ -34,6 +38,17 @@ func (s *Scanner) shards(n int, fn func(c, lo, hi int)) {
 // scans and days.
 func (s *Scanner) TCPTable() *wire.TCPTable { return s.tcp }
 
+// lane is one line of a scan: target i is probed on proto at virtual
+// time inv[i]*step + off, inv the inverse permutation of the lane's order
+// (the scan's orders[order]), and answers land in out. Lanes that share
+// an order share its permutation.
+type lane struct {
+	proto     wire.Proto
+	order     int
+	step, off wire.Time
+	out       *wire.ResultColumns
+}
+
 // ScanColumns probes every target once (plus retries) on the given
 // protocol during the given day, writing results into out, which must
 // have been Reset (or ResetOK, for mask-only consumers) for exactly
@@ -42,35 +57,101 @@ func (s *Scanner) TCPTable() *wire.TCPTable { return s.tcp }
 // randomization, so bursts never hammer one prefix.
 //
 // ScanColumns is safe for concurrent use: the Scanner carries no per-scan
-// state beyond its pooled buffers, so the sweep and the APD detector run
-// several scans in parallel against one Scanner as long as the Responder
-// honors the concurrency contract documented in netsim.
+// state beyond its pooled buffers, so overlapping days run several scans
+// in parallel against one Scanner as long as the Responder honors the
+// concurrency contract documented in netsim.
 func (s *Scanner) ScanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *wire.ResultColumns) {
-	s.scanColumns(targets, proto, day, out, nil)
+	lanes := []lane{{proto: proto, step: s.interval(), out: out}}
+	s.scanLanes(targets, day, []uint64{s.protoOrder(proto, day)}, lanes, s.retries, nil)
 }
 
-func (s *Scanner) scanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *wire.ResultColumns, invBuf *[]uint32) {
+// ScanProtos is ScanColumns over several protocols at once: protocol k
+// of protos is scanned into outs[k] — each with its own permutation and
+// send-time line, so outs[k] is bit for bit what ScanColumns(targets,
+// protos[k], day, &outs[k]) writes — but every target is handed to the
+// responder once, with all its protocols, instead of once per protocol.
+func (s *Scanner) ScanProtos(targets ip6.AddrSeq, protos []wire.Proto, day int, outs []wire.ResultColumns) {
+	s.scanProtos(targets, protos, day, outs, nil)
+}
+
+// scanProtos is ScanProtos over the caller's inverse-permutation scratch
+// (nil borrows the scanner's pooled one).
+func (s *Scanner) scanProtos(targets ip6.AddrSeq, protos []wire.Proto, day int, outs []wire.ResultColumns, invs *invSet) {
+	orders := make([]uint64, len(protos))
+	lanes := make([]lane, len(protos))
+	for k, p := range protos {
+		orders[k] = s.protoOrder(p, day)
+		lanes[k] = lane{proto: p, order: k, step: s.interval(), out: &outs[k]}
+	}
+	s.scanLanes(targets, day, orders, lanes, s.retries, invs)
+}
+
+// protoOrder is the permutation seed of one protocol's scan on one day.
+func (s *Scanner) protoOrder(p wire.Proto, day int) uint64 {
+	return s.seed ^ uint64(p)<<32 ^ uint64(day)
+}
+
+// invSet is the inverse-permutation scratch of one scan, one buffer per
+// order, reused from scan to scan.
+type invSet [][]uint32
+
+// scanLanes is the scan engine: it probes every target on every lane
+// during the given day. orders are the permutation seeds the lanes refer
+// to; their inverse permutations are built concurrently, one per order,
+// into invs (the caller's scratch; nil borrows the scanner's pooled one —
+// the APD detector probes millions of fan-out targets per day), before
+// the targets fan out over the scanner's worker shards: one sharding
+// whatever the number of lanes. Each shard walks its targets in index
+// order: gather a batch, fix each lane's send times from the permutation
+// positions, let the responder answer all lanes of the batch in one
+// call, then retry each lane's unanswered subset in place.
+func (s *Scanner) scanLanes(targets ip6.AddrSeq, day int, orders []uint64, lanes []lane, retries int, invs *invSet) {
 	n := targets.Len()
-	if invBuf == nil {
-		// Callers without their own scratch (the APD detector probes
-		// millions of fan-out targets per day) share pooled buffers.
-		invBuf = s.pooledInv()
-		defer s.invPool.Put(invBuf)
+	if invs == nil {
+		if invs, _ = s.invPool.Get().(*invSet); invs == nil {
+			invs = new(invSet)
+		}
+		defer s.invPool.Put(invs)
 	}
-	*invBuf = InversePermutation(*invBuf, n, s.seed^uint64(proto)<<32^uint64(day))
-	inv := *invBuf
-	iv := s.interval()
-	s.shards(n, func(_, lo, hi int) {
-		s.scanChunk(targets, proto, day, lo, hi, inv, iv, out)
+	for len(*invs) < len(orders) {
+		*invs = append(*invs, nil)
+	}
+	inv := *invs
+	par.Ranges(len(orders), len(orders), 1, 1, func(_, lo, hi int) {
+		for k := lo; k < hi; k++ {
+			inv[k] = InversePermutation(inv[k], n, orders[k])
+		}
 	})
-}
-
-// pooledInv returns a reusable inverse-permutation buffer.
-func (s *Scanner) pooledInv() *[]uint32 {
-	if buf, ok := s.invPool.Get().(*[]uint32); ok {
-		return buf
-	}
-	return new([]uint32)
+	s.shards(n, func(_, lo, hi int) {
+		// Per shard: the responder's view of the lanes and one send-time
+		// scratch per lane, reused by every batch.
+		wl := make([]wire.Lane, len(lanes))
+		ats := make([]wire.Time, len(lanes)*batchLen)
+		for li, ln := range lanes {
+			wl[li] = wire.Lane{Proto: ln.proto, Out: ln.out}
+		}
+		var retry retryState
+		forEachBatch(targets, lo, hi, func(dsts []ip6.Addr, b, e int) {
+			for li := range lanes {
+				ln := &lanes[li]
+				pos := inv[ln.order]
+				at := ats[li*batchLen:][:e-b]
+				for i := b; i < e; i++ {
+					at[i-b] = wire.Time(pos[i])*ln.step + ln.off
+				}
+				if ln.out.SentAt != nil {
+					copy(ln.out.SentAt[b:e], at)
+				}
+				wl[li].At = at
+			}
+			wire.ProbeBatchInto(s.responder, dsts, day, wl, b)
+			if retries > 0 {
+				for li := range lanes {
+					retry.run(s, targets, day, b, e, &lanes[li], inv[lanes[li].order], retries)
+				}
+			}
+		})
+	})
 }
 
 // forEachBatch slices [lo,hi) into batchLen windows and materializes each
@@ -101,52 +182,32 @@ func forEachBatch(targets ip6.AddrSeq, lo, hi int, fn func(dsts []ip6.Addr, b, e
 	}
 }
 
-// scanChunk probes targets [lo,hi) in index order: gather a batch, fix
-// each probe's send time from its permutation position, let the responder
-// answer the whole batch, then retry the unanswered subset in place.
-func (s *Scanner) scanChunk(targets ip6.AddrSeq, proto wire.Proto, day int, lo, hi int, inv []uint32, iv wire.Time, out *wire.ResultColumns) {
-	ats := make([]wire.Time, 0, batchLen)
-	var retry retryState
-	forEachBatch(targets, lo, hi, func(dsts []ip6.Addr, b, e int) {
-		ats = ats[:0]
-		for i := b; i < e; i++ {
-			at := wire.Time(inv[i]) * iv
-			ats = append(ats, at)
-			if out.SentAt != nil {
-				out.SentAt[i] = at
-			}
-		}
-		wire.ProbeBatchInto(s.responder, dsts, proto, day, ats, out, b)
-		if s.retries > 0 {
-			retry.run(s, targets, proto, day, b, e, inv, iv, out)
-		}
-	})
-}
-
-// retryState holds the scratch of the in-chunk retry passes: the failed
-// subset is re-batched with each attempt's send time shifted one full
-// scan length later.
+// retryState holds the scratch of the in-chunk retry passes: one lane's
+// failed subset is re-batched, as a one-lane call, with each attempt's
+// send time shifted one full scan length later.
 type retryState struct {
 	idx  []int
 	dsts []ip6.Addr
 	ats  []wire.Time
 	cols wire.ResultColumns
+	lane [1]wire.Lane
 }
 
-func (r *retryState) run(s *Scanner, targets ip6.AddrSeq, proto wire.Proto, day int, b, e int, inv []uint32, iv wire.Time, out *wire.ResultColumns) {
-	n := len(inv)
+func (r *retryState) run(s *Scanner, targets ip6.AddrSeq, day int, b, e int, ln *lane, inv []uint32, retries int) {
+	out := ln.out
+	pass := wire.Time(len(inv)) * ln.step
 	r.idx = r.idx[:0]
 	for i := b; i < e; i++ {
 		if !out.OK.Get(i) {
 			r.idx = append(r.idx, i)
 		}
 	}
-	for a := 0; len(r.idx) > 0 && a < s.retries; a++ {
+	for a := 0; len(r.idx) > 0 && a < retries; a++ {
 		r.dsts = r.dsts[:0]
 		r.ats = r.ats[:0]
 		for _, i := range r.idx {
 			r.dsts = append(r.dsts, targets.At(i))
-			at := wire.Time(inv[i])*iv + wire.Time(a+1)*wire.Time(n)*iv
+			at := wire.Time(inv[i])*ln.step + ln.off + wire.Time(a+1)*pass
 			r.ats = append(r.ats, at)
 			if out.SentAt != nil {
 				out.SentAt[i] = at
@@ -157,7 +218,8 @@ func (r *retryState) run(s *Scanner, targets ip6.AddrSeq, proto wire.Proto, day 
 		} else {
 			r.cols.ResetOK(len(r.idx))
 		}
-		wire.ProbeBatchInto(s.responder, r.dsts, proto, day, r.ats, &r.cols, 0)
+		r.lane[0] = wire.Lane{Proto: ln.proto, At: r.ats, Out: &r.cols}
+		wire.ProbeBatchInto(s.responder, r.dsts, day, r.lane[:], 0)
 		kept := r.idx[:0]
 		for k, i := range r.idx {
 			if !r.cols.OK.Get(k) {
@@ -177,32 +239,27 @@ func (r *retryState) run(s *Scanner, targets ip6.AddrSeq, proto wire.Proto, day 
 	}
 }
 
-// sweepBufs is the reusable buffer set of a five-protocol sweep: one
-// mask-only column set and one inverse-permutation scratch per protocol.
+// sweepBufs is the reusable scratch of a five-protocol sweep: one
+// mask-only column set and one inverse permutation per protocol. A sweep
+// owns them — a one-day sweep's die with it, a streamed one's last its
+// days — instead of parking five hitlist-sized buffers in the pool.
 type sweepBufs struct {
 	cols [wire.NumProtos]wire.ResultColumns
-	inv  [wire.NumProtos][]uint32
+	inv  invSet
 }
 
 // sweepInto runs one day's five-protocol sweep into masks (len ==
-// targets.Len(), fully overwritten). The five scans run concurrently,
-// each fanned out over the scanner's worker shards (protocols × shards
-// goroutines in flight) and writing only its OK bitset. Every protocol
-// keeps its own permutation and virtual send-time line, so the result is
-// bit-identical to running the protocols one after another; the masks
-// fold the five bitsets word-by-word after the barrier.
+// targets.Len(), fully overwritten): the five-lane scan, every lane
+// writing only its OK bitset. Every protocol keeps its own permutation
+// and virtual send-time line, so the result is bit-identical to running
+// the protocols one after another; the masks fold the five bitsets
+// word-by-word after the scan.
 func (s *Scanner) sweepInto(targets ip6.AddrSeq, day int, bufs *sweepBufs, masks []wire.RespMask) {
 	n := targets.Len()
-	var wg sync.WaitGroup
-	for pi, p := range wire.Protos {
-		wg.Add(1)
-		go func(pi int, p wire.Proto) {
-			defer wg.Done()
-			bufs.cols[pi].ResetOK(n)
-			s.scanColumns(targets, p, day, &bufs.cols[pi], &bufs.inv[pi])
-		}(pi, p)
+	for pi := range bufs.cols {
+		bufs.cols[pi].ResetOK(n)
 	}
-	wg.Wait()
+	s.scanProtos(targets, wire.Protos[:], day, bufs.cols[:], &bufs.inv)
 	// Fold: protocol pi's OK bit is exactly mask bit pi (Protos is the
 	// canonical order), so each 64-target block folds five words.
 	s.shards(n, func(_, lo, hi int) {
@@ -236,8 +293,8 @@ func (s *Scanner) sweepInto(targets ip6.AddrSeq, day int, bufs *sweepBufs, masks
 // per-day column handoff of the epoch pipeline — each published day keeps
 // its own mask column while the scan scratch (per-protocol OK bitsets,
 // inverse permutations) stays internal to the call. Safe for concurrent
-// use: mask-only sweeps share no scanner state beyond the pooled inverse
-// buffers, so overlapping days may sweep in parallel.
+// use: mask-only sweeps share no scanner state, so overlapping days may
+// sweep in parallel.
 func (s *Scanner) SweepSeqInto(targets ip6.AddrSeq, day int, masks []wire.RespMask) []wire.RespMask {
 	n := targets.Len()
 	if cap(masks) < n {
@@ -274,32 +331,17 @@ type PairColumns struct {
 }
 
 // ProbePairColumns sends two back-to-back probes with the TCP options
-// module to every target (§5.4) and writes them into pair columns; the
-// second probe of a pair leaves one send interval after the first.
+// module to every target (§5.4) and writes them into pair columns: two
+// lanes of one protocol over one permutation, the second probe of a pair
+// leaving one send interval after the first. Pairs are never retried.
 func (s *Scanner) ProbePairColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *PairColumns) {
 	n := targets.Len()
 	out.First.Reset(n, s.tcp)
 	out.Second.Reset(n, s.tcp)
-	invBuf := s.pooledInv()
-	defer s.invPool.Put(invBuf)
-	*invBuf = InversePermutation(*invBuf, n, s.seed^0xfb^uint64(day))
-	inv := *invBuf
 	iv := s.interval()
-	s.shards(n, func(_, lo, hi int) {
-		ats1 := make([]wire.Time, 0, batchLen)
-		ats2 := make([]wire.Time, 0, batchLen)
-		forEachBatch(targets, lo, hi, func(dsts []ip6.Addr, b, e int) {
-			ats1 = ats1[:0]
-			ats2 = ats2[:0]
-			for i := b; i < e; i++ {
-				at := wire.Time(inv[i]) * iv * 2
-				ats1 = append(ats1, at)
-				ats2 = append(ats2, at+iv)
-				out.First.SentAt[i] = at
-				out.Second.SentAt[i] = at + iv
-			}
-			wire.ProbeBatchInto(s.responder, dsts, proto, day, ats1, &out.First, b)
-			wire.ProbeBatchInto(s.responder, dsts, proto, day, ats2, &out.Second, b)
-		})
-	})
+	lanes := []lane{
+		{proto: proto, step: 2 * iv, out: &out.First},
+		{proto: proto, step: 2 * iv, off: iv, out: &out.Second},
+	}
+	s.scanLanes(targets, day, []uint64{s.seed ^ 0xfb ^ uint64(day)}, lanes, 0, nil)
 }

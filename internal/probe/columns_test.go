@@ -38,37 +38,82 @@ func checkColumnsMatchScan(t *testing.T, ref []Result, cols *wire.ResultColumns)
 	}
 }
 
-// TestScanColumnsMatchesScanSeq pins the batched engine against the
-// per-probe reference across target counts (straddling bitset-word
-// boundaries), worker counts, and retry settings, through the generic
-// per-probe fallback responder.
-func TestScanColumnsMatchesScanSeq(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 500, 1000} {
-		targets := addrs(n)
-		f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}, failBefore: 40_000}
-		for i, a := range targets {
-			var m wire.RespMask
-			if i%3 == 0 {
-				m.Set(wire.TCP80)
-			}
-			if i%4 == 0 {
-				m.Set(wire.ICMPv6)
-			}
-			if m.Any() {
-				f.up[a] = m
-			}
+// mixedFake answers a protocol mix over targets through the plain
+// per-probe Responder interface — no ProbeLanes, so every batch the
+// engine sends it goes through wire.ProbeBatchInto's fallback loop — and
+// drops every probe sent before failBefore, so retries change results.
+func mixedFake(targets []ip6.Addr, failBefore wire.Time) *fakeResponder {
+	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}, failBefore: failBefore}
+	for i, a := range targets {
+		var m wire.RespMask
+		if i%3 == 0 {
+			m.Set(wire.TCP80)
 		}
-		for _, workers := range []int{1, 3, 16} {
-			for _, retries := range []int{0, 3} {
-				s := New(f, WithWorkers(workers), WithRetries(retries), WithRate(1000))
-				ref := s.scanSeq(ip6.Addrs(targets), wire.TCP80, 2)
-				var cols wire.ResultColumns
-				cols.Reset(n, s.TCPTable())
-				s.ScanColumns(ip6.Addrs(targets), wire.TCP80, 2, &cols)
-				checkColumnsMatchScan(t, ref, &cols)
-			}
+		if i%4 == 0 {
+			m.Set(wire.ICMPv6)
+			m.Set(wire.UDP53)
+		}
+		if i%7 == 0 {
+			m.Set(wire.UDP443)
+			m.Set(wire.TCP443)
+		}
+		if m.Any() {
+			f.up[a] = m
 		}
 	}
+	return f
+}
+
+// grid runs fn for every engine configuration the lane scans are pinned
+// at — retries {0, 2} × workers {1, 2, 4, 16} — handing it, beside the
+// scanner under test, a one-worker scanner of the same retry count for
+// the per-probe reference (whose results do not depend on workers).
+func grid(r wire.Responder, fn func(ref, s *Scanner, workers, retries int)) {
+	for _, retries := range []int{0, 2} {
+		ref := New(r, WithWorkers(1), WithRetries(retries), WithRate(1000))
+		for _, workers := range []int{1, 2, 4, 16} {
+			fn(ref, New(r, WithWorkers(workers), WithRetries(retries), WithRate(1000)), workers, retries)
+		}
+	}
+}
+
+// TestScanColumnsMatchesScanSeq pins the batched engine against the
+// per-probe reference across target counts (straddling bitset-word
+// boundaries), worker counts and retry settings — as one lane
+// (ScanColumns) and as several at once (ScanProtos, every lane against
+// its own per-probe scan) — through the plain per-probe responder, whose
+// batches take the fallback loop, and through netsim's batch responder.
+func TestScanColumnsMatchesScanSeq(t *testing.T) {
+	protos := []wire.Proto{wire.TCP80, wire.ICMPv6, wire.UDP53}
+	check := func(r wire.Responder, targets []ip6.Addr, day int) {
+		n := len(targets)
+		refs := map[int][][]Result{} // by retries, per protocol
+		grid(r, func(ref, s *Scanner, workers, retries int) {
+			if refs[retries] == nil {
+				for _, p := range protos {
+					refs[retries] = append(refs[retries], ref.scanSeq(ip6.Addrs(targets), p, day))
+				}
+			}
+			var one wire.ResultColumns
+			one.Reset(n, s.TCPTable())
+			s.ScanColumns(ip6.Addrs(targets), protos[0], day, &one)
+			checkColumnsMatchScan(t, refs[retries][0], &one)
+			cols := make([]wire.ResultColumns, len(protos))
+			for k := range cols {
+				cols[k].Reset(n, s.TCPTable())
+			}
+			s.ScanProtos(ip6.Addrs(targets), protos, day, cols)
+			for k := range cols {
+				checkColumnsMatchScan(t, refs[retries][k], &cols[k])
+			}
+		})
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 500, 1000} {
+		targets := addrs(n)
+		check(mixedFake(targets, 40_000), targets, 2)
+	}
+	world, targets := netsimWorld()
+	check(world, targets, 42)
 }
 
 // TestShardsWordAligned pins the scan engine's write-safety invariant:
@@ -124,99 +169,83 @@ type view struct{ a []ip6.Addr }
 func (v view) Len() int          { return len(v.a) }
 func (v view) At(i int) ip6.Addr { return v.a[i] }
 
-// TestSweepSeqMatchesLegacy pins the bitset-folded sweep against the
-// legacy per-probe fold at several worker counts.
+// TestSweepSeqMatchesLegacy pins the five-lane sweep against the legacy
+// per-probe fold — five independent per-probe scans — over the engine
+// grid, through the plain responder's fallback loop and through netsim's
+// batch responder.
 func TestSweepSeqMatchesLegacy(t *testing.T) {
-	targets := addrs(333)
-	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
-	for i, a := range targets {
-		var m wire.RespMask
-		if i%3 == 0 {
-			m.Set(wire.TCP80)
-		}
-		if i%4 == 0 {
-			m.Set(wire.ICMPv6)
-			m.Set(wire.UDP53)
-		}
-		if i%7 == 0 {
-			m.Set(wire.UDP443)
-		}
-		if m.Any() {
-			f.up[a] = m
-		}
-	}
-	for _, workers := range []int{1, 4, 16} {
-		s := New(f, WithWorkers(workers))
-		want := s.sweepSeq(ip6.Addrs(targets), 2)
-		got := s.SweepSeqInto(ip6.Addrs(targets), 2, nil)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: mask %d = %v, want %v", workers, i, got[i], want[i])
+	check := func(r wire.Responder, targets []ip6.Addr, day int) {
+		want := map[int][]wire.RespMask{}
+		grid(r, func(ref, s *Scanner, workers, retries int) {
+			if want[retries] == nil {
+				want[retries] = ref.sweepSeq(ip6.Addrs(targets), day)
 			}
-		}
+			got := s.SweepSeqInto(ip6.Addrs(targets), day, nil)
+			for i, w := range want[retries] {
+				if got[i] != w {
+					t.Fatalf("workers=%d retries=%d: mask %d = %v, want %v", workers, retries, i, got[i], w)
+				}
+			}
+		})
 	}
+	targets := addrs(333)
+	check(mixedFake(targets, 100_000), targets, 2)
+	world, hitlist := netsimWorld()
+	check(world, hitlist, 42)
 }
 
 // TestSweepDaysMatchesSweep pins the streaming multi-day sweep (one
-// reused buffer set) against independent per-day sweeps.
+// reused buffer set) against independent per-day sweeps over the engine
+// grid.
 func TestSweepDaysMatchesSweep(t *testing.T) {
 	targets := addrs(200)
-	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
-	for i, a := range targets {
-		if i%2 == 0 {
-			var m wire.RespMask
-			m.Set(wire.ICMPv6)
-			m.Set(wire.TCP443)
-			f.up[a] = m
-		}
-	}
-	s := New(f, WithWorkers(3))
-	days := 0
-	s.SweepDays(ip6.Addrs(targets), 4, 5, func(day int, masks []wire.RespMask) {
-		days++
-		want := s.SweepSeqInto(ip6.Addrs(targets), day, nil)
-		for i := range want {
-			if masks[i] != want[i] {
-				t.Fatalf("day %d: mask %d = %v, want %v", day, i, masks[i], want[i])
+	grid(mixedFake(targets, 60_000), func(_, s *Scanner, workers, retries int) {
+		days := 0
+		s.SweepDays(ip6.Addrs(targets), 4, 5, func(day int, masks []wire.RespMask) {
+			days++
+			want := s.SweepSeqInto(ip6.Addrs(targets), day, nil)
+			for i := range want {
+				if masks[i] != want[i] {
+					t.Fatalf("workers=%d retries=%d day %d: mask %d = %v, want %v", workers, retries, day, i, masks[i], want[i])
+				}
 			}
+		})
+		if days != 5 {
+			t.Fatalf("fn called %d times, want 5", days)
 		}
 	})
-	if days != 5 {
-		t.Fatalf("fn called %d times, want 5", days)
-	}
 }
 
-// TestProbePairColumnsMatchesPairs pins the batched pair probing against
-// the per-probe probePairsSeq.
+// TestProbePairColumnsMatchesPairs pins the two-lane pair probing against
+// the per-probe probePairsSeq over the engine grid — pairs are never
+// retried, whatever the scanner's retry count — through the plain
+// responder's fallback loop and through netsim's batch responder.
 func TestProbePairColumnsMatchesPairs(t *testing.T) {
+	check := func(r wire.Responder, targets []ip6.Addr, day int) {
+		var first, second []Result
+		grid(r, func(ref, s *Scanner, workers, retries int) {
+			if first == nil {
+				for _, pr := range ref.probePairsSeq(ip6.Addrs(targets), wire.TCP80, day) {
+					first, second = append(first, pr.First), append(second, pr.Second)
+				}
+			}
+			var cols PairColumns
+			s.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, day, &cols)
+			checkColumnsMatchScan(t, first, &cols.First)
+			checkColumnsMatchScan(t, second, &cols.Second)
+		})
+	}
 	targets := addrs(90)
-	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
-	for i, a := range targets {
-		if i%3 != 2 {
-			var m wire.RespMask
-			m.Set(wire.TCP80)
-			f.up[a] = m
-		}
-	}
-	for _, workers := range []int{1, 4, 16} {
-		s := New(f, WithWorkers(workers))
-		ref := s.probePairsSeq(ip6.Addrs(targets), wire.TCP80, 3)
-		var cols PairColumns
-		s.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, 3, &cols)
-		first := make([]Result, len(ref))
-		second := make([]Result, len(ref))
-		for i, pr := range ref {
-			first[i], second[i] = pr.First, pr.Second
-		}
-		checkColumnsMatchScan(t, first, &cols.First)
-		checkColumnsMatchScan(t, second, &cols.Second)
-	}
+	check(mixedFake(targets, 30_000), targets, 3)
+	world, hitlist := netsimWorld()
+	check(world, hitlist, 42)
 }
 
-// netsimScanner builds a scanner over a small simulated world plus its
-// sorted hitlist-shaped target list — the end-to-end shape the batched
-// engine is optimized for (sorted runs through aliased regions).
-func netsimScanner(workers int) (*Scanner, []ip6.Addr) {
+// netsimWorld returns a small simulated world — a batch responder — and
+// its sorted hitlist-shaped target list: the end-to-end shape the batched
+// engine is optimized for (sorted runs through aliased regions). Built
+// once; the world is read-only.
+var netsimWorld = sync.OnceValues(func() (*netsim.Internet, []ip6.Addr) {
 	world := netsim.New(netsim.Config{Seed: 42, Scale: 0.05, EpochDays: 7, Epochs: 6})
 	var targets []ip6.Addr
 	for _, h := range world.Hosts() {
@@ -229,6 +258,12 @@ func netsimScanner(workers int) (*Scanner, []ip6.Addr) {
 		targets = append(targets, rec.Addr)
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].Less(targets[j]) })
+	return world, targets
+})
+
+// netsimScanner builds a scanner over netsimWorld.
+func netsimScanner(workers int) (*Scanner, []ip6.Addr) {
+	world, targets := netsimWorld()
 	return New(world, WithWorkers(workers)), targets
 }
 
@@ -251,14 +286,16 @@ func TestScanColumnsNetsimAcrossWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkSweep measures the batched five-protocol sweep over a sorted
-// netsim hitlist — the engine's daily-scan hot path.
+// BenchmarkSweep measures the five-lane sweep over a sorted netsim
+// hitlist — the engine's daily-scan hot path: one scanLanes pass, every
+// target handed to the responder once with all five protocols.
 func BenchmarkSweep(b *testing.B) {
 	s, targets := netsimScanner(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.SweepSeqInto(ip6.Addrs(targets), 42, nil)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(targets)*wire.NumProtos), "ns/probe")
 }
 
 // BenchmarkSweepLegacy is the same sweep on the pre-columnar per-probe

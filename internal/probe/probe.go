@@ -6,19 +6,22 @@
 // module that records fingerprint data (§5.4).
 //
 // The engine is columnar and batched (columns.go): every scan takes an
-// ip6.AddrSeq target view and writes wire.ResultColumns. The Scanner's
-// whole surface is ScanColumns (one protocol), SweepSeqInto and SweepDays
+// ip6.AddrSeq target view and writes wire.ResultColumns, and every scan
+// is a set of lanes — protocols or send-time lines over one target list
+// — through one engine, so the responder resolves each target once for
+// all of them. The Scanner's whole surface is ScanColumns (one protocol),
+// ScanProtos (several at once; APD's two), SweepSeqInto and SweepDays
 // (the five-protocol responsiveness sweep, one day or streamed),
 // ProbePairColumns (the §5.4 fingerprint pairs) and TCPTable. The
 // per-probe engine it is pinned against probe-for-probe lives in
 // ref_test.go.
 //
-// Concurrency model (see DESIGN.md): a sweep fans out protocols × worker
-// shards. Virtual send times are a pure function of a probe's position in
-// the per-protocol permutation, never of goroutine scheduling, so scan
-// results are bit-identical for every worker count — determinism is a
-// property of the virtual clock, parallelism only decides who walks which
-// slice of the sequence.
+// Concurrency model (see DESIGN.md): a scan fans out over worker shards
+// of the target list, whatever its number of lanes. Virtual send times
+// are a pure function of a probe's position in its lane's permutation,
+// never of goroutine scheduling, so scan results are bit-identical for
+// every worker count — determinism is a property of the virtual clock,
+// parallelism only decides who walks which slice of the targets.
 //
 // The engine is generic over wire.Responder: production code plugs in the
 // simulated Internet, tests plug in fakes.
@@ -41,7 +44,7 @@ type Scanner struct {
 	// tcp interns SYN-ACK fingerprints for all columnar scans through
 	// this scanner (see TCPTable).
 	tcp *wire.TCPTable
-	// invPool recycles inverse-permutation buffers (*[]uint32) across
+	// invPool recycles inverse-permutation scratch (*invSet) across
 	// columnar scans for callers without their own scratch. Recycling
 	// matters beyond allocator throughput: multi-day runs allocate these
 	// columns every (protocol, day), and transient columns marked live

@@ -56,12 +56,12 @@ func sweep(s *Scanner, targets []ip6.Addr, day int) []wire.RespMask {
 	return s.SweepSeqInto(ip6.Addrs(targets), day, nil)
 }
 
-// TestScannerMethodSet pins the production surface: exactly the five
+// TestScannerMethodSet pins the production surface: exactly the six
 // columnar entry points. A re-added slice adapter or per-probe twin
 // (Scan, Sweep, SweepSeq, ProbePairs, …) fails here; the per-probe
 // oracle in ref_test.go is unexported for the same reason.
 func TestScannerMethodSet(t *testing.T) {
-	want := []string{"ProbePairColumns", "ScanColumns", "SweepDays", "SweepSeqInto", "TCPTable"}
+	want := []string{"ProbePairColumns", "ScanColumns", "ScanProtos", "SweepDays", "SweepSeqInto", "TCPTable"}
 	typ := reflect.TypeOf((*Scanner)(nil))
 	var got []string
 	for i := 0; i < typ.NumMethod(); i++ {

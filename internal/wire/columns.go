@@ -244,32 +244,52 @@ func (c *ResultColumns) TCPInfoAt(i int) *TCPInfo {
 	}
 }
 
+// Lane is one line of a multi-lane probe batch: a protocol, the send
+// time of every destination on it, and the columns its answers go to.
+// A batch of lanes shares its destinations — the five protocols of the
+// daily sweep, APD's two, the two time lines of a fingerprint pair — so
+// a responder finds who owns a destination once and lets that owner
+// answer every lane.
+type Lane struct {
+	Proto Proto
+	// At[k] is the send time of the probe to destination k on this lane.
+	At []Time
+	// Out receives the lane's answers; lanes of one batch never share it.
+	Out *ResultColumns
+}
+
 // BatchResponder answers whole probe batches into result columns. The
-// simulated Internet implements it to amortize destination resolution:
-// sorted target runs stay inside one aliased region or subscriber
-// network, so consecutive probes reuse one LPM result instead of
-// re-walking a trie per packet.
+// simulated Internet implements it to amortize destination resolution
+// twice over: sorted target runs stay inside one aliased region or
+// subscriber network, so consecutive destinations reuse one lookup
+// result, and every lane of a destination is answered from the one owner
+// found for it.
 //
-// ProbeBatch(dsts, p, day, at, out, base) must answer probe k exactly as
-// Probe(dsts[k], p, day, at[k]) would — the batched scan engine is pinned
-// per-index against the single-probe reference — and write the result
-// into out column base+k. Callers must ensure concurrent ProbeBatch calls
-// on one out never share OK bitset words (the scan engine aligns shard
-// boundaries to 64 indices).
+// ProbeLanes(dsts, day, lanes, base) must answer the probe of
+// destination k on lane l exactly as Probe(dsts[k], l.Proto, day,
+// l.At[k]) would — the batched scan engine is pinned per index against
+// the single-probe reference — and write it into l.Out column base+k.
+// Callers must ensure concurrent ProbeLanes calls on one Out never share
+// OK bitset words (the scan engine aligns shard boundaries to 64
+// indices).
 type BatchResponder interface {
 	Responder
-	ProbeBatch(dsts []ip6.Addr, p Proto, day int, at []Time, out *ResultColumns, base int)
+	ProbeLanes(dsts []ip6.Addr, day int, lanes []Lane, base int)
 }
 
 // ProbeBatchInto answers a batch through r, using the batched path when r
-// implements BatchResponder and falling back to per-probe Probe calls
-// (interning fingerprints on the way into the columns) otherwise.
-func ProbeBatchInto(r Responder, dsts []ip6.Addr, p Proto, day int, at []Time, out *ResultColumns, base int) {
+// implements BatchResponder and falling back to one Probe call per
+// destination and lane (interning fingerprints on the way into the
+// columns) otherwise.
+func ProbeBatchInto(r Responder, dsts []ip6.Addr, day int, lanes []Lane, base int) {
 	if br, ok := r.(BatchResponder); ok {
-		br.ProbeBatch(dsts, p, day, at, out, base)
+		br.ProbeLanes(dsts, day, lanes, base)
 		return
 	}
 	for k, dst := range dsts {
-		out.SetResponse(base+k, r.Probe(dst, p, day, at[k]))
+		for li := range lanes {
+			l := &lanes[li]
+			l.Out.SetResponse(base+k, r.Probe(dst, l.Proto, day, l.At[k]))
+		}
 	}
 }
