@@ -149,10 +149,9 @@ func New(cfg Config) *Pipeline {
 }
 
 // Collect runs every collection epoch, building the full hitlist (§3),
-// then compacts the store: the probing phases read sorted views and
-// shard columns, so the per-shard membership maps — the dominant
-// per-address cost of the data plane — are dropped until the next
-// mutation (see ip6.ShardSet.Compact).
+// then compacts the store: the insertion columns lose their append
+// slack, and the membership index stays resident for the probing
+// phases' point lookups (see ip6.ShardSet.Compact).
 func (p *Pipeline) Collect() {
 	for e := 0; e < p.Cfg.Sim.Epochs; e++ {
 		p.Store.CollectDay(e * p.Cfg.Sim.EpochDays)

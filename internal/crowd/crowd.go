@@ -346,7 +346,7 @@ func PingStudy(world *netsim.Internet, parts []Participant, days, intervalMin in
 		}
 		up := false
 		for s := 0; s < 10 && !up; s++ {
-			up = world.Probe(p.V6, wire.ICMPv6, 0, wire.Time(s*3_600_000_000)).OK
+			up = world.Probe(p.V6, wire.ICMPv6, 0, wire.Time(s)*3_600_000_000).OK
 		}
 		if up {
 			continue

@@ -1,6 +1,8 @@
 package ip6
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -20,13 +22,15 @@ const (
 
 // ShardSet is the production-scale address set of the data plane: a
 // hash-sharded, columnar collection of IPv6 addresses. It replaces the
-// single global map[Addr]struct{} (ip6.Set) as the hitlist
-// representation; Set remains for small scratch collections.
+// single global Go map of ip6.Set as the hitlist representation; Set
+// remains for small scratch collections.
 //
-// Layout: each of the NumShards shards holds a membership map plus
-// parallel (hi, lo) column arrays in insertion order. Batch mutation
-// (AddSlice) partitions work by shard and runs shards on parallel
-// workers; membership reads take only a shard-local read lock.
+// Layout: each of the NumShards shards holds parallel (hi, lo) column
+// arrays in insertion order plus an open-addressed index of column
+// positions over them, so membership, dedup and insertion order live in
+// one structure. Batch mutation (AddSlice) partitions work by shard and
+// runs shards on parallel workers; membership reads take only a
+// shard-local read lock.
 //
 // Sorted view: Sorted/SortedSeq serve a cached globally-sorted view.
 // The cache is invalidated by any write and rebuilt at most once per
@@ -48,19 +52,17 @@ type ShardSet struct {
 
 	sortedMu sync.Mutex
 	sorted   []Addr // cached sorted view; valid iff len == count
-
-	// compacted, when non-nil, points at the sorted view captured by
-	// Compact: the per-shard membership maps are dropped and Contains
-	// binary-searches this snapshot instead. Any mutation clears the
-	// pointer first (see uncompact), so the fast path never serves a
-	// stale view to a caller that could have observed the write.
-	compacted atomic.Pointer[[]Addr]
 }
 
 type shard struct {
 	mu     sync.RWMutex
-	m      map[Addr]struct{}
 	hi, lo []uint64 // columnar storage, insertion order; append-only
+
+	// index is the membership table over the columns: linear probing from
+	// Hash64 >> shardBits (the low bits already picked the shard), each
+	// slot 0 for empty or a column position + 1. Its length is 0 or a
+	// power of two, and at most ¾ of its slots are taken.
+	index []uint32
 
 	// sortedN is the insertion-column prefix already covered by the
 	// set's global sorted cache, touched only during rebuilds (under the
@@ -77,9 +79,10 @@ func NewShardSetWorkers(n, workers int) *ShardSet {
 	s := &ShardSet{workers: workers}
 	if per := n / NumShards; per > 0 {
 		for i := range s.shards {
-			s.shards[i].m = make(map[Addr]struct{}, per)
-			s.shards[i].hi = make([]uint64, 0, per)
-			s.shards[i].lo = make([]uint64, 0, per)
+			sh := &s.shards[i]
+			sh.hi = make([]uint64, 0, per)
+			sh.lo = make([]uint64, 0, per)
+			sh.reserve(per)
 		}
 	}
 	return s
@@ -105,33 +108,71 @@ func (s *ShardSet) Workers() int {
 	return w
 }
 
-// add inserts a into its shard, reporting whether it was new. Callers
-// hold no locks; the shard lock is taken here. A nil membership map with
-// populated columns means the shard was compacted: the map is rebuilt
-// from the columns before the insert, so compaction never admits
-// duplicates.
-func (sh *shard) add(a Addr) bool {
-	if sh.m == nil {
-		sh.m = make(map[Addr]struct{}, len(sh.hi))
-		for i := range sh.hi {
-			sh.m[Addr{hi: sh.hi[i], lo: sh.lo[i]}] = struct{}{}
+// find returns the index slot holding a, or, when a is absent, the empty
+// slot that ends its probe run (where inserting a goes). h is a's Hash64
+// shifted right by shardBits.
+func (sh *shard) find(a Addr, h uint64) (slot uint64, ok bool) {
+	if len(sh.index) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(sh.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		p := sh.index[i]
+		if p == 0 {
+			return i, false
+		}
+		if sh.hi[p-1] == a.hi && sh.lo[p-1] == a.lo {
+			return i, true
 		}
 	}
-	if _, ok := sh.m[a]; ok {
+}
+
+// insert appends a to the shard's columns unless present, reporting
+// whether it was new; h is as for find. The caller holds the shard lock.
+func (sh *shard) insert(a Addr, h uint64) bool {
+	slot, ok := sh.find(a, h)
+	if ok {
 		return false
 	}
-	sh.m[a] = struct{}{}
+	if n := len(sh.hi) + 1; n > len(sh.index)/4*3 {
+		sh.reserve(n)
+		slot, _ = sh.find(a, h)
+	}
+	sh.index[slot] = uint32(len(sh.hi)) + 1
 	sh.hi = append(sh.hi, a.hi)
 	sh.lo = append(sh.lo, a.lo)
 	return true
 }
 
+// reserve sizes the index to hold n addresses at load ≤ ¾: it doubles the
+// table as often as that takes and rehashes every column position into
+// it once. A slot holds a position + 1 in 32 bits, so one shard holds at
+// most 2³²−1 addresses.
+func (sh *shard) reserve(n int) {
+	if uint64(n) > math.MaxUint32 {
+		panic(fmt.Sprintf("ip6: ShardSet shard cannot index %d addresses: its uint32 column positions stop at 2^32-1", n))
+	}
+	if n <= len(sh.index)/4*3 {
+		return
+	}
+	slots := max(len(sh.index), 8)
+	for n > slots/4*3 {
+		slots *= 2
+	}
+	sh.index = make([]uint32, slots)
+	for p := range sh.hi {
+		a := Addr{hi: sh.hi[p], lo: sh.lo[p]}
+		slot, _ := sh.find(a, a.Hash64()>>shardBits)
+		sh.index[slot] = uint32(p) + 1
+	}
+}
+
 // Add inserts a, reporting whether it was newly added.
 func (s *ShardSet) Add(a Addr) bool {
-	s.uncompact()
-	sh := &s.shards[shardOf(a)]
+	h := a.Hash64()
+	sh := &s.shards[h&(NumShards-1)]
 	sh.mu.Lock()
-	isNew := sh.add(a)
+	isNew := sh.insert(a, h>>shardBits)
 	sh.mu.Unlock()
 	if isNew {
 		s.count.Add(1)
@@ -139,71 +180,28 @@ func (s *ShardSet) Add(a Addr) bool {
 	return isNew
 }
 
-// Contains reports membership. On a live set it takes only the owning
-// shard's read lock, so lookups scale with readers and never contend
-// across shards; on a compacted set it binary-searches the captured
-// sorted view without touching any lock.
+// Contains reports membership. It takes only the owning shard's read
+// lock, so lookups scale with readers and never contend across shards.
 func (s *ShardSet) Contains(a Addr) bool {
-	if snap := s.compacted.Load(); snap != nil {
-		sorted := *snap
-		i := sort.Search(len(sorted), func(k int) bool { return !sorted[k].Less(a) })
-		return i < len(sorted) && sorted[i] == a
-	}
-	sh := &s.shards[shardOf(a)]
+	h := a.Hash64()
+	sh := &s.shards[h&(NumShards-1)]
 	sh.mu.RLock()
-	if sh.m != nil || len(sh.hi) == 0 {
-		_, ok := sh.m[a]
-		sh.mu.RUnlock()
-		return ok
-	}
-	// Compacted shard whose map has not been rebuilt yet (a mutation
-	// cleared the compaction pointer moments ago): rebuild and answer.
+	_, ok := sh.find(a, h>>shardBits)
 	sh.mu.RUnlock()
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[Addr]struct{}, len(sh.hi))
-		for i := range sh.hi {
-			sh.m[Addr{hi: sh.hi[i], lo: sh.lo[i]}] = struct{}{}
-		}
-	}
-	_, ok := sh.m[a]
-	sh.mu.Unlock()
 	return ok
 }
 
-// Compact drops the per-shard membership maps and the insertion
-// columns' append slack — on a frozen hitlist the sorted column IS the
-// membership structure, and the maps plus growth slack are the dominant
-// per-address cost of the store (see MemBytes). Contains switches to a
-// lock-free binary search over the sorted view captured here; Each,
-// Sorted, ShardSeqs and every other read path are untouched. The set
-// stays fully mutable: the first write after Compact rebuilds the
-// affected shard maps from the insertion columns, at the cost of one
-// pass over the shard. Compact is idempotent and safe to call
-// concurrently with readers (but not with writers, like any mutation).
+// Compact reallocates every shard's insertion columns at exact length:
+// append growth leaves up to ~2× slack on a set built by many small
+// batches, and a write-complete hitlist never uses it. Nothing else
+// changes — membership, Each order, the sorted view and FrozenViews are
+// as before, and a later write appends to the clipped columns as to any.
+// Safe concurrently with readers, not with writers.
 func (s *ShardSet) Compact() {
-	sorted := s.Sorted()
-	s.compacted.Store(&sorted)
-	s.clipAndDropMaps()
-}
-
-// CompactCols drops the membership maps and append slack WITHOUT
-// building a sorted view — the compaction flavor for write-complete
-// sets whose remaining readers are columnar (Each, ShardSeqs, Len): a
-// sorted view they never consult would cost 16 bytes per address. A
-// later Contains falls back to a lazy per-shard map rebuild, and a
-// later mutation behaves exactly as after Compact.
-func (s *ShardSet) CompactCols() { s.clipAndDropMaps() }
-
-// clipAndDropMaps releases every shard's membership map and reallocates
-// its insertion columns at exact length (append growth leaves up to ~2×
-// slack on sets built by many small batches).
-func (s *ShardSet) clipAndDropMaps() {
 	par.Ranges(NumShards, s.Workers(), 1, 1, func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			sh := &s.shards[si]
 			sh.mu.Lock()
-			sh.m = nil
 			if cap(sh.hi) > len(sh.hi) {
 				sh.hi = append(make([]uint64, 0, len(sh.hi)), sh.hi...)
 			}
@@ -215,41 +213,27 @@ func (s *ShardSet) clipAndDropMaps() {
 	})
 }
 
-// Compacted reports whether the set is currently in compacted form.
-func (s *ShardSet) Compacted() bool { return s.compacted.Load() != nil }
+// CompactCols is Compact under an earlier name, kept only because the
+// benchmark harness (cmd/bench/replay.go) still calls it; delete it with
+// that call.
+func (s *ShardSet) CompactCols() { s.Compact() }
 
-// uncompact clears the compaction snapshot before a mutation, so the
-// lock-free Contains fast path cannot serve a view that predates a write
-// the caller already observed. Shard maps rebuild lazily in add.
-func (s *ShardSet) uncompact() {
-	if s.compacted.Load() != nil {
-		s.compacted.Store(nil)
-	}
-}
-
-// mapEntryBytes is the accounting estimate for one map[Addr]struct{}
-// entry: Go's map buckets hold 8 slots of (tophash byte + 16-byte key)
-// plus an overflow pointer, and run at ~²⁄₃ average load — about 28
-// bytes per resident entry. An estimate, not a measurement; MemBytes is
-// for relative plane accounting, pprof is the ground truth.
-const mapEntryBytes = 28
-
-// MemBytes estimates the set's resident heap footprint: insertion
-// columns (by capacity), the cached sorted view if built, and the
-// per-shard membership maps unless compacted away. The breakdown drives
-// the bytes-per-address audit in EXPERIMENTS.md.
-func (s *ShardSet) MemBytes() (total, maps, columns, sortedView int64) {
+// MemBytes reports the set's resident heap footprint exactly, by
+// capacity: the membership index at 4 bytes per slot, the insertion
+// columns, and the cached sorted view if built. The breakdown drives the
+// bytes-per-address audit in EXPERIMENTS.md.
+func (s *ShardSet) MemBytes() (total, index, columns, sortedView int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
+		index += int64(len(sh.index)) * 4
 		columns += int64(cap(sh.hi)+cap(sh.lo)) * 8
-		maps += int64(len(sh.m)) * mapEntryBytes
 		sh.mu.RUnlock()
 	}
 	s.sortedMu.Lock()
 	sortedView = int64(cap(s.sorted)) * 16
 	s.sortedMu.Unlock()
-	return maps + columns + sortedView, maps, columns, sortedView
+	return index + columns + sortedView, index, columns, sortedView
 }
 
 // Len returns the number of addresses.
@@ -263,13 +247,12 @@ func (s *ShardSet) AddSlice(addrs []Addr) int {
 	if n == 0 {
 		return 0
 	}
-	s.uncompact()
 	w := s.Workers()
 	// Phase 1: each contiguous input chunk buckets its element indices by
 	// shard, in parallel. (Indices fit int32: a batch beyond 2^31
 	// addresses is a >32GB argument slice, far past any hitlist batch.)
 	// Bucketing pays off even at w=1: phase 2 then takes each shard lock
-	// once and fills each shard map in a tight run — about 2× faster than
+	// once and fills each shard index in a tight run — about 2× faster than
 	// per-address lock/insert on a batch of 10⁶ (see the benchmarks).
 	buckets := make([][NumShards][]int32, w)
 	par.Ranges(n, w, 1, 1, func(c, lo, hi int) {
@@ -283,14 +266,21 @@ func (s *ShardSet) AddSlice(addrs []Addr) int {
 	// its shards' bucketed indices, chunk-major — chunks partition the
 	// input in order, so per-shard insertion order equals input order
 	// regardless of w, and no two workers ever touch the same shard.
+	// Each shard's index is sized once for the batch's share of it, so
+	// no insert below rehashes.
 	counts := make([]int, NumShards)
 	par.Ranges(NumShards, w, 1, 1, func(_, slo, shi int) {
 		for si := slo; si < shi; si++ {
 			sh := &s.shards[si]
 			sh.mu.Lock()
+			k := len(sh.hi)
+			for c := range buckets {
+				k += len(buckets[c][si])
+			}
+			sh.reserve(k)
 			for c := range buckets {
 				for _, i := range buckets[c][si] {
-					if sh.add(addrs[i]) {
+					if sh.insert(addrs[i], addrs[i].Hash64()>>shardBits) {
 						counts[si]++
 					}
 				}

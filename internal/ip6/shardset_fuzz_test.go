@@ -7,24 +7,27 @@ import (
 
 // FuzzShardSet drives a ShardSet through an arbitrary operation
 // sequence — single adds, batches (empty, tiny and duplicate-heavy ones
-// included: the shapes delta-emitting sources hand the store), both
-// compactions, membership queries, sorted views and freezes — against a
-// map plus a per-shard insertion log. After every step that reads, and
-// once at the end, the set must agree with the model on Len, Contains,
-// Sorted and per-shard Each order, and every FrozenView taken along the
-// way must still hold exactly what it held when taken. Input layout:
-// one byte of parallelism, then per operation an opcode byte and two
-// address bytes (AddSlice reads two more: batch length and how many
-// distinct addresses it cycles through).
+// included: the shapes delta-emitting sources hand the store), growth
+// batches that take one shard's index past ¾ load, compaction,
+// membership queries, sorted views and freezes — against a map plus a
+// per-shard insertion log. After every step that reads, and once at the
+// end, the set must agree with the model on Len, Contains, Sorted and
+// per-shard Each order, every shard's index must hold exactly its
+// columns, and every FrozenView taken along the way must still hold
+// exactly what it held when taken. Input layout: one byte of
+// parallelism, then per operation an opcode byte and two address bytes
+// (AddSlice reads two more: batch length and how many distinct addresses
+// it cycles through).
 func FuzzShardSet(f *testing.F) {
 	f.Add([]byte{})
 	// Add, re-add, query.
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 2, 4, 1, 2, 4, 9, 9})
 	// A duplicate-heavy batch, compact, an empty batch, a tiny one, sort.
 	f.Add([]byte{1, 1, 7, 7, 33, 2, 2, 0, 0, 1, 7, 7, 0, 0, 1, 7, 9, 1, 1, 5, 0, 0})
-	// Freeze, grow through both compactions, re-check the frozen view.
+	// Freeze, grow through compactions and growth batches, re-check the
+	// frozen view.
 	f.Add([]byte{3, 1, 0, 0, 20, 20, 6, 0, 0, 3, 0, 0, 0, 5, 5, 2, 0, 0, 1, 0, 16, 30, 7, 6, 0, 0, 7, 0, 0})
-	// Contains on a columnar-compacted set (lazy map rebuild), then adds.
+	// A batch, a growth batch, Contains, then adds.
 	f.Add([]byte{2, 1, 3, 3, 12, 12, 3, 0, 0, 4, 3, 4, 4, 200, 200, 0, 3, 4, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -69,6 +72,9 @@ func FuzzShardSet(f *testing.F) {
 			if !slices.Equal(order, slices.Concat(log[:]...)) {
 				t.Fatalf("step %d: Each order differs from the per-shard insertion log", step)
 			}
+			for si := range s.shards {
+				checkIndex(t, si, &s.shards[si])
+			}
 			for _, v := range views {
 				if v.view.Len() != len(v.want) || !slices.Equal(v.view.Sorted(), v.want) {
 					t.Fatalf("step %d: a FrozenView of %d addresses changed", step, len(v.want))
@@ -104,7 +110,35 @@ func FuzzShardSet(f *testing.F) {
 			case 2:
 				s.Compact()
 			case 3:
-				s.CompactCols()
+				// A growth batch: enough addresses new to a's shard to take
+				// its index past ¾ load (found by walking the universe from
+				// a), then half of them again. The index must have doubled
+				// unless the universe ran out of addresses for the shard.
+				si := shardOf(a)
+				sh := &s.shards[si]
+				slots := len(sh.index)
+				need := slots/4*3 - len(sh.hi) + 1
+				var batch []Addr
+				for k := 0; k < 1<<16 && len(batch) < need; k++ {
+					b := addr(byte(int(a.Hi())+k>>8), byte(int(a.Lo())+k))
+					if _, dup := model[b]; !dup && shardOf(b) == si && !slices.Contains(batch, b) {
+						batch = append(batch, b)
+					}
+				}
+				doubles := len(batch) == need
+				batch = append(batch, batch[:len(batch)/2]...)
+				want := 0
+				for _, b := range batch {
+					if add(b) {
+						want++
+					}
+				}
+				if got := s.AddSlice(batch); got != want {
+					t.Fatalf("step %d: growth batch of %d = %d new, model says %d", step, len(batch), got, want)
+				}
+				if doubles && len(sh.index) < max(2*slots, 8) {
+					t.Fatalf("step %d: %d new addresses left shard %d's %d-slot index at %d slots", step, need, si, slots, len(sh.index))
+				}
 			case 4:
 				_, want := model[a]
 				if got := s.Contains(a); got != want {

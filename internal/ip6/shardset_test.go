@@ -337,6 +337,31 @@ func BenchmarkShardSetAddSlice(b *testing.B) {
 	}
 }
 
+// BenchmarkShardSetContains measures point membership on a compacted
+// 2^20-address set, the shape the generation and rDNS studies query
+// after collection: hits over the members, misses over as many absent
+// addresses. ns/op is one lookup.
+func BenchmarkShardSetContains(b *testing.B) {
+	const n = 1 << 20
+	addrs := benchAddrs(2 * n)
+	s := NewShardSetWorkers(0, 0)
+	s.AddSlice(addrs[:n])
+	s.Compact()
+	for _, c := range []struct {
+		name  string
+		query []Addr
+	}{{"hit", addrs[:n]}, {"miss", addrs[n:]}} {
+		want := c.name == "hit"
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if s.Contains(c.query[i&(n-1)]) != want {
+					b.Fatal("wrong membership")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkHitlistSorted measures sorted-view construction (parallel
 // shard sorts + k-way merge) over a 2^20-address hitlist. Each iteration
 // invalidates the cache with one insertion, so the incremental rebuild

@@ -94,6 +94,10 @@ var DefaultHotFuncs = []HotFunc{
 	// The one interval cursor (IntervalCursor.Lookup): per-probe in the
 	// world's locate, per-address in the routing table's attribution.
 	{PkgPath: "expanse/internal/ip6", Func: "Lookup"},
+	// The hitlist store's membership index: the probe behind every
+	// Contains and insert, and the insert behind every Add and AddSlice.
+	{PkgPath: "expanse/internal/ip6", Func: "find"},
+	{PkgPath: "expanse/internal/ip6", Func: "insert"},
 	// The routing table's point query and the attribution kernel's
 	// per-address walk, behind every per-prefix and per-AS report tally.
 	{PkgPath: "expanse/internal/bgp", Func: "Lookup"},

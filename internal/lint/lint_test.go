@@ -38,6 +38,8 @@ var fixtureHot = []lint.HotFunc{
 	{PkgPath: "hotalloc", Func: "traceTargets"},
 	{PkgPath: "hotalloc", Func: "scanLanes"},
 	{PkgPath: "hotalloc", Func: "goodLanes"},
+	{PkgPath: "hotalloc", Func: "find"},
+	{PkgPath: "hotalloc", Func: "insert"},
 }
 
 func TestMapOrder(t *testing.T) {

@@ -2,10 +2,10 @@
 // PRs 4-7 hunted by profile — per-probe Addr.String keys, fmt in
 // responders, per-iteration scratch — written into a designated hot
 // function (the analyzer runs with ScanColumns, MergeColumns, resolve,
-// resolveSeq, expand, newProfile, fanOutWith, traceTargets, scanLanes and
-// goodLanes of this package in its hot table), next to a cold function
-// where the same constructs are fine and the hoisted patterns that keep
-// hot paths clean.
+// resolveSeq, expand, newProfile, fanOutWith, traceTargets, scanLanes,
+// goodLanes, find and insert of this package in its hot table), next to
+// a cold function where the same constructs are fine and the hoisted
+// patterns that keep hot paths clean.
 package hotalloc
 
 import (
@@ -174,6 +174,36 @@ func goodLanes(targets []ip6.Addr, protos []wire.Proto, outs []wire.ResultColumn
 		}
 		probe(targets[b:e], lanes)
 	}
+}
+
+// find is a designated hot function and clean: the address index's
+// linear probe, one column compare per occupied slot and nothing
+// allocated.
+func find(index []uint32, hi []uint64, h, want uint64) (uint64, bool) {
+	mask := uint64(len(index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		p := index[i]
+		if p == 0 {
+			return i, false
+		}
+		if hi[p-1] == want {
+			return i, true
+		}
+	}
+}
+
+// insert is a designated hot function: a batch insert that dedups through
+// a scratch Go map made per address, the map-backed store the index
+// replaced. Probing the index the caller owns (find) is the clean shape.
+func insert(hi []uint64, batch []ip6.Addr) []uint64 {
+	for _, a := range batch {
+		seen := map[ip6.Addr]bool{} // want `composite literal allocates per iteration in hot path insert`
+		if !seen[a] {
+			seen[a] = true
+			hi = append(hi, a.Hi())
+		}
+	}
+	return hi
 }
 
 // coldHelper is not in the hot table: identical constructs pass.

@@ -144,7 +144,7 @@ func (w *Writer) grow(n int) []byte {
 		return nil
 	}
 	old := len(w.buf)
-	if old+n > maxSection {
+	if int64(old)+int64(n) > maxSection {
 		w.err = fmt.Errorf("snap: section %q exceeds %d bytes", w.tag, int64(maxSection))
 		return nil
 	}

@@ -533,35 +533,29 @@ func (st *Store) NewCount(name string) int { return st.newCount[name] }
 // Runup returns the epoch snapshots.
 func (st *Store) Runup() []RunupPoint { return st.runup }
 
-// Compact drops the membership maps and append slack of the accumulated
-// hitlist and every per-source set — after the collection epochs finish,
-// all downstream consumers read sorted views, shard columns, or do point
-// lookups that a binary search serves (see ip6.ShardSet.Compact). The
-// per-source sets use the columnar flavor (CompactCols): their remaining
-// readers are Each/ShardSeqs attribution passes, so building sorted
-// views for them would add 16 bytes per address nobody consults. A
-// later CollectDay transparently rebuilds the maps it touches, so
-// calling Compact between collection and the probing phases is always
-// safe.
+// Compact clips the append slack off the accumulated hitlist's and every
+// per-source set's insertion columns (see ip6.ShardSet.Compact) once the
+// collection epochs finish. Only capacity changes: a later CollectDay
+// appends and indexes exactly as before.
 func (st *Store) Compact() {
 	st.all.Compact()
 	for _, set := range st.perSrc {
-		set.CompactCols()
+		set.Compact()
 	}
 }
 
-// MemBytes estimates the store's resident footprint: the accumulated
-// hitlist and the per-source sets, with the membership-map share broken
-// out (the component Compact removes).
-func (st *Store) MemBytes() (total, maps int64) {
-	t, m, _, _ := st.all.MemBytes()
-	total, maps = t, m
+// MemBytes reports the store's resident footprint: the accumulated
+// hitlist and the per-source sets, with their membership indexes' share
+// broken out.
+func (st *Store) MemBytes() (total, index int64) {
+	t, ix, _, _ := st.all.MemBytes()
+	total, index = t, ix
 	for _, set := range st.perSrc {
-		t, m, _, _ = set.MemBytes()
+		t, ix, _, _ = set.MemBytes()
 		total += t
-		maps += m
+		index += ix
 	}
-	return total, maps
+	return total, index
 }
 
 // SourceStat is one row of Table 2.
