@@ -1,15 +1,15 @@
 package expanse
 
-// The benchmark harness: one benchmark per table and figure of the
-// paper's evaluation. Each benchmark regenerates the experiment through
-// the shared Lab (expensive pipeline stages are computed once and
-// cached, exactly like the real system's daily artifacts) and prints the
-// reproduced rows on its first iteration, so
+// The benchmark harness: one sub-benchmark per entry of core.Reports,
+// the paper's tables and figures in paper order. Each regenerates its
+// experiment through the shared Lab (expensive pipeline stages are
+// computed once and cached, exactly like the real system's daily
+// artifacts) and prints the reproduced rows on its first iteration, so
 //
 //	go test -bench=. -benchmem
 //
-// emits the full evaluation. Paper-vs-measured comparisons are recorded
-// in EXPERIMENTS.md.
+// emits the full evaluation (-bench Reports/table4 runs one report).
+// Paper-vs-measured comparisons are recorded in EXPERIMENTS.md.
 
 import (
 	"fmt"
@@ -34,137 +34,20 @@ func benchLab() *core.Lab {
 
 var printed sync.Map
 
-// run executes one experiment inside a benchmark loop and prints its
-// report once per process.
-func run(b *testing.B, id string, exp func() *core.Report) {
-	b.Helper()
-	var rep *core.Report
-	for i := 0; i < b.N; i++ {
-		rep = exp()
+// BenchmarkReports runs every report of the registry and prints each one
+// once per process.
+func BenchmarkReports(b *testing.B) {
+	for _, e := range core.Reports {
+		b.Run(e.ID, func(b *testing.B) {
+			var rep *core.Report
+			for i := 0; i < b.N; i++ {
+				rep = e.Run(benchLab())
+			}
+			if _, dup := printed.LoadOrStore(e.ID, true); !dup {
+				fmt.Println(rep.String())
+			}
+		})
 	}
-	if _, dup := printed.LoadOrStore(id, true); !dup && rep != nil {
-		fmt.Println(rep.String())
-	}
-}
-
-func BenchmarkTable1_PriorWorkComparison(b *testing.B) {
-	run(b, "t1", benchLab().Table1)
-}
-
-func BenchmarkTable2_SourcesOverview(b *testing.B) {
-	run(b, "t2", benchLab().Table2)
-}
-
-func BenchmarkFig1a_Runup(b *testing.B) {
-	run(b, "f1a", benchLab().Fig1a)
-}
-
-func BenchmarkFig1b_ASDistribution(b *testing.B) {
-	run(b, "f1b", benchLab().Fig1b)
-}
-
-func BenchmarkFig1c_ZesplotHitlist(b *testing.B) {
-	run(b, "f1c", benchLab().Fig1c)
-}
-
-func BenchmarkFig2a_EntropyClusteringFull(b *testing.B) {
-	run(b, "f2a", benchLab().Fig2a)
-}
-
-func BenchmarkFig2b_EntropyClusteringIID(b *testing.B) {
-	run(b, "f2b", benchLab().Fig2b)
-}
-
-func BenchmarkFig3a_DNSRespondersClustering(b *testing.B) {
-	run(b, "f3a", benchLab().Fig3a)
-}
-
-func BenchmarkFig3b_ClusterZesplot(b *testing.B) {
-	run(b, "f3b", benchLab().Fig3b)
-}
-
-func BenchmarkTable3_FanOut(b *testing.B) {
-	run(b, "t3", benchLab().Table3)
-}
-
-func BenchmarkTable4_SlidingWindow(b *testing.B) {
-	run(b, "t4", benchLab().Table4)
-}
-
-func BenchmarkSec53_APDImpact(b *testing.B) {
-	run(b, "s53", benchLab().Sec53)
-}
-
-func BenchmarkFig4_AliasedDistribution(b *testing.B) {
-	run(b, "f4", benchLab().Fig4)
-}
-
-func BenchmarkFig5_APDZesplot(b *testing.B) {
-	run(b, "f5", benchLab().Fig5)
-}
-
-func BenchmarkTable5_FingerprintConsistency(b *testing.B) {
-	run(b, "t5", benchLab().Table5)
-}
-
-func BenchmarkTable6_FingerprintValidation(b *testing.B) {
-	run(b, "t6", benchLab().Table6)
-}
-
-func BenchmarkSec55_MurdockComparison(b *testing.B) {
-	run(b, "s55", benchLab().Sec55)
-}
-
-func BenchmarkFig6_ResponsesZesplot(b *testing.B) {
-	run(b, "f6", benchLab().Fig6)
-}
-
-func BenchmarkFig7_CrossProtocol(b *testing.B) {
-	run(b, "f7", benchLab().Fig7)
-}
-
-func BenchmarkFig8_Longitudinal(b *testing.B) {
-	run(b, "f8", benchLab().Fig8)
-}
-
-func BenchmarkSec72_Generation(b *testing.B) {
-	run(b, "s72", benchLab().Sec72)
-}
-
-func BenchmarkSec73_GeneratedResponsiveness(b *testing.B) {
-	run(b, "s73", benchLab().Sec73)
-}
-
-func BenchmarkTable7_ProtocolCombos(b *testing.B) {
-	run(b, "t7", benchLab().Table7)
-}
-
-func BenchmarkFig9_GeneratedDistribution(b *testing.B) {
-	run(b, "f9", benchLab().Fig9)
-}
-
-func BenchmarkSec8_RDNS(b *testing.B) {
-	run(b, "s8", benchLab().Sec8)
-}
-
-func BenchmarkTable8_RDNSTopASes(b *testing.B) {
-	run(b, "t8", benchLab().Table8)
-}
-
-func BenchmarkFig10_RDNSDistribution(b *testing.B) {
-	run(b, "f10", benchLab().Fig10)
-}
-
-func BenchmarkTable9_Crowdsourcing(b *testing.B) {
-	run(b, "t9", benchLab().Table9)
-}
-
-func BenchmarkSec93_ClientResponsiveness(b *testing.B) {
-	run(b, "s93", benchLab().Sec93)
-}
-
-func BenchmarkAblation_GeneratorWalk(b *testing.B) {
-	run(b, "abl-gen", benchLab().AblationGenerators)
 }
 
 // BenchmarkSweepWorkers measures the concurrent scan engine's worker

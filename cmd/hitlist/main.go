@@ -6,10 +6,8 @@
 //
 //	hitlist [-scale 1.0] [-seed 93208] [-workers 8] [-report all] [-svgdir DIR]
 //
-// Report identifiers match the paper: table1 table2 fig1a fig1b fig1c
-// fig2a fig2b fig3a fig3b table3 table4 sec53 fig4 fig5 table5 table6
-// sec55 fig6 fig7 fig8 sec72 sec73 table7 fig9 sec8 table8 fig10 table9
-// sec93 ablation.
+// Report identifiers match the paper's numbering (table1, fig1a, sec53,
+// …); core.Reports lists them all, in the order -report all prints them.
 package main
 
 import (
@@ -17,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"expanse/internal/core"
@@ -49,39 +48,18 @@ func main() {
 		os.Exit(code)
 	}
 
-	reports := map[string]func(*core.Lab) *core.Report{
-		"table1": (*core.Lab).Table1, "table2": (*core.Lab).Table2,
-		"fig1a": (*core.Lab).Fig1a, "fig1b": (*core.Lab).Fig1b, "fig1c": (*core.Lab).Fig1c,
-		"fig2a": (*core.Lab).Fig2a, "fig2b": (*core.Lab).Fig2b, "fig3a": (*core.Lab).Fig3a, "fig3b": (*core.Lab).Fig3b,
-		"table3": (*core.Lab).Table3, "table4": (*core.Lab).Table4, "sec53": (*core.Lab).Sec53,
-		"fig4": (*core.Lab).Fig4, "fig5": (*core.Lab).Fig5, "table5": (*core.Lab).Table5,
-		"table6": (*core.Lab).Table6, "sec55": (*core.Lab).Sec55,
-		"fig6": (*core.Lab).Fig6, "fig7": (*core.Lab).Fig7, "fig8": (*core.Lab).Fig8,
-		"sec72": (*core.Lab).Sec72, "sec73": (*core.Lab).Sec73, "table7": (*core.Lab).Table7, "fig9": (*core.Lab).Fig9,
-		"sec8": (*core.Lab).Sec8, "table8": (*core.Lab).Table8, "fig10": (*core.Lab).Fig10,
-		"table9": (*core.Lab).Table9, "sec93": (*core.Lab).Sec93, "ablation": (*core.Lab).AblationGenerators,
-	}
-	order := []string{
-		"table1", "table2", "fig1a", "fig1b", "fig1c",
-		"fig2a", "fig2b", "fig3a", "fig3b",
-		"table3", "table4", "sec53", "fig4", "fig5", "table5", "table6", "sec55",
-		"fig6", "fig7", "fig8",
-		"sec72", "sec73", "table7", "fig9",
-		"sec8", "table8", "fig10", "table9", "sec93", "ablation",
-	}
-
 	// The ids are checked before the Lab exists: building the world is
 	// the expensive part, and a typo should not have to wait for it.
-	var selected []string
-	if *report == "all" {
-		selected = order
-	} else {
+	selected := core.Reports
+	if *report != "all" {
+		selected = nil
 		for _, id := range strings.Split(*report, ",") {
 			id = strings.TrimSpace(strings.ToLower(id))
-			if _, ok := reports[id]; !ok {
+			i := slices.IndexFunc(core.Reports, func(e core.ReportEntry) bool { return e.ID == id })
+			if i < 0 {
 				fail(2, fmt.Sprintf("unknown report %q", id))
 			}
-			selected = append(selected, id)
+			selected = append(selected, core.Reports[i])
 		}
 	}
 
@@ -92,8 +70,8 @@ func main() {
 		cfg.Sim.Seed = *seed
 	}
 	lab := core.NewLab(cfg)
-	for _, id := range selected {
-		fmt.Println(reports[id](lab).String())
+	for _, e := range selected {
+		fmt.Println(e.Run(lab).String())
 	}
 
 	if *svgdir != "" {

@@ -16,7 +16,7 @@ import (
 var lab = NewLab(TestConfig())
 
 func TestPipelineEndToEnd(t *testing.T) {
-	lab.ensureScanClean()
+	scan := lab.cleanScan()
 	p := lab.P
 	if p.Hitlist().Len() == 0 {
 		t.Fatal("empty hitlist")
@@ -44,8 +44,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 			fn++
 		}
 	}
-	prec := float64(tp) / float64(maxInt(tp+fp, 1))
-	rec := float64(tp) / float64(maxInt(tp+fn, 1))
+	prec := float64(tp) / float64(max(tp+fp, 1))
+	rec := float64(tp) / float64(max(tp+fn, 1))
 	if prec < 0.95 {
 		t.Errorf("APD precision = %.3f", prec)
 	}
@@ -53,22 +53,25 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Errorf("APD recall = %.3f", rec)
 	}
 	// Responsiveness: some but far from all targets answer.
-	resp := len(lab.scanClean.AnyResponsive())
-	frac := float64(resp) / float64(len(lab.scanClean.Addrs))
+	resp := len(scan.AnyResponsive())
+	frac := float64(resp) / float64(len(scan.Addrs))
 	if frac < 0.02 || frac > 0.9 {
 		t.Errorf("responsive fraction = %.3f", frac)
 	}
 }
 
+// TestReportsNonEmpty runs every registry entry and checks that its id is
+// the report's own ID, lowercased, without spaces or dots.
 func TestReportsNonEmpty(t *testing.T) {
-	reports := []*Report{
-		lab.Table1(), lab.Table2(), lab.Fig1a(), lab.Fig1b(), lab.Fig1c(),
-		lab.Fig2a(), lab.Fig2b(), lab.Fig3a(), lab.Fig3b(),
-		lab.Table3(), lab.Sec53(), lab.Fig4(), lab.Fig5(),
-		lab.Table5(), lab.Table6(), lab.Sec55(),
-		lab.Fig6(), lab.Fig7(),
+	if len(Reports) != 30 {
+		t.Errorf("registry lists %d reports, want the paper's 30", len(Reports))
 	}
-	for _, r := range reports {
+	squash := strings.NewReplacer(" ", "", ".", "")
+	for _, e := range Reports {
+		r := e.Run(lab)
+		if id := squash.Replace(strings.ToLower(r.ID)); id != e.ID {
+			t.Errorf("registry id %q runs report %q (id %q)", e.ID, r.ID, id)
+		}
 		if len(r.Lines) == 0 {
 			t.Errorf("%s produced no lines", r.ID)
 		}
@@ -97,10 +100,9 @@ func TestTable3FanOutShape(t *testing.T) {
 }
 
 func TestFig7ICMPDominance(t *testing.T) {
-	lab.ensureScanClean()
 	// Recompute the matrix directly to assert the paper's key number:
 	// if anything responds, ICMP responds with high probability.
-	masks := lab.scanClean.Masks
+	masks := lab.cleanScan().Masks
 	respAny, respICMPGivenTCP80, tcp80 := 0, 0, 0
 	for _, m := range masks {
 		if m.Any() {
@@ -122,7 +124,7 @@ func TestFig7ICMPDominance(t *testing.T) {
 }
 
 func TestTable4WindowMonotone(t *testing.T) {
-	lab.ensureAPDDays(14)
+	lab.apdDays(stabilityDays)
 	unstable := func(w int) int {
 		return lab.P.Builder().History().UnstablePrefixesWorkers(w, lab.P.Cfg.Workers)
 	}
@@ -150,8 +152,8 @@ func TestSec55MultiLevelWins(t *testing.T) {
 }
 
 func TestFig8Longitudinal(t *testing.T) {
-	lab.ensureLongitudinal()
-	dl, ok := lab.longitudinal["DL"]
+	long := lab.longitudinal()
+	dl, ok := long["DL"]
 	if !ok || len(dl) != 14 {
 		t.Fatalf("DL series missing or wrong length: %v", dl)
 	}
@@ -168,12 +170,12 @@ func TestFig8Longitudinal(t *testing.T) {
 	// again. (A strict scamper<DL comparison here flips on sub-0.001
 	// margins — before the deterministic data plane it silently depended
 	// on Go map iteration order feeding the sweep.)
-	if sc, ok := lab.longitudinal["Scamper"]; ok {
+	if sc, ok := long["Scamper"]; ok {
 		if sc[13] > dl[13]+0.01 {
 			t.Errorf("scamper (%v) decays well above DL (%v)", sc[13], dl[13])
 		}
 	}
-	if bit, ok := lab.longitudinal["Bitnodes"]; ok {
+	if bit, ok := long["Bitnodes"]; ok {
 		if bit[13] > 0.5 {
 			t.Errorf("bitnodes day-13 = %v, want client-churn collapse", bit[13])
 		}
@@ -190,7 +192,7 @@ func TestGenerationStudy(t *testing.T) {
 			t.Errorf("%s empty", r.ID)
 		}
 	}
-	g := lab.genStudy
+	g := lab.genStudy()
 	if g.newEIP == 0 || g.new6Gen == 0 {
 		t.Fatalf("generation produced nothing: eip=%d 6gen=%d", g.newEIP, g.new6Gen)
 	}
@@ -218,7 +220,7 @@ func TestRDNSStudy(t *testing.T) {
 			t.Errorf("%s empty", r.ID)
 		}
 	}
-	st := lab.rdnsStudy
+	st := lab.rdnsStudy()
 	if len(st.walked) == 0 {
 		t.Fatal("rDNS walk found nothing")
 	}
@@ -237,7 +239,7 @@ func TestCrowdStudy(t *testing.T) {
 	if len(t9.Lines) == 0 || len(s93.Lines) == 0 {
 		t.Fatal("crowd reports empty")
 	}
-	p := lab.crowd.ping
+	p := lab.crowdStudy().ping
 	if p.Clients == 0 {
 		t.Fatal("no clients in ping study")
 	}
@@ -258,38 +260,34 @@ func TestAblationGenerators(t *testing.T) {
 }
 
 // TestLabConcurrentExperiments exercises the Lab's once-per-stage
-// memoization: independent experiments racing on a shared Lab must
-// produce exactly the reports a serial run produces, with every cached
-// stage built once. Run under -race in CI.
+// memoization: every report racing on its own goroutine against a shared
+// Lab must produce exactly the report a serial run produces, with every
+// cached stage built once. Run under -race in CI.
 func TestLabConcurrentExperiments(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Sim.Scale = 0.03
 	cfg.Sim.Registry.ASes = 120
 
-	experiments := func(l *Lab) []func() *Report {
-		return []func() *Report{l.Table2, l.Sec53, l.Fig7, l.Table4, l.Fig1a}
-	}
-
 	serial := NewLab(cfg)
-	want := make([]string, 0, 5)
-	for _, exp := range experiments(serial) {
-		want = append(want, exp().String())
+	want := make([]string, len(Reports))
+	for i, e := range Reports {
+		want[i] = e.Run(serial).String()
 	}
 
 	conc := NewLab(cfg)
-	got := make([]string, len(want))
+	got := make([]string, len(Reports))
 	var wg sync.WaitGroup
-	for i, exp := range experiments(conc) {
+	for i, e := range Reports {
 		wg.Add(1)
-		go func(i int, exp func() *Report) {
+		go func() {
 			defer wg.Done()
-			got[i] = exp().String()
-		}(i, exp)
+			got[i] = e.Run(conc).String()
+		}()
 	}
 	wg.Wait()
-	for i := range want {
+	for i, e := range Reports {
 		if got[i] != want[i] {
-			t.Errorf("experiment %d differs between serial and concurrent lab:\nserial:\n%s\nconcurrent:\n%s", i, want[i], got[i])
+			t.Errorf("%s differs between serial and concurrent lab:\nserial:\n%s\nconcurrent:\n%s", e.ID, want[i], got[i])
 		}
 	}
 }
@@ -304,40 +302,23 @@ func TestLabConcurrentExperiments(t *testing.T) {
 // pre-sized extractions, Fig 7's mask-fed matrix, Fig 8's streamed
 // multi-day sweep, Table 8's rDNS scans, the §5.4 interned-fingerprint
 // pair analyses of Tables 5/6), the §7 generation family (the per-AS
-// Entropy/IP and 6Gen fan-out merged in AS order) — must be
-// byte-identical no matter how many workers the store, scanner,
+// Entropy/IP and 6Gen fan-out merged in AS order), the §9 crowd study —
+// must be byte-identical no matter how many workers the store, scanner,
 // detector, history scans, clustering engine and generation study fan
-// out over.
+// out over, and how many APD days are in flight.
 func TestReportsIdenticalAcrossWorkers(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Sim.Scale = 0.03
 	cfg.Sim.Registry.ASes = 120
 
-	experiments := func(l *Lab) []func() *Report {
-		return []func() *Report{
-			l.Table1, l.Table2, l.Fig1a, l.Fig1c,
-			l.Fig2a, l.Fig2b, l.Fig3a, l.Fig3b,
-			l.Table4, l.Sec53, l.Fig4, l.Table5, l.Table6, l.Sec55,
-			l.Fig6, l.Fig7, l.Fig8, l.Table8, l.Fig10,
-		}
-	}
-	// The §7 family never enters the day loop, so it rides the serial
-	// overlap depth only: workers 1, 4 and 16.
-	genFamily := func(l *Lab) []func() *Report {
-		return []func() *Report{l.Sec72, l.Sec73, l.Table7, l.Fig9, l.AblationGenerators}
-	}
 	build := func(workers, overlap int) []string {
 		c := cfg
 		c.Workers = workers
 		c.Overlap = overlap
 		l := NewLab(c)
-		exps := experiments(l)
-		if overlap == 1 {
-			exps = append(exps, genFamily(l)...)
-		}
-		var out []string
-		for _, exp := range exps {
-			out = append(out, exp().String())
+		out := make([]string, len(Reports))
+		for i, e := range Reports {
+			out[i] = e.Run(l).String()
 		}
 		return out
 	}
@@ -350,8 +331,8 @@ func TestReportsIdenticalAcrossWorkers(t *testing.T) {
 		got := build(tc.workers, tc.overlap)
 		for i := range got {
 			if got[i] != ref[i] {
-				t.Errorf("workers=%d overlap=%d: report %d differs:\nserial:\n%s\ngot:\n%s",
-					tc.workers, tc.overlap, i, ref[i], got[i])
+				t.Errorf("workers=%d overlap=%d: %s differs:\nserial:\n%s\ngot:\n%s",
+					tc.workers, tc.overlap, Reports[i].ID, ref[i], got[i])
 			}
 		}
 	}

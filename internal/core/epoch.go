@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"expanse/internal/apd"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
@@ -60,11 +58,14 @@ type Epoch struct {
 	// targets — nil unless the pipeline runs with Config.EpochSweep.
 	Scan *Scan
 
-	workers      int
-	splitOnce    sync.Once
-	splitClean   []ip6.Addr
-	splitAliased []ip6.Addr
-	splitBits    []bool
+	workers int
+	split   memo[hitlistSplit]
+}
+
+// hitlistSplit is an epoch's clean/aliased partition of its hitlist.
+type hitlistSplit struct {
+	clean, aliased []ip6.Addr
+	bits           []bool
 }
 
 // Split returns the memoized clean/aliased partition of the epoch's
@@ -72,11 +73,11 @@ type Epoch struct {
 // classification aligned with Hitlist.Sorted(). All slices are shared
 // between callers: read-only.
 func (e *Epoch) Split() (clean, aliased []ip6.Addr, bits []bool) {
-	e.splitOnce.Do(func() {
-		e.splitClean, e.splitAliased, e.splitBits =
-			e.Filter.SplitSorted(e.Hitlist.Seq(), e.workers)
+	sp := e.split.get(func() (sp hitlistSplit) {
+		sp.clean, sp.aliased, sp.bits = e.Filter.SplitSorted(e.Hitlist.Seq(), e.workers)
+		return sp
 	})
-	return e.splitClean, e.splitAliased, e.splitBits
+	return sp.clean, sp.aliased, sp.bits
 }
 
 // CleanTargets returns the epoch's curated hitlist — the pinned sorted

@@ -8,7 +8,6 @@ import (
 	"expanse/internal/fingerprint"
 	"expanse/internal/ip6"
 	"expanse/internal/probe"
-	"expanse/internal/stats"
 	"expanse/internal/wire"
 	"expanse/internal/zesplot"
 )
@@ -24,11 +23,15 @@ func (l *Lab) Table3() *Report {
 	return r
 }
 
+// stabilityDays is how many APD days the sliding-window study runs — the
+// longest history any report asks for.
+const stabilityDays = 14
+
 // Table4 reproduces the sliding-window study: unstable prefixes under
 // window sizes of 1 to 6 merged days over 14 APD days (window = total
 // days merged; 1 = no smoothing).
 func (l *Lab) Table4() *Report {
-	l.ensureAPDDays(14)
+	l.apdDays(stabilityDays)
 	r := &Report{ID: "Table 4", Title: "Impact of sliding window on unstable prefix count"}
 	line1, line2 := "window:  ", "unstable:"
 	prev := -1
@@ -50,10 +53,9 @@ func (l *Lab) Table4() *Report {
 // Sec53 reproduces the de-aliasing impact numbers: hitlist share removed,
 // AS and prefix coverage change, and the Amazon concentration.
 func (l *Lab) Sec53() *Report {
-	l.ensureAPD()
+	clean, aliased, _ := l.windowEpoch().Split()
 	r := &Report{ID: "Sec 5.3", Title: "Impact of de-aliasing on the hitlist"}
-	all := l.P.Hitlist().Sorted()
-	clean, aliased, _ := l.hitlistSplit()
+	all := l.store().All().Sorted()
 	r.addf("hitlist before filtering: %d", len(all))
 	r.addf("after removing aliased:  %d (%.1f%% remain)", len(clean), 100*float64(len(clean))/float64(len(all)))
 	r.addf("aliased addresses:       %d (%.1f%%)", len(aliased), 100*float64(len(aliased))/float64(len(all)))
@@ -62,13 +64,13 @@ func (l *Lab) Sec53() *Report {
 	asAll, pfxAll := allT.ASes(), allT.Prefixes()
 	asClean, pfxClean := cleanT.ASes(), cleanT.Prefixes()
 	r.addf("AS coverage: %d -> %d (lost %d)", asAll, asClean, asAll-asClean)
-	r.addf("prefix coverage: %d -> %d (-%.1f%%)", pfxAll, pfxClean, 100*(1-float64(pfxClean)/float64(maxInt(pfxAll, 1))))
+	r.addf("prefix coverage: %d -> %d (-%.1f%%)", pfxAll, pfxClean, 100*(1-float64(pfxClean)/float64(max(pfxAll, 1))))
 
 	// Where do aliased addresses live? (The paper: mostly Amazon /48s.)
 	top := ""
 	for _, e := range l.tally(ip6.Addrs(aliased)).TopAS(3) {
 		top += fmt.Sprintf(" %s=%.1f%%", l.P.World.Table.AS(e.ASN).Name,
-			100*float64(e.Count)/float64(maxInt(len(aliased), 1)))
+			100*float64(e.Count)/float64(max(len(aliased), 1)))
 	}
 	r.addf("top ASes among aliased addresses:%s", top)
 
@@ -87,59 +89,39 @@ func (l *Lab) Sec53() *Report {
 		}
 	}
 	r.addf("ground truth: precision %.3f, recall %.3f",
-		float64(tp)/float64(maxInt(tp+fp, 1)), float64(tp)/float64(maxInt(tp+fn, 1)))
+		float64(tp)/float64(max(tp+fp, 1)), float64(tp)/float64(max(tp+fn, 1)))
 	return r
 }
 
 // Fig4 reproduces the prefix/AS concentration curves for aliased,
 // non-aliased, and all hitlist addresses.
 func (l *Lab) Fig4() *Report {
-	l.ensureAPD()
+	clean, aliased, _ := l.windowEpoch().Split()
 	r := &Report{ID: "Fig 4", Title: "Prefix and AS distribution: aliased vs non-aliased vs all"}
-	clean, aliased, _ := l.hitlistSplit()
-	allT, aliasedT, cleanT := l.tally(l.P.Hitlist().SortedSeq()), l.tally(ip6.Addrs(aliased)), l.tally(ip6.Addrs(clean))
-	points := stats.LogPoints(1000)
-	header := fmt.Sprintf("%-24s", "population")
-	for _, x := range points {
-		header += fmt.Sprintf(" %6d", x)
-	}
-	r.Lines = append(r.Lines, header)
-	for _, row := range []struct {
-		name  string
-		tally *bgp.Tally
-		byAS  bool
-	}{
-		{"All IPs [AS]", allT, true},
-		{"All IPs [Prefix]", allT, false},
-		{"Aliased IPs [AS]", aliasedT, true},
-		{"Aliased IPs [Prefix]", aliasedT, false},
-		{"Non-aliased [AS]", cleanT, true},
-		{"Non-aliased [Prefix]", cleanT, false},
-	} {
-		conc := row.tally.Concentration(row.byAS)
-		line := fmt.Sprintf("%-24s", row.name)
-		for _, f := range conc.Curve(points) {
-			line += fmt.Sprintf(" %6.3f", f)
-		}
-		r.Lines = append(r.Lines, line)
-	}
+	allT, aliasedT, cleanT := l.tally(l.store().All().SortedSeq()), l.tally(ip6.Addrs(aliased)), l.tally(ip6.Addrs(clean))
+	aliasedAS, cleanAS := aliasedT.Concentration(true), cleanT.Concentration(true)
+	r.addConcentration("population", 24, 1000, "",
+		concRow{"All IPs [AS]", allT.Concentration(true)},
+		concRow{"All IPs [Prefix]", allT.Concentration(false)},
+		concRow{"Aliased IPs [AS]", aliasedAS},
+		concRow{"Aliased IPs [Prefix]", aliasedT.Concentration(false)},
+		concRow{"Non-aliased [AS]", cleanAS},
+		concRow{"Non-aliased [Prefix]", cleanT.Concentration(false)})
 	// The headline shape: aliased concentrated in very few ASes.
-	r.addf("top-1 AS share: aliased %.2f vs non-aliased %.2f",
-		aliasedT.Concentration(true).TopFraction(1), cleanT.Concentration(true).TopFraction(1))
+	r.addf("top-1 AS share: aliased %.2f vs non-aliased %.2f", aliasedAS.TopFraction(1), cleanAS.TopFraction(1))
 	return r
 }
 
 // Fig5 reproduces the APD zesplot pair: ICMP responses without APD
 // filtering, and the detected aliased prefixes.
 func (l *Lab) Fig5() *Report {
-	l.ensureScanFull()
-	l.ensureAPD()
+	icmp := l.fullScan().Responsive(wire.ICMPv6)
+	filter := l.windowEpoch().Filter
 	r := &Report{ID: "Fig 5", Title: "Responses to ICMP echo: full input vs detected aliased prefixes"}
-	icmp := l.scanFull.Responsive(wire.ICMPv6)
 	covered := l.tally(ip6.Addrs(icmp)).Prefixes()
 	r.addf("(a) prefixes with ICMP responses (no APD): %d, responses: %d", covered, len(icmp))
 
-	aliasedPrefixes := l.filter().AliasedPrefixes()
+	aliasedPrefixes := filter.AliasedPrefixes()
 	// The "hook": aliased /48s by AS.
 	by48 := map[bgp.ASN]int{}
 	n48 := 0
@@ -152,7 +134,7 @@ func (l *Lab) Fig5() *Report {
 		}
 	}
 	r.addf("(b) detected aliased prefixes: %d (%.1f%% of plotted)", len(aliasedPrefixes),
-		100*float64(len(aliasedPrefixes))/float64(maxInt(covered, 1)))
+		100*float64(len(aliasedPrefixes))/float64(max(covered, 1)))
 	amazon := by48[bgp.FindASN("Amazon")]
 	incap := by48[bgp.FindASN("Incapsula")]
 	r.addf("aliased /48s: %d total; Amazon %d (outer hook), Incapsula %d (inner hook)", n48, amazon, incap)
@@ -161,14 +143,13 @@ func (l *Lab) Fig5() *Report {
 
 // Fig5SVGs returns the two SVG documents of Figure 5.
 func (l *Lab) Fig5SVGs() (noAPD, aliased string) {
-	l.ensureScanFull()
-	l.ensureAPD()
-	icmp := l.scanFull.Responsive(wire.ICMPv6)
+	icmp := l.fullScan().Responsive(wire.ICMPv6)
+	filter := l.windowEpoch().Filter
 	tally := l.tally(ip6.Addrs(icmp))
 	items := l.allPrefixItems(tally)
 	noAPD = zesplot.SVG(items, zesplot.Options{Sized: false, Title: "Fig 5a: ICMP responses without APD"})
 	var alItems []zesplot.Item
-	for _, p := range l.filter().AliasedPrefixes() {
+	for _, p := range filter.AliasedPrefixes() {
 		asn, _ := l.P.World.Table.Origin(p.Addr())
 		alItems = append(alItems, zesplot.Item{Prefix: p, ASN: asn, Value: float64(tally.Of(p) + 1)})
 	}
@@ -199,15 +180,14 @@ func pairRefSamples(samples []fingerprint.RefSample, cols *probe.PairColumns, i 
 // fingerprint refs — one pair-column buffer set reused across prefixes,
 // no TCPInfo or options-string comparison anywhere.
 func (l *Lab) aliasedFingerprintReports() []fingerprint.Report {
-	l.ensureAPD()
+	// The verdict column's order pins the per-prefix probe schedule and
+	// the reports order (among /64s it is plain address order).
+	verdicts := l.windowEpoch().Verdicts
 	day := l.measureDay()
 	table := l.P.TCPTable()
 	var reports []fingerprint.Report
 	var cols probe.PairColumns
 	var samples []fingerprint.RefSample
-	// The verdict column's order pins the per-prefix probe schedule and
-	// the reports order (among /64s it is plain address order).
-	verdicts := l.windowEpoch().Verdicts
 	for i, p := range verdicts.Prefixes {
 		if !verdicts.Aliased[i] || p.Bits() != 64 {
 			continue
@@ -242,21 +222,21 @@ func (l *Lab) Table5() *Report {
 		r.addf("%-12s incs=%-5d cum-incs=%-5d cum-consistent=%d", n, per[i], t.Cumulative[i], t.Prefixes-t.Cumulative[i])
 	}
 	r.addf("%-12s consistent=%d (%.1f%%)", "Timestamps", t.TSConsistent,
-		100*float64(t.TSConsistent)/float64(maxInt(t.Prefixes, 1)))
+		100*float64(t.TSConsistent)/float64(max(t.Prefixes, 1)))
 	return r
 }
 
 // Table6 reproduces the validation: the same tests on non-aliased /64s
 // with at least 16 responding addresses.
 func (l *Lab) Table6() *Report {
-	l.ensureScanClean()
+	scan := l.cleanScan()
 	r := &Report{ID: "Table 6", Title: "Validation: consistency of aliased vs non-aliased prefixes"}
 	day := l.measureDay()
 
 	// Non-aliased /64s with >= 16 TCP/80-responsive addresses.
 	per64 := map[ip6.Prefix][]ip6.Addr{}
-	for i, a := range l.scanClean.Addrs {
-		if l.scanClean.Masks[i].Has(wire.TCP80) {
+	for i, a := range scan.Addrs {
+		if scan.Masks[i].Has(wire.TCP80) {
 			p := ip6.PrefixFrom(a, 64)
 			per64[p] = append(per64[p], a)
 		}
@@ -294,16 +274,16 @@ func (l *Lab) Table6() *Report {
 // Sec55 reproduces the comparison with Murdock et al.'s static-/96 APD:
 // addresses found aliased by each method and probe budgets.
 func (l *Lab) Sec55() *Report {
-	l.ensureAPD()
+	window := l.windowEpoch()
 	r := &Report{ID: "Sec 5.5", Title: "Multi-level APD vs Murdock et al. static /96"}
-	hitlist := l.P.Hitlist().Sorted()
+	hitlist := l.store().All().Sorted()
 	md := apd.NewMurdockDetector(l.P.World)
 	cands := md.Candidates(ip6.Addrs(hitlist))
 	mf := apd.NewFilter(md.Detect(cands, l.measureDay()))
 
 	// Both filters classify the sorted hitlist by linear interval merge;
 	// ours is the memoized window-snapshot split.
-	_, _, oursBits := l.hitlistSplit()
+	_, _, oursBits := window.Split()
 	theirsBits := mf.Classify(ip6.Addrs(hitlist), l.P.Cfg.Workers)
 	oursOnly, theirsOnly, both := 0, 0, 0
 	for i := range hitlist {
@@ -321,10 +301,14 @@ func (l *Lab) Sec55() *Report {
 	r.addf("aliased by both methods:        %d", both)
 	r.addf("aliased only by multi-level:    %d", oursOnly)
 	r.addf("aliased only by Murdock (/96):  %d", theirsOnly)
+	// The multi-level bill covers the stability study's days: the full
+	// history, whichever reports ran (or are running) alongside.
+	l.apdDays(stabilityDays)
+	probes := l.P.APDProbesSent()
 	r.addf("probe packets: multi-level %d vs Murdock %d (%.2fx)",
-		l.P.APDProbesSent(), md.ProbesSent, float64(md.ProbesSent)/float64(maxInt(l.P.APDProbesSent(), 1)))
+		probes, md.ProbesSent, float64(md.ProbesSent)/float64(max(probes, 1)))
 	// §5.1 case taxonomy over our verdicts.
-	cc := apd.CaseCounts(l.windowEpoch().Verdicts)
+	cc := apd.CaseCounts(window.Verdicts)
 	r.addf("nested-pair cases: both-aliased=%d both-clean=%d more-aliased=%d anomaly(case 4)=%d",
 		cc[apd.CaseBothAliased], cc[apd.CaseBothNonAliased], cc[apd.CaseMoreAliasedLessNot], cc[apd.CaseMoreNotLessAliased])
 	return r

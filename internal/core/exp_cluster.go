@@ -21,11 +21,7 @@ func clusteringReport(r *Report, groups []entropy.Group, a, workers int) (cluste
 		r.addf("no groups above the size threshold")
 		return cluster.Result{}, groups
 	}
-	kmax := 20
-	if kmax > len(vectors) {
-		kmax = len(vectors)
-	}
-	res, curve := cluster.ChooseK(vectors, kmax, 0x16c18, workers)
+	res, curve := cluster.ChooseK(vectors, min(20, len(vectors)), 0x16c18, workers)
 	sums := cluster.Summarize(vectors, res)
 
 	r.addf("groups (networks with >= threshold addresses): %d", len(groups))
@@ -54,9 +50,8 @@ func clusteringReport(r *Report, groups []entropy.Group, a, workers int) (cluste
 // hitlist's cached sorted view: /32 groups are contiguous runs located by
 // a boundary scan, never map-bucketed from a materialized slice.
 func (l *Lab) Fig2a() *Report {
-	l.ensureCollected()
 	r := &Report{ID: "Fig 2a", Title: "Entropy clustering of /32s, full-address fingerprints F9-32"}
-	groups := entropy.ByPrefixLen(l.P.Hitlist().SortedSeq(), 32, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
+	groups := entropy.ByPrefixLen(l.store().All().SortedSeq(), 32, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
 	clusteringReport(r, groups, 9, l.P.Cfg.Workers)
 	return r
 }
@@ -64,9 +59,8 @@ func (l *Lab) Fig2a() *Report {
 // Fig2b reproduces entropy clustering over IID fingerprints F17-32 (the
 // paper finds 4 clusters).
 func (l *Lab) Fig2b() *Report {
-	l.ensureCollected()
 	r := &Report{ID: "Fig 2b", Title: "Entropy clustering of /32s, IID fingerprints F17-32"}
-	groups := entropy.ByPrefixLen(l.P.Hitlist().SortedSeq(), 32, l.P.Cfg.GroupMin(), 17, 32, l.P.Cfg.Workers)
+	groups := entropy.ByPrefixLen(l.store().All().SortedSeq(), 32, l.P.Cfg.GroupMin(), 17, 32, l.P.Cfg.Workers)
 	clusteringReport(r, groups, 17, l.P.Cfg.Workers)
 	return r
 }
@@ -76,14 +70,9 @@ func (l *Lab) Fig2b() *Report {
 // The responder list inherits the clean scan's target order, which is the
 // curated hitlist's sorted order, so the run-boundary grouping applies.
 func (l *Lab) Fig3a() *Report {
-	l.ensureScanClean()
 	r := &Report{ID: "Fig 3a", Title: "Entropy clustering of /32s with UDP/53 responders, F9-32"}
-	dns := l.scanClean.Responsive(wire.UDP53)
-	min := l.P.Cfg.GroupMin() / 2
-	if min < 10 {
-		min = 10
-	}
-	groups := entropy.ByPrefixLen(ip6.Addrs(dns), 32, min, 9, 32, l.P.Cfg.Workers)
+	dns := l.cleanScan().Responsive(wire.UDP53)
+	groups := entropy.ByPrefixLen(ip6.Addrs(dns), 32, max(l.P.Cfg.GroupMin()/2, 10), 9, 32, l.P.Cfg.Workers)
 	r.addf("UDP/53 responsive addresses: %d", len(dns))
 	clusteringReport(r, groups, 9, l.P.Cfg.Workers)
 	return r
@@ -93,9 +82,8 @@ func (l *Lab) Fig3a() *Report {
 // and reports how homogeneous the coloring is per AS — the paper's
 // observation that equally sized prefixes of one AS share a scheme.
 func (l *Lab) Fig3b() *Report {
-	l.ensureCollected()
 	r := &Report{ID: "Fig 3b", Title: "BGP prefixes colored by F9-32 cluster (unsized zesplot)"}
-	groups := entropy.ByBGPPrefix(l.P.Hitlist().SortedSeq(), l.P.World.Table, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
+	groups := entropy.ByBGPPrefix(l.store().All().SortedSeq(), l.P.World.Table, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
 	res, groups := clusteringReport(r, groups, 9, l.P.Cfg.Workers)
 	if res.K == 0 {
 		return r
@@ -123,7 +111,7 @@ func (l *Lab) Fig3b() *Report {
 		}
 	}
 	r.addf("multi-prefix ASes with clustered prefixes: %d; single-scheme: %d (%.0f%%)",
-		multi, uniform, 100*float64(uniform)/float64(maxInt(multi, 1)))
+		multi, uniform, 100*float64(uniform)/float64(max(multi, 1)))
 	items := make([]zesplot.Item, len(groups))
 	for i, g := range groups {
 		items[i] = zesplot.Item{Prefix: g.Prefix, ASN: g.ASN, Value: float64(res.Assign[i] + 1)}

@@ -20,37 +20,34 @@ func (l *Lab) crowdScale() float64 {
 	return s
 }
 
-func (l *Lab) ensureCrowd() {
-	l.crowdOnce.Do(l.buildCrowd)
-}
-
-func (l *Lab) buildCrowd() {
-	l.ensureCollected()
-	parts := crowd.Recruit(l.P.World, crowd.DefaultPlatforms(l.crowdScale()), l.measureDay(), uint64(l.P.Cfg.Sim.Seed))
-	// Ping every IPv6 participant at 15-minute cadence over 14 days (the
-	// paper pings at 5-minute cadence over a month; the cadence scaling
-	// keeps uptime statistics comparable at simulation cost).
-	ping := crowd.PingStudy(l.P.World, parts, 14, 15)
-	l.crowd = &crowdState{parts: parts, ping: ping}
+// crowdStudy recruits the crowdsourcing participants and pings them. It
+// reads the simulated world only, never the hitlist.
+func (l *Lab) crowdStudy() *crowdState {
+	return l.crowd.get(func() *crowdState {
+		parts := crowd.Recruit(l.P.World, crowd.DefaultPlatforms(l.crowdScale()), l.measureDay(), uint64(l.P.Cfg.Sim.Seed))
+		// Ping every IPv6 participant at 15-minute cadence over 14 days (the
+		// paper pings at 5-minute cadence over a month; the cadence scaling
+		// keeps uptime statistics comparable at simulation cost).
+		return &crowdState{parts: parts, ping: crowd.PingStudy(l.P.World, parts, 14, 15)}
+	})
 }
 
 // Table9 reproduces the crowdsourcing client distribution.
 func (l *Lab) Table9() *Report {
-	l.ensureCrowd()
+	parts := l.crowdStudy().parts
 	r := &Report{ID: "Table 9", Title: "Client distribution in the crowdsourcing study"}
 	r.addf("%-8s %6s %6s %7s %7s %5s %5s", "platform", "IPv4", "IPv6", "ASes4", "ASes6", "#cc4", "#cc6")
-	for _, row := range crowd.Table9(l.crowd.parts) {
+	for _, row := range crowd.Table9(parts) {
 		r.addf("%-8s %6d %6d %7d %7d %5d %5d", row.Name, row.IPv4, row.IPv6, row.ASes4, row.ASes6, row.CC4, row.CC6)
 	}
-	asShare, common := crowd.ASOverlap(l.crowd.parts)
+	asShare, common := crowd.ASOverlap(parts)
 	r.addf("IPv6 AS overlap between platforms: %.1f%%; common addresses: %d", asShare*100, common)
 	return r
 }
 
 // Sec93 reproduces the client-responsiveness study.
 func (l *Lab) Sec93() *Report {
-	l.ensureCrowd()
-	p := l.crowd.ping
+	p := l.crowdStudy().ping
 	r := &Report{ID: "Sec 9.3", Title: "Client responsiveness"}
 	share := 0.0
 	if p.Clients > 0 {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"expanse/internal/bgp"
 	"expanse/internal/eip"
 	"expanse/internal/ip6"
@@ -33,22 +31,19 @@ type genStudyState struct {
 // per AS and samples 100k; we scale 1:1000 to the simulator.
 const genBudgetPerAS = 1000
 
-// ensureGenStudy runs §7.1's six-step methodology: non-aliased seeds,
-// split by AS (>= 100 addresses), capped random sample, per-AS model
-// building and generation with both tools, capped output sample, probing.
-func (l *Lab) ensureGenStudy() {
-	l.genOnce.Do(l.buildGenStudy)
-}
-
 // cleanTargetsByAS splits the curated hitlist — the addresses outside
 // aliased prefixes — by origin AS, ASN ascending: the seed sets of §7.
 func (l *Lab) cleanTargetsByAS() []bgp.ASGroup {
-	return l.P.World.Table.SplitByAS(l.cleanTargets(), l.P.Cfg.Workers)
+	return l.P.World.Table.SplitByAS(l.windowEpoch().CleanTargets(), l.P.Cfg.Workers)
 }
 
-func (l *Lab) buildGenStudy() {
+// genStudy runs §7.1's six-step methodology: non-aliased seeds, split by
+// AS (>= 100 addresses), capped random sample, per-AS model building and
+// generation with both tools, capped output sample, probing.
+func (l *Lab) genStudy() *genStudyState { return l.gen.get(l.buildGenStudy) }
+
+func (l *Lab) buildGenStudy() *genStudyState {
 	g := &genStudyState{}
-	l.genStudy = g
 
 	// One slot per eligible AS. The seed samples share one rng and are
 	// drawn in AS order; the models are independent and fan out; the dedup
@@ -73,7 +68,7 @@ func (l *Lab) buildGenStudy() {
 		}
 	})
 
-	hitlist := l.P.Hitlist()
+	hitlist := l.store().All()
 	seenEIP := ip6.NewSet(1 << 16)
 	seen6G := ip6.NewSet(1 << 16)
 	for _, ag := range gens {
@@ -129,36 +124,35 @@ func (l *Lab) buildGenStudy() {
 	}
 	collect(g.scanEIP, &g.respEIP, &g.respAddrEIP)
 	collect(g.scan6Gen, &g.resp6Gen, &g.respAddr6Gen)
+	return g
 }
 
 // Sec72 reproduces the learned-address counts: generated, routable+new,
 // and tool overlap.
 func (l *Lab) Sec72() *Report {
-	l.ensureGenStudy()
-	g := l.genStudy
+	g := l.genStudy()
 	r := &Report{ID: "Sec 7.2", Title: "Learned addresses: Entropy/IP and 6Gen"}
 	r.addf("eligible ASes (>= %d non-aliased seeds): %d", l.P.Cfg.GroupMin(), g.eligibleASes)
 	r.addf("Entropy/IP new routable addresses: %d", g.newEIP)
 	r.addf("6Gen new routable addresses:       %d", g.new6Gen)
 	total := g.newEIP + g.new6Gen
 	r.addf("generated by both tools: %d (%.2f%% of %d)", len(g.overlap),
-		100*float64(len(g.overlap))/float64(maxInt(total, 1)), total)
+		100*float64(len(g.overlap))/float64(max(total, 1)), total)
 	return r
 }
 
 // Sec73 reproduces the responsiveness of learned addresses.
 func (l *Lab) Sec73() *Report {
-	l.ensureGenStudy()
-	g := l.genStudy
+	g := l.genStudy()
 	r := &Report{ID: "Sec 7.3", Title: "Responsiveness of learned addresses"}
 	total := g.newEIP + g.new6Gen
 	resp := len(g.respEIP) + len(g.resp6Gen)
 	r.addf("probed %d learned addresses; responsive: %d (%.2f%%)", total, resp,
-		100*float64(resp)/float64(maxInt(total, 1)))
+		100*float64(resp)/float64(max(total, 1)))
 	r.addf("responsive via 6Gen:       %d (rate %.2f%%)", len(g.resp6Gen),
-		100*float64(len(g.resp6Gen))/float64(maxInt(g.new6Gen, 1)))
+		100*float64(len(g.resp6Gen))/float64(max(g.new6Gen, 1)))
 	r.addf("responsive via Entropy/IP: %d (rate %.2f%%)", len(g.respEIP),
-		100*float64(len(g.respEIP))/float64(maxInt(g.newEIP, 1)))
+		100*float64(len(g.respEIP))/float64(max(g.newEIP, 1)))
 	if len(g.overlap) > 0 {
 		r.addf("overlap responsive: %d of %d (%.2f%%) — overlapping candidates respond best",
 			g.respOverlap, len(g.overlap), 100*float64(g.respOverlap)/float64(len(g.overlap)))
@@ -171,8 +165,7 @@ func (l *Lab) Sec73() *Report {
 
 // Table7 reproduces the top-5 responsive protocol combinations per tool.
 func (l *Lab) Table7() *Report {
-	l.ensureGenStudy()
-	g := l.genStudy
+	g := l.genStudy()
 	r := &Report{ID: "Table 7", Title: "Top responsive protocol combinations: 6Gen vs Entropy/IP"}
 	// Combination counts, indexed by mask value; combos rank by combined
 	// frequency.
@@ -188,8 +181,8 @@ func (l *Lab) Table7() *Report {
 	}
 	r.addf("%-40s %8s %12s", "combination", "6Gen", "Entropy/IP")
 	for _, m := range stats.TopN(all[:], 5) {
-		p6 := 100 * float64(c6[m]) / float64(maxInt(len(g.resp6Gen), 1))
-		pe := 100 * float64(ce[m]) / float64(maxInt(len(g.respEIP), 1))
+		p6 := 100 * float64(c6[m]) / float64(max(len(g.resp6Gen), 1))
+		pe := 100 * float64(ce[m]) / float64(max(len(g.respEIP), 1))
 		r.addf("%-40s %7.1f%% %11.1f%%", wire.RespMask(m).String(), p6, pe)
 	}
 	return r
@@ -198,33 +191,14 @@ func (l *Lab) Table7() *Report {
 // Fig9 reproduces the prefix/AS concentration of responsive generated
 // addresses per tool.
 func (l *Lab) Fig9() *Report {
-	l.ensureGenStudy()
-	g := l.genStudy
+	g := l.genStudy()
 	r := &Report{ID: "Fig 9", Title: "Prefix/AS distribution of responsive generated addresses"}
-	points := stats.LogPoints(100)
-	header := fmt.Sprintf("%-18s", "population")
-	for _, x := range points {
-		header += fmt.Sprintf(" %6d", x)
-	}
-	r.Lines = append(r.Lines, header)
 	sixT, eipT := l.tally(ip6.Addrs(g.respAddr6Gen)), l.tally(ip6.Addrs(g.respAddrEIP))
-	for _, row := range []struct {
-		name  string
-		tally *bgp.Tally
-		byAS  bool
-	}{
-		{"6Gen [AS]", sixT, true},
-		{"EIP [AS]", eipT, true},
-		{"6Gen [Prefix]", sixT, false},
-		{"EIP [Prefix]", eipT, false},
-	} {
-		conc := row.tally.Concentration(row.byAS)
-		line := fmt.Sprintf("%-18s", row.name)
-		for _, f := range conc.Curve(points) {
-			line += fmt.Sprintf(" %6.3f", f)
-		}
-		r.Lines = append(r.Lines, line)
-	}
+	r.addConcentration("population", 18, 100, "",
+		concRow{"6Gen [AS]", sixT.Concentration(true)},
+		concRow{"EIP [AS]", eipT.Concentration(true)},
+		concRow{"6Gen [Prefix]", sixT.Concentration(false)},
+		concRow{"EIP [Prefix]", eipT.Concentration(false)})
 	return r
 }
 
@@ -232,9 +206,7 @@ func (l *Lab) Fig9() *Report {
 // (§7.1's improvement) against the original random walk under an equal
 // budget — one of the design-choice ablations from DESIGN.md.
 func (l *Lab) AblationGenerators() *Report {
-	l.ensureGenStudy()
 	r := &Report{ID: "Ablation", Title: "Exhaustive vs random Entropy/IP generator walk"}
-	l.ensureAPD()
 	perAS := l.cleanTargetsByAS()
 	sizes := make([]int, len(perAS))
 	for i, as := range perAS {

@@ -14,12 +14,12 @@ import (
 // Fig6 reproduces the response zesplot: non-aliased ICMP-responsive
 // addresses per announced BGP prefix.
 func (l *Lab) Fig6() *Report {
-	l.ensureScanClean()
+	scan := l.cleanScan()
 	r := &Report{ID: "Fig 6", Title: "ICMP-responsive addresses per BGP prefix (curated hitlist)"}
-	icmp := l.scanClean.Responsive(wire.ICMPv6)
+	icmp := scan.Responsive(wire.ICMPv6)
 	tally := l.tally(ip6.Addrs(icmp))
 	r.addf("responsive addresses (ICMP): %d", len(icmp))
-	r.addf("responsive (any protocol):   %d of %d targets", len(l.scanClean.AnyResponsive()), len(l.scanClean.Addrs))
+	r.addf("responsive (any protocol):   %d of %d targets", len(scan.AnyResponsive()), len(scan.Addrs))
 	r.addf("BGP prefixes with responses: %d of %d announced", tally.Prefixes(), l.P.World.Table.NumPrefixes())
 	r.addf("ASes with responses:         %d", tally.ASes())
 	r.addf("max responses in one prefix: %d", slices.Max(tally.Counts))
@@ -28,22 +28,20 @@ func (l *Lab) Fig6() *Report {
 
 // Fig6SVG returns the Figure 6 zesplot SVG.
 func (l *Lab) Fig6SVG() string {
-	l.ensureScanClean()
-	items := l.allPrefixItems(l.tally(ip6.Addrs(l.scanClean.Responsive(wire.ICMPv6))))
+	items := l.allPrefixItems(l.tally(ip6.Addrs(l.cleanScan().Responsive(wire.ICMPv6))))
 	return zesplot.SVG(items, zesplot.Options{Sized: false, Title: "Fig 6: ICMP responses per BGP prefix"})
 }
 
 // Fig7 reproduces the conditional cross-protocol responsiveness matrix
 // P(Y responds | X responds).
 func (l *Lab) Fig7() *Report {
-	l.ensureScanClean()
 	r := &Report{ID: "Fig 7", Title: "Conditional probability of cross-protocol responsiveness"}
 	names := make([]string, 0, wire.NumProtos)
 	for _, p := range wire.Protos {
 		names = append(names, p.String())
 	}
 	m := stats.NewCondMatrix(names)
-	for _, mask := range l.scanClean.Masks {
+	for _, mask := range l.cleanScan().Masks {
 		if mask.Any() {
 			// RespMask bit i is protocol i in Protos order — the matrix
 			// consumes the mask directly, no []bool per observation.
@@ -65,14 +63,14 @@ func (l *Lab) Fig7() *Report {
 // (with CT and AXFR split by QUIC), the fraction of day-0 responders
 // still responding on each of 14 days.
 func (l *Lab) Fig8() *Report {
-	l.ensureLongitudinal()
+	long := l.longitudinal()
 	r := &Report{ID: "Fig 8", Title: "Responsiveness over time by source (baseline day 0)"}
 	order := []string{
 		"DL", "FDNS", "CT\\QUIC", "CT QUIC", "AXFR\\QUIC", "AXFR QUIC",
 		"Bitnodes", "RIPE Atlas", "Scamper",
 	}
 	for _, name := range order {
-		series, ok := l.longitudinal[name]
+		series, ok := long[name]
 		if !ok {
 			continue
 		}
@@ -85,18 +83,16 @@ func (l *Lab) Fig8() *Report {
 	return r
 }
 
-// ensureLongitudinal probes each source's day-0 responders daily for 14
-// days, as in §6.3: stable sources (DL, FDNS, Atlas) barely decay, while
-// client/CPE sources (Bitnodes, Scamper) lose a fifth to a third.
-func (l *Lab) ensureLongitudinal() {
-	l.longOnce.Do(l.buildLongitudinal)
-}
+// longitudinal probes each source's day-0 responders daily for 14 days,
+// as in §6.3: stable sources (DL, FDNS, Atlas) barely decay, while
+// client/CPE sources (Bitnodes, Scamper) lose a fifth to a third. The
+// series are keyed by Fig 8's row label.
+func (l *Lab) longitudinal() map[string][]float64 { return l.series.get(l.buildLongitudinal) }
 
-func (l *Lab) buildLongitudinal() {
-	l.ensureScanClean()
-	l.longitudinal = map[string][]float64{}
+func (l *Lab) buildLongitudinal() map[string][]float64 {
+	masks := l.cleanScan().maskIndex()
+	long := map[string][]float64{}
 	day0 := l.measureDay()
-	masks := l.scanClean.maskIndex()
 
 	type row struct {
 		label    string
@@ -110,7 +106,7 @@ func (l *Lab) buildLongitudinal() {
 		"RIPE Atlas": "RIPE Atlas", "Scamper": "Scamper",
 	}
 	for _, src := range sources.Names {
-		set := l.P.Store.PerSource(src)
+		set := l.store().PerSource(src)
 		var anyBase, quicBase []ip6.Addr
 		set.Each(func(a ip6.Addr) bool {
 			m, ok := masks[a]
@@ -153,6 +149,7 @@ func (l *Lab) buildLongitudinal() {
 			}
 			series = append(series, float64(n)/float64(len(rw.baseline)))
 		})
-		l.longitudinal[rw.label] = series
+		long[rw.label] = series
 	}
+	return long
 }

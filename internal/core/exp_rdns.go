@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"expanse/internal/bgp"
 	"expanse/internal/ip6"
 	"expanse/internal/rdns"
 	"expanse/internal/stats"
@@ -23,21 +22,18 @@ type rdnsState struct {
 	scan      *Scan
 }
 
-// ensureRDNS walks the reverse tree, applies the §8 filtering (unrouted
+// rdnsStudy walks the reverse tree, applies the §8 filtering (unrouted
 // and aliased addresses removed), and probes the rest.
-func (l *Lab) ensureRDNS() {
-	l.rdnsOnce.Do(l.buildRDNS)
-}
+func (l *Lab) rdnsStudy() *rdnsState { return l.rdns.get(l.buildRDNS) }
 
-func (l *Lab) buildRDNS() {
-	l.ensureAPD()
+func (l *Lab) buildRDNS() *rdnsState {
+	filter := l.windowEpoch().Filter
 	st := &rdnsState{}
-	l.rdnsStudy = st
 	res := rdns.Walk(l.P.DNS.Reverse())
 	st.walked = res.Addrs
 	st.queries = res.Queries
 
-	hitlist := l.P.Hitlist()
+	hitlist := l.store().All()
 	var targets []ip6.Addr
 	for _, a := range st.walked {
 		if !hitlist.Contains(a) {
@@ -47,24 +43,23 @@ func (l *Lab) buildRDNS() {
 			st.unrouted++
 			continue
 		}
-		if l.filter().IsAliased(a) {
+		if filter.IsAliased(a) {
 			st.inAliased++
 			continue
 		}
 		targets = append(targets, a)
 	}
 	st.scan = l.P.Sweep(targets, l.measureDay())
+	return st
 }
 
 // Sec8 reproduces the rDNS source evaluation: novelty, filtering, and
 // response rates compared with the curated hitlist.
 func (l *Lab) Sec8() *Report {
-	l.ensureRDNS()
-	l.ensureScanClean()
-	st := l.rdnsStudy
+	st, clean := l.rdnsStudy(), l.cleanScan()
 	r := &Report{ID: "Sec 8", Title: "rDNS as a data source"}
 	r.addf("rDNS addresses walked: %d (DNS queries issued: %d)", len(st.walked), st.queries)
-	r.addf("new vs hitlist: %d (%.1f%%)", st.newAddrs, 100*float64(st.newAddrs)/float64(maxInt(len(st.walked), 1)))
+	r.addf("new vs hitlist: %d (%.1f%%)", st.newAddrs, 100*float64(st.newAddrs)/float64(max(len(st.walked), 1)))
 	r.addf("filtered: %d unrouted, %d in aliased prefixes", st.unrouted, st.inAliased)
 
 	rate := func(s *Scan, p wire.Proto) float64 {
@@ -77,7 +72,7 @@ func (l *Lab) Sec8() *Report {
 	r.addf("%-10s %7.1f%% %7.1f%% %7.1f%%", "rDNS",
 		100*rate(st.scan, wire.ICMPv6), 100*rate(st.scan, wire.TCP80), 100*rate(st.scan, wire.TCP443))
 	r.addf("%-10s %7.1f%% %7.1f%% %7.1f%%", "hitlist",
-		100*rate(l.scanClean, wire.ICMPv6), 100*rate(l.scanClean, wire.TCP80), 100*rate(l.scanClean, wire.TCP443))
+		100*rate(clean, wire.ICMPv6), 100*rate(clean, wire.TCP80), 100*rate(clean, wire.TCP443))
 
 	// Client indicators: SLAAC ff:fe share and IID hamming weight.
 	slaac := 0
@@ -99,14 +94,13 @@ func (l *Lab) Sec8() *Report {
 // Table8 reproduces the top-5 rDNS ASes in the input and among ICMP and
 // TCP/80 responders.
 func (l *Lab) Table8() *Report {
-	l.ensureRDNS()
-	st := l.rdnsStudy
+	st := l.rdnsStudy()
 	r := &Report{ID: "Table 8", Title: "Top 5 rDNS ASes: input, ICMP responders, TCP/80 responders"}
 	top5 := func(addrs []ip6.Addr) []string {
 		var out []string
 		for _, e := range l.tally(ip6.Addrs(addrs)).TopAS(5) {
 			out = append(out, fmt.Sprintf("%s %.1f%%",
-				l.P.World.Table.AS(e.ASN).Name, 100*float64(e.Count)/float64(maxInt(len(addrs), 1))))
+				l.P.World.Table.AS(e.ASN).Name, 100*float64(e.Count)/float64(max(len(addrs), 1))))
 		}
 		return out
 	}
@@ -128,33 +122,13 @@ func (l *Lab) Table8() *Report {
 
 // Fig10 reproduces the prefix/AS concentration of hitlist vs rDNS input.
 func (l *Lab) Fig10() *Report {
-	l.ensureRDNS()
+	walked := l.tally(ip6.Addrs(l.rdnsStudy().walked))
 	r := &Report{ID: "Fig 10", Title: "Prefix/AS distribution: hitlist vs rDNS input"}
-	points := stats.LogPoints(1000)
-	header := fmt.Sprintf("%-18s", "population")
-	for _, x := range points {
-		header += fmt.Sprintf(" %6d", x)
-	}
-	r.Lines = append(r.Lines, header)
-	hitlist := l.tally(l.P.Hitlist().SortedSeq())
-	walked := l.tally(ip6.Addrs(l.rdnsStudy.walked))
-	for _, row := range []struct {
-		name  string
-		tally *bgp.Tally
-		byAS  bool
-	}{
-		{"Hitlist [Prefix]", hitlist, false},
-		{"Hitlist [AS]", hitlist, true},
-		{"rDNS [Prefix]", walked, false},
-		{"rDNS [AS]", walked, true},
-	} {
-		conc := row.tally.Concentration(row.byAS)
-		line := fmt.Sprintf("%-18s", row.name)
-		for _, f := range conc.Curve(points) {
-			line += fmt.Sprintf(" %6.3f", f)
-		}
-		line += fmt.Sprintf("  (gini %.2f)", conc.Gini())
-		r.Lines = append(r.Lines, line)
-	}
+	hitlist := l.tally(l.store().All().SortedSeq())
+	r.addConcentration("population", 18, 1000, "  (gini %.2f)",
+		concRow{"Hitlist [Prefix]", hitlist.Concentration(false)},
+		concRow{"Hitlist [AS]", hitlist.Concentration(true)},
+		concRow{"rDNS [Prefix]", walked.Concentration(false)},
+		concRow{"rDNS [AS]", walked.Concentration(true)})
 	return r
 }

@@ -15,25 +15,23 @@ import (
 // published numbers of the four previous studies; the "This work" row is
 // measured from the pipeline.
 func (l *Lab) Table1() *Report {
-	l.ensureCollected()
 	r := &Report{ID: "Table 1", Title: "Comparison with previous work"}
 	r.addf("%-22s %10s %8s %8s  %3s %5s %4s", "Work", "#publ.", "#pfx.", "#ASes", "Cts", "Prob.", "APD")
 	r.addf("%-22s %10s %8s %8s  %3s %5s %4s", "Gasser et al. [36]", "2.7M", "5.8k", "8.6k", "y", "y", "n")
 	r.addf("%-22s %10s %8s %8s  %3s %5s %4s", "Foremski et al. [33]", "620k", "<100", "<100", "y", "y", "n")
 	r.addf("%-22s %10s %8s %8s  %3s %5s %4s", "Fiebig et al. [29]", "2.8M", "n/a", "n/a", "y", "n", "n")
 	r.addf("%-22s %10s %8s %8s  %3s %5s %4s", "Murdock et al. [56]", "1.0M", "2.8k", "2.4k", "y", "y", "~")
-	tot := l.P.Store.TotalStat(l.P.World.Table)
+	tot := l.store().TotalStat(l.P.World.Table)
 	r.addf("%-22s %10d %8d %8d  %3s %5s %4s", "This work (measured)", tot.IPs, tot.Prefixes, tot.ASes, "y", "y", "y")
 	return r
 }
 
 // Table2 reproduces the hitlist-source overview.
 func (l *Lab) Table2() *Report {
-	l.ensureCollected()
 	r := &Report{ID: "Table 2", Title: "Overview of hitlist sources"}
 	r.addf("%-12s %9s %9s %7s %7s  %s", "Name", "IPs", "new IPs", "#ASes", "#PFXes", "Top-3 ASes")
-	rows := l.P.Store.Stats(l.P.World.Table)
-	rows = append(rows, l.P.Store.TotalStat(l.P.World.Table))
+	st := l.store()
+	rows := append(st.Stats(l.P.World.Table), st.TotalStat(l.P.World.Table))
 	for _, s := range rows {
 		top := ""
 		for _, ts := range s.TopAS {
@@ -46,14 +44,16 @@ func (l *Lab) Table2() *Report {
 
 // Fig1a reproduces the cumulative source runup.
 func (l *Lab) Fig1a() *Report {
-	l.ensureCollected()
 	r := &Report{ID: "Fig 1a", Title: "Cumulative runup of IPv6 addresses per source"}
-	runup := l.P.Store.Runup()
-	names := sources.Names
-	r.Lines = append(r.Lines, fmt.Sprintf("%-6s%s %12s", "day", joinPadded(names, 12), "total"))
+	runup := l.store().Runup()
+	header := fmt.Sprintf("%-6s", "day")
+	for _, n := range sources.Names {
+		header += fmt.Sprintf("%*s", 12, n)
+	}
+	r.Lines = append(r.Lines, header+fmt.Sprintf(" %12s", "total"))
 	for _, pt := range runup {
 		line := fmt.Sprintf("%-6d", pt.Day)
-		for _, n := range names {
+		for _, n := range sources.Names {
 			line += fmt.Sprintf(" %11d", pt.Cumulative[n])
 		}
 		line += fmt.Sprintf(" %12d", pt.Total)
@@ -61,7 +61,7 @@ func (l *Lab) Fig1a() *Report {
 	}
 	if len(runup) >= 2 {
 		first, last := runup[0].Total, runup[len(runup)-1].Total
-		r.addf("growth factor over the period: %.1fx", float64(last)/float64(maxInt(first, 1)))
+		r.addf("growth factor over the period: %.1fx", float64(last)/float64(max(first, 1)))
 	}
 	return r
 }
@@ -69,45 +69,32 @@ func (l *Lab) Fig1a() *Report {
 // Fig1b reproduces the per-source AS-distribution CDFs: the fraction of
 // each source's addresses inside its top-X ASes.
 func (l *Lab) Fig1b() *Report {
-	l.ensureCollected()
 	r := &Report{ID: "Fig 1b", Title: "AS distribution per source (fraction in top-X ASes)"}
-	points := stats.LogPoints(1000)
-	header := fmt.Sprintf("%-12s", "source")
-	for _, x := range points {
-		header += fmt.Sprintf(" %6d", x)
+	rows := make([]concRow, len(sources.Names))
+	for i, name := range sources.Names {
+		rows[i] = concRow{name, l.P.World.Table.Tally(l.P.Cfg.Workers, l.store().PerSource(name).ShardSeqs()...).Concentration(true)}
 	}
-	r.Lines = append(r.Lines, header)
-	for _, name := range sources.Names {
-		conc := l.P.World.Table.Tally(l.P.Cfg.Workers, l.P.Store.PerSource(name).ShardSeqs()...).Concentration(true)
-		line := fmt.Sprintf("%-12s", name)
-		for _, f := range conc.Curve(points) {
-			line += fmt.Sprintf(" %6.3f", f)
-		}
-		line += fmt.Sprintf("   (gini %.2f)", conc.Gini())
-		r.Lines = append(r.Lines, line)
-	}
+	r.addConcentration("source", 12, 1000, "   (gini %.2f)", rows...)
 	return r
 }
 
 // Fig1c renders the zesplot of hitlist addresses over BGP prefixes and
 // reports summary statistics; the SVG itself is written by cmd/zesplot.
 func (l *Lab) Fig1c() *Report {
-	l.ensureCollected()
 	r := &Report{ID: "Fig 1c", Title: "Hitlist addresses mapped to BGP prefixes (zesplot)"}
-	tally := l.tally(l.P.Hitlist().SortedSeq())
+	tally := l.tally(l.store().All().SortedSeq())
 	items := l.allPrefixItems(tally)
 	rects := zesplot.Layout(items, zesplot.Options{Sized: true})
 	covered := tally.Prefixes()
 	r.addf("announced prefixes plotted: %d", len(rects))
-	r.addf("prefixes with hitlist addresses: %d (%.1f%%)", covered, 100*float64(covered)/float64(maxInt(len(items), 1)))
+	r.addf("prefixes with hitlist addresses: %d (%.1f%%)", covered, 100*float64(covered)/float64(max(len(items), 1)))
 	r.addf("max addresses in one prefix: %d", slices.Max(tally.Counts))
 	return r
 }
 
 // Fig1cSVG returns the actual SVG document for Figure 1c.
 func (l *Lab) Fig1cSVG() string {
-	l.ensureCollected()
-	items := l.allPrefixItems(l.tally(l.P.Hitlist().SortedSeq()))
+	items := l.allPrefixItems(l.tally(l.store().All().SortedSeq()))
 	return zesplot.SVG(items, zesplot.Options{Sized: true, Title: "Fig 1c: hitlist addresses per BGP prefix"})
 }
 
@@ -131,24 +118,33 @@ func (l *Lab) allPrefixItems(tally *bgp.Tally) []zesplot.Item {
 	return items
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// concRow is one row of a concentration table: a population and how its
+// addresses concentrate over ASes or prefixes.
+type concRow struct {
+	label string
+	conc  *stats.Concentration
 }
 
-func pad(s string, w int) string {
-	for len(s) < w {
-		s = " " + s
+// addConcentration appends a concentration table (Figs 1b, 4, 9, 10): a
+// header of the log-spaced top-X points up to maxX, then per row the
+// fraction of its addresses inside its top-X groups, labels left-aligned
+// in width columns. A non-empty gini format appends each row's Gini
+// coefficient.
+func (r *Report) addConcentration(head string, width, maxX int, gini string, rows ...concRow) {
+	points := stats.LogPoints(maxX)
+	header := fmt.Sprintf("%-*s", width, head)
+	for _, x := range points {
+		header += fmt.Sprintf(" %6d", x)
 	}
-	return s
-}
-
-func joinPadded(ss []string, w int) string {
-	out := ""
-	for _, s := range ss {
-		out += pad(s, w)
+	r.Lines = append(r.Lines, header)
+	for _, row := range rows {
+		line := fmt.Sprintf("%-*s", width, row.label)
+		for _, f := range row.conc.Curve(points) {
+			line += fmt.Sprintf(" %6.3f", f)
+		}
+		if gini != "" {
+			line += fmt.Sprintf(gini, row.conc.Gini())
+		}
+		r.Lines = append(r.Lines, line)
 	}
-	return out
 }

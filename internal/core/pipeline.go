@@ -16,7 +16,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"expanse/internal/apd"
@@ -206,31 +205,35 @@ type Scan struct {
 	Addrs []ip6.Addr
 	Masks []wire.RespMask
 
-	countOnce sync.Once
-	counts    [wire.NumProtos]int
-	anyCount  int
+	counts memo[scanCounts]
 }
 
-// ensureCounts tallies per-protocol and any-protocol responder counts in
-// one pass over the mask column.
-func (s *Scan) ensureCounts() {
-	s.countOnce.Do(func() {
+// scanCounts holds a scan's responder counts: per protocol and on any.
+type scanCounts struct {
+	proto [wire.NumProtos]int
+	any   int
+}
+
+// respCounts tallies per-protocol and any-protocol responder counts in
+// one pass over the mask column, once per scan.
+func (s *Scan) respCounts() scanCounts {
+	return s.counts.get(func() (c scanCounts) {
 		for _, m := range s.Masks {
 			if !m.Any() {
 				continue
 			}
-			s.anyCount++
+			c.any++
 			for rest := uint8(m); rest != 0; rest &= rest - 1 {
-				s.counts[bits.TrailingZeros8(rest)]++
+				c.proto[bits.TrailingZeros8(rest)]++
 			}
 		}
+		return c
 	})
 }
 
 // Responsive returns the addresses that answered on the given protocol.
 func (s *Scan) Responsive(p wire.Proto) []ip6.Addr {
-	s.ensureCounts()
-	out := make([]ip6.Addr, 0, s.counts[p])
+	out := make([]ip6.Addr, 0, s.respCounts().proto[p])
 	for i, m := range s.Masks {
 		if m.Has(p) {
 			out = append(out, s.Addrs[i])
@@ -241,8 +244,7 @@ func (s *Scan) Responsive(p wire.Proto) []ip6.Addr {
 
 // AnyResponsive returns addresses that answered at least one protocol.
 func (s *Scan) AnyResponsive() []ip6.Addr {
-	s.ensureCounts()
-	out := make([]ip6.Addr, 0, s.anyCount)
+	out := make([]ip6.Addr, 0, s.respCounts().any)
 	for i, m := range s.Masks {
 		if m.Any() {
 			out = append(out, s.Addrs[i])
@@ -253,14 +255,12 @@ func (s *Scan) AnyResponsive() []ip6.Addr {
 
 // Count returns how many targets answered on the protocol.
 func (s *Scan) Count(p wire.Proto) int {
-	s.ensureCounts()
-	return s.counts[p]
+	return s.respCounts().proto[p]
 }
 
 // AnyCount returns how many targets answered at least one protocol.
 func (s *Scan) AnyCount() int {
-	s.ensureCounts()
-	return s.anyCount
+	return s.respCounts().any
 }
 
 // Sweep probes the targets on all five protocols for one day (§6). The
