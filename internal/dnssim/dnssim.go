@@ -2,12 +2,14 @@
 // whose AAAA records point at simulated hosts (including dynamic-DNS
 // names that follow renumbering subscriber lines), visibility tags that
 // model which collection channel can see a domain (zone files, CT logs,
-// Rapid7 FDNS, AXFR, blacklists), and a reverse ip6.arpa tree with
+// Rapid7 FDNS, AXFR, blacklists), and a reverse ip6.arpa zone with
 // NXDOMAIN semantics for the rDNS walking study (§8).
 package dnssim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"expanse/internal/hash64"
@@ -79,7 +81,7 @@ func visFor(name string, class string) Vis {
 }
 
 // New builds the DNS view of a world: every domain-carrying host, alias
-// record, stale record, and line-hosted NAS gets a name; the reverse tree
+// record, stale record, and line-hosted NAS gets a name; the reverse zone
 // covers the world's rDNS population.
 func New(world *netsim.Internet) *Server {
 	s := &Server{}
@@ -120,7 +122,7 @@ func New(world *netsim.Internet) *Server {
 // Domains returns all domains (shared slice; callers must not modify).
 func (s *Server) Domains() []Domain { return s.domains }
 
-// Reverse returns the ip6.arpa tree.
+// Reverse returns the ip6.arpa zone.
 func (s *Server) Reverse() *RTree { return s.rtree }
 
 // ReverseName renders the ip6.arpa name of an address, e.g.
@@ -154,62 +156,74 @@ const (
 	HasPTR
 )
 
-// RTree is the ip6.arpa reverse tree: a nybble trie addressed by
-// REVERSED nybble paths, exactly as DNS names under ip6.arpa are formed.
+// RTree is the ip6.arpa reverse zone: the PTR addresses as one sorted
+// column. A name under ip6.arpa is a nybble path (reversed in the name,
+// MSB-first here), and the names below it are the addresses sharing that
+// prefix — one contiguous run of the column. A name therefore exists iff
+// the first address at or above the run's lowest address still carries
+// the prefix, and Query answers with one lower-bound search. The zone is
+// read-only once built, so any number of walkers may share it.
 type RTree struct {
-	root    *rnode
-	queries int
+	addrs []ip6.Addr // ascending; duplicates are harmless
 }
 
-type rnode struct {
-	children [16]*rnode
-	ptr      bool
-}
-
-// NewRTree indexes the given addresses.
+// NewRTree indexes the given addresses (a sorted copy; order and
+// duplicates in the input do not matter).
 func NewRTree(addrs []ip6.Addr) *RTree {
-	t := &RTree{root: &rnode{}}
-	for _, a := range addrs {
-		n := t.root
-		nyb := a.Nybbles()
-		for i := 0; i < 32; i++ {
-			d := nyb[i] // MSB-first in the trie; reversal happens in naming
-			if n.children[d] == nil {
-				n.children[d] = &rnode{}
-			}
-			n = n.children[d]
-		}
-		n.ptr = true
-	}
-	return t
+	s := slices.Clone(addrs)
+	slices.SortFunc(s, ip6.Addr.Compare)
+	return &RTree{addrs: s}
 }
 
 // Query resolves a partial path of nybbles (MSB-first, up to 32 deep) and
-// returns the walking-relevant rcode. Every call counts one DNS query —
-// the §8 "strain on infrastructure" metric.
+// returns the walking-relevant rcode: the root always exists, a path with
+// a digit above 15 or beyond 32 nybbles never does, and a full path
+// present in the zone holds a PTR.
 func (t *RTree) Query(path []byte) RCode {
-	t.queries++
-	n := t.root
-	for _, d := range path {
-		if d > 15 {
-			return NXDomain
-		}
-		n = n.children[d]
-		if n == nil {
-			return NXDomain
+	n := len(path)
+	if n == 0 {
+		return NoErrorEmpty
+	}
+	if n > 32 {
+		return NXDomain
+	}
+	// The run's lowest address (path, then zeros): four big-endian words
+	// of eight one-nybble bytes, each folded into 32 bits. A digit above
+	// 15 shows as a high nybble set in some byte.
+	var buf [32]byte
+	copy(buf[:], path)
+	var w [4]uint64
+	var bad uint64
+	for i := range w {
+		x := binary.BigEndian.Uint64(buf[8*i:])
+		bad |= x
+		x = (x | x>>4) & 0x00ff00ff00ff00ff
+		x = (x | x>>8) & 0x0000ffff0000ffff
+		w[i] = (x | x>>16) & 0xffffffff
+	}
+	if bad&0xf0f0f0f0f0f0f0f0 != 0 {
+		return NXDomain
+	}
+	hi, lo := w[0]<<32|w[1], w[2]<<32|w[3]
+	mhi, mlo := ^uint64(0), ^uint64(0)<<(128-4*n)
+	if n < 16 {
+		mhi, mlo = ^uint64(0)<<(64-4*n), 0
+	}
+	a := t.addrs
+	l, h := 0, len(a)
+	for l < h {
+		m := int(uint(l+h) >> 1)
+		if a[m].Hi() < hi || (a[m].Hi() == hi && a[m].Lo() < lo) {
+			l = m + 1
+		} else {
+			h = m
 		}
 	}
-	if len(path) == 32 {
-		if n.ptr {
-			return HasPTR
-		}
+	if l == len(a) || (a[l].Hi()^hi)&mhi != 0 || (a[l].Lo()^lo)&mlo != 0 {
 		return NXDomain
+	}
+	if n == 32 {
+		return HasPTR
 	}
 	return NoErrorEmpty
 }
-
-// Queries returns the number of queries served so far.
-func (t *RTree) Queries() int { return t.queries }
-
-// ResetQueries zeroes the query counter.
-func (t *RTree) ResetQueries() { t.queries = 0 }

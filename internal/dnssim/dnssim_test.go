@@ -150,13 +150,6 @@ func TestRTreeQueries(t *testing.T) {
 	if rc := tr.Query([]byte{99}); rc != NXDomain {
 		t.Errorf("invalid digit rcode = %v", rc)
 	}
-	if tr.Queries() != 6 {
-		t.Errorf("query count = %d", tr.Queries())
-	}
-	tr.ResetQueries()
-	if tr.Queries() != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func TestRTreeWorldPopulation(t *testing.T) {
@@ -177,4 +170,79 @@ func TestVisDeterministic(t *testing.T) {
 	if visFor("host1.as5.example.", "farm") != visFor("host1.as5.example.", "farm") {
 		t.Error("visibility not deterministic")
 	}
+}
+
+// fuzzAddrs decodes a fuzzed address set, four bytes per step: op picks
+// a base (one of a few fixed addresses, or with op&0x80 the previous
+// address, for prefixes shared to any depth), keep says how many leading
+// nybbles of it survive, and v gives the pattern the rest repeat.
+// op&0x40 emits the dense block of all 16 last-nybble siblings, op&0x20
+// the address twice. No bytes is the empty set; past 64 steps the rest
+// is ignored, which bounds a set at 1024 addresses.
+func fuzzAddrs(data []byte) []ip6.Addr {
+	bases := []ip6.Addr{
+		ip6.MustParseAddr("2001:db8::"),
+		ip6.MustParseAddr("2001:db8:0:1::"),
+		ip6.MustParseAddr("fe80::"),
+		{},
+		ip6.MaxAddr(),
+	}
+	var out []ip6.Addr
+	for step := 0; step < 64 && len(data) >= 4; step, data = step+1, data[4:] {
+		op, keep, v := data[0], int(data[1]%33), uint16(data[2])<<8|uint16(data[3])
+		base := bases[int(op&0x1f)%len(bases)]
+		if op&0x80 != 0 && len(out) > 0 {
+			base = out[len(out)-1]
+		}
+		n := base.Nybbles()
+		for i := keep; i < 32; i++ {
+			n[i] = byte(v>>(4*(i%4))) & 0xf
+		}
+		a := ip6.AddrFromNybbles(n)
+		switch {
+		case op&0x40 != 0:
+			for d := byte(0); d < 16; d++ {
+				n[31] = d
+				out = append(out, ip6.AddrFromNybbles(n))
+			}
+		case op&0x20 != 0:
+			out = append(out, a, a)
+		default:
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// FuzzRTreeQuery holds the sorted column's Query to the pointer trie's
+// over fuzzed address sets: the fuzzed path itself (raw bytes, so digits
+// above 15 and paths beyond 32 nybbles), and for every member each of its
+// 33 prefixes plus the sibling label beside each (full-length hits and
+// one-nybble misses).
+func FuzzRTreeQuery(f *testing.F) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0, 32, 0, 1, 0x80, 30, 0, 2, 2, 4, 0xbe, 0xef}, []byte{2, 0, 0, 1})
+	f.Add([]byte{0x40, 28, 0, 0, 0x20, 32, 0, 0, 4, 0, 0xff, 0xff}, []byte{15, 15, 15, 16})
+	f.Add([]byte{3, 0, 0, 0, 4, 0, 0, 0}, make([]byte, 33))
+	f.Fuzz(func(t *testing.T, set, path []byte) {
+		addrs := fuzzAddrs(set)
+		col, ref := NewRTree(addrs), newRefTrie(addrs)
+		check := func(p []byte) {
+			if got, want := col.Query(p), ref.Query(p); got != want {
+				t.Fatalf("Query(%v) = %v, trie %v (set %v)", p, got, want, addrs)
+			}
+		}
+		check(path)
+		for _, a := range addrs {
+			n := a.Nybbles()
+			for k := 0; k <= 32; k++ {
+				check(n[:k])
+				if k > 0 {
+					sib := append([]byte(nil), n[:k]...)
+					sib[k-1] = (sib[k-1] + 1) & 0xf
+					check(sib)
+				}
+			}
+		}
+	})
 }

@@ -113,6 +113,9 @@ var DefaultHotFuncs = []HotFunc{
 	// node, one child per mined value — the loop that used to allocate a
 	// node and a choice vector per child.
 	{PkgPath: "expanse/internal/eip", Func: "expand"},
+	// The reverse zone's lookup: one lower-bound search per DNS query an
+	// rDNS walk issues (hundreds of thousands per §8 study).
+	{PkgPath: "expanse/internal/dnssim", Func: "Query"},
 }
 
 // DefaultAnalyzers returns the full suite wired to the repo tables.

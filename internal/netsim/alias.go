@@ -253,27 +253,24 @@ func (in *Internet) planAliases(nextDomain func() uint32) {
 // hosting-heavy set largely disjoint from the forward-DNS sources. A
 // slice of existing hosts gets rDNS entries, and hosters carry additional
 // rDNS-only hosts (plus stale rDNS records).
-func (in *Internet) planRDNS(nextDomain func() uint32) {
-	// Existing hosts: a PTR-share sweep over the sealed sorted columns.
-	// Each host's draw is a pure function of its address, so sweeping in
-	// sorted instead of insertion order selects the identical PTR set;
-	// the rdns slice is consumed as a set (dnssim.NewRTree), so its
-	// internal order is not observable.
-	hc := &in.hc
-	for i := int32(0); i < int32(hc.n()); i++ {
-		addr := hc.addrAt(i)
-		hk := hashAddr(in.key^0x4d45, addr)
+func (in *Internet) planRDNS() {
+	// Existing hosts: a PTR-share sweep over the builder's hosts in
+	// insertion order, before any rDNS-only host joins them. Each draw is
+	// a pure function of the host's address.
+	for i := range in.b.arr {
+		h := &in.b.arr[i]
+		hk := hashAddr(in.key^0x4d45, h.Addr)
 		// Only a small slice of forward-DNS-visible machines also have
 		// PTRs; the bulk of the rDNS tree is infrastructure the forward
 		// sources never see (that is what makes rDNS "mostly new", §8).
-		switch hc.classAt(i) {
+		switch h.Class {
 		case ClassWebServer, ClassDNSServer:
 			if chance(hk, 0.07) {
-				in.rdns = append(in.rdns, addr)
+				in.rdns = append(in.rdns, h.Addr)
 			}
 		case ClassRouter:
 			if chance(hk, 0.10) {
-				in.rdns = append(in.rdns, addr)
+				in.rdns = append(in.rdns, h.Addr)
 			}
 		}
 	}
@@ -300,7 +297,7 @@ func (in *Internet) planRDNS(nextDomain func() uint32) {
 			if chance(hash64.Mix(hk^2), 0.2) {
 				serves.Set(wire.TCP443)
 			}
-			in.addHost(Host{
+			in.b.add(Host{
 				Addr: addr, ASN: nw.asn, Class: ClassWebServer,
 				Serves: serves, Machine: hash2(nw.key^0x4d2, uint64(i)),
 				DeathDay: deathDay(hash64.Mix(hk^3), 0.002, 3*in.Horizon()),
@@ -313,7 +310,6 @@ func (in *Internet) planRDNS(nextDomain func() uint32) {
 			addr := ip6.AddrFromUint64(sub.Addr().Hi(), 0x10000+uint64(i))
 			in.rdns = append(in.rdns, addr)
 		}
-		_ = nextDomain
 	}
 }
 
@@ -323,5 +319,7 @@ func (in *Internet) StaleRecords() []StaleRecord { return in.stale }
 // AliasRecords returns the DNS records pointing into aliased regions.
 func (in *Internet) AliasRecords() []AliasRecord { return in.aliasRecords }
 
-// RDNSAddrs returns all addresses that have reverse-DNS entries.
+// RDNSAddrs returns all addresses that have reverse-DNS entries, in no
+// promised order: the reverse zone (dnssim.NewRTree) and Digest read them
+// as a set.
 func (in *Internet) RDNSAddrs() []ip6.Addr { return in.rdns }

@@ -18,8 +18,8 @@ import (
 // digests mean world construction is byte-identical, not merely similar.
 //
 // rDNS addresses are hashed as a sorted set: the PTR population is
-// consumed through a set trie (dnssim.NewRTree), so slice order is not an
-// observable of the world.
+// consumed as a set (dnssim.NewRTree sorts its own copy into the reverse
+// zone's column), so slice order is not an observable of the world.
 func (in *Internet) Digest() [32]byte {
 	h := sha256.New()
 	var buf [8]byte

@@ -43,7 +43,7 @@ const (
 
 // hostCols is the sealed SoA host plane. All columns are parallel and
 // sorted by (hi,lo); byRank is the insertion-order permutation. profile
-// is derived from machine by the final seal (fillProfiles) and nil before.
+// is derived from machine by seal (fillProfiles).
 type hostCols struct {
 	hi, lo   []uint64
 	asn      []bgp.ASN
@@ -114,9 +114,9 @@ func packMeta(class HostClass, quicFlaky bool) uint8 {
 }
 
 // worldBuilder is the construction-time host registry: the map/AoS
-// representation the sealed columns replace. planBulk and planRDNS fill
-// one each, sealing gathers it into columns and drops it (worldpin_test
-// keeps its own merged copy as the map/AoS reference).
+// representation the sealed columns replace. planBulk and then planRDNS
+// fill it, seal gathers it into columns and drops it (worldpin_test keeps
+// it as the map/AoS reference).
 type worldBuilder struct {
 	hosts map[ip6.Addr]int32
 	arr   []Host
@@ -189,58 +189,6 @@ func (hc *hostCols) fillProfiles() {
 			hc.profile[i] = newProfile(hc.machine[i])
 		}
 	})
-}
-
-// mergeSealed merges a (small) builder of late additions into sealed
-// columns. Delta hosts take insertion ranks after the sealed ones —
-// exactly the order the single-pass builder would have produced.
-func mergeSealed(hc hostCols, delta *worldBuilder) hostCols {
-	nd := len(delta.arr)
-	if nd == 0 {
-		return hc
-	}
-	dperm := make([]int32, nd)
-	for i := range dperm {
-		dperm[i] = int32(i)
-	}
-	sort.Slice(dperm, func(x, y int) bool {
-		return delta.arr[dperm[x]].Addr.Less(delta.arr[dperm[y]].Addr)
-	})
-	n1 := hc.n()
-	out := makeHostCols(n1 + nd)
-	oldToNew := make([]int32, n1)
-	deltaToNew := make([]int32, nd)
-	i, j := int32(0), 0
-	for pos := int32(0); pos < int32(n1+nd); pos++ {
-		takeOld := j >= nd
-		if !takeOld && int(i) < n1 {
-			takeOld = hc.addrAt(i).Less(delta.arr[dperm[j]].Addr)
-		}
-		if takeOld {
-			out.hi[pos] = hc.hi[i]
-			out.lo[pos] = hc.lo[i]
-			out.asn[pos] = hc.asn[i]
-			out.meta[pos] = hc.meta[i]
-			out.serves[pos] = hc.serves[i]
-			out.machine[pos] = hc.machine[i]
-			out.deathDay[pos] = hc.deathDay[i]
-			out.domain[pos] = hc.domain[i]
-			oldToNew[i] = pos
-			i++
-		} else {
-			rank := dperm[j]
-			out.setFrom(pos, &delta.arr[rank])
-			deltaToNew[rank] = pos
-			j++
-		}
-	}
-	for r := 0; r < n1; r++ {
-		out.byRank[r] = oldToNew[hc.byRank[r]]
-	}
-	for r := 0; r < nd; r++ {
-		out.byRank[n1+r] = deltaToNew[r]
-	}
-	return out
 }
 
 // hostRun is locate's merge cursor over the sorted host columns:

@@ -215,7 +215,7 @@ type Internet struct {
 	nets    []network
 	isps    []lineISP
 	// tabs are the compiled resolution tables over regions and nets (see
-	// resolve.go), assigned once by sealDelta.
+	// resolve.go), assigned once by seal.
 	tabs tables
 	// tier1 transit router addresses shared across traceroute paths.
 	tier1        []ip6.Addr
@@ -227,18 +227,16 @@ type Internet struct {
 	b *worldBuilder
 }
 
-// New builds the world. Generation cost is O(total hosts); the default
-// scale builds in well under a second. Construction is a two-phase seal:
-// the bulk population is planned into the map/AoS builder and frozen into
-// sorted columns before the rDNS pass (the host map drops at the
-// construction peak, and planRDNS sweeps the sorted columns), then the
-// rDNS-only additions merge in from a small delta builder.
+// New builds the world in one pass: planBulk and planRDNS register every
+// host through the construction-time builder, and seal freezes the lot
+// into sorted columns, derives the machine profiles and compiles the
+// resolution tables. Generation cost is O(total hosts); the default
+// scale builds in well under a second.
 func New(cfg Config) *Internet {
 	in := newUnsealed(cfg)
-	nextDomain := in.planBulk()
-	in.sealPhase1()
-	in.planRDNS(nextDomain)
-	in.sealDelta()
+	in.planBulk()
+	in.planRDNS()
+	in.seal()
 	return in
 }
 
@@ -262,19 +260,11 @@ func newUnsealed(cfg Config) *Internet {
 	}
 }
 
-// sealPhase1 freezes the bulk of the host population into sorted columns
-// and swaps in a small delta builder for the late (rDNS-only) additions.
-func (in *Internet) sealPhase1() {
+// seal gathers the builder's hosts into sorted columns, derives every
+// host's and region's machine profile, compiles the resolution tables
+// from the final region and network columns, and drops the builder.
+func (in *Internet) seal() {
 	in.hc = sealHosts(in.b)
-	in.b = newWorldBuilder()
-}
-
-// sealDelta merges the post-seal additions into the columns, derives
-// every host's and region's machine profile, compiles the resolution
-// tables from the now-final region and network columns, and drops the
-// builder for good.
-func (in *Internet) sealDelta() {
-	in.hc = mergeSealed(in.hc, in.b)
 	in.hc.fillProfiles()
 	for i := range in.regions {
 		r := &in.regions[i]
@@ -291,18 +281,6 @@ func (in *Internet) Config() Config { return in.cfg }
 // Horizon returns the last simulated day (inclusive) covered by source
 // collection.
 func (in *Internet) Horizon() int { return in.cfg.Epochs * in.cfg.EpochDays }
-
-// addHost registers a finite host (construction time only). First
-// insertion wins; after the phase-1 seal the dedup check consults the
-// sealed columns as well as the delta builder.
-func (in *Internet) addHost(h Host) {
-	if in.hc.n() > 0 {
-		if _, ok := in.hc.find(h.Addr); ok {
-			return
-		}
-	}
-	in.b.add(h)
-}
 
 // Hosts returns all finite hosts of the given classes (all if none given).
 // The slice is freshly allocated; order is deterministic.

@@ -62,11 +62,10 @@ func (s Scheme) String() string {
 // dominate, structured second, then pseudo-random, then MAC-based.
 var schemeWeights = []float64{0.46, 0.22, 0.15, 0.07, 0.07, 0.03}
 
-// planBulk plans everything but the rDNS-only hosts into the builder:
+// planBulk plans everything but the rDNS population into the builder:
 // per-announcement metadata, alias regions, server farms, routers,
-// subscriber pools, Atlas probes and Bitcoin nodes. It returns the domain
-// ID allocator, which planRDNS continues after the phase-1 seal.
-func (in *Internet) planBulk() (nextDomain func() uint32) {
+// subscriber pools, Atlas probes and Bitcoin nodes.
+func (in *Internet) planBulk() {
 	anns := in.Table.Announcements()
 
 	// Group announcements per AS so roles can be assigned per operator.
@@ -103,7 +102,7 @@ func (in *Internet) planBulk() (nextDomain func() uint32) {
 	}
 
 	domainID := uint32(1)
-	nextDomain = func() uint32 { d := domainID; domainID++; return d }
+	nextDomain := func() uint32 { d := domainID; domainID++; return d }
 
 	for i := range in.nets {
 		nw := &in.nets[i]
@@ -120,7 +119,6 @@ func (in *Internet) planBulk() (nextDomain func() uint32) {
 	in.planAtlas()
 	in.planBitnodes()
 	in.planTier1()
-	return nextDomain
 }
 
 // routerSubnet returns the /64 holding the core routers traceroutes show
@@ -300,7 +298,7 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 		if isDNS {
 			class = ClassDNSServer
 		}
-		in.addHost(Host{
+		in.b.add(Host{
 			Addr:      addr,
 			ASN:       nw.asn,
 			Class:     class,
@@ -346,7 +344,7 @@ func (in *Internet) planRouters(nw *network) {
 		addr := ip6.AddrFromUint64(sub.Addr().Hi(), uint64(i)+1)
 		var serves wire.RespMask
 		serves.Set(wire.ICMPv6)
-		in.addHost(Host{
+		in.b.add(Host{
 			Addr:     addr,
 			ASN:      nw.asn,
 			Class:    ClassRouter,
@@ -445,7 +443,7 @@ func (in *Internet) planAtlas() {
 			addr := ip6.AddrFromUint64(sub.Addr().Hi(), iid)
 			var serves wire.RespMask
 			serves.Set(wire.ICMPv6)
-			in.addHost(Host{
+			in.b.add(Host{
 				Addr:     addr,
 				ASN:      nw.asn,
 				Class:    ClassAtlas,
@@ -490,7 +488,7 @@ func (in *Internet) planBitnodes() {
 			if chance(hash64.Mix(iid), 0.5) {
 				serves.Set(wire.TCP80) // some run web panels
 			}
-			in.addHost(Host{
+			in.b.add(Host{
 				Addr:     addr,
 				ASN:      nw.asn,
 				Class:    ClassBitnode,
@@ -517,7 +515,7 @@ func (in *Internet) planTier1() {
 			addr := ip6.AddrFromUint64(sub.Addr().Hi(), 0x100+uint64(i))
 			var serves wire.RespMask
 			serves.Set(wire.ICMPv6)
-			in.addHost(Host{
+			in.b.add(Host{
 				Addr: addr, ASN: nw.asn, Class: ClassRouter,
 				Serves: serves, Machine: hash2(nw.key^0x7137, uint64(i)), DeathDay: -1,
 			})

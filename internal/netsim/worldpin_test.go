@@ -49,24 +49,20 @@ func TestWorldDigestPinned(t *testing.T) {
 	}
 }
 
-// buildWithRef builds a world by driving New's two seal steps itself, so
-// it can keep what New drops: the bulk builder, with the delta builder's
-// hosts appended, is the legacy map/AoS representation of the same
-// population — the reference the sealed columns are pinned against. The
-// world it returns must be the one New builds (digest-checked).
+// buildWithRef builds a world by driving New's steps itself, so it can
+// keep what seal drops: the builder, the legacy map/AoS representation of
+// the same population — the reference the sealed columns are pinned
+// against. The world it returns must be the one New builds
+// (digest-checked).
 func buildWithRef(t *testing.T, cfg Config) (*Internet, *worldBuilder) {
 	t.Helper()
 	in := newUnsealed(cfg)
-	nextDomain := in.planBulk()
+	in.planBulk()
+	in.planRDNS()
 	ref := in.b
-	in.sealPhase1()
-	in.planRDNS(nextDomain)
-	for _, h := range in.b.arr {
-		ref.add(h)
-	}
-	in.sealDelta()
+	in.seal()
 	if in.b != nil {
-		t.Fatal("sealDelta left a builder behind")
+		t.Fatal("seal left a builder behind")
 	}
 	if got, want := in.Digest(), New(cfg).Digest(); got != want {
 		t.Fatalf("hand-driven seal built a different world than New: %x vs %x", got, want)

@@ -25,33 +25,28 @@ func Walk(t *dnssim.RTree) Result {
 }
 
 // WalkUnder enumerates the subtree beneath the given nybble path prefix
-// (MSB-first). A nil prefix walks from the root.
+// (MSB-first). A nil prefix walks from the root. The walk counts its own
+// queries, so any number of walks may share one zone.
 func WalkUnder(t *dnssim.RTree, prefix []byte) Result {
-	t.ResetQueries()
 	var res Result
 	path := make([]byte, len(prefix), 32)
 	copy(path, prefix)
 	// Confirm the starting point exists (as a real walker would).
-	switch t.Query(path) {
+	switch query(t, path, &res) {
 	case dnssim.NXDomain:
-		res.Queries = t.Queries()
-		return res
+		// Nothing under the starting point.
 	case dnssim.HasPTR:
-		if len(path) == 32 {
-			res.Addrs = append(res.Addrs, addrFromNybbles(path))
-			res.Queries = t.Queries()
-			return res
-		}
+		res.Addrs = append(res.Addrs, addrFromNybbles(path))
+	default:
+		walk(t, path, &res)
 	}
-	walk(t, path, &res)
-	res.Queries = t.Queries()
 	return res
 }
 
 func walk(t *dnssim.RTree, path []byte, res *Result) {
 	for d := byte(0); d < 16; d++ {
 		child := append(path, d)
-		switch t.Query(child) {
+		switch query(t, child, res) {
 		case dnssim.NXDomain:
 			// Prune: nothing anywhere below this label.
 		case dnssim.HasPTR:
@@ -60,6 +55,12 @@ func walk(t *dnssim.RTree, path []byte, res *Result) {
 			walk(t, child, res)
 		}
 	}
+}
+
+// query issues one DNS query, counting it into res.Queries.
+func query(t *dnssim.RTree, path []byte, res *Result) dnssim.RCode {
+	res.Queries++
+	return t.Query(path)
 }
 
 func addrFromNybbles(path []byte) ip6.Addr {
