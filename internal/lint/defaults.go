@@ -69,11 +69,17 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/netsim", Func: "emit"},
 	// The columnar world plane's resolution primitives: locate, the one
 	// per-destination owner decision behind both Probe and ProbeLanes,
-	// answer, the per-lane half, the sorted-column binary searches and the
-	// host-column run cursor (hostRun.lookup; the interval cursor is
-	// ip6's, below).
+	// answer, the per-lane half — decide and its per-plane bodies, every
+	// lane's, then describe, only a recording lane's — the sorted-column
+	// binary searches and the host-column run cursor (hostRun.lookup; the
+	// interval cursor is ip6's, below).
 	{PkgPath: "expanse/internal/netsim", Func: "locate"},
 	{PkgPath: "expanse/internal/netsim", Func: "answer"},
+	{PkgPath: "expanse/internal/netsim", Func: "decide"},
+	{PkgPath: "expanse/internal/netsim", Func: "decideAlias"},
+	{PkgPath: "expanse/internal/netsim", Func: "decideHost"},
+	{PkgPath: "expanse/internal/netsim", Func: "decideLine"},
+	{PkgPath: "expanse/internal/netsim", Func: "describe"},
 	{PkgPath: "expanse/internal/netsim", Func: "find"},
 	{PkgPath: "expanse/internal/netsim", Func: "search"},
 	{PkgPath: "expanse/internal/netsim", Func: "lookup"},

@@ -107,7 +107,9 @@ func laneTargets(in *Internet, rng *rand.Rand, days []int) []ip6.Addr {
 // and a day on either side of a pool rotation, ProbeLanes must answer
 // destination k on lane l exactly as Probe(dsts[k], l.Proto, day,
 // l.At[k]) — OK, hop limit, and the full SYN-ACK fingerprint including
-// the timestamp value — and ProbeBatch as its one-lane call. The target
+// the timestamp value, or OK alone on a lane whose columns record only
+// OK, alone or beside lanes that record full answers — and ProbeBatch as
+// its one-lane call. The target
 // mix must reach the owners whose answers vary most: holes, the SYN
 // proxy, the rate-limited region, a proxy-mix backend and QUIC-flaky
 // hosts.
@@ -161,13 +163,28 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 		"pair":     {{wire.TCP80, 1}, {wire.TCP80, 11}},
 		"repeated": {{wire.TCP80, 1}, {wire.ICMPv6, 0}, {wire.TCP80, 1}},
 	}
+	// Every lane set runs with all lanes recording only OK, all recording
+	// full answers, and mixed: an OK-only lane gets the decide half of an
+	// answer alone, so its bit must still be Probe's OK beside lanes that
+	// describe theirs.
+	// Recording levels change nothing about locate and its cursors, which
+	// the full level's batch splits already cover; the other two run two
+	// (chunk 0 is the whole order in one call).
+	levels := map[string]struct {
+		full   func(li int) bool
+		chunks []int
+	}{
+		"ok":    {func(int) bool { return false }, []int{0, 7}},
+		"full":  {func(int) bool { return true }, []int{0, 64, 7, 1}},
+		"mixed": {func(li int) bool { return li%2 == 1 }, []int{0, 7}},
+	}
 	var table wire.TCPTable
 	check := func(what string, i int, dst ip6.Addr, cols *wire.ResultColumns, want wire.Response) {
 		t.Helper()
 		if cols.OK.Get(i) != want.OK {
 			t.Fatalf("%s target %d (%v): OK=%v want %v", what, i, dst, cols.OK.Get(i), want.OK)
 		}
-		if !want.OK {
+		if !want.OK || cols.HopLimit == nil {
 			return
 		}
 		if cols.HopLimit[i] != want.HopLimit {
@@ -213,23 +230,36 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 				return a
 			}
 			for setName, set := range laneSets {
-				for _, chunk := range []int{len(order), 64, 7, 1} {
-					cols := make([]wire.ResultColumns, len(set))
-					lanes := make([]wire.Lane, len(set))
-					for li := range set {
-						cols[li].Reset(len(order), &table)
-					}
-					for lo := 0; lo < len(order); lo += chunk {
-						hi := min(lo+chunk, len(order))
-						for li, ls := range set {
-							lanes[li] = wire.Lane{Proto: ls.proto, At: lane(ls).at[lo:hi], Out: &cols[li]}
+				for levelName, level := range levels {
+					full := level.full
+					for _, chunk := range level.chunks {
+						if chunk == 0 {
+							chunk = len(order)
 						}
-						world.ProbeLanes(order[lo:hi], day, lanes, lo)
-					}
-					for li, ls := range set {
-						what := fmt.Sprintf("%s/%s day %d chunk %d lane %d", orderName, setName, day, chunk, li)
-						for i, dst := range order {
-							check(what, i, dst, &cols[li], lane(ls).want[i])
+						cols := make([]wire.ResultColumns, len(set))
+						lanes := make([]wire.Lane, len(set))
+						for li := range set {
+							if full(li) {
+								cols[li].Reset(len(order), &table)
+							} else {
+								cols[li].ResetOK(len(order))
+							}
+						}
+						for lo := 0; lo < len(order); lo += chunk {
+							hi := min(lo+chunk, len(order))
+							for li, ls := range set {
+								lanes[li] = wire.Lane{Proto: ls.proto, At: lane(ls).at[lo:hi], Out: &cols[li]}
+							}
+							world.ProbeLanes(order[lo:hi], day, lanes, lo)
+						}
+						for li, ls := range set {
+							what := fmt.Sprintf("%s/%s/%s day %d chunk %d lane %d", orderName, setName, levelName, day, chunk, li)
+							if !full(li) && cols[li].HopLimit != nil {
+								t.Fatalf("%s: an OK-only lane grew a hop-limit column", what)
+							}
+							for i, dst := range order {
+								check(what, i, dst, &cols[li], lane(ls).want[i])
+							}
 						}
 					}
 				}
@@ -333,13 +363,17 @@ func BenchmarkProbeBatchLegacy(b *testing.B) {
 
 // BenchmarkProbeLanes measures the responder kernel at the lane counts
 // production sends — one (ScanColumns, Murdock, the report tables), APD's
-// two, the sweep's five, all mask-only — over the three target orders it
-// meets: a sorted hitlist, a seeded shuffle of it (every cursor misses)
-// and apd.FanOutColumn's nested-prefix order. Batches are the scan
-// engine's 512 with fresh cursors each. ns/probe is per lane answered;
-// locates/op must equal the target count on every row — a destination is
-// located once however many lanes it has. The one-lane rows guard the
-// single-protocol callers.
+// two, the sweep's five — over the three target orders it meets: a
+// sorted hitlist, a seeded shuffle of it (every cursor misses) and
+// apd.FanOutColumn's nested-prefix order, each with lanes recording only
+// OK (every APD and sweep lane: the decide half of an answer) and with
+// full columns (the report family's hop-limit and fingerprint scans: both
+// halves). As in production, each lane follows its own send-time line, a
+// permutation of the targets' positions, so no two lanes share a send
+// time by construction. Batches are the scan engine's 512 with fresh
+// cursors each. ns/probe is per lane answered; locates/op must equal the
+// target count on every row — a destination is located once however
+// many lanes it has. The one-lane rows guard the single-protocol callers.
 func BenchmarkProbeLanes(b *testing.B) {
 	var hitlist []ip6.Addr
 	for _, h := range world.Hosts() {
@@ -364,37 +398,53 @@ func BenchmarkProbeLanes(b *testing.B) {
 		targets []ip6.Addr
 	}{{"sorted", hitlist}, {"shuffled", shuffled}, {"fanout", fanout}} {
 		for _, protos := range [][]wire.Proto{{wire.ICMPv6}, {wire.ICMPv6, wire.TCP80}, wire.Protos[:]} {
-			b.Run(fmt.Sprintf("%s/lanes=%d", order.name, len(protos)), func(b *testing.B) {
-				targets := order.targets
-				cols := make([]wire.ResultColumns, len(protos))
-				lanes := make([]wire.Lane, len(protos))
-				at := make([]wire.Time, batch)
-				for i := range at {
-					at[i] = wire.Time(i) * 10
+			targets := order.targets
+			// Lane li's send-time line: target i goes out at its position
+			// in the lane's own permutation, 10 µs apart.
+			ats := make([][]wire.Time, len(protos))
+			for li := range ats {
+				ats[li] = make([]wire.Time, len(targets))
+				for i, pos := range rand.New(rand.NewSource(int64(li) + 1)).Perm(len(targets)) {
+					ats[li][i] = wire.Time(pos) * 10
 				}
-				located := 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for li, p := range protos {
-						cols[li].ResetOK(len(targets))
-						lanes[li] = wire.Lane{Proto: p, Out: &cols[li]}
-					}
-					for lo := 0; lo < len(targets); lo += batch {
-						hi := min(lo+batch, len(targets))
-						for li := range lanes {
-							lanes[li].At = at[:hi-lo]
+			}
+			for _, full := range []bool{false, true} {
+				level := "ok"
+				if full {
+					level = "full"
+				}
+				b.Run(fmt.Sprintf("%s/lanes=%d/%s", order.name, len(protos), level), func(b *testing.B) {
+					var table wire.TCPTable
+					cols := make([]wire.ResultColumns, len(protos))
+					lanes := make([]wire.Lane, len(protos))
+					located := 0
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for li, p := range protos {
+							if full {
+								cols[li].Reset(len(targets), &table)
+							} else {
+								cols[li].ResetOK(len(targets))
+							}
+							lanes[li] = wire.Lane{Proto: p, Out: &cols[li]}
 						}
-						c := world.cursors()
-						world.probeLanes(&c, targets[lo:hi], 3, lanes, lo)
-						located += c.located
+						for lo := 0; lo < len(targets); lo += batch {
+							hi := min(lo+batch, len(targets))
+							for li := range lanes {
+								lanes[li].At = ats[li][lo:hi]
+							}
+							c := world.cursors()
+							world.probeLanes(&c, targets[lo:hi], 3, lanes, lo)
+							located += c.located
+						}
 					}
-				}
-				b.StopTimer()
-				probes := float64(b.N * len(targets) * len(protos))
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
-				b.ReportMetric(float64(located)/float64(b.N), "locates/op")
-				b.ReportMetric(float64(len(targets)), "targets/op")
-			})
+					b.StopTimer()
+					probes := float64(b.N * len(targets) * len(protos))
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/probes, "ns/probe")
+					b.ReportMetric(float64(located)/float64(b.N), "locates/op")
+					b.ReportMetric(float64(len(targets)), "targets/op")
+				})
+			}
 		}
 	}
 }

@@ -14,10 +14,16 @@ import (
 // hash2 combines a key and one value.
 func hash2(key, a uint64) uint64 { return hash64.Mix(key ^ hash64.Mix(a)) }
 
-// hash3 combines a key and two values.
-func hash3(key, a, b uint64) uint64 {
-	return hash64.Mix(hash2(key, a) ^ hash64.Mix(b+0x9e3779b97f4a7c15))
-}
+// hash3 combines a key and two values: the join of hash2(key, a) and
+// half(b), so a caller drawing many hash3 values over few (key, a) or few
+// b computes each half once.
+func hash3(key, a, b uint64) uint64 { return join(hash2(key, a), half(b)) }
+
+// half is hash3's half for its second value.
+func half(b uint64) uint64 { return hash64.Mix(b + 0x9e3779b97f4a7c15) }
+
+// join completes hash3 from its two halves.
+func join(ka, hb uint64) uint64 { return hash64.Mix(ka ^ hb) }
 
 // hashAddr folds an address into the keyed hash chain.
 func hashAddr(key uint64, a ip6.Addr) uint64 {

@@ -194,10 +194,14 @@ type network struct {
 	kind      bgp.Kind
 	key       uint64
 	pathLen   uint8
-	jitter    bool // TTL varies per probe (on-path effects)
-	loss      float64
-	isp       int32 // index into Internet.isps; -1 for non-subscriber nets
-	scheme    Scheme
+	// jitter, despite its name, turns the per-probe on-path hop jitter
+	// OFF: a flagged network's hosts and lines flip their iTTL per
+	// address instead (answerRaw's flipITTL); every unflagged network's
+	// answers carry the jitter.
+	jitter bool
+	loss   float64
+	isp    int32 // index into Internet.isps; -1 for non-subscriber nets
+	scheme Scheme
 }
 
 // Internet is the simulated world. After New returns it is sealed: the
@@ -356,14 +360,15 @@ func (in *Internet) GroundTruthAliased(addr ip6.Addr) bool {
 // internal/probe relies on this contract.
 //
 // Probe is a one-destination, one-lane call of the batch path: the same
-// locate and answer steps ProbeLanes runs, over fresh cursors, with the
-// answer materialized as a wire.Response instead of written into columns.
+// locate and full answer (both halves) ProbeLanes runs for a recording
+// lane, over fresh cursors, with the answer materialized as a
+// wire.Response instead of written into columns.
 func (in *Internet) Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time) wire.Response {
 	c := in.cursors()
 	var o owner
 	var raw rawResponse
 	in.locate(&c, dst, day, &o)
-	in.answer(&o, p, day, at, &raw)
+	in.answer(&o, p, day, at, lossHalf(day, p), &raw)
 	return in.materialize(&raw, day, at)
 }
 
@@ -403,50 +408,42 @@ func (in *Internet) materialize(raw *rawResponse, day int, at wire.Time) wire.Re
 	return resp
 }
 
-// probeAliasRaw answers a probe to an address region r owns (locate has
-// already sent the region's hole elsewhere) into raw, which arrives zero
-// and stays zero when the region is silent.
-func (in *Internet) probeAliasRaw(r *AliasRegion, o *owner, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
+// An answer has two halves. The decide half — decideAlias, decideHost,
+// decideLine — makes every drop decision and so fixes OK: the SYN proxy's
+// branch draw, what the owner serves, loss, rate limiting, death, the
+// QUIC flap, client hours, which line members answer what. The describe
+// half — describe, through answerRaw — builds the positive answer: hop
+// limit, the responding machine and the per-probe fingerprint deltas the
+// alias quirks apply. The describe half never refuses, so OK does not
+// depend on whether the answer was described; ProbeLanes runs it only for
+// lanes whose columns record it. lh, threaded through the decide half, is
+// lossHalf(day, p) (see owner.lossKey).
+
+// decideAlias reports whether region r answers a probe to o.dst (locate
+// has already sent the region's hole elsewhere).
+func (in *Internet) decideAlias(r *AliasRegion, o *owner, p wire.Proto, day int, lh uint64) bool {
 	if r.Quirks&QuirkSYNProxy != 0 {
 		// SYN proxy: TCP only, and only when today's connection-count
 		// threshold hash says the proxy is in "defence mode" for this
 		// branch. 3-5 of 16 branches respond, differing per day (§5.1).
 		if !p.IsTCP() {
-			return
+			return false
 		}
 		branch := o.dst.Nybble(r.Prefix.Bits() / 4) // first nybble below prefix
-		if !chance(hash3(r.Machine, uint64(day), uint64(branch)), 0.25) {
-			return
-		}
-		dstKey := o.key(in)
-		in.answerRaw(r.quirkedMachine(dstKey), dstKey, p, at, r.path, false, raw)
-		return
+		return chance(hash3(r.Machine, uint64(day), uint64(branch)), 0.25)
 	}
 	if !r.Serves.Has(p) {
-		return
+		return false
 	}
-	dstKey := o.key(in)
 	// Per-probe loss (plus rate limiting on specific branches per day).
-	if chance(hash3(in.key, dstKey, uint64(day)<<3|uint64(p)), r.Loss) {
-		return
+	if chance(join(o.loss(in), lh), r.Loss) {
+		return false
 	}
 	if r.Quirks&QuirkRateLimit != 0 {
 		branch := o.dst.Nybble(r.Prefix.Bits() / 4)
-		if chance(hash3(r.Machine^0xacce1, uint64(day)<<5|uint64(p), uint64(branch)), 0.18) {
-			return
-		}
+		return !chance(hash3(r.Machine^0xacce1, uint64(day)<<5|uint64(p), uint64(branch)), 0.18)
 	}
-	in.answerRaw(r.quirkedMachine(dstKey), dstKey, p, at, r.path, r.Quirks&QuirkTTLFlip != 0, raw)
-	if raw.tcp {
-		if r.Quirks&QuirkWSizeVary != 0 {
-			// Host-state-dependent receive window: varies per probe.
-			raw.wsizeAdd = uint16(hash3(r.Machine, dstKey, uint64(at)) % 5 * 1460)
-		}
-		if r.Quirks&QuirkMSSVary != 0 && dstKey%5 == 0 {
-			// Some addresses advertise path-specific MSS values.
-			raw.mssSub = 8
-		}
-	}
+	return true
 }
 
 // quirkedMachine returns the effective machine for a destination,
@@ -468,42 +465,37 @@ func (r *AliasRegion) pathLen(in *Internet) uint8 {
 	return uint8(3 + hash2(in.key^0x9a70, uint64(r.ASN))%9)
 }
 
-// probeHostRaw answers a probe to the finite host at sorted column
-// position o.id, with the loss and path parameters of o.net, the most
-// specific announcement covering it (-1 if unannounced). Indices instead
-// of pointers keep resolution on the flat columns. raw arrives zero and
-// stays zero when the host is silent.
-func (in *Internet) probeHostRaw(o *owner, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
+// decideHost reports whether the finite host at sorted column position
+// o.id answers, with the loss parameter of o.net, the most specific
+// announcement covering it (-1 if unannounced). Indices instead of
+// pointers keep resolution on the flat columns.
+func (in *Internet) decideHost(o *owner, p wire.Proto, day int, at wire.Time, lh uint64) bool {
 	hc, hi := &in.hc, o.id
 	if dd := hc.deathDay[hi]; dd >= 0 && day >= int(dd) {
-		return
+		return false
 	}
 	if !hc.serves[hi].Has(p) {
-		return
+		return false
 	}
 	dstKey := o.key(in)
 	meta, mk := hc.meta[hi], hc.machine[hi]
 	if meta&hostFlagQUIC != 0 && p == wire.UDP443 {
 		// Flapping QUIC deployment: up only on "test days" per address.
 		if !chance(hash3(mk^0x901c, uint64(day), dstKey), 0.75) {
-			return
+			return false
 		}
 	}
-	loss, path, jitter := 0.01, uint8(5), false
+	loss := 0.01
 	if o.net >= 0 {
-		nw := &in.nets[o.net]
-		loss, path, jitter = nw.loss, nw.pathLen, nw.jitter
+		loss = in.nets[o.net].loss
 	}
 	if class := HostClass(meta & hostClassMask); class == ClassClient || class == ClassBitnode {
 		// Clients: session windows; see §9.3. Deterministic per (host,day).
 		if !clientOnline(mk, day, at) {
-			return
+			return false
 		}
 	}
-	if chance(hash3(in.key^0x1055, dstKey, uint64(day)<<3|uint64(p)), loss) {
-		return
-	}
-	in.answerRaw(machineRef{hc.profile[hi], mk}, dstKey, p, at, path, jitter, raw)
+	return !chance(join(o.loss(in), lh), loss)
 }
 
 // clientOnline models a client's daily uptime window (mean ≈ 8h).
@@ -528,48 +520,78 @@ func clientOnline(key uint64, day int, at wire.Time) bool {
 	return t >= start || t < end-86_400_000_000
 }
 
-// probeLineRaw answers a probe to a subscriber-line device: member
+// decideLine reports whether a subscriber-line device answers: member
 // o.member of line o.line in the pool hanging off announcement o.id, as
-// locate's lineAt found it for the day (rotating CPE/clients). raw
-// arrives zero and stays zero when the device is silent.
-func (in *Internet) probeLineRaw(o *owner, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
+// locate's lineAt found it for the day (rotating CPE/clients).
+func (in *Internet) decideLine(o *owner, p wire.Proto, day int, at wire.Time, lh uint64) bool {
 	nw := &in.nets[o.id]
-	isp, line := &in.isps[nw.isp], o.line
 	switch o.member {
 	case lineCPE:
-		if p != wire.ICMPv6 {
-			return
-		}
-		dstKey := o.key(in)
-		if chance(hash3(in.key^0xc9e, dstKey, uint64(day)), nw.loss+0.02) {
-			return
-		}
-		in.answerRaw(deriveMachine(isp.cpeMachine(line)), dstKey, p, at, nw.pathLen, nw.jitter, raw)
+		return p == wire.ICMPv6 && !chance(join(o.loss(in), half(uint64(day))), nw.loss+0.02)
 	case lineNAS:
 		// Self-hosted servers behind CPE: web panel plus ICMP.
 		if p != wire.ICMPv6 && p != wire.TCP80 {
-			return
+			return false
 		}
-		mk := isp.cpeMachine(line) ^ 0x4a5
-		dstKey := o.key(in)
-		if chance(hash3(in.key^0x4a5a, dstKey, uint64(day)<<3|uint64(p)), nw.loss+0.03) {
-			return
-		}
-		in.answerRaw(deriveMachine(mk), dstKey, p, at, nw.pathLen+1, nw.jitter, raw)
+		return !chance(join(o.loss(in), lh), nw.loss+0.03)
 	case lineClient:
 		if p != wire.ICMPv6 {
-			return
+			return false
 		}
-		mk := isp.clientMachine(line)
+		mk := in.isps[nw.isp].clientMachine(o.line)
 		// Most residential clients filter inbound ICMPv6 ("outbound
 		// only", RFC 7084): only ~1 in 5 respond at all.
-		if !chance(hash2(mk, 0xf117e8), 0.22) {
+		return chance(hash2(mk, 0xf117e8), 0.22) && clientOnline(mk, day, at)
+	}
+	return false
+}
+
+// describe builds the positive answer o gives to a probe its decide half
+// let through: the machine, hop count and iTTL-flip flag of o's plane,
+// then, for aliased regions, the per-probe window and per-address MSS
+// deltas of the region's quirks.
+func (in *Internet) describe(o *owner, p wire.Proto, at wire.Time, raw *rawResponse) {
+	dstKey := o.key(in)
+	switch o.kind {
+	case ownerAlias:
+		r := &in.regions[o.id]
+		q := r.Quirks
+		if q&QuirkSYNProxy != 0 {
+			q = 0 // the proxy answers alone: none of the other quirks show
+		}
+		in.answerRaw(r.quirkedMachine(dstKey), dstKey, p, at, r.path, q&QuirkTTLFlip != 0, raw)
+		if !raw.tcp {
 			return
 		}
-		if !clientOnline(mk, day, at) {
-			return
+		if q&QuirkWSizeVary != 0 {
+			// Host-state-dependent receive window: varies per probe.
+			raw.wsizeAdd = uint16(hash3(r.Machine, dstKey, uint64(at)) % 5 * 1460)
 		}
-		in.answerRaw(deriveMachine(mk), o.key(in), p, at, nw.pathLen+1, nw.jitter, raw)
+		if q&QuirkMSSVary != 0 && dstKey%5 == 0 {
+			// Some addresses advertise path-specific MSS values.
+			raw.mssSub = 8
+		}
+	case ownerHost:
+		path, flip := uint8(5), false
+		if o.net >= 0 {
+			nw := &in.nets[o.net]
+			path, flip = nw.pathLen, nw.jitter
+		}
+		in.answerRaw(machineRef{in.hc.profile[o.id], in.hc.machine[o.id]}, dstKey, p, at, path, flip, raw)
+	case ownerLine:
+		nw := &in.nets[o.id]
+		isp := &in.isps[nw.isp]
+		var mk uint64
+		path := nw.pathLen + 1
+		switch o.member {
+		case lineCPE:
+			mk, path = isp.cpeMachine(o.line), nw.pathLen
+		case lineNAS:
+			mk = isp.cpeMachine(o.line) ^ 0x4a5
+		default:
+			mk = isp.clientMachine(o.line)
+		}
+		in.answerRaw(deriveMachine(mk), dstKey, p, at, path, nw.jitter, raw)
 	}
 }
 
@@ -577,10 +599,12 @@ func (in *Internet) probeLineRaw(o *owner, p wire.Proto, day int, at wire.Time, 
 // probes, the machine whose fingerprint the response carries. Timestamp
 // values and TCPInfo materialization are deferred to the emitters
 // (materialize for Probe, the column emitter in resolve.go for
-// ProbeLanes).
-func (in *Internet) answerRaw(m machineRef, dstKey uint64, p wire.Proto, at wire.Time, path uint8, ttlFlip bool, raw *rawResponse) {
+// ProbeLanes). flipITTL swaps the iTTL between 64 and 255 on every
+// odd-keyed destination — a per-address choice — and replaces the
+// per-probe hop jitter every unflagged owner's answers carry.
+func (in *Internet) answerRaw(m machineRef, dstKey uint64, p wire.Proto, at wire.Time, path uint8, flipITTL bool, raw *rawResponse) {
 	ittl := m.prof.iTTL()
-	if ttlFlip && dstKey&1 == 1 {
+	if flipITTL && dstKey&1 == 1 {
 		if ittl == 64 {
 			ittl = 255
 		} else {
@@ -588,9 +612,11 @@ func (in *Internet) answerRaw(m machineRef, dstKey uint64, p wire.Proto, at wire
 		}
 	}
 	hops := path
-	// On-path TTL jitter for a third of probes when flagged.
-	if jh := hash3(in.key^0x771, dstKey, uint64(at)); ttlFlip == false && jh%3 == 0 {
-		hops += uint8(jh >> 8 % 2)
+	// On-path TTL jitter for a third of probes, unless flipped above.
+	if !flipITTL {
+		if jh := hash3(in.key^0x771, dstKey, uint64(at)); jh%3 == 0 {
+			hops += uint8(jh >> 8 % 2)
+		}
 	}
 	hl := uint8(1)
 	if ittl > hops {

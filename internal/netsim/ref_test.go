@@ -45,20 +45,20 @@ func (rt *refTries) networkOf(addr ip6.Addr) int32 {
 }
 
 // probeRef is the retired trie-walking Probe body, verbatim but for
-// reading its tries from rt and handing each plane's answer function the
-// owner it found: one LPM walk per structure per probe.
+// reading its tries from rt and handing answer the owner it found: one
+// LPM walk per structure per probe.
 func (in *Internet) probeRef(rt *refTries, dst ip6.Addr, p wire.Proto, day int, at wire.Time) wire.Response {
 	var raw rawResponse
 	// 1. Aliased regions (including their special-behaviour quirks).
 	if _, ri, ok := rt.alias.Lookup(dst); ok {
 		if r := &in.regions[ri]; r.Hole.IsZero() || !r.Hole.Contains(dst) {
-			in.probeAliasRaw(r, &owner{dst: dst}, p, day, at, &raw)
+			in.answer(&owner{kind: ownerAlias, id: ri, dst: dst}, p, day, at, lossHalf(day, p), &raw)
 			return in.materialize(&raw, day, at)
 		}
 	}
 	// 2. Finite hosts: binary search on the sorted host columns.
 	if i, ok := in.hc.find(dst); ok {
-		in.probeHostRaw(&owner{id: i, net: rt.networkOf(dst), dst: dst}, p, day, at, &raw)
+		in.answer(&owner{kind: ownerHost, id: i, net: rt.networkOf(dst), dst: dst}, p, day, at, lossHalf(day, p), &raw)
 		return in.materialize(&raw, day, at)
 	}
 	// 3. Functional populations: rotating subscriber lines. Pools hang
@@ -71,22 +71,22 @@ func (in *Internet) probeRef(rt *refTries, dst ip6.Addr, p wire.Proto, day int, 
 	return wire.Response{}
 }
 
-// probeLineRef is the head of the retired probeLineRaw: the pool's lineAt
-// paid per probe, where locate now pays it once per destination and day.
+// probeLineRef is the head of the retired per-probe line answer: the
+// pool's lineAt paid per probe, where locate now pays it once per destination and day.
 func (in *Internet) probeLineRef(ni int32, dst ip6.Addr, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
 	if line, member, ok := in.isps[in.nets[ni].isp].lineAt(dst, day); ok {
-		in.probeLineRaw(&owner{member: member, id: ni, line: line, dst: dst}, p, day, at, raw)
+		in.answer(&owner{kind: ownerLine, member: member, id: ni, line: line, dst: dst}, p, day, at, lossHalf(day, p), raw)
 	}
 }
 
 // resolveRef is the retired one-protocol resolve, verbatim but for the
-// owner it hands each plane's answer function: every probe finds its
+// owner it hands answer: every probe finds its
 // destination's owner for itself, over the caller's run cursors, where
 // locate now finds it once for all of a destination's lanes.
 func (in *Internet) resolveRef(c *cursors, dst ip6.Addr, p wire.Proto, day int, at wire.Time) (raw rawResponse) {
 	if ri, ok := c.alias.Lookup(dst); ok {
 		if r := &in.regions[ri]; r.Hole.IsZero() || !r.Hole.Contains(dst) {
-			in.probeAliasRaw(r, &owner{dst: dst}, p, day, at, &raw)
+			in.answer(&owner{kind: ownerAlias, id: ri, dst: dst}, p, day, at, lossHalf(day, p), &raw)
 			return raw
 		}
 	}
@@ -95,7 +95,7 @@ func (in *Internet) resolveRef(c *cursors, dst ip6.Addr, p wire.Proto, day int, 
 		if !ok {
 			nwi = -1
 		}
-		in.probeHostRaw(&owner{id: hi, net: nwi, dst: dst}, p, day, at, &raw)
+		in.answer(&owner{kind: ownerHost, id: hi, net: nwi, dst: dst}, p, day, at, lossHalf(day, p), &raw)
 		return raw
 	}
 	if ni, ok := c.pools.Lookup(dst); ok && in.nets[ni].isp >= 0 {

@@ -101,6 +101,12 @@ type owner struct {
 	// silent owners (a dead host, a protocol nobody serves) never need
 	// and no destination needs twice.
 	dstKey uint64
+	// lossKey, keyed with dstKey, is the owner's half of its per-probe
+	// loss draw: hash3(salt, dstKey, b) with its plane's salt is
+	// join(lossKey, half(b)), and b's half is computed once per day and
+	// protocol (lossHalf) or, for a CPE, per day. Client lines draw no
+	// loss.
+	lossKey uint64
 }
 
 // key returns the destination's keyed hash, computing it on first use
@@ -115,8 +121,27 @@ func (o *owner) key(in *Internet) uint64 {
 // hashKey is key's first use.
 func (o *owner) hashKey(in *Internet) uint64 {
 	o.dstKey, o.keyed = hashAddr(in.key, o.dst), true
+	var salt uint64
+	switch {
+	case o.kind == ownerHost:
+		salt = 0x1055
+	case o.kind == ownerLine && o.member == lineCPE:
+		salt = 0xc9e
+	case o.kind == ownerLine && o.member == lineNAS:
+		salt = 0x4a5a
+	}
+	o.lossKey = hash2(in.key^salt, o.dstKey)
 	return o.dstKey
 }
+
+// loss returns the owner's half of its loss draw (see lossKey).
+func (o *owner) loss(in *Internet) uint64 {
+	o.key(in)
+	return o.lossKey
+}
+
+// lossHalf is the day-and-protocol half of the loss draws.
+func lossHalf(day int, p wire.Proto) uint64 { return half(uint64(day)<<3 | uint64(p)) }
 
 // locate finds dst's owner on the given day. The order is the world's
 // semantics — an aliased region first (unless dst sits in its hole), then
@@ -129,12 +154,14 @@ func (o *owner) hashKey(in *Internet) uint64 {
 // dst; the day enters only through the pool's rotation. c carries the
 // caller's cursors: ProbeLanes keeps them across a batch, Probe passes
 // fresh ones. The owner is filled in place for the reason a rawResponse
-// is (see there).
+// is (see there), and field by field: a whole-struct literal costs a wide
+// store per destination, while the fields a kind does not read may keep
+// the previous destination's values (keyed guards the hashes).
 func (in *Internet) locate(c *cursors, dst ip6.Addr, day int, o *owner) {
 	c.located++
 	if ri, ok := c.alias.Lookup(dst); ok {
 		if r := &in.regions[ri]; r.Hole.IsZero() || !r.Hole.Contains(dst) {
-			*o = owner{kind: ownerAlias, id: ri, dst: dst}
+			o.kind, o.id, o.dst, o.keyed = ownerAlias, ri, dst, false
 			return
 		}
 	}
@@ -143,30 +170,40 @@ func (in *Internet) locate(c *cursors, dst ip6.Addr, day int, o *owner) {
 		if !ok {
 			nwi = -1
 		}
-		*o = owner{kind: ownerHost, id: hi, net: nwi, dst: dst}
+		o.kind, o.id, o.net, o.dst, o.keyed = ownerHost, hi, nwi, dst, false
 		return
 	}
 	if ni, ok := c.pools.Lookup(dst); ok && in.nets[ni].isp >= 0 {
 		if line, member, ok := in.isps[in.nets[ni].isp].lineAt(dst, day); ok {
-			*o = owner{kind: ownerLine, member: member, id: ni, line: line, dst: dst}
+			o.kind, o.member, o.id, o.line, o.dst, o.keyed = ownerLine, member, ni, line, dst, false
 			return
 		}
 	}
-	*o = owner{}
+	o.kind = ownerNone
 }
 
-// answer lets o answer one probe into raw: the per-protocol,
-// per-send-time half of a resolution. A silent owner leaves raw zero.
-func (in *Internet) answer(o *owner, p wire.Proto, day int, at wire.Time, raw *rawResponse) {
-	*raw = rawResponse{}
+// answer lets o answer one probe in full into raw — the per-protocol,
+// per-send-time half of a resolution: the decide half fixes raw.ok, and
+// only a positive answer is described (see netsim.go). raw's other
+// fields are meaningful only when raw.ok is set.
+func (in *Internet) answer(o *owner, p wire.Proto, day int, at wire.Time, lh uint64, raw *rawResponse) {
+	if raw.ok = in.decide(o, p, day, at, lh); raw.ok {
+		in.describe(o, p, at, raw)
+	}
+}
+
+// decide reports whether o answers one probe: the decide half alone, all
+// a lane that records only OK needs. lh is lossHalf(day, p).
+func (in *Internet) decide(o *owner, p wire.Proto, day int, at wire.Time, lh uint64) bool {
 	switch o.kind {
 	case ownerAlias:
-		in.probeAliasRaw(&in.regions[o.id], o, p, day, at, raw)
+		return in.decideAlias(&in.regions[o.id], o, p, day, lh)
 	case ownerHost:
-		in.probeHostRaw(o, p, day, at, raw)
+		return in.decideHost(o, p, day, at, lh)
 	case ownerLine:
-		in.probeLineRaw(o, p, day, at, raw)
+		return in.decideLine(o, p, day, at, lh)
 	}
+	return false
 }
 
 // compileAlias flattens the alias regions into their longest-match
@@ -227,8 +264,23 @@ func (in *Internet) ProbeLanes(dsts []ip6.Addr, day int, lanes []wire.Lane, base
 	in.probeLanes(&c, dsts, day, lanes, base)
 }
 
-// probeLanes is ProbeLanes over the caller's cursors.
+// probeLanes is ProbeLanes over the caller's cursors. A lane whose
+// columns record only OK (wire.ResultColumns.ResetOK) gets the decide
+// half of each answer alone; the others get full answers.
 func (in *Internet) probeLanes(c *cursors, dsts []ip6.Addr, day int, lanes []wire.Lane, base int) {
+	// full has bit l%64 set if lane l records a hop limit or a
+	// fingerprint. Lanes past the 64th share a bit, which can only make
+	// an OK-only lane describe answers it then drops.
+	var full uint64
+	for li := range lanes {
+		if out := lanes[li].Out; out.HopLimit != nil || out.TCPRef != nil {
+			full |= 1 << (li & 63)
+		}
+	}
+	var lh [wire.NumProtos]uint64
+	for p := range lh {
+		lh[p] = lossHalf(day, wire.Proto(p))
+	}
 	var o owner
 	var raw rawResponse
 	for k, dst := range dsts {
@@ -239,7 +291,13 @@ func (in *Internet) probeLanes(c *cursors, dsts []ip6.Addr, day int, lanes []wir
 		for li := range lanes {
 			l := &lanes[li]
 			at := l.At[k]
-			in.answer(&o, l.Proto, day, at, &raw)
+			if full>>(li&63)&1 == 0 {
+				if in.decide(&o, l.Proto, day, at, lh[l.Proto]) {
+					l.Out.OK.Set(base + k)
+				}
+				continue
+			}
+			in.answer(&o, l.Proto, day, at, lh[l.Proto], &raw)
 			in.emit(l.Out, base+k, &raw, day, at)
 		}
 	}
