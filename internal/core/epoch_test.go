@@ -1,49 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-// epochDigest flattens everything observable about a published epoch into
-// a string, so byte-comparing digests pins the orchestrator's output — not
-// just "same verdict counts" but the same hitlist pin, the same split, the
-// same sweep masks — against the serial loop.
-func epochDigest(e *Epoch) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "index=%d day=%d hitlist=%d cands=%d", e.Index, e.Day, e.Hitlist.Len(), len(e.Candidates))
-	aliased := 0
-	for _, v := range e.Verdicts.Aliased {
-		if v {
-			aliased++
-		}
-	}
-	fmt.Fprintf(&b, " verdicts=%d aliased=%d prefixes=%d", len(e.Verdicts.Prefixes), aliased, len(e.Filter.AliasedPrefixes()))
-	var probedBits, mergedBits int
-	for _, m := range e.Probed {
-		probedBits += m.Count()
-	}
-	for _, m := range e.Merged {
-		mergedBits += m.Count()
-	}
-	fmt.Fprintf(&b, " probed=%d/%d merged=%d/%d window=%d", len(e.Probed), probedBits, len(e.Merged), mergedBits, len(e.Window))
-	clean, al, bits := e.Split()
-	fmt.Fprintf(&b, " clean=%d aliasedAddrs=%d bits=%d", len(clean), len(al), len(bits))
-	if len(clean) > 0 {
-		fmt.Fprintf(&b, " first=%v last=%v", clean[0], clean[len(clean)-1])
-	}
-	if e.Scan != nil {
-		var maskBits int
-		for _, m := range e.Scan.Masks {
-			maskBits += m.Count()
-		}
-		fmt.Fprintf(&b, " scan=%d/%d", len(e.Scan.Masks), maskBits)
-	}
-	return b.String()
-}
 
 // runDays collects the epochs of an n-day orchestrated run in day order.
 func runDays(p *Pipeline, start, n int) []*Epoch {
@@ -65,7 +27,7 @@ func runEpochs(t *testing.T, workers, overlap, days int) []string {
 	eps := runDays(p, p.World.Horizon(), days)
 	out := make([]string, len(eps))
 	for i, e := range eps {
-		out[i] = epochDigest(e)
+		out[i] = e.Digest()
 	}
 	return out
 }
@@ -120,13 +82,13 @@ func TestRunDaysFuncStreams(t *testing.T) {
 		if e.Index != len(got) {
 			t.Errorf("callback order: got epoch %d at position %d", e.Index, len(got))
 		}
-		got = append(got, epochDigest(e))
+		got = append(got, e.Digest())
 	})
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d epochs, want %d", len(got), len(want))
 	}
 	for i, w := range want {
-		if d := epochDigest(w); got[i] != d {
+		if d := w.Digest(); got[i] != d {
 			t.Errorf("epoch %d: streamed digest differs:\nslice:  %s\nstream: %s", i, d, got[i])
 		}
 	}

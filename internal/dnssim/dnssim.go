@@ -8,10 +8,11 @@ package dnssim
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
+	"expanse/internal/bgp"
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
@@ -32,95 +33,123 @@ const (
 // Has reports whether channel c is in the mask.
 func (v Vis) Has(c Vis) bool { return v&c != 0 }
 
-// Domain is one name with its resolution target.
-type Domain struct {
-	Name string
-	Vis  Vis
-	// Static is the fixed AAAA target (zero when Line is used).
-	Static ip6.Addr
-	// line, when non-nil, resolves dynamically per day.
-	line *netsim.LineHost
+// class is a domain's kind of name: which template spells it and which
+// row of visProb draws its channels.
+type class uint8
+
+const (
+	farm  class = iota // a hosted server's name
+	alias              // a CDN customer's name in an aliased region
+	stale              // a record left pointing at a dead address
+	nas                // a dyndns name following a subscriber line
+)
+
+// names are the classes' name templates: a name is parts[0], a decimal
+// ID, parts[1], the decimal ASN, parts[2] — "host7.as64500.example.".
+var names = [...][3]string{
+	farm:  {"host", ".as", ".example."},
+	alias: {"cust", ".cdn", ".example."},
+	stale: {"old", ".as", ".example."},
+	nas:   {"nas-", ".as", ".dyn-example."},
 }
 
-// Resolve returns the domain's AAAA record on the given day.
-func (d *Domain) Resolve(day int) ip6.Addr {
-	if d.line != nil {
-		return d.line.Addr(day)
-	}
-	return d.Static
+// visProb is each class's chance of being visible to each channel, in
+// Vis bit order; channel b draws from byte b of the name's key.
+var visProb = [...][5]float64{
+	farm:  {0.55, 0.50, 0.25, 0.04, 0.015}, // hosted servers: zone files + CT dominate
+	alias: {0.40, 0.75, 0.10, 0.01, 0.02},  // CDN customers: CT-heavy (certificates per customer)
+	stale: {0.50, 0.35, 0.30, 0.03, 0.01},
+	nas:   {0.10, 0.06, 0.80, 0.02, 0}, // dyndns self-hosting: FDNS ANY lookups see them
 }
 
-// Dynamic reports whether the domain re-resolves over time.
-func (d *Domain) Dynamic() bool { return d.line != nil }
-
-// Server is the simulated DNS view of a world.
-type Server struct {
-	domains []Domain
-	rtree   *RTree
-}
-
-func visFor(name string, class string) Vis {
-	h := hash64.String(name)
-	p := func(bit uint, prob float64) Vis {
-		if float64(h>>(bit*8)&0xff)/256 < prob {
-			return 1 << bit
+func visFor(key uint64, c class) Vis {
+	var v Vis
+	for bit, prob := range visProb[c] {
+		if float64(key>>(bit*8)&0xff)/256 < prob {
+			v |= 1 << bit
 		}
-		return 0
 	}
-	switch class {
-	case "farm": // hosted servers: zone files + CT dominate
-		return p(0, 0.55) | p(1, 0.50) | p(2, 0.25) | p(3, 0.04) | p(4, 0.015)
-	case "alias": // CDN customer names: CT-heavy (certificates per customer)
-		return p(0, 0.40) | p(1, 0.75) | p(2, 0.10) | p(3, 0.01) | p(4, 0.02)
-	case "nas": // dyndns self-hosting: FDNS ANY lookups see them
-		return p(0, 0.10) | p(1, 0.06) | p(2, 0.80) | p(3, 0.02)
-	case "stale":
-		return p(0, 0.50) | p(1, 0.35) | p(2, 0.30) | p(3, 0.03) | p(4, 0.01)
-	}
-	return 0
+	return v
+}
+
+// nameKey is the FNV-1a hash of class c's name for the given ID and ASN,
+// folded part by part: the digits go through a stack buffer and the name
+// itself is never built.
+func nameKey(c class, id uint64, asn bgp.ASN) uint64 {
+	var buf [20]byte
+	t := &names[c]
+	h := hash64.String(t[0])
+	h = hash64.Continue(h, strconv.AppendUint(buf[:0], id, 10))
+	h = hash64.Continue(h, t[1])
+	h = hash64.Continue(h, strconv.AppendUint(buf[:0], uint64(asn), 10))
+	return hash64.Continue(h, t[2])
+}
+
+// Server is the simulated DNS view of a world. Its domains are rows of
+// parallel columns, addressed by index; a name is kept only as its key,
+// the FNV-1a hash of its text, which is all the visibility and
+// collection-epoch draws read.
+type Server struct {
+	key    []uint64
+	vis    []Vis
+	static []ip6.Addr // fixed AAAA target; zero for line-hosted names
+	line   []int32    // index into lines, or -1 for a static name
+	lines  []netsim.LineHost
+	rtree  *RTree
 }
 
 // New builds the DNS view of a world: every domain-carrying host, alias
 // record, stale record, and line-hosted NAS gets a name; the reverse zone
 // covers the world's rDNS population.
 func New(world *netsim.Internet) *Server {
-	s := &Server{}
-
+	s := &Server{lines: world.LineHosts()}
 	for _, h := range world.Hosts() {
-		if h.Domain == 0 {
-			continue
+		if h.Domain != 0 {
+			s.add(farm, uint64(h.Domain), h.ASN, h.Addr, -1)
 		}
-		name := fmt.Sprintf("host%d.as%d.example.", h.Domain, h.ASN)
-		s.domains = append(s.domains, Domain{
-			Name: name, Vis: visFor(name, "farm"), Static: h.Addr,
-		})
 	}
 	for _, r := range world.AliasRecords() {
-		name := fmt.Sprintf("cust%d.cdn%d.example.", r.Domain, r.ASN)
-		s.domains = append(s.domains, Domain{
-			Name: name, Vis: visFor(name, "alias"), Static: r.Addr,
-		})
+		s.add(alias, uint64(r.Domain), r.ASN, r.Addr, -1)
 	}
 	for _, r := range world.StaleRecords() {
-		name := fmt.Sprintf("old%d.as%d.example.", r.Domain, r.ASN)
-		s.domains = append(s.domains, Domain{
-			Name: name, Vis: visFor(name, "stale"), Static: r.Addr,
-		})
+		s.add(stale, uint64(r.Domain), r.ASN, r.Addr, -1)
 	}
-	lines := world.LineHosts()
-	for i := range lines {
-		lh := lines[i]
-		name := fmt.Sprintf("nas-%d.as%d.dyn-example.", lh.Line, lh.ASN)
-		s.domains = append(s.domains, Domain{
-			Name: name, Vis: visFor(name, "nas"), line: &lines[i],
-		})
+	for i, lh := range s.lines {
+		s.add(nas, lh.Line, lh.ASN, ip6.Addr{}, int32(i))
 	}
 	s.rtree = NewRTree(world.RDNSAddrs())
 	return s
 }
 
-// Domains returns all domains (shared slice; callers must not modify).
-func (s *Server) Domains() []Domain { return s.domains }
+// add appends one domain row.
+func (s *Server) add(c class, id uint64, asn bgp.ASN, static ip6.Addr, line int32) {
+	k := nameKey(c, id, asn)
+	s.key = append(s.key, k)
+	s.vis = append(s.vis, visFor(k, c))
+	s.static = append(s.static, static)
+	s.line = append(s.line, line)
+}
+
+// Len returns the number of domains; they are indexed 0..Len()-1.
+func (s *Server) Len() int { return len(s.key) }
+
+// Key returns domain i's key: the FNV-1a hash of its name, a running
+// state that hash64.Continue extends.
+func (s *Server) Key(i int) uint64 { return s.key[i] }
+
+// Vis returns the channels domain i is visible to.
+func (s *Server) Vis(i int) Vis { return s.vis[i] }
+
+// Resolve returns domain i's AAAA record on the given day.
+func (s *Server) Resolve(i, day int) ip6.Addr {
+	if l := s.line[i]; l >= 0 {
+		return s.lines[l].Addr(day)
+	}
+	return s.static[i]
+}
+
+// Dynamic reports whether domain i re-resolves over time.
+func (s *Server) Dynamic(i int) bool { return s.line[i] >= 0 }
 
 // Reverse returns the ip6.arpa zone.
 func (s *Server) Reverse() *RTree { return s.rtree }

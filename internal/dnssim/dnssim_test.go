@@ -1,10 +1,14 @@
 package dnssim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"expanse/internal/bgp"
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
 )
@@ -22,21 +26,29 @@ func testWorld() *netsim.Internet {
 var world = testWorld()
 var server = New(world)
 
+// TestDomainsBuilt holds every domain's key to its name as New formatted
+// it before the zone became key columns, and checks every class of name
+// is present.
 func TestDomainsBuilt(t *testing.T) {
-	doms := server.Domains()
-	if len(doms) == 0 {
-		t.Fatal("no domains")
+	names := refNames(world)
+	if server.Len() != len(names) {
+		t.Fatalf("%d domains, %d names rendered", server.Len(), len(names))
+	}
+	for i, name := range names {
+		if got, want := server.Key(i), hash64.String(name); got != want {
+			t.Fatalf("domain %d: key %#x, hash of %q is %#x", i, got, name, want)
+		}
 	}
 	classes := map[string]int{}
-	for _, d := range doms {
+	for _, name := range names {
 		switch {
-		case strings.HasPrefix(d.Name, "host"):
+		case strings.HasPrefix(name, "host"):
 			classes["farm"]++
-		case strings.HasPrefix(d.Name, "cust"):
+		case strings.HasPrefix(name, "cust"):
 			classes["alias"]++
-		case strings.HasPrefix(d.Name, "old"):
+		case strings.HasPrefix(name, "old"):
 			classes["stale"]++
-		case strings.HasPrefix(d.Name, "nas-"):
+		case strings.HasPrefix(name, "nas-"):
 			classes["nas"]++
 		}
 	}
@@ -47,16 +59,51 @@ func TestDomainsBuilt(t *testing.T) {
 	}
 }
 
+// TestDomainsPinned digests every domain's key, channels, static target
+// and resolution on three days; the constant was recorded when domains
+// were formatted name strings, with the key as the hash of the name.
+func TestDomainsPinned(t *testing.T) {
+	const want = "845f18a6561283b6a2615ff097f7052531bc7653b0f3b98e5469c706126b75f5"
+	h := sha256.New()
+	var buf [8]byte
+	w64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	wAddr := func(a ip6.Addr) { w64(a.Hi()); w64(a.Lo()) }
+	w64(uint64(server.Len()))
+	for i := 0; i < server.Len(); i++ {
+		w64(server.Key(i))
+		w64(uint64(server.Vis(i)))
+		wAddr(server.static[i])
+		for _, day := range []int{0, 30, 45} {
+			wAddr(server.Resolve(i, day))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("domain digest %s, want %s", got, want)
+	}
+}
+
+// TestNameKeyAllocatesNothing pins the key builder's stack buffer: New
+// folds hundreds of thousands of names without one allocation each.
+func TestNameKeyAllocatesNothing(t *testing.T) {
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() { sink ^= nameKey(nas, 1<<63, 4294967295) }); n != 0 {
+		t.Errorf("nameKey allocates %v times per name", n)
+	}
+}
+
 func TestStaticResolution(t *testing.T) {
-	for _, d := range server.Domains() {
-		if d.Dynamic() {
+	for i := 0; i < server.Len(); i++ {
+		if server.Dynamic(i) {
 			continue
 		}
-		if d.Resolve(0) != d.Resolve(30) {
-			t.Fatalf("static domain %s changed resolution", d.Name)
+		if server.Resolve(i, 0) != server.Resolve(i, 30) {
+			t.Fatalf("static domain %d changed resolution", i)
 		}
-		if d.Resolve(0).IsZero() {
-			t.Fatalf("static domain %s resolves to ::", d.Name)
+		if server.Resolve(i, 0).IsZero() {
+			t.Fatalf("static domain %d resolves to ::", i)
 		}
 		return
 	}
@@ -65,11 +112,8 @@ func TestStaticResolution(t *testing.T) {
 
 func TestDynamicResolutionFollowsRotation(t *testing.T) {
 	changed := false
-	for _, d := range server.Domains() {
-		if !d.Dynamic() {
-			continue
-		}
-		if d.Resolve(0) != d.Resolve(45) {
+	for i := 0; i < server.Len(); i++ {
+		if server.Dynamic(i) && server.Resolve(i, 0) != server.Resolve(i, 45) {
 			changed = true
 			break
 		}
@@ -80,25 +124,26 @@ func TestDynamicResolutionFollowsRotation(t *testing.T) {
 }
 
 func TestVisibilityChannels(t *testing.T) {
+	all := []Vis{VisZoneFile, VisCT, VisFDNS, VisAXFR, VisBlacklist}
 	counts := map[Vis]int{}
-	for _, d := range server.Domains() {
-		for _, v := range []Vis{VisZoneFile, VisCT, VisFDNS, VisAXFR, VisBlacklist} {
-			if d.Vis.Has(v) {
+	for i := 0; i < server.Len(); i++ {
+		for _, v := range all {
+			if server.Vis(i).Has(v) {
 				counts[v]++
 			}
 		}
 	}
-	for _, v := range []Vis{VisZoneFile, VisCT, VisFDNS, VisAXFR, VisBlacklist} {
+	for _, v := range all {
 		if counts[v] == 0 {
 			t.Errorf("no domains visible to channel %b", v)
 		}
 	}
 	// NAS (dyndns) domains should be FDNS-dominated.
 	nasFDNS, nasTotal := 0, 0
-	for _, d := range server.Domains() {
-		if strings.HasPrefix(d.Name, "nas-") {
+	for i, name := range refNames(world) {
+		if strings.HasPrefix(name, "nas-") {
 			nasTotal++
-			if d.Vis.Has(VisFDNS) {
+			if server.Vis(i).Has(VisFDNS) {
 				nasFDNS++
 			}
 		}
@@ -167,7 +212,8 @@ func TestRTreeWorldPopulation(t *testing.T) {
 }
 
 func TestVisDeterministic(t *testing.T) {
-	if visFor("host1.as5.example.", "farm") != visFor("host1.as5.example.", "farm") {
+	k := hash64.String("host1.as5.example.")
+	if visFor(k, farm) != visFor(k, farm) {
 		t.Error("visibility not deterministic")
 	}
 }

@@ -1,6 +1,33 @@
 package dnssim
 
-import "expanse/internal/ip6"
+import (
+	"fmt"
+
+	"expanse/internal/ip6"
+	"expanse/internal/netsim"
+)
+
+// refNames renders every domain's name as New formatted it before the
+// zone became key columns, in row order: the hosts that carry a domain,
+// then alias records, stale records and domain-hosting lines.
+func refNames(world *netsim.Internet) []string {
+	var out []string
+	for _, h := range world.Hosts() {
+		if h.Domain != 0 {
+			out = append(out, fmt.Sprintf("host%d.as%d.example.", h.Domain, h.ASN))
+		}
+	}
+	for _, r := range world.AliasRecords() {
+		out = append(out, fmt.Sprintf("cust%d.cdn%d.example.", r.Domain, r.ASN))
+	}
+	for _, r := range world.StaleRecords() {
+		out = append(out, fmt.Sprintf("old%d.as%d.example.", r.Domain, r.ASN))
+	}
+	for _, lh := range world.LineHosts() {
+		out = append(out, fmt.Sprintf("nas-%d.as%d.dyn-example.", lh.Line, lh.ASN))
+	}
+	return out
+}
 
 // refTrie is the retired pointer-trie reverse zone, kept as the oracle
 // the sorted column is held to (FuzzRTreeQuery, TestWalkMatchesTrie): a

@@ -15,24 +15,22 @@ func Mix(x uint64) uint64 {
 	return x
 }
 
+// offset64 is FNV-1a's initial state: the hash of the empty string.
+const offset64 = 14695981039346656037
+
 // String is 64-bit FNV-1a over the bytes of s.
-func String(s string) uint64 { return fnv1a(14695981039346656037, s) }
+func String(s string) uint64 { return Continue(offset64, s) }
 
-// Strings is String over the concatenation of parts, without building
-// the concatenated string.
-func Strings(parts ...string) uint64 {
-	h := uint64(14695981039346656037)
+// Continue folds the bytes of parts into h, a running FNV-1a state such
+// as String returns: Continue(String(a), b) is String(a+b). A hash can
+// thus be built piece by piece, digits from a stack buffer included,
+// without the string it hashes ever existing.
+func Continue[S ~string | ~[]byte](h uint64, parts ...S) uint64 {
 	for _, s := range parts {
-		h = fnv1a(h, s)
-	}
-	return h
-}
-
-// fnv1a folds the bytes of s into the running FNV-1a state h.
-func fnv1a(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
 	}
 	return h
 }

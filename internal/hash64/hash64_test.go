@@ -31,13 +31,29 @@ func TestStringIsFNV1a(t *testing.T) {
 	}
 }
 
-// TestStringsIsStringOfConcatenation pins Strings equal to String of the
-// joined parts: the per-name collection epochs hash name, separator and
-// source without concatenating them.
-func TestStringsIsStringOfConcatenation(t *testing.T) {
-	for _, parts := range [][]string{nil, {""}, {"", ""}, {"a"}, {"www.example.com", "|", "CT"}, {"x.example.", "|", ""}, {"", "|", "FDNS"}} {
-		if got, want := Strings(parts...), String(strings.Join(parts, "")); got != want {
-			t.Errorf("Strings(%q) = %#x, String of the concatenation = %#x", parts, got, want)
+// TestContinueIsStringOfConcatenation pins Continue as a resumed String
+// over any number of parts, empty ones included: the per-name keys are
+// folded part by part, and the collection epochs continue a name's key
+// with a separator and a source.
+func TestContinueIsStringOfConcatenation(t *testing.T) {
+	for _, c := range []struct {
+		a     string
+		parts []string
+	}{
+		{"", nil}, {"", []string{""}}, {"a", []string{""}}, {"", []string{"", "b"}},
+		{"host", []string{"17", ".as", "64500", ".example."}},
+		{"www.example.com", []string{"|", "CT"}}, {"x.example.", []string{"|", ""}}, {"", []string{"|", "FDNS"}},
+	} {
+		want := String(c.a + strings.Join(c.parts, ""))
+		if got := Continue(String(c.a), c.parts...); got != want {
+			t.Errorf("Continue(String(%q), %q) = %#x, String of the concatenation = %#x", c.a, c.parts, got, want)
+		}
+		bs := make([][]byte, len(c.parts))
+		for i, p := range c.parts {
+			bs[i] = []byte(p)
+		}
+		if got := Continue(String(c.a), bs...); got != want {
+			t.Errorf("Continue(String(%q), %q as bytes) = %#x, String of the concatenation = %#x", c.a, c.parts, got, want)
 		}
 	}
 }

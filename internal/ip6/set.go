@@ -29,17 +29,6 @@ func (s *Set) Add(a Addr) bool {
 	return true
 }
 
-// AddAll inserts every address of other, returning how many were new.
-func (s *Set) AddAll(other *Set) int {
-	n := 0
-	for a := range other.m {
-		if s.Add(a) {
-			n++
-		}
-	}
-	return n
-}
-
 // AddSlice inserts every address in addrs, returning how many were new.
 func (s *Set) AddSlice(addrs []Addr) int {
 	n := 0
@@ -57,15 +46,6 @@ func (s *Set) Contains(a Addr) bool {
 	return ok
 }
 
-// Remove deletes a from the set, reporting whether it was present.
-func (s *Set) Remove(a Addr) bool {
-	if _, ok := s.m[a]; !ok {
-		return false
-	}
-	delete(s.m, a)
-	return true
-}
-
 // Len returns the number of addresses.
 func (s *Set) Len() int { return len(s.m) }
 
@@ -78,50 +58,4 @@ func (s *Set) Sorted() []Addr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
-}
-
-// Each calls fn for every address in unspecified order, stopping early if
-// fn returns false.
-func (s *Set) Each(fn func(Addr) bool) {
-	for a := range s.m {
-		if !fn(a) {
-			return
-		}
-	}
-}
-
-// Clone returns a deep copy of the set.
-func (s *Set) Clone() *Set {
-	c := NewSet(len(s.m))
-	for a := range s.m {
-		c.m[a] = struct{}{}
-	}
-	return c
-}
-
-// Diff returns the addresses in s that are not in other, in sorted order.
-func (s *Set) Diff(other *Set) []Addr {
-	var out []Addr
-	for a := range s.m {
-		if !other.Contains(a) {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// Intersect returns the number of addresses present in both sets.
-func (s *Set) Intersect(other *Set) int {
-	small, big := s, other
-	if big.Len() < small.Len() {
-		small, big = big, small
-	}
-	n := 0
-	for a := range small.m {
-		if big.Contains(a) {
-			n++
-		}
-	}
-	return n
 }

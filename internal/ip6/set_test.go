@@ -17,9 +17,6 @@ func TestSetBasics(t *testing.T) {
 	if !s.Contains(a) || s.Len() != 1 {
 		t.Error("Contains/Len wrong")
 	}
-	if !s.Remove(a) || s.Remove(a) || s.Len() != 0 {
-		t.Error("Remove semantics wrong")
-	}
 }
 
 func TestSetSorted(t *testing.T) {
@@ -32,48 +29,5 @@ func TestSetSorted(t *testing.T) {
 	}
 	if len(got) != s.Len() {
 		t.Errorf("Sorted() length %d != Len %d", len(got), s.Len())
-	}
-}
-
-func TestSetAlgebra(t *testing.T) {
-	a, b := NewSet(0), NewSet(0)
-	addrs := randAddrs(100, 4)
-	a.AddSlice(addrs[:60])
-	b.AddSlice(addrs[40:])
-	if n := a.Intersect(b); n != 20 {
-		t.Errorf("Intersect = %d, want 20", n)
-	}
-	if n := b.Intersect(a); n != 20 {
-		t.Errorf("Intersect not symmetric: %d", n)
-	}
-	if d := a.Diff(b); len(d) != 40 {
-		t.Errorf("Diff = %d, want 40", len(d))
-	}
-	c := a.Clone()
-	if c.Len() != a.Len() || c.Intersect(a) != a.Len() {
-		t.Error("Clone not equal")
-	}
-	c.Add(MustParseAddr("::9999"))
-	if a.Contains(MustParseAddr("::9999")) {
-		t.Error("Clone not deep")
-	}
-	n := a.AddAll(b)
-	if n != 40 || a.Len() != 100 {
-		t.Errorf("AddAll added %d, total %d", n, a.Len())
-	}
-}
-
-func TestSetEach(t *testing.T) {
-	s := NewSet(0)
-	s.AddSlice(randAddrs(50, 5))
-	n := 0
-	s.Each(func(Addr) bool { n++; return true })
-	if n != 50 {
-		t.Errorf("Each visited %d", n)
-	}
-	n = 0
-	s.Each(func(Addr) bool { n++; return n < 10 })
-	if n != 10 {
-		t.Errorf("Each early stop visited %d", n)
 	}
 }

@@ -289,19 +289,16 @@ func (in *Internet) Horizon() int { return in.cfg.Epochs * in.cfg.EpochDays }
 // Hosts returns all finite hosts of the given classes (all if none given).
 // The slice is freshly allocated; order is deterministic.
 func (in *Internet) Hosts(classes ...HostClass) []Host {
-	var want func(HostClass) bool
-	if len(classes) == 0 {
-		want = func(HostClass) bool { return true }
-	} else {
-		m := map[HostClass]bool{}
+	want := ^uint64(0) // bit c set: class c is wanted
+	if len(classes) > 0 {
+		want = 0
 		for _, c := range classes {
-			m[c] = true
+			want |= 1 << c
 		}
-		want = func(c HostClass) bool { return m[c] }
 	}
 	var out []Host
 	for _, pos := range in.hc.byRank {
-		if want(in.hc.classAt(pos)) {
+		if want&(1<<in.hc.classAt(pos)) != 0 {
 			out = append(out, in.hc.hostAt(pos))
 		}
 	}

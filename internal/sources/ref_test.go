@@ -1,14 +1,16 @@
 package sources
 
 import (
+	"encoding"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"sort"
 	"testing"
 
 	"expanse/internal/bgp"
 	"expanse/internal/dnssim"
-	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
 )
@@ -18,18 +20,32 @@ import (
 // and scamper walks the whole hitlist, resolves a full TraceroutePath
 // per traced target and dedups hops in a map.
 
-func firstEpochRef(key, salt string, epochs int) int {
+// firstEpochRef is the concatenating epoch draw: the standard library's
+// FNV-1a, resumed at the name's key (the state after the name's bytes),
+// fed "|"+salt as one string.
+func firstEpochRef(key uint64, salt string, epochs int) int {
 	if epochs <= 1 {
 		return 0
 	}
-	return int(hash64.String(key+"|"+salt) % uint64(epochs))
+	h := fnv.New64a()
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err == nil {
+		binary.BigEndian.PutUint64(state[len(state)-8:], key)
+		err = h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state)
+	}
+	if err != nil {
+		panic(err)
+	}
+	h.Write([]byte("|" + salt))
+	return int(h.Sum64() % uint64(epochs))
 }
 
 type refDNSSource struct {
-	name    string
-	domains []dnssim.Domain
-	epochs  []int
-	perDay  int
+	name   string
+	dns    *dnssim.Server
+	idx    []int
+	epochs []int
+	perDay int
 }
 
 func (s *refDNSSource) Name() string { return s.name }
@@ -37,21 +53,20 @@ func (s *refDNSSource) Name() string { return s.name }
 func (s *refDNSSource) Collect(day int, _ *ip6.ShardSet) []ip6.Addr {
 	epoch := day / s.perDay
 	var out []ip6.Addr
-	for i := range s.domains {
-		if s.epochs[i] > epoch {
-			continue
+	for j, i := range s.idx {
+		if s.epochs[j] <= epoch {
+			out = append(out, s.dns.Resolve(i, day))
 		}
-		out = append(out, s.domains[i].Resolve(day))
 	}
 	return out
 }
 
-func newRefDNSSource(name string, dns *dnssim.Server, cfg netsim.Config, keep func(*dnssim.Domain) bool) Source {
-	s := &refDNSSource{name: name, perDay: cfg.EpochDays}
-	for _, d := range dns.Domains() {
-		if keep(&d) {
-			s.domains = append(s.domains, d)
-			s.epochs = append(s.epochs, firstEpochRef(d.Name, name, cfg.Epochs))
+func newRefDNSSource(name string, dns *dnssim.Server, cfg netsim.Config, sees func(dnssim.Vis) bool) Source {
+	s := &refDNSSource{name: name, dns: dns, perDay: cfg.EpochDays}
+	for i := 0; i < dns.Len(); i++ {
+		if sees(dns.Vis(i)) {
+			s.idx = append(s.idx, i)
+			s.epochs = append(s.epochs, firstEpochRef(dns.Key(i), name, cfg.Epochs))
 		}
 	}
 	return s
@@ -130,14 +145,14 @@ func refSources(world *netsim.Internet, dns *dnssim.Server) []Source {
 		}
 	}
 	return []Source{
-		newRefDNSSource(DL, dns, cfg, func(d *dnssim.Domain) bool {
-			return d.Vis.Has(dnssim.VisZoneFile) || d.Vis.Has(dnssim.VisBlacklist)
+		newRefDNSSource(DL, dns, cfg, func(v dnssim.Vis) bool {
+			return v.Has(dnssim.VisZoneFile) || v.Has(dnssim.VisBlacklist)
 		}),
-		newRefDNSSource(FDNS, dns, cfg, func(d *dnssim.Domain) bool { return d.Vis.Has(dnssim.VisFDNS) }),
-		newRefDNSSource(CT, dns, cfg, func(d *dnssim.Domain) bool {
-			return d.Vis.Has(dnssim.VisCT) && !d.Vis.Has(dnssim.VisZoneFile)
+		newRefDNSSource(FDNS, dns, cfg, func(v dnssim.Vis) bool { return v.Has(dnssim.VisFDNS) }),
+		newRefDNSSource(CT, dns, cfg, func(v dnssim.Vis) bool {
+			return v.Has(dnssim.VisCT) && !v.Has(dnssim.VisZoneFile)
 		}),
-		newRefDNSSource(AXFR, dns, cfg, func(d *dnssim.Domain) bool { return d.Vis.Has(dnssim.VisAXFR) }),
+		newRefDNSSource(AXFR, dns, cfg, func(v dnssim.Vis) bool { return v.Has(dnssim.VisAXFR) }),
 		&refBitnodesSource{hosts: world.Hosts(netsim.ClassBitnode), epochs: cfg.Epochs, perDay: cfg.EpochDays},
 		&refAtlasSource{hosts: atlas, epochs: cfg.Epochs, perDay: cfg.EpochDays},
 		&refScamperSource{world: world},
@@ -288,13 +303,14 @@ func TestDeltaSourcesMatchFullReemission(t *testing.T) {
 	}
 }
 
-// TestFirstEpochMatchesConcatenation pins the allocation-free name hash
-// against the concatenating one it replaced.
+// TestFirstEpochMatchesConcatenation pins the allocation-free draw, which
+// continues a name's key, against the standard library hashing the
+// concatenation from the same state.
 func TestFirstEpochMatchesConcatenation(t *testing.T) {
-	for _, d := range dns.Domains()[:min(2000, len(dns.Domains()))] {
+	for i := range min(2000, dns.Len()) {
 		for _, salt := range Names[:4] {
-			if got, want := firstEpoch(d.Name, salt, 10), firstEpochRef(d.Name, salt, 10); got != want {
-				t.Fatalf("firstEpoch(%q, %q) = %d, concatenation says %d", d.Name, salt, got, want)
+			if got, want := firstEpoch(dns.Key(i), salt, 10), firstEpochRef(dns.Key(i), salt, 10); got != want {
+				t.Fatalf("firstEpoch(domain %d, %q) = %d, concatenation says %d", i, salt, got, want)
 			}
 		}
 	}

@@ -55,12 +55,13 @@ type Source interface {
 
 // firstEpoch deterministically assigns the collection epoch at which a
 // name becomes visible to a source — this produces the cumulative runup
-// of Figure 1a.
-func firstEpoch(key string, salt string, epochs int) int {
+// of Figure 1a. key is the name's FNV-1a hash (dnssim.Server.Key); the
+// draw hashes name, "|" and salt by continuing it.
+func firstEpoch(key uint64, salt string, epochs int) int {
 	if epochs <= 1 {
 		return 0
 	}
-	return int(hash64.Strings(key, "|", salt) % uint64(epochs))
+	return int(hash64.Continue(key, "|", salt) % uint64(epochs))
 }
 
 // addrEpoch is firstEpoch for address-keyed sources. It draws from
@@ -94,40 +95,28 @@ func (r *reported) window(day int) (from, to int16) {
 	return from, to
 }
 
-// dnsSource is a generic forward-DNS-based collector. Per visible name
-// it keeps the first epoch and the fixed AAAA target as columns; only
-// the dynamic names, which re-resolve on every call, keep a pointer to
-// their zone entry.
+// dnsSource is a generic forward-DNS-based collector. It keeps the
+// indices of the names it sees and their first epochs; targets, static
+// and dynamic, are read from the server on every call.
 type dnsSource struct {
 	name   string
-	addrs  []ip6.Addr // static target per name; unused for dynamic names
-	epochs []int16    // firstEpoch per name
-	dyn    []dynName  // the dynamic names, ascending by column index
+	dns    *dnssim.Server
+	idx    []int32 // the visible names, ascending
+	epochs []int16 // firstEpoch per visible name
 	reported
-}
-
-type dynName struct {
-	i int32 // index in the dnsSource columns
-	d *dnssim.Domain
 }
 
 func (s *dnsSource) Name() string { return s.name }
 
+// Collect returns the names first visible in the reported window, and
+// every visible dynamic name, which may have moved since.
 func (s *dnsSource) Collect(day int, _ *ip6.ShardSet) []ip6.Addr {
 	from, to := s.window(day)
 	var out []ip6.Addr
-	k := 0 // next dynamic name
-	for i, e := range s.epochs {
-		var d *dnssim.Domain
-		if k < len(s.dyn) && s.dyn[k].i == int32(i) {
-			d, k = s.dyn[k].d, k+1
-		}
-		switch {
-		case e > to:
-		case d != nil:
-			out = append(out, d.Resolve(day))
-		case e >= from:
-			out = append(out, s.addrs[i])
+	for j, e := range s.epochs {
+		i := int(s.idx[j])
+		if e <= to && (e >= from || s.dns.Dynamic(i)) {
+			out = append(out, s.dns.Resolve(i, day))
 		}
 	}
 	return out
@@ -135,46 +124,36 @@ func (s *dnsSource) Collect(day int, _ *ip6.ShardSet) []ip6.Addr {
 
 // NewDL builds the domain-lists source: zone files, toplists, blacklists.
 func NewDL(dns *dnssim.Server, cfg netsim.Config) Source {
-	return newDNSSource(DL, dns, cfg, func(d *dnssim.Domain) bool {
-		return d.Vis.Has(dnssim.VisZoneFile) || d.Vis.Has(dnssim.VisBlacklist)
+	return newDNSSource(DL, dns, cfg, func(v dnssim.Vis) bool {
+		return v.Has(dnssim.VisZoneFile) || v.Has(dnssim.VisBlacklist)
 	})
 }
 
 // NewFDNS builds the Rapid7 forward-DNS ANY source.
 func NewFDNS(dns *dnssim.Server, cfg netsim.Config) Source {
-	return newDNSSource(FDNS, dns, cfg, func(d *dnssim.Domain) bool {
-		return d.Vis.Has(dnssim.VisFDNS)
-	})
+	return newDNSSource(FDNS, dns, cfg, func(v dnssim.Vis) bool { return v.Has(dnssim.VisFDNS) })
 }
 
 // NewCT builds the Certificate Transparency source. Per the paper, names
 // already covered by the domain lists are excluded.
 func NewCT(dns *dnssim.Server, cfg netsim.Config) Source {
-	return newDNSSource(CT, dns, cfg, func(d *dnssim.Domain) bool {
-		return d.Vis.Has(dnssim.VisCT) && !d.Vis.Has(dnssim.VisZoneFile)
+	return newDNSSource(CT, dns, cfg, func(v dnssim.Vis) bool {
+		return v.Has(dnssim.VisCT) && !v.Has(dnssim.VisZoneFile)
 	})
 }
 
 // NewAXFR builds the zone-transfer source (TLDR-style).
 func NewAXFR(dns *dnssim.Server, cfg netsim.Config) Source {
-	return newDNSSource(AXFR, dns, cfg, func(d *dnssim.Domain) bool {
-		return d.Vis.Has(dnssim.VisAXFR)
-	})
+	return newDNSSource(AXFR, dns, cfg, func(v dnssim.Vis) bool { return v.Has(dnssim.VisAXFR) })
 }
 
-func newDNSSource(name string, dns *dnssim.Server, cfg netsim.Config, keep func(*dnssim.Domain) bool) Source {
-	s := &dnsSource{name: name, reported: reported{perDay: cfg.EpochDays}}
-	domains := dns.Domains()
-	for i := range domains {
-		d := &domains[i]
-		if !keep(d) {
-			continue
+func newDNSSource(name string, dns *dnssim.Server, cfg netsim.Config, sees func(dnssim.Vis) bool) Source {
+	s := &dnsSource{name: name, dns: dns, reported: reported{perDay: cfg.EpochDays}}
+	for i := 0; i < dns.Len(); i++ {
+		if sees(dns.Vis(i)) {
+			s.idx = append(s.idx, int32(i))
+			s.epochs = append(s.epochs, int16(firstEpoch(dns.Key(i), name, cfg.Epochs)))
 		}
-		if d.Dynamic() {
-			s.dyn = append(s.dyn, dynName{i: int32(len(s.epochs)), d: d})
-		}
-		s.addrs = append(s.addrs, d.Static)
-		s.epochs = append(s.epochs, int16(firstEpoch(d.Name, name, cfg.Epochs)))
 	}
 	return s
 }

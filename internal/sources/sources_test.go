@@ -6,6 +6,7 @@ import (
 
 	"expanse/internal/bgp"
 	"expanse/internal/dnssim"
+	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
 )
@@ -453,12 +454,12 @@ func BenchmarkCollectWorld(b *testing.B) {
 }
 
 func TestFirstEpochDeterministic(t *testing.T) {
-	if firstEpoch("x.example.", DL, 10) != firstEpoch("x.example.", DL, 10) {
+	if k := hash64.String("x.example."); firstEpoch(k, DL, 10) != firstEpoch(k, DL, 10) {
 		t.Error("firstEpoch not deterministic")
 	}
 	spread := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		spread[firstEpoch(string(rune('a'+i%26))+string(rune('0'+i/26))+".example.", DL, 10)] = true
+		spread[firstEpoch(hash64.String(string(rune('a'+i%26))+string(rune('0'+i/26))+".example."), DL, 10)] = true
 	}
 	if len(spread) < 8 {
 		t.Errorf("firstEpoch only hits %d epochs of 10", len(spread))
