@@ -92,7 +92,7 @@ func main() {
 
 	if *murdock {
 		md := apd.NewMurdockDetector(p.World)
-		cands := md.Candidates(p.Hitlist().SortedSeq())
+		cands := md.Candidates(p.Hitlist().Sorted())
 		aliased := apd.NewFilter(md.Detect(cands, day)).AliasedPrefixes()
 		fmt.Printf("\nMurdock /96 baseline: %d candidates, %d aliased, %d probes\n",
 			len(cands), len(aliased), md.ProbesSent)

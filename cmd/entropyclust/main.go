@@ -35,8 +35,8 @@ func main() {
 	p.Collect()
 	// The grouping stage consumes the store's cached sorted view directly;
 	// nothing is flattened or map-bucketed per grouping.
-	sorted := p.Hitlist().SortedSeq()
-	fmt.Printf("hitlist: %d addresses\n", sorted.Len())
+	sorted := p.Hitlist().Sorted()
+	fmt.Printf("hitlist: %d addresses\n", len(sorted))
 
 	threshold := *min
 	if threshold <= 0 {

@@ -163,7 +163,7 @@ func (d *Detector) ProbeDayFlat(targets []ip6.Addr, day int) []BranchMask {
 	for pi := range d.cols {
 		d.cols[pi].ResetOK(len(targets))
 	}
-	d.scanner.ScanProtos(ip6.Addrs(targets), d.protocols, day, d.cols)
+	d.scanner.ScanProtos(targets, d.protocols, day, d.cols)
 	d.ProbesSent += len(d.protocols) * len(targets)
 
 	// Sharded fold: each worker extracts its candidates' 16-bit branch

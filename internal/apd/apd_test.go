@@ -340,7 +340,7 @@ func TestMurdockBaseline(t *testing.T) {
 	addrs = append(addrs, smallAddrs...)
 	md := NewMurdockDetector(world)
 	sortAddrs(addrs)
-	cands := md.Candidates(ip6.Addrs(addrs))
+	cands := md.Candidates(addrs)
 	f := NewFilter(md.Detect(cands, 1))
 	bigDetected, smallDetected := 0, 0
 	for _, a := range addrs {
@@ -421,7 +421,7 @@ func TestMurdockMatchesPerProbe(t *testing.T) {
 	}
 	md := NewMurdockDetector(w)
 	sortAddrs(addrs)
-	cands := md.Candidates(ip6.Addrs(addrs))
+	cands := md.Candidates(addrs)
 	day := w.Horizon()
 	got := md.Detect(cands, day)
 	want, wantSent := murdockPerProbe(w, cands, day)

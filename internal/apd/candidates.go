@@ -19,30 +19,29 @@ type Candidate struct {
 // /124 in 4-bit steps and returns those with more than minTargets
 // addresses — except /64s, which are all kept ("so as to allow full
 // analysis of all known /64 prefixes"). It consumes the ShardSet's cached
-// sorted view: candidates are derived by CandidatesFromSorted's
+// sorted view: candidates are derived by candidatesFromSorted's
 // run-boundary scan, so no per-level prefix maps or address copies are
 // ever materialized.
 func HitlistCandidates(set *ip6.ShardSet, minTargets int) []Candidate {
-	return CandidatesFromSorted(set.SortedSeq(), minTargets)
+	return candidatesFromSorted(set.Sorted(), minTargets)
 }
 
-// CandidatesFromSorted derives the multi-level candidate set from an
-// ascending address sequence. In sorted order every fixed-length prefix
+// candidatesFromSorted derives the multi-level candidate set from an
+// ascending address slice. In sorted order every fixed-length prefix
 // group is one contiguous run, so each depth level is a run-boundary scan
 // (ip6.PrefixRuns, galloping run ends) refining only above-threshold runs
-// through zero-copy ip6.SeqSlice views (the map-bucketing reference it
-// is pinned against lives in legacy_ref_test.go). Per-depth runs arrive
-// in ascending address order and depths are emitted shallow-to-deep, so
-// the result is already in ComparePrefix order (length, then address)
-// without a sort.
-func CandidatesFromSorted(sorted ip6.AddrSeq, minTargets int) []Candidate {
+// through subslices (the map-bucketing reference it is pinned against
+// lives in legacy_ref_test.go). Per-depth runs arrive in ascending
+// address order and depths are emitted shallow-to-deep, so the result is
+// already in ComparePrefix order (length, then address) without a sort.
+func candidatesFromSorted(sorted []ip6.Addr, minTargets int) []Candidate {
 	if minTargets <= 0 {
 		minTargets = DefaultMinTargets
 	}
 	const levels = (124-64)/4 + 1
 	var perDepth [levels][]Candidate
-	var refine func(view ip6.AddrSeq, depth int)
-	refine = func(view ip6.AddrSeq, depth int) {
+	var refine func(view []ip6.Addr, depth int)
+	refine = func(view []ip6.Addr, depth int) {
 		li := (depth - 64) / 4
 		ip6.PrefixRuns(view, depth, func(p ip6.Prefix, lo, hi int) bool {
 			n := hi - lo
@@ -51,7 +50,7 @@ func CandidatesFromSorted(sorted ip6.AddrSeq, minTargets int) []Candidate {
 			}
 			perDepth[li] = append(perDepth[li], Candidate{Prefix: p, Targets: n})
 			if n > minTargets && depth < 124 {
-				refine(ip6.SeqSlice(view, lo, hi), depth+4)
+				refine(view[lo:hi], depth+4)
 			}
 			return true
 		})

@@ -23,7 +23,7 @@ func BenchmarkHitlistCandidates(b *testing.B) {
 	sortAddrs(sorted)
 	b.Run("runscan-cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			CandidatesFromSorted(ip6.Addrs(sorted), 100)
+			candidatesFromSorted(sorted, 100)
 		}
 	})
 	b.Run("runscan-with-sort", func(b *testing.B) {
@@ -58,12 +58,12 @@ func BenchmarkFilterSplit(b *testing.B) {
 	sortAddrs(sorted)
 	b.Run("interval-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f.SplitSorted(ip6.Addrs(sorted), runtime.GOMAXPROCS(0))
+			f.SplitSorted(sorted, runtime.GOMAXPROCS(0))
 		}
 	})
 	b.Run("interval-merge-serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f.SplitSorted(ip6.Addrs(sorted), 1)
+			f.SplitSorted(sorted, 1)
 		}
 	})
 	b.Run("legacy-trie", func(b *testing.B) {

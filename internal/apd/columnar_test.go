@@ -138,14 +138,14 @@ func TestFilterMatchesTrieReference(t *testing.T) {
 			wantBits[i] = ref.IsAliased(a)
 		}
 		for _, workers := range []int{1, 4, 16} {
-			bits := f.Classify(ip6.Addrs(sorted), workers)
+			bits := f.Classify(sorted, workers)
 			for i := range bits {
 				if bits[i] != wantBits[i] {
 					t.Fatalf("trial %d workers %d: Classify[%d] (%v) = %v, trie %v",
 						trial, workers, i, sorted[i], bits[i], wantBits[i])
 				}
 			}
-			clean, aliased, _ := f.SplitSorted(ip6.Addrs(sorted), workers)
+			clean, aliased, _ := f.SplitSorted(sorted, workers)
 			cr, ar := ref.Split(sorted)
 			if !addrsEqual(clean, cr) || !addrsEqual(aliased, ar) {
 				t.Fatalf("trial %d workers %d: SplitSorted differs from trie split", trial, workers)

@@ -62,37 +62,35 @@ func (f *Filter) AliasedPrefixes() []ip6.Prefix {
 func (f *Filter) Intervals() []ip6.Interval[bool] { return f.tab }
 
 // Classify returns the per-address aliased flag for an ASCENDING address
-// sequence (the ShardSet's cached sorted view) by linearly merging the
-// sequence against the interval table. The work is chunked across
+// slice (the ShardSet's cached sorted view) by linearly merging the
+// slice against the interval table. The work is chunked across
 // workers; each chunk binary-searches its first interval once and then
 // advances both cursors monotonically, so the merge costs O(n + table)
 // total and the output is identical for every worker count.
-func (f *Filter) Classify(sorted ip6.AddrSeq, workers int) []bool {
-	n := sorted.Len()
-	out := make([]bool, n)
+func (f *Filter) Classify(sorted []ip6.Addr, workers int) []bool {
+	out := make([]bool, len(sorted))
 	tab := f.tab
-	par.Ranges(n, workers, chunkFloor, 1, func(_, lo, hi int) {
-		first := sorted.At(lo)
+	par.Ranges(len(sorted), workers, chunkFloor, 1, func(_, lo, hi int) {
+		first := sorted[lo]
 		ti := sort.Search(len(tab), func(k int) bool { return first.Compare(tab[k].Hi) <= 0 })
-		for i := lo; i < hi; i++ {
-			a := sorted.At(i)
+		for i, a := range sorted[lo:hi] {
 			for ti < len(tab) && tab[ti].Hi.Less(a) {
 				ti++
 			}
 			if ti < len(tab) && !a.Less(tab[ti].Lo) {
-				out[i] = tab[ti].Val
+				out[lo+i] = tab[ti].Val
 			}
 		}
 	})
 	return out
 }
 
-// SplitSorted partitions an ascending address sequence into non-aliased
+// SplitSorted partitions an ascending address slice into non-aliased
 // and aliased slices via Classify, preserving order, and also returns
 // the raw classification aligned with the input (bits[i]: address i is
 // aliased) for consumers that need per-address flags alongside the
 // partition.
-func (f *Filter) SplitSorted(sorted ip6.AddrSeq, workers int) (clean, aliased []ip6.Addr, bits []bool) {
+func (f *Filter) SplitSorted(sorted []ip6.Addr, workers int) (clean, aliased []ip6.Addr, bits []bool) {
 	bits = f.Classify(sorted, workers)
 	nAliased := 0
 	for _, b := range bits {
@@ -104,9 +102,9 @@ func (f *Filter) SplitSorted(sorted ip6.AddrSeq, workers int) (clean, aliased []
 	aliased = make([]ip6.Addr, 0, nAliased)
 	for i, b := range bits {
 		if b {
-			aliased = append(aliased, sorted.At(i))
+			aliased = append(aliased, sorted[i])
 		} else {
-			clean = append(clean, sorted.At(i))
+			clean = append(clean, sorted[i])
 		}
 	}
 	return clean, aliased, bits

@@ -28,7 +28,7 @@ func NewMurdockDetector(r wire.Responder) *MurdockDetector {
 
 // Candidates maps an ascending hitlist (the ShardSet's sorted view) to
 // its static /96 prefixes, ascending: one run-boundary scan.
-func (d *MurdockDetector) Candidates(sorted ip6.AddrSeq) []ip6.Prefix {
+func (d *MurdockDetector) Candidates(sorted []ip6.Addr) []ip6.Prefix {
 	var out []ip6.Prefix
 	ip6.PrefixRuns(sorted, 96, func(p ip6.Prefix, _, _ int) bool {
 		out = append(out, p)
@@ -66,7 +66,7 @@ func (d *MurdockDetector) Detect(prefixes []ip6.Prefix, day int) Verdicts {
 	answered := wire.NewBitset(len(targets))
 	for attempt := 0; attempt < 3; attempt++ {
 		cols.ResetOK(len(targets))
-		d.scanner.ScanColumns(ip6.Addrs(targets), wire.TCP80, day, &cols)
+		d.scanner.ScanColumns(targets, wire.TCP80, day, &cols)
 		d.ProbesSent += len(targets)
 		for w, word := range cols.OK {
 			answered[w] |= word

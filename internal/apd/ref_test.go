@@ -121,7 +121,7 @@ func HitlistCandidatesAddrs(addrs []ip6.Addr, minTargets int) []Candidate {
 	sorted := make([]ip6.Addr, len(addrs))
 	copy(sorted, addrs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	return CandidatesFromSorted(ip6.Addrs(sorted), minTargets)
+	return candidatesFromSorted(sorted, minTargets)
 }
 
 // Add appends one day's observation from a per-prefix mask map. An

@@ -21,20 +21,20 @@ import (
 // cursor step on sorted input is a few compares.
 const resolveMinChunk = 1024
 
-// Resolve maps every address of seq to the ID of the most specific
+// Resolve maps every address of addrs to the ID of the most specific
 // announcement covering it (its index in Announcements()), or -1 if it is
-// unrouted. Chunks of seq resolve in parallel on up to workers
+// unrouted. Chunks of addrs resolve in parallel on up to workers
 // goroutines, each walking its own interval cursor: an address-sorted
-// sequence costs one binary search per run of addresses sharing an
+// slice costs one binary search per run of addresses sharing an
 // announcement, an unsorted one degrades to one search per address. The
 // column is identical for every worker count and input order.
-func (t *Table) Resolve(seq ip6.AddrSeq, workers int) []int32 {
+func (t *Table) Resolve(addrs []ip6.Addr, workers int) []int32 {
 	ivals := t.compiled().ivals
-	ids := make([]int32, seq.Len())
+	ids := make([]int32, len(addrs))
 	par.Ranges(len(ids), workers, resolveMinChunk, 1, func(_, lo, hi int) {
 		cur := ip6.NewIntervalCursor(ivals)
 		for i := lo; i < hi; i++ {
-			id, ok := cur.Lookup(seq.At(i))
+			id, ok := cur.Lookup(addrs[i])
 			if !ok {
 				id = -1
 			}
@@ -53,13 +53,13 @@ type Tally struct {
 	Counts []int
 }
 
-// Tally resolves the sequences (see Resolve) and counts their routed
-// addresses per announcement.
-func (t *Table) Tally(workers int, seqs ...ip6.AddrSeq) *Tally {
+// Tally resolves the address slices (see Resolve) and counts their
+// routed addresses per announcement.
+func (t *Table) Tally(workers int, addrs ...[]ip6.Addr) *Tally {
 	c := t.compiled()
 	ta := &Tally{c: c, Counts: make([]int, len(c.anns))}
-	for _, seq := range seqs {
-		for _, id := range t.Resolve(seq, workers) {
+	for _, a := range addrs {
+		for _, id := range t.Resolve(a, workers) {
 			if id >= 0 {
 				ta.Counts[id]++
 			}
@@ -193,7 +193,7 @@ type ASGroup struct {
 func (t *Table) SplitByAS(addrs []ip6.Addr, workers int) []ASGroup {
 	origins := t.Origins()
 	var out []ASGroup
-	for k, idx := range t.Buckets(t.Resolve(ip6.Addrs(addrs), workers), true) {
+	for k, idx := range t.Buckets(t.Resolve(addrs, workers), true) {
 		if len(idx) == 0 {
 			continue
 		}

@@ -139,10 +139,10 @@ func TestEmptyTable(t *testing.T) {
 	if tb.NumPrefixes() != 0 || len(tb.Announcements()) != 0 || len(tb.Intervals()) != 0 || len(tb.Origins()) != 0 {
 		t.Error("empty table has entries")
 	}
-	if ids := tb.Resolve(ip6.Addrs{a, a}, 4); len(ids) != 2 || ids[0] != -1 || ids[1] != -1 {
+	if ids := tb.Resolve([]ip6.Addr{a, a}, 4); len(ids) != 2 || ids[0] != -1 || ids[1] != -1 {
 		t.Errorf("Resolve on empty table = %v", ids)
 	}
-	ta := tb.Tally(4, ip6.Addrs{a})
+	ta := tb.Tally(4, []ip6.Addr{a})
 	if ta.Prefixes() != 0 || ta.ASes() != 0 || len(ta.TopAS(3)) != 0 || ta.Concentration(true).Total() != 0 {
 		t.Error("empty table tallies something")
 	}
@@ -217,7 +217,7 @@ func TestAttributionKernelMatchesMaps(t *testing.T) {
 			}
 			var ids1 []int32
 			for _, workers := range []int{1, 4, 16} {
-				ids := s.table.Resolve(ip6.Addrs(addrs), workers)
+				ids := s.table.Resolve(addrs, workers)
 				if workers == 1 {
 					ids1 = ids
 					for i, a := range addrs {
@@ -230,7 +230,7 @@ func TestAttributionKernelMatchesMaps(t *testing.T) {
 					t.Fatalf("trial %d: Resolve differs between 1 and %d workers", trial, workers)
 				}
 
-				ta := s.table.Tally(workers, ip6.Addrs(addrs[:len(addrs)/3]), ip6.Addrs(addrs[len(addrs)/3:]))
+				ta := s.table.Tally(workers, addrs[:len(addrs)/3], addrs[len(addrs)/3:])
 				if ta.Prefixes() != len(ref.pfx) || ta.ASes() != len(ref.as) {
 					t.Fatalf("trial %d: tally covers %d prefixes / %d ASes, maps say %d / %d",
 						trial, ta.Prefixes(), ta.ASes(), len(ref.pfx), len(ref.as))

@@ -22,7 +22,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal("empty hitlist")
 	}
 	all := p.Hitlist().Sorted()
-	clean, aliased, _ := p.Latest().Filter.SplitSorted(ip6.Addrs(all), p.Cfg.Workers)
+	clean, aliased, _ := p.Latest().Filter.SplitSorted(all, p.Cfg.Workers)
 	share := float64(len(aliased)) / float64(len(all))
 	if share < 0.15 || share > 0.75 {
 		t.Errorf("aliased share = %.2f, want ~half", share)

@@ -74,7 +74,7 @@ type hitlistSplit struct {
 // between callers: read-only.
 func (e *Epoch) Split() (clean, aliased []ip6.Addr, bits []bool) {
 	sp := e.split.get(func() (sp hitlistSplit) {
-		sp.clean, sp.aliased, sp.bits = e.Filter.SplitSorted(e.Hitlist.Seq(), e.workers)
+		sp.clean, sp.aliased, sp.bits = e.Filter.SplitSorted(e.Hitlist.Sorted(), e.workers)
 		return sp
 	})
 	return sp.clean, sp.aliased, sp.bits
@@ -281,7 +281,7 @@ func (b *EpochBuilder) Seal(d *EpochDraft) *Epoch {
 		e.Scan = &Scan{
 			Day:   d.day,
 			Addrs: clean,
-			Masks: b.scanner.SweepSeqInto(ip6.Addrs(clean), d.day, nil),
+			Masks: b.scanner.SweepSeqInto(clean, d.day, nil),
 		}
 	}
 	return e

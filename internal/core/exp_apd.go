@@ -60,7 +60,7 @@ func (l *Lab) Sec53() *Report {
 	r.addf("after removing aliased:  %d (%.1f%% remain)", len(clean), 100*float64(len(clean))/float64(len(all)))
 	r.addf("aliased addresses:       %d (%.1f%%)", len(aliased), 100*float64(len(aliased))/float64(len(all)))
 
-	allT, cleanT := l.tally(ip6.Addrs(all)), l.tally(ip6.Addrs(clean))
+	allT, cleanT := l.tally(all), l.tally(clean)
 	asAll, pfxAll := allT.ASes(), allT.Prefixes()
 	asClean, pfxClean := cleanT.ASes(), cleanT.Prefixes()
 	r.addf("AS coverage: %d -> %d (lost %d)", asAll, asClean, asAll-asClean)
@@ -68,7 +68,7 @@ func (l *Lab) Sec53() *Report {
 
 	// Where do aliased addresses live? (The paper: mostly Amazon /48s.)
 	top := ""
-	for _, e := range l.tally(ip6.Addrs(aliased)).TopAS(3) {
+	for _, e := range l.tally(aliased).TopAS(3) {
 		top += fmt.Sprintf(" %s=%.1f%%", l.P.World.Table.AS(e.ASN).Name,
 			100*float64(e.Count)/float64(max(len(aliased), 1)))
 	}
@@ -98,7 +98,7 @@ func (l *Lab) Sec53() *Report {
 func (l *Lab) Fig4() *Report {
 	clean, aliased, _ := l.windowEpoch().Split()
 	r := &Report{ID: "Fig 4", Title: "Prefix and AS distribution: aliased vs non-aliased vs all"}
-	allT, aliasedT, cleanT := l.tally(l.store().All().SortedSeq()), l.tally(ip6.Addrs(aliased)), l.tally(ip6.Addrs(clean))
+	allT, aliasedT, cleanT := l.tally(l.store().All().Sorted()), l.tally(aliased), l.tally(clean)
 	aliasedAS, cleanAS := aliasedT.Concentration(true), cleanT.Concentration(true)
 	r.addConcentration("population", 24, 1000, "",
 		concRow{"All IPs [AS]", allT.Concentration(true)},
@@ -118,7 +118,7 @@ func (l *Lab) Fig5() *Report {
 	icmp := l.fullScan().Responsive(wire.ICMPv6)
 	filter := l.windowEpoch().Filter
 	r := &Report{ID: "Fig 5", Title: "Responses to ICMP echo: full input vs detected aliased prefixes"}
-	covered := l.tally(ip6.Addrs(icmp)).Prefixes()
+	covered := l.tally(icmp).Prefixes()
 	r.addf("(a) prefixes with ICMP responses (no APD): %d, responses: %d", covered, len(icmp))
 
 	aliasedPrefixes := filter.AliasedPrefixes()
@@ -145,7 +145,7 @@ func (l *Lab) Fig5() *Report {
 func (l *Lab) Fig5SVGs() (noAPD, aliased string) {
 	icmp := l.fullScan().Responsive(wire.ICMPv6)
 	filter := l.windowEpoch().Filter
-	tally := l.tally(ip6.Addrs(icmp))
+	tally := l.tally(icmp)
 	items := l.allPrefixItems(tally)
 	noAPD = zesplot.SVG(items, zesplot.Options{Sized: false, Title: "Fig 5a: ICMP responses without APD"})
 	var alItems []zesplot.Item
@@ -278,13 +278,13 @@ func (l *Lab) Sec55() *Report {
 	r := &Report{ID: "Sec 5.5", Title: "Multi-level APD vs Murdock et al. static /96"}
 	hitlist := l.store().All().Sorted()
 	md := apd.NewMurdockDetector(l.P.World)
-	cands := md.Candidates(ip6.Addrs(hitlist))
+	cands := md.Candidates(hitlist)
 	mf := apd.NewFilter(md.Detect(cands, l.measureDay()))
 
 	// Both filters classify the sorted hitlist by linear interval merge;
 	// ours is the memoized window-snapshot split.
 	_, _, oursBits := window.Split()
-	theirsBits := mf.Classify(ip6.Addrs(hitlist), l.P.Cfg.Workers)
+	theirsBits := mf.Classify(hitlist, l.P.Cfg.Workers)
 	oursOnly, theirsOnly, both := 0, 0, 0
 	for i := range hitlist {
 		ours := oursBits[i]

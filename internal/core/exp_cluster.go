@@ -5,7 +5,6 @@ import (
 
 	"expanse/internal/cluster"
 	"expanse/internal/entropy"
-	"expanse/internal/ip6"
 	"expanse/internal/wire"
 	"expanse/internal/zesplot"
 )
@@ -51,7 +50,7 @@ func clusteringReport(r *Report, groups []entropy.Group, a, workers int) (cluste
 // a boundary scan, never map-bucketed from a materialized slice.
 func (l *Lab) Fig2a() *Report {
 	r := &Report{ID: "Fig 2a", Title: "Entropy clustering of /32s, full-address fingerprints F9-32"}
-	groups := entropy.ByPrefixLen(l.store().All().SortedSeq(), 32, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
+	groups := entropy.ByPrefixLen(l.store().All().Sorted(), 32, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
 	clusteringReport(r, groups, 9, l.P.Cfg.Workers)
 	return r
 }
@@ -60,7 +59,7 @@ func (l *Lab) Fig2a() *Report {
 // paper finds 4 clusters).
 func (l *Lab) Fig2b() *Report {
 	r := &Report{ID: "Fig 2b", Title: "Entropy clustering of /32s, IID fingerprints F17-32"}
-	groups := entropy.ByPrefixLen(l.store().All().SortedSeq(), 32, l.P.Cfg.GroupMin(), 17, 32, l.P.Cfg.Workers)
+	groups := entropy.ByPrefixLen(l.store().All().Sorted(), 32, l.P.Cfg.GroupMin(), 17, 32, l.P.Cfg.Workers)
 	clusteringReport(r, groups, 17, l.P.Cfg.Workers)
 	return r
 }
@@ -72,7 +71,7 @@ func (l *Lab) Fig2b() *Report {
 func (l *Lab) Fig3a() *Report {
 	r := &Report{ID: "Fig 3a", Title: "Entropy clustering of /32s with UDP/53 responders, F9-32"}
 	dns := l.cleanScan().Responsive(wire.UDP53)
-	groups := entropy.ByPrefixLen(ip6.Addrs(dns), 32, max(l.P.Cfg.GroupMin()/2, 10), 9, 32, l.P.Cfg.Workers)
+	groups := entropy.ByPrefixLen(dns, 32, max(l.P.Cfg.GroupMin()/2, 10), 9, 32, l.P.Cfg.Workers)
 	r.addf("UDP/53 responsive addresses: %d", len(dns))
 	clusteringReport(r, groups, 9, l.P.Cfg.Workers)
 	return r
@@ -83,7 +82,7 @@ func (l *Lab) Fig3a() *Report {
 // observation that equally sized prefixes of one AS share a scheme.
 func (l *Lab) Fig3b() *Report {
 	r := &Report{ID: "Fig 3b", Title: "BGP prefixes colored by F9-32 cluster (unsized zesplot)"}
-	groups := entropy.ByBGPPrefix(l.store().All().SortedSeq(), l.P.World.Table, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
+	groups := entropy.ByBGPPrefix(l.store().All().Sorted(), l.P.World.Table, l.P.Cfg.GroupMin(), 9, 32, l.P.Cfg.Workers)
 	res, groups := clusteringReport(r, groups, 9, l.P.Cfg.Workers)
 	if res.K == 0 {
 		return r

@@ -159,7 +159,7 @@ func (l *Lab) Sec73() *Report {
 	}
 	// AS coverage of responders per tool.
 	r.addf("responsive ASes: 6Gen %d, Entropy/IP %d",
-		l.tally(ip6.Addrs(g.respAddr6Gen)).ASes(), l.tally(ip6.Addrs(g.respAddrEIP)).ASes())
+		l.tally(g.respAddr6Gen).ASes(), l.tally(g.respAddrEIP).ASes())
 	return r
 }
 
@@ -193,7 +193,7 @@ func (l *Lab) Table7() *Report {
 func (l *Lab) Fig9() *Report {
 	g := l.genStudy()
 	r := &Report{ID: "Fig 9", Title: "Prefix/AS distribution of responsive generated addresses"}
-	sixT, eipT := l.tally(ip6.Addrs(g.respAddr6Gen)), l.tally(ip6.Addrs(g.respAddrEIP))
+	sixT, eipT := l.tally(g.respAddr6Gen), l.tally(g.respAddrEIP)
 	r.addConcentration("population", 18, 100, "",
 		concRow{"6Gen [AS]", sixT.Concentration(true)},
 		concRow{"EIP [AS]", eipT.Concentration(true)},

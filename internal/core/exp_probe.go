@@ -17,7 +17,7 @@ func (l *Lab) Fig6() *Report {
 	scan := l.cleanScan()
 	r := &Report{ID: "Fig 6", Title: "ICMP-responsive addresses per BGP prefix (curated hitlist)"}
 	icmp := scan.Responsive(wire.ICMPv6)
-	tally := l.tally(ip6.Addrs(icmp))
+	tally := l.tally(icmp)
 	r.addf("responsive addresses (ICMP): %d", len(icmp))
 	r.addf("responsive (any protocol):   %d of %d targets", len(scan.AnyResponsive()), len(scan.Addrs))
 	r.addf("BGP prefixes with responses: %d of %d announced", tally.Prefixes(), l.P.World.Table.NumPrefixes())
@@ -28,7 +28,7 @@ func (l *Lab) Fig6() *Report {
 
 // Fig6SVG returns the Figure 6 zesplot SVG.
 func (l *Lab) Fig6SVG() string {
-	items := l.allPrefixItems(l.tally(ip6.Addrs(l.cleanScan().Responsive(wire.ICMPv6))))
+	items := l.allPrefixItems(l.tally(l.cleanScan().Responsive(wire.ICMPv6)))
 	return zesplot.SVG(items, zesplot.Options{Sized: false, Title: "Fig 6: ICMP responses per BGP prefix"})
 }
 

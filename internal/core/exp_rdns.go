@@ -98,7 +98,7 @@ func (l *Lab) Table8() *Report {
 	r := &Report{ID: "Table 8", Title: "Top 5 rDNS ASes: input, ICMP responders, TCP/80 responders"}
 	top5 := func(addrs []ip6.Addr) []string {
 		var out []string
-		for _, e := range l.tally(ip6.Addrs(addrs)).TopAS(5) {
+		for _, e := range l.tally(addrs).TopAS(5) {
 			out = append(out, fmt.Sprintf("%s %.1f%%",
 				l.P.World.Table.AS(e.ASN).Name, 100*float64(e.Count)/float64(max(len(addrs), 1))))
 		}
@@ -122,9 +122,9 @@ func (l *Lab) Table8() *Report {
 
 // Fig10 reproduces the prefix/AS concentration of hitlist vs rDNS input.
 func (l *Lab) Fig10() *Report {
-	walked := l.tally(ip6.Addrs(l.rdnsStudy().walked))
+	walked := l.tally(l.rdnsStudy().walked)
 	r := &Report{ID: "Fig 10", Title: "Prefix/AS distribution: hitlist vs rDNS input"}
-	hitlist := l.tally(l.store().All().SortedSeq())
+	hitlist := l.tally(l.store().All().Sorted())
 	r.addConcentration("population", 18, 1000, "  (gini %.2f)",
 		concRow{"Hitlist [Prefix]", hitlist.Concentration(false)},
 		concRow{"Hitlist [AS]", hitlist.Concentration(true)},

@@ -72,7 +72,7 @@ func (l *Lab) Fig1b() *Report {
 	r := &Report{ID: "Fig 1b", Title: "AS distribution per source (fraction in top-X ASes)"}
 	rows := make([]concRow, len(sources.Names))
 	for i, name := range sources.Names {
-		rows[i] = concRow{name, l.P.World.Table.Tally(l.P.Cfg.Workers, l.store().PerSource(name).ShardSeqs()...).Concentration(true)}
+		rows[i] = concRow{name, l.P.World.Table.Tally(l.P.Cfg.Workers, l.store().PerSource(name).Shards()...).Concentration(true)}
 	}
 	r.addConcentration("source", 12, 1000, "   (gini %.2f)", rows...)
 	return r
@@ -82,7 +82,7 @@ func (l *Lab) Fig1b() *Report {
 // reports summary statistics; the SVG itself is written by cmd/zesplot.
 func (l *Lab) Fig1c() *Report {
 	r := &Report{ID: "Fig 1c", Title: "Hitlist addresses mapped to BGP prefixes (zesplot)"}
-	tally := l.tally(l.store().All().SortedSeq())
+	tally := l.tally(l.store().All().Sorted())
 	items := l.allPrefixItems(tally)
 	rects := zesplot.Layout(items, zesplot.Options{Sized: true})
 	covered := tally.Prefixes()
@@ -94,16 +94,16 @@ func (l *Lab) Fig1c() *Report {
 
 // Fig1cSVG returns the actual SVG document for Figure 1c.
 func (l *Lab) Fig1cSVG() string {
-	items := l.allPrefixItems(l.tally(l.store().All().SortedSeq()))
+	items := l.allPrefixItems(l.tally(l.store().All().Sorted()))
 	return zesplot.SVG(items, zesplot.Options{Sized: true, Title: "Fig 1c: hitlist addresses per BGP prefix"})
 }
 
 // tally attributes addresses to their announced prefixes and origin ASes
 // (bgp.Table.Tally) — the one path behind every per-prefix and per-AS
-// figure. Reports pass a plain slice (ip6.Addrs) or a set's cached sorted
-// view (ShardSet.SortedSeq); all but the rDNS walk are address-sorted, so
-// the attribution is a cursor walk.
-func (l *Lab) tally(addrs ip6.AddrSeq) *bgp.Tally {
+// figure. All but the rDNS walk's addresses are address-sorted (a set's
+// cached sorted view, or a slice derived from one in order), so the
+// attribution is a cursor walk.
+func (l *Lab) tally(addrs []ip6.Addr) *bgp.Tally {
 	return l.P.World.Table.Tally(l.P.Cfg.Workers, addrs)
 }
 

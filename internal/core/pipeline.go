@@ -266,7 +266,7 @@ func (s *Scan) AnyCount() int {
 // Sweep probes the targets on all five protocols for one day (§6). The
 // returned Scan shares targets in Addrs: read-only.
 func (p *Pipeline) Sweep(targets []ip6.Addr, day int) *Scan {
-	return &Scan{Day: day, Addrs: targets, Masks: p.scanner.SweepSeqInto(ip6.Addrs(targets), day, nil)}
+	return &Scan{Day: day, Addrs: targets, Masks: p.scanner.SweepSeqInto(targets, day, nil)}
 }
 
 // SweepSet sweeps the set's cached sorted view — sorted at most once per
@@ -276,7 +276,7 @@ func (p *Pipeline) SweepSet(set *ip6.ShardSet, day int) *Scan { return p.Sweep(s
 // ProbePairColumns sends the §5.4 fingerprinting probe pairs, with
 // SYN-ACK fingerprints interned in the pipeline's table (TCPTable).
 func (p *Pipeline) ProbePairColumns(targets []ip6.Addr, day int, out *probe.PairColumns) {
-	p.scanner.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, day, out)
+	p.scanner.ProbePairColumns(targets, wire.TCP80, day, out)
 }
 
 // TCPTable returns the scanner's interned fingerprint table — the
@@ -287,7 +287,7 @@ func (p *Pipeline) TCPTable() *wire.TCPTable { return p.scanner.TCPTable() }
 // at day0, reusing one set of scan buffers throughout; fn sees each day's
 // masks, valid only during the call (see probe.Scanner.SweepDays).
 func (p *Pipeline) SweepDays(targets []ip6.Addr, day0, days int, fn func(day int, masks []wire.RespMask)) {
-	p.scanner.SweepDays(ip6.Addrs(targets), day0, days, fn)
+	p.scanner.SweepDays(targets, day0, days, fn)
 }
 
 // CleanTargets returns the latest published epoch's curated hitlist —

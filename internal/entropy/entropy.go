@@ -6,11 +6,12 @@
 // the entire hitlist uses just a handful of schemes.
 //
 // The grouping stage consumes the data plane's cached globally-sorted
-// view (ip6.AddrSeq) instead of a materialized []Addr: in a sorted view
-// every fixed-length-prefix group is a contiguous run, so ByPrefixLen is
-// a boundary scan over zero-copy views rather than a map-bucketing pass.
-// BGP/AS grouping buckets the routing table's announcement-ID column
-// (bgp.Table.Resolve, Buckets), and per-group fingerprint counting fans
+// view (ShardSet.Sorted) as it is: in a sorted slice every
+// fixed-length-prefix group is a contiguous run, so ByPrefixLen is a
+// boundary scan over subslices rather than a map-bucketing pass. BGP/AS
+// grouping buckets the routing table's announcement-ID column
+// (bgp.Table.Resolve, Buckets) and copies each kept bucket's addresses
+// into per-worker scratch, and per-group fingerprint counting fans
 // out over worker shards; every result is byte-identical for every worker
 // count (nybble counts are integers merged position-wise).
 package entropy
@@ -35,19 +36,14 @@ const MinGroupSize = 100
 // addresses is cheaper than the goroutine round trip.
 const parallelMin = 1 << 12
 
-// Fingerprint computes F_ab for a set of addresses: the normalized
+// FingerprintSeq computes F_ab for a set of addresses: the normalized
 // entropy of nybbles a..b, 1-based inclusive as in the paper (a=9, b=32
 // is the full-address fingerprint F932 after the /32 network part; a=17,
-// b=32 is the IID fingerprint F1732).
-func Fingerprint(addrs []ip6.Addr, a, b int) []float64 {
-	return FingerprintSeq(ip6.Addrs(addrs), a, b, 1)
-}
-
-// FingerprintSeq computes F_ab over an indexed address view, fanning the
-// nybble counting out over up to workers chunks. Counts are integers and
-// the chunk partials are summed position-wise, so the result is identical
-// for every worker count.
-func FingerprintSeq(addrs ip6.AddrSeq, a, b, workers int) []float64 {
+// b=32 is the IID fingerprint F1732). The nybble counting fans out over
+// up to workers chunks; counts are integers and the chunk partials are
+// summed position-wise, so the result is identical for every worker
+// count.
+func FingerprintSeq(addrs []ip6.Addr, a, b, workers int) []float64 {
 	if a < 1 {
 		a = 1
 	}
@@ -66,20 +62,20 @@ func FingerprintSeq(addrs ip6.AddrSeq, a, b, workers int) []float64 {
 }
 
 // countNybbles tallies the per-position nybble histograms of addrs over
-// positions a..b (1-based). With workers > 1 and a long enough sequence
+// positions a..b (1-based). With workers > 1 and a long enough slice
 // the tally is chunk-parallel; partial histograms are added together, so
 // the merged counts never depend on the chunking.
-func countNybbles(addrs ip6.AddrSeq, a, b, workers int) [][16]int {
-	n := addrs.Len()
+func countNybbles(addrs []ip6.Addr, a, b, workers int) [][16]int {
+	n := len(addrs)
 	counts := make([][16]int, b-a+1)
 	if workers <= 1 || n < parallelMin {
-		tally(addrs, a, b, 0, n, counts)
+		tally(addrs, a, b, counts)
 		return counts
 	}
 	partials := make([][][16]int, workers)
 	par.Ranges(n, workers, parallelMin, 1, func(c, lo, hi int) {
 		part := make([][16]int, b-a+1)
-		tally(addrs, a, b, lo, hi, part)
+		tally(addrs[lo:hi], a, b, part)
 		partials[c] = part
 	})
 	for _, part := range partials {
@@ -92,9 +88,8 @@ func countNybbles(addrs ip6.AddrSeq, a, b, workers int) [][16]int {
 	return counts
 }
 
-func tally(addrs ip6.AddrSeq, a, b, lo, hi int, counts [][16]int) {
-	for i := lo; i < hi; i++ {
-		addr := addrs.At(i)
+func tally(addrs []ip6.Addr, a, b int, counts [][16]int) {
+	for _, addr := range addrs {
 		for j := a; j <= b; j++ {
 			counts[j-a][addr.Nybble(j-1)]++
 		}
@@ -123,10 +118,10 @@ type Group struct {
 // descending, then by prefix.
 //
 // sorted MUST be in ascending address order — pass the store's cached
-// sorted view (ShardSet.SortedSeq). Fixed-length-prefix groups are then
+// sorted view (ShardSet.Sorted). Fixed-length-prefix groups are then
 // contiguous runs, located by a galloping boundary scan; nothing is
-// materialized or map-bucketed. Fingerprints fan out over workers.
-func ByPrefixLen(sorted ip6.AddrSeq, bits, min, a, b, workers int) []Group {
+// copied or map-bucketed. Fingerprints fan out over workers.
+func ByPrefixLen(sorted []ip6.Addr, bits, min, a, b, workers int) []Group {
 	if min <= 0 {
 		min = MinGroupSize
 	}
@@ -142,13 +137,13 @@ func ByPrefixLen(sorted ip6.AddrSeq, bits, min, a, b, workers int) []Group {
 		return true
 	})
 	out := make([]Group, len(runs))
-	fingerprintEach(len(runs), workers, func(i, w int) {
+	fingerprintEach(len(runs), workers, func(i, _, w int) {
 		r := runs[i]
 		out[i] = Group{
 			Key:    r.p.String(),
 			Prefix: r.p,
 			Size:   r.hi - r.lo,
-			FP:     FingerprintSeq(ip6.SeqSlice(sorted, r.lo, r.hi), a, b, w),
+			FP:     FingerprintSeq(sorted[r.lo:r.hi], a, b, w),
 		}
 	})
 	sortGroups(out)
@@ -160,7 +155,7 @@ func ByPrefixLen(sorted ip6.AddrSeq, bits, min, a, b, workers int) []Group {
 // (bgp.Table.Resolve into per-announcement position buckets), so group
 // membership, sizes and fingerprints are identical for every worker
 // count.
-func ByBGPPrefix(addrs ip6.AddrSeq, table *bgp.Table, min, a, b, workers int) []Group {
+func ByBGPPrefix(addrs []ip6.Addr, table *bgp.Table, min, a, b, workers int) []Group {
 	anns := table.Announcements()
 	return byBuckets(addrs, table.Buckets(table.Resolve(addrs, workers), false), min, a, b, workers,
 		func(id int) Group {
@@ -169,7 +164,7 @@ func ByBGPPrefix(addrs ip6.AddrSeq, table *bgp.Table, min, a, b, workers int) []
 }
 
 // ByAS groups addresses by origin AS. Unrouted addresses are skipped.
-func ByAS(addrs ip6.AddrSeq, table *bgp.Table, min, a, b, workers int) []Group {
+func ByAS(addrs []ip6.Addr, table *bgp.Table, min, a, b, workers int) []Group {
 	origins := table.Origins()
 	return byBuckets(addrs, table.Buckets(table.Resolve(addrs, workers), true), min, a, b, workers,
 		func(k int) Group {
@@ -178,8 +173,9 @@ func ByAS(addrs ip6.AddrSeq, table *bgp.Table, min, a, b, workers int) []Group {
 }
 
 // byBuckets fingerprints every position bucket holding at least min
-// addresses; label names bucket k's group.
-func byBuckets(addrs ip6.AddrSeq, buckets [][]int32, min, a, b, workers int, label func(k int) Group) []Group {
+// addresses; label names bucket k's group. Each worker gathers its
+// group's addresses into its own scratch slice, reused group to group.
+func byBuckets(addrs []ip6.Addr, buckets [][]int32, min, a, b, workers int, label func(k int) Group) []Group {
 	if min <= 0 {
 		min = MinGroupSize
 	}
@@ -190,41 +186,38 @@ func byBuckets(addrs ip6.AddrSeq, buckets [][]int32, min, a, b, workers int, lab
 		}
 	}
 	out := make([]Group, len(kept))
-	fingerprintEach(len(kept), workers, func(i, w int) {
+	scratch := make([][]ip6.Addr, max(workers, 1))
+	fingerprintEach(len(kept), workers, func(i, c, w int) {
 		g := label(kept[i])
-		idx := buckets[kept[i]]
-		g.Size = len(idx)
-		g.FP = FingerprintSeq(idxSeq{seq: addrs, idx: idx}, a, b, w)
+		group := scratch[c][:0]
+		for _, j := range buckets[kept[i]] {
+			group = append(group, addrs[j])
+		}
+		scratch[c] = group
+		g.Size = len(group)
+		g.FP = FingerprintSeq(group, a, b, w)
 		out[i] = g
 	})
 	sortGroups(out)
 	return out
 }
 
-// idxSeq is a zero-copy view of a subset of a sequence selected by index.
-type idxSeq struct {
-	seq ip6.AddrSeq
-	idx []int32
-}
-
-func (s idxSeq) Len() int          { return len(s.idx) }
-func (s idxSeq) At(i int) ip6.Addr { return s.seq.At(int(s.idx[i])) }
-
-// fingerprintEach runs fn(i, innerWorkers) for every group index, with up
-// to workers goroutines pulling group indices from a shared queue (group
-// sizes are heavy-tailed, so contiguous chunks would idle the workers
-// that drew small groups). Surplus workers beyond the group count fan out
+// fingerprintEach runs fn(i, c, innerWorkers) for every group index, with
+// up to workers goroutines pulling group indices from a shared queue
+// (group sizes are heavy-tailed, so contiguous chunks would idle the
+// workers that drew small groups); c, 0 <= c < max(workers, 1), names the
+// goroutine running the call, for per-worker scratch. Surplus workers beyond the group count fan out
 // inside each group's counting via the inner budget. Scheduling cannot
 // leak into the output: results are written per index and fingerprint
 // counts are integers merged position-wise, identical for any inner
 // worker count.
-func fingerprintEach(n, workers int, fn func(i, innerWorkers int)) {
+func fingerprintEach(n, workers int, fn func(i, c, innerWorkers int)) {
 	if n == 0 {
 		return
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i, 1)
+			fn(i, 0, 1)
 		}
 		return
 	}
@@ -247,7 +240,7 @@ func fingerprintEach(n, workers int, fn func(i, innerWorkers int)) {
 				if i >= n {
 					return
 				}
-				fn(i, inner)
+				fn(i, c, inner)
 			}
 		}()
 	}

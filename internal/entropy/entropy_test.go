@@ -13,12 +13,12 @@ import (
 	"expanse/internal/ip6"
 )
 
-// sorted returns the addresses in ascending order as a view, the form the
-// grouping APIs consume (the data plane's cached sorted view).
-func sorted(addrs []ip6.Addr) ip6.AddrSeq {
+// sorted returns a sorted copy of the addresses, the form the grouping
+// APIs consume (the data plane's cached sorted view).
+func sorted(addrs []ip6.Addr) []ip6.Addr {
 	cp := append([]ip6.Addr(nil), addrs...)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].Less(cp[j]) })
-	return ip6.Addrs(cp)
+	return cp
 }
 
 func TestFingerprintCounterScheme(t *testing.T) {
@@ -28,7 +28,7 @@ func TestFingerprintCounterScheme(t *testing.T) {
 	for i := uint64(0); i < 256; i++ {
 		addrs = append(addrs, ip6.AddrFromUint64(base.Hi(), i))
 	}
-	fp := Fingerprint(addrs, 9, 32)
+	fp := FingerprintSeq(addrs, 9, 32, 1)
 	if len(fp) != 24 {
 		t.Fatalf("F932 length = %d, want 24", len(fp))
 	}
@@ -51,7 +51,7 @@ func TestFingerprintRandomScheme(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		addrs = append(addrs, ip6.AddrFromUint64(base.Hi(), rng.Uint64()))
 	}
-	fp := Fingerprint(addrs, 17, 32)
+	fp := FingerprintSeq(addrs, 17, 32, 1)
 	if len(fp) != 16 {
 		t.Fatalf("F1732 length = %d", len(fp))
 	}
@@ -71,7 +71,7 @@ func TestFingerprintSLAAC(t *testing.T) {
 		mac := [6]byte{0x28, 0xfd, 0x80, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}
 		addrs = append(addrs, ip6.FromMAC(net, mac))
 	}
-	fp := Fingerprint(addrs, 17, 32)
+	fp := FingerprintSeq(addrs, 17, 32, 1)
 	// Nybbles 23-26 (indices 6..9 in F1732) are ff:fe — constant.
 	for i := 6; i <= 9; i++ {
 		if fp[i] != 0 {
@@ -92,10 +92,10 @@ func TestFingerprintSLAAC(t *testing.T) {
 
 func TestFingerprintBoundsClamped(t *testing.T) {
 	addrs := []ip6.Addr{ip6.MustParseAddr("::1")}
-	if fp := Fingerprint(addrs, -3, 99); len(fp) != 32 {
+	if fp := FingerprintSeq(addrs, -3, 99, 1); len(fp) != 32 {
 		t.Errorf("clamped fingerprint length = %d, want 32", len(fp))
 	}
-	if fp := Fingerprint(addrs, 20, 10); fp != nil {
+	if fp := FingerprintSeq(addrs, 20, 10, 1); fp != nil {
 		t.Error("inverted range should give nil")
 	}
 }
@@ -110,9 +110,9 @@ func TestFingerprintSeqAcrossWorkers(t *testing.T) {
 		for i := range addrs {
 			addrs[i] = ip6.AddrFromUint64(rng.Uint64(), rng.Uint64())
 		}
-		ref := FingerprintSeq(ip6.Addrs(addrs), 1, 32, 1)
+		ref := FingerprintSeq(addrs, 1, 32, 1)
 		for _, w := range []int{4, 16} {
-			got := FingerprintSeq(ip6.Addrs(addrs), 1, 32, w)
+			got := FingerprintSeq(addrs, 1, 32, w)
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("n=%d workers=%d: fingerprint differs from serial", n, w)
 			}
@@ -187,7 +187,7 @@ func mapByPrefixLen(addrs []ip6.Addr, bits, min, a, b int) []Group {
 			Key:    p.String(),
 			Prefix: p,
 			Size:   len(list),
-			FP:     Fingerprint(list, a, b),
+			FP:     FingerprintSeq(list, a, b, 1),
 		})
 	}
 	sortGroups(out)
@@ -239,11 +239,11 @@ func TestByASAndByBGPPrefix(t *testing.T) {
 	}
 	// Unrouted addresses must be skipped silently.
 	addrs = append(addrs, ip6.MustParseAddr("fd00::1"))
-	byAS := ByAS(ip6.Addrs(addrs), table, 100, 9, 32, 1)
+	byAS := ByAS(addrs, table, 100, 9, 32, 1)
 	if len(byAS) != 1 || byAS[0].ASN != 100 || byAS[0].Key != "AS100" {
 		t.Errorf("ByAS = %+v", byAS)
 	}
-	byPfx := ByBGPPrefix(ip6.Addrs(addrs), table, 100, 9, 32, 1)
+	byPfx := ByBGPPrefix(addrs, table, 100, 9, 32, 1)
 	if len(byPfx) != 1 || byPfx[0].Prefix != ip6.MustParsePrefix("2001:db8::/32") {
 		t.Errorf("ByBGPPrefix = %+v", byPfx)
 	}
@@ -323,7 +323,7 @@ func TestFingerprintEntropyInRange(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		addrs = append(addrs, ip6.AddrFromUint64(rng.Uint64(), rng.Uint64()))
 	}
-	for _, h := range Fingerprint(addrs, 1, 32) {
+	for _, h := range FingerprintSeq(addrs, 1, 32, 1) {
 		if h < 0 || h > 1 || math.IsNaN(h) {
 			t.Fatalf("entropy out of range: %v", h)
 		}
@@ -332,7 +332,7 @@ func TestFingerprintEntropyInRange(t *testing.T) {
 
 // benchAddrs builds a sorted synthetic hitlist: 64 /32s with a heavy-tail
 // density split, the shape ByPrefixLen sees from the data plane.
-func benchAddrs(n int) ip6.AddrSeq {
+func benchAddrs(n int) []ip6.Addr {
 	rng := rand.New(rand.NewSource(99))
 	addrs := make([]ip6.Addr, n)
 	for i := range addrs {
@@ -356,11 +356,7 @@ func BenchmarkByPrefixLen(b *testing.B) {
 // BenchmarkLegacyByPrefixLen measures the old map-bucketing path on the
 // same (materialized) input for comparison.
 func BenchmarkLegacyByPrefixLen(b *testing.B) {
-	seq := benchAddrs(1 << 18)
-	addrs := make([]ip6.Addr, seq.Len())
-	for i := range addrs {
-		addrs[i] = seq.At(i)
-	}
+	addrs := benchAddrs(1 << 18)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mapByPrefixLen(addrs, 32, 100, 9, 32)

@@ -25,12 +25,12 @@ type chunkEntryRef struct {
 	idx []int32
 }
 
-func lookupChunksRef[K comparable](addrs ip6.AddrSeq, workers int, lookup func(ip6.Addr) (K, bgp.ASN, bool)) []lookupChunkRef[K] {
+func lookupChunksRef[K comparable](addrs []ip6.Addr, workers int, lookup func(ip6.Addr) (K, bgp.ASN, bool)) []lookupChunkRef[K] {
 	chunks := make([]lookupChunkRef[K], max(workers, 1))
-	par.Ranges(addrs.Len(), workers, 256, 1, func(c, lo, hi int) {
+	par.Ranges(len(addrs), workers, 256, 1, func(c, lo, hi int) {
 		ch := lookupChunkRef[K]{m: make(map[K]*chunkEntryRef)}
 		for i := lo; i < hi; i++ {
-			key, asn, ok := lookup(addrs.At(i))
+			key, asn, ok := lookup(addrs[i])
 			if !ok {
 				continue
 			}
@@ -49,7 +49,7 @@ func lookupChunksRef[K comparable](addrs ip6.AddrSeq, workers int, lookup func(i
 
 // groupRef merges the chunks in input order and fingerprints every group
 // of at least min addresses; label fills in the key fields.
-func groupRef[K comparable](addrs ip6.AddrSeq, chunks []lookupChunkRef[K], min, a, b int, label func(K, bgp.ASN) Group) []Group {
+func groupRef[K comparable](addrs []ip6.Addr, chunks []lookupChunkRef[K], min, a, b int, label func(K, bgp.ASN) Group) []Group {
 	merged := map[K]*chunkEntryRef{}
 	var order []K
 	for _, ch := range chunks {
@@ -72,21 +72,25 @@ func groupRef[K comparable](addrs ip6.AddrSeq, chunks []lookupChunkRef[K], min, 
 		}
 		gr := label(k, g.asn)
 		gr.Size = len(g.idx)
-		gr.FP = FingerprintSeq(idxSeq{seq: addrs, idx: g.idx}, a, b, 1)
+		group := make([]ip6.Addr, len(g.idx))
+		for i, j := range g.idx {
+			group[i] = addrs[j]
+		}
+		gr.FP = FingerprintSeq(group, a, b, 1)
 		out = append(out, gr)
 	}
 	sortGroups(out)
 	return out
 }
 
-func byBGPPrefixRef(addrs ip6.AddrSeq, table *bgp.Table, min, a, b, workers int) []Group {
+func byBGPPrefixRef(addrs []ip6.Addr, table *bgp.Table, min, a, b, workers int) []Group {
 	chunks := lookupChunksRef(addrs, workers, table.Lookup)
 	return groupRef(addrs, chunks, min, a, b, func(p ip6.Prefix, asn bgp.ASN) Group {
 		return Group{Key: p.String(), Prefix: p, ASN: asn}
 	})
 }
 
-func byASRef(addrs ip6.AddrSeq, table *bgp.Table, min, a, b, workers int) []Group {
+func byASRef(addrs []ip6.Addr, table *bgp.Table, min, a, b, workers int) []Group {
 	chunks := lookupChunksRef(addrs, workers, func(addr ip6.Addr) (bgp.ASN, bgp.ASN, bool) {
 		asn, ok := table.Origin(addr)
 		return asn, asn, ok
@@ -109,7 +113,7 @@ func TestBGPGroupingMatchesMapBucketing(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		addrs = append(addrs, ip6.AddrFromUint64(0xfd00<<48, uint64(i))) // unrouted
 	}
-	for name, seq := range map[string]ip6.AddrSeq{"unsorted": ip6.Addrs(addrs), "sorted": sorted(addrs)} {
+	for name, seq := range map[string][]ip6.Addr{"unsorted": addrs, "sorted": sorted(addrs)} {
 		for _, workers := range []int{1, 4, 16} {
 			want := byBGPPrefixRef(seq, table, 50, 9, 32, workers)
 			if got := ByBGPPrefix(seq, table, 50, 9, 32, workers); len(want) < 8 || !reflect.DeepEqual(got, want) {

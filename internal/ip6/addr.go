@@ -1,9 +1,16 @@
 // Package ip6 provides the IPv6 address machinery that the rest of the
-// library builds on: a compact 128-bit address type, RFC 4291 parsing and
-// RFC 5952 canonical formatting, nybble-level access (the unit of analysis
-// for entropy fingerprints and aliased prefix detection), prefixes, the
-// interval-compiled longest-prefix-match tables every resolver reads, and
-// the radix trie their tests are pinned against.
+// library builds on: a compact 128-bit address type, RFC 4291 parsing
+// (accepting exactly what net/netip accepts for zoneless IPv6, FuzzParse)
+// and RFC 5952 canonical formatting, nybble-level access (the unit of
+// analysis for entropy fingerprints and aliased prefix detection),
+// prefixes, the interval-compiled longest-prefix-match tables every
+// resolver reads, the radix trie their tests are pinned against, and the
+// hitlist store (ShardSet).
+//
+// Every address sequence is a plain []Addr: the store's shards keep one
+// append-only []Addr each, its sorted view is a []Addr, and every
+// consumer — scanner, alias filter, attribution, fingerprints — takes a
+// slice, so a run of a sorted view is handed on as a subslice.
 //
 // The package is self-contained and deliberately does not depend on
 // net/netip so that nybble arithmetic, prefix fan-out, and address
@@ -24,6 +31,9 @@ type Addr struct {
 	hi uint64 // bytes 0-7
 	lo uint64 // bytes 8-15
 }
+
+// Addrs is []Addr under an earlier name, kept only for cmd/bench.
+type Addrs = []Addr
 
 // AddrFrom16 returns the address for the given 16-byte representation.
 func AddrFrom16(b [16]byte) Addr {
@@ -80,7 +90,7 @@ func (a Addr) Compare(b Addr) int {
 }
 
 // Less reports whether a sorts before b.
-func (a Addr) Less(b Addr) bool { return a.Compare(b) < 0 }
+func (a Addr) Less(b Addr) bool { return a.hi < b.hi || (a.hi == b.hi && a.lo < b.lo) }
 
 // Next returns the address numerically one above a, wrapping at the top of
 // the address space.
@@ -308,7 +318,9 @@ var (
 )
 
 // ParseAddr parses an IPv6 address in any RFC 4291 text form, including
-// "::" compression and an embedded dotted-quad IPv4 tail.
+// "::" compression and an embedded dotted-quad IPv4 tail. Like net/netip
+// it rejects IPv4 octets with leading zeros ("01"), which some parsers
+// read as octal.
 func ParseAddr(s string) (Addr, error) {
 	var groups [8]uint16
 	n := 0         // groups filled
@@ -478,6 +490,9 @@ func parseIPv4(s string) (uint32, error) {
 		c := s[i]
 		if c < '0' || c > '9' {
 			return 0, fmt.Errorf("bad octet character %q", c)
+		}
+		if val == 0 {
+			return 0, fmt.Errorf("octet with leading zero")
 		}
 		if val < 0 {
 			val = 0

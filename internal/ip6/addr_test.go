@@ -3,6 +3,7 @@ package ip6
 import (
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -84,6 +85,47 @@ func TestParseMatchesNetip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzParse checks ParseAddr and ParsePrefix against net/netip on
+// zoneless input: both accept or both reject, and what both accept
+// parses to the same address (for a prefix, the same masked address and
+// length). netip reads a literal without a colon as IPv4, which is not an
+// IPv6 literal, so its accept counts as a reject there. The seeds include
+// the inputs ParseAddr and ParsePrefix once wrongly accepted: IPv4 octets
+// with leading zeros and lengths with a sign or leading zeros.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"::", "2001:db8::1", "::ffff:192.0.2.128", "1:2:3:4:5:6:7:8", "1::2::3", "1.2.3.4",
+		"::01.2.3.4", "::1.2.3.04", "::0:000.0.0.0", "::1.2.3.0",
+		"2001:db8::/32", "2001:db8::1/64", "::/0", "::1/128", "::/129",
+		"::/01", "::/032", "::/+1", "::/-0", "::/",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if strings.Contains(s, "%") {
+			return // zones: netip accepts them, this package has none
+		}
+		std, err := netip.ParseAddr(s)
+		stdOK := err == nil && std.Is6()
+		a, err := ParseAddr(s)
+		if (err == nil) != stdOK {
+			t.Fatalf("ParseAddr(%q) error = %v, netip accepts: %v", s, err, stdOK)
+		}
+		if stdOK && a.As16() != std.As16() {
+			t.Fatalf("ParseAddr(%q) = %v, netip parses %v", s, a, std)
+		}
+		stdP, err := netip.ParsePrefix(s)
+		stdOK = err == nil && stdP.Addr().Is6()
+		p, err := ParsePrefix(s)
+		if (err == nil) != stdOK {
+			t.Fatalf("ParsePrefix(%q) error = %v, netip accepts: %v", s, err, stdOK)
+		}
+		if stdOK && (p.Addr().As16() != stdP.Masked().Addr().As16() || p.Bits() != stdP.Bits()) {
+			t.Fatalf("ParsePrefix(%q) = %v, netip parses %v", s, p, stdP.Masked())
+		}
+	})
 }
 
 func TestRoundTripProperty(t *testing.T) {

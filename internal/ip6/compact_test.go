@@ -7,40 +7,40 @@ import (
 	"testing"
 )
 
-// checkIndex verifies one shard's membership index against its columns:
-// the table is empty or a power of two at load ≤ ¾, and it holds every
-// column position exactly once, where a probe for that address finds it.
+// checkIndex verifies one shard's membership index against its
+// insertion slice: the table is empty or a power of two at load ≤ ¾, and
+// it holds every position exactly once, where a probe for that address
+// finds it.
 func checkIndex(t testing.TB, si int, sh *shard) {
 	t.Helper()
 	slots := len(sh.index)
 	if slots != 0 && bits.OnesCount(uint(slots)) != 1 {
 		t.Fatalf("shard %d: %d index slots, not a power of two", si, slots)
 	}
-	if len(sh.hi)*4 > slots*3 {
-		t.Fatalf("shard %d: %d addresses in %d slots, load above 3/4", si, len(sh.hi), slots)
+	if len(sh.addrs)*4 > slots*3 {
+		t.Fatalf("shard %d: %d addresses in %d slots, load above 3/4", si, len(sh.addrs), slots)
 	}
-	seen := make([]bool, len(sh.hi))
+	seen := make([]bool, len(sh.addrs))
 	for _, p := range sh.index {
 		if p == 0 {
 			continue
 		}
-		if int(p) > len(sh.hi) || seen[p-1] {
+		if int(p) > len(sh.addrs) || seen[p-1] {
 			t.Fatalf("shard %d: index slot holds bad or repeated position %d", si, p)
 		}
 		seen[p-1] = true
 	}
-	for p := range sh.hi {
-		a := Addr{hi: sh.hi[p], lo: sh.lo[p]}
+	for p, a := range sh.addrs {
 		slot, ok := sh.find(a, a.Hash64()>>shardBits)
 		if !seen[p] || !ok || sh.index[slot] != uint32(p)+1 {
-			t.Fatalf("shard %d: column position %d is not indexed where a probe finds it", si, p)
+			t.Fatalf("shard %d: position %d is not indexed where a probe finds it", si, p)
 		}
 	}
 }
 
 // sameSet fails unless s and twin are observably one set — Len, the
 // sorted view, Each order, membership over pool — with identical
-// per-shard indexes and column contents; only column capacity may
+// per-shard indexes and insertion slices; only slice capacity may
 // differ.
 func sameSet(t *testing.T, s, twin *ShardSet, pool []Addr) {
 	t.Helper()
@@ -63,13 +63,13 @@ func sameSet(t *testing.T, s, twin *ShardSet, pool []Addr) {
 	}
 	for i := range s.shards {
 		sh, tw := &s.shards[i], &twin.shards[i]
-		if !slices.Equal(sh.index, tw.index) || !slices.Equal(sh.hi, tw.hi) || !slices.Equal(sh.lo, tw.lo) {
-			t.Fatalf("shard %d: index or columns differ", i)
+		if !slices.Equal(sh.index, tw.index) || !slices.Equal(sh.addrs, tw.addrs) {
+			t.Fatalf("shard %d: index or insertion slices differ", i)
 		}
 	}
 }
 
-// TestShardSetCompactMembership pins that Compact changes column capacity
+// TestShardSetCompactMembership pins that Compact changes slice capacity
 // only: a set compacted between writes and a twin that never is stay one
 // set at every step — same Len, Contains, Sorted, Each order and index —
 // and every Add after a compaction answers as on the twin and on the
@@ -89,8 +89,8 @@ func TestShardSetCompactMembership(t *testing.T) {
 		}
 		s.Compact()
 		for i := range s.shards {
-			if sh := &s.shards[i]; cap(sh.hi) != len(sh.hi) || cap(sh.lo) != len(sh.lo) {
-				t.Fatalf("round %d shard %d: Compact left column slack", round, i)
+			if sh := &s.shards[i]; cap(sh.addrs) != len(sh.addrs) {
+				t.Fatalf("round %d shard %d: Compact left slice slack", round, i)
 			}
 		}
 		sameSet(t, s, twin, pool)

@@ -181,7 +181,8 @@ func (p Prefix) String() string {
 }
 
 // ParsePrefix parses an "addr/len" prefix string. The address part is
-// masked to the prefix boundary.
+// masked to the prefix boundary. The length is plain decimal, 0–128,
+// without a sign or leading zeros, as net/netip requires.
 func ParsePrefix(s string) (Prefix, error) {
 	i := strings.LastIndexByte(s, '/')
 	if i < 0 {
@@ -191,8 +192,11 @@ func ParsePrefix(s string) (Prefix, error) {
 	if err != nil {
 		return Prefix{}, fmt.Errorf("%w: %q: %v", ErrBadPrefix, s, err)
 	}
-	n, err := strconv.Atoi(s[i+1:])
-	if err != nil || n < 0 || n > 128 {
+	bits := s[i+1:]
+	n, err := strconv.Atoi(bits)
+	// Atoi accepted, so bits is non-empty; a sign or a leading zero is
+	// still not a plain decimal length.
+	if err != nil || n > 128 || bits[0] < '0' || bits[0] > '9' || (bits[0] == '0' && len(bits) > 1) {
 		return Prefix{}, fmt.Errorf("%w: %q bad length", ErrBadPrefix, s)
 	}
 	return PrefixFrom(a, n), nil

@@ -7,44 +7,14 @@ import (
 	"testing/quick"
 )
 
-func TestSeqSlice(t *testing.T) {
-	addrs := Addrs{
-		MustParseAddr("2001:db8::1"),
-		MustParseAddr("2001:db8::2"),
-		MustParseAddr("2001:db8::3"),
-		MustParseAddr("2001:db8::4"),
-	}
-	v := SeqSlice(addrs, 1, 3)
-	if v.Len() != 2 || v.At(0) != addrs[1] || v.At(1) != addrs[2] {
-		t.Fatalf("SeqSlice view wrong: len=%d", v.Len())
-	}
-	// Nested slicing must not stack indirection and must stay correct.
-	inner := SeqSlice(subSeq{seq: addrs, off: 1, n: 3}, 1, 3)
-	if ss, ok := inner.(subSeq); !ok || ss.off != 2 || ss.n != 2 {
-		t.Errorf("nested SeqSlice did not collapse: %+v", inner)
-	}
-	if inner.At(0) != addrs[2] || inner.At(1) != addrs[3] {
-		t.Error("nested SeqSlice reads wrong elements")
-	}
-	if empty := SeqSlice(addrs, 2, 2); empty.Len() != 0 {
-		t.Error("empty slice should have length 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-bounds SeqSlice should panic")
-		}
-	}()
-	SeqSlice(addrs, 3, 5)
-}
-
 // linearRuns is the obvious O(n) reference for PrefixRuns.
-func linearRuns(sorted AddrSeq, bits int) [][3]uint64 {
+func linearRuns(sorted []Addr, bits int) [][3]uint64 {
 	var out [][3]uint64 // prefix hi, lo index, hi index
-	n := sorted.Len()
+	n := len(sorted)
 	for lo := 0; lo < n; {
-		p := PrefixFrom(sorted.At(lo), bits)
+		p := PrefixFrom(sorted[lo], bits)
 		hi := lo + 1
-		for hi < n && p.Contains(sorted.At(hi)) {
+		for hi < n && p.Contains(sorted[hi]) {
 			hi++
 		}
 		out = append(out, [3]uint64{p.Addr().Hi(), uint64(lo), uint64(hi)})
@@ -67,10 +37,9 @@ func TestPrefixRunsMatchesLinearScan(t *testing.T) {
 			addrs[i] = AddrFromUint64(hi, rng.Uint64()>>uint(rng.Intn(60)))
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-		seq := Addrs(addrs)
-		want := linearRuns(seq, 32)
+		want := linearRuns(addrs, 32)
 		var got [][3]uint64
-		PrefixRuns(seq, 32, func(p Prefix, lo, hi int) bool {
+		PrefixRuns(addrs, 32, func(p Prefix, lo, hi int) bool {
 			got = append(got, [3]uint64{p.Addr().Hi(), uint64(lo), uint64(hi)})
 			return true
 		})
@@ -91,11 +60,11 @@ func TestPrefixRunsMatchesLinearScan(t *testing.T) {
 
 func TestPrefixRunsEarlyStopAndEmpty(t *testing.T) {
 	calls := 0
-	PrefixRuns(Addrs(nil), 32, func(Prefix, int, int) bool { calls++; return true })
+	PrefixRuns(nil, 32, func(Prefix, int, int) bool { calls++; return true })
 	if calls != 0 {
 		t.Error("empty sequence must produce no runs")
 	}
-	addrs := Addrs{
+	addrs := []Addr{
 		MustParseAddr("2001:db8::1"),
 		MustParseAddr("2001:dead::1"),
 		MustParseAddr("2001:beff::1"),
@@ -117,7 +86,7 @@ func TestPrefixRunsCoversWholeSequence(t *testing.T) {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
 	for _, bits := range []int{0, 16, 32, 64, 128} {
 		next := 0
-		PrefixRuns(Addrs(addrs), bits, func(p Prefix, lo, hi int) bool {
+		PrefixRuns(addrs, bits, func(p Prefix, lo, hi int) bool {
 			if lo != next || hi <= lo {
 				t.Fatalf("bits=%d: run [%d,%d) does not continue at %d", bits, lo, hi, next)
 			}

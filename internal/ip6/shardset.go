@@ -25,14 +25,13 @@ const (
 // single global Go map of ip6.Set as the hitlist representation; Set
 // remains for small scratch collections.
 //
-// Layout: each of the NumShards shards holds parallel (hi, lo) column
-// arrays in insertion order plus an open-addressed index of column
-// positions over them, so membership, dedup and insertion order live in
-// one structure. Batch mutation (AddSlice) partitions work by shard and
-// runs shards on parallel workers; membership reads take only a
-// shard-local read lock.
+// Layout: each of the NumShards shards holds one append-only []Addr in
+// insertion order plus an open-addressed index of positions in it, so
+// membership, dedup and insertion order live in one structure. Batch
+// mutation (AddSlice) partitions work by shard and runs shards on
+// parallel workers; membership reads take only a shard-local read lock.
 //
-// Sorted view: Sorted/SortedSeq serve a cached globally-sorted view.
+// Sorted view: Sorted serves a cached globally-sorted view.
 // The cache is invalidated by any write and rebuilt at most once per
 // mutation epoch — parallel per-shard tail sorts, a k-way merge of the
 // tails, and a linear merge with the previous cache — so N consumers of
@@ -55,18 +54,18 @@ type ShardSet struct {
 }
 
 type shard struct {
-	mu     sync.RWMutex
-	hi, lo []uint64 // columnar storage, insertion order; append-only
+	mu    sync.RWMutex
+	addrs []Addr // insertion order; append-only
 
-	// index is the membership table over the columns: linear probing from
+	// index is the membership table over addrs: linear probing from
 	// Hash64 >> shardBits (the low bits already picked the shard), each
-	// slot 0 for empty or a column position + 1. Its length is 0 or a
+	// slot 0 for empty or a position in addrs + 1. Its length is 0 or a
 	// power of two, and at most ¾ of its slots are taken.
 	index []uint32
 
-	// sortedN is the insertion-column prefix already covered by the
-	// set's global sorted cache, touched only during rebuilds (under the
-	// set's sortedMu, never under mu).
+	// sortedN is the prefix of addrs already covered by the set's global
+	// sorted cache, touched only during rebuilds (under the set's
+	// sortedMu, never under mu).
 	sortedN int
 }
 
@@ -80,8 +79,7 @@ func NewShardSetWorkers(n, workers int) *ShardSet {
 	if per := n / NumShards; per > 0 {
 		for i := range s.shards {
 			sh := &s.shards[i]
-			sh.hi = make([]uint64, 0, per)
-			sh.lo = make([]uint64, 0, per)
+			sh.addrs = make([]Addr, 0, per)
 			sh.reserve(per)
 		}
 	}
@@ -121,36 +119,35 @@ func (sh *shard) find(a Addr, h uint64) (slot uint64, ok bool) {
 		if p == 0 {
 			return i, false
 		}
-		if sh.hi[p-1] == a.hi && sh.lo[p-1] == a.lo {
+		if sh.addrs[p-1] == a {
 			return i, true
 		}
 	}
 }
 
-// insert appends a to the shard's columns unless present, reporting
-// whether it was new; h is as for find. The caller holds the shard lock.
+// insert appends a to the shard unless present, reporting whether it
+// was new; h is as for find. The caller holds the shard lock.
 func (sh *shard) insert(a Addr, h uint64) bool {
 	slot, ok := sh.find(a, h)
 	if ok {
 		return false
 	}
-	if n := len(sh.hi) + 1; n > len(sh.index)/4*3 {
+	if n := len(sh.addrs) + 1; n > len(sh.index)/4*3 {
 		sh.reserve(n)
 		slot, _ = sh.find(a, h)
 	}
-	sh.index[slot] = uint32(len(sh.hi)) + 1
-	sh.hi = append(sh.hi, a.hi)
-	sh.lo = append(sh.lo, a.lo)
+	sh.index[slot] = uint32(len(sh.addrs)) + 1
+	sh.addrs = append(sh.addrs, a)
 	return true
 }
 
 // reserve sizes the index to hold n addresses at load ≤ ¾: it doubles the
-// table as often as that takes and rehashes every column position into
-// it once. A slot holds a position + 1 in 32 bits, so one shard holds at
+// table as often as that takes and rehashes every position into it
+// once. A slot holds a position + 1 in 32 bits, so one shard holds at
 // most 2³²−1 addresses.
 func (sh *shard) reserve(n int) {
 	if uint64(n) > math.MaxUint32 {
-		panic(fmt.Sprintf("ip6: ShardSet shard cannot index %d addresses: its uint32 column positions stop at 2^32-1", n))
+		panic(fmt.Sprintf("ip6: ShardSet shard cannot index %d addresses: its uint32 positions stop at 2^32-1", n))
 	}
 	if n <= len(sh.index)/4*3 {
 		return
@@ -160,8 +157,7 @@ func (sh *shard) reserve(n int) {
 		slots *= 2
 	}
 	sh.index = make([]uint32, slots)
-	for p := range sh.hi {
-		a := Addr{hi: sh.hi[p], lo: sh.lo[p]}
+	for p, a := range sh.addrs {
 		slot, _ := sh.find(a, a.Hash64()>>shardBits)
 		sh.index[slot] = uint32(p) + 1
 	}
@@ -191,43 +187,38 @@ func (s *ShardSet) Contains(a Addr) bool {
 	return ok
 }
 
-// Compact reallocates every shard's insertion columns at exact length:
+// Compact reallocates every shard's insertion slice at exact length:
 // append growth leaves up to ~2× slack on a set built by many small
 // batches, and a write-complete hitlist never uses it. Nothing else
 // changes — membership, Each order, the sorted view and FrozenViews are
-// as before, and a later write appends to the clipped columns as to any.
+// as before, and a later write appends to the clipped slice as to any.
 // Safe concurrently with readers, not with writers.
 func (s *ShardSet) Compact() {
 	par.Ranges(NumShards, s.Workers(), 1, 1, func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			sh := &s.shards[si]
 			sh.mu.Lock()
-			if cap(sh.hi) > len(sh.hi) {
-				sh.hi = append(make([]uint64, 0, len(sh.hi)), sh.hi...)
-			}
-			if cap(sh.lo) > len(sh.lo) {
-				sh.lo = append(make([]uint64, 0, len(sh.lo)), sh.lo...)
+			if cap(sh.addrs) > len(sh.addrs) {
+				sh.addrs = append(make([]Addr, 0, len(sh.addrs)), sh.addrs...)
 			}
 			sh.mu.Unlock()
 		}
 	})
 }
 
-// CompactCols is Compact under an earlier name, kept only because the
-// benchmark harness (cmd/bench/replay.go) still calls it; delete it with
-// that call.
+// CompactCols is Compact under an earlier name, kept only for cmd/bench.
 func (s *ShardSet) CompactCols() { s.Compact() }
 
 // MemBytes reports the set's resident heap footprint exactly, by
 // capacity: the membership index at 4 bytes per slot, the insertion
-// columns, and the cached sorted view if built. The breakdown drives the
+// slices, and the cached sorted view if built. The breakdown drives the
 // bytes-per-address audit in EXPERIMENTS.md.
 func (s *ShardSet) MemBytes() (total, index, columns, sortedView int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		index += int64(len(sh.index)) * 4
-		columns += int64(cap(sh.hi)+cap(sh.lo)) * 8
+		columns += int64(cap(sh.addrs)) * 16
 		sh.mu.RUnlock()
 	}
 	s.sortedMu.Lock()
@@ -273,7 +264,7 @@ func (s *ShardSet) AddSlice(addrs []Addr) int {
 		for si := slo; si < shi; si++ {
 			sh := &s.shards[si]
 			sh.mu.Lock()
-			k := len(sh.hi)
+			k := len(sh.addrs)
 			for c := range buckets {
 				k += len(buckets[c][si])
 			}
@@ -304,31 +295,31 @@ func (s *ShardSet) AddSlice(addrs []Addr) int {
 // build the set.
 func (s *ShardSet) Each(fn func(Addr) bool) {
 	for i := range s.shards {
-		v := s.shardView(i)
-		for j := range v.Hi {
-			if !fn(Addr{hi: v.Hi[j], lo: v.Lo[j]}) {
+		for _, a := range s.shardView(i) {
+			if !fn(a) {
 				return
 			}
 		}
 	}
 }
 
-// shardView captures a shard's column headers under its read lock.
+// shardView captures a shard's slice header under its read lock.
 // Appends by concurrent writers go beyond the captured length and never
 // move earlier elements, so iterating the view afterwards is safe.
-func (s *ShardSet) shardView(i int) ShardCols {
+func (s *ShardSet) shardView(i int) []Addr {
 	sh := &s.shards[i]
 	sh.mu.RLock()
-	v := ShardCols{Hi: sh.hi, Lo: sh.lo}
+	v := sh.addrs
 	sh.mu.RUnlock()
 	return v
 }
 
-// ShardSeqs returns point-in-time columnar views of all shards (each a
-// ShardCols), the unit of work for consumers that take the set shard by
-// shard as address sequences — Store.Stats' attribution tally.
-func (s *ShardSet) ShardSeqs() []AddrSeq {
-	out := make([]AddrSeq, NumShards)
+// Shards returns point-in-time views of all shards, each its addresses
+// in insertion order: the unit of work for consumers that take the set
+// shard by shard — Store.Stats' attribution tally. The views are shared
+// with the set: treat them as read-only.
+func (s *ShardSet) Shards() [][]Addr {
+	out := make([][]Addr, NumShards)
 	for i := range out {
 		out[i] = s.shardView(i)
 	}
@@ -338,8 +329,8 @@ func (s *ShardSet) ShardSeqs() []AddrSeq {
 // Sorted returns the addresses in ascending numeric order. The returned
 // slice is the set's cached sorted view, rebuilt at most once per
 // mutation epoch and SHARED between callers: treat it as read-only. The
-// rebuild sorts dirty shards' columns in parallel and k-way merges the
-// shard streams in address order.
+// rebuild sorts dirty shards' insertion tails in parallel and k-way
+// merges the shard streams in address order.
 func (s *ShardSet) Sorted() []Addr {
 	s.sortedMu.Lock()
 	defer s.sortedMu.Unlock()
@@ -353,9 +344,8 @@ func (s *ShardSet) Sorted() []Addr {
 	return s.sorted
 }
 
-// SortedSeq returns the cached sorted view as an AddrSeq, for consumers
-// (e.g. the scan engine) that index targets without copying them.
-func (s *ShardSet) SortedSeq() AddrSeq { return Addrs(s.Sorted()) }
+// SortedSeq is Sorted under an earlier name, kept only for cmd/bench.
+func (s *ShardSet) SortedSeq() []Addr { return s.Sorted() }
 
 // FrozenView is an immutable handle on a ShardSet's sorted view at one
 // mutation epoch. Sorted-view rebuilds always allocate a fresh slice and
@@ -373,21 +363,14 @@ type FrozenView struct {
 // shared with every other sorted-view consumer), never a copy.
 func (s *ShardSet) Freeze() FrozenView { return FrozenView{addrs: s.Sorted()} }
 
-// FrozenOf wraps an already-sorted address slice as a frozen view (test
-// fixtures, ad-hoc snapshots). The slice must not be mutated afterwards.
-func FrozenOf(sorted []Addr) FrozenView { return FrozenView{addrs: sorted} }
-
 // Len returns the number of addresses in the snapshot.
 func (v FrozenView) Len() int { return len(v.addrs) }
 
 // Sorted returns the snapshot's addresses in ascending order. Read-only.
 func (v FrozenView) Sorted() []Addr { return v.addrs }
 
-// Seq returns the snapshot as an indexed sequence.
-func (v FrozenView) Seq() AddrSeq { return Addrs(v.addrs) }
-
-// At returns the i-th address of the snapshot.
-func (v FrozenView) At(i int) Addr { return v.addrs[i] }
+// Seq is Sorted under an earlier name, kept only for cmd/bench.
+func (v FrozenView) Seq() []Addr { return v.addrs }
 
 // Contains reports membership in the snapshot by binary search. Unlike
 // the live set's Contains it never sees addresses added after Freeze —
@@ -402,26 +385,24 @@ func (v FrozenView) Contains(a Addr) bool {
 // tails are k-way merged, and the result is two-way merged with the
 // previous global cache into a freshly allocated slice. Per rebuild that
 // costs O(new·log(new)) sorting plus one linear merge, and the set's
-// resident footprint stays at insertion columns + one sorted cache —
+// resident footprint stays at insertion slices + one sorted cache —
 // no per-shard sorted mirrors. Called with sortedMu held; the insertion
-// columns are read through point-in-time views and never mutated here,
+// slices are read through point-in-time views and never mutated here,
 // and the previous cache slice is left intact for existing readers.
 func (s *ShardSet) rebuildSorted() []Addr {
-	tails := make([]ShardCols, NumShards)
+	tails := make([][]Addr, NumShards)
 	par.Ranges(NumShards, s.Workers(), 1, 1, func(_, slo, shi int) {
 		for si := slo; si < shi; si++ {
 			sh := &s.shards[si]
 			v := s.shardView(si)
-			if n := len(v.Hi); sh.sortedN < n {
-				tailHi := append([]uint64(nil), v.Hi[sh.sortedN:n]...)
-				tailLo := append([]uint64(nil), v.Lo[sh.sortedN:n]...)
-				sortColumns(tailHi, tailLo)
-				tails[si] = ShardCols{Hi: tailHi, Lo: tailLo}
+			if n := len(v); sh.sortedN < n {
+				tails[si] = append([]Addr(nil), v[sh.sortedN:n]...)
+				sortAddrs(tails[si])
 				sh.sortedN = n
 			}
 		}
 	})
-	fresh := mergeShardCols(tails)
+	fresh := mergeSorted(tails)
 	if len(s.sorted) == 0 {
 		return fresh
 	}
@@ -445,92 +426,79 @@ func (s *ShardSet) rebuildSorted() []Addr {
 	return out
 }
 
-// sortColumns sorts the parallel (hi, lo) arrays in ascending (hi, lo)
-// order: an iterative median-of-three quicksort with an insertion-sort
-// tail, working directly on the columns so no []Addr is materialized.
-// Hand-rolled deliberately: a sort.Interface adapter over the same
-// columns measures 2.4× slower at 2^20 elements (interface calls per
-// comparison/swap dominate); correctness is pinned against sort.Slice by
-// TestSortColumnsProperty.
-func sortColumns(hi, lo []uint64) { quickCols(hi, lo, 0, len(hi)) }
-
-func quickCols(hi, lo []uint64, a, b int) {
-	for b-a > 16 {
-		// Median-of-three pivot: order elements a, m, b-1 and take the
+// sortAddrs sorts a in ascending order: an iterative median-of-three
+// quicksort with an insertion-sort tail. Hand-rolled deliberately:
+// slices.SortFunc(a, Addr.Compare) measured 1.5× slower on 64 tails of
+// 2,560 addresses (x86-64, Go 1.24; it calls the comparison through a
+// func value, where Addr.Less inlines here); correctness is pinned
+// against slices.SortFunc by TestSortColumnsProperty.
+func sortAddrs(a []Addr) {
+	lo, hi := 0, len(a)
+	for hi-lo > 16 {
+		// Median-of-three pivot: order elements lo, m, hi-1 and take the
 		// middle one's value.
-		m := int(uint(a+b) >> 1)
-		if colLess(hi, lo, m, a) {
-			colSwap(hi, lo, m, a)
+		m := int(uint(lo+hi) >> 1)
+		if a[m].Less(a[lo]) {
+			a[m], a[lo] = a[lo], a[m]
 		}
-		if colLess(hi, lo, b-1, m) {
-			colSwap(hi, lo, b-1, m)
-			if colLess(hi, lo, m, a) {
-				colSwap(hi, lo, m, a)
+		if a[hi-1].Less(a[m]) {
+			a[hi-1], a[m] = a[m], a[hi-1]
+			if a[m].Less(a[lo]) {
+				a[m], a[lo] = a[lo], a[m]
 			}
 		}
-		ph, pl := hi[m], lo[m]
+		p := a[m]
 		// Hoare partition around the pivot value.
-		i, j := a, b-1
+		i, j := lo, hi-1
 		for {
-			for hi[i] < ph || (hi[i] == ph && lo[i] < pl) {
+			for a[i].Less(p) {
 				i++
 			}
-			for hi[j] > ph || (hi[j] == ph && lo[j] > pl) {
+			for p.Less(a[j]) {
 				j--
 			}
 			if i >= j {
 				break
 			}
-			colSwap(hi, lo, i, j)
+			a[i], a[j] = a[j], a[i]
 			i++
 			j--
 		}
 		// Recurse into the smaller side, loop on the larger.
-		if j+1-a < b-(j+1) {
-			quickCols(hi, lo, a, j+1)
-			a = j + 1
+		if j+1-lo < hi-(j+1) {
+			sortAddrs(a[lo : j+1])
+			lo = j + 1
 		} else {
-			quickCols(hi, lo, j+1, b)
-			b = j + 1
+			sortAddrs(a[j+1 : hi])
+			hi = j + 1
 		}
 	}
-	for i := a + 1; i < b; i++ {
-		for k := i; k > a && colLess(hi, lo, k, k-1); k-- {
-			colSwap(hi, lo, k, k-1)
+	for i := lo + 1; i < hi; i++ {
+		for k := i; k > lo && a[k].Less(a[k-1]); k-- {
+			a[k], a[k-1] = a[k-1], a[k]
 		}
 	}
 }
 
-func colLess(hi, lo []uint64, i, j int) bool {
-	return hi[i] < hi[j] || (hi[i] == hi[j] && lo[i] < lo[j])
-}
-
-func colSwap(hi, lo []uint64, i, j int) {
-	hi[i], hi[j] = hi[j], hi[i]
-	lo[i], lo[j] = lo[j], lo[i]
-}
-
-// mergeShardCols k-way merges sorted shard columns into one ascending
-// []Addr via a binary min-heap of shard cursors. Shards partition the
-// address space by hash, so no address appears in two streams and the
-// merge order is uniquely determined by the values.
-func mergeShardCols(views []ShardCols) []Addr {
+// mergeSorted k-way merges sorted shard tails into one ascending []Addr
+// via a binary min-heap of shard cursors. Shards partition the address
+// space by hash, so no address appears in two streams and the merge
+// order is uniquely determined by the values.
+func mergeSorted(tails [][]Addr) []Addr {
 	total := 0
 	type cursor struct {
-		hi, lo []uint64
-		i      int
+		a []Addr
+		i int
 	}
-	heap := make([]cursor, 0, len(views))
-	for _, v := range views {
-		total += len(v.Hi)
-		if len(v.Hi) > 0 {
-			heap = append(heap, cursor{hi: v.Hi, lo: v.Lo})
+	heap := make([]cursor, 0, len(tails))
+	for _, t := range tails {
+		total += len(t)
+		if len(t) > 0 {
+			heap = append(heap, cursor{a: t})
 		}
 	}
 	out := make([]Addr, 0, total)
-	less := func(x, y cursor) bool {
-		return x.hi[x.i] < y.hi[y.i] || (x.hi[x.i] == y.hi[y.i] && x.lo[x.i] < y.lo[y.i])
-	}
+	less := func(x, y cursor) bool { return x.a[x.i].Less(y.a[y.i]) }
 	siftDown := func(k int) {
 		for {
 			c := 2*k + 1
@@ -552,9 +520,9 @@ func mergeShardCols(views []ShardCols) []Addr {
 	}
 	for len(heap) > 0 {
 		c := &heap[0]
-		out = append(out, Addr{hi: c.hi[c.i], lo: c.lo[c.i]})
+		out = append(out, c.a[c.i])
 		c.i++
-		if c.i == len(c.hi) {
+		if c.i == len(c.a) {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
 		}

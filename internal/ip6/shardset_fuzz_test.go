@@ -12,9 +12,11 @@ import (
 // membership queries, sorted views and freezes — against a map plus a
 // per-shard insertion log. After every step that reads, and once at the
 // end, the set must agree with the model on Len, Contains, Sorted and
-// per-shard Each order, every shard's index must hold exactly its
-// columns, and every FrozenView taken along the way must still hold
-// exactly what it held when taken. Input layout: one byte of
+// per-shard Each order, every Shards() view must equal the model's
+// per-shard insertion log, every shard's index must hold exactly its
+// insertion slice, and every FrozenView and Shards() view taken along
+// the way (at each freeze) must still hold exactly what it held when
+// taken, whatever AddSlice and Compact did since. Input layout: one byte of
 // parallelism, then per operation an opcode byte and two address bytes
 // (AddSlice reads two more: batch length and how many distinct addresses
 // it cycles through).
@@ -54,6 +56,17 @@ func FuzzShardSet(f *testing.F) {
 			want []Addr
 		}
 		var views []frozen
+		type shardViews struct {
+			views, want [][]Addr
+		}
+		var shardsTaken []shardViews
+		cloneLog := func() [][]Addr {
+			out := make([][]Addr, NumShards)
+			for si := range log {
+				out[si] = slices.Clone(log[si])
+			}
+			return out
+		}
 		sortedModel := func() []Addr {
 			out := make([]Addr, 0, len(model))
 			for a := range model {
@@ -72,8 +85,18 @@ func FuzzShardSet(f *testing.F) {
 			if !slices.Equal(order, slices.Concat(log[:]...)) {
 				t.Fatalf("step %d: Each order differs from the per-shard insertion log", step)
 			}
-			for si := range s.shards {
+			for si, v := range s.Shards() {
+				if !slices.Equal(v, log[si]) {
+					t.Fatalf("step %d: Shards()[%d] differs from the shard's insertion log", step, si)
+				}
 				checkIndex(t, si, &s.shards[si])
+			}
+			for _, taken := range shardsTaken {
+				for si := range taken.views {
+					if !slices.Equal(taken.views[si], taken.want[si]) {
+						t.Fatalf("step %d: a Shards() view of shard %d changed after it was taken", step, si)
+					}
+				}
 			}
 			for _, v := range views {
 				if v.view.Len() != len(v.want) || !slices.Equal(v.view.Sorted(), v.want) {
@@ -117,7 +140,7 @@ func FuzzShardSet(f *testing.F) {
 				si := shardOf(a)
 				sh := &s.shards[si]
 				slots := len(sh.index)
-				need := slots/4*3 - len(sh.hi) + 1
+				need := slots/4*3 - len(sh.addrs) + 1
 				var batch []Addr
 				for k := 0; k < 1<<16 && len(batch) < need; k++ {
 					b := addr(byte(int(a.Hi())+k>>8), byte(int(a.Lo())+k))
@@ -151,6 +174,7 @@ func FuzzShardSet(f *testing.F) {
 			case 6:
 				v := s.Freeze()
 				views = append(views, frozen{view: v, want: sortedModel()})
+				shardsTaken = append(shardsTaken, shardViews{views: s.Shards(), want: cloneLog()})
 				if _, want := model[a]; v.Contains(a) != want {
 					t.Fatalf("step %d: fresh FrozenView.Contains(%v) = %v, model says %v", step, a, !want, want)
 				}

@@ -3,6 +3,7 @@ package ip6
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -196,13 +197,8 @@ func TestShardSetSortedSeq(t *testing.T) {
 	s := NewShardSetWorkers(0, 0)
 	s.AddSlice(randAddrs(500, 6))
 	seq, sorted := s.SortedSeq(), s.Sorted()
-	if seq.Len() != s.Len() || seq.Len() != len(sorted) {
-		t.Fatalf("SortedSeq has %d addresses, Sorted %d, Len %d", seq.Len(), len(sorted), s.Len())
-	}
-	for i, a := range sorted {
-		if seq.At(i) != a {
-			t.Fatalf("SortedSeq.At(%d) = %v, Sorted has %v", i, seq.At(i), a)
-		}
+	if len(seq) != s.Len() || !addrsEqual(seq, sorted) {
+		t.Fatalf("SortedSeq has %d addresses, Sorted %d, Len %d", len(seq), len(sorted), s.Len())
 	}
 }
 
@@ -252,25 +248,69 @@ func refSetOf(addrs []Addr) refSet {
 	return r
 }
 
+// TestSortColumnsProperty pins sortAddrs against slices.SortFunc over
+// sizes up to 5,000 and the input shapes that break quicksorts: random
+// with dense duplicates, duplicate-free, presorted (sorted source batches
+// make presorted tails common), reverse, all-equal hi words and organ
+// pipes.
 func TestSortColumnsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(400)
-		hi := make([]uint64, n)
-		lo := make([]uint64, n)
-		for i := range hi {
-			hi[i] = uint64(rng.Intn(8)) // dense duplicates in hi
-			lo[i] = uint64(rng.Intn(64))
-		}
-		want := make([]Addr, n)
-		for i := range want {
-			want[i] = AddrFromUint64(hi[i], lo[i])
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i].Less(want[j]) })
-		sortColumns(hi, lo)
-		for i := range want {
-			if AddrFromUint64(hi[i], lo[i]) != want[i] {
-				t.Fatalf("trial %d: mismatch at %d", trial, i)
+	shapes := []struct {
+		name string
+		gen  func(n int) []Addr
+	}{
+		{"duplicates", func(n int) []Addr {
+			out := make([]Addr, n)
+			for i := range out {
+				out[i] = AddrFromUint64(uint64(rng.Intn(8)), uint64(rng.Intn(64)))
+			}
+			return out
+		}},
+		{"distinct", func(n int) []Addr {
+			out := make([]Addr, n)
+			for i, k := range rng.Perm(n) {
+				out[i] = AddrFromUint64(uint64(k>>4), uint64(k))
+			}
+			return out
+		}},
+		{"presorted", func(n int) []Addr {
+			out := randAddrs(n, rng.Int63())
+			slices.SortFunc(out, Addr.Compare)
+			return out
+		}},
+		{"reverse", func(n int) []Addr {
+			out := randAddrs(n, rng.Int63())
+			slices.SortFunc(out, func(x, y Addr) int { return y.Compare(x) })
+			return out
+		}},
+		{"equal-hi", func(n int) []Addr {
+			out := make([]Addr, n)
+			for i := range out {
+				out[i] = AddrFromUint64(0x2001_0db8, rng.Uint64())
+			}
+			return out
+		}},
+		{"organ-pipe", func(n int) []Addr {
+			out := make([]Addr, n)
+			for i := range out {
+				k := uint64(min(i, n-1-i))
+				out[i] = AddrFromUint64(k>>3, k)
+			}
+			return out
+		}},
+	}
+	for _, shape := range shapes {
+		for trial := 0; trial < 12; trial++ {
+			n := rng.Intn(5001)
+			if trial < 4 {
+				n = []int{0, 1, 17, 5000}[trial]
+			}
+			got := shape.gen(n)
+			want := slices.Clone(got)
+			slices.SortFunc(want, Addr.Compare)
+			sortAddrs(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, n=%d: sortAddrs disagrees with slices.SortFunc", shape.name, n)
 			}
 		}
 	}

@@ -108,6 +108,12 @@ var DefaultHotFuncs = []HotFunc{
 	// per-address walk, behind every per-prefix and per-AS report tally.
 	{PkgPath: "expanse/internal/bgp", Func: "Lookup"},
 	{PkgPath: "expanse/internal/bgp", Func: "Resolve"},
+	// The per-address walks over the sorted hitlist slice: the alias
+	// filter's merge against its interval table, behind every day's
+	// split, and the entropy fingerprint's nybble count, behind every
+	// group of the §4 clustering.
+	{PkgPath: "expanse/internal/apd", Func: "Classify"},
+	{PkgPath: "expanse/internal/entropy", Func: "tally"},
 	// Collection's traceroute plane: the hop-reference kernel behind
 	// TraceroutePath and scamper, scamper's per-new-target loop and its
 	// per-subscriber-target CPE pass — the loops that used to build a hop

@@ -40,6 +40,8 @@ var fixtureHot = []lint.HotFunc{
 	{PkgPath: "hotalloc", Func: "goodLanes"},
 	{PkgPath: "hotalloc", Func: "find"},
 	{PkgPath: "hotalloc", Func: "insert"},
+	{PkgPath: "hotalloc", Func: "Classify"},
+	{PkgPath: "hotalloc", Func: "tally"},
 }
 
 func TestMapOrder(t *testing.T) {

@@ -3,9 +3,9 @@
 // responders, per-iteration scratch — written into a designated hot
 // function (the analyzer runs with ScanColumns, MergeColumns, resolve,
 // resolveSeq, expand, newProfile, fanOutWith, traceTargets, scanLanes,
-// goodLanes, find and insert of this package in its hot table), next to
-// a cold function where the same constructs are fine and the hoisted
-// patterns that keep hot paths clean.
+// goodLanes, find, insert, Classify and tally of this package in its hot
+// table), next to a cold function where the same constructs are fine and
+// the hoisted patterns that keep hot paths clean.
 package hotalloc
 
 import (
@@ -204,6 +204,36 @@ func insert(hi []uint64, batch []ip6.Addr) []uint64 {
 		}
 	}
 	return hi
+}
+
+// Classify is a designated hot function: the alias filter's per-address
+// merge against its interval table, with a debug key built per address.
+// Writing each flag into the column the caller sized is the clean shape.
+func Classify(sorted, his []ip6.Addr, out []bool, trace map[string]bool) {
+	ti := 0
+	for i, a := range sorted {
+		for ti < len(his) && his[ti].Less(a) {
+			ti++
+		}
+		out[i] = ti < len(his)
+		trace[a.String()] = out[i] // want `Addr.String in hot path Classify`
+	}
+}
+
+// tally is a designated hot function: the fingerprint's per-address
+// nybble count with each address's nybbles copied into a fresh slice.
+// Reading them one at a time into the caller's histogram is the clean
+// shape.
+func tally(addrs []ip6.Addr, counts [][16]int) {
+	for _, a := range addrs {
+		nybbles := make([]byte, 32) // want `make allocates per iteration in hot path tally`
+		for j := range nybbles {
+			nybbles[j] = a.Nybble(j)
+		}
+		for j, v := range nybbles {
+			counts[j][v]++
+		}
+	}
 }
 
 // coldHelper is not in the hot table: identical constructs pass.

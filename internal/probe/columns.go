@@ -22,7 +22,8 @@ import (
 // per-probe reference (ref_test.go) at any worker count and chunk size.
 
 // batchLen is the inner batch size handed to the responder: large enough
-// to amortize the call, small enough to keep gather scratch cache-warm.
+// to amortize the call, small enough to keep each batch's send-time
+// scratch cache-warm.
 const batchLen = 512
 
 // shards runs fn over [0,n) split across the scanner's workers. Virtual
@@ -52,7 +53,7 @@ type lane struct {
 // ScanColumns probes every target once (plus retries) on the given
 // protocol during the given day, writing results into out, which must
 // have been Reset (or ResetOK, for mask-only consumers) for exactly
-// targets.Len() targets. Column i describes target i. The probe ORDER
+// len(targets) targets. Column i describes target i. The probe ORDER
 // over the wire follows a pseudo-random permutation, like ZMap's address
 // randomization, so bursts never hammer one prefix.
 //
@@ -60,7 +61,7 @@ type lane struct {
 // state beyond its pooled buffers, so overlapping days run several scans
 // in parallel against one Scanner as long as the Responder honors the
 // concurrency contract documented in netsim.
-func (s *Scanner) ScanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *wire.ResultColumns) {
+func (s *Scanner) ScanColumns(targets []ip6.Addr, proto wire.Proto, day int, out *wire.ResultColumns) {
 	lanes := []lane{{proto: proto, step: s.interval(), out: out}}
 	s.scanLanes(targets, day, []uint64{s.protoOrder(proto, day)}, lanes, s.retries, nil)
 }
@@ -70,13 +71,13 @@ func (s *Scanner) ScanColumns(targets ip6.AddrSeq, proto wire.Proto, day int, ou
 // send-time line, so outs[k] is bit for bit what ScanColumns(targets,
 // protos[k], day, &outs[k]) writes — but every target is handed to the
 // responder once, with all its protocols, instead of once per protocol.
-func (s *Scanner) ScanProtos(targets ip6.AddrSeq, protos []wire.Proto, day int, outs []wire.ResultColumns) {
+func (s *Scanner) ScanProtos(targets []ip6.Addr, protos []wire.Proto, day int, outs []wire.ResultColumns) {
 	s.scanProtos(targets, protos, day, outs, nil)
 }
 
 // scanProtos is ScanProtos over the caller's inverse-permutation scratch
 // (nil borrows the scanner's pooled one).
-func (s *Scanner) scanProtos(targets ip6.AddrSeq, protos []wire.Proto, day int, outs []wire.ResultColumns, invs *invSet) {
+func (s *Scanner) scanProtos(targets []ip6.Addr, protos []wire.Proto, day int, outs []wire.ResultColumns, invs *invSet) {
 	orders := make([]uint64, len(protos))
 	lanes := make([]lane, len(protos))
 	for k, p := range protos {
@@ -102,11 +103,11 @@ type invSet [][]uint32
 // the APD detector probes millions of fan-out targets per day), before
 // the targets fan out over the scanner's worker shards: one sharding
 // whatever the number of lanes. Each shard walks its targets in index
-// order: gather a batch, fix each lane's send times from the permutation
+// order: take a batch targets[b:e], fix each lane's send times from the permutation
 // positions, let the responder answer all lanes of the batch in one
 // call, then retry each lane's unanswered subset in place.
-func (s *Scanner) scanLanes(targets ip6.AddrSeq, day int, orders []uint64, lanes []lane, retries int, invs *invSet) {
-	n := targets.Len()
+func (s *Scanner) scanLanes(targets []ip6.Addr, day int, orders []uint64, lanes []lane, retries int, invs *invSet) {
+	n := len(targets)
 	if invs == nil {
 		if invs, _ = s.invPool.Get().(*invSet); invs == nil {
 			invs = new(invSet)
@@ -131,7 +132,8 @@ func (s *Scanner) scanLanes(targets ip6.AddrSeq, day int, orders []uint64, lanes
 			wl[li] = wire.Lane{Proto: ln.proto, Out: ln.out}
 		}
 		var retry retryState
-		forEachBatch(targets, lo, hi, func(dsts []ip6.Addr, b, e int) {
+		for b := lo; b < hi; b += batchLen {
+			e := min(b+batchLen, hi)
 			for li := range lanes {
 				ln := &lanes[li]
 				pos := inv[ln.order]
@@ -144,42 +146,14 @@ func (s *Scanner) scanLanes(targets ip6.AddrSeq, day int, orders []uint64, lanes
 				}
 				wl[li].At = at
 			}
-			wire.ProbeBatchInto(s.responder, dsts, day, wl, b)
+			wire.ProbeBatchInto(s.responder, targets[b:e], day, wl, b)
 			if retries > 0 {
 				for li := range lanes {
 					retry.run(s, targets, day, b, e, &lanes[li], inv[lanes[li].order], retries)
 				}
 			}
-		})
+		}
 	})
-}
-
-// forEachBatch slices [lo,hi) into batchLen windows and materializes each
-// as a []ip6.Addr for the responder — zero-copy for plain ip6.Addrs
-// views, through a reused gather scratch otherwise — calling fn with the
-// window and its index range.
-func forEachBatch(targets ip6.AddrSeq, lo, hi int, fn func(dsts []ip6.Addr, b, e int)) {
-	as, fast := targets.(ip6.Addrs)
-	var gather []ip6.Addr
-	for b := lo; b < hi; b += batchLen {
-		e := b + batchLen
-		if e > hi {
-			e = hi
-		}
-		var dsts []ip6.Addr
-		if fast {
-			dsts = as[b:e]
-		} else {
-			if gather == nil {
-				gather = make([]ip6.Addr, batchLen)
-			}
-			dsts = gather[:e-b]
-			for i := b; i < e; i++ {
-				dsts[i-b] = targets.At(i)
-			}
-		}
-		fn(dsts, b, e)
-	}
 }
 
 // retryState holds the scratch of the in-chunk retry passes: one lane's
@@ -193,7 +167,7 @@ type retryState struct {
 	lane [1]wire.Lane
 }
 
-func (r *retryState) run(s *Scanner, targets ip6.AddrSeq, day int, b, e int, ln *lane, inv []uint32, retries int) {
+func (r *retryState) run(s *Scanner, targets []ip6.Addr, day int, b, e int, ln *lane, inv []uint32, retries int) {
 	out := ln.out
 	pass := wire.Time(len(inv)) * ln.step
 	r.idx = r.idx[:0]
@@ -206,7 +180,7 @@ func (r *retryState) run(s *Scanner, targets ip6.AddrSeq, day int, b, e int, ln 
 		r.dsts = r.dsts[:0]
 		r.ats = r.ats[:0]
 		for _, i := range r.idx {
-			r.dsts = append(r.dsts, targets.At(i))
+			r.dsts = append(r.dsts, targets[i])
 			at := wire.Time(inv[i])*ln.step + ln.off + wire.Time(a+1)*pass
 			r.ats = append(r.ats, at)
 			if out.SentAt != nil {
@@ -249,13 +223,13 @@ type sweepBufs struct {
 }
 
 // sweepInto runs one day's five-protocol sweep into masks (len ==
-// targets.Len(), fully overwritten): the five-lane scan, every lane
+// len(targets), fully overwritten): the five-lane scan, every lane
 // writing only its OK bitset. Every protocol keeps its own permutation
 // and virtual send-time line, so the result is bit-identical to running
 // the protocols one after another; the masks fold the five bitsets
 // word-by-word after the scan.
-func (s *Scanner) sweepInto(targets ip6.AddrSeq, day int, bufs *sweepBufs, masks []wire.RespMask) {
-	n := targets.Len()
+func (s *Scanner) sweepInto(targets []ip6.Addr, day int, bufs *sweepBufs, masks []wire.RespMask) {
+	n := len(targets)
 	for pi := range bufs.cols {
 		bufs.cols[pi].ResetOK(n)
 	}
@@ -288,15 +262,15 @@ func (s *Scanner) sweepInto(targets ip6.AddrSeq, day int, bufs *sweepBufs, masks
 
 // SweepSeqInto probes every target on all five protocols for one day —
 // the paper's daily responsiveness scan (§6) — into a caller-owned mask
-// column: masks is resized to targets.Len() (reallocating only when
+// column: masks is resized to len(targets) (reallocating only when
 // capacity is short), fully overwritten, and returned. This is the
 // per-day column handoff of the epoch pipeline — each published day keeps
 // its own mask column while the scan scratch (per-protocol OK bitsets,
 // inverse permutations) stays internal to the call. Safe for concurrent
 // use: mask-only sweeps share no scanner state, so overlapping days may
 // sweep in parallel.
-func (s *Scanner) SweepSeqInto(targets ip6.AddrSeq, day int, masks []wire.RespMask) []wire.RespMask {
-	n := targets.Len()
+func (s *Scanner) SweepSeqInto(targets []ip6.Addr, day int, masks []wire.RespMask) []wire.RespMask {
+	n := len(targets)
 	if cap(masks) < n {
 		masks = make([]wire.RespMask, n)
 	} else {
@@ -313,9 +287,9 @@ func (s *Scanner) SweepSeqInto(targets ip6.AddrSeq, day int, masks []wire.RespMa
 // only valid during the call — consumers fold them into their own state
 // (the longitudinal study of Fig 8 keeps one counter per day). A
 // days-day sweep allocates like a single sweep instead of days of them.
-func (s *Scanner) SweepDays(targets ip6.AddrSeq, day0, days int, fn func(day int, masks []wire.RespMask)) {
+func (s *Scanner) SweepDays(targets []ip6.Addr, day0, days int, fn func(day int, masks []wire.RespMask)) {
 	var bufs sweepBufs
-	masks := make([]wire.RespMask, targets.Len())
+	masks := make([]wire.RespMask, len(targets))
 	for d := 0; d < days; d++ {
 		s.sweepInto(targets, day0+d, &bufs, masks)
 		fn(day0+d, masks)
@@ -334,8 +308,8 @@ type PairColumns struct {
 // module to every target (§5.4) and writes them into pair columns: two
 // lanes of one protocol over one permutation, the second probe of a pair
 // leaving one send interval after the first. Pairs are never retried.
-func (s *Scanner) ProbePairColumns(targets ip6.AddrSeq, proto wire.Proto, day int, out *PairColumns) {
-	n := targets.Len()
+func (s *Scanner) ProbePairColumns(targets []ip6.Addr, proto wire.Proto, day int, out *PairColumns) {
+	n := len(targets)
 	out.First.Reset(n, s.tcp)
 	out.Second.Reset(n, s.tcp)
 	iv := s.interval()

@@ -91,18 +91,18 @@ func TestScanColumnsMatchesScanSeq(t *testing.T) {
 		grid(r, func(ref, s *Scanner, workers, retries int) {
 			if refs[retries] == nil {
 				for _, p := range protos {
-					refs[retries] = append(refs[retries], ref.scanSeq(ip6.Addrs(targets), p, day))
+					refs[retries] = append(refs[retries], ref.scanSeq(targets, p, day))
 				}
 			}
 			var one wire.ResultColumns
 			one.Reset(n, s.TCPTable())
-			s.ScanColumns(ip6.Addrs(targets), protos[0], day, &one)
+			s.ScanColumns(targets, protos[0], day, &one)
 			checkColumnsMatchScan(t, refs[retries][0], &one)
 			cols := make([]wire.ResultColumns, len(protos))
 			for k := range cols {
 				cols[k].Reset(n, s.TCPTable())
 			}
-			s.ScanProtos(ip6.Addrs(targets), protos, day, cols)
+			s.ScanProtos(targets, protos, day, cols)
 			for k := range cols {
 				checkColumnsMatchScan(t, refs[retries][k], &cols[k])
 			}
@@ -142,33 +142,6 @@ func TestShardsWordAligned(t *testing.T) {
 	}
 }
 
-// TestScanColumnsSeqView runs the columnar scan through a non-slice
-// AddrSeq view, exercising the gather path.
-func TestScanColumnsSeqView(t *testing.T) {
-	targets := addrs(700)
-	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
-	for i, a := range targets {
-		if i%2 == 0 {
-			var m wire.RespMask
-			m.Set(wire.ICMPv6)
-			f.up[a] = m
-		}
-	}
-	s := New(f, WithWorkers(4))
-	ref := s.scanSeq(ip6.Addrs(targets), wire.ICMPv6, 1)
-	var cols wire.ResultColumns
-	cols.Reset(len(targets), s.TCPTable())
-	s.ScanColumns(view{targets}, wire.ICMPv6, 1, &cols)
-	checkColumnsMatchScan(t, ref, &cols)
-}
-
-// view wraps a slice in an opaque AddrSeq so type switches cannot take
-// the ip6.Addrs fast path.
-type view struct{ a []ip6.Addr }
-
-func (v view) Len() int          { return len(v.a) }
-func (v view) At(i int) ip6.Addr { return v.a[i] }
-
 // TestSweepSeqMatchesLegacy pins the five-lane sweep against the legacy
 // per-probe fold — five independent per-probe scans — over the engine
 // grid, through the plain responder's fallback loop and through netsim's
@@ -178,9 +151,9 @@ func TestSweepSeqMatchesLegacy(t *testing.T) {
 		want := map[int][]wire.RespMask{}
 		grid(r, func(ref, s *Scanner, workers, retries int) {
 			if want[retries] == nil {
-				want[retries] = ref.sweepSeq(ip6.Addrs(targets), day)
+				want[retries] = ref.sweepSeq(targets, day)
 			}
-			got := s.SweepSeqInto(ip6.Addrs(targets), day, nil)
+			got := s.SweepSeqInto(targets, day, nil)
 			for i, w := range want[retries] {
 				if got[i] != w {
 					t.Fatalf("workers=%d retries=%d: mask %d = %v, want %v", workers, retries, i, got[i], w)
@@ -201,9 +174,9 @@ func TestSweepDaysMatchesSweep(t *testing.T) {
 	targets := addrs(200)
 	grid(mixedFake(targets, 60_000), func(_, s *Scanner, workers, retries int) {
 		days := 0
-		s.SweepDays(ip6.Addrs(targets), 4, 5, func(day int, masks []wire.RespMask) {
+		s.SweepDays(targets, 4, 5, func(day int, masks []wire.RespMask) {
 			days++
-			want := s.SweepSeqInto(ip6.Addrs(targets), day, nil)
+			want := s.SweepSeqInto(targets, day, nil)
 			for i := range want {
 				if masks[i] != want[i] {
 					t.Fatalf("workers=%d retries=%d day %d: mask %d = %v, want %v", workers, retries, day, i, masks[i], want[i])
@@ -225,12 +198,12 @@ func TestProbePairColumnsMatchesPairs(t *testing.T) {
 		var first, second []Result
 		grid(r, func(ref, s *Scanner, workers, retries int) {
 			if first == nil {
-				for _, pr := range ref.probePairsSeq(ip6.Addrs(targets), wire.TCP80, day) {
+				for _, pr := range ref.probePairsSeq(targets, wire.TCP80, day) {
 					first, second = append(first, pr.First), append(second, pr.Second)
 				}
 			}
 			var cols PairColumns
-			s.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, day, &cols)
+			s.ProbePairColumns(targets, wire.TCP80, day, &cols)
 			checkColumnsMatchScan(t, first, &cols.First)
 			checkColumnsMatchScan(t, second, &cols.Second)
 		})
@@ -275,12 +248,12 @@ func TestScanColumnsNetsimAcrossWorkers(t *testing.T) {
 	sRef, targets := netsimScanner(1)
 	day := 42
 	for _, proto := range []wire.Proto{wire.ICMPv6, wire.TCP80} {
-		ref := sRef.scanSeq(ip6.Addrs(targets), proto, day)
+		ref := sRef.scanSeq(targets, proto, day)
 		for _, workers := range []int{1, 4, 16} {
 			s, _ := netsimScanner(workers)
 			var cols wire.ResultColumns
 			cols.Reset(len(targets), s.TCPTable())
-			s.ScanColumns(ip6.Addrs(targets), proto, day, &cols)
+			s.ScanColumns(targets, proto, day, &cols)
 			checkColumnsMatchScan(t, ref, &cols)
 		}
 	}
@@ -293,7 +266,7 @@ func BenchmarkSweep(b *testing.B) {
 	s, targets := netsimScanner(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SweepSeqInto(ip6.Addrs(targets), 42, nil)
+		s.SweepSeqInto(targets, 42, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(targets)*wire.NumProtos), "ns/probe")
 }
@@ -304,7 +277,7 @@ func BenchmarkSweepLegacy(b *testing.B) {
 	s, targets := netsimScanner(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.sweepSeq(ip6.Addrs(targets), 42)
+		s.sweepSeq(targets, 42)
 	}
 }
 
@@ -316,7 +289,7 @@ func BenchmarkProbeBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cols.Reset(len(targets), s.TCPTable())
-		s.ScanColumns(ip6.Addrs(targets), wire.TCP80, 42, &cols)
+		s.ScanColumns(targets, wire.TCP80, 42, &cols)
 	}
 }
 
@@ -325,6 +298,6 @@ func BenchmarkProbeBatchLegacy(b *testing.B) {
 	s, targets := netsimScanner(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.scanSeq(ip6.Addrs(targets), wire.TCP80, 42)
+		s.scanSeq(targets, wire.TCP80, 42)
 	}
 }

@@ -5,11 +5,11 @@
 // onto virtual send times, a concurrent worker pool, and a TCP options
 // module that records fingerprint data (§5.4).
 //
-// The engine is columnar and batched (columns.go): every scan takes an
-// ip6.AddrSeq target view and writes wire.ResultColumns, and every scan
-// is a set of lanes — protocols or send-time lines over one target list
-// — through one engine, so the responder resolves each target once for
-// all of them. The Scanner's whole surface is ScanColumns (one protocol),
+// The engine is columnar and batched (columns.go): every scan takes a
+// []ip6.Addr target slice, hands the responder contiguous batches of it
+// without copying, and writes wire.ResultColumns. Every scan is a set of
+// lanes — protocols or send-time lines over one target list — through one
+// engine, so the responder resolves each target once for all of them. The Scanner's whole surface is ScanColumns (one protocol),
 // ScanProtos (several at once; APD's two), SweepSeqInto and SweepDays
 // (the five-protocol responsiveness sweep, one day or streamed),
 // ProbePairColumns (the §5.4 fingerprint pairs) and TCPTable. The

@@ -47,13 +47,13 @@ func addrs(n int) []ip6.Addr {
 func scan(s *Scanner, targets []ip6.Addr, proto wire.Proto, day int) *wire.ResultColumns {
 	var cols wire.ResultColumns
 	cols.Reset(len(targets), s.TCPTable())
-	s.ScanColumns(ip6.Addrs(targets), proto, day, &cols)
+	s.ScanColumns(targets, proto, day, &cols)
 	return &cols
 }
 
 // sweep runs one five-protocol production sweep.
 func sweep(s *Scanner, targets []ip6.Addr, day int) []wire.RespMask {
-	return s.SweepSeqInto(ip6.Addrs(targets), day, nil)
+	return s.SweepSeqInto(targets, day, nil)
 }
 
 // TestScannerMethodSet pins the production surface: exactly the six
@@ -119,7 +119,7 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 	refScan := scan(ref, targets, wire.TCP80, 2)
 	refSweep := sweep(ref, targets, 2)
 	var refPairs PairColumns
-	ref.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, 2, &refPairs)
+	ref.ProbePairColumns(targets, wire.TCP80, 2, &refPairs)
 	for _, workers := range []int{1, 4, 16} {
 		s := New(f, WithWorkers(workers))
 		res := scan(s, targets, wire.TCP80, 2)
@@ -138,7 +138,7 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		var pairs PairColumns
-		s.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, 2, &pairs)
+		s.ProbePairColumns(targets, wire.TCP80, 2, &pairs)
 		for i := range targets {
 			if pairs.First.SentAt[i] != refPairs.First.SentAt[i] ||
 				pairs.Second.SentAt[i] != refPairs.Second.SentAt[i] ||
@@ -215,7 +215,7 @@ func TestProbePairs(t *testing.T) {
 	}
 	s := New(f, WithWorkers(4))
 	var pairs PairColumns
-	s.ProbePairColumns(ip6.Addrs(targets), wire.TCP80, 0, &pairs)
+	s.ProbePairColumns(targets, wire.TCP80, 0, &pairs)
 	for i := range targets {
 		if !pairs.First.OK.Get(i) || !pairs.Second.OK.Get(i) {
 			t.Fatalf("pair %d not answered", i)
@@ -338,6 +338,6 @@ func BenchmarkScan(b *testing.B) {
 	var cols wire.ResultColumns
 	for i := 0; i < b.N; i++ {
 		cols.ResetOK(len(targets))
-		s.ScanColumns(ip6.Addrs(targets), wire.ICMPv6, 0, &cols)
+		s.ScanColumns(targets, wire.ICMPv6, 0, &cols)
 	}
 }

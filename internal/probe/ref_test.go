@@ -91,8 +91,8 @@ func (s *Scanner) shard(n int, fn func(lo, hi int)) {
 
 // scanSeq probes every target once (plus retries) on the given protocol
 // during the given day; results are returned in target order.
-func (s *Scanner) scanSeq(targets ip6.AddrSeq, proto wire.Proto, day int) []Result {
-	n := targets.Len()
+func (s *Scanner) scanSeq(targets []ip6.Addr, proto wire.Proto, day int) []Result {
+	n := len(targets)
 	results := make([]Result, n)
 	perm := NewPermutation(n, s.seed^uint64(proto)<<32^uint64(day))
 	iv := s.interval()
@@ -103,7 +103,7 @@ func (s *Scanner) scanSeq(targets ip6.AddrSeq, proto wire.Proto, day int) []Resu
 		// results are identical regardless of worker count.
 		for seq := lo; seq < hi; seq++ {
 			idx := perm.At(seq)
-			addr := targets.At(idx)
+			addr := targets[idx]
 			at := wire.Time(seq) * iv
 			r := s.probeOnce(addr, proto, day, at)
 			for a := 0; !r.OK && a < s.retries; a++ {
@@ -127,8 +127,8 @@ func (s *Scanner) probeOnce(addr ip6.Addr, proto wire.Proto, day int, at wire.Ti
 
 // sweepSeq is the per-probe sweep: five per-probe scans folded into
 // masks through full []Result slices.
-func (s *Scanner) sweepSeq(targets ip6.AddrSeq, day int) []wire.RespMask {
-	masks := make([]wire.RespMask, targets.Len())
+func (s *Scanner) sweepSeq(targets []ip6.Addr, day int) []wire.RespMask {
+	masks := make([]wire.RespMask, len(targets))
 	for _, p := range wire.Protos {
 		for i, r := range s.scanSeq(targets, p, day) {
 			if r.OK {
@@ -141,15 +141,15 @@ func (s *Scanner) sweepSeq(targets ip6.AddrSeq, day int) []wire.RespMask {
 
 // probePairsSeq sends two back-to-back TCP probes with the options
 // module to every target, one Probe call each.
-func (s *Scanner) probePairsSeq(targets ip6.AddrSeq, proto wire.Proto, day int) []Pair {
-	n := targets.Len()
+func (s *Scanner) probePairsSeq(targets []ip6.Addr, proto wire.Proto, day int) []Pair {
+	n := len(targets)
 	out := make([]Pair, n)
 	iv := s.interval()
 	perm := NewPermutation(n, s.seed^0xfb^uint64(day))
 	s.shard(n, func(lo, hi int) {
 		for seq := lo; seq < hi; seq++ {
 			idx := perm.At(seq)
-			addr := targets.At(idx)
+			addr := targets[idx]
 			at := wire.Time(seq) * iv * 2
 			out[idx] = Pair{
 				First:  s.probeOnce(addr, proto, day, at),

@@ -390,7 +390,7 @@ func TestStatsMatchMapAttribution(t *testing.T) {
 
 		for _, name := range Names {
 			_, pfxCount := attributionRef(st.PerSource(name), world.Table)
-			tally := world.Table.Tally(workers, st.PerSource(name).ShardSeqs()...)
+			tally := world.Table.Tally(workers, st.PerSource(name).Shards()...)
 			for id, ann := range world.Table.Announcements() {
 				if tally.Counts[id] != pfxCount[ann.Prefix] {
 					t.Fatalf("workers %d, %s: %v tallies %d, map says %d", workers, name, ann.Prefix, tally.Counts[id], pfxCount[ann.Prefix])

@@ -323,13 +323,13 @@ func (s *scamperSource) Collect(day int, hitlist *ip6.ShardSet) []ip6.Addr {
 	workers := hitlist.Workers()
 
 	// New targets: one partial reference set per chunk of shards.
-	seqs := hitlist.ShardSeqs()
+	shards := hitlist.Shards()
 	parts := make([]hopRefSet, workers)
 	par.Ranges(ip6.NumShards, workers, 1, 1, func(c, lo, hi int) {
 		parts[c] = newHopRefSet(s.world)
 		for si := lo; si < hi; si++ {
-			s.traceTargets(seqs[si], s.cursor[si], &parts[c])
-			s.cursor[si] = seqs[si].Len()
+			s.traceTargets(shards[si][s.cursor[si]:], &parts[c])
+			s.cursor[si] = len(shards[si])
 		}
 	})
 	for _, p := range parts {
@@ -355,11 +355,10 @@ func (s *scamperSource) traced(a ip6.Addr) bool {
 	return a.Hash64()%16 == 0 || s.world.InSubscriberSpace(a)
 }
 
-// traceTargets classifies targets[from:] and ORs the hop references of
-// the traced ones into refs.
-func (s *scamperSource) traceTargets(targets ip6.AddrSeq, from int, refs *hopRefSet) {
-	for j := from; j < targets.Len(); j++ {
-		a := targets.At(j)
+// traceTargets classifies targets and ORs the hop references of the
+// traced ones into refs.
+func (s *scamperSource) traceTargets(targets []ip6.Addr, refs *hopRefSet) {
+	for _, a := range targets {
 		if !s.traced(a) {
 			continue
 		}
@@ -560,7 +559,7 @@ type ASShare struct {
 // kernel's search-per-address case; shards resolve one after another,
 // each chunk-parallel.
 func (st *Store) stat(row SourceStat, set *ip6.ShardSet, table *bgp.Table) SourceStat {
-	tally := table.Tally(st.workers, set.ShardSeqs()...)
+	tally := table.Tally(st.workers, set.Shards()...)
 	row.ASes = tally.ASes()
 	row.Prefixes = tally.Prefixes()
 	for _, e := range tally.TopAS(3) {

@@ -438,9 +438,9 @@ func BenchmarkCollectWorld(b *testing.B) {
 				b.StopTimer()
 				// Scamper classifies each target once, as its shard
 				// cursor passes it.
-				for si, seq := range st.All().ShardSeqs() {
-					for j := 0; j < sc.cursor[si]; j++ {
-						if sc.traced(seq.At(j)) {
+				for si, shard := range st.All().Shards() {
+					for _, a := range shard[:sc.cursor[si]] {
+						if sc.traced(a) {
 							traced++
 						}
 					}
