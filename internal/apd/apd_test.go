@@ -376,9 +376,9 @@ func TestMurdockBaseline(t *testing.T) {
 }
 
 // murdockPerProbe is the retired per-probe form of MurdockDetector.Detect
-// — one Responder.Probe call per packet, send times from each target's
+// — one netsim Probe call per packet, send times from each target's
 // position in the scan order — kept as the oracle of the columnar Detect.
-func murdockPerProbe(r wire.Responder, prefixes []ip6.Prefix, day int) (aliased map[ip6.Prefix]bool, probesSent int) {
+func murdockPerProbe(r *netsim.Internet, prefixes []ip6.Prefix, day int) (aliased map[ip6.Prefix]bool, probesSent int) {
 	targets := murdockTargets(prefixes)
 	// The detector's scanner: seed 0x96, default 100 kpps (10 μs apart).
 	inv := probe.InversePermutation(nil, len(targets), 0x96^uint64(wire.TCP80)<<32^uint64(day))

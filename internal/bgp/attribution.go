@@ -29,10 +29,9 @@ const resolveMinChunk = 1024
 // announcement, an unsorted one degrades to one search per address. The
 // column is identical for every worker count and input order.
 func (t *Table) Resolve(addrs []ip6.Addr, workers int) []int32 {
-	ivals := t.compiled().ivals
 	ids := make([]int32, len(addrs))
 	par.Ranges(len(ids), workers, resolveMinChunk, 1, func(_, lo, hi int) {
-		cur := ip6.NewIntervalCursor(ivals)
+		cur := ip6.NewIntervalCursor(t.ivals)
 		for i := lo; i < hi; i++ {
 			id, ok := cur.Lookup(addrs[i])
 			if !ok {
@@ -47,7 +46,7 @@ func (t *Table) Resolve(addrs []ip6.Addr, workers int) []int32 {
 // Tally is a count of addresses per announcement, from which the per-AS
 // and coverage figures derive.
 type Tally struct {
-	c *compiled
+	t *Table
 	// Counts[id] is the number of tallied addresses whose most specific
 	// announcement is id; it is aligned with Table.Announcements().
 	Counts []int
@@ -56,8 +55,7 @@ type Tally struct {
 // Tally resolves the address slices (see Resolve) and counts their
 // routed addresses per announcement.
 func (t *Table) Tally(workers int, addrs ...[]ip6.Addr) *Tally {
-	c := t.compiled()
-	ta := &Tally{c: c, Counts: make([]int, len(c.anns))}
+	ta := &Tally{t: t, Counts: make([]int, len(t.anns))}
 	for _, a := range addrs {
 		for _, id := range t.Resolve(a, workers) {
 			if id >= 0 {
@@ -89,9 +87,9 @@ func nonZero(counts []int) int {
 // ByAS folds the tally per origin AS; the column is aligned with
 // Table.Origins().
 func (ta *Tally) ByAS() []int {
-	out := make([]int, len(ta.c.origins))
+	out := make([]int, len(ta.t.origins))
 	for id, n := range ta.Counts {
-		out[ta.c.asIdx[id]] += n
+		out[ta.t.asIdx[id]] += n
 	}
 	return out
 }
@@ -109,7 +107,7 @@ func (ta *Tally) TopAS(n int) []ASCount {
 	top := stats.TopN(byAS, n)
 	out := make([]ASCount, len(top))
 	for i, k := range top {
-		out[i] = ASCount{ASN: ta.c.origins[k], Count: byAS[k]}
+		out[i] = ASCount{ASN: ta.t.origins[k], Count: byAS[k]}
 	}
 	return out
 }
@@ -126,7 +124,7 @@ func (ta *Tally) Concentration(byAS bool) *stats.Concentration {
 // Of returns the count of the announcement of exactly p, 0 if p is not
 // announced.
 func (ta *Tally) Of(p ip6.Prefix) int {
-	anns := ta.c.anns
+	anns := ta.t.anns
 	i := sort.Search(len(anns), func(k int) bool { return ip6.CompareNested(anns[k].Prefix, p) >= 0 })
 	if i < len(anns) && anns[i].Prefix == p {
 		return ta.Counts[i]
@@ -142,17 +140,16 @@ func (ta *Tally) Of(p ip6.Prefix) int {
 // a column beyond 2^31 addresses fails loudly instead of truncating.
 // The buckets are a counting sort's output: they share one backing array.
 func (t *Table) Buckets(ids []int32, byAS bool) [][]int32 {
-	c := t.compiled()
 	if len(ids) > math.MaxInt32 {
 		panic("bgp: ID column exceeds int32 index space")
 	}
-	nkeys := len(c.anns)
+	nkeys := len(t.anns)
 	if byAS {
-		nkeys = len(c.origins)
+		nkeys = len(t.origins)
 	}
 	keyOf := func(id int32) int32 {
 		if byAS {
-			return c.asIdx[id]
+			return t.asIdx[id]
 		}
 		return id
 	}

@@ -7,7 +7,7 @@
 //
 // The paper resolves every hitlist address to its announced BGP prefix and
 // origin AS (via pyasn over RIB dumps); this package plays that role.
-// Table is build-then-read: Announce appends, and the read side is one
+// NewTable compiles a Table once from its registry and announcements: one
 // sorted announcement column plus the disjoint interval table compiled
 // from it (ip6.CompileIntervals), so a point query is a binary search and
 // a sorted address stream is a cursor walk (ip6.IntervalCursor) — the
@@ -155,7 +155,11 @@ var tailCountries = []string{
 // and Incapsula's many /48s that form the aliased "hook" of Figure 5.
 func Generate(cfg RegistryConfig) *Table {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	t := NewTable()
+	var ases []ASInfo
+	var anns []Announcement
+	announce := func(p ip6.Prefix, origin ASN) {
+		anns = append(anns, Announcement{Prefix: p, Origin: origin})
+	}
 
 	allocIdx := uint64(0)
 	// nextAlloc returns a fresh /29 so every AS's space is disjoint:
@@ -167,7 +171,7 @@ func Generate(cfg RegistryConfig) *Table {
 	}
 
 	for _, m := range Majors {
-		t.Register(m)
+		ases = append(ases, m)
 		alloc := nextAlloc()
 		switch m.Kind {
 		case KindCloud, KindCDN:
@@ -182,24 +186,24 @@ func Generate(cfg RegistryConfig) *Table {
 				n48 = 64
 			}
 			for i := 0; i < 2; i++ {
-				t.Announce(alloc.Subprefix(32, uint64(i)), m.ASN)
+				announce(alloc.Subprefix(32, uint64(i)), m.ASN)
 			}
 			for i := 0; i < n48; i++ {
 				// /48s inside the third /32 of the allocation.
 				p32 := alloc.Subprefix(32, 2)
-				t.Announce(p32.Subprefix(48, uint64(i)), m.ASN)
+				announce(p32.Subprefix(48, uint64(i)), m.ASN)
 			}
 		case KindISP:
 			// ISPs: one short prefix (/29 or /32) plus a handful of
 			// regional /32-/36 more-specifics.
-			t.Announce(alloc, m.ASN)
+			announce(alloc, m.ASN)
 			for i := 0; i < 3+rng.Intn(5); i++ {
-				t.Announce(alloc.Subprefix(32+4*rng.Intn(2), uint64(i)), m.ASN)
+				announce(alloc.Subprefix(32+4*rng.Intn(2), uint64(i)), m.ASN)
 			}
 		default:
-			t.Announce(alloc.Subprefix(32, 0), m.ASN)
+			announce(alloc.Subprefix(32, 0), m.ASN)
 			for i := 0; i < rng.Intn(4); i++ {
-				t.Announce(alloc.Subprefix(48, uint64(i)), m.ASN)
+				announce(alloc.Subprefix(48, uint64(i)), m.ASN)
 			}
 		}
 	}
@@ -208,7 +212,7 @@ func Generate(cfg RegistryConfig) *Table {
 	for i := 0; i < cfg.ASes; i++ {
 		asn := ASN(100000 + i)
 		kind := pickKind(rng)
-		t.Register(ASInfo{
+		ases = append(ases, ASInfo{
 			ASN:     asn,
 			Name:    fmt.Sprintf("%s-net-%d", kind, i),
 			Kind:    kind,
@@ -220,14 +224,13 @@ func Generate(cfg RegistryConfig) *Table {
 		for rng.Float64() < 1-1/cfg.PrefixesPerAS && n < 40 {
 			n++
 		}
-		t.Announce(alloc.Subprefix(32, 0), asn)
+		announce(alloc.Subprefix(32, 0), asn)
 		for j := 1; j < n; j++ {
 			length := 32 + 4*rng.Intn(5) // /32../48
-			t.Announce(alloc.Subprefix(length, uint64(j)), asn)
+			announce(alloc.Subprefix(length, uint64(j)), asn)
 		}
 	}
-	t.compiled()
-	return t
+	return NewTable(ases, anns)
 }
 
 func pickKind(rng *rand.Rand) Kind {

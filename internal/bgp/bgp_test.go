@@ -8,10 +8,11 @@ import (
 )
 
 func TestTableBasics(t *testing.T) {
-	tb := NewTable()
-	tb.Register(ASInfo{ASN: 64496, Name: "Example", Kind: KindHoster, Country: "DE"})
 	p := ip6.MustParsePrefix("2001:db8::/32")
-	tb.Announce(p, 64496)
+	tb := NewTable([]ASInfo{
+		{ASN: 64496, Name: "Placeholder", Kind: KindISP, Country: "ZZ"},
+		{ASN: 64496, Name: "Example", Kind: KindHoster, Country: "DE"}, // the later entry wins
+	}, []Announcement{{Prefix: p, Origin: 64496}})
 
 	got, asn, ok := tb.Lookup(ip6.MustParseAddr("2001:db8::1"))
 	if !ok || asn != 64496 || got != p {
@@ -26,7 +27,7 @@ func TestTableBasics(t *testing.T) {
 	if asn, ok := tb.Origin(ip6.MustParseAddr("2001:db8::1")); !ok || asn != 64496 {
 		t.Error("Origin wrong")
 	}
-	if info := tb.AS(64496); info.Name != "Example" {
+	if info := tb.AS(64496); info.Name != "Example" || tb.NumASes() != 1 {
 		t.Error("registry lookup wrong")
 	}
 	if info := tb.AS(65000); info.Name != "AS65000" {
@@ -35,9 +36,10 @@ func TestTableBasics(t *testing.T) {
 }
 
 func TestMoreSpecificWins(t *testing.T) {
-	tb := NewTable()
-	tb.Announce(ip6.MustParsePrefix("2001:db8::/32"), 1)
-	tb.Announce(ip6.MustParsePrefix("2001:db8:1::/48"), 2)
+	tb := NewTable(nil, []Announcement{
+		{Prefix: ip6.MustParsePrefix("2001:db8:1::/48"), Origin: 2},
+		{Prefix: ip6.MustParsePrefix("2001:db8::/32"), Origin: 1},
+	})
 	if _, asn, _ := tb.Lookup(ip6.MustParseAddr("2001:db8:1::5")); asn != 2 {
 		t.Errorf("more specific not preferred: ASN %d", asn)
 	}

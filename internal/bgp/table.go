@@ -4,34 +4,17 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"expanse/internal/ip6"
 )
 
 // Table is an IPv6 routing table: announced prefixes with origin ASes and
-// the AS registry. The zero value is an empty table ready for Announce.
-//
-// The table is build-then-read. Announce appends to the build side; the
-// first read after an Announce compiles the read side — the sorted
-// announcement column and its interval table — and every read until the
-// next Announce shares it. Reads are safe for unlimited concurrent use
-// (Generate hands out an already compiled table); Announce and Register
-// must not run concurrently with anything else.
+// the AS registry. NewTable compiles it once — the sorted announcement
+// column and its interval table — and it is read-only after: reads are
+// safe for unlimited concurrent use. The zero value is an empty table.
 type Table struct {
 	as map[ASN]ASInfo
 
-	// log is every standing announcement in Announce order: the last
-	// compiled column followed by whatever was announced since.
-	log []Announcement
-
-	mu   sync.Mutex               // serializes compilation
-	read atomic.Pointer[compiled] // nil while log holds uncompiled entries
-}
-
-// compiled is the immutable read side of a Table.
-type compiled struct {
 	// anns is the announcement column in ip6.CompareNested (address,
 	// length) order with unique prefixes. An announcement's index is its
 	// ID — the value of ivals, of Resolve's column and of Tally.Counts.
@@ -45,81 +28,53 @@ type compiled struct {
 	asIdx   []int32
 }
 
-// NewTable returns an empty routing table.
-func NewTable() *Table {
-	return &Table{as: make(map[ASN]ASInfo)}
-}
-
-// Register adds (or replaces) an AS in the registry.
-func (t *Table) Register(info ASInfo) {
-	if t.as == nil {
-		t.as = make(map[ASN]ASInfo)
+// NewTable compiles a routing table from its AS registry and its
+// announcements. A later entry for the same ASN or the same prefix
+// replaces an earlier one, as a re-announcement replaces the route it
+// repeats. anns is not modified.
+func NewTable(ases []ASInfo, anns []Announcement) *Table {
+	t := &Table{as: make(map[ASN]ASInfo, len(ases))}
+	for _, info := range ases {
+		t.as[info.ASN] = info
 	}
-	t.as[info.ASN] = info
-}
-
-// Announce inserts a prefix announcement. Re-announcing a prefix replaces
-// its origin.
-func (t *Table) Announce(p ip6.Prefix, origin ASN) {
-	t.log = append(t.log, Announcement{Prefix: p, Origin: origin})
-	t.read.Store(nil)
-}
-
-// compiled returns the read side, compiling it if an Announce has
-// happened since the last read.
-func (t *Table) compiled() *compiled {
-	if c := t.read.Load(); c != nil {
-		return c
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c := t.read.Load(); c != nil {
-		return c
-	}
-	anns := slices.Clone(t.log)
-	// Stable: among equal prefixes the latest Announce sorts last, and
-	// the dedupe below keeps the last.
-	slices.SortStableFunc(anns, func(a, b Announcement) int { return ip6.CompareNested(a.Prefix, b.Prefix) })
+	sorted := slices.Clone(anns)
+	// Stable: among equal prefixes the later entry sorts last, and the
+	// dedupe below keeps the last.
+	slices.SortStableFunc(sorted, func(a, b Announcement) int { return ip6.CompareNested(a.Prefix, b.Prefix) })
 	n := 0
-	for _, a := range anns {
-		if n > 0 && anns[n-1].Prefix == a.Prefix {
-			anns[n-1] = a
+	for _, a := range sorted {
+		if n > 0 && sorted[n-1].Prefix == a.Prefix {
+			sorted[n-1] = a
 			continue
 		}
-		anns[n] = a
+		sorted[n] = a
 		n++
 	}
-	// Clipped, so the next Announce's append copies instead of writing
-	// into the column readers share.
-	anns = anns[:n:n]
-	t.log = anns
-
-	c := &compiled{anns: anns, origins: make([]ASN, n), asIdx: make([]int32, n)}
+	t.anns = sorted[:n:n]
+	t.origins, t.asIdx = make([]ASN, n), make([]int32, n)
 	prefixes := make([]ip6.Prefix, n)
 	ids := make([]int32, n)
-	for i, a := range anns {
-		prefixes[i], ids[i], c.origins[i] = a.Prefix, int32(i), a.Origin
+	for i, a := range t.anns {
+		prefixes[i], ids[i], t.origins[i] = a.Prefix, int32(i), a.Origin
 	}
-	c.ivals = ip6.CompileIntervals(prefixes, ids)
-	slices.Sort(c.origins)
-	c.origins = slices.Compact(c.origins)
-	for i, a := range anns {
-		k, _ := slices.BinarySearch(c.origins, a.Origin)
-		c.asIdx[i] = int32(k)
+	t.ivals = ip6.CompileIntervals(prefixes, ids)
+	slices.Sort(t.origins)
+	t.origins = slices.Compact(t.origins)
+	for i, a := range t.anns {
+		k, _ := slices.BinarySearch(t.origins, a.Origin)
+		t.asIdx[i] = int32(k)
 	}
-	t.read.Store(c)
-	return c
+	return t
 }
 
 // Lookup returns the most specific announced prefix covering a and its
 // origin AS.
 func (t *Table) Lookup(a ip6.Addr) (ip6.Prefix, ASN, bool) {
-	c := t.compiled()
-	id, ok := ip6.LookupInterval(c.ivals, a)
+	id, ok := ip6.LookupInterval(t.ivals, a)
 	if !ok {
 		return ip6.Prefix{}, 0, false
 	}
-	return c.anns[id].Prefix, c.anns[id].Origin, true
+	return t.anns[id].Prefix, t.anns[id].Origin, true
 }
 
 // Origin returns only the origin AS for a (0, false if unrouted).
@@ -130,7 +85,7 @@ func (t *Table) Origin(a ip6.Addr) (ASN, bool) {
 
 // IsRouted reports whether any announced prefix covers a.
 func (t *Table) IsRouted(a ip6.Addr) bool {
-	_, ok := ip6.LookupInterval(t.compiled().ivals, a)
+	_, ok := ip6.LookupInterval(t.ivals, a)
 	return ok
 }
 
@@ -144,7 +99,7 @@ func (t *Table) AS(asn ASN) ASInfo {
 }
 
 // NumPrefixes returns the number of announced prefixes.
-func (t *Table) NumPrefixes() int { return len(t.compiled().anns) }
+func (t *Table) NumPrefixes() int { return len(t.anns) }
 
 // NumASes returns the number of registered ASes.
 func (t *Table) NumASes() int { return len(t.as) }
@@ -152,16 +107,16 @@ func (t *Table) NumASes() int { return len(t.as) }
 // Announcements returns every announcement ordered by address then
 // length; an announcement's index is its ID. The slice is the table's own
 // column, shared between callers: treat it as read-only.
-func (t *Table) Announcements() []Announcement { return t.compiled().anns }
+func (t *Table) Announcements() []Announcement { return t.anns }
 
 // Intervals returns the compiled longest-match table: disjoint sorted
 // address intervals valued by announcement ID. Shared and read-only, like
 // Announcements.
-func (t *Table) Intervals() []ip6.Interval[int32] { return t.compiled().ivals }
+func (t *Table) Intervals() []ip6.Interval[int32] { return t.ivals }
 
 // Origins returns the distinct origin ASes of the announcements,
 // ascending — the key column of every per-AS tally. Shared and read-only.
-func (t *Table) Origins() []ASN { return t.compiled().origins }
+func (t *Table) Origins() []ASN { return t.origins }
 
 // ASes returns all registered ASes sorted by ASN.
 func (t *Table) ASes() []ASInfo {
@@ -176,7 +131,7 @@ func (t *Table) ASes() []ASInfo {
 // PrefixesOf returns all announcements originated by asn, ordered.
 func (t *Table) PrefixesOf(asn ASN) []ip6.Prefix {
 	var out []ip6.Prefix
-	for _, a := range t.compiled().anns {
+	for _, a := range t.anns {
 		if a.Origin == asn {
 			out = append(out, a.Prefix)
 		}

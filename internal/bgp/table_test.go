@@ -3,30 +3,32 @@ package bgp
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"expanse/internal/ip6"
 )
 
 // The compiled table's oracle is the structure it replaced: an ip6.Trie
-// filled by the same Announce sequence (a replacing Insert per call).
+// filled by the same announcement list (a replacing Insert per entry).
 
-// announceSet is a random announcement sequence with aggressive nesting
-// (children derived from earlier prefixes), re-announcements that change
-// an origin, and optionally the two extreme lengths.
+// announceSet is a random announcement list with aggressive nesting
+// (children derived from earlier prefixes), repeats that change an
+// origin, and optionally the two extreme lengths, beside the trie filled
+// from it.
 type announceSet struct {
-	table *Table
-	trie  ip6.Trie[ASN]
-	log   []Announcement
+	trie ip6.Trie[ASN]
+	log  []Announcement
 }
 
 func (s *announceSet) announce(p ip6.Prefix, origin ASN) {
-	s.table.Announce(p, origin)
 	s.trie.Insert(p, origin)
 	s.log = append(s.log, Announcement{Prefix: p, Origin: origin})
 }
+
+// table compiles the list announced so far.
+func (s *announceSet) table() *Table { return NewTable(nil, s.log) }
 
 func (s *announceSet) grow(rng *rand.Rand, n int, extremes bool) {
 	for i := 0; i < n; i++ {
@@ -36,7 +38,7 @@ func (s *announceSet) grow(rng *rand.Rand, n int, extremes bool) {
 			parent := s.log[rng.Intn(len(s.log))].Prefix
 			bits := min(parent.Bits()+1+rng.Intn(16), 128)
 			s.announce(ip6.PrefixFrom(parent.RandomAddr(rng), bits), origin)
-		case r < 6 && len(s.log) > 0: // a re-announcement
+		case r < 6 && len(s.log) > 0: // a repeat
 			s.announce(s.log[rng.Intn(len(s.log))].Prefix, origin)
 		default:
 			a := ip6.AddrFromUint64(rng.Uint64(), rng.Uint64())
@@ -61,23 +63,31 @@ func (s *announceSet) probes(rng *rand.Rand, n int) []ip6.Addr {
 			out = append(out, s.log[rng.Intn(len(s.log))].Prefix.RandomAddr(rng))
 		}
 	}
+	return append(out, s.boundaries()...)
+}
+
+// boundaries returns every announcement's first and last address and
+// their outside neighbours: the only addresses where the longest match
+// can change.
+func (s *announceSet) boundaries() []ip6.Addr {
+	var out []ip6.Addr
 	for _, a := range s.log {
 		out = append(out, a.Prefix.Addr(), a.Prefix.Last(), a.Prefix.Addr().Prev(), a.Prefix.Last().Next())
 	}
 	return out
 }
 
-// check pins every point and enumeration read against the trie.
-func (s *announceSet) check(t *testing.T, rng *rand.Rand) {
+// check pins every point and enumeration read of tb against the trie.
+func (s *announceSet) check(t *testing.T, tb *Table, probes []ip6.Addr) {
 	t.Helper()
 	var want []Announcement
 	s.trie.Walk(func(p ip6.Prefix, asn ASN) bool {
 		want = append(want, Announcement{Prefix: p, Origin: asn})
 		return true
 	})
-	got := s.table.Announcements()
-	if len(got) != len(want) || s.table.NumPrefixes() != s.trie.Len() {
-		t.Fatalf("Announcements: %d entries, NumPrefixes %d; trie holds %d", len(got), s.table.NumPrefixes(), s.trie.Len())
+	got := tb.Announcements()
+	if len(got) != len(want) || tb.NumPrefixes() != s.trie.Len() {
+		t.Fatalf("Announcements: %d entries, NumPrefixes %d; trie holds %d", len(got), tb.NumPrefixes(), s.trie.Len())
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -91,43 +101,115 @@ func (s *announceSet) check(t *testing.T, rng *rand.Rand) {
 				wantP = append(wantP, a.Prefix)
 			}
 		}
-		if gotP := s.table.PrefixesOf(asn); !reflect.DeepEqual(gotP, wantP) {
+		if gotP := tb.PrefixesOf(asn); !reflect.DeepEqual(gotP, wantP) {
 			t.Fatalf("PrefixesOf(%d) = %v, trie walk says %v", asn, gotP, wantP)
 		}
 	}
-	for _, a := range s.probes(rng, 200) {
+	for _, a := range probes {
 		wp, wasn, wok := s.trie.Lookup(a)
-		gp, gasn, gok := s.table.Lookup(a)
+		gp, gasn, gok := tb.Lookup(a)
 		if gok != wok || gp != wp || gasn != wasn {
 			t.Fatalf("Lookup(%v) = %v,%d,%v; trie says %v,%d,%v", a, gp, gasn, gok, wp, wasn, wok)
 		}
-		if oasn, ook := s.table.Origin(a); ook != wok || oasn != wasn {
+		if oasn, ook := tb.Origin(a); ook != wok || oasn != wasn {
 			t.Fatalf("Origin(%v) = %d,%v; trie says %d,%v", a, oasn, ook, wasn, wok)
 		}
-		if s.table.IsRouted(a) != wok {
+		if tb.IsRouted(a) != wok {
 			t.Fatalf("IsRouted(%v) = %v; trie says %v", a, !wok, wok)
 		}
+	}
+	s.checkIntervals(t, tb)
+}
+
+// checkIntervals pins Intervals() against the trie: sorted, disjoint,
+// each interval's ends resolving to its announcement, no two adjacent
+// intervals with one value, and every gap unrouted at both ends. With
+// the Lookup checks at every announcement boundary, that fixes the
+// table: the longest match only changes at a boundary.
+func (s *announceSet) checkIntervals(t *testing.T, tb *Table) {
+	t.Helper()
+	anns := tb.Announcements()
+	unrouted := func(a ip6.Addr) bool { _, _, ok := s.trie.Lookup(a); return !ok }
+	ivals := tb.Intervals()
+	for i, iv := range ivals {
+		if iv.Hi.Less(iv.Lo) {
+			t.Fatalf("interval %d is empty: %v-%v", i, iv.Lo, iv.Hi)
+		}
+		for _, end := range []ip6.Addr{iv.Lo, iv.Hi} {
+			if p, _, ok := s.trie.Lookup(end); !ok || p != anns[iv.Val].Prefix {
+				t.Fatalf("interval %d (%v-%v) holds %v; the trie resolves %v to %v,%v", i, iv.Lo, iv.Hi, anns[iv.Val].Prefix, end, p, ok)
+			}
+		}
+		gapLo := ip6.Addr{}
+		if i > 0 {
+			prev := ivals[i-1]
+			if !prev.Hi.Less(iv.Lo) {
+				t.Fatalf("intervals %d and %d overlap or are out of order", i-1, i)
+			}
+			if prev.Hi.Next() == iv.Lo {
+				if prev.Val == iv.Val {
+					t.Fatalf("intervals %d and %d are adjacent with one value", i-1, i)
+				}
+				continue
+			}
+			gapLo = prev.Hi.Next()
+		} else if iv.Lo == (ip6.Addr{}) {
+			continue
+		}
+		if !unrouted(gapLo) || !unrouted(iv.Lo.Prev()) {
+			t.Fatalf("the gap %v-%v before interval %d is routed", gapLo, iv.Lo.Prev(), i)
+		}
+	}
+	if n := len(ivals); n == 0 {
+		if len(anns) > 0 {
+			t.Fatal("announcements compile to no interval")
+		}
+	} else if last := ivals[n-1].Hi; last != ip6.MaxAddr() && (!unrouted(last.Next()) || !unrouted(ip6.MaxAddr())) {
+		t.Fatalf("the gap after %v is routed", last)
 	}
 }
 
 func TestTableMatchesTrie(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xb6f))
 	for trial := 0; trial < 40; trial++ {
-		s := &announceSet{table: NewTable()}
-		s.grow(rng, 1+rng.Intn(80), trial%3 == 0)
-		s.check(t, rng)
-
-		// Announce after a read: the next read sees the new entries and
-		// the replaced origins, and the column handed out before is
-		// untouched.
-		before := s.table.Announcements()
-		snapshot := append([]Announcement(nil), before...)
-		s.grow(rng, 1+rng.Intn(20), false)
-		s.check(t, rng)
-		if !reflect.DeepEqual(before, snapshot) {
-			t.Fatalf("trial %d: an Announce rewrote the column an earlier read returned", trial)
-		}
+		s := &announceSet{}
+		s.grow(rng, 1+rng.Intn(100), trial%3 == 0)
+		s.check(t, s.table(), s.probes(rng, 200))
 	}
+}
+
+// FuzzTable compiles arbitrary announcement lists — nested, unsorted,
+// repeating prefixes with different origins, down to ::/0 and up to host
+// routes — and pins every read against the trie filled from the same
+// list (see check). Each 4-byte record of the input announces one
+// prefix: a fresh one, a more-specific of an earlier one, or a repeat.
+func FuzzTable(f *testing.F) {
+	f.Add([]byte{0, 1, 32, 7, 1, 2, 16, 0, 2, 3, 0, 0})
+	f.Add([]byte{0, 1, 0, 0, 1, 2, 128, 9, 1, 3, 4, 1, 2, 4, 1, 1, 2, 5, 2, 2})
+	f.Add([]byte{0, 9, 48, 1, 0, 8, 40, 1, 0, 7, 32, 1, 1, 6, 8, 2, 2, 5, 0, 3, 2, 4, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &announceSet{}
+		for ; len(data) >= 4; data = data[4:] {
+			kind, origin, bits, salt := data[0]%3, ASN(1+data[1]%8), int(data[2]), data[3]
+			switch {
+			case kind == 1 && len(s.log) > 0: // a more-specific of an earlier prefix
+				parent := s.log[int(salt)%len(s.log)].Prefix
+				rng := rand.New(rand.NewSource(int64(salt)))
+				s.announce(ip6.PrefixFrom(parent.RandomAddr(rng), min(parent.Bits()+1+bits%24, 128)), origin)
+			case kind == 2 && len(s.log) > 0: // a repeat, usually with another origin
+				s.announce(s.log[int(salt)%len(s.log)].Prefix, origin)
+			default: // a fresh prefix in a narrow space, so they overlap
+				a := ip6.AddrFromUint64(0x2001_0db8_0000_0000|uint64(salt)<<24, uint64(salt)*0x9e3779b97f4a7c15)
+				s.announce(ip6.PrefixFrom(a, bits%129), origin)
+			}
+		}
+		in := slices.Clone(s.log)
+		tb := s.table()
+		if !slices.Equal(s.log, in) {
+			t.Fatal("NewTable reordered its argument")
+		}
+		s.check(t, tb, s.boundaries())
+	})
 }
 
 func TestEmptyTable(t *testing.T) {
@@ -149,30 +231,6 @@ func TestEmptyTable(t *testing.T) {
 	if got := tb.SplitByAS([]ip6.Addr{a}, 1); len(got) != 0 {
 		t.Errorf("SplitByAS on empty table = %v", got)
 	}
-}
-
-// TestConcurrentFirstRead runs the lazy compile under the race detector:
-// many readers hit a table whose last Announce nobody has read yet.
-func TestConcurrentFirstRead(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := &announceSet{table: NewTable()}
-	s.grow(rng, 200, true)
-	probes := s.probes(rng, 50)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, a := range probes {
-				wp, wasn, wok := s.trie.Lookup(a)
-				if gp, gasn, gok := s.table.Lookup(a); gok != wok || gp != wp || gasn != wasn {
-					t.Errorf("Lookup(%v) = %v,%d,%v; trie says %v,%d,%v", a, gp, gasn, gok, wp, wasn, wok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // attributionRef is the map-keyed attribution the kernel replaced: one
@@ -201,15 +259,16 @@ func (s *announceSet) attributionRef(addrs []ip6.Addr) attributionRef {
 func TestAttributionKernelMatchesMaps(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xa77))
 	for trial := 0; trial < 6; trial++ {
-		s := &announceSet{table: NewTable()}
+		s := &announceSet{}
 		s.grow(rng, 40+rng.Intn(100), trial%2 == 0)
+		table := s.table()
 		sorted := s.probes(rng, 2500)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
 		shuffled := append([]ip6.Addr(nil), sorted...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
-		anns := s.table.Announcements()
-		origins := s.table.Origins()
+		anns := table.Announcements()
+		origins := table.Origins()
 		for _, addrs := range [][]ip6.Addr{sorted, shuffled} {
 			ref := s.attributionRef(addrs)
 			if len(ref.pfx) < 2 || ref.total == len(addrs) && trial%2 != 0 {
@@ -217,7 +276,7 @@ func TestAttributionKernelMatchesMaps(t *testing.T) {
 			}
 			var ids1 []int32
 			for _, workers := range []int{1, 4, 16} {
-				ids := s.table.Resolve(addrs, workers)
+				ids := table.Resolve(addrs, workers)
 				if workers == 1 {
 					ids1 = ids
 					for i, a := range addrs {
@@ -230,7 +289,7 @@ func TestAttributionKernelMatchesMaps(t *testing.T) {
 					t.Fatalf("trial %d: Resolve differs between 1 and %d workers", trial, workers)
 				}
 
-				ta := s.table.Tally(workers, addrs[:len(addrs)/3], addrs[len(addrs)/3:])
+				ta := table.Tally(workers, addrs[:len(addrs)/3], addrs[len(addrs)/3:])
 				if ta.Prefixes() != len(ref.pfx) || ta.ASes() != len(ref.as) {
 					t.Fatalf("trial %d: tally covers %d prefixes / %d ASes, maps say %d / %d",
 						trial, ta.Prefixes(), ta.ASes(), len(ref.pfx), len(ref.as))
@@ -272,7 +331,7 @@ func TestAttributionKernelMatchesMaps(t *testing.T) {
 					t.Fatalf("trial %d: TopAS = %v, want %v", trial, got, wantTop[:min(5, len(wantTop))])
 				}
 
-				groups := s.table.SplitByAS(addrs, workers)
+				groups := table.SplitByAS(addrs, workers)
 				if len(groups) != len(ref.as) {
 					t.Fatalf("trial %d: SplitByAS has %d groups, map says %d", trial, len(groups), len(ref.as))
 				}
@@ -297,12 +356,12 @@ func TestAttributionKernelMatchesMaps(t *testing.T) {
 				}
 				return out
 			}
-			for id, idx := range s.table.Buckets(ids1, false) {
+			for id, idx := range table.Buckets(ids1, false) {
 				if !reflect.DeepEqual(toInts(idx), ref.pfx[anns[id].Prefix]) {
 					t.Fatalf("trial %d: bucket of %v = %v, map says %v", trial, anns[id].Prefix, idx, ref.pfx[anns[id].Prefix])
 				}
 			}
-			for k, idx := range s.table.Buckets(ids1, true) {
+			for k, idx := range table.Buckets(ids1, true) {
 				if !reflect.DeepEqual(toInts(idx), ref.as[origins[k]]) {
 					t.Fatalf("trial %d: bucket of AS%d = %v, map says %v", trial, origins[k], idx, ref.as[origins[k]])
 				}

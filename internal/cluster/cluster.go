@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"expanse/internal/par"
@@ -239,49 +238,15 @@ func ElbowResults(points [][]float64, kmax int, seed int64, workers int) []Resul
 	if kmax <= 0 {
 		return nil
 	}
+	// Large k runs cost far more than small ones, so k values go through
+	// a shared queue rather than contiguous chunks, largest k first (LPT
+	// scheduling: the costliest run must not start last). out is indexed,
+	// so scheduling order cannot affect the result.
 	out := make([]Result, kmax)
-	w := workers
-	if w <= 0 {
-		w = 1
-	}
-	if w > kmax {
-		w = kmax
-	}
-	inner := 1
-	if workers > kmax {
-		inner = (workers + kmax - 1) / kmax
-	}
-	if w <= 1 {
-		for i := 0; i < kmax; i++ {
-			out[i] = KMeansWorkers(points, i+1, seed, inner)
-		}
-		return out
-	}
-	// Large k runs cost far more than small ones, so hand k values to
-	// workers from a shared queue rather than in contiguous chunks, and
-	// dispatch the largest k first (LPT scheduling: the costliest run
-	// must not start last). out is indexed, so scheduling order cannot
-	// affect the result.
-	var next sync.Mutex
-	nextK := 0
-	var wg sync.WaitGroup
-	for c := 0; c < w; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				i := kmax - 1 - nextK
-				nextK++
-				next.Unlock()
-				if i < 0 {
-					return
-				}
-				out[i] = KMeansWorkers(points, i+1, seed, inner)
-			}
-		}()
-	}
-	wg.Wait()
+	par.Queue(kmax, workers, func(_, i, inner int) {
+		k := kmax - i
+		out[k-1] = KMeansWorkers(points, k, seed, inner)
+	})
 	return out
 }
 

@@ -119,6 +119,9 @@ func New(cfg Config) *Pipeline {
 		cfg.Overlap = 1
 	}
 	world := netsim.New(cfg.Sim)
+	// The world applies the simulation defaults; everything after it —
+	// the sources, Collect, GroupMin, the snapshot pin — reads them too.
+	cfg.Sim = world.Config()
 	dns := dnssim.New(world)
 	st := sources.NewStoreWorkers(cfg.Workers,
 		sources.NewDL(dns, cfg.Sim),

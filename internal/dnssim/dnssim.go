@@ -239,15 +239,7 @@ func (t *RTree) Query(path []byte) RCode {
 		mhi, mlo = ^uint64(0)<<(64-4*n), 0
 	}
 	a := t.addrs
-	l, h := 0, len(a)
-	for l < h {
-		m := int(uint(l+h) >> 1)
-		if a[m].Hi() < hi || (a[m].Hi() == hi && a[m].Lo() < lo) {
-			l = m + 1
-		} else {
-			h = m
-		}
-	}
+	l := ip6.Search(a, ip6.AddrFromUint64(hi, lo))
 	if l == len(a) || (a[l].Hi()^hi)&mhi != 0 || (a[l].Lo()^lo)&mlo != 0 {
 		return NXDomain
 	}

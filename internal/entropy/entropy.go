@@ -18,8 +18,6 @@ package entropy
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
@@ -137,7 +135,7 @@ func ByPrefixLen(sorted []ip6.Addr, bits, min, a, b, workers int) []Group {
 		return true
 	})
 	out := make([]Group, len(runs))
-	fingerprintEach(len(runs), workers, func(i, _, w int) {
+	par.Queue(len(runs), workers, func(_, i, w int) {
 		r := runs[i]
 		out[i] = Group{
 			Key:    r.p.String(),
@@ -187,7 +185,7 @@ func byBuckets(addrs []ip6.Addr, buckets [][]int32, min, a, b, workers int, labe
 	}
 	out := make([]Group, len(kept))
 	scratch := make([][]ip6.Addr, max(workers, 1))
-	fingerprintEach(len(kept), workers, func(i, c, w int) {
+	par.Queue(len(kept), workers, func(c, i, w int) {
 		g := label(kept[i])
 		group := scratch[c][:0]
 		for _, j := range buckets[kept[i]] {
@@ -200,51 +198,6 @@ func byBuckets(addrs []ip6.Addr, buckets [][]int32, min, a, b, workers int, labe
 	})
 	sortGroups(out)
 	return out
-}
-
-// fingerprintEach runs fn(i, c, innerWorkers) for every group index, with
-// up to workers goroutines pulling group indices from a shared queue
-// (group sizes are heavy-tailed, so contiguous chunks would idle the
-// workers that drew small groups); c, 0 <= c < max(workers, 1), names the
-// goroutine running the call, for per-worker scratch. Surplus workers beyond the group count fan out
-// inside each group's counting via the inner budget. Scheduling cannot
-// leak into the output: results are written per index and fingerprint
-// counts are integers merged position-wise, identical for any inner
-// worker count.
-func fingerprintEach(n, workers int, fn func(i, c, innerWorkers int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, 0, 1)
-		}
-		return
-	}
-	w := workers
-	if w > n {
-		w = n
-	}
-	inner := 1
-	if workers > n {
-		inner = (workers + n - 1) / n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for c := 0; c < w; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i, c, inner)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func sortGroups(gs []Group) {

@@ -230,9 +230,10 @@ func TestByPrefixLenMatchesMapReference(t *testing.T) {
 }
 
 func TestByASAndByBGPPrefix(t *testing.T) {
-	table := bgp.NewTable()
-	table.Announce(ip6.MustParsePrefix("2001:db8::/32"), 100)
-	table.Announce(ip6.MustParsePrefix("2001:dead::/32"), 200)
+	table := bgp.NewTable(nil, []bgp.Announcement{
+		{Prefix: ip6.MustParsePrefix("2001:db8::/32"), Origin: 100},
+		{Prefix: ip6.MustParsePrefix("2001:dead::/32"), Origin: 200},
+	})
 	var addrs []ip6.Addr
 	for i := 0; i < 120; i++ {
 		addrs = append(addrs, ip6.AddrFromUint64(ip6.MustParseAddr("2001:db8::").Hi(), uint64(i)))
@@ -252,17 +253,19 @@ func TestByASAndByBGPPrefix(t *testing.T) {
 	}
 }
 
-// routedWorld builds a table plus a routed address population with skewed
-// per-prefix densities for the determinism tests.
-func routedWorld(seed int64, nAddrs int) (*bgp.Table, []ip6.Addr) {
+// routedWorld builds a table of twelve /32s, plus the extra
+// announcements, and a routed address population with skewed per-prefix
+// densities inside the /32s for the determinism tests.
+func routedWorld(seed int64, nAddrs int, extra ...bgp.Announcement) (*bgp.Table, []ip6.Addr) {
 	rng := rand.New(rand.NewSource(seed))
-	table := bgp.NewTable()
+	var anns []bgp.Announcement
 	var prefixes []ip6.Prefix
 	for i := 0; i < 12; i++ {
 		p := ip6.MustParsePrefix(fmt.Sprintf("2001:%x::/32", 0xd00+i))
-		table.Announce(p, bgp.ASN(100+i%5)) // several prefixes share an AS
+		anns = append(anns, bgp.Announcement{Prefix: p, Origin: bgp.ASN(100 + i%5)}) // several prefixes share an AS
 		prefixes = append(prefixes, p)
 	}
+	table := bgp.NewTable(nil, append(anns, extra...))
 	addrs := make([]ip6.Addr, nAddrs)
 	for i := range addrs {
 		p := prefixes[rng.Intn(len(prefixes))]

@@ -105,11 +105,12 @@ func byASRef(addrs []ip6.Addr, table *bgp.Table, min, a, b, workers int) []Group
 // on sorted and on unsorted input, over a table with nested
 // announcements, an AS spanning several prefixes and unrouted addresses.
 func TestBGPGroupingMatchesMapBucketing(t *testing.T) {
-	table, addrs := routedWorld(33, 20000)
+	var extra []bgp.Announcement
 	for i := 0; i < 4; i++ { // more-specifics inside the /32s, one re-originated
 		p := ip6.MustParsePrefix(fmt.Sprintf("2001:%x::/40", 0xd00+i))
-		table.Announce(p, bgp.ASN(100+(i+1)%5))
+		extra = append(extra, bgp.Announcement{Prefix: p, Origin: bgp.ASN(100 + (i+1)%5)})
 	}
+	table, addrs := routedWorld(33, 20000, extra...)
 	for i := 0; i < 300; i++ {
 		addrs = append(addrs, ip6.AddrFromUint64(0xfd00<<48, uint64(i))) // unrouted
 	}

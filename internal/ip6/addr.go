@@ -92,6 +92,23 @@ func (a Addr) Compare(b Addr) int {
 // Less reports whether a sorts before b.
 func (a Addr) Less(b Addr) bool { return a.hi < b.hi || (a.hi == b.hi && a.lo < b.lo) }
 
+// Search returns the index of the first address in sorted (ascending)
+// that is not below a, len(sorted) if there is none: the one lower-bound
+// search over every sorted address column (Less inlines, unlike the
+// func value sort.Search calls).
+func Search(sorted []Addr, a Addr) int {
+	l, h := 0, len(sorted)
+	for l < h {
+		m := int(uint(l+h) >> 1)
+		if sorted[m].Less(a) {
+			l = m + 1
+		} else {
+			h = m
+		}
+	}
+	return l
+}
+
 // Next returns the address numerically one above a, wrapping at the top of
 // the address space.
 func (a Addr) Next() Addr {

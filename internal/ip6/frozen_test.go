@@ -5,7 +5,7 @@ import "testing"
 // TestFrozenViewPinsSortedEpoch pins the epoch-pinning contract of
 // Freeze: the frozen view keeps the sorted snapshot it was taken at —
 // contents, order, Contains — no matter how the live set mutates
-// afterwards (rebuildSorted builds fresh backing arrays, never mutates
+// afterwards (buildSorted builds fresh backing arrays, never mutates
 // a handed-out one).
 func TestFrozenViewPinsSortedEpoch(t *testing.T) {
 	pool := randAddrs(3000, 5)

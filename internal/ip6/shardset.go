@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,10 +32,11 @@ const (
 // parallel workers; membership reads take only a shard-local read lock.
 //
 // Sorted view: Sorted serves a cached globally-sorted view.
-// The cache is invalidated by any write and rebuilt at most once per
-// mutation epoch — parallel per-shard tail sorts, a k-way merge of the
-// tails, and a linear merge with the previous cache — so N consumers of
-// the sorted hitlist pay for one (incremental) sort, not N full ones.
+// The cache is invalidated by any write and rebuilt from scratch on the
+// next read — parallel per-shard sorts and a k-way merge of the shards —
+// so N consumers of the sorted hitlist pay for one sort, not N. The
+// pipeline builds its hitlist first and reads it sorted after, so the
+// view is built once per run.
 //
 // Determinism: contents, counts, the sorted view, and the Each iteration
 // order (shard-major, insertion order within a shard) are all independent
@@ -62,11 +63,6 @@ type shard struct {
 	// slot 0 for empty or a position in addrs + 1. Its length is 0 or a
 	// power of two, and at most ¾ of its slots are taken.
 	index []uint32
-
-	// sortedN is the prefix of addrs already covered by the set's global
-	// sorted cache, touched only during rebuilds (under the set's
-	// sortedMu, never under mu).
-	sortedN int
 }
 
 // NewShardSetWorkers returns a set preallocated for about n addresses
@@ -327,20 +323,16 @@ func (s *ShardSet) Shards() [][]Addr {
 }
 
 // Sorted returns the addresses in ascending numeric order. The returned
-// slice is the set's cached sorted view, rebuilt at most once per
-// mutation epoch and SHARED between callers: treat it as read-only. The
-// rebuild sorts dirty shards' insertion tails in parallel and k-way
-// merges the shard streams in address order.
+// slice is the set's cached sorted view, built by the first read after a
+// write and SHARED between callers: treat it as read-only.
 func (s *ShardSet) Sorted() []Addr {
 	s.sortedMu.Lock()
 	defer s.sortedMu.Unlock()
 	// Writes only ever grow the set, so the cache is valid exactly when
 	// it covers every address counted so far.
-	n := int(s.count.Load())
-	if s.sorted != nil && len(s.sorted) == n {
-		return s.sorted
+	if s.sorted == nil || len(s.sorted) != int(s.count.Load()) {
+		s.sorted = s.buildSorted()
 	}
-	s.sorted = s.rebuildSorted()
 	return s.sorted
 }
 
@@ -350,7 +342,7 @@ func (s *ShardSet) SortedSeq() []Addr { return s.Sorted() }
 // FrozenView is an immutable handle on a ShardSet's sorted view at one
 // mutation epoch. Sorted-view rebuilds always allocate a fresh slice and
 // leave the previous cache intact for existing readers (see
-// rebuildSorted), so a frozen view keeps serving exactly the addresses
+// buildSorted), so a frozen view keeps serving exactly the addresses
 // it was taken over, no matter how the live set mutates afterwards —
 // the pin an epoch snapshot needs so concurrent readers never observe a
 // half-grown hitlist. The zero value is an empty view.
@@ -359,8 +351,8 @@ type FrozenView struct {
 }
 
 // Freeze captures the current sorted view as an immutable snapshot. The
-// capture costs a cached-view lookup (one incremental rebuild at most,
-// shared with every other sorted-view consumer), never a copy.
+// capture costs a cached-view lookup (one rebuild at most, shared with
+// every other sorted-view consumer), never a copy.
 func (s *ShardSet) Freeze() FrozenView { return FrozenView{addrs: s.Sorted()} }
 
 // Len returns the number of addresses in the snapshot.
@@ -376,54 +368,24 @@ func (v FrozenView) Seq() []Addr { return v.addrs }
 // the live set's Contains it never sees addresses added after Freeze —
 // epoch-consistent reads are the point of the handle.
 func (v FrozenView) Contains(a Addr) bool {
-	i := sort.Search(len(v.addrs), func(k int) bool { return !v.addrs[k].Less(a) })
+	i := Search(v.addrs, a)
 	return i < len(v.addrs) && v.addrs[i] == a
 }
 
-// rebuildSorted is the incremental sorted-view build: each shard's
-// unsorted insertion tail is copied and sorted in parallel, the sorted
-// tails are k-way merged, and the result is two-way merged with the
-// previous global cache into a freshly allocated slice. Per rebuild that
-// costs O(new·log(new)) sorting plus one linear merge, and the set's
-// resident footprint stays at insertion slices + one sorted cache —
-// no per-shard sorted mirrors. Called with sortedMu held; the insertion
-// slices are read through point-in-time views and never mutated here,
-// and the previous cache slice is left intact for existing readers.
-func (s *ShardSet) rebuildSorted() []Addr {
-	tails := make([][]Addr, NumShards)
+// buildSorted builds the sorted view from scratch: each shard's
+// addresses are copied and sorted in parallel, and the sorted shards are
+// k-way merged into a freshly allocated slice. The insertion slices are
+// read through point-in-time views and never mutated, and the previous
+// cache is left intact for existing readers. Called with sortedMu held.
+func (s *ShardSet) buildSorted() []Addr {
+	parts := make([][]Addr, NumShards)
 	par.Ranges(NumShards, s.Workers(), 1, 1, func(_, slo, shi int) {
 		for si := slo; si < shi; si++ {
-			sh := &s.shards[si]
-			v := s.shardView(si)
-			if n := len(v); sh.sortedN < n {
-				tails[si] = append([]Addr(nil), v[sh.sortedN:n]...)
-				sortAddrs(tails[si])
-				sh.sortedN = n
-			}
+			parts[si] = slices.Clone(s.shardView(si))
+			sortAddrs(parts[si])
 		}
 	})
-	fresh := mergeSorted(tails)
-	if len(s.sorted) == 0 {
-		return fresh
-	}
-	if len(fresh) == 0 {
-		return s.sorted
-	}
-	old := s.sorted
-	out := make([]Addr, 0, len(old)+len(fresh))
-	i, j := 0, 0
-	for i < len(old) && j < len(fresh) {
-		if old[i].Less(fresh[j]) {
-			out = append(out, old[i])
-			i++
-		} else {
-			out = append(out, fresh[j])
-			j++
-		}
-	}
-	out = append(out, old[i:]...)
-	out = append(out, fresh[j:]...)
-	return out
+	return mergeSorted(parts)
 }
 
 // sortAddrs sorts a in ascending order: an iterative median-of-three
@@ -480,18 +442,18 @@ func sortAddrs(a []Addr) {
 	}
 }
 
-// mergeSorted k-way merges sorted shard tails into one ascending []Addr
-// via a binary min-heap of shard cursors. Shards partition the address
+// mergeSorted k-way merges sorted shards into one ascending []Addr via a
+// binary min-heap of shard cursors. Shards partition the address
 // space by hash, so no address appears in two streams and the merge
 // order is uniquely determined by the values.
-func mergeSorted(tails [][]Addr) []Addr {
+func mergeSorted(parts [][]Addr) []Addr {
 	total := 0
 	type cursor struct {
 		a []Addr
 		i int
 	}
-	heap := make([]cursor, 0, len(tails))
-	for _, t := range tails {
+	heap := make([]cursor, 0, len(parts))
+	for _, t := range parts {
 		total += len(t)
 		if len(t) > 0 {
 			heap = append(heap, cursor{a: t})

@@ -403,10 +403,10 @@ func BenchmarkShardSetContains(b *testing.B) {
 }
 
 // BenchmarkHitlistSorted measures sorted-view construction (parallel
-// shard sorts + k-way merge) over a 2^20-address hitlist. Each iteration
-// invalidates the cache with one insertion, so the incremental rebuild
-// path (merge one-element tail) is measured by the cache=warm variant and
-// the full build by cache=cold.
+// shard sorts + k-way merge) over a 2^20-address hitlist: the build on a
+// fresh set (cold), the rebuild after one insertion invalidates the cache
+// (warm-invalidate: a full rebuild, the view is not kept incrementally)
+// and the cached read.
 func BenchmarkHitlistSorted(b *testing.B) {
 	const n = 1 << 20
 	addrs := benchAddrs(n)

@@ -70,9 +70,9 @@ var DefaultHotFuncs = []HotFunc{
 	// The columnar world plane's resolution primitives: locate, the one
 	// per-destination owner decision behind both Probe and ProbeLanes,
 	// answer, the per-lane half — decide and its per-plane bodies, every
-	// lane's, then describe, only a recording lane's — the sorted-column
-	// binary searches and the host-column run cursor (hostRun.lookup; the
-	// interval cursor is ip6's, below).
+	// lane's, then describe, only a recording lane's — and the host-column
+	// run cursor (hostRun.lookup; its search and the interval cursor are
+	// ip6's, below).
 	{PkgPath: "expanse/internal/netsim", Func: "locate"},
 	{PkgPath: "expanse/internal/netsim", Func: "answer"},
 	{PkgPath: "expanse/internal/netsim", Func: "decide"},
@@ -80,8 +80,6 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/netsim", Func: "decideHost"},
 	{PkgPath: "expanse/internal/netsim", Func: "decideLine"},
 	{PkgPath: "expanse/internal/netsim", Func: "describe"},
-	{PkgPath: "expanse/internal/netsim", Func: "find"},
-	{PkgPath: "expanse/internal/netsim", Func: "search"},
 	{PkgPath: "expanse/internal/netsim", Func: "lookup"},
 	// A positive answer and the machine profile behind it: per responding
 	// probe for hosts and regions (answerRaw), per answer for subscriber-line
@@ -94,12 +92,14 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/lazyrand", Func: "Uint64"},
 	{PkgPath: "expanse/internal/apd", Func: "ProbeDayFlat"},
 	{PkgPath: "expanse/internal/apd", Func: "MergeColumns"},
-	{PkgPath: "expanse/internal/wire", Func: "ProbeBatchInto"},
 	{PkgPath: "expanse/internal/ip6", Func: "LookupInterval"},
 	{PkgPath: "expanse/internal/ip6", Func: "CompileIntervals"},
 	// The one interval cursor (IntervalCursor.Lookup): per-probe in the
 	// world's locate, per-address in the routing table's attribution.
 	{PkgPath: "expanse/internal/ip6", Func: "Lookup"},
+	// The one lower-bound search over a sorted address column: the host
+	// cursor's fallback, every reverse-zone query, FrozenView.Contains.
+	{PkgPath: "expanse/internal/ip6", Func: "Search"},
 	// The hitlist store's membership index: the probe behind every
 	// Contains and insert, and the insert behind every Add and AddSlice.
 	{PkgPath: "expanse/internal/ip6", Func: "find"},

@@ -136,7 +136,7 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 			case r.Quirks&QuirkProxyMix != 0 && hashAddr(world.key, dst)%7 == 0:
 				proxyMix++
 			}
-		} else if hi, ok := world.hc.find(dst); ok && world.hc.meta[hi]&hostFlagQUIC != 0 {
+		} else if hi, ok := world.hc.findRef(dst); ok && world.hc.meta[hi]&hostFlagQUIC != 0 {
 			quicFlaky++
 		} else if ni := world.poolOf(dst); ni >= 0 {
 			for _, day := range days {

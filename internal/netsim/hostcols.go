@@ -15,21 +15,19 @@ import (
 //
 // Construction (plan.go) registers finite hosts through a map-backed
 // builder — the exact map/AoS representation earlier versions kept for
-// the world's whole lifetime. Sealing replaces it with sorted (hi,lo)
-// address columns plus SoA parallel columns: the sorted column IS the
-// membership structure (the PR 2/5 pattern the hitlist planes use), so
-// the ~38 B/entry map overhead and the 40-byte padded Host structs are
-// gone, and a host costs 48 bytes flat (16 addr + 4 ASN + 1 meta +
-// 1 serves + 8 machine + 8 profile + 2 death + 4 domain + 4 rank).
+// the world's whole lifetime. Sealing replaces it with one sorted
+// []ip6.Addr column plus SoA parallel columns: the sorted column IS the
+// membership structure (the pattern the hitlist planes use), so the
+// ~38 B/entry map overhead and the 40-byte padded Host structs are gone,
+// and a host costs 48 bytes flat (16 addr + 4 ASN + 1 meta + 1 serves +
+// 8 machine + 8 profile + 2 death + 4 domain + 4 rank).
 //
 // Lookup strategies:
-//   - random access (HostAt, traceroute hops): binary search on the
-//     address columns — hostCols.find;
-//   - probe resolution (locate, over ProbeLanes' sorted probe runs or
-//     Probe's single destination): hostRun, an amortized merge cursor
+//   - point lookups (locate for ProbeLanes' sorted probe runs, Probe's
+//     and HostAt's single address): hostRun, an amortized merge cursor
 //     that caches the hit-or-gap run containing the last query and
 //     advances monotonically — one or two compares per address on sorted
-//     input instead of a map probe, one binary search when fresh;
+//     input instead of a map probe, one ip6.Search when fresh;
 //   - enumeration in insertion order (Hosts, and everything downstream
 //     that is order-sensitive): the byRank permutation maps insertion
 //     rank to sorted position, so the sealed plane reproduces the
@@ -42,10 +40,10 @@ const (
 )
 
 // hostCols is the sealed SoA host plane. All columns are parallel and
-// sorted by (hi,lo); byRank is the insertion-order permutation. profile
+// sorted by address; byRank is the insertion-order permutation. profile
 // is derived from machine by seal (fillProfiles).
 type hostCols struct {
-	hi, lo   []uint64
+	addr     []ip6.Addr
 	asn      []bgp.ASN
 	meta     []uint8
 	serves   []wire.RespMask
@@ -56,11 +54,7 @@ type hostCols struct {
 	byRank   []int32
 }
 
-func (hc *hostCols) n() int { return len(hc.hi) }
-
-func (hc *hostCols) addrAt(i int32) ip6.Addr {
-	return ip6.AddrFromUint64(hc.hi[i], hc.lo[i])
-}
+func (hc *hostCols) n() int { return len(hc.addr) }
 
 func (hc *hostCols) classAt(i int32) HostClass {
 	return HostClass(hc.meta[i] & hostClassMask)
@@ -69,7 +63,7 @@ func (hc *hostCols) classAt(i int32) HostClass {
 // hostAt reconstructs the AoS Host view of sorted position i.
 func (hc *hostCols) hostAt(i int32) Host {
 	return Host{
-		Addr:      hc.addrAt(i),
+		Addr:      hc.addr[i],
 		ASN:       hc.asn[i],
 		Class:     hc.classAt(i),
 		Serves:    hc.serves[i],
@@ -78,30 +72,6 @@ func (hc *hostCols) hostAt(i int32) Host {
 		QUICFlaky: hc.meta[i]&hostFlagQUIC != 0,
 		Domain:    hc.domain[i],
 	}
-}
-
-// search returns the first position in [from, n) whose address is >= a.
-func (hc *hostCols) search(from int32, a ip6.Addr) int32 {
-	ah, al := a.Hi(), a.Lo()
-	lo, hi := from, int32(len(hc.hi))
-	for lo < hi {
-		mid := int32(uint32(lo+hi) >> 1)
-		if hc.hi[mid] > ah || (hc.hi[mid] == ah && hc.lo[mid] >= al) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// find binary-searches the sorted address columns for a.
-func (hc *hostCols) find(a ip6.Addr) (int32, bool) {
-	i := hc.search(0, a)
-	if int(i) < len(hc.hi) && hc.hi[i] == a.Hi() && hc.lo[i] == a.Lo() {
-		return i, true
-	}
-	return 0, false
 }
 
 // packMeta packs class and flags into the meta byte.
@@ -157,8 +127,7 @@ func sealHosts(b *worldBuilder) hostCols {
 
 func makeHostCols(n int) hostCols {
 	return hostCols{
-		hi:       make([]uint64, n),
-		lo:       make([]uint64, n),
+		addr:     make([]ip6.Addr, n),
 		asn:      make([]bgp.ASN, n),
 		meta:     make([]uint8, n),
 		serves:   make([]wire.RespMask, n),
@@ -170,8 +139,7 @@ func makeHostCols(n int) hostCols {
 }
 
 func (hc *hostCols) setFrom(pos int32, h *Host) {
-	hc.hi[pos] = h.Addr.Hi()
-	hc.lo[pos] = h.Addr.Lo()
+	hc.addr[pos] = h.Addr
 	hc.asn[pos] = h.ASN
 	hc.meta[pos] = packMeta(h.Class, h.QUICFlaky)
 	hc.serves[pos] = h.Serves
@@ -191,7 +159,7 @@ func (hc *hostCols) fillProfiles() {
 	})
 }
 
-// hostRun is locate's merge cursor over the sorted host columns:
+// hostRun is the merge cursor over the sorted host column:
 // the parallel of ip6.IntervalCursor for point membership. It caches the *run*
 // containing the last query — the exact address it hit, or the gap
 // between neighbouring hosts it missed into — so a query inside the
@@ -219,28 +187,27 @@ func (c *hostRun) lookup(a ip6.Addr) (int32, bool) {
 	if c.valid && !a.Less(c.lo) && a.Compare(c.hi) <= 0 {
 		return c.idx, c.hit
 	}
-	hc := c.hc
-	n := int32(hc.n())
+	col := c.hc.addr
+	n := int32(len(col))
 	var pos int32
 	if c.valid && c.hi.Less(a) {
 		// Forward of the cached run: walk a few entries, then search the
 		// remaining suffix.
 		pos = c.next
 		steps := 0
-		ah, al := a.Hi(), a.Lo()
-		for pos < n && (hc.hi[pos] < ah || (hc.hi[pos] == ah && hc.lo[pos] < al)) {
+		for pos < n && col[pos].Less(a) {
 			pos++
 			steps++
 			if steps >= hostRunAdvance {
-				pos = hc.search(pos, a)
+				pos += int32(ip6.Search(col[pos:], a))
 				break
 			}
 		}
 	} else {
-		pos = hc.search(0, a)
+		pos = int32(ip6.Search(col, a))
 	}
 	c.valid = true
-	if pos < n && hc.hi[pos] == a.Hi() && hc.lo[pos] == a.Lo() {
+	if pos < n && col[pos] == a {
 		c.lo, c.hi = a, a
 		c.idx, c.next, c.hit = pos, pos+1, true
 		return pos, true
@@ -249,12 +216,12 @@ func (c *hostRun) lookup(a ip6.Addr) (int32, bool) {
 	// before the next (or the space's top).
 	c.idx, c.next, c.hit = 0, pos, false
 	if pos > 0 {
-		c.lo = hc.addrAt(pos - 1).Next()
+		c.lo = col[pos-1].Next()
 	} else {
 		c.lo = ip6.Addr{}
 	}
 	if pos < n {
-		c.hi = hc.addrAt(pos).Prev()
+		c.hi = col[pos].Prev()
 	} else {
 		c.hi = ip6.MaxAddr()
 	}
@@ -303,7 +270,7 @@ func (in *Internet) MemBytes() WorldMem {
 	hc := &in.hc
 	var m WorldMem
 	m.NHosts = hc.n()
-	m.Hosts = int64(cap(hc.hi))*8 + int64(cap(hc.lo))*8 +
+	m.Hosts = int64(cap(hc.addr))*16 +
 		int64(cap(hc.asn))*4 + int64(cap(hc.meta)) + int64(cap(hc.serves)) +
 		int64(cap(hc.machine))*8 + int64(cap(hc.profile))*8 + int64(cap(hc.deathDay))*2 +
 		int64(cap(hc.domain))*4 + int64(cap(hc.byRank))*4

@@ -305,10 +305,11 @@ func (in *Internet) Hosts(classes ...HostClass) []Host {
 	return out
 }
 
-// HostAt returns the finite host at addr, if any: a binary search on the
-// sorted address columns.
+// HostAt returns the finite host at addr, if any: one lookup through a
+// fresh host-column cursor, as Probe locates its destination.
 func (in *Internet) HostAt(addr ip6.Addr) (Host, bool) {
-	if i, ok := in.hc.find(addr); ok {
+	c := hostRun{hc: &in.hc}
+	if i, ok := c.lookup(addr); ok {
 		return in.hc.hostAt(i), true
 	}
 	return Host{}, false
@@ -344,7 +345,9 @@ func (in *Internet) GroundTruthAliased(addr ip6.Addr) bool {
 	return true
 }
 
-// Probe implements wire.Responder: it answers a single probe packet.
+// Probe answers a single probe packet: the per-probe form of ProbeLanes,
+// for callers that send one probe at a time (the crowdsourcing study, the
+// benchmarks and the scan engine's oracles).
 //
 // Concurrency contract: Probe is safe for unlimited concurrent use once
 // New has returned. The world is immutable after construction — every

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -56,8 +57,8 @@ func (in *Internet) probeRef(rt *refTries, dst ip6.Addr, p wire.Proto, day int, 
 			return in.materialize(&raw, day, at)
 		}
 	}
-	// 2. Finite hosts: binary search on the sorted host columns.
-	if i, ok := in.hc.find(dst); ok {
+	// 2. Finite hosts: binary search on the sorted host column.
+	if i, ok := in.hc.findRef(dst); ok {
 		in.answer(&owner{kind: ownerHost, id: i, net: rt.networkOf(dst), dst: dst}, p, day, at, lossHalf(day, p), &raw)
 		return in.materialize(&raw, day, at)
 	}
@@ -495,12 +496,19 @@ func fuzzHostAddr(b0, b1 byte) ip6.Addr {
 	}
 }
 
+// findRef binary-searches the sorted host column for a: the oracles'
+// point lookup, independent of hostRun and ip6.Search.
+func (hc *hostCols) findRef(a ip6.Addr) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(hc.addr, a, ip6.Addr.Compare)
+	return int32(i), ok
+}
+
 // FuzzHostRun drives one hostRun — the merge cursor locate leans on once
 // per target — over a fuzzed host column through an arbitrary query
 // sequence: forward, backward, repeated, into gaps, onto both ends of the
-// address space and outside every group. At every step the cursor,
-// hostCols.find's binary search and a linear scan of the column must
-// agree on (position, hit). Input layout: a host count, two bytes per
+// address space and outside every group. At every step the cursor, a
+// fresh cursor (HostAt's and Probe's one-query lookup) and a linear scan
+// of the column must agree on (position, hit). Input layout: a host count, two bytes per
 // host (fuzzHostAddr), then three bytes per query (host to aim at, how,
 // jitter).
 func FuzzHostRun(f *testing.F) {
@@ -527,7 +535,7 @@ func FuzzHostRun(f *testing.F) {
 		var hc hostCols
 		for i, a := range addrs {
 			if i == 0 || a != addrs[i-1] {
-				hc.hi, hc.lo = append(hc.hi, a.Hi()), append(hc.lo, a.Lo())
+				hc.addr = append(hc.addr, a)
 			}
 		}
 		cur := hostRun{hc: &hc}
@@ -535,7 +543,7 @@ func FuzzHostRun(f *testing.F) {
 		for ; len(data) >= 3; data = data[3:] {
 			aim := fuzzHostAddr(data[0], data[2])
 			if hc.n() > 0 {
-				aim = hc.addrAt(int32(int(data[0]) % hc.n()))
+				aim = hc.addr[int(data[0])%hc.n()]
 			}
 			switch data[1] % 8 {
 			case 0:
@@ -556,15 +564,16 @@ func FuzzHostRun(f *testing.F) {
 			}
 			want, wantOK := int32(0), false
 			for i := int32(0); i < int32(hc.n()); i++ {
-				if hc.addrAt(i) == q {
+				if hc.addr[i] == q {
 					want, wantOK = i, true
 				}
 			}
 			if got, ok := cur.lookup(q); got != want || ok != wantOK {
 				t.Fatalf("cursor(%v) = %d,%v; a scan of %d hosts says %d,%v", q, got, ok, hc.n(), want, wantOK)
 			}
-			if got, ok := hc.find(q); got != want || ok != wantOK {
-				t.Fatalf("find(%v) = %d,%v; a scan of %d hosts says %d,%v", q, got, ok, hc.n(), want, wantOK)
+			fresh := hostRun{hc: &hc}
+			if got, ok := fresh.lookup(q); got != want || ok != wantOK {
+				t.Fatalf("fresh cursor(%v) = %d,%v; a scan of %d hosts says %d,%v", q, got, ok, hc.n(), want, wantOK)
 			}
 		}
 	})

@@ -253,12 +253,12 @@ func compileShortest(nets []network) []ip6.Interval[int32] {
 	return ip6.CompileIntervals(prefixes, ids)
 }
 
-// ProbeLanes implements wire.BatchResponder: it answers destination k on
-// lane l exactly as Probe(dsts[k], l.Proto, day, l.At[k]) would, writing
-// into l.Out at base+k — every lane of a destination from the one owner
+// ProbeLanes implements wire.Responder: it answers destination k on lane
+// l exactly as Probe(dsts[k], l.Proto, day, l.At[k]) would, writing into
+// l.Out at base+k — every lane of a destination from the one owner
 // located for it. Safe for unlimited concurrent use under the same
 // contract as Probe; concurrent calls must target non-overlapping
-// 64-aligned column ranges (see wire.BatchResponder).
+// 64-aligned column ranges (see wire.Responder).
 func (in *Internet) ProbeLanes(dsts []ip6.Addr, day int, lanes []wire.Lane, base int) {
 	c := in.cursors()
 	in.probeLanes(&c, dsts, day, lanes, base)
@@ -332,4 +332,4 @@ func (in *Internet) emit(out *wire.ResultColumns, i int, raw *rawResponse, day i
 	}
 }
 
-var _ wire.BatchResponder = (*Internet)(nil)
+var _ wire.Responder = (*Internet)(nil)

@@ -97,13 +97,13 @@ func TestColumnsMatchBuilder(t *testing.T) {
 		}
 		// Sorted order: addresses strictly increasing (no duplicates).
 		for i := 1; i < in.hc.n(); i++ {
-			if !in.hc.addrAt(int32(i - 1)).Less(in.hc.addrAt(int32(i))) {
+			if !in.hc.addr[i-1].Less(in.hc.addr[i]) {
 				t.Fatalf("config %d: columns not strictly sorted at %d", ci, i)
 			}
 		}
-		// The map agrees with find for every member.
+		// The map agrees with a binary search for every member.
 		for addr, idx := range ref.hosts {
-			i, ok := in.hc.find(addr)
+			i, ok := in.hc.findRef(addr)
 			if !ok {
 				t.Fatalf("config %d: %v in builder map but not found in columns", ci, addr)
 			}

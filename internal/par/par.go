@@ -1,12 +1,16 @@
-// Package par is the repo's one data-parallel fan-out: splitting an index
-// range into contiguous chunks, one goroutine each. Every parallel scan
+// Package par is the repo's one data-parallel fan-out: Ranges splits an
+// index range into contiguous chunks, one goroutine each, and Queue hands
+// indices of uneven cost to goroutines one at a time. Every parallel scan
 // in the tree — scanner shards, history column merges, shard-set
-// rebuilds, nybble tallies, k-means assignment — goes through Ranges, so
-// chunk sizing, the inline small-input path and word alignment are
-// decided in one place.
+// rebuilds, nybble tallies, k-means assignment, per-group fingerprints,
+// the elbow sweep — goes through one of the two, so chunk sizing, the
+// inline small-input path and word alignment are decided in one place.
 package par
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Ranges splits [0,n) into at most workers contiguous ranges and runs
 // fn(c, lo, hi) on each concurrently, returning when all are done. c is
@@ -44,6 +48,47 @@ func Ranges(n, workers, minChunk, align int, fn func(c, lo, hi int)) {
 			defer wg.Done()
 			fn(c, lo, min(lo+chunk, n))
 		}(c, lo)
+	}
+	wg.Wait()
+}
+
+// Queue runs fn(c, i, inner) for every i in [0,n) on up to workers
+// goroutines, each pulling the next ascending index from a shared
+// counter: the fan-out for items of uneven cost (heavy-tailed group
+// sizes, k-means runs that grow with k), where Ranges' equal chunks would
+// idle the goroutines that drew cheap items. c names the goroutine making
+// the call, always below max(workers, 1), for per-goroutine scratch. When
+// workers exceeds n, inner = ceil(workers/n) is each call's share of the
+// surplus, to fan out inside the item; otherwise inner is 1.
+//
+// When only one goroutine would start, fn runs inline on the caller's
+// goroutine. Which goroutine gets which index is up to the scheduler, so
+// callers write results per index and never depend on c beyond scratch.
+func Queue(n, workers int, fn func(c, i, inner int)) {
+	if n <= 0 {
+		return
+	}
+	inner := 1
+	if workers > n {
+		inner = (workers + n - 1) / n
+	}
+	w := max(min(workers, n), 1)
+	if w == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i, inner)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < w; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(c, i, inner)
+			}
+		}()
 	}
 	wg.Wait()
 }

@@ -130,3 +130,61 @@ func TestRangesSmallInputInline(t *testing.T) {
 		}
 	})
 }
+
+// TestQueueRunsEachIndexOnce pins Queue's contract: every index of [0,n)
+// runs exactly once, c stays below max(workers, 1), and inner is
+// ceil(workers/n) when workers exceed n, else 1.
+func TestQueueRunsEachIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 64, 1000} {
+		for _, workers := range []int{-1, 0, 1, 2, 3, 8, 16} {
+			wantInner := 1
+			if n > 0 && workers > n {
+				wantInner = (workers + n - 1) / n
+			}
+			var mu sync.Mutex
+			runs := make([]int, n)
+			Queue(n, workers, func(c, i, inner int) {
+				mu.Lock()
+				defer mu.Unlock()
+				runs[i]++
+				if c < 0 || c >= max(workers, 1) {
+					t.Errorf("n=%d workers=%d: c = %d", n, workers, c)
+				}
+				if inner != wantInner {
+					t.Errorf("n=%d workers=%d: inner = %d, want %d", n, workers, inner, wantInner)
+				}
+			})
+			for i, r := range runs {
+				if r != 1 {
+					t.Fatalf("n=%d workers=%d: index %d ran %d times", n, workers, i, r)
+				}
+			}
+		}
+	}
+}
+
+// TestQueueInline pins the inline path: one worker, or one item however
+// many workers, runs every call on the caller's goroutine, in ascending
+// order, as c = 0; a real fan-out does not run inline.
+func TestQueueInline(t *testing.T) {
+	for _, tc := range []struct{ n, workers int }{{100, 1}, {100, 0}, {1, 16}} {
+		next := 0
+		Queue(tc.n, tc.workers, func(c, i, _ int) {
+			if c != 0 || i != next {
+				t.Errorf("%+v: inline call (c=%d, i=%d), want (0, %d)", tc, c, i, next)
+			}
+			next++
+			if !onCallerStack("TestQueueInline") {
+				t.Errorf("%+v: fn ran on a spawned goroutine", tc)
+			}
+		})
+		if next != tc.n {
+			t.Errorf("%+v: %d calls, want %d", tc, next, tc.n)
+		}
+	}
+	Queue(2, 2, func(_, _, _ int) {
+		if onCallerStack("TestQueueInline") {
+			t.Error("a two-goroutine queue ran inline")
+		}
+	})
+}

@@ -62,7 +62,7 @@ type lane struct {
 // in parallel against one Scanner as long as the Responder honors the
 // concurrency contract documented in netsim.
 func (s *Scanner) ScanColumns(targets []ip6.Addr, proto wire.Proto, day int, out *wire.ResultColumns) {
-	lanes := []lane{{proto: proto, step: s.interval(), out: out}}
+	lanes := []lane{{proto: proto, step: sendInterval, out: out}}
 	s.scanLanes(targets, day, []uint64{s.protoOrder(proto, day)}, lanes, s.retries, nil)
 }
 
@@ -82,7 +82,7 @@ func (s *Scanner) scanProtos(targets []ip6.Addr, protos []wire.Proto, day int, o
 	lanes := make([]lane, len(protos))
 	for k, p := range protos {
 		orders[k] = s.protoOrder(p, day)
-		lanes[k] = lane{proto: p, order: k, step: s.interval(), out: &outs[k]}
+		lanes[k] = lane{proto: p, order: k, step: sendInterval, out: &outs[k]}
 	}
 	s.scanLanes(targets, day, orders, lanes, s.retries, invs)
 }
@@ -146,7 +146,7 @@ func (s *Scanner) scanLanes(targets []ip6.Addr, day int, orders []uint64, lanes 
 				}
 				wl[li].At = at
 			}
-			wire.ProbeBatchInto(s.responder, targets[b:e], day, wl, b)
+			s.responder.ProbeLanes(targets[b:e], day, wl, b)
 			if retries > 0 {
 				for li := range lanes {
 					retry.run(s, targets, day, b, e, &lanes[li], inv[lanes[li].order], retries)
@@ -193,7 +193,7 @@ func (r *retryState) run(s *Scanner, targets []ip6.Addr, day int, b, e int, ln *
 			r.cols.ResetOK(len(r.idx))
 		}
 		r.lane[0] = wire.Lane{Proto: ln.proto, At: r.ats, Out: &r.cols}
-		wire.ProbeBatchInto(s.responder, r.dsts, day, r.lane[:], 0)
+		s.responder.ProbeLanes(r.dsts, day, r.lane[:], 0)
 		kept := r.idx[:0]
 		for k, i := range r.idx {
 			if !r.cols.OK.Get(k) {
@@ -312,10 +312,9 @@ func (s *Scanner) ProbePairColumns(targets []ip6.Addr, proto wire.Proto, day int
 	n := len(targets)
 	out.First.Reset(n, s.tcp)
 	out.Second.Reset(n, s.tcp)
-	iv := s.interval()
 	lanes := []lane{
-		{proto: proto, step: 2 * iv, out: &out.First},
-		{proto: proto, step: 2 * iv, off: iv, out: &out.Second},
+		{proto: proto, step: 2 * sendInterval, out: &out.First},
+		{proto: proto, step: 2 * sendInterval, off: sendInterval, out: &out.Second},
 	}
 	s.scanLanes(targets, day, []uint64{s.seed ^ 0xfb ^ uint64(day)}, lanes, 0, nil)
 }

@@ -38,10 +38,9 @@ func checkColumnsMatchScan(t *testing.T, ref []Result, cols *wire.ResultColumns)
 	}
 }
 
-// mixedFake answers a protocol mix over targets through the plain
-// per-probe Responder interface — no ProbeLanes, so every batch the
-// engine sends it goes through wire.ProbeBatchInto's fallback loop — and
-// drops every probe sent before failBefore, so retries change results.
+// mixedFake answers a protocol mix over targets, one Probe call per
+// destination and lane (fakeResponder's adapter), and drops every probe
+// sent before failBefore, so retries change results.
 func mixedFake(targets []ip6.Addr, failBefore wire.Time) *fakeResponder {
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}, failBefore: failBefore}
 	for i, a := range targets {
@@ -70,9 +69,9 @@ func mixedFake(targets []ip6.Addr, failBefore wire.Time) *fakeResponder {
 // the per-probe reference (whose results do not depend on workers).
 func grid(r wire.Responder, fn func(ref, s *Scanner, workers, retries int)) {
 	for _, retries := range []int{0, 2} {
-		ref := New(r, WithWorkers(1), WithRetries(retries), WithRate(1000))
+		ref := New(r, WithWorkers(1), WithRetries(retries))
 		for _, workers := range []int{1, 2, 4, 16} {
-			fn(ref, New(r, WithWorkers(workers), WithRetries(retries), WithRate(1000)), workers, retries)
+			fn(ref, New(r, WithWorkers(workers), WithRetries(retries)), workers, retries)
 		}
 	}
 }
@@ -110,7 +109,7 @@ func TestScanColumnsMatchesScanSeq(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 63, 64, 65, 500, 1000} {
 		targets := addrs(n)
-		check(mixedFake(targets, 40_000), targets, 2)
+		check(mixedFake(targets, 400), targets, 2)
 	}
 	world, targets := netsimWorld()
 	check(world, targets, 42)
@@ -162,7 +161,7 @@ func TestSweepSeqMatchesLegacy(t *testing.T) {
 		})
 	}
 	targets := addrs(333)
-	check(mixedFake(targets, 100_000), targets, 2)
+	check(mixedFake(targets, 1_000), targets, 2)
 	world, hitlist := netsimWorld()
 	check(world, hitlist, 42)
 }
@@ -172,7 +171,7 @@ func TestSweepSeqMatchesLegacy(t *testing.T) {
 // grid.
 func TestSweepDaysMatchesSweep(t *testing.T) {
 	targets := addrs(200)
-	grid(mixedFake(targets, 60_000), func(_, s *Scanner, workers, retries int) {
+	grid(mixedFake(targets, 600), func(_, s *Scanner, workers, retries int) {
 		days := 0
 		s.SweepDays(targets, 4, 5, func(day int, masks []wire.RespMask) {
 			days++
@@ -209,7 +208,7 @@ func TestProbePairColumnsMatchesPairs(t *testing.T) {
 		})
 	}
 	targets := addrs(90)
-	check(mixedFake(targets, 30_000), targets, 3)
+	check(mixedFake(targets, 300), targets, 3)
 	world, hitlist := netsimWorld()
 	check(world, hitlist, 42)
 }

@@ -1,9 +1,9 @@
 // Package probe implements the measurement engine of the pipeline — the
 // role ZMapv6 plays in the paper (§6). It scans target lists over the five
 // probe protocols, with ZMap-style address-space permutation (so probes to
-// the same network are spread over the scan), token-bucket pacing mapped
-// onto virtual send times, a concurrent worker pool, and a TCP options
-// module that records fingerprint data (§5.4).
+// the same network are spread over the scan), the paper's fixed 100k pps
+// pacing mapped onto virtual send times, a concurrent worker pool, and a
+// TCP options module that records fingerprint data (§5.4).
 //
 // The engine is columnar and batched (columns.go): every scan takes a
 // []ip6.Addr target slice, hands the responder contiguous batches of it
@@ -23,8 +23,8 @@
 // every worker count — determinism is a property of the virtual clock,
 // parallelism only decides who walks which slice of the targets.
 //
-// The engine is generic over wire.Responder: production code plugs in the
-// simulated Internet, tests plug in fakes.
+// The engine is generic over wire.Responder, the batched lanes contract:
+// production code plugs in the simulated Internet, tests plug in fakes.
 package probe
 
 import (
@@ -37,7 +37,6 @@ import (
 // construct with New.
 type Scanner struct {
 	responder wire.Responder
-	rate      int // probes per virtual second
 	workers   int
 	retries   int // additional attempts for unanswered probes
 	seed      uint64
@@ -55,16 +54,6 @@ type Scanner struct {
 
 // Option configures a Scanner.
 type Option func(*Scanner)
-
-// WithRate sets the probe rate in packets per virtual second (default
-// 100k, the paper's conservative ZMapv6 speed).
-func WithRate(pps int) Option {
-	return func(s *Scanner) {
-		if pps > 0 {
-			s.rate = pps
-		}
-	}
-}
 
 // WithWorkers sets the number of concurrent senders (default 8).
 func WithWorkers(n int) Option {
@@ -92,21 +81,17 @@ func WithSeed(seed uint64) Option {
 
 // New creates a Scanner probing via r.
 func New(r wire.Responder, opts ...Option) *Scanner {
-	s := &Scanner{responder: r, rate: 100_000, workers: 8, retries: 0, seed: 1, tcp: new(wire.TCPTable)}
+	s := &Scanner{responder: r, workers: 8, retries: 0, seed: 1, tcp: new(wire.TCPTable)}
 	for _, o := range opts {
 		o(s)
 	}
 	return s
 }
 
-// interval returns the virtual microseconds between consecutive probes.
-func (s *Scanner) interval() wire.Time {
-	iv := wire.Time(1_000_000 / s.rate)
-	if iv == 0 {
-		iv = 1
-	}
-	return iv
-}
+// sendInterval is the virtual time between consecutive probes of a lane:
+// 10 µs, the paper's conservative ZMapv6 rate of 100k probes per second
+// (§6).
+const sendInterval wire.Time = 10
 
 // InversePermutation returns the scan order of n targets under seed, in
 // the form the engine consumes: inv[idx] is the sequence position at

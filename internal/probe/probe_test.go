@@ -19,6 +19,35 @@ type fakeResponder struct {
 	failBefore wire.Time
 }
 
+// ProbeLanes is the per-probe adapter onto the batched contract: one
+// Probe call per destination and lane, written into the lane's columns
+// with the fingerprint interned.
+func (f *fakeResponder) ProbeLanes(dsts []ip6.Addr, day int, lanes []wire.Lane, base int) {
+	for k, dst := range dsts {
+		for li := range lanes {
+			l := &lanes[li]
+			r := f.Probe(dst, l.Proto, day, l.At[k])
+			if !r.OK {
+				continue
+			}
+			i := base + k
+			l.Out.OK.Set(i)
+			if l.Out.HopLimit != nil {
+				l.Out.HopLimit[i] = r.HopLimit
+			}
+			if r.TCP != nil && l.Out.TCPRef != nil {
+				l.Out.TCPRef[i] = l.Out.Table.Intern(wire.TCPFingerprint{
+					OptionsText: r.TCP.OptionsText, MSS: r.TCP.MSS, WScale: r.TCP.WScale,
+					WSize: r.TCP.WSize, TSPresent: r.TCP.TSPresent,
+				})
+				l.Out.TSVal[i] = r.TCP.TSVal
+			}
+		}
+	}
+}
+
+// Probe answers one probe: up addresses answer on their protocols, with
+// a SYN-ACK carrying the send time as its timestamp on TCP.
 func (f *fakeResponder) Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time) wire.Response {
 	f.probes.Add(1)
 	if at < f.failBefore {
@@ -149,15 +178,17 @@ func TestScanDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestScanRateSpacing pins the send clock: the paper's 100k pps, so the
+// probes of a scan take the slots 0, 10, 20, … µs, each exactly once.
 func TestScanRateSpacing(t *testing.T) {
 	targets := addrs(10)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
-	s := New(f, WithRate(1000), WithWorkers(1)) // 1000 μs interval
+	s := New(f, WithWorkers(1))
 	res := scan(s, targets, wire.ICMPv6, 0)
 	seen := map[wire.Time]bool{}
 	for _, at := range res.SentAt {
-		if at%1000 != 0 {
-			t.Errorf("send time %d not on 1000μs grid", at)
+		if at%10 != 0 || at >= 10*wire.Time(len(targets)) {
+			t.Errorf("send time %d is not a slot of the 10μs grid", at)
 		}
 		if seen[at] {
 			t.Errorf("duplicate send slot %d", at)
@@ -168,17 +199,17 @@ func TestScanRateSpacing(t *testing.T) {
 
 func TestRetries(t *testing.T) {
 	targets := addrs(20)
-	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}, failBefore: 100_000}
+	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}, failBefore: 1_000}
 	for _, a := range targets {
 		var m wire.RespMask
 		m.Set(wire.ICMPv6)
 		f.up[a] = m
 	}
 	// Without retries, early probes fail (sent before failBefore).
-	s0 := New(f, WithRate(1000), WithWorkers(1), WithRetries(0))
+	s0 := New(f, WithWorkers(1), WithRetries(0))
 	ok0 := scan(s0, targets, wire.ICMPv6, 0).OK.Count()
 	// With retries, the second pass lands after the threshold.
-	s3 := New(f, WithRate(1000), WithWorkers(1), WithRetries(9))
+	s3 := New(f, WithWorkers(1), WithRetries(9))
 	ok3 := scan(s3, targets, wire.ICMPv6, 0).OK.Count()
 	if ok3 <= ok0 {
 		t.Errorf("retries did not help: %d vs %d", ok3, ok0)

@@ -8,11 +8,17 @@ import (
 )
 
 // The per-probe scan engine, retired from production and kept as the
-// probe-for-probe oracle of the columnar engine: one Responder.Probe call
-// and one materialized Result per probe, walking the permutation in
+// probe-for-probe oracle of the columnar engine: one Probe call (the
+// prober below) and one materialized Result per probe, walking the permutation in
 // SEQUENCE order (the columnar engine walks target-index order and
 // recovers send times through the inverse permutation). Same
 // permutations, same virtual send times, same retry schedule.
+
+// prober is the per-probe answer the oracle sends through: the test
+// fake's and the simulated Internet's Probe.
+type prober interface {
+	Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time) wire.Response
+}
 
 // Permutation is the forward, materialized form of the scan order
 // InversePermutation produces: a pseudo-random permutation of [0,n) by an
@@ -95,7 +101,7 @@ func (s *Scanner) scanSeq(targets []ip6.Addr, proto wire.Proto, day int) []Resul
 	n := len(targets)
 	results := make([]Result, n)
 	perm := NewPermutation(n, s.seed^uint64(proto)<<32^uint64(day))
-	iv := s.interval()
+	iv := sendInterval
 
 	s.shard(n, func(lo, hi int) {
 		// Each worker walks its slice of the *permuted* sequence;
@@ -117,7 +123,7 @@ func (s *Scanner) scanSeq(targets []ip6.Addr, proto wire.Proto, day int) []Resul
 }
 
 func (s *Scanner) probeOnce(addr ip6.Addr, proto wire.Proto, day int, at wire.Time) Result {
-	resp := s.responder.Probe(addr, proto, day, at)
+	resp := s.responder.(prober).Probe(addr, proto, day, at)
 	return Result{
 		Addr: addr, Proto: proto,
 		OK: resp.OK, HopLimit: resp.HopLimit, TCP: resp.TCP,
@@ -144,7 +150,7 @@ func (s *Scanner) sweepSeq(targets []ip6.Addr, day int) []wire.RespMask {
 func (s *Scanner) probePairsSeq(targets []ip6.Addr, proto wire.Proto, day int) []Pair {
 	n := len(targets)
 	out := make([]Pair, n)
-	iv := s.interval()
+	iv := sendInterval
 	perm := NewPermutation(n, s.seed^0xfb^uint64(day))
 	s.shard(n, func(lo, hi int) {
 		for seq := lo; seq < hi; seq++ {

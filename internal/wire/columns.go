@@ -202,33 +202,9 @@ func resetSlice[T uint8 | uint32 | Time](s []T, n int) []T {
 	return s
 }
 
-// SetResponse writes one Response into column i, interning the TCP
-// fingerprint. It is the adapter between the per-probe Responder
-// vocabulary and the columnar one; batch responders write columns
-// directly instead.
-func (c *ResultColumns) SetResponse(i int, r Response) {
-	if !r.OK {
-		return
-	}
-	c.OK.Set(i)
-	if c.HopLimit != nil {
-		c.HopLimit[i] = r.HopLimit
-	}
-	if r.TCP != nil && c.TCPRef != nil {
-		c.TCPRef[i] = c.Table.Intern(TCPFingerprint{
-			OptionsText: r.TCP.OptionsText,
-			MSS:         r.TCP.MSS,
-			WScale:      r.TCP.WScale,
-			WSize:       r.TCP.WSize,
-			TSPresent:   r.TCP.TSPresent,
-		})
-		c.TSVal[i] = r.TCP.TSVal
-	}
-}
-
 // TCPInfoAt materializes column i back into a TCPInfo (nil if the probe
-// carried no SYN-ACK). It exists for tests and per-probe compatibility
-// paths; hot consumers read the columns directly.
+// carried no SYN-ACK). It exists for tests; hot consumers read the
+// columns directly.
 func (c *ResultColumns) TCPInfoAt(i int) *TCPInfo {
 	if c.TCPRef == nil || c.TCPRef[i] == NoTCP {
 		return nil
@@ -258,38 +234,22 @@ type Lane struct {
 	Out *ResultColumns
 }
 
-// BatchResponder answers whole probe batches into result columns. The
-// simulated Internet implements it to amortize destination resolution
-// twice over: sorted target runs stay inside one aliased region or
-// subscriber network, so consecutive destinations reuse one lookup
-// result, and every lane of a destination is answered from the one owner
-// found for it.
+// Responder answers whole probe batches into result columns: the
+// contract between the scan engine and the simulated Internet, which
+// implements it (tests substitute fakes). It amortizes destination
+// resolution twice over: sorted target runs stay inside one aliased
+// region or subscriber network, so consecutive destinations reuse one
+// lookup result, and every lane of a destination is answered from the
+// one owner found for it.
 //
-// ProbeLanes(dsts, day, lanes, base) must answer the probe of
-// destination k on lane l exactly as Probe(dsts[k], l.Proto, day,
-// l.At[k]) would — the batched scan engine is pinned per index against
-// the single-probe reference — and write it into l.Out column base+k.
-// Callers must ensure concurrent ProbeLanes calls on one Out never share
-// OK bitset words (the scan engine aligns shard boundaries to 64
-// indices).
-type BatchResponder interface {
-	Responder
+// ProbeLanes(dsts, day, lanes, base) answers the probe of destination k
+// on lane l — protocol l.Proto, sent at virtual time l.At[k] of the day —
+// into l.Out column base+k. An answer must depend only on its
+// destination, protocol, day and send time, never on the batch it comes
+// in or on other calls: the scan engine's results are then identical at
+// any worker count and batch split. Callers must ensure concurrent
+// ProbeLanes calls on one Out never share OK bitset words (the scan
+// engine aligns shard boundaries to 64 indices).
+type Responder interface {
 	ProbeLanes(dsts []ip6.Addr, day int, lanes []Lane, base int)
-}
-
-// ProbeBatchInto answers a batch through r, using the batched path when r
-// implements BatchResponder and falling back to one Probe call per
-// destination and lane (interning fingerprints on the way into the
-// columns) otherwise.
-func ProbeBatchInto(r Responder, dsts []ip6.Addr, day int, lanes []Lane, base int) {
-	if br, ok := r.(BatchResponder); ok {
-		br.ProbeLanes(dsts, day, lanes, base)
-		return
-	}
-	for k, dst := range dsts {
-		for li := range lanes {
-			l := &lanes[li]
-			l.Out.SetResponse(base+k, r.Probe(dst, l.Proto, day, l.At[k]))
-		}
-	}
 }

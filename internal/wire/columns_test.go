@@ -125,8 +125,9 @@ func TestTCPTableConcurrent(t *testing.T) {
 	}
 }
 
-// TestResultColumnsRoundtrip pins SetResponse/TCPInfoAt as inverses: a
-// Response pushed through the columns materializes back identically.
+// TestResultColumnsRoundtrip pins TCPInfoAt as the inverse of a column
+// write: a Response written into the columns the way a responder writes
+// them (fingerprint interned) materializes back identically.
 func TestResultColumnsRoundtrip(t *testing.T) {
 	var tab TCPTable
 	var cols ResultColumns
@@ -140,7 +141,18 @@ func TestResultColumnsRoundtrip(t *testing.T) {
 		}},
 	}
 	for i, r := range responses {
-		cols.SetResponse(i, r)
+		if !r.OK {
+			continue
+		}
+		cols.OK.Set(i)
+		cols.HopLimit[i] = r.HopLimit
+		if r.TCP != nil {
+			cols.TCPRef[i] = tab.Intern(TCPFingerprint{
+				OptionsText: r.TCP.OptionsText, MSS: r.TCP.MSS, WScale: r.TCP.WScale,
+				WSize: r.TCP.WSize, TSPresent: r.TCP.TSPresent,
+			})
+			cols.TSVal[i] = r.TCP.TSVal
+		}
 	}
 	if cols.OK.Get(0) || !cols.OK.Get(1) || !cols.OK.Get(2) {
 		t.Fatal("OK bits wrong")

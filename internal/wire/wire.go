@@ -8,8 +8,6 @@ package wire
 import (
 	"fmt"
 	"math/bits"
-
-	"expanse/internal/ip6"
 )
 
 // Proto identifies one of the five probe protocols the paper scans
@@ -73,7 +71,8 @@ type TCPInfo struct {
 	TSVal uint32
 }
 
-// Response is the result of one probe.
+// Response is the result of one probe, materialized: the per-probe form
+// of one column index of ResultColumns.
 type Response struct {
 	// OK reports whether any positive response arrived (echo reply,
 	// SYN-ACK, DNS answer, QUIC version negotiation).
@@ -84,14 +83,6 @@ type Response struct {
 	// TCP holds SYN-ACK option details for TCP probes that used the
 	// options module; nil otherwise.
 	TCP *TCPInfo
-}
-
-// Responder answers probes. The simulated Internet implements it; tests
-// substitute simple fakes.
-type Responder interface {
-	// Probe sends one probe to dst on protocol p during simulation day
-	// day at virtual time at, and reports the response.
-	Probe(dst ip6.Addr, p Proto, day int, at Time) Response
 }
 
 // RespMask is a bitmask over Protos recording which protocols responded.
