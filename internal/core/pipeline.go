@@ -22,6 +22,7 @@ import (
 	"expanse/internal/dnssim"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
+	"expanse/internal/par"
 	"expanse/internal/probe"
 	"expanse/internal/sources"
 	"expanse/internal/wire"
@@ -123,15 +124,20 @@ func New(cfg Config) *Pipeline {
 	// the sources, Collect, GroupMin, the snapshot pin — reads them too.
 	cfg.Sim = world.Config()
 	dns := dnssim.New(world)
-	st := sources.NewStoreWorkers(cfg.Workers,
-		sources.NewDL(dns, cfg.Sim),
-		sources.NewFDNS(dns, cfg.Sim),
-		sources.NewCT(dns, cfg.Sim),
-		sources.NewAXFR(dns, cfg.Sim),
-		sources.NewBitnodes(world),
-		sources.NewAtlas(world),
-		sources.NewScamper(world),
-	)
+	// The seven sources read the world and the DNS view and nothing of
+	// each other, so they build concurrently, each into its slot.
+	build := [...]func() sources.Source{
+		func() sources.Source { return sources.NewDL(dns, cfg.Sim) },
+		func() sources.Source { return sources.NewFDNS(dns, cfg.Sim) },
+		func() sources.Source { return sources.NewCT(dns, cfg.Sim) },
+		func() sources.Source { return sources.NewAXFR(dns, cfg.Sim) },
+		func() sources.Source { return sources.NewBitnodes(world) },
+		func() sources.Source { return sources.NewAtlas(world) },
+		func() sources.Source { return sources.NewScamper(world) },
+	}
+	srcs := make([]sources.Source, len(build))
+	par.Queue(len(build), cfg.Workers, func(_, i, _ int) { srcs[i] = build[i]() })
+	st := sources.NewStoreWorkers(cfg.Workers, srcs...)
 	p := &Pipeline{
 		Cfg:      cfg,
 		World:    world,

@@ -4,10 +4,18 @@
 // model which collection channel can see a domain (zone files, CT logs,
 // Rapid7 FDNS, AXFR, blacklists), and a reverse ip6.arpa zone with
 // NXDOMAIN semantics for the rDNS walking study (§8).
+//
+// New builds the two zones side by side. The forward zone is rows of
+// exact-size parallel columns, filled by row range on several goroutines
+// (a row is a pure function of its class, ID, ASN and target), with the
+// domain-carrying hosts read by insertion rank rather than copied out of
+// the world; the reverse zone is the PTR addresses as one column sorted
+// by the parallel ip6.Sort.
 package dnssim
 
 import (
 	"encoding/binary"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -16,6 +24,7 @@ import (
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
 	"expanse/internal/netsim"
+	"expanse/internal/par"
 )
 
 // Vis is a bitmask of collection channels a domain is visible to.
@@ -100,34 +109,88 @@ type Server struct {
 
 // New builds the DNS view of a world: every domain-carrying host, alias
 // record, stale record, and line-hosted NAS gets a name; the reverse zone
-// covers the world's rDNS population.
+// covers the world's rDNS population. The forward rows and the reverse
+// zone build side by side, and each fans out over its share of
+// GOMAXPROCS (see fill).
 func New(world *netsim.Internet) *Server {
-	s := &Server{lines: world.LineHosts()}
-	for _, h := range world.Hosts() {
-		if h.Domain != 0 {
-			s.add(farm, uint64(h.Domain), h.ASN, h.Addr, -1)
+	s := &Server{}
+	par.Queue(2, runtime.GOMAXPROCS(0), func(_, i, inner int) {
+		if i == 0 {
+			s.rtree = newRTree(world.RDNSAddrs(), inner)
+		} else {
+			s.fill(world, inner)
 		}
-	}
-	for _, r := range world.AliasRecords() {
-		s.add(alias, uint64(r.Domain), r.ASN, r.Addr, -1)
-	}
-	for _, r := range world.StaleRecords() {
-		s.add(stale, uint64(r.Domain), r.ASN, r.Addr, -1)
-	}
-	for i, lh := range s.lines {
-		s.add(nas, lh.Line, lh.ASN, ip6.Addr{}, int32(i))
-	}
-	s.rtree = NewRTree(world.RDNSAddrs())
+	})
 	return s
 }
 
-// add appends one domain row.
-func (s *Server) add(c class, id uint64, asn bgp.ASN, static ip6.Addr, line int32) {
+// fill allocates the forward rows at their exact count and fills them on
+// up to workers goroutines, in row order: the domain-carrying hosts in
+// Hosts() order, then alias records, stale records and domain-hosting
+// lines. A row is a pure function of its class, ID, ASN and target, so
+// row ranges fill independently. The hosts are read by insertion rank;
+// a first pass counts each rank chunk's domain carriers, which places
+// the chunk's rows.
+func (s *Server) fill(world *netsim.Internet, workers int) {
+	s.lines = world.LineHosts()
+	aliases, stales := world.AliasRecords(), world.StaleRecords()
+	const minChunk = 4096
+	type chunk struct{ lo, hi, row int }
+	chunks := make([]chunk, max(workers, 1))
+	par.Ranges(world.NumHosts(), workers, minChunk, 1, func(c, lo, hi int) {
+		n := 0
+		for r := lo; r < hi; r++ {
+			if d, _, _ := world.HostDomain(r); d != 0 {
+				n++
+			}
+		}
+		chunks[c] = chunk{lo, hi, n}
+	})
+	for len(chunks) > 1 && chunks[len(chunks)-1].hi == 0 {
+		chunks = chunks[:len(chunks)-1] // unused: a small world ran inline
+	}
+	farms := 0
+	for c := range chunks {
+		farms, chunks[c].row = farms+chunks[c].row, farms
+	}
+	n := farms + len(aliases) + len(stales) + len(s.lines)
+	s.key = make([]uint64, n)
+	s.vis = make([]Vis, n)
+	s.static = make([]ip6.Addr, n)
+	s.line = make([]int32, n)
+	par.Queue(len(chunks), workers, func(_, c, _ int) {
+		i := chunks[c].row
+		for r := chunks[c].lo; r < chunks[c].hi; r++ {
+			if d, asn, addr := world.HostDomain(r); d != 0 {
+				s.set(i, farm, uint64(d), asn, addr, -1)
+				i++
+			}
+		}
+	})
+	par.Ranges(n-farms, workers, minChunk, 1, func(_, lo, hi int) {
+		for i := farms + lo; i < farms+hi; i++ {
+			switch j := i - farms; {
+			case j < len(aliases):
+				r := &aliases[j]
+				s.set(i, alias, uint64(r.Domain), r.ASN, r.Addr, -1)
+			case j < len(aliases)+len(stales):
+				r := &stales[j-len(aliases)]
+				s.set(i, stale, uint64(r.Domain), r.ASN, r.Addr, -1)
+			default:
+				l := j - len(aliases) - len(stales)
+				s.set(i, nas, s.lines[l].Line, s.lines[l].ASN, ip6.Addr{}, int32(l))
+			}
+		}
+	})
+}
+
+// set fills domain row i.
+func (s *Server) set(i int, c class, id uint64, asn bgp.ASN, static ip6.Addr, line int32) {
 	k := nameKey(c, id, asn)
-	s.key = append(s.key, k)
-	s.vis = append(s.vis, visFor(k, c))
-	s.static = append(s.static, static)
-	s.line = append(s.line, line)
+	s.key[i] = k
+	s.vis[i] = visFor(k, c)
+	s.static[i] = static
+	s.line[i] = line
 }
 
 // Len returns the number of domains; they are indexed 0..Len()-1.
@@ -197,10 +260,13 @@ type RTree struct {
 }
 
 // NewRTree indexes the given addresses (a sorted copy; order and
-// duplicates in the input do not matter).
-func NewRTree(addrs []ip6.Addr) *RTree {
+// duplicates in the input do not matter), sorting on GOMAXPROCS
+// goroutines.
+func NewRTree(addrs []ip6.Addr) *RTree { return newRTree(addrs, runtime.GOMAXPROCS(0)) }
+
+func newRTree(addrs []ip6.Addr, workers int) *RTree {
 	s := slices.Clone(addrs)
-	slices.SortFunc(s, ip6.Addr.Compare)
+	ip6.Sort(s, workers)
 	return &RTree{addrs: s}
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,9 +62,21 @@ func TestDomainsBuilt(t *testing.T) {
 
 // TestDomainsPinned digests every domain's key, channels, static target
 // and resolution on three days; the constant was recorded when domains
-// were formatted name strings, with the key as the hash of the name.
+// were formatted name strings, with the key as the hash of the name. The
+// world and its zone are built at GOMAXPROCS 1, 2 and 8: both fan out,
+// and neither may depend on it.
 func TestDomainsPinned(t *testing.T) {
 	const want = "845f18a6561283b6a2615ff097f7052531bc7653b0f3b98e5469c706126b75f5"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := domainDigest(New(testWorld())); got != want {
+			t.Errorf("GOMAXPROCS %d: domain digest %s, want %s", procs, got, want)
+		}
+	}
+}
+
+func domainDigest(s *Server) string {
 	h := sha256.New()
 	var buf [8]byte
 	w64 := func(v uint64) {
@@ -71,17 +84,30 @@ func TestDomainsPinned(t *testing.T) {
 		h.Write(buf[:])
 	}
 	wAddr := func(a ip6.Addr) { w64(a.Hi()); w64(a.Lo()) }
-	w64(uint64(server.Len()))
-	for i := 0; i < server.Len(); i++ {
-		w64(server.Key(i))
-		w64(uint64(server.Vis(i)))
-		wAddr(server.static[i])
+	w64(uint64(s.Len()))
+	for i := 0; i < s.Len(); i++ {
+		w64(s.Key(i))
+		w64(uint64(s.Vis(i)))
+		wAddr(s.static[i])
 		for _, day := range []int{0, 30, 45} {
-			wAddr(server.Resolve(i, day))
+			wAddr(s.Resolve(i, day))
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Errorf("domain digest %s, want %s", got, want)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// BenchmarkDNSNew measures the DNS view's construction over the
+// scale-0.25 default-registry world (the daily benchmark's): the forward
+// rows and the reverse zone. Run it at -cpu 1,2,4 for the DNS stage's
+// per-core curve.
+func BenchmarkDNSNew(b *testing.B) {
+	cfg := netsim.DefaultConfig()
+	cfg.Scale = 0.25
+	w := netsim.New(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(w)
 	}
 }
 

@@ -25,14 +25,19 @@ func checkIndex(t testing.TB, si int, sh *shard) {
 		if p == 0 {
 			continue
 		}
-		if int(p) > len(sh.addrs) || seen[p-1] {
-			t.Fatalf("shard %d: index slot holds bad or repeated position %d", si, p)
+		pos := p & posMask
+		if pos == 0 || int(pos) > len(sh.addrs) || seen[pos-1] {
+			t.Fatalf("shard %d: index slot holds bad or repeated position %d", si, pos)
 		}
-		seen[p-1] = true
+		if a := sh.addrs[pos-1]; p&^posMask != slotTag(a.Hash64()>>shardBits) {
+			t.Fatalf("shard %d: slot of position %d carries tag %#x, its address's is %#x", si, pos, p>>posBits, slotTag(a.Hash64()>>shardBits)>>posBits)
+		}
+		seen[pos-1] = true
 	}
 	for p, a := range sh.addrs {
-		slot, ok := sh.find(a, a.Hash64()>>shardBits)
-		if !seen[p] || !ok || sh.index[slot] != uint32(p)+1 {
+		h := a.Hash64() >> shardBits
+		slot, ok := sh.find(a, h)
+		if !seen[p] || !ok || sh.index[slot] != slotTag(h)|(uint32(p)+1) {
 			t.Fatalf("shard %d: position %d is not indexed where a probe finds it", si, p)
 		}
 	}

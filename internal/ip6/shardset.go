@@ -2,9 +2,7 @@ package ip6
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +31,7 @@ const (
 //
 // Sorted view: Sorted serves a cached globally-sorted view.
 // The cache is invalidated by any write and rebuilt from scratch on the
-// next read — parallel per-shard sorts and a k-way merge of the shards —
+// next read — the shards copied into one slice and ordered by Sort —
 // so N consumers of the sorted hitlist pay for one sort, not N. The
 // pipeline builds its hitlist first and reads it sorted after, so the
 // view is built once per run.
@@ -59,11 +57,29 @@ type shard struct {
 	addrs []Addr // insertion order; append-only
 
 	// index is the membership table over addrs: linear probing from
-	// Hash64 >> shardBits (the low bits already picked the shard), each
-	// slot 0 for empty or a position in addrs + 1. Its length is 0 or a
-	// power of two, and at most ¾ of its slots are taken.
+	// Hash64 >> shardBits (the low bits already picked the shard). A slot
+	// is 0 when empty; otherwise its low posBits hold a position in addrs
+	// + 1 and its top tagBits the address's tag (slotTag), so a probe
+	// rejects all but about 1 in 2^tagBits non-matching slots without
+	// reading addrs. Its length is 0 or a power of two, and at most ¾ of
+	// its slots are taken.
 	index []uint32
 }
+
+// An index slot packs a tag above a position.
+const (
+	tagBits = 8
+	posBits = 32 - tagBits
+	posMask = 1<<posBits - 1
+	// maxShardAddrs is the most addresses a shard indexes: a position + 1
+	// must fit posBits.
+	maxShardAddrs = posMask
+)
+
+// slotTag returns the tag of the address whose Hash64 >> shardBits is h,
+// in slot position: the hash's top tagBits, which no table short enough
+// to hold maxShardAddrs positions uses to pick a slot.
+func slotTag(h uint64) uint32 { return uint32(h>>(64-shardBits-tagBits)) << posBits }
 
 // NewShardSetWorkers returns a set preallocated for about n addresses
 // with an explicit parallelism cap for batch operations (<= 0 selects
@@ -104,18 +120,20 @@ func (s *ShardSet) Workers() int {
 
 // find returns the index slot holding a, or, when a is absent, the empty
 // slot that ends its probe run (where inserting a goes). h is a's Hash64
-// shifted right by shardBits.
+// shifted right by shardBits. A slot whose tag differs from a's is passed
+// without touching addrs.
 func (sh *shard) find(a Addr, h uint64) (slot uint64, ok bool) {
 	if len(sh.index) == 0 {
 		return 0, false
 	}
 	mask := uint64(len(sh.index) - 1)
+	tag := slotTag(h)
 	for i := h & mask; ; i = (i + 1) & mask {
 		p := sh.index[i]
 		if p == 0 {
 			return i, false
 		}
-		if sh.addrs[p-1] == a {
+		if p&^posMask == tag && sh.addrs[p&posMask-1] == a {
 			return i, true
 		}
 	}
@@ -132,18 +150,18 @@ func (sh *shard) insert(a Addr, h uint64) bool {
 		sh.reserve(n)
 		slot, _ = sh.find(a, h)
 	}
-	sh.index[slot] = uint32(len(sh.addrs)) + 1
+	sh.index[slot] = slotTag(h) | (uint32(len(sh.addrs)) + 1)
 	sh.addrs = append(sh.addrs, a)
 	return true
 }
 
 // reserve sizes the index to hold n addresses at load ≤ ¾: it doubles the
 // table as often as that takes and rehashes every position into it
-// once. A slot holds a position + 1 in 32 bits, so one shard holds at
-// most 2³²−1 addresses.
+// once. A slot keeps a position + 1 in posBits, so one shard holds at
+// most maxShardAddrs = 2²⁴−1 addresses.
 func (sh *shard) reserve(n int) {
-	if uint64(n) > math.MaxUint32 {
-		panic(fmt.Sprintf("ip6: ShardSet shard cannot index %d addresses: its uint32 positions stop at 2^32-1", n))
+	if uint64(n) > maxShardAddrs {
+		panic(fmt.Sprintf("ip6: ShardSet shard cannot index %d addresses: its %d-bit positions stop at 2^%d-1", n, posBits, posBits))
 	}
 	if n <= len(sh.index)/4*3 {
 		return
@@ -153,9 +171,16 @@ func (sh *shard) reserve(n int) {
 		slots *= 2
 	}
 	sh.index = make([]uint32, slots)
+	mask := uint64(slots - 1)
+	// The addresses are distinct, so each goes to the first empty slot
+	// of its probe run, as insert would put it.
 	for p, a := range sh.addrs {
-		slot, _ := sh.find(a, a.Hash64()>>shardBits)
-		sh.index[slot] = uint32(p) + 1
+		h := a.Hash64() >> shardBits
+		i := h & mask
+		for sh.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		sh.index[i] = slotTag(h) | (uint32(p) + 1)
 	}
 }
 
@@ -372,123 +397,25 @@ func (v FrozenView) Contains(a Addr) bool {
 	return i < len(v.addrs) && v.addrs[i] == a
 }
 
-// buildSorted builds the sorted view from scratch: each shard's
-// addresses are copied and sorted in parallel, and the sorted shards are
-// k-way merged into a freshly allocated slice. The insertion slices are
-// read through point-in-time views and never mutated, and the previous
-// cache is left intact for existing readers. Called with sortedMu held.
+// buildSorted builds the sorted view from scratch: the shards'
+// addresses are copied side by side into a freshly allocated slice, shard
+// ranges in parallel, and Sort orders it on the set's workers. The
+// insertion slices are read through point-in-time views and never
+// mutated, and the previous cache is left intact for existing readers.
+// Called with sortedMu held.
 func (s *ShardSet) buildSorted() []Addr {
-	parts := make([][]Addr, NumShards)
-	par.Ranges(NumShards, s.Workers(), 1, 1, func(_, slo, shi int) {
-		for si := slo; si < shi; si++ {
-			parts[si] = slices.Clone(s.shardView(si))
-			sortAddrs(parts[si])
+	views := s.Shards()
+	var off [NumShards + 1]int
+	for i, v := range views {
+		off[i+1] = off[i] + len(v)
+	}
+	out := make([]Addr, off[NumShards])
+	w := s.Workers()
+	par.Ranges(NumShards, w, 1, 1, func(_, lo, hi int) {
+		for si := lo; si < hi; si++ {
+			copy(out[off[si]:], views[si])
 		}
 	})
-	return mergeSorted(parts)
-}
-
-// sortAddrs sorts a in ascending order: an iterative median-of-three
-// quicksort with an insertion-sort tail. Hand-rolled deliberately:
-// slices.SortFunc(a, Addr.Compare) measured 1.5× slower on 64 tails of
-// 2,560 addresses (x86-64, Go 1.24; it calls the comparison through a
-// func value, where Addr.Less inlines here); correctness is pinned
-// against slices.SortFunc by TestSortColumnsProperty.
-func sortAddrs(a []Addr) {
-	lo, hi := 0, len(a)
-	for hi-lo > 16 {
-		// Median-of-three pivot: order elements lo, m, hi-1 and take the
-		// middle one's value.
-		m := int(uint(lo+hi) >> 1)
-		if a[m].Less(a[lo]) {
-			a[m], a[lo] = a[lo], a[m]
-		}
-		if a[hi-1].Less(a[m]) {
-			a[hi-1], a[m] = a[m], a[hi-1]
-			if a[m].Less(a[lo]) {
-				a[m], a[lo] = a[lo], a[m]
-			}
-		}
-		p := a[m]
-		// Hoare partition around the pivot value.
-		i, j := lo, hi-1
-		for {
-			for a[i].Less(p) {
-				i++
-			}
-			for p.Less(a[j]) {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-			i++
-			j--
-		}
-		// Recurse into the smaller side, loop on the larger.
-		if j+1-lo < hi-(j+1) {
-			sortAddrs(a[lo : j+1])
-			lo = j + 1
-		} else {
-			sortAddrs(a[j+1 : hi])
-			hi = j + 1
-		}
-	}
-	for i := lo + 1; i < hi; i++ {
-		for k := i; k > lo && a[k].Less(a[k-1]); k-- {
-			a[k], a[k-1] = a[k-1], a[k]
-		}
-	}
-}
-
-// mergeSorted k-way merges sorted shards into one ascending []Addr via a
-// binary min-heap of shard cursors. Shards partition the address
-// space by hash, so no address appears in two streams and the merge
-// order is uniquely determined by the values.
-func mergeSorted(parts [][]Addr) []Addr {
-	total := 0
-	type cursor struct {
-		a []Addr
-		i int
-	}
-	heap := make([]cursor, 0, len(parts))
-	for _, t := range parts {
-		total += len(t)
-		if len(t) > 0 {
-			heap = append(heap, cursor{a: t})
-		}
-	}
-	out := make([]Addr, 0, total)
-	less := func(x, y cursor) bool { return x.a[x.i].Less(y.a[y.i]) }
-	siftDown := func(k int) {
-		for {
-			c := 2*k + 1
-			if c >= len(heap) {
-				return
-			}
-			if c+1 < len(heap) && less(heap[c+1], heap[c]) {
-				c++
-			}
-			if !less(heap[c], heap[k]) {
-				return
-			}
-			heap[k], heap[c] = heap[c], heap[k]
-			k = c
-		}
-	}
-	for k := len(heap)/2 - 1; k >= 0; k-- {
-		siftDown(k)
-	}
-	for len(heap) > 0 {
-		c := &heap[0]
-		out = append(out, c.a[c.i])
-		c.i++
-		if c.i == len(c.a) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		siftDown(0)
-	}
+	Sort(out, w)
 	return out
 }

@@ -248,9 +248,10 @@ func refSetOf(addrs []Addr) refSet {
 	return r
 }
 
-// TestSortColumnsProperty pins sortAddrs against slices.SortFunc over
-// sizes up to 5,000 and the input shapes that break quicksorts: random
-// with dense duplicates, duplicate-free, presorted (sorted source batches
+// TestSortColumnsProperty pins sortAddrs, and Sort's run-and-merge
+// fan-out over 2, 3, 5 and 8 workers (odd run counts included), against
+// slices.SortFunc over sizes up to 5,000 and the input shapes that break
+// quicksorts: random with dense duplicates, duplicate-free, presorted (sorted source batches
 // make presorted tails common), reverse, all-equal hi words and organ
 // pipes.
 func TestSortColumnsProperty(t *testing.T) {
@@ -308,6 +309,13 @@ func TestSortColumnsProperty(t *testing.T) {
 			got := shape.gen(n)
 			want := slices.Clone(got)
 			slices.SortFunc(want, Addr.Compare)
+			for _, w := range []int{2, 3, 5, 8} {
+				par := slices.Clone(got)
+				sortParallel(par, w, 16)
+				if !slices.Equal(par, want) {
+					t.Fatalf("%s, n=%d: sortParallel on %d workers disagrees with slices.SortFunc", shape.name, n, w)
+				}
+			}
 			sortAddrs(got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s, n=%d: sortAddrs disagrees with slices.SortFunc", shape.name, n)
@@ -402,8 +410,8 @@ func BenchmarkShardSetContains(b *testing.B) {
 	}
 }
 
-// BenchmarkHitlistSorted measures sorted-view construction (parallel
-// shard sorts + k-way merge) over a 2^20-address hitlist: the build on a
+// BenchmarkHitlistSorted measures sorted-view construction (Sort over the
+// copied shards) over a 2^20-address hitlist: the build on a
 // fresh set (cold), the rebuild after one insertion invalidates the cache
 // (warm-invalidate: a full rebuild, the view is not kept incrementally)
 // and the cached read.

@@ -1,9 +1,12 @@
 package netsim
 
 import (
+	"runtime"
+
 	"expanse/internal/bgp"
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
+	"expanse/internal/par"
 	"expanse/internal/wire"
 )
 
@@ -67,31 +70,20 @@ func (in *Internet) planAliases(nextDomain func() uint32) {
 		}
 		return n
 	}
-	// addRecords creates the customer DNS records pointing into a region.
+	// addRecords queues n customer DNS records pointing into a region;
+	// they are drawn once every region is placed (see the end).
 	// CDN-style /48 regions hand out pseudo-random per-customer addresses
 	// (Amazon's pattern); IP_FREEBIND machines binding a single /64 give
 	// customers sequential addresses, so those records are counter-style —
 	// which is also what keeps the per-/32 entropy fingerprints of hoster
 	// space crisp (Figure 2).
-	addRecords := func(ri int32, n int) {
-		r := &in.regions[ri]
-		rng := in.rngFor(r.Machine ^ 0x4ec04d5)
-		counterStyle := r.Prefix.Bits() >= 64
-		for i := 0; i < n; i++ {
-			var addr ip6.Addr
-			if counterStyle {
-				addr = r.Prefix.NthAddr(uint64(i) + 1)
-			} else {
-				addr = r.Prefix.RandomAddr(rng)
-			}
-			if !r.Hole.IsZero() && r.Hole.Contains(addr) {
-				continue
-			}
-			in.aliasRecords = append(in.aliasRecords, AliasRecord{
-				Addr: addr, ASN: r.ASN, Domain: nextDomain(), Region: ri,
-			})
-		}
+	type recordBatch struct {
+		region int32
+		n      int
+		addrs  []ip6.Addr
 	}
+	var batches []recordBatch
+	addRecords := func(ri int32, n int) { batches = append(batches, recordBatch{region: ri, n: n}) }
 
 	quirkFor := func(key uint64) AliasQuirk {
 		var q AliasQuirk
@@ -247,6 +239,41 @@ func (in *Internet) planAliases(nextDomain func() uint32) {
 		})
 		addRecords(r96, recordsPer(p96, 10))
 	}
+
+	// A region's records are a pure function of the region, so the
+	// batches draw concurrently; the domains then number them in order.
+	par.Queue(len(batches), runtime.GOMAXPROCS(0), func(_, bi, _ int) {
+		b := &batches[bi]
+		r := &in.regions[b.region]
+		rng := in.rngFor(r.Machine ^ 0x4ec04d5)
+		counterStyle := r.Prefix.Bits() >= 64
+		b.addrs = make([]ip6.Addr, 0, b.n)
+		for i := 0; i < b.n; i++ {
+			var addr ip6.Addr
+			if counterStyle {
+				addr = r.Prefix.NthAddr(uint64(i) + 1)
+			} else {
+				addr = r.Prefix.RandomAddr(rng)
+			}
+			if !r.Hole.IsZero() && r.Hole.Contains(addr) {
+				continue
+			}
+			b.addrs = append(b.addrs, addr)
+		}
+	})
+	n := 0
+	for _, b := range batches {
+		n += len(b.addrs)
+	}
+	in.aliasRecords = make([]AliasRecord, 0, n)
+	for _, b := range batches {
+		asn := in.regions[b.region].ASN
+		for _, addr := range b.addrs {
+			in.aliasRecords = append(in.aliasRecords, AliasRecord{
+				Addr: addr, ASN: asn, Domain: nextDomain(), Region: b.region,
+			})
+		}
+	}
 }
 
 // planRDNS creates the reverse-DNS population of §8: a balanced,
@@ -256,35 +283,51 @@ func (in *Internet) planAliases(nextDomain func() uint32) {
 func (in *Internet) planRDNS() {
 	// Existing hosts: a PTR-share sweep over the builder's hosts in
 	// insertion order, before any rDNS-only host joins them. Each draw is
-	// a pure function of the host's address.
-	for i := range in.b.arr {
-		h := &in.b.arr[i]
-		hk := hashAddr(in.key^0x4d45, h.Addr)
-		// Only a small slice of forward-DNS-visible machines also have
-		// PTRs; the bulk of the rDNS tree is infrastructure the forward
-		// sources never see (that is what makes rDNS "mostly new", §8).
-		switch h.Class {
-		case ClassWebServer, ClassDNSServer:
-			if chance(hk, 0.07) {
-				in.rdns = append(in.rdns, h.Addr)
-			}
-		case ClassRouter:
-			if chance(hk, 0.10) {
-				in.rdns = append(in.rdns, h.Addr)
+	// a pure function of the host's address, so chunks of the hosts draw
+	// concurrently and their picks join in chunk order.
+	hosts, workers := in.b.arr, runtime.GOMAXPROCS(0)
+	picks := make([][]ip6.Addr, max(workers, 1))
+	par.Ranges(len(hosts), workers, 4096, 1, func(c, lo, hi int) {
+		var out []ip6.Addr
+		for i := lo; i < hi; i++ {
+			h := &hosts[i]
+			hk := hashAddr(in.key^0x4d45, h.Addr)
+			// Only a small slice of forward-DNS-visible machines also
+			// have PTRs; the bulk of the rDNS tree is infrastructure the
+			// forward sources never see (that is what makes rDNS "mostly
+			// new", §8).
+			switch h.Class {
+			case ClassWebServer, ClassDNSServer:
+				if chance(hk, 0.07) {
+					out = append(out, h.Addr)
+				}
+			case ClassRouter:
+				if chance(hk, 0.10) {
+					out = append(out, h.Addr)
+				}
 			}
 		}
+		picks[c] = out
+	})
+	n := 0
+	for _, p := range picks {
+		n += len(p)
+	}
+	for ni := range in.nets {
+		n += 11 * in.rdnsOnlyHosts(&in.nets[ni]) // each host plus ten stale PTRs
+	}
+	in.rdns = make([]ip6.Addr, 0, n)
+	for _, p := range picks {
+		in.rdns = append(in.rdns, p...)
 	}
 	// rDNS-only hosts on hosters (provisioned-but-unlisted machines) —
 	// these make rDNS "a valuable addition" (11.1M of 11.7M new in §8).
 	for ni := range in.nets {
 		nw := &in.nets[ni]
-		if nw.kind != bgp.KindHoster && nw.kind != bgp.KindInternetService {
+		n := in.rdnsOnlyHosts(nw)
+		if n == 0 {
 			continue
 		}
-		if nw.prefix.Bits() > 36 || !chance(hash64.Mix(nw.key^0x4d0), 0.5) {
-			continue
-		}
-		n := int(float64(16+hash2(nw.key, 0x4d1)%48) * in.cfg.Scale)
 		sub := nw.prefix.Subprefix(64, 0xd)
 		for i := 0; i < n; i++ {
 			addr := ip6.AddrFromUint64(sub.Addr().Hi(), 0x100+uint64(i))
@@ -311,6 +354,18 @@ func (in *Internet) planRDNS() {
 			in.rdns = append(in.rdns, addr)
 		}
 	}
+}
+
+// rdnsOnlyHosts returns how many rDNS-only hosts planRDNS adds to nw: some
+// on half the covering announcements of hosters and Internet services.
+func (in *Internet) rdnsOnlyHosts(nw *network) int {
+	if nw.kind != bgp.KindHoster && nw.kind != bgp.KindInternetService {
+		return 0
+	}
+	if nw.prefix.Bits() > 36 || !chance(hash64.Mix(nw.key^0x4d0), 0.5) {
+		return 0
+	}
+	return int(float64(16+hash2(nw.key, 0x4d1)%48) * in.cfg.Scale)
 }
 
 // StaleRecords returns the stale forward-DNS records.

@@ -3,7 +3,6 @@ package netsim
 import (
 	"reflect"
 	"runtime"
-	"sort"
 
 	"expanse/internal/bgp"
 	"expanse/internal/ip6"
@@ -13,14 +12,19 @@ import (
 
 // The columnar world plane.
 //
-// Construction (plan.go) registers finite hosts through a map-backed
-// builder — the exact map/AoS representation earlier versions kept for
-// the world's whole lifetime. Sealing replaces it with one sorted
-// []ip6.Addr column plus SoA parallel columns: the sorted column IS the
-// membership structure (the pattern the hitlist planes use), so the
-// ~38 B/entry map overhead and the 40-byte padded Host structs are gone,
-// and a host costs 48 bytes flat (16 addr + 4 ASN + 1 meta + 1 serves +
-// 8 machine + 8 profile + 2 death + 4 domain + 4 rank).
+// Construction (plan.go) is two-phase: every network's farm, stale
+// siblings and routers are planned concurrently into per-network
+// buffers, then one serial pass in announcement order numbers the
+// domains and registers the hosts, first insertion winning, into a
+// builder sized for them all — the AoS representation earlier versions
+// kept for the world's whole lifetime, indexed by an open-addressed
+// table. Sealing replaces it with one sorted []ip6.Addr column, sorted
+// by the parallel ip6.Sort, plus SoA parallel columns gathered by
+// sorted position: the sorted column IS the membership structure (the
+// pattern the hitlist planes use), so the index and the 40-byte padded
+// Host structs are gone, and a host costs 48 bytes flat (16 addr + 4
+// ASN + 1 meta + 1 serves + 8 machine + 8 profile + 2 death + 4 domain
+// + 4 rank).
 //
 // Lookup strategies:
 //   - point lookups (locate for ProbeLanes' sorted probe runs, Probe's
@@ -83,45 +87,101 @@ func packMeta(class HostClass, quicFlaky bool) uint8 {
 	return m
 }
 
-// worldBuilder is the construction-time host registry: the map/AoS
-// representation the sealed columns replace. planBulk and then planRDNS
-// fill it, seal gathers it into columns and drops it (worldpin_test keeps
-// it as the map/AoS reference).
+// worldBuilder is the construction-time host registry: the hosts in
+// insertion order, the AoS representation the sealed columns replace,
+// and an open-addressed index over them. planBulk sizes it and, with
+// planRDNS, fills it; seal gathers it into columns and drops it
+// (worldpin_test keeps it as the AoS reference).
 type worldBuilder struct {
-	hosts map[ip6.Addr]int32
-	arr   []Host
+	arr []Host
+	// index is linear probing from the low bits of Addr.Hash64: a slot is
+	// 0 when empty, else the hash's high 32 bits over the host's rank + 1,
+	// so a probe reads arr only on a matching tag. Its length is a power
+	// of two, at most ¾ of its slots taken.
+	index []uint64
 }
 
-func newWorldBuilder() *worldBuilder {
-	return &worldBuilder{hosts: make(map[ip6.Addr]int32)}
+// newWorldBuilder returns a builder with room for n hosts.
+func newWorldBuilder(n int) *worldBuilder {
+	b := &worldBuilder{arr: make([]Host, 0, n)}
+	b.reserve(n)
+	return b
 }
 
-// add registers a host; first insertion wins, as map semantics had it.
-func (b *worldBuilder) add(h Host) {
-	if _, dup := b.hosts[h.Addr]; dup {
+const rankMask = 1<<32 - 1
+
+// find returns the index slot holding a, or, when a is absent, the empty
+// slot ending its probe run; h is a's Hash64.
+func (b *worldBuilder) find(a ip6.Addr, h uint64) (slot uint64, ok bool) {
+	mask := uint64(len(b.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := b.index[i]
+		if s == 0 {
+			return i, false
+		}
+		if s&^rankMask == h&^rankMask && b.arr[s&rankMask-1].Addr == a {
+			return i, true
+		}
+	}
+}
+
+// reserve sizes the index for n hosts, rehashing the registered ones.
+func (b *worldBuilder) reserve(n int) {
+	if n <= len(b.index)/4*3 {
 		return
 	}
-	b.hosts[h.Addr] = int32(len(b.arr))
-	b.arr = append(b.arr, h)
+	slots := 16
+	for n > slots/4*3 {
+		slots *= 2
+	}
+	b.index = make([]uint64, slots)
+	for r := range b.arr {
+		h := b.arr[r].Addr.Hash64()
+		slot, _ := b.find(b.arr[r].Addr, h)
+		b.index[slot] = h&^rankMask | uint64(r+1)
+	}
 }
 
-// sealHosts sorts a builder's hosts by address and gathers them into
-// exact-size columns. byRank[r] is the sorted position of the host with
-// insertion rank r.
+// add registers a host; the first insertion of an address wins.
+func (b *worldBuilder) add(h Host) {
+	b.reserve(len(b.arr) + 1)
+	hash := h.Addr.Hash64()
+	slot, dup := b.find(h.Addr, hash)
+	if dup {
+		return
+	}
+	b.arr = append(b.arr, h)
+	b.index[slot] = hash&^rankMask | uint64(len(b.arr))
+}
+
+// rank returns the insertion rank of the registered address a.
+func (b *worldBuilder) rank(a ip6.Addr) int32 {
+	slot, _ := b.find(a, a.Hash64())
+	return int32(b.index[slot]&rankMask) - 1
+}
+
+// sealHosts gathers a builder's hosts into exact-size columns sorted by
+// address: the address column is copied out and sorted by ip6.Sort, then
+// each sorted position looks its host's rank up in the builder's index
+// and gathers the other columns from it, both fanned out over GOMAXPROCS.
+// byRank[r] is the sorted position of the host with insertion rank r.
 func sealHosts(b *worldBuilder) hostCols {
 	n := len(b.arr)
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.Slice(perm, func(x, y int) bool {
-		return b.arr[perm[x]].Addr.Less(b.arr[perm[y]].Addr)
-	})
+	workers := runtime.GOMAXPROCS(0)
 	hc := makeHostCols(n)
-	for pos, rank := range perm {
-		hc.setFrom(int32(pos), &b.arr[rank])
-		hc.byRank[rank] = int32(pos)
-	}
+	par.Ranges(n, workers, 4096, 1, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			hc.addr[r] = b.arr[r].Addr
+		}
+	})
+	ip6.Sort(hc.addr, workers)
+	par.Ranges(n, workers, 4096, 1, func(_, lo, hi int) {
+		for pos := lo; pos < hi; pos++ {
+			rank := b.rank(hc.addr[pos])
+			hc.setFrom(int32(pos), &b.arr[rank])
+			hc.byRank[rank] = int32(pos)
+		}
+	})
 	return hc
 }
 
@@ -138,8 +198,9 @@ func makeHostCols(n int) hostCols {
 	}
 }
 
+// setFrom fills sorted position pos from h, all but the address column,
+// which sealHosts sorts in place.
 func (hc *hostCols) setFrom(pos int32, h *Host) {
-	hc.addr[pos] = h.Addr
 	hc.asn[pos] = h.ASN
 	hc.meta[pos] = packMeta(h.Class, h.QUICFlaky)
 	hc.serves[pos] = h.Serves

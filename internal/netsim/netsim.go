@@ -244,8 +244,8 @@ func New(cfg Config) *Internet {
 	return in
 }
 
-// newUnsealed applies the config defaults and returns an empty world
-// with a fresh builder, ready for planBulk.
+// newUnsealed applies the config defaults and returns an empty world,
+// ready for planBulk, which sizes its builder.
 func newUnsealed(cfg Config) *Internet {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1.0
@@ -259,7 +259,6 @@ func newUnsealed(cfg Config) *Internet {
 	return &Internet{
 		cfg:   cfg,
 		Table: bgp.Generate(cfg.Registry),
-		b:     newWorldBuilder(),
 		key:   hash64.Mix(uint64(cfg.Seed)),
 	}
 }
@@ -287,7 +286,8 @@ func (in *Internet) Config() Config { return in.cfg }
 func (in *Internet) Horizon() int { return in.cfg.Epochs * in.cfg.EpochDays }
 
 // Hosts returns all finite hosts of the given classes (all if none given).
-// The slice is freshly allocated; order is deterministic.
+// The slice is freshly allocated at its exact length; order is
+// deterministic.
 func (in *Internet) Hosts(classes ...HostClass) []Host {
 	want := ^uint64(0) // bit c set: class c is wanted
 	if len(classes) > 0 {
@@ -296,13 +296,29 @@ func (in *Internet) Hosts(classes ...HostClass) []Host {
 			want |= 1 << c
 		}
 	}
-	var out []Host
+	n := 0
+	for i := range in.hc.meta {
+		if want&(1<<in.hc.classAt(int32(i))) != 0 {
+			n++
+		}
+	}
+	out := make([]Host, 0, n)
 	for _, pos := range in.hc.byRank {
 		if want&(1<<in.hc.classAt(pos)) != 0 {
 			out = append(out, in.hc.hostAt(pos))
 		}
 	}
 	return out
+}
+
+// NumHosts returns the number of finite hosts, the length of Hosts().
+func (in *Internet) NumHosts() int { return in.hc.n() }
+
+// HostDomain returns the domain ID (0 for none), ASN and address of
+// Hosts()[r], the host of insertion rank r, without building the list.
+func (in *Internet) HostDomain(r int) (uint32, bgp.ASN, ip6.Addr) {
+	pos := in.hc.byRank[r]
+	return in.hc.domain[pos], in.hc.asn[pos], in.hc.addr[pos]
 }
 
 // HostAt returns the finite host at addr, if any: one lookup through a

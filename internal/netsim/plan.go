@@ -3,10 +3,13 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 
 	"expanse/internal/bgp"
 	"expanse/internal/hash64"
 	"expanse/internal/ip6"
+	"expanse/internal/par"
 	"expanse/internal/wire"
 )
 
@@ -65,6 +68,15 @@ var schemeWeights = []float64{0.46, 0.22, 0.15, 0.07, 0.07, 0.03}
 // planBulk plans everything but the rDNS population into the builder:
 // per-announcement metadata, alias regions, server farms, routers,
 // subscriber pools, Atlas probes and Bitcoin nodes.
+//
+// Farms, their stale siblings and routers are planned in two phases. A
+// network's share is a pure function of its key and the config, so
+// planNetwork plans every network into its own buffer concurrently; one
+// serial pass then walks the networks in announcement order, attaches
+// the subscriber pools, numbers the domains from one counter — a farm's
+// hosts, then its stale records; an ISP's secondary-announcement farm
+// takes none — and registers the hosts, first insertion winning, into a
+// builder sized from the buffers' exact totals.
 func (in *Internet) planBulk() {
 	anns := in.Table.Announcements()
 
@@ -101,24 +113,103 @@ func (in *Internet) planBulk() {
 		in.nets = append(in.nets, nw)
 	}
 
+	plans := make([]netPlan, len(in.nets))
+	par.Queue(len(in.nets), runtime.GOMAXPROCS(0), func(_, i, _ int) {
+		nw := &in.nets[i]
+		plans[i] = in.planNetwork(nw, byAS[nw.asn])
+	})
+	hosts := int(300*in.cfg.Scale) + tier1Pools*tier1PerPool // planBitnodes' target, planTier1's most
+	stale := 0
+	for i := range plans {
+		hosts += len(plans[i].hosts) + plans[i].later
+		stale += len(plans[i].stale)
+	}
+	in.b = newWorldBuilder(hosts)
+	in.stale = make([]StaleRecord, 0, stale)
+
 	domainID := uint32(1)
 	nextDomain := func() uint32 { d := domainID; domainID++; return d }
-
 	for i := range in.nets {
-		nw := &in.nets[i]
-		switch nw.kind {
-		case bgp.KindISP:
-			in.planISP(nw, byAS[nw.asn])
-		default:
-			in.planFarm(nw, nextDomain)
+		nw, p := &in.nets[i], &plans[i]
+		if p.pool {
+			in.planISP(nw)
 		}
-		in.planRouters(nw)
+		domains := nw.kind != bgp.KindISP
+		for k := range p.hosts {
+			if domains && k < p.farm {
+				p.hosts[k].Domain = nextDomain()
+			}
+			in.b.add(p.hosts[k])
+		}
+		for _, r := range p.stale {
+			if domains {
+				r.Domain = nextDomain()
+			}
+			in.stale = append(in.stale, r)
+		}
+		*p = netPlan{} // the buffers are garbage from here
 	}
 
 	in.planAliases(nextDomain)
 	in.planAtlas()
 	in.planBitnodes()
 	in.planTier1()
+}
+
+// netPlan is one network's share of planBulk's concurrent phase: its
+// farm's hosts (hosts[:farm]) followed by its routers, and the farm's
+// stale siblings, domain IDs unset. pool marks the announcement an ISP's
+// subscriber pool hangs off, and later counts the hosts planAtlas and
+// planRDNS add to the network, for sizing the builder.
+type netPlan struct {
+	hosts []Host
+	farm  int
+	stale []StaleRecord
+	pool  bool
+	later int
+}
+
+// planNetwork plans network nw, whose operator announces sameAS in table
+// order: a farm for every kind but ISP, whose covering announcement
+// carries the subscriber pool instead (planISP, in planBulk's serial
+// pass) and whose secondary announcements host a small farm
+// occasionally; then the routers.
+func (in *Internet) planNetwork(nw *network, sameAS []ip6.Prefix) netPlan {
+	p := netPlan{later: atlasProbes(nw) + in.rdnsOnlyHosts(nw)}
+	farm := true
+	if nw.kind == bgp.KindISP {
+		p.pool = nw.prefix == sameAS[0]
+		farm = !p.pool && chance(hash64.Mix(nw.key^0x15b), 0.2)
+	}
+	routers := routerCount(nw)
+	if farm {
+		in.planFarm(nw, routers, &p)
+	}
+	in.planRouters(nw, routers, &p)
+	return p
+}
+
+// The named operators planFarm and planISP size their populations by,
+// resolved once instead of by a scan of bgp.Majors per network.
+var (
+	asAmazon     = bgp.FindASN("Amazon")
+	asAkamai     = bgp.FindASN("Akamai")
+	asCloudflare = bgp.FindASN("Cloudflare")
+	asGoogle     = bgp.FindASN("Google")
+	asHDNet      = bgp.FindASN("HDNet")
+	// largePools and midPools are the ISPs with 2,800 and 1,200 lines
+	// per unit of scale.
+	largePools = findASNs("DTAG", "Comcast", "ProXad", "AT&T", "Reliance")
+	midPools   = findASNs("Swisscom", "Antel", "Versatel", "BIHNET",
+		"Sky Broadband", "Google Fiber", "Xs4all", "ZTE Home")
+)
+
+func findASNs(names ...string) []bgp.ASN {
+	out := make([]bgp.ASN, len(names))
+	for i, name := range names {
+		out[i] = bgp.FindASN(name)
+	}
+	return out
 }
 
 // routerSubnet returns the /64 holding the core routers traceroutes show
@@ -217,19 +308,20 @@ func hostIID(nw *network, subnet ip6.Prefix, i uint64) ip6.Addr {
 	return ip6.AddrFromUint64(base.Hi(), i+1)
 }
 
-// planFarm populates a hosting/CDN/service/academic network with servers
-// plus stale sibling addresses (old DNS records that no longer respond).
-func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
+// planFarm plans a hosting/CDN/service/academic network's servers plus
+// stale sibling addresses (old DNS records that no longer respond) into
+// p, its host buffer sized for the farm and the network's routers more.
+func (in *Internet) planFarm(nw *network, routers int, p *netPlan) {
 	rng := seededRand(nw.key)
 	scale := in.cfg.Scale
 
 	var median float64
 	switch {
-	case nw.asn == bgp.FindASN("Amazon"):
+	case nw.asn == asAmazon:
 		median = 1200
-	case nw.asn == bgp.FindASN("Akamai") || nw.asn == bgp.FindASN("Cloudflare"):
+	case nw.asn == asAkamai || nw.asn == asCloudflare:
 		median = 700
-	case nw.asn == bgp.FindASN("Google") || nw.asn == bgp.FindASN("HDNet"):
+	case nw.asn == asGoogle || nw.asn == asHDNet:
 		median = 400
 	case nw.kind == bgp.KindHoster || nw.kind == bgp.KindCloud:
 		median = 14
@@ -250,7 +342,7 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 		return
 	}
 
-	quicFlaky := nw.asn == bgp.FindASN("Akamai") || nw.asn == bgp.FindASN("HDNet")
+	quicFlaky := nw.asn == asAkamai || nw.asn == asHDNet
 	// A quarter of sizable pools are one machine with many bound
 	// addresses (the §5.4 validation deep-dive population).
 	cloned := n >= 16 && chance(hash64.Mix(nw.key^8), 0.25)
@@ -260,6 +352,12 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 	if nw.scheme == SchemeRandomFull {
 		perSubnet = 30
 	}
+	// Stale siblings: the counter continued past the live range in old
+	// DNS records; they resolve but do not respond.
+	nStale := int(float64(n) * (1.0 + unit(hash64.Mix(nw.key^9))*1.5))
+	p.hosts = make([]Host, 0, n+routers)
+	p.farm = n
+	p.stale = make([]StaleRecord, nStale)
 	for i := 0; i < n; i++ {
 		subnet := farmSubnet(nw, uint64(i/perSubnet))
 		addr := hostIID(nw, subnet, uint64(i%perSubnet))
@@ -298,7 +396,7 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 		if isDNS {
 			class = ClassDNSServer
 		}
-		in.b.add(Host{
+		p.hosts = append(p.hosts, Host{
 			Addr:      addr,
 			ASN:       nw.asn,
 			Class:     class,
@@ -306,16 +404,12 @@ func (in *Internet) planFarm(nw *network, nextDomain func() uint32) {
 			Machine:   mk,
 			DeathDay:  deathDay(hash64.Mix(hk^6), 0.0012, 3*in.Horizon()),
 			QUICFlaky: quicFlaky,
-			Domain:    nextDomain(),
 		})
 	}
-	// Stale siblings: the counter continued past the live range in old
-	// DNS records; they resolve but do not respond.
-	nStale := int(float64(n) * (1.0 + unit(hash64.Mix(nw.key^9))*1.5))
-	for i := 0; i < nStale; i++ {
+	for i := range p.stale {
 		subnet := farmSubnet(nw, uint64((n+i)/perSubnet))
 		addr := hostIID(nw, subnet, uint64((n+i)%perSubnet))
-		in.stale = append(in.stale, StaleRecord{Addr: addr, ASN: nw.asn, Domain: nextDomain()})
+		p.stale[i] = StaleRecord{Addr: addr, ASN: nw.asn}
 	}
 }
 
@@ -332,19 +426,30 @@ func dnsShare(k bgp.Kind) float64 {
 	}
 }
 
-// planRouters adds core/border routers in the operator's router subnet.
-func (in *Internet) planRouters(nw *network) {
-	// Routers only on the covering announcement (not every /48).
+// routerCount returns how many core/border routers planRouters places in
+// nw: some on a covering announcement, none on a /48 and the like.
+func routerCount(nw *network) int {
 	if nw.prefix.Bits() > 36 {
+		return 0
+	}
+	return 2 + int(hash2(nw.key, 0x4007e4)%6)
+}
+
+// planRouters appends nw's n = routerCount(nw) core/border routers, in
+// the operator's router subnet, to p's hosts.
+func (in *Internet) planRouters(nw *network, n int, p *netPlan) {
+	if n == 0 {
 		return
 	}
-	n := 2 + int(hash2(nw.key, 0x4007e4)%6)
+	if p.hosts == nil {
+		p.hosts = make([]Host, 0, n)
+	}
 	sub := nw.routerSub
 	for i := 0; i < n; i++ {
 		addr := ip6.AddrFromUint64(sub.Addr().Hi(), uint64(i)+1)
 		var serves wire.RespMask
 		serves.Set(wire.ICMPv6)
-		in.b.add(Host{
+		p.hosts = append(p.hosts, Host{
 			Addr:     addr,
 			ASN:      nw.asn,
 			Class:    ClassRouter,
@@ -355,25 +460,16 @@ func (in *Internet) planRouters(nw *network) {
 	}
 }
 
-// planISP attaches a subscriber-line pool to the operator's first (widest)
-// announcement.
-func (in *Internet) planISP(nw *network, all []ip6.Prefix) {
-	// Only the covering announcement carries the pool.
-	if len(all) > 0 && nw.prefix != all[0] {
-		// Secondary announcements behave like small farms occasionally.
-		if chance(hash64.Mix(nw.key^0x15b), 0.2) {
-			in.planFarm(nw, func() uint32 { return 0 })
-		}
-		return
-	}
+// planISP attaches a subscriber-line pool to nw, the operator's first
+// (widest) announcement.
+func (in *Internet) planISP(nw *network) {
 	rng := seededRand(nw.key ^ 0x115b)
 	scale := in.cfg.Scale
 	var lines int
-	switch nw.asn {
-	case bgp.FindASN("DTAG"), bgp.FindASN("Comcast"), bgp.FindASN("ProXad"), bgp.FindASN("AT&T"), bgp.FindASN("Reliance"):
+	switch {
+	case slices.Contains(largePools, nw.asn):
 		lines = int(2800 * scale)
-	case bgp.FindASN("Swisscom"), bgp.FindASN("Antel"), bgp.FindASN("Versatel"), bgp.FindASN("BIHNET"),
-		bgp.FindASN("Sky Broadband"), bgp.FindASN("Google Fiber"), bgp.FindASN("Xs4all"), bgp.FindASN("ZTE Home"):
+	case slices.Contains(midPools, nw.asn):
 		lines = int(1200 * scale)
 	default:
 		lines = int(float64(lognormalInt(rng, 34, 1.0)) * scale)
@@ -424,16 +520,9 @@ func (in *Internet) planISP(nw *network, all []ip6.Prefix) {
 // planAtlas scatters RIPE-Atlas-style probes over most ASes — the
 // balanced, router-and-probe-flavoured source of §3.
 func (in *Internet) planAtlas() {
-	n := 0
 	for i := range in.nets {
 		nw := &in.nets[i]
-		if nw.prefix.Bits() > 36 {
-			continue
-		}
-		if !chance(hash64.Mix(nw.key^0xa71a5), 0.55) {
-			continue
-		}
-		probes := 1 + int(hash2(nw.key, 0xa7)%3)
+		probes := atlasProbes(nw)
 		sub := nw.prefix.Subprefix(64, 0xa71a)
 		for i := 0; i < probes; i++ {
 			iid := hash2(nw.key^0xa71a50, uint64(i)) | 1
@@ -451,9 +540,17 @@ func (in *Internet) planAtlas() {
 				Machine:  hash2(nw.key^0xa71a51, uint64(i)),
 				DeathDay: deathDay(hash2(nw.key^0xa71a52, uint64(i)), 0.0008, 3*in.Horizon()),
 			})
-			n++
 		}
 	}
+}
+
+// atlasProbes returns how many Atlas probes planAtlas places in nw: some
+// on a covering announcement, none on a /48 and the like.
+func atlasProbes(nw *network) int {
+	if nw.prefix.Bits() > 36 || !chance(hash64.Mix(nw.key^0xa71a5), 0.55) {
+		return 0
+	}
+	return 1 + int(hash2(nw.key, 0xa7)%3)
 }
 
 // planBitnodes places always-on Bitcoin peers on static subscriber lines
@@ -501,9 +598,12 @@ func (in *Internet) planBitnodes() {
 	}
 }
 
+// planTier1 reuses the router subnets of the first tier1Pools subscriber
+// pools as "transit": tier1PerPool routers each.
+const tier1Pools, tier1PerPool = 8, 8
+
 // planTier1 creates the shared transit routers traceroute paths traverse.
 func (in *Internet) planTier1() {
-	// Reuse the router subnets of the first eight ISP pools as "transit".
 	count := 0
 	for i := range in.nets {
 		nw := &in.nets[i]
@@ -511,7 +611,7 @@ func (in *Internet) planTier1() {
 			continue
 		}
 		sub := nw.prefix.Subprefix(64, 0xffff)
-		for i := 0; i < 8; i++ {
+		for i := 0; i < tier1PerPool; i++ {
 			addr := ip6.AddrFromUint64(sub.Addr().Hi(), 0x100+uint64(i))
 			var serves wire.RespMask
 			serves.Set(wire.ICMPv6)
@@ -522,7 +622,7 @@ func (in *Internet) planTier1() {
 			in.tier1 = append(in.tier1, addr)
 		}
 		count++
-		if count == 8 {
+		if count == tier1Pools {
 			return
 		}
 	}

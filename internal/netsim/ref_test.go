@@ -687,3 +687,248 @@ func TestTraceroutePathMatchesRef(t *testing.T) {
 		}
 	}
 }
+
+// planBulkRef is the serial planner planBulk replaced, kept as the
+// reference its two phases are pinned against: every network's farm,
+// stale siblings and routers registered straight into a builder that
+// grows from empty, domains numbered as they are planned. It returns how
+// many of the farm and router insertions were duplicates, which the
+// builder dropped, first insertion winning.
+func (in *Internet) planBulkRef() (dups int) {
+	anns := in.Table.Announcements()
+
+	// Group announcements per AS so roles can be assigned per operator.
+	byAS := map[bgp.ASN][]ip6.Prefix{}
+	for _, a := range anns {
+		byAS[a.Origin] = append(byAS[a.Origin], a.Prefix)
+	}
+
+	// Per-announcement network metadata: a flat, exactly-sized column.
+	// The announcement count is final here, so net IDs (the values of the
+	// seal-time interval tables) stay stable for the world's lifetime.
+	in.nets = make([]network, 0, len(anns))
+	for _, a := range anns {
+		info := in.Table.AS(a.Origin)
+		key := hash3(in.key, uint64(a.Origin), a.Prefix.Addr().Hi())
+		nw := network{
+			prefix:    a.Prefix,
+			routerSub: routerSubnet(a.Prefix, byAS[a.Origin]),
+			asn:       a.Origin,
+			kind:      info.Kind,
+			key:       key,
+			pathLen:   uint8(3 + key%9),
+			jitter:    chance(hash64.Mix(key^1), 0.28),
+			loss:      0.004 + unit(hash64.Mix(key^2))*0.016,
+			isp:       -1,
+			// One operator, one addressing plan: all announcements of an
+			// AS share a scheme (the homogeneity Fig. 3b observes).
+			scheme: pickScheme(hash2(in.key, uint64(a.Origin))),
+		}
+		if chance(hash64.Mix(key^3), 0.03) {
+			nw.loss = 0.08 + unit(hash64.Mix(key^4))*0.2 // high-loss networks (§5.2)
+		}
+		in.nets = append(in.nets, nw)
+	}
+
+	in.b = newWorldBuilder(0)
+	domainID := uint32(1)
+	nextDomain := func() uint32 { d := domainID; domainID++; return d }
+
+	for i := range in.nets {
+		nw := &in.nets[i]
+		switch nw.kind {
+		case bgp.KindISP:
+			// Only the covering announcement carries the pool.
+			if all := byAS[nw.asn]; len(all) > 0 && nw.prefix != all[0] {
+				// Secondary announcements behave like small farms occasionally.
+				if chance(hash64.Mix(nw.key^0x15b), 0.2) {
+					dups += in.planFarmRef(nw, func() uint32 { return 0 })
+				}
+			} else {
+				in.planISP(nw)
+			}
+		default:
+			dups += in.planFarmRef(nw, nextDomain)
+		}
+		dups += in.planRoutersRef(nw)
+	}
+	dups -= len(in.b.arr) // offered minus kept
+
+	in.planAliases(nextDomain)
+	in.planAtlas()
+	in.planBitnodes()
+	in.planTier1()
+	return dups
+}
+
+// planFarmRef is planFarm as planBulkRef calls it: it registers the farm
+// and stale siblings itself and returns how many hosts it offered.
+func (in *Internet) planFarmRef(nw *network, nextDomain func() uint32) (adds int) {
+	rng := seededRand(nw.key)
+	scale := in.cfg.Scale
+
+	var median float64
+	switch {
+	case nw.asn == bgp.FindASN("Amazon"):
+		median = 1200
+	case nw.asn == bgp.FindASN("Akamai") || nw.asn == bgp.FindASN("Cloudflare"):
+		median = 700
+	case nw.asn == bgp.FindASN("Google") || nw.asn == bgp.FindASN("HDNet"):
+		median = 400
+	case nw.kind == bgp.KindHoster || nw.kind == bgp.KindCloud:
+		median = 14
+	case nw.kind == bgp.KindCDN:
+		median = 40
+	case nw.kind == bgp.KindInternetService:
+		median = 18
+	default: // academic, enterprise
+		median = 8
+	}
+	// Only the first announcement of small operators hosts a farm; big
+	// ones host on every /32 announcement but not on each tiny /48.
+	if nw.prefix.Bits() > 40 && !chance(hash64.Mix(nw.key^7), 0.25) {
+		return 0
+	}
+	n := int(float64(lognormalInt(rng, median, 0.9)) * scale)
+	if n <= 0 {
+		return 0
+	}
+
+	quicFlaky := nw.asn == bgp.FindASN("Akamai") || nw.asn == bgp.FindASN("HDNet")
+	// A quarter of sizable pools are one machine with many bound
+	// addresses (the §5.4 validation deep-dive population).
+	cloned := n >= 16 && chance(hash64.Mix(nw.key^8), 0.25)
+	clonedKey := hash2(nw.key, 0xc104ed)
+
+	perSubnet := 200
+	if nw.scheme == SchemeRandomFull {
+		perSubnet = 30
+	}
+	for i := 0; i < n; i++ {
+		subnet := farmSubnet(nw, uint64(i/perSubnet))
+		addr := hostIID(nw, subnet, uint64(i%perSubnet))
+		hk := hashAddr(nw.key, addr)
+
+		serves := wire.RespMask(0)
+		serves.Set(wire.ICMPv6)
+		isDNS := chance(hash64.Mix(hk^1), dnsShare(nw.kind))
+		if isDNS {
+			serves.Set(wire.UDP53)
+			if chance(hash64.Mix(hk^2), 0.14) {
+				serves.Set(wire.TCP80)
+			}
+		} else {
+			serves.Set(wire.TCP80)
+			if chance(hash64.Mix(hk^3), 0.62) {
+				serves.Set(wire.TCP443)
+				if chance(hash64.Mix(hk^4), 0.30) || quicFlaky {
+					serves.Set(wire.UDP443)
+				}
+			}
+		}
+		// A small share of hosts drop ICMP at the border.
+		if chance(hash64.Mix(hk^5), 0.05) {
+			m := serves
+			m &^= 1 << wire.ICMPv6
+			if m != 0 {
+				serves = m
+			}
+		}
+		mk := hash2(nw.key, uint64(i))
+		if cloned {
+			mk = clonedKey
+		}
+		class := ClassWebServer
+		if isDNS {
+			class = ClassDNSServer
+		}
+		in.b.add(Host{
+			Addr:      addr,
+			ASN:       nw.asn,
+			Class:     class,
+			Serves:    serves,
+			Machine:   mk,
+			DeathDay:  deathDay(hash64.Mix(hk^6), 0.0012, 3*in.Horizon()),
+			QUICFlaky: quicFlaky,
+			Domain:    nextDomain(),
+		})
+		adds++
+	}
+	// Stale siblings: the counter continued past the live range in old
+	// DNS records; they resolve but do not respond.
+	nStale := int(float64(n) * (1.0 + unit(hash64.Mix(nw.key^9))*1.5))
+	for i := 0; i < nStale; i++ {
+		subnet := farmSubnet(nw, uint64((n+i)/perSubnet))
+		addr := hostIID(nw, subnet, uint64((n+i)%perSubnet))
+		in.stale = append(in.stale, StaleRecord{Addr: addr, ASN: nw.asn, Domain: nextDomain()})
+	}
+	return adds
+}
+
+// planRoutersRef is planRouters as planBulkRef calls it, returning how
+// many routers it offered.
+func (in *Internet) planRoutersRef(nw *network) (adds int) {
+	// Routers only on the covering announcement (not every /48).
+	if nw.prefix.Bits() > 36 {
+		return 0
+	}
+	n := 2 + int(hash2(nw.key, 0x4007e4)%6)
+	sub := nw.routerSub
+	for i := 0; i < n; i++ {
+		addr := ip6.AddrFromUint64(sub.Addr().Hi(), uint64(i)+1)
+		var serves wire.RespMask
+		serves.Set(wire.ICMPv6)
+		in.b.add(Host{
+			Addr:     addr,
+			ASN:      nw.asn,
+			Class:    ClassRouter,
+			Serves:   serves,
+			Machine:  hash2(nw.key^0x4007, uint64(i)),
+			DeathDay: -1,
+		})
+	}
+	return n
+}
+
+// TestPlanBulkMatchesRef pins the two-phase planner against planBulkRef
+// on every reference world at GOMAXPROCS 1, 2 and 8: the same hosts in
+// the same insertion order, domain IDs included, the same stale and
+// alias records, networks, pools, regions, tier-1 routers and rDNS
+// population. Some farm and router insertions must be duplicates, so the
+// pin covers the first insertion winning.
+func TestPlanBulkMatchesRef(t *testing.T) {
+	dups := 0
+	for ci, cfg := range refConfigs() {
+		ref := newUnsealed(cfg)
+		dups += ref.planBulkRef()
+		ref.planRDNS()
+		forProcs(t, func(procs int) {
+			in := newUnsealed(cfg)
+			in.planBulk()
+			in.planRDNS()
+			if !slices.Equal(in.b.arr, ref.b.arr) {
+				t.Fatalf("config %d, GOMAXPROCS %d: %d hosts planned, reference %d, or a host or its rank differs", ci, procs, len(in.b.arr), len(ref.b.arr))
+			}
+			for _, c := range []struct {
+				name     string
+				got, ref any
+			}{
+				{"stale records", in.stale, ref.stale},
+				{"alias records", in.aliasRecords, ref.aliasRecords},
+				{"networks", in.nets, ref.nets},
+				{"pools", in.isps, ref.isps},
+				{"regions", in.regions, ref.regions},
+				{"tier-1 routers", in.tier1, ref.tier1},
+				{"rDNS addresses", in.rdns, ref.rdns},
+			} {
+				if !reflect.DeepEqual(c.got, c.ref) {
+					t.Fatalf("config %d, GOMAXPROCS %d: %s differ from the reference", ci, procs, c.name)
+				}
+			}
+		})
+	}
+	if dups == 0 {
+		t.Fatal("no reference world offers a duplicate farm or router host")
+	}
+	t.Logf("%d duplicate farm and router insertions across the reference worlds", dups)
+}

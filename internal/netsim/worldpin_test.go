@@ -3,6 +3,8 @@ package netsim
 import (
 	"encoding/hex"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -36,16 +38,29 @@ func pinConfigs() map[string]Config {
 	}
 }
 
+// forProcs runs fn at GOMAXPROCS 1, 2 and 8 and restores the setting:
+// world construction fans out over GOMAXPROCS, and what it builds must
+// not depend on it.
+func forProcs(t *testing.T, fn func(procs int)) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		fn(procs)
+	}
+}
+
 func TestWorldDigestPinned(t *testing.T) {
 	for name, cfg := range pinConfigs() {
 		if testing.Short() && name != "test" {
 			continue
 		}
-		in := New(cfg)
-		got := in.Digest()
-		if hex.EncodeToString(got[:]) != pinnedDigests[name] {
-			t.Errorf("config %q: world digest %x, want %s", name, got, pinnedDigests[name])
-		}
+		forProcs(t, func(procs int) {
+			got := New(cfg).Digest()
+			if hex.EncodeToString(got[:]) != pinnedDigests[name] {
+				t.Errorf("config %q, GOMAXPROCS %d: world digest %x, want %s", name, procs, got, pinnedDigests[name])
+			}
+		})
 	}
 }
 
@@ -80,35 +95,93 @@ func refConfigs() []Config {
 	}
 }
 
+// hostMap is the map reference of a builder's index: each address to its
+// insertion rank. It fails the test if the builder holds an address
+// twice.
+func hostMap(t *testing.T, b *worldBuilder) map[ip6.Addr]int32 {
+	t.Helper()
+	m := make(map[ip6.Addr]int32, len(b.arr))
+	for r, h := range b.arr {
+		if _, dup := m[h.Addr]; dup {
+			t.Fatalf("builder holds %v twice", h.Addr)
+		}
+		m[h.Addr] = int32(r)
+	}
+	return m
+}
+
 // TestColumnsMatchBuilder pins the sealed columns against the retained
-// builder: same population, same insertion order, same per-host fields.
+// builder at GOMAXPROCS 1, 2 and 8: same population, same insertion
+// order, same per-host fields.
 func TestColumnsMatchBuilder(t *testing.T) {
 	for ci, cfg := range refConfigs() {
-		in, ref := buildWithRef(t, cfg)
-		if got, want := in.hc.n(), len(ref.arr); got != want {
-			t.Fatalf("config %d: %d hosts in columns, %d in builder", ci, got, want)
-		}
-		// Insertion (rank) order: byRank must walk the columns in exactly
-		// builder-append order.
-		for rank, pos := range in.hc.byRank {
-			if got, want := in.hc.hostAt(pos), ref.arr[rank]; got != want {
-				t.Fatalf("config %d rank %d: columns %+v, builder %+v", ci, rank, got, want)
+		forProcs(t, func(procs int) {
+			in, ref := buildWithRef(t, cfg)
+			if got, want := in.hc.n(), len(ref.arr); got != want {
+				t.Fatalf("config %d, GOMAXPROCS %d: %d hosts in columns, %d in builder", ci, procs, got, want)
+			}
+			// Insertion (rank) order: byRank must walk the columns in
+			// exactly builder-append order.
+			for rank, pos := range in.hc.byRank {
+				if got, want := in.hc.hostAt(pos), ref.arr[rank]; got != want {
+					t.Fatalf("config %d, GOMAXPROCS %d, rank %d: columns %+v, builder %+v", ci, procs, rank, got, want)
+				}
+			}
+			// Sorted order: addresses strictly increasing (no duplicates).
+			for i := 1; i < in.hc.n(); i++ {
+				if !in.hc.addr[i-1].Less(in.hc.addr[i]) {
+					t.Fatalf("config %d, GOMAXPROCS %d: columns not strictly sorted at %d", ci, procs, i)
+				}
+			}
+			// The builder's index and a binary search agree with the map
+			// for every member.
+			for addr, idx := range hostMap(t, ref) {
+				if r := ref.rank(addr); r != idx {
+					t.Fatalf("config %d: builder index ranks %v %d, map %d", ci, addr, r, idx)
+				}
+				i, ok := in.hc.findRef(addr)
+				if !ok {
+					t.Fatalf("config %d, GOMAXPROCS %d: %v in builder but not found in columns", ci, procs, addr)
+				}
+				if in.hc.hostAt(i) != ref.arr[idx] {
+					t.Fatalf("config %d, GOMAXPROCS %d: host at %v differs from builder", ci, procs, addr)
+				}
+			}
+		})
+	}
+}
+
+// TestBuilderFirstInsertionWins holds the builder to a Go map's
+// first-insertion-wins over offers drawn from a small address pool (most
+// are duplicates), from an empty builder that grows and from one sized
+// for every offer.
+func TestBuilderFirstInsertionWins(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xb1d))
+	pool := make([]ip6.Addr, 3000)
+	for i := range pool {
+		pool[i] = ip6.AddrFromUint64(rng.Uint64()&0xff, uint64(rng.Intn(512)))
+	}
+	offers := make([]Host, 20000)
+	for i := range offers {
+		offers[i] = Host{Addr: pool[rng.Intn(len(pool))], Machine: uint64(i)}
+	}
+	for _, size := range []int{0, len(offers)} {
+		b := newWorldBuilder(size)
+		want := map[ip6.Addr]int32{}
+		var wantArr []Host
+		for _, h := range offers {
+			b.add(h)
+			if _, dup := want[h.Addr]; !dup {
+				want[h.Addr] = int32(len(wantArr))
+				wantArr = append(wantArr, h)
 			}
 		}
-		// Sorted order: addresses strictly increasing (no duplicates).
-		for i := 1; i < in.hc.n(); i++ {
-			if !in.hc.addr[i-1].Less(in.hc.addr[i]) {
-				t.Fatalf("config %d: columns not strictly sorted at %d", ci, i)
-			}
+		if !slices.Equal(b.arr, wantArr) {
+			t.Fatalf("sized %d: builder kept %d hosts, map %d, or their order differs", size, len(b.arr), len(wantArr))
 		}
-		// The map agrees with a binary search for every member.
-		for addr, idx := range ref.hosts {
-			i, ok := in.hc.findRef(addr)
-			if !ok {
-				t.Fatalf("config %d: %v in builder map but not found in columns", ci, addr)
-			}
-			if in.hc.hostAt(i) != ref.arr[idx] {
-				t.Fatalf("config %d: host at %v differs from builder", ci, addr)
+		for addr, r := range want {
+			if got := b.rank(addr); got != r {
+				t.Fatalf("sized %d: rank of %v is %d, map says %d", size, addr, got, r)
 			}
 		}
 	}
@@ -120,7 +193,8 @@ func TestHostAtMatchesReference(t *testing.T) {
 	in, ref := buildWithRef(t, testConfig())
 	rng := rand.New(rand.NewSource(0x40a7))
 	var queries []ip6.Addr
-	for addr := range ref.hosts {
+	refHosts := hostMap(t, ref)
+	for addr := range refHosts {
 		queries = append(queries, addr)
 		if rng.Intn(4) == 0 {
 			queries = append(queries, addr.Next(), addr.Prev())
@@ -131,7 +205,7 @@ func TestHostAtMatchesReference(t *testing.T) {
 	}
 	for _, q := range queries {
 		got, gotOK := in.HostAt(q)
-		idx, wantOK := ref.hosts[q]
+		idx, wantOK := refHosts[q]
 		if gotOK != wantOK {
 			t.Fatalf("HostAt(%v): ok=%v, map says %v", q, gotOK, wantOK)
 		}
@@ -148,7 +222,8 @@ func TestHostRunMatchesReference(t *testing.T) {
 	in, ref := buildWithRef(t, testConfig())
 	rng := rand.New(rand.NewSource(0x40a8))
 	var queries []ip6.Addr
-	for addr := range ref.hosts {
+	refHosts := hostMap(t, ref)
+	for addr := range refHosts {
 		queries = append(queries, addr)
 		if rng.Intn(3) == 0 {
 			queries = append(queries, addr.Next())
@@ -174,7 +249,7 @@ func TestHostRunMatchesReference(t *testing.T) {
 					cur = hostRun{hc: &in.hc} // fresh cursor per batch
 				}
 				hi, ok := cur.lookup(q)
-				idx, wantOK := ref.hosts[q]
+				idx, wantOK := refHosts[q]
 				if ok != wantOK {
 					t.Fatalf("order %d split %d: cursor(%v) ok=%v, map says %v", oi, split, q, ok, wantOK)
 				}
@@ -245,5 +320,17 @@ func TestBatchMatchesPerProbeOnRefWorlds(t *testing.T) {
 				t.Fatalf("config %d target %d: hop mismatch", ci, i)
 			}
 		}
+	}
+}
+
+// BenchmarkWorldNew measures world construction at scale 0.25 with the
+// default registry (the pinned "mid" world, the daily benchmark's):
+// routing table, the two-phase plan, rDNS and seal. Run it at -cpu 1,2,4
+// for the world stage's per-core curve.
+func BenchmarkWorldNew(b *testing.B) {
+	cfg := pinConfigs()["mid"]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(cfg)
 	}
 }

@@ -148,7 +148,19 @@ func NewAXFR(dns *dnssim.Server, cfg netsim.Config) Source {
 }
 
 func newDNSSource(name string, dns *dnssim.Server, cfg netsim.Config, sees func(dnssim.Vis) bool) Source {
-	s := &dnsSource{name: name, dns: dns, reported: reported{perDay: cfg.EpochDays}}
+	n := 0
+	for i := 0; i < dns.Len(); i++ {
+		if sees(dns.Vis(i)) {
+			n++
+		}
+	}
+	s := &dnsSource{
+		name:     name,
+		dns:      dns,
+		idx:      make([]int32, 0, n),
+		epochs:   make([]int16, 0, n),
+		reported: reported{perDay: cfg.EpochDays},
+	}
 	for i := 0; i < dns.Len(); i++ {
 		if sees(dns.Vis(i)) {
 			s.idx = append(s.idx, int32(i))
