@@ -250,17 +250,6 @@ func ElbowResults(points [][]float64, kmax int, seed int64, workers int) []Resul
 	return out
 }
 
-// ElbowCurve returns SSE(k) for k = 1..kmax (equation (6)), computed by
-// the concurrent sweep.
-func ElbowCurve(points [][]float64, kmax int, seed int64, workers int) []float64 {
-	results := ElbowResults(points, kmax, seed, workers)
-	out := make([]float64, len(results))
-	for i, r := range results {
-		out[i] = r.SSE
-	}
-	return out
-}
-
 // Elbow picks the k at the "elbow" of the SSE curve: the point with
 // maximum distance to the chord between the first and last curve points
 // (the standard geometric formalization of the paper's visual method).

@@ -165,11 +165,11 @@ func TestKMeansEmptyClusterRepair(t *testing.T) {
 // Property: SSE decreases (weakly) as k grows.
 func TestSSEMonotoneInK(t *testing.T) {
 	pts := blobs([][]float64{{0, 0}, {8, 0}, {0, 8}, {8, 8}}, 30, 1.0, 3)
-	curve := ElbowCurve(pts, 8, 11, 1)
+	curve := ElbowResults(pts, 8, 11, 1)
 	for i := 1; i < len(curve); i++ {
 		// Allow tiny increases from local minima; k-means is a heuristic.
-		if curve[i] > curve[i-1]*1.10+1e-9 {
-			t.Errorf("SSE rose sharply at k=%d: %v -> %v", i+1, curve[i-1], curve[i])
+		if curve[i].SSE > curve[i-1].SSE*1.10+1e-9 {
+			t.Errorf("SSE rose sharply at k=%d: %v -> %v", i+1, curve[i-1].SSE, curve[i].SSE)
 		}
 	}
 }

@@ -87,13 +87,6 @@ func (e *Epoch) CleanTargets() []ip6.Addr {
 	return clean
 }
 
-// AliasedTargets returns the aliased partition of the epoch's hitlist.
-// Shared, read-only.
-func (e *Epoch) AliasedTargets() []ip6.Addr {
-	_, aliased, _ := e.Split()
-	return aliased
-}
-
 // IsAliased reports whether addr falls under an aliased prefix per this
 // epoch's filter.
 func (e *Epoch) IsAliased(addr ip6.Addr) bool { return e.Filter.IsAliased(addr) }

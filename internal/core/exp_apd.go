@@ -157,17 +157,15 @@ func (l *Lab) Fig5SVGs() (noAPD, aliased string) {
 	return noAPD, aliased
 }
 
-// pairRefSamples folds one target's two pair probes into the interned
-// sample slice, First before Second, skipping unanswered probes — the
-// same interleave the per-probe path produced from []Pair.
-func pairRefSamples(samples []fingerprint.RefSample, cols *probe.PairColumns, i int) []fingerprint.RefSample {
+// pairSamples folds one target's two pair probes into the sample slice,
+// First before Second, skipping unanswered probes.
+func pairSamples(samples []fingerprint.Sample, cols *probe.PairColumns, i int) []fingerprint.Sample {
 	for _, c := range [2]*wire.ResultColumns{&cols.First, &cols.Second} {
 		if c.OK.Get(i) {
-			samples = append(samples, fingerprint.RefSample{
+			samples = append(samples, fingerprint.Sample{
 				SentAt:   c.SentAt[i],
 				HopLimit: c.HopLimit[i],
-				Ref:      c.TCPRef[i],
-				TSVal:    c.TSVal[i],
+				TCP:      wire.TCPInfo{TCPFingerprint: c.TCP[i], TSVal: c.TSVal[i]},
 			})
 		}
 	}
@@ -176,18 +174,16 @@ func pairRefSamples(samples []fingerprint.RefSample, cols *probe.PairColumns, i 
 
 // aliasedFingerprintReports collects §5.4 fingerprint reports over
 // aliased /64s whose 16 fan-out addresses all answered TCP/80. The pairs
-// are probed on the batched columnar path and analyzed over interned
-// fingerprint refs — one pair-column buffer set reused across prefixes,
-// no TCPInfo or options-string comparison anywhere.
+// are probed on the batched columnar path and analyzed over fingerprint
+// values, one pair-column buffer set reused across prefixes.
 func (l *Lab) aliasedFingerprintReports() []fingerprint.Report {
 	// The verdict column's order pins the per-prefix probe schedule and
 	// the reports order (among /64s it is plain address order).
 	verdicts := l.windowEpoch().Verdicts
 	day := l.measureDay()
-	table := l.P.TCPTable()
 	var reports []fingerprint.Report
 	var cols probe.PairColumns
-	var samples []fingerprint.RefSample
+	var samples []fingerprint.Sample
 	for i, p := range verdicts.Prefixes {
 		if !verdicts.Aliased[i] || p.Bits() != 64 {
 			continue
@@ -200,12 +196,12 @@ func (l *Lab) aliasedFingerprintReports() []fingerprint.Report {
 			if cols.First.OK.Get(i) {
 				answered++
 			}
-			samples = pairRefSamples(samples, &cols, i)
+			samples = pairSamples(samples, &cols, i)
 		}
 		if answered < apd.Branches {
 			continue // the paper analyzes fully-responsive prefixes only
 		}
-		reports = append(reports, fingerprint.AnalyzeRefs(samples, table))
+		reports = append(reports, fingerprint.Analyze(samples))
 	}
 	return reports
 }
@@ -243,8 +239,7 @@ func (l *Lab) Table6() *Report {
 	}
 	var nonAliased []fingerprint.Report
 	var cols probe.PairColumns
-	var samples []fingerprint.RefSample
-	table := l.P.TCPTable()
+	var samples []fingerprint.Sample
 	for _, p64 := range ip6.SortedKeys(per64) {
 		addrs := per64[p64]
 		if len(addrs) < 16 {
@@ -253,12 +248,12 @@ func (l *Lab) Table6() *Report {
 		l.P.ProbePairColumns(addrs[:16], day, &cols)
 		samples = samples[:0]
 		for i := 0; i < 16; i++ {
-			samples = pairRefSamples(samples, &cols, i)
+			samples = pairSamples(samples, &cols, i)
 		}
 		if len(samples) < 16 {
 			continue
 		}
-		nonAliased = append(nonAliased, fingerprint.AnalyzeRefs(samples, table))
+		nonAliased = append(nonAliased, fingerprint.Analyze(samples))
 	}
 
 	aliasedT := fingerprint.Tabulate(l.aliasedFingerprintReports())

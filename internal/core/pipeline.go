@@ -282,15 +282,10 @@ func (p *Pipeline) Sweep(targets []ip6.Addr, day int) *Scan {
 // mutation epoch, never copied per sweep.
 func (p *Pipeline) SweepSet(set *ip6.ShardSet, day int) *Scan { return p.Sweep(set.Sorted(), day) }
 
-// ProbePairColumns sends the §5.4 fingerprinting probe pairs, with
-// SYN-ACK fingerprints interned in the pipeline's table (TCPTable).
+// ProbePairColumns sends the §5.4 fingerprinting probe pairs on TCP/80.
 func (p *Pipeline) ProbePairColumns(targets []ip6.Addr, day int, out *probe.PairColumns) {
 	p.scanner.ProbePairColumns(targets, wire.TCP80, day, out)
 }
-
-// TCPTable returns the scanner's interned fingerprint table — the
-// resolver for TCPRef columns produced by the pipeline's scans.
-func (p *Pipeline) TCPTable() *wire.TCPTable { return p.scanner.TCPTable() }
 
 // SweepDays streams sweeps of the targets over consecutive days starting
 // at day0, reusing one set of scan buffers throughout; fn sees each day's

@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 
 	"expanse/internal/bgp"
 	"expanse/internal/hash64"
@@ -216,26 +215,6 @@ func (s *Server) Dynamic(i int) bool { return s.line[i] >= 0 }
 
 // Reverse returns the ip6.arpa zone.
 func (s *Server) Reverse() *RTree { return s.rtree }
-
-// ReverseName renders the ip6.arpa name of an address, e.g.
-// "1.0.0.0.….8.b.d.0.1.0.0.2.ip6.arpa." — the walker's query format.
-func ReverseName(a ip6.Addr) string {
-	var b strings.Builder
-	n := a.Nybbles()
-	for i := 31; i >= 0; i-- {
-		b.WriteByte(hexDigit(n[i]))
-		b.WriteByte('.')
-	}
-	b.WriteString("ip6.arpa.")
-	return b.String()
-}
-
-func hexDigit(v byte) byte {
-	if v < 10 {
-		return '0' + v
-	}
-	return 'a' + v - 10
-}
 
 // RCode is a DNS response code subset for tree walking.
 type RCode int

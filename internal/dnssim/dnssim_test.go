@@ -179,15 +179,6 @@ func TestVisibilityChannels(t *testing.T) {
 	}
 }
 
-func TestReverseName(t *testing.T) {
-	a := ip6.MustParseAddr("2001:db8::1")
-	got := ReverseName(a)
-	want := "1.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.8.b.d.0.1.0.0.2.ip6.arpa."
-	if got != want {
-		t.Errorf("ReverseName = %q, want %q", got, want)
-	}
-}
-
 func TestRTreeQueries(t *testing.T) {
 	addrs := []ip6.Addr{
 		ip6.MustParseAddr("2001:db8::1"),

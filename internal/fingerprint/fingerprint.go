@@ -4,7 +4,8 @@
 // prefix behaves like a single machine. The tests are, in the paper's
 // order: iTTL, options layout ("optionstext"), window scale, MSS, window
 // size, and the three-part TCP timestamp test (same value / monotonic /
-// linear-regression R² > 0.8).
+// linear-regression R² > 0.8). A sample is one row of the scan plane's
+// wire.ResultColumns, its SYN-ACK fingerprint a comparable value.
 package fingerprint
 
 import (
@@ -61,33 +62,28 @@ func (r Report) Inconsistent() bool {
 // R2Threshold is the paper's regression acceptance bound.
 const R2Threshold = 0.8
 
-// RefSample is one fingerprintable response: the SYN-ACK's static
-// fingerprint as an interned table ref plus the per-probe timestamp
-// value — a row of the scan plane's wire.ResultColumns.
-type RefSample struct {
+// Sample is one fingerprintable response: a row of the scan plane's
+// wire.ResultColumns.
+type Sample struct {
 	// SentAt is the probe's virtual send time (receive time differs by a
 	// near-constant RTT, which linear regression absorbs).
 	SentAt wire.Time
 	// HopLimit is the received hop limit.
 	HopLimit uint8
-	// Ref indexes the interned fingerprint (wire.NoTCP = no usable
-	// response; such samples are skipped).
-	Ref wire.TCPRef
-	// TSVal is the TCP timestamp value (meaningful iff the interned
-	// fingerprint has TSPresent).
-	TSVal uint32
+	// TCP is the SYN-ACK: its fingerprint (the zero value = no usable
+	// response; such samples are skipped) and timestamp value
+	// (meaningful iff TSPresent).
+	TCP wire.TCPInfo
 }
 
-// AnalyzeRefs runs all §5.4 tests over the fingerprint samples of one
-// prefix. Two samples from the same machine profile compare as one
-// integer, so the per-field value tests (options layout string included)
-// run only when refs differ. The per-sample reference it is property-
-// pinned against lives in ref_test.go.
-func AnalyzeRefs(samples []RefSample, table *wire.TCPTable) Report {
+// Analyze runs all §5.4 tests over the fingerprint samples of one prefix.
+// Two samples from the same machine profile have equal fingerprints, so
+// the per-field value tests run only when fingerprints differ.
+func Analyze(samples []Sample) Report {
 	var rep Report
-	usable := make([]RefSample, 0, len(samples))
+	usable := make([]Sample, 0, len(samples))
 	for _, s := range samples {
-		if s.Ref != wire.NoTCP {
+		if s.TCP.Valid() {
 			usable = append(usable, s)
 		}
 	}
@@ -99,16 +95,15 @@ func AnalyzeRefs(samples []RefSample, table *wire.TCPTable) Report {
 
 	first := usable[0]
 	firstITTL := ITTL(first.HopLimit)
-	firstFP := table.Fingerprint(first.Ref)
 	for _, s := range usable[1:] {
 		if ITTL(s.HopLimit) != firstITTL {
 			rep.ITTLInconsistent = true
 		}
-		if s.Ref == first.Ref {
-			continue // identical interned fingerprint: all value tests pass
+		fp, firstFP := s.TCP.TCPFingerprint, first.TCP.TCPFingerprint
+		if fp == firstFP {
+			continue // one stack personality: all value tests pass
 		}
-		fp := table.Fingerprint(s.Ref)
-		if fp.OptionsText != firstFP.OptionsText {
+		if fp.Options() != firstFP.Options() {
 			rep.OptionsInconsistent = true
 		}
 		if fp.WScale != firstFP.WScale {
@@ -122,16 +117,16 @@ func AnalyzeRefs(samples []RefSample, table *wire.TCPTable) Report {
 		}
 	}
 
-	rep.TSConsistent, rep.TSWhichPassed = timestampTestRefs(usable, table)
+	rep.TSConsistent, rep.TSWhichPassed = timestampTest(usable)
 	rep.TSIndecisive = !rep.TSConsistent
 	return rep
 }
 
-// timestampTestRefs applies the three §5.4 timestamp checks in order.
-func timestampTestRefs(usable []RefSample, table *wire.TCPTable) (bool, string) {
-	var ts []RefSample
+// timestampTest applies the three §5.4 timestamp checks in order.
+func timestampTest(usable []Sample) (bool, string) {
+	var ts []Sample
 	for _, s := range usable {
-		if table.Fingerprint(s.Ref).TSPresent {
+		if s.TCP.TSPresent {
 			ts = append(ts, s)
 		}
 	}
@@ -142,7 +137,7 @@ func timestampTestRefs(usable []RefSample, table *wire.TCPTable) (bool, string) 
 	if len(ts) == len(usable) {
 		same := true
 		for _, s := range ts[1:] {
-			if s.TSVal != ts[0].TSVal {
+			if s.TCP.TSVal != ts[0].TCP.TSVal {
 				same = false
 				break
 			}
@@ -157,13 +152,13 @@ func timestampTestRefs(usable []RefSample, table *wire.TCPTable) (bool, string) 
 	if len(ts) < 3 {
 		return false, ""
 	}
-	ordered := make([]RefSample, len(ts))
+	ordered := make([]Sample, len(ts))
 	copy(ordered, ts)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].SentAt < ordered[j].SentAt })
 	// Check 2: monotonic across the whole prefix in probe order.
 	monotonic := true
 	for i := 1; i < len(ordered); i++ {
-		if ordered[i].TSVal < ordered[i-1].TSVal {
+		if ordered[i].TCP.TSVal < ordered[i-1].TCP.TSVal {
 			monotonic = false
 			break
 		}
@@ -177,7 +172,7 @@ func timestampTestRefs(usable []RefSample, table *wire.TCPTable) (bool, string) 
 	y := make([]float64, len(ordered))
 	for i, s := range ordered {
 		x[i] = float64(s.SentAt) / 1e6
-		y[i] = float64(s.TSVal)
+		y[i] = float64(s.TCP.TSVal)
 	}
 	if r := stats.LinearRegression(x, y); r.R2 > R2Threshold {
 		return true, "regression"

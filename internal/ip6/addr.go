@@ -134,22 +134,6 @@ func (a Addr) Prev() Addr {
 // space — the upper bound of an interval table's final gap.
 func MaxAddr() Addr { return Addr{hi: ^uint64(0), lo: ^uint64(0)} }
 
-// Xor returns the bitwise exclusive-or of two addresses, used for
-// similarity metrics in target generation.
-func (a Addr) Xor(b Addr) Addr { return Addr{hi: a.hi ^ b.hi, lo: a.lo ^ b.lo} }
-
-// CommonPrefixLen returns the length in bits of the longest common prefix
-// of a and b (0..128).
-func (a Addr) CommonPrefixLen(b Addr) int {
-	if x := a.hi ^ b.hi; x != 0 {
-		return bits.LeadingZeros64(x)
-	}
-	if x := a.lo ^ b.lo; x != 0 {
-		return 64 + bits.LeadingZeros64(x)
-	}
-	return 128
-}
-
 // Bit returns bit i of the address (0 = most significant bit).
 func (a Addr) Bit(i int) byte {
 	if i < 64 {

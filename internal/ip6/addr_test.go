@@ -223,28 +223,6 @@ func TestCompareNextPrev(t *testing.T) {
 	}
 }
 
-func TestCommonPrefixLen(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"2001:db8::", "2001:db8::", 128},
-		{"2001:db8::", "2001:db8::1", 127},
-		{"2001:db8::", "2001:db9::", 31},
-		{"::", "8000::", 0},
-		{"2001:db8::", "2001:db8:0:0:8000::", 64},
-	}
-	for _, c := range cases {
-		a, b := MustParseAddr(c.a), MustParseAddr(c.b)
-		if got := a.CommonPrefixLen(b); got != c.want {
-			t.Errorf("CommonPrefixLen(%s,%s) = %d, want %d", c.a, c.b, got, c.want)
-		}
-		if got := b.CommonPrefixLen(a); got != c.want {
-			t.Errorf("CommonPrefixLen symmetric (%s,%s) = %d, want %d", c.b, c.a, got, c.want)
-		}
-	}
-}
-
 func TestSLAACAndMAC(t *testing.T) {
 	mac := [6]byte{0x00, 0x1a, 0x2b, 0x3c, 0x4d, 0x5e}
 	net := MustParseAddr("2001:db8:1:2::")
@@ -278,17 +256,6 @@ func TestBit(t *testing.T) {
 	a := MustParseAddr("8000::1")
 	if a.Bit(0) != 1 || a.Bit(1) != 0 || a.Bit(127) != 1 || a.Bit(126) != 0 {
 		t.Error("Bit() extraction wrong")
-	}
-}
-
-func TestXor(t *testing.T) {
-	a := MustParseAddr("2001:db8::1")
-	if x := a.Xor(a); !x.IsZero() {
-		t.Error("a^a should be zero")
-	}
-	b := MustParseAddr("2001:db8::3")
-	if x := a.Xor(b); x != MustParseAddr("::2") {
-		t.Errorf("xor = %v", x)
 	}
 }
 

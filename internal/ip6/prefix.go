@@ -85,14 +85,6 @@ func (p Prefix) Last() Addr {
 	}
 }
 
-// Supernet returns the prefix shortened to the given length.
-func (p Prefix) Supernet(length int) Prefix {
-	if length >= int(p.bits) {
-		return p
-	}
-	return PrefixFrom(p.addr, length)
-}
-
 // Subprefix returns the idx-th subprefix of length newLen (newLen must be
 // >= p.Bits()). Subprefixes are numbered from 0 in address order; only the
 // low bits of idx that fit in newLen-p.Bits() are used.
@@ -121,15 +113,6 @@ func (p Prefix) Subprefix(newLen int, idx uint64) Prefix {
 		a.hi |= hiPart
 	}
 	return Prefix{addr: a, bits: uint8(newLen)}
-}
-
-// NumAddresses returns the number of addresses in the prefix, capped at
-// MaxUint64 for prefixes shorter than /64.
-func (p Prefix) NumAddresses() uint64 {
-	if p.bits <= 64 {
-		return ^uint64(0)
-	}
-	return uint64(1) << (128 - int(p.bits))
 }
 
 // RandomAddr returns a pseudo-random address inside the prefix drawn from

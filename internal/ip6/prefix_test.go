@@ -151,28 +151,6 @@ func TestNthAddr(t *testing.T) {
 	}
 }
 
-func TestSupernet(t *testing.T) {
-	p := MustParsePrefix("2001:db8:1:2::/64")
-	if got := p.Supernet(32); got != MustParsePrefix("2001:db8::/32") {
-		t.Errorf("Supernet = %v", got)
-	}
-	if got := p.Supernet(96); got != p {
-		t.Errorf("Supernet longer than prefix should be identity, got %v", got)
-	}
-}
-
-func TestNumAddresses(t *testing.T) {
-	if n := MustParsePrefix("2001:db8::/124").NumAddresses(); n != 16 {
-		t.Errorf("/124 = %d addrs", n)
-	}
-	if n := MustParsePrefix("2001:db8::1/128").NumAddresses(); n != 1 {
-		t.Errorf("/128 = %d addrs", n)
-	}
-	if n := MustParsePrefix("2001:db8::/32").NumAddresses(); n != ^uint64(0) {
-		t.Errorf("/32 should saturate, got %d", n)
-	}
-}
-
 func TestComparePrefix(t *testing.T) {
 	a := MustParsePrefix("2001:db8::/32")
 	b := MustParsePrefix("2001:db8::/48")

@@ -62,11 +62,13 @@ var DefaultHotFuncs = []HotFunc{
 	{PkgPath: "expanse/internal/probe", Func: "ScanProtos"},
 	{PkgPath: "expanse/internal/probe", Func: "scanLanes"},
 	// The responder kernel: ProbeLanes and its per-destination loop
-	// (probeLanes), ProbeBatch its one-lane call, emit its column writer.
+	// (probeLanes), ProbeBatch its one-lane call, emit its column writer
+	// and synAck the SYN-ACK value emit writes.
 	{PkgPath: "expanse/internal/netsim", Func: "ProbeLanes"},
 	{PkgPath: "expanse/internal/netsim", Func: "probeLanes"},
 	{PkgPath: "expanse/internal/netsim", Func: "ProbeBatch"},
 	{PkgPath: "expanse/internal/netsim", Func: "emit"},
+	{PkgPath: "expanse/internal/netsim", Func: "synAck"},
 	// The columnar world plane's resolution primitives: locate, the one
 	// per-destination owner decision behind both Probe and ProbeLanes,
 	// answer, the per-lane half — decide and its per-plane bodies, every

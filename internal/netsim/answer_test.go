@@ -142,7 +142,7 @@ func probeDigest(in *Internet, mix []ip6.Addr) string {
 					if r.TCP == nil {
 						continue
 					}
-					h.Write([]byte(r.TCP.OptionsText))
+					h.Write([]byte(r.TCP.Options()))
 					put(uint64(r.TCP.MSS)<<32 | uint64(r.TCP.WScale)<<16 | uint64(r.TCP.WSize))
 					if r.TCP.TSPresent {
 						put(1<<32 | uint64(r.TCP.TSVal))
@@ -207,10 +207,9 @@ func FuzzAnswerLevels(f *testing.F) {
 		p := wire.Protos[int(proto)%wire.NumProtos]
 		d := int(day % 64)
 		when := wire.Time(at % (2 * 86_400_000_000))
-		var table wire.TCPTable
 		var okOnly, full wire.ResultColumns
 		okOnly.ResetOK(1)
-		full.Reset(1, &table)
+		full.Reset(1)
 		at1 := []wire.Time{when}
 		lanes := []wire.Lane{{Proto: p, At: at1, Out: &okOnly}, {Proto: p, At: at1, Out: &full}}
 		world.ProbeLanes([]ip6.Addr{dst}, d, lanes, 0)

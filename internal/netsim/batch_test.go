@@ -178,7 +178,6 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 		"full":  {func(int) bool { return true }, []int{0, 64, 7, 1}},
 		"mixed": {func(li int) bool { return li%2 == 1 }, []int{0, 7}},
 	}
-	var table wire.TCPTable
 	check := func(what string, i int, dst ip6.Addr, cols *wire.ResultColumns, want wire.Response) {
 		t.Helper()
 		if cols.OK.Get(i) != want.OK {
@@ -190,12 +189,12 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 		if cols.HopLimit[i] != want.HopLimit {
 			t.Fatalf("%s target %d (%v): hop=%d want %d", what, i, dst, cols.HopLimit[i], want.HopLimit)
 		}
-		got := cols.TCPInfoAt(i)
-		if (got == nil) != (want.TCP == nil) {
+		got := wire.TCPInfo{TCPFingerprint: cols.TCP[i], TSVal: cols.TSVal[i]}
+		if got.Valid() != (want.TCP != nil) {
 			t.Fatalf("%s target %d (%v): TCP presence mismatch", what, i, dst)
 		}
-		if got != nil && *got != *want.TCP {
-			t.Fatalf("%s target %d (%v): fingerprint %+v want %+v", what, i, dst, *got, *want.TCP)
+		if want.TCP != nil && got != *want.TCP {
+			t.Fatalf("%s target %d (%v): fingerprint %+v want %+v", what, i, dst, got, *want.TCP)
 		}
 	}
 	for orderName, order := range map[string][]ip6.Addr{"sorted": sorted, "generated": targets, "fanout": fanout} {
@@ -214,8 +213,8 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 				}
 				a := answers{make([]wire.Time, len(order)), make([]wire.Response, len(order))}
 				var one, ref wire.ResultColumns
-				one.Reset(len(order), &table)
-				ref.Reset(len(order), &table)
+				one.Reset(len(order))
+				ref.Reset(len(order))
 				for i, dst := range order {
 					a.at[i] = wire.Time(i)*20 + ls.off
 					a.want[i] = world.Probe(dst, ls.proto, day, a.at[i])
@@ -240,7 +239,7 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 						lanes := make([]wire.Lane, len(set))
 						for li := range set {
 							if full(li) {
-								cols[li].Reset(len(order), &table)
+								cols[li].Reset(len(order))
 							} else {
 								cols[li].ResetOK(len(order))
 							}
@@ -414,7 +413,6 @@ func BenchmarkProbeLanes(b *testing.B) {
 					level = "full"
 				}
 				b.Run(fmt.Sprintf("%s/lanes=%d/%s", order.name, len(protos), level), func(b *testing.B) {
-					var table wire.TCPTable
 					cols := make([]wire.ResultColumns, len(protos))
 					lanes := make([]wire.Lane, len(protos))
 					located := 0
@@ -422,7 +420,7 @@ func BenchmarkProbeLanes(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						for li, p := range protos {
 							if full {
-								cols[li].Reset(len(targets), &table)
+								cols[li].Reset(len(targets))
 							} else {
 								cols[li].ResetOK(len(targets))
 							}
@@ -466,8 +464,7 @@ func benchBatchInput() ([]ip6.Addr, []wire.Time, *wire.ResultColumns) {
 	for i := range at {
 		at[i] = wire.Time(i) * 10
 	}
-	var table wire.TCPTable
 	cols := &wire.ResultColumns{}
-	cols.Reset(len(targets), &table)
+	cols.Reset(len(targets))
 	return targets, at, cols
 }

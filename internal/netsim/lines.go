@@ -46,18 +46,6 @@ var vendorOUIs = []struct {
 	{"other", [3]byte{0x00, 0x00, 0x00}, 0.032}, // tail: OUI derived per line
 }
 
-// VendorName returns the CPE vendor for a MAC address, for the §3
-// vendor-mix analysis.
-func VendorName(mac [6]byte) string {
-	oui := [3]byte{mac[0], mac[1], mac[2]}
-	for _, v := range vendorOUIs[:3] {
-		if v.oui == oui {
-			return v.name
-		}
-	}
-	return "other"
-}
-
 // rotEpoch returns the rotation epoch index for a day.
 func (l *lineISP) rotEpoch(day int) uint64 {
 	if l.rotate <= 0 {

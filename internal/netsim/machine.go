@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"strings"
+
 	"expanse/internal/lazyrand"
 	"expanse/internal/wire"
 )
@@ -26,15 +28,15 @@ const (
 // one physical host. All addresses aliased to the same machine answer with
 // the same profile; distinct hosts have their own.
 type machine struct {
-	iTTL    uint8 // initial hop limit: 32, 64, 128 or 255
-	optText string
-	mss     uint16
-	wscale  uint8
-	wsize   uint16
-	tsMode  tsMode
-	tsBase  uint32 // counter start (boot time offset)
-	tsHz    uint32 // counter rate (100, 250, 1000 Hz)
-	key     uint64 // per-machine hash key (per-tuple ts, jitter)
+	iTTL   uint8 // initial hop limit: 32, 64, 128 or 255
+	layout uint8 // index into wire.OptionLayouts
+	mss    uint16
+	wscale uint8
+	wsize  uint16
+	tsMode tsMode
+	tsBase uint32 // counter start (boot time offset)
+	tsHz   uint32 // counter rate (100, 250, 1000 Hz)
+	key    uint64 // per-machine hash key (per-tuple ts, jitter)
 }
 
 // profile is a machine's personality packed into one word: indices into
@@ -93,17 +95,8 @@ func (d weighted) pick(rng *lazyrand.Source) profile {
 	return profile(len(d.w) - 1)
 }
 
-// Common option layouts: the paper finds 99.5% of responsive hosts choose
-// MSS-SACK-TS-N-WS; the rest use variants.
-var optLayouts = [...]string{
-	"MSS-SACK-TS-N-WS",     // dominant (Linux-style)
-	"MSS-N-WS-N-N-TS-SACK", // macOS-style
-	"MSS-N-WS-SACK-TS",
-	"MSS-SACK-TS",
-	"MSS",
-}
-
-// The value tables a profile indexes, each with its popularity.
+// The value tables a profile indexes, each with its popularity (the
+// option layouts are wire.OptionLayouts).
 var (
 	ittlValues   = [...]uint8{64, 255, 128, 32}
 	mssValues    = [...]uint16{1440, 1460, 1380, 8940}
@@ -146,39 +139,38 @@ func (p profile) iTTL() uint8 { return ittlValues[p&3] }
 func (m machineRef) unpack() machine {
 	p := m.prof
 	return machine{
-		iTTL:    p.iTTL(),
-		optText: optLayouts[p>>profOptShift&7],
-		mss:     mssValues[p>>profMSSShift&3],
-		wscale:  wscaleValues[p>>profWScaleShift&7],
-		wsize:   wsizeValues[p>>profWSizeShift&7],
-		tsMode:  tsModes[p>>profTSModeShift&3],
-		tsBase:  uint32(p >> profTSBaseShift),
-		tsHz:    tsHzValues[p>>profTSHzShift&3],
-		key:     m.key,
+		iTTL:   p.iTTL(),
+		layout: uint8(p >> profOptShift & 7),
+		mss:    mssValues[p>>profMSSShift&3],
+		wscale: wscaleValues[p>>profWScaleShift&7],
+		wsize:  wsizeValues[p>>profWSizeShift&7],
+		tsMode: tsModes[p>>profTSModeShift&3],
+		tsBase: uint32(p >> profTSBaseShift),
+		tsHz:   tsHzValues[p>>profTSHzShift&3],
+		key:    m.key,
 	}
 }
 
-// hasTS reports whether the layout carries a timestamp option.
+// tsLayouts marks the option layouts that carry a timestamp option.
+var tsLayouts = func() (ts [len(wire.OptionLayouts)]bool) {
+	for i, l := range wire.OptionLayouts {
+		ts[i] = strings.Contains(l, "TS")
+	}
+	return ts
+}()
+
+// hasTS reports whether the machine sends a timestamp option.
 func (m *machine) hasTS() bool {
-	return m.tsMode != tsNone && containsTS(m.optText)
+	return m.tsMode != tsNone && tsLayouts[m.layout]
 }
 
-func containsTS(layout string) bool {
-	for i := 0; i+1 < len(layout); i++ {
-		if layout[i] == 'T' && layout[i+1] == 'S' {
-			return true
-		}
-	}
-	return false
-}
-
-// tsVal returns whether the machine echoes a TCP timestamp and the value
-// it sends for a probe to dst-hash dstKey at virtual time at on the given
-// day. It is the per-probe part of the fingerprint; everything else about
-// a SYN-ACK is static per machine (see fingerprint).
-func (m *machine) tsVal(dstKey uint64, day int, at wire.Time) (bool, uint32) {
+// tsVal returns the TCP timestamp value the machine sends for a probe to
+// dst-hash dstKey at virtual time at on the given day (0 if it sends
+// none). It is the per-probe part of a SYN-ACK; everything else is
+// static per machine (see fingerprint).
+func (m *machine) tsVal(dstKey uint64, day int, at wire.Time) uint32 {
 	if !m.hasTS() {
-		return false, 0
+		return 0
 	}
 	// Elapsed virtual seconds since machine boot: days plus microseconds.
 	elapsed := uint64(day)*86_400 + uint64(at)/1_000_000
@@ -187,36 +179,15 @@ func (m *machine) tsVal(dstKey uint64, day int, at wire.Time) (bool, uint32) {
 	ticks += uint32(uint64(at) % 1_000_000 * uint64(m.tsHz) / 1_000_000)
 	switch m.tsMode {
 	case tsMonotonic:
-		return true, m.tsBase + ticks
+		return m.tsBase + ticks
 	case tsPerTuple:
-		return true, uint32(hash2(m.key, dstKey)) + ticks
+		return uint32(hash2(m.key, dstKey)) + ticks
 	default: // tsConstant
-		return true, m.tsBase
+		return m.tsBase
 	}
 }
 
-// fingerprint returns the static SYN-ACK personality in the scan plane's
-// interned vocabulary.
+// fingerprint returns the machine's static SYN-ACK personality.
 func (m *machine) fingerprint() wire.TCPFingerprint {
-	return wire.TCPFingerprint{
-		OptionsText: m.optText,
-		MSS:         m.mss,
-		WScale:      m.wscale,
-		WSize:       m.wsize,
-		TSPresent:   m.hasTS(),
-	}
-}
-
-// tcpAnswer builds the SYN-ACK fingerprint for a probe to dst-hash dstKey
-// at virtual time at on the given day — the heap-allocated per-probe form;
-// the batch path interns fingerprint() and writes tsVal into a column.
-func (m *machine) tcpAnswer(dstKey uint64, day int, at wire.Time) *wire.TCPInfo {
-	info := &wire.TCPInfo{
-		OptionsText: m.optText,
-		MSS:         m.mss,
-		WScale:      m.wscale,
-		WSize:       m.wsize,
-	}
-	info.TSPresent, info.TSVal = m.tsVal(dstKey, day, at)
-	return info
+	return wire.NewTCPFingerprint(int(m.layout), m.mss, m.wscale, m.wsize, m.hasTS())
 }

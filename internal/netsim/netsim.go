@@ -391,9 +391,9 @@ func (in *Internet) Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time) wir
 // rawResponse is the allocation-free internal probe answer an owner
 // gives: the OK flag, the hop limit, and — for TCP
 // probes — the responding machine and the per-probe fingerprint deltas
-// the alias quirks apply. materialize turns it into a wire.Response (heap
-// TCPInfo); the batch emitter writes it straight into result columns with
-// the fingerprint interned instead. The answer functions fill one through
+// the alias quirks apply. synAck describes its SYN-ACK; materialize turns
+// it into a wire.Response (heap TCPInfo) and the batch emitter writes it
+// straight into result columns. The answer functions fill one through
 // a pointer: a struct of this many fields returned by value is spilled
 // field by field and copied whole at every level it passes through, a
 // store-forwarding stall per level per probe.
@@ -407,6 +407,17 @@ type rawResponse struct {
 	dstKey   uint64
 }
 
+// synAck is the SYN-ACK of a TCP answer sent at virtual time at on the
+// given day: the machine's fingerprint with the alias quirks' deltas
+// applied, and its timestamp value.
+func (raw *rawResponse) synAck(day int, at wire.Time) wire.TCPInfo {
+	m := raw.m.unpack()
+	info := wire.TCPInfo{TCPFingerprint: m.fingerprint(), TSVal: m.tsVal(raw.dstKey, day, at)}
+	info.WSize += raw.wsizeAdd
+	info.MSS -= raw.mssSub
+	return info
+}
+
 // materialize expands a rawResponse into the per-probe Response form,
 // allocating the TCPInfo a wire.Response carries.
 func (in *Internet) materialize(raw *rawResponse, day int, at wire.Time) wire.Response {
@@ -415,11 +426,8 @@ func (in *Internet) materialize(raw *rawResponse, day int, at wire.Time) wire.Re
 	}
 	resp := wire.Response{OK: true, HopLimit: raw.hop}
 	if raw.tcp {
-		m := raw.m.unpack()
-		info := m.tcpAnswer(raw.dstKey, day, at)
-		info.WSize += raw.wsizeAdd
-		info.MSS -= raw.mssSub
-		resp.TCP = info
+		info := raw.synAck(day, at)
+		resp.TCP = &info
 	}
 	return resp
 }
@@ -613,7 +621,7 @@ func (in *Internet) describe(o *owner, p wire.Proto, at wire.Time, raw *rawRespo
 
 // answerRaw builds machine m's positive answer: hop limit plus, for TCP
 // probes, the machine whose fingerprint the response carries. Timestamp
-// values and TCPInfo materialization are deferred to the emitters
+// values and the SYN-ACK (synAck) are left to the emitters
 // (materialize for Probe, the column emitter in resolve.go for
 // ProbeLanes). flipITTL swaps the iTTL between 64 and 255 on every
 // odd-keyed destination — a per-address choice — and replaces the

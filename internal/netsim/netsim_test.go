@@ -273,11 +273,9 @@ func TestLineRotation(t *testing.T) {
 	if !a0.IsSLAAC() {
 		t.Error("CPE address not SLAAC")
 	}
-	mac, ok := a0.MAC()
-	if !ok {
+	if _, ok := a0.MAC(); !ok {
 		t.Fatal("no MAC recoverable")
 	}
-	_ = VendorName(mac)
 }
 
 func TestCPERespondsOnlyWhileCurrent(t *testing.T) {
@@ -314,6 +312,17 @@ func TestCPERespondsOnlyWhileCurrent(t *testing.T) {
 	}
 }
 
+// vendorName returns the CPE vendor a MAC address's OUI names.
+func vendorName(mac [6]byte) string {
+	oui := [3]byte{mac[0], mac[1], mac[2]}
+	for _, v := range vendorOUIs[:3] {
+		if v.oui == oui {
+			return v.name
+		}
+	}
+	return "other"
+}
+
 func TestVendorMix(t *testing.T) {
 	var pool *lineISP
 	for i := range world.isps {
@@ -327,7 +336,7 @@ func TestVendorMix(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for i := 0; i < pool.lines; i++ {
-		counts[VendorName(pool.mac(uint64(i)))]++
+		counts[vendorName(pool.mac(uint64(i)))]++
 	}
 	total := float64(pool.lines)
 	if z := float64(counts["ZTE"]) / total; z < 0.35 || z > 0.6 {
@@ -395,22 +404,19 @@ func TestMachineFingerprints(t *testing.T) {
 		t.Fatal("machine derivation not deterministic")
 	}
 	// Monotonic timestamps advance with time.
-	m := machine{iTTL: 64, optText: "MSS-SACK-TS-N-WS", tsMode: tsMonotonic, tsHz: 1000, tsBase: 10}
-	a := m.tcpAnswer(1, 0, 1_000_000)
-	b := m.tcpAnswer(1, 0, 2_000_000)
-	if !a.TSPresent || !b.TSPresent || b.TSVal <= a.TSVal {
-		t.Errorf("monotonic TS did not advance: %d -> %d", a.TSVal, b.TSVal)
+	m := machine{iTTL: 64, layout: 0, tsMode: tsMonotonic, tsHz: 1000, tsBase: 10} // "MSS-SACK-TS-N-WS"
+	a, b := m.tsVal(1, 0, 1_000_000), m.tsVal(1, 0, 2_000_000)
+	if !m.fingerprint().TSPresent || b <= a {
+		t.Errorf("monotonic TS did not advance: %d -> %d", a, b)
 	}
 	// Per-tuple: different destinations have different bases.
 	m.tsMode = tsPerTuple
-	x := m.tcpAnswer(111, 0, 1000)
-	y := m.tcpAnswer(222, 0, 1000)
-	if x.TSVal == y.TSVal {
+	if m.tsVal(111, 0, 1000) == m.tsVal(222, 0, 1000) {
 		t.Error("per-tuple TS identical across destinations")
 	}
 	// No-TS layout never reports timestamps.
-	m.optText = "MSS"
-	if m.tcpAnswer(1, 0, 0).TSPresent {
+	m.layout = 4 // "MSS"
+	if m.fingerprint().TSPresent || m.tsVal(1, 0, 1000) != 0 {
 		t.Error("TS present without TS option")
 	}
 }

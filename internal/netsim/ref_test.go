@@ -140,7 +140,7 @@ func newMachineRef(key uint64) machine {
 	rng := rand.New(rand.NewSource(int64(key)))
 	m := machine{key: key}
 	m.iTTL = pickWeightedRef(rng, []uint8{64, 255, 128, 32}, []float64{0.72, 0.17, 0.10, 0.01})
-	m.optText = pickWeightedRef(rng, optLayouts[:], []float64{0.995, 0.002, 0.0015, 0.001, 0.0005})
+	m.layout = uint8(weightedIdxRef(rng, []float64{0.995, 0.002, 0.0015, 0.001, 0.0005}))
 	m.mss = []uint16{1440, 1460, 1380, 8940}[weightedIdxRef(rng, []float64{0.55, 0.35, 0.07, 0.03})]
 	m.wscale = []uint8{7, 8, 9, 5, 2}[weightedIdxRef(rng, []float64{0.5, 0.2, 0.15, 0.1, 0.05})]
 	m.wsize = []uint16{28800, 65535, 64240, 14600, 29200}[weightedIdxRef(rng, []float64{0.35, 0.25, 0.2, 0.1, 0.1})]
@@ -195,7 +195,7 @@ func TestProfilesMatchRef(t *testing.T) {
 		if got != want {
 			t.Fatalf("%s: key %#x unpacks to %+v, math/rand derivation %+v", what, got.key, got, want)
 		}
-		for _, v := range []any{want.iTTL, want.optText, want.mss, [2]any{"wscale", want.wscale}, want.wsize, want.tsMode, want.tsHz} {
+		for _, v := range []any{want.iTTL, [2]any{"layout", want.layout}, want.mss, [2]any{"wscale", want.wscale}, want.wsize, want.tsMode, want.tsHz} {
 			seen[v] = true
 		}
 	}
@@ -206,7 +206,7 @@ func TestProfilesMatchRef(t *testing.T) {
 		}
 		check("on demand", newMachine(key))
 	}
-	want := len(ittlValues) + len(optLayouts) + len(mssValues) + len(wscaleValues) + len(wsizeValues) + len(tsModes) + len(tsHzValues)
+	want := len(ittlValues) + len(wire.OptionLayouts) + len(mssValues) + len(wscaleValues) + len(wsizeValues) + len(tsModes) + len(tsHzValues)
 	if len(seen) != want {
 		t.Fatalf("keys reached %d distinct profile values, tables hold %d", len(seen), want)
 	}

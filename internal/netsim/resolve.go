@@ -273,7 +273,7 @@ func (in *Internet) probeLanes(c *cursors, dsts []ip6.Addr, day int, lanes []wir
 	// an OK-only lane describe answers it then drops.
 	var full uint64
 	for li := range lanes {
-		if out := lanes[li].Out; out.HopLimit != nil || out.TCPRef != nil {
+		if out := lanes[li].Out; out.HopLimit != nil || out.TCP != nil {
 			full |= 1 << (li & 63)
 		}
 	}
@@ -310,8 +310,7 @@ func (in *Internet) ProbeBatch(dsts []ip6.Addr, p wire.Proto, day int, at []wire
 	in.ProbeLanes(dsts, day, lane[:], base)
 }
 
-// emit writes a rawResponse into column i, interning the TCP fingerprint
-// instead of allocating a TCPInfo.
+// emit writes a rawResponse into column i.
 func (in *Internet) emit(out *wire.ResultColumns, i int, raw *rawResponse, day int, at wire.Time) {
 	if !raw.ok {
 		return
@@ -320,15 +319,10 @@ func (in *Internet) emit(out *wire.ResultColumns, i int, raw *rawResponse, day i
 	if out.HopLimit != nil {
 		out.HopLimit[i] = raw.hop
 	}
-	if raw.tcp && out.TCPRef != nil {
-		m := raw.m.unpack()
-		fp := m.fingerprint()
-		fp.WSize += raw.wsizeAdd
-		fp.MSS -= raw.mssSub
-		out.TCPRef[i] = out.Table.Intern(fp)
-		if present, v := m.tsVal(raw.dstKey, day, at); present {
-			out.TSVal[i] = v
-		}
+	if raw.tcp && out.TCP != nil {
+		info := raw.synAck(day, at)
+		out.TCP[i] = info.TCPFingerprint
+		out.TSVal[i] = info.TSVal
 	}
 }
 

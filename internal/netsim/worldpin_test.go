@@ -307,9 +307,8 @@ func TestBatchMatchesPerProbeOnRefWorlds(t *testing.T) {
 		for i := range at {
 			at[i] = wire.Time(i) * 7
 		}
-		var table wire.TCPTable
 		var cols wire.ResultColumns
-		cols.Reset(len(targets), &table)
+		cols.Reset(len(targets))
 		in.ProbeBatch(targets, wire.TCP80, 2, at, &cols, 0)
 		for i, dst := range targets {
 			want := in.Probe(dst, wire.TCP80, 2, at[i])

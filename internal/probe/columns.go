@@ -34,11 +34,6 @@ func (s *Scanner) shards(n int, fn func(c, lo, hi int)) {
 	par.Ranges(n, s.workers, 1, 64, fn)
 }
 
-// TCPTable returns the scanner's fingerprint interning table. All columnar
-// scans through this scanner intern into it, so refs are comparable across
-// scans and days.
-func (s *Scanner) TCPTable() *wire.TCPTable { return s.tcp }
-
 // lane is one line of a scan: target i is probed on proto at virtual
 // time inv[i]*step + off, inv the inverse permutation of the lane's order
 // (the scan's orders[order]), and answers land in out. Lanes that share
@@ -50,10 +45,9 @@ type lane struct {
 	out       *wire.ResultColumns
 }
 
-// ScanColumns probes every target once (plus retries) on the given
-// protocol during the given day, writing results into out, which must
-// have been Reset (or ResetOK, for mask-only consumers) for exactly
-// len(targets) targets. Column i describes target i. The probe ORDER
+// ScanColumns probes every target once on the given protocol during the
+// given day, writing results into out, which must have been Reset (or
+// ResetOK, for mask-only consumers) for exactly len(targets) targets. Column i describes target i. The probe ORDER
 // over the wire follows a pseudo-random permutation, like ZMap's address
 // randomization, so bursts never hammer one prefix.
 //
@@ -63,7 +57,7 @@ type lane struct {
 // concurrency contract documented in netsim.
 func (s *Scanner) ScanColumns(targets []ip6.Addr, proto wire.Proto, day int, out *wire.ResultColumns) {
 	lanes := []lane{{proto: proto, step: sendInterval, out: out}}
-	s.scanLanes(targets, day, []uint64{s.protoOrder(proto, day)}, lanes, s.retries, nil)
+	s.scanLanes(targets, day, []uint64{s.protoOrder(proto, day)}, lanes, nil)
 }
 
 // ScanProtos is ScanColumns over several protocols at once: protocol k
@@ -84,7 +78,7 @@ func (s *Scanner) scanProtos(targets []ip6.Addr, protos []wire.Proto, day int, o
 		orders[k] = s.protoOrder(p, day)
 		lanes[k] = lane{proto: p, order: k, step: sendInterval, out: &outs[k]}
 	}
-	s.scanLanes(targets, day, orders, lanes, s.retries, invs)
+	s.scanLanes(targets, day, orders, lanes, invs)
 }
 
 // protoOrder is the permutation seed of one protocol's scan on one day.
@@ -103,10 +97,10 @@ type invSet [][]uint32
 // the APD detector probes millions of fan-out targets per day), before
 // the targets fan out over the scanner's worker shards: one sharding
 // whatever the number of lanes. Each shard walks its targets in index
-// order: take a batch targets[b:e], fix each lane's send times from the permutation
-// positions, let the responder answer all lanes of the batch in one
-// call, then retry each lane's unanswered subset in place.
-func (s *Scanner) scanLanes(targets []ip6.Addr, day int, orders []uint64, lanes []lane, retries int, invs *invSet) {
+// order: take a batch targets[b:e], fix each lane's send times from the
+// permutation positions, and let the responder answer all lanes of the
+// batch in one call.
+func (s *Scanner) scanLanes(targets []ip6.Addr, day int, orders []uint64, lanes []lane, invs *invSet) {
 	n := len(targets)
 	if invs == nil {
 		if invs, _ = s.invPool.Get().(*invSet); invs == nil {
@@ -131,7 +125,6 @@ func (s *Scanner) scanLanes(targets []ip6.Addr, day int, orders []uint64, lanes 
 		for li, ln := range lanes {
 			wl[li] = wire.Lane{Proto: ln.proto, Out: ln.out}
 		}
-		var retry retryState
 		for b := lo; b < hi; b += batchLen {
 			e := min(b+batchLen, hi)
 			for li := range lanes {
@@ -147,70 +140,8 @@ func (s *Scanner) scanLanes(targets []ip6.Addr, day int, orders []uint64, lanes 
 				wl[li].At = at
 			}
 			s.responder.ProbeLanes(targets[b:e], day, wl, b)
-			if retries > 0 {
-				for li := range lanes {
-					retry.run(s, targets, day, b, e, &lanes[li], inv[lanes[li].order], retries)
-				}
-			}
 		}
 	})
-}
-
-// retryState holds the scratch of the in-chunk retry passes: one lane's
-// failed subset is re-batched, as a one-lane call, with each attempt's
-// send time shifted one full scan length later.
-type retryState struct {
-	idx  []int
-	dsts []ip6.Addr
-	ats  []wire.Time
-	cols wire.ResultColumns
-	lane [1]wire.Lane
-}
-
-func (r *retryState) run(s *Scanner, targets []ip6.Addr, day int, b, e int, ln *lane, inv []uint32, retries int) {
-	out := ln.out
-	pass := wire.Time(len(inv)) * ln.step
-	r.idx = r.idx[:0]
-	for i := b; i < e; i++ {
-		if !out.OK.Get(i) {
-			r.idx = append(r.idx, i)
-		}
-	}
-	for a := 0; len(r.idx) > 0 && a < retries; a++ {
-		r.dsts = r.dsts[:0]
-		r.ats = r.ats[:0]
-		for _, i := range r.idx {
-			r.dsts = append(r.dsts, targets[i])
-			at := wire.Time(inv[i])*ln.step + ln.off + wire.Time(a+1)*pass
-			r.ats = append(r.ats, at)
-			if out.SentAt != nil {
-				out.SentAt[i] = at
-			}
-		}
-		if out.Table != nil {
-			r.cols.Reset(len(r.idx), out.Table)
-		} else {
-			r.cols.ResetOK(len(r.idx))
-		}
-		r.lane[0] = wire.Lane{Proto: ln.proto, At: r.ats, Out: &r.cols}
-		s.responder.ProbeLanes(r.dsts, day, r.lane[:], 0)
-		kept := r.idx[:0]
-		for k, i := range r.idx {
-			if !r.cols.OK.Get(k) {
-				kept = append(kept, i)
-				continue
-			}
-			out.OK.Set(i)
-			if out.HopLimit != nil {
-				out.HopLimit[i] = r.cols.HopLimit[k]
-			}
-			if out.TCPRef != nil {
-				out.TCPRef[i] = r.cols.TCPRef[k]
-				out.TSVal[i] = r.cols.TSVal[k]
-			}
-		}
-		r.idx = kept
-	}
 }
 
 // sweepBufs is the reusable scratch of a five-protocol sweep: one
@@ -298,8 +229,7 @@ func (s *Scanner) SweepDays(targets []ip6.Addr, day0, days int, fn func(day int,
 
 // PairColumns is the structure-of-arrays form of the §5.4 fingerprint
 // pair probing: column i of First/Second describes the two back-to-back
-// probes of target i, with SYN-ACK fingerprints interned in the
-// scanner's table.
+// probes of target i, SYN-ACK fingerprints included.
 type PairColumns struct {
 	First, Second wire.ResultColumns
 }
@@ -307,14 +237,14 @@ type PairColumns struct {
 // ProbePairColumns sends two back-to-back probes with the TCP options
 // module to every target (§5.4) and writes them into pair columns: two
 // lanes of one protocol over one permutation, the second probe of a pair
-// leaving one send interval after the first. Pairs are never retried.
+// leaving one send interval after the first.
 func (s *Scanner) ProbePairColumns(targets []ip6.Addr, proto wire.Proto, day int, out *PairColumns) {
 	n := len(targets)
-	out.First.Reset(n, s.tcp)
-	out.Second.Reset(n, s.tcp)
+	out.First.Reset(n)
+	out.Second.Reset(n)
 	lanes := []lane{
 		{proto: proto, step: 2 * sendInterval, out: &out.First},
 		{proto: proto, step: 2 * sendInterval, off: sendInterval, out: &out.Second},
 	}
-	s.scanLanes(targets, day, []uint64{s.seed ^ 0xfb ^ uint64(day)}, lanes, 0, nil)
+	s.scanLanes(targets, day, []uint64{s.seed ^ 0xfb ^ uint64(day)}, lanes, nil)
 }

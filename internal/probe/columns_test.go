@@ -1,6 +1,9 @@
 package probe
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"sort"
 	"sync"
 	"testing"
@@ -28,19 +31,19 @@ func checkColumnsMatchScan(t *testing.T, ref []Result, cols *wire.ResultColumns)
 		if cols.HopLimit[i] != r.HopLimit {
 			t.Fatalf("result %d: hop=%d want %d", i, cols.HopLimit[i], r.HopLimit)
 		}
-		got := cols.TCPInfoAt(i)
-		if (got == nil) != (r.TCP == nil) {
+		got := wire.TCPInfo{TCPFingerprint: cols.TCP[i], TSVal: cols.TSVal[i]}
+		if got.Valid() != (r.TCP != nil) {
 			t.Fatalf("result %d: TCP presence mismatch", i)
 		}
-		if got != nil && *got != *r.TCP {
-			t.Fatalf("result %d: fingerprint %+v want %+v", i, *got, *r.TCP)
+		if r.TCP != nil && got != *r.TCP {
+			t.Fatalf("result %d: fingerprint %+v want %+v", i, got, *r.TCP)
 		}
 	}
 }
 
 // mixedFake answers a protocol mix over targets, one Probe call per
 // destination and lane (fakeResponder's adapter), and drops every probe
-// sent before failBefore, so retries change results.
+// sent before failBefore, so answers depend on send times.
 func mixedFake(targets []ip6.Addr, failBefore wire.Time) *fakeResponder {
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}, failBefore: failBefore}
 	for i, a := range targets {
@@ -63,22 +66,20 @@ func mixedFake(targets []ip6.Addr, failBefore wire.Time) *fakeResponder {
 	return f
 }
 
-// grid runs fn for every engine configuration the lane scans are pinned
-// at — retries {0, 2} × workers {1, 2, 4, 16} — handing it, beside the
-// scanner under test, a one-worker scanner of the same retry count for
-// the per-probe reference (whose results do not depend on workers).
-func grid(r wire.Responder, fn func(ref, s *Scanner, workers, retries int)) {
-	for _, retries := range []int{0, 2} {
-		ref := New(r, WithWorkers(1), WithRetries(retries))
-		for _, workers := range []int{1, 2, 4, 16} {
-			fn(ref, New(r, WithWorkers(workers), WithRetries(retries)), workers, retries)
-		}
+// grid runs fn for every worker count the lane scans are pinned at —
+// {1, 2, 4, 16} — handing it, beside the scanner under test, a
+// one-worker scanner for the per-probe reference (whose results do not
+// depend on workers).
+func grid(r wire.Responder, fn func(ref, s *Scanner, workers int)) {
+	ref := New(r, WithWorkers(1))
+	for _, workers := range []int{1, 2, 4, 16} {
+		fn(ref, New(r, WithWorkers(workers)), workers)
 	}
 }
 
 // TestScanColumnsMatchesScanSeq pins the batched engine against the
 // per-probe reference across target counts (straddling bitset-word
-// boundaries), worker counts and retry settings — as one lane
+// boundaries) and worker counts — as one lane
 // (ScanColumns) and as several at once (ScanProtos, every lane against
 // its own per-probe scan) — through the plain per-probe responder, whose
 // batches take the fallback loop, and through netsim's batch responder.
@@ -86,24 +87,24 @@ func TestScanColumnsMatchesScanSeq(t *testing.T) {
 	protos := []wire.Proto{wire.TCP80, wire.ICMPv6, wire.UDP53}
 	check := func(r wire.Responder, targets []ip6.Addr, day int) {
 		n := len(targets)
-		refs := map[int][][]Result{} // by retries, per protocol
-		grid(r, func(ref, s *Scanner, workers, retries int) {
-			if refs[retries] == nil {
+		var refs [][]Result // per protocol
+		grid(r, func(ref, s *Scanner, workers int) {
+			if refs == nil {
 				for _, p := range protos {
-					refs[retries] = append(refs[retries], ref.scanSeq(targets, p, day))
+					refs = append(refs, ref.scanSeq(targets, p, day))
 				}
 			}
 			var one wire.ResultColumns
-			one.Reset(n, s.TCPTable())
+			one.Reset(n)
 			s.ScanColumns(targets, protos[0], day, &one)
-			checkColumnsMatchScan(t, refs[retries][0], &one)
+			checkColumnsMatchScan(t, refs[0], &one)
 			cols := make([]wire.ResultColumns, len(protos))
 			for k := range cols {
-				cols[k].Reset(n, s.TCPTable())
+				cols[k].Reset(n)
 			}
 			s.ScanProtos(targets, protos, day, cols)
 			for k := range cols {
-				checkColumnsMatchScan(t, refs[retries][k], &cols[k])
+				checkColumnsMatchScan(t, refs[k], &cols[k])
 			}
 		})
 	}
@@ -147,15 +148,15 @@ func TestShardsWordAligned(t *testing.T) {
 // batch responder.
 func TestSweepSeqMatchesLegacy(t *testing.T) {
 	check := func(r wire.Responder, targets []ip6.Addr, day int) {
-		want := map[int][]wire.RespMask{}
-		grid(r, func(ref, s *Scanner, workers, retries int) {
-			if want[retries] == nil {
-				want[retries] = ref.sweepSeq(targets, day)
+		var want []wire.RespMask
+		grid(r, func(ref, s *Scanner, workers int) {
+			if want == nil {
+				want = ref.sweepSeq(targets, day)
 			}
 			got := s.SweepSeqInto(targets, day, nil)
-			for i, w := range want[retries] {
+			for i, w := range want {
 				if got[i] != w {
-					t.Fatalf("workers=%d retries=%d: mask %d = %v, want %v", workers, retries, i, got[i], w)
+					t.Fatalf("workers=%d: mask %d = %v, want %v", workers, i, got[i], w)
 				}
 			}
 		})
@@ -171,14 +172,14 @@ func TestSweepSeqMatchesLegacy(t *testing.T) {
 // grid.
 func TestSweepDaysMatchesSweep(t *testing.T) {
 	targets := addrs(200)
-	grid(mixedFake(targets, 600), func(_, s *Scanner, workers, retries int) {
+	grid(mixedFake(targets, 600), func(_, s *Scanner, workers int) {
 		days := 0
 		s.SweepDays(targets, 4, 5, func(day int, masks []wire.RespMask) {
 			days++
 			want := s.SweepSeqInto(targets, day, nil)
 			for i := range want {
 				if masks[i] != want[i] {
-					t.Fatalf("workers=%d retries=%d day %d: mask %d = %v, want %v", workers, retries, day, i, masks[i], want[i])
+					t.Fatalf("workers=%d day %d: mask %d = %v, want %v", workers, day, i, masks[i], want[i])
 				}
 			}
 		})
@@ -189,13 +190,12 @@ func TestSweepDaysMatchesSweep(t *testing.T) {
 }
 
 // TestProbePairColumnsMatchesPairs pins the two-lane pair probing against
-// the per-probe probePairsSeq over the engine grid — pairs are never
-// retried, whatever the scanner's retry count — through the plain
+// the per-probe probePairsSeq over the engine grid, through the plain
 // responder's fallback loop and through netsim's batch responder.
 func TestProbePairColumnsMatchesPairs(t *testing.T) {
 	check := func(r wire.Responder, targets []ip6.Addr, day int) {
 		var first, second []Result
-		grid(r, func(ref, s *Scanner, workers, retries int) {
+		grid(r, func(ref, s *Scanner, workers int) {
 			if first == nil {
 				for _, pr := range ref.probePairsSeq(targets, wire.TCP80, day) {
 					first, second = append(first, pr.First), append(second, pr.Second)
@@ -251,7 +251,7 @@ func TestScanColumnsNetsimAcrossWorkers(t *testing.T) {
 		for _, workers := range []int{1, 4, 16} {
 			s, _ := netsimScanner(workers)
 			var cols wire.ResultColumns
-			cols.Reset(len(targets), s.TCPTable())
+			cols.Reset(len(targets))
 			s.ScanColumns(targets, proto, day, &cols)
 			checkColumnsMatchScan(t, ref, &cols)
 		}
@@ -287,7 +287,7 @@ func BenchmarkProbeBatch(b *testing.B) {
 	var cols wire.ResultColumns
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cols.Reset(len(targets), s.TCPTable())
+		cols.Reset(len(targets))
 		s.ScanColumns(targets, wire.TCP80, 42, &cols)
 	}
 }
@@ -298,5 +298,59 @@ func BenchmarkProbeBatchLegacy(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.scanSeq(targets, wire.TCP80, 42)
+	}
+}
+
+// pairDigest hashes both lanes of one pair probing, column by column:
+// send time, OK, hop limit, every fingerprint field and the timestamp
+// value.
+func pairDigest(cols *PairColumns) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, c := range []*wire.ResultColumns{&cols.First, &cols.Second} {
+		for i, at := range c.SentAt {
+			put(uint64(at))
+			if !c.OK.Get(i) {
+				h.Write([]byte{0})
+				continue
+			}
+			h.Write([]byte{1, c.HopLimit[i]})
+			fp := c.TCP[i]
+			if !fp.Valid() {
+				h.Write([]byte{0})
+				continue
+			}
+			h.Write([]byte{1})
+			h.Write([]byte(fp.Options()))
+			put(uint64(fp.MSS)<<32 | uint64(fp.WScale)<<16 | uint64(fp.WSize))
+			if fp.TSPresent {
+				put(1<<32 | uint64(c.TSVal[i]))
+			} else {
+				put(0)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// pinnedPairDigest is pairDigest over netsimWorld's targets on TCP/80,
+// day 42, captured when the fingerprint column held refs into an intern
+// table whose fields the digest read back.
+const pinnedPairDigest = "1e50e509e7a3479d427bcfe12b3775af14d12d52e4f1f660db17f2fb70f02cba"
+
+// TestProbePairColumnsPinned pins the pair columns over the netsim
+// targets at several worker counts.
+func TestProbePairColumnsPinned(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		s, targets := netsimScanner(workers)
+		var cols PairColumns
+		s.ProbePairColumns(targets, wire.TCP80, 42, &cols)
+		if got := pairDigest(&cols); got != pinnedPairDigest {
+			t.Fatalf("workers=%d: pair columns over %d targets digest to %s, want %s", workers, len(targets), got, pinnedPairDigest)
+		}
 	}
 }

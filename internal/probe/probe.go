@@ -9,12 +9,14 @@
 // []ip6.Addr target slice, hands the responder contiguous batches of it
 // without copying, and writes wire.ResultColumns. Every scan is a set of
 // lanes — protocols or send-time lines over one target list — through one
-// engine, so the responder resolves each target once for all of them. The Scanner's whole surface is ScanColumns (one protocol),
+// engine, so the responder resolves each target once for all of them.
+// Each target is probed once per lane: ZMap sends a single stateless
+// probe. The Scanner's whole surface is ScanColumns (one protocol),
 // ScanProtos (several at once; APD's two), SweepSeqInto and SweepDays
-// (the five-protocol responsiveness sweep, one day or streamed),
-// ProbePairColumns (the §5.4 fingerprint pairs) and TCPTable. The
-// per-probe engine it is pinned against probe-for-probe lives in
-// ref_test.go.
+// (the five-protocol responsiveness sweep, one day or streamed) and
+// ProbePairColumns (the §5.4 fingerprint pairs, SYN-ACK fingerprints
+// written as values). The per-probe engine it is pinned against
+// probe-for-probe lives in ref_test.go.
 //
 // Concurrency model (see DESIGN.md): a scan fans out over worker shards
 // of the target list, whatever its number of lanes. Virtual send times
@@ -38,11 +40,7 @@ import (
 type Scanner struct {
 	responder wire.Responder
 	workers   int
-	retries   int // additional attempts for unanswered probes
 	seed      uint64
-	// tcp interns SYN-ACK fingerprints for all columnar scans through
-	// this scanner (see TCPTable).
-	tcp *wire.TCPTable
 	// invPool recycles inverse-permutation scratch (*invSet) across
 	// columnar scans for callers without their own scratch. Recycling
 	// matters beyond allocator throughput: multi-day runs allocate these
@@ -64,16 +62,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithRetries sets how many times an unanswered probe is retried
-// (default 0 — ZMap sends a single stateless probe).
-func WithRetries(n int) Option {
-	return func(s *Scanner) {
-		if n >= 0 {
-			s.retries = n
-		}
-	}
-}
-
 // WithSeed sets the permutation seed (default 1).
 func WithSeed(seed uint64) Option {
 	return func(s *Scanner) { s.seed = seed }
@@ -81,7 +69,7 @@ func WithSeed(seed uint64) Option {
 
 // New creates a Scanner probing via r.
 func New(r wire.Responder, opts ...Option) *Scanner {
-	s := &Scanner{responder: r, workers: 8, retries: 0, seed: 1, tcp: new(wire.TCPTable)}
+	s := &Scanner{responder: r, workers: 8, seed: 1}
 	for _, o := range opts {
 		o(s)
 	}

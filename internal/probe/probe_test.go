@@ -14,14 +14,12 @@ import (
 type fakeResponder struct {
 	up     map[ip6.Addr]wire.RespMask
 	probes atomic.Int64
-	// failFirst makes the first attempt to any address fail (for retry
-	// tests): responds only when at >= threshold.
+	// failBefore drops every probe sent before it.
 	failBefore wire.Time
 }
 
 // ProbeLanes is the per-probe adapter onto the batched contract: one
-// Probe call per destination and lane, written into the lane's columns
-// with the fingerprint interned.
+// Probe call per destination and lane, written into the lane's columns.
 func (f *fakeResponder) ProbeLanes(dsts []ip6.Addr, day int, lanes []wire.Lane, base int) {
 	for k, dst := range dsts {
 		for li := range lanes {
@@ -35,11 +33,8 @@ func (f *fakeResponder) ProbeLanes(dsts []ip6.Addr, day int, lanes []wire.Lane, 
 			if l.Out.HopLimit != nil {
 				l.Out.HopLimit[i] = r.HopLimit
 			}
-			if r.TCP != nil && l.Out.TCPRef != nil {
-				l.Out.TCPRef[i] = l.Out.Table.Intern(wire.TCPFingerprint{
-					OptionsText: r.TCP.OptionsText, MSS: r.TCP.MSS, WScale: r.TCP.WScale,
-					WSize: r.TCP.WSize, TSPresent: r.TCP.TSPresent,
-				})
+			if r.TCP != nil && l.Out.TCP != nil {
+				l.Out.TCP[i] = r.TCP.TCPFingerprint
 				l.Out.TSVal[i] = r.TCP.TSVal
 			}
 		}
@@ -56,7 +51,7 @@ func (f *fakeResponder) Probe(dst ip6.Addr, p wire.Proto, day int, at wire.Time)
 	if m, ok := f.up[dst]; ok && m.Has(p) {
 		r := wire.Response{OK: true, HopLimit: 58}
 		if p.IsTCP() {
-			r.TCP = &wire.TCPInfo{OptionsText: "MSS-SACK-TS-N-WS", MSS: 1440, TSPresent: true, TSVal: uint32(at)}
+			r.TCP = &wire.TCPInfo{TCPFingerprint: wire.NewTCPFingerprint(0, 1440, 0, 0, true), TSVal: uint32(at)}
 		}
 		return r
 	}
@@ -75,7 +70,7 @@ func addrs(n int) []ip6.Addr {
 // scan runs one full-column production scan.
 func scan(s *Scanner, targets []ip6.Addr, proto wire.Proto, day int) *wire.ResultColumns {
 	var cols wire.ResultColumns
-	cols.Reset(len(targets), s.TCPTable())
+	cols.Reset(len(targets))
 	s.ScanColumns(targets, proto, day, &cols)
 	return &cols
 }
@@ -85,12 +80,12 @@ func sweep(s *Scanner, targets []ip6.Addr, day int) []wire.RespMask {
 	return s.SweepSeqInto(targets, day, nil)
 }
 
-// TestScannerMethodSet pins the production surface: exactly the six
+// TestScannerMethodSet pins the production surface: exactly the five
 // columnar entry points. A re-added slice adapter or per-probe twin
 // (Scan, Sweep, SweepSeq, ProbePairs, …) fails here; the per-probe
 // oracle in ref_test.go is unexported for the same reason.
 func TestScannerMethodSet(t *testing.T) {
-	want := []string{"ProbePairColumns", "ScanColumns", "ScanProtos", "SweepDays", "SweepSeqInto", "TCPTable"}
+	want := []string{"ProbePairColumns", "ScanColumns", "ScanProtos", "SweepDays", "SweepSeqInto"}
 	typ := reflect.TypeOf((*Scanner)(nil))
 	var got []string
 	for i := 0; i < typ.NumMethod(); i++ {
@@ -197,28 +192,6 @@ func TestScanRateSpacing(t *testing.T) {
 	}
 }
 
-func TestRetries(t *testing.T) {
-	targets := addrs(20)
-	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}, failBefore: 1_000}
-	for _, a := range targets {
-		var m wire.RespMask
-		m.Set(wire.ICMPv6)
-		f.up[a] = m
-	}
-	// Without retries, early probes fail (sent before failBefore).
-	s0 := New(f, WithWorkers(1), WithRetries(0))
-	ok0 := scan(s0, targets, wire.ICMPv6, 0).OK.Count()
-	// With retries, the second pass lands after the threshold.
-	s3 := New(f, WithWorkers(1), WithRetries(9))
-	ok3 := scan(s3, targets, wire.ICMPv6, 0).OK.Count()
-	if ok3 <= ok0 {
-		t.Errorf("retries did not help: %d vs %d", ok3, ok0)
-	}
-	if ok3 != len(targets) {
-		t.Errorf("with retries %d/%d responded", ok3, len(targets))
-	}
-}
-
 func TestSweep(t *testing.T) {
 	targets := addrs(50)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
@@ -254,7 +227,7 @@ func TestProbePairs(t *testing.T) {
 		if pairs.Second.SentAt[i] <= pairs.First.SentAt[i] {
 			t.Errorf("pair %d out of order", i)
 		}
-		if pairs.First.TCPRef[i] == wire.NoTCP || pairs.Second.TCPRef[i] == wire.NoTCP {
+		if !pairs.First.TCP[i].Valid() || !pairs.Second.TCP[i].Valid() {
 			t.Fatalf("pair %d missing fingerprints", i)
 		}
 	}
@@ -349,7 +322,7 @@ func TestInversePermutationMatchesOracle(t *testing.T) {
 func TestProbeCount(t *testing.T) {
 	targets := addrs(100)
 	f := &fakeResponder{up: map[ip6.Addr]wire.RespMask{}}
-	s := New(f, WithRetries(0), WithWorkers(2))
+	s := New(f, WithWorkers(2))
 	scan(s, targets, wire.ICMPv6, 0)
 	if got := f.probes.Load(); got != 100 {
 		t.Errorf("sent %d probes, want 100", got)

@@ -12,7 +12,7 @@ import (
 // prober below) and one materialized Result per probe, walking the permutation in
 // SEQUENCE order (the columnar engine walks target-index order and
 // recovers send times through the inverse permutation). Same
-// permutations, same virtual send times, same retry schedule.
+// permutations, same virtual send times.
 
 // prober is the per-probe answer the oracle sends through: the test
 // fake's and the simulated Internet's Probe.
@@ -95,7 +95,7 @@ func (s *Scanner) shard(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// scanSeq probes every target once (plus retries) on the given protocol
+// scanSeq probes every target once on the given protocol
 // during the given day; results are returned in target order.
 func (s *Scanner) scanSeq(targets []ip6.Addr, proto wire.Proto, day int) []Result {
 	n := len(targets)
@@ -111,12 +111,7 @@ func (s *Scanner) scanSeq(targets []ip6.Addr, proto wire.Proto, day int) []Resul
 			idx := perm.At(seq)
 			addr := targets[idx]
 			at := wire.Time(seq) * iv
-			r := s.probeOnce(addr, proto, day, at)
-			for a := 0; !r.OK && a < s.retries; a++ {
-				at += wire.Time(n) * iv // retry pass later
-				r = s.probeOnce(addr, proto, day, at)
-			}
-			results[idx] = r
+			results[idx] = s.probeOnce(addr, proto, day, at)
 		}
 	})
 	return results

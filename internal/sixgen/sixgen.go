@@ -94,12 +94,6 @@ type Cluster struct {
 	Seeds int
 }
 
-// Density is seeds per address of range (comparable between clusters
-// only through logs for big ranges).
-func (c Cluster) Density() float64 {
-	return float64(c.Seeds) / math.Max(1, float64(c.Range.Size()))
-}
-
 // Config bounds cluster growth.
 type Config struct {
 	// MaxClusterLogSize caps a cluster's range at 16^MaxClusterLogSize

@@ -2,19 +2,17 @@ package wire
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"expanse/internal/ip6"
 )
 
 // This file defines the columnar result vocabulary of the scan plane: the
-// structure-of-arrays form of probe responses. Where Response is one
-// 24-byte struct plus a heap TCPInfo per probe, a ResultColumns run is an
-// OK bitset, a hop-limit byte column, and an interned-fingerprint index
-// column — the shape the batched prober writes and the mask folds,
-// fingerprint analyses and APD branch merges read without rematerializing
-// per-probe structs.
+// structure-of-arrays form of probe responses. Where a Response is one
+// struct plus a heap TCPInfo per probe, a ResultColumns run is an OK
+// bitset, a hop-limit byte column, a fingerprint value column and a
+// timestamp column: the shape the batched prober writes and the mask
+// folds, fingerprint analyses and APD branch merges read without
+// rematerializing per-probe structs.
 
 // Bitset is a packed bit vector. Concurrent writers must not share 64-bit
 // words; the scan engine guarantees this by aligning worker shards to
@@ -69,155 +67,51 @@ func (b Bitset) Extract16(off int) uint16 {
 	return uint16(v)
 }
 
-// TCPFingerprint is the per-machine static part of a SYN-ACK: everything
-// in TCPInfo except the timestamp value, which advances per probe.
-// Machine profiles are heavily cloned across addresses (one physical host
-// answers for whole aliased regions), so distinct fingerprints number in
-// the dozens — the reason interning them pays.
-type TCPFingerprint struct {
-	OptionsText string
-	MSS         uint16
-	WScale      uint8
-	WSize       uint16
-	TSPresent   bool
-}
-
-// TCPRef indexes an interned TCPFingerprint in a TCPTable. NoTCP marks
-// probes without a usable SYN-ACK.
-type TCPRef int32
-
-// NoTCP is the null TCPRef.
-const NoTCP TCPRef = -1
-
-// TCPTable interns TCP fingerprints: an append-only value⇄id table safe
-// for unlimited concurrent Intern/Fingerprint calls. Two refs are equal
-// iff their fingerprints are field-for-field equal, which turns the §5.4
-// consistency tests' string comparisons into integer compares.
-//
-// Ref numbering follows first-intern order, which depends on goroutine
-// scheduling — refs are stable identities within one table, not
-// deterministic values. Consumers compare refs or resolve them back to
-// fingerprints; they must never rank or print raw ref numbers.
-type TCPTable struct {
-	mu   sync.Mutex
-	byFP sync.Map // TCPFingerprint → TCPRef, the lock-free hit path
-	fps  atomic.Pointer[[]TCPFingerprint]
-}
-
-// Intern returns the ref for fp, assigning the next id on first sight.
-func (t *TCPTable) Intern(fp TCPFingerprint) TCPRef {
-	if v, ok := t.byFP.Load(fp); ok {
-		return v.(TCPRef)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if v, ok := t.byFP.Load(fp); ok {
-		return v.(TCPRef)
-	}
-	var next []TCPFingerprint
-	if cur := t.fps.Load(); cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, fp)
-	ref := TCPRef(len(next) - 1)
-	t.fps.Store(&next)
-	t.byFP.Store(fp, ref)
-	return ref
-}
-
-// Fingerprint resolves a ref back to its interned fingerprint.
-func (t *TCPTable) Fingerprint(ref TCPRef) TCPFingerprint {
-	return (*t.fps.Load())[ref]
-}
-
-// Len returns the number of interned fingerprints.
-func (t *TCPTable) Len() int {
-	cur := t.fps.Load()
-	if cur == nil {
-		return 0
-	}
-	return len(*cur)
-}
-
 // ResultColumns is the structure-of-arrays form of one scan's results:
 // column i describes the probe of target i. Which columns exist is fixed
 // at Reset time — mask-only consumers (the daily sweep, APD) carry just
 // the OK bitset, fingerprint consumers carry all columns. Writers must
 // check for nil columns; readers consult only columns they requested.
 type ResultColumns struct {
-	// Table interns TCP fingerprints for the TCPRef column; nil in
-	// mask-only mode.
-	Table *TCPTable
 	// OK has bit i set iff target i answered.
 	OK Bitset
 	// HopLimit[i] is the received hop limit (0 when !OK).
 	HopLimit []uint8
-	// TCPRef[i] indexes the interned SYN-ACK fingerprint (NoTCP if none).
-	TCPRef []TCPRef
-	// TSVal[i] is the TCP timestamp value (valid iff TCPRef[i] != NoTCP
-	// and the fingerprint has TSPresent).
+	// TCP[i] is the SYN-ACK fingerprint (the zero value if none).
+	TCP []TCPFingerprint
+	// TSVal[i] is the TCP timestamp value (valid iff TCP[i].TSPresent).
 	TSVal []uint32
-	// SentAt[i] is the virtual send time of the last probe attempt.
+	// SentAt[i] is the virtual send time of the probe.
 	SentAt []Time
 }
 
 // Reset sizes all columns for n targets and clears them, reusing backing
-// arrays across scans. table provides fingerprint interning.
-func (c *ResultColumns) Reset(n int, table *TCPTable) {
-	c.ResetOK(n)
-	c.Table = table
+// arrays across scans.
+func (c *ResultColumns) Reset(n int) {
+	c.OK.Reset(n)
 	c.HopLimit = resetSlice(c.HopLimit, n)
+	c.TCP = resetSlice(c.TCP, n)
 	c.TSVal = resetSlice(c.TSVal, n)
 	c.SentAt = resetSlice(c.SentAt, n)
-	c.TCPRef = c.TCPRef[:0]
-	if cap(c.TCPRef) < n {
-		c.TCPRef = make([]TCPRef, n)
-	} else {
-		c.TCPRef = c.TCPRef[:n]
-	}
-	for i := range c.TCPRef {
-		c.TCPRef[i] = NoTCP
-	}
 }
 
 // ResetOK sizes the columns for mask-only use: just the OK bitset, the
 // form the five-protocol responsiveness sweep and APD probing consume.
 func (c *ResultColumns) ResetOK(n int) {
 	c.OK.Reset(n)
-	c.Table = nil
 	c.HopLimit = nil
-	c.TCPRef = nil
+	c.TCP = nil
 	c.TSVal = nil
 	c.SentAt = nil
 }
 
-func resetSlice[T uint8 | uint32 | Time](s []T, n int) []T {
+func resetSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
-}
-
-// TCPInfoAt materializes column i back into a TCPInfo (nil if the probe
-// carried no SYN-ACK). It exists for tests; hot consumers read the
-// columns directly.
-func (c *ResultColumns) TCPInfoAt(i int) *TCPInfo {
-	if c.TCPRef == nil || c.TCPRef[i] == NoTCP {
-		return nil
-	}
-	fp := c.Table.Fingerprint(c.TCPRef[i])
-	return &TCPInfo{
-		OptionsText: fp.OptionsText,
-		MSS:         fp.MSS,
-		WScale:      fp.WScale,
-		WSize:       fp.WSize,
-		TSPresent:   fp.TSPresent,
-		TSVal:       c.TSVal[i],
-	}
 }
 
 // Lane is one line of a multi-lane probe batch: a protocol, the send

@@ -2,8 +2,8 @@ package wire
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestBitsetBasics(t *testing.T) {
@@ -66,78 +66,75 @@ func TestBitsetExtract16(t *testing.T) {
 	}
 }
 
-func TestTCPTableIntern(t *testing.T) {
-	var tab TCPTable
-	a := TCPFingerprint{OptionsText: "MSS-SACK-TS-N-WS", MSS: 1440, WScale: 7, WSize: 28800, TSPresent: true}
-	b := a
-	b.WSize++
-	ra, rb := tab.Intern(a), tab.Intern(b)
-	if ra == rb {
-		t.Fatal("distinct fingerprints interned to one ref")
+// FuzzExtract16 holds Extract16 to 16 Get calls over random words and
+// offsets, offsets past the bitset's end included.
+func FuzzExtract16(f *testing.F) {
+	f.Add(uint64(0xdeadbeefcafef00d), uint64(0x0123456789abcdef), uint8(2), uint16(0))
+	f.Add(uint64(1<<63), uint64(1), uint8(2), uint16(49))
+	f.Add(^uint64(0), ^uint64(0), uint8(1), uint16(60))
+	f.Add(uint64(0), uint64(0), uint8(0), uint16(7))
+	f.Fuzz(func(t *testing.T, w0, w1 uint64, words uint8, off uint16) {
+		b := Bitset{w0, w1, w0 ^ w1}[:words%4]
+		o := int(off) % (64*len(b) + 80)
+		var want uint16
+		for j := 0; j < 16; j++ {
+			if b.Get(o + j) {
+				want |= 1 << j
+			}
+		}
+		if got := b.Extract16(o); got != want {
+			t.Fatalf("%d-word bitset %x: Extract16(%d) = %04x, Get says %04x", len(b), []uint64(b), o, got, want)
+		}
+	})
+}
+
+// TestTCPFingerprintValue pins the fingerprint's value semantics: at most
+// 8 bytes, the zero value invalid and distinct from every constructed
+// fingerprint, each field part of ==, and Options naming the layout.
+func TestTCPFingerprintValue(t *testing.T) {
+	if size := unsafe.Sizeof(TCPFingerprint{}); size > 8 {
+		t.Fatalf("TCPFingerprint is %d bytes, want at most 8", size)
 	}
-	if tab.Intern(a) != ra || tab.Intern(b) != rb {
-		t.Fatal("re-interning changed refs")
+	var zero TCPFingerprint
+	if zero.Valid() || zero.Options() != "" {
+		t.Fatalf("zero fingerprint: Valid %v, Options %q", zero.Valid(), zero.Options())
 	}
-	if tab.Len() != 2 {
-		t.Fatalf("table len = %d", tab.Len())
+	for layout, text := range OptionLayouts {
+		fp := NewTCPFingerprint(layout, 0, 0, 0, false)
+		if !fp.Valid() || fp == zero || fp.Options() != text {
+			t.Fatalf("layout %d: %+v, Valid %v, Options %q", layout, fp, fp.Valid(), fp.Options())
+		}
 	}
-	if tab.Fingerprint(ra) != a || tab.Fingerprint(rb) != b {
-		t.Fatal("Fingerprint roundtrip failed")
+	a := NewTCPFingerprint(0, 1440, 7, 28800, true)
+	variants := []TCPFingerprint{
+		NewTCPFingerprint(1, 1440, 7, 28800, true),
+		NewTCPFingerprint(0, 1460, 7, 28800, true),
+		NewTCPFingerprint(0, 1440, 8, 28800, true),
+		NewTCPFingerprint(0, 1440, 7, 28801, true),
+		NewTCPFingerprint(0, 1440, 7, 28800, false),
+	}
+	for i, b := range variants {
+		if a == b {
+			t.Fatalf("variant %d (%+v) compares equal to %+v", i, b, a)
+		}
+	}
+	if NewTCPFingerprint(0, 1440, 7, 28800, true) != a {
+		t.Fatal("equal fields, unequal fingerprints")
 	}
 }
 
-// TestTCPTableConcurrent hammers one table from many goroutines: refs
-// must stay consistent (equal fingerprints → equal refs, refs resolve
-// back to their fingerprints). Run under -race in CI.
-func TestTCPTableConcurrent(t *testing.T) {
-	var tab TCPTable
-	fps := make([]TCPFingerprint, 24)
-	for i := range fps {
-		fps[i] = TCPFingerprint{OptionsText: "MSS", MSS: uint16(i), WSize: 100}
-	}
-	var wg sync.WaitGroup
-	refs := make([][]TCPRef, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			refs[g] = make([]TCPRef, len(fps))
-			for i, fp := range fps {
-				refs[g][i] = tab.Intern(fp)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < 8; g++ {
-		for i := range fps {
-			if refs[g][i] != refs[0][i] {
-				t.Fatalf("goroutine %d got ref %d for fp %d, want %d", g, refs[g][i], i, refs[0][i])
-			}
-		}
-	}
-	if tab.Len() != len(fps) {
-		t.Fatalf("table len = %d, want %d", tab.Len(), len(fps))
-	}
-	for i, fp := range fps {
-		if tab.Fingerprint(refs[0][i]) != fp {
-			t.Fatalf("fingerprint %d does not roundtrip", i)
-		}
-	}
-}
-
-// TestResultColumnsRoundtrip pins TCPInfoAt as the inverse of a column
-// write: a Response written into the columns the way a responder writes
-// them (fingerprint interned) materializes back identically.
+// TestResultColumnsRoundtrip pins the columns as a lossless form of a
+// Response: written the way a responder writes them, each column index
+// reads back as the response it came from, and Reset clears it.
 func TestResultColumnsRoundtrip(t *testing.T) {
-	var tab TCPTable
 	var cols ResultColumns
-	cols.Reset(3, &tab)
+	cols.Reset(3)
 	responses := []Response{
 		{},
 		{OK: true, HopLimit: 55},
 		{OK: true, HopLimit: 240, TCP: &TCPInfo{
-			OptionsText: "MSS-SACK-TS-N-WS", MSS: 1440, WScale: 7, WSize: 28800,
-			TSPresent: true, TSVal: 12345,
+			TCPFingerprint: NewTCPFingerprint(0, 1440, 7, 28800, true),
+			TSVal:          12345,
 		}},
 	}
 	for i, r := range responses {
@@ -147,10 +144,7 @@ func TestResultColumnsRoundtrip(t *testing.T) {
 		cols.OK.Set(i)
 		cols.HopLimit[i] = r.HopLimit
 		if r.TCP != nil {
-			cols.TCPRef[i] = tab.Intern(TCPFingerprint{
-				OptionsText: r.TCP.OptionsText, MSS: r.TCP.MSS, WScale: r.TCP.WScale,
-				WSize: r.TCP.WSize, TSPresent: r.TCP.TSPresent,
-			})
+			cols.TCP[i] = r.TCP.TCPFingerprint
 			cols.TSVal[i] = r.TCP.TSVal
 		}
 	}
@@ -160,15 +154,15 @@ func TestResultColumnsRoundtrip(t *testing.T) {
 	if cols.HopLimit[1] != 55 || cols.HopLimit[2] != 240 {
 		t.Fatal("hop limits wrong")
 	}
-	if cols.TCPInfoAt(0) != nil || cols.TCPInfoAt(1) != nil {
-		t.Fatal("phantom TCP info")
+	if cols.TCP[0].Valid() || cols.TCP[1].Valid() {
+		t.Fatal("phantom TCP fingerprint")
 	}
-	if got := cols.TCPInfoAt(2); got == nil || *got != *responses[2].TCP {
+	if got := (TCPInfo{cols.TCP[2], cols.TSVal[2]}); got != *responses[2].TCP {
 		t.Fatalf("TCP roundtrip = %+v", got)
 	}
 	// Reset reuses arrays but clears state.
-	cols.Reset(3, &tab)
-	if cols.OK.Count() != 0 || cols.TCPRef[2] != NoTCP || cols.TSVal[2] != 0 {
+	cols.Reset(3)
+	if cols.OK.Count() != 0 || cols.TCP[2].Valid() || cols.TSVal[2] != 0 {
 		t.Fatal("Reset left state behind")
 	}
 }

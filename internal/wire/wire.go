@@ -53,20 +53,60 @@ func (p Proto) IsTCP() bool { return p == TCP80 || p == TCP443 }
 // machines derive TCP timestamp values from it.
 type Time uint64
 
-// TCPInfo carries the fingerprint-relevant fields of a TCP SYN-ACK,
-// mirroring the ZMap tcp_synopt module output the paper uses in §5.4.
-type TCPInfo struct {
-	// OptionsText is the order-preserving option layout string, e.g.
-	// "MSS-SACK-TS-N-WS" ("N" is a padding byte).
-	OptionsText string
+// OptionLayouts are the TCP option layouts a SYN-ACK can carry, in the
+// order-preserving notation of ZMap's tcp_synopt module ("N" is a padding
+// byte). The paper finds 99.5% of responsive hosts choose the first.
+var OptionLayouts = [...]string{
+	"MSS-SACK-TS-N-WS",     // dominant (Linux-style)
+	"MSS-N-WS-N-N-TS-SACK", // macOS-style
+	"MSS-N-WS-SACK-TS",
+	"MSS-SACK-TS",
+	"MSS",
+}
+
+// TCPFingerprint is the static part of a SYN-ACK, everything the §5.4
+// tests compare except the timestamp value, which advances per probe. It
+// is an 8-byte comparable value: two answers show the same stack
+// personality iff their fingerprints are ==. The zero value means "no
+// SYN-ACK"; a real answer is built by NewTCPFingerprint, which always
+// sets a layout, so it is never zero.
+type TCPFingerprint struct {
 	// MSS is the maximum segment size option value.
 	MSS uint16
-	// WScale is the window scale option value.
-	WScale uint8
 	// WSize is the advertised receive window.
 	WSize uint16
+	// WScale is the window scale option value.
+	WScale uint8
 	// TSPresent reports whether a TCP timestamp option was returned.
 	TSPresent bool
+	// layout is 1 + the index of the option layout in OptionLayouts.
+	layout uint8
+}
+
+// NewTCPFingerprint returns the fingerprint of a SYN-ACK whose options
+// follow OptionLayouts[layout].
+func NewTCPFingerprint(layout int, mss uint16, wscale uint8, wsize uint16, tsPresent bool) TCPFingerprint {
+	_ = OptionLayouts[layout] // a layout outside the table panics here, not at Options
+	return TCPFingerprint{MSS: mss, WSize: wsize, WScale: wscale, TSPresent: tsPresent, layout: uint8(layout + 1)}
+}
+
+// Valid reports whether f describes a SYN-ACK (the zero value does not).
+func (f TCPFingerprint) Valid() bool { return f.layout != 0 }
+
+// Options returns the option layout string, e.g. "MSS-SACK-TS-N-WS" (""
+// for the zero value).
+func (f TCPFingerprint) Options() string {
+	if f.layout == 0 {
+		return ""
+	}
+	return OptionLayouts[f.layout-1]
+}
+
+// TCPInfo carries the fingerprint-relevant fields of one TCP SYN-ACK,
+// mirroring the ZMap tcp_synopt module output the paper uses in §5.4: the
+// static fingerprint plus the per-probe timestamp value.
+type TCPInfo struct {
+	TCPFingerprint
 	// TSVal is the remote timestamp value (only if TSPresent).
 	TSVal uint32
 }
@@ -99,16 +139,6 @@ func (m RespMask) Any() bool { return m != 0 }
 
 // Count returns the number of responsive protocols.
 func (m RespMask) Count() int { return bits.OnesCount8(uint8(m)) }
-
-// Vector expands the mask to a boolean vector in Protos order, the form
-// the conditional-probability matrix consumes.
-func (m RespMask) Vector() []bool {
-	v := make([]bool, NumProtos)
-	for i, p := range Protos {
-		v[i] = m.Has(p)
-	}
-	return v
-}
 
 // String renders the mask like "ICMP+TCP/80" ("-" when empty).
 func (m RespMask) String() string {

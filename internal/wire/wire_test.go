@@ -42,10 +42,6 @@ func TestRespMask(t *testing.T) {
 	if m.String() != "ICMP+UDP/53" {
 		t.Errorf("String = %q", m.String())
 	}
-	v := m.Vector()
-	if len(v) != NumProtos || !v[0] || v[1] || !v[3] {
-		t.Errorf("Vector = %v", v)
-	}
 	// Setting twice is idempotent.
 	m.Set(ICMPv6)
 	if m.Count() != 2 {

@@ -32,24 +32,19 @@ type Rect struct {
 	Item       Item
 }
 
+// The canvas is 1000×600, with the title in a 24-unit band above it.
+const (
+	width  = 1000.0
+	height = 600.0
+)
+
 // Options controls layout and rendering.
 type Options struct {
-	// Width and Height of the canvas (default 1000×600).
-	Width, Height float64
 	// Sized weights rectangle areas by prefix size (log scale); unsized
 	// gives every prefix the same area (the pattern-spotting variant).
 	Sized bool
 	// Title is rendered at the top of the SVG.
 	Title string
-}
-
-func (o *Options) defaults() {
-	if o.Width <= 0 {
-		o.Width = 1000
-	}
-	if o.Height <= 0 {
-		o.Height = 600
-	}
 }
 
 // weight returns the area weight of a prefix: sized plots give shorter
@@ -82,7 +77,6 @@ func Sort(items []Item) {
 // Layout computes the squarified treemap (Bruls et al.) of the items,
 // after zesplot ordering. The caller's slice is re-ordered in place.
 func Layout(items []Item, opt Options) []Rect {
-	opt.defaults()
 	Sort(items)
 	if len(items) == 0 {
 		return nil
@@ -94,13 +88,13 @@ func Layout(items []Item, opt Options) []Rect {
 		total += weights[i]
 	}
 	// Normalize weights to canvas area.
-	area := opt.Width * opt.Height
+	area := width * height
 	for i := range weights {
 		weights[i] *= area / total
 	}
 
 	out := make([]Rect, 0, len(items))
-	x, y, w, h := 0.0, 0.0, opt.Width, opt.Height
+	x, y, w, h := 0.0, 0.0, width, height
 	i := 0
 	for i < len(items) {
 		// Fill one row along the shorter side, adding items while the
@@ -199,7 +193,6 @@ func color(v, max float64) string {
 
 // SVG renders the items to an SVG document.
 func SVG(items []Item, opt Options) string {
-	opt.defaults()
 	rects := Layout(items, opt)
 	max := 0.0
 	for _, r := range rects {
@@ -209,7 +202,7 @@ func SVG(items []Item, opt Options) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`,
-		opt.Width, opt.Height+24, opt.Width, opt.Height+24)
+		width, height+24, width, height+24)
 	b.WriteString("\n")
 	if opt.Title != "" {
 		fmt.Fprintf(&b, `<text x="4" y="16" font-family="sans-serif" font-size="14">%s</text>`, xmlEscape(opt.Title))

@@ -42,7 +42,7 @@ func TestSortOrder(t *testing.T) {
 func TestLayoutCoversCanvas(t *testing.T) {
 	for _, sized := range []bool{true, false} {
 		items := sampleItems()
-		opt := Options{Width: 800, Height: 400, Sized: sized}
+		opt := Options{Sized: sized}
 		rects := Layout(items, opt)
 		if len(rects) != len(items) {
 			t.Fatalf("sized=%v: %d rects", sized, len(rects))
@@ -52,20 +52,20 @@ func TestLayoutCoversCanvas(t *testing.T) {
 			if r.W < 0 || r.H < 0 {
 				t.Fatalf("negative extent: %+v", r)
 			}
-			if r.X < -1e-6 || r.Y < -1e-6 || r.X+r.W > 800+1e-6 || r.Y+r.H > 400+1e-6 {
+			if r.X < -1e-6 || r.Y < -1e-6 || r.X+r.W > width+1e-6 || r.Y+r.H > height+1e-6 {
 				t.Fatalf("rect outside canvas: %+v", r)
 			}
 			area += r.W * r.H
 		}
-		if math.Abs(area-800*400) > 1 {
-			t.Errorf("sized=%v: total area %f, want %f", sized, area, 800.0*400)
+		if math.Abs(area-width*height) > 1 {
+			t.Errorf("sized=%v: total area %f, want %f", sized, area, width*height)
 		}
 	}
 }
 
 func TestLayoutNoOverlap(t *testing.T) {
 	items := sampleItems()
-	rects := Layout(items, Options{Width: 500, Height: 500, Sized: true})
+	rects := Layout(items, Options{Sized: true})
 	for i := 0; i < len(rects); i++ {
 		for j := i + 1; j < len(rects); j++ {
 			a, b := rects[i], rects[j]
@@ -80,8 +80,8 @@ func TestLayoutNoOverlap(t *testing.T) {
 
 func TestUnsizedEqualAreas(t *testing.T) {
 	items := sampleItems()
-	rects := Layout(items, Options{Width: 600, Height: 300, Sized: false})
-	want := 600.0 * 300 / float64(len(items))
+	rects := Layout(items, Options{Sized: false})
+	want := width * height / float64(len(items))
 	for _, r := range rects {
 		if math.Abs(r.W*r.H-want) > 1e-6 {
 			t.Errorf("unsized area %f, want %f", r.W*r.H, want)
@@ -91,7 +91,7 @@ func TestUnsizedEqualAreas(t *testing.T) {
 
 func TestSizedLargerPrefixBigger(t *testing.T) {
 	items := sampleItems()
-	rects := Layout(items, Options{Width: 600, Height: 300, Sized: true})
+	rects := Layout(items, Options{Sized: true})
 	var a19, a127 float64
 	for _, r := range rects {
 		switch r.Item.Prefix.Bits() {
@@ -113,8 +113,8 @@ func TestStablePlacement(t *testing.T) {
 	for i := range b {
 		b[i].Value *= 42
 	}
-	ra := Layout(a, Options{Width: 640, Height: 480, Sized: true})
-	rb := Layout(b, Options{Width: 640, Height: 480, Sized: true})
+	ra := Layout(a, Options{Sized: true})
+	rb := Layout(b, Options{Sized: true})
 	for i := range ra {
 		if ra[i].X != rb[i].X || ra[i].Y != rb[i].Y || ra[i].Item.Prefix != rb[i].Item.Prefix {
 			t.Fatalf("placement moved for %v", ra[i].Item.Prefix)
@@ -129,7 +129,7 @@ func TestAspectRatiosReasonable(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		items = append(items, Item{Prefix: base.Subprefix(48, i), ASN: bgp.ASN(i % 7), Value: float64(i)})
 	}
-	rects := Layout(items, Options{Width: 500, Height: 500, Sized: false})
+	rects := Layout(items, Options{Sized: false})
 	bad := 0
 	for _, r := range rects {
 		ar := r.W / r.H
