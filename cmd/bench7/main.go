@@ -56,7 +56,6 @@ type cell struct {
 	StoreMapBytes int64      `json:"store_map_bytes"`
 	History       planeBytes `json:"history_plane"`
 	HistDense     int64      `json:"history_dense_bytes"`
-	HistSparse    int64      `json:"history_sparse_bytes"`
 
 	SnapFiles      int     `json:"snapshot_files,omitempty"`
 	SnapBytes      int64   `json:"snapshot_bytes,omitempty"`
@@ -130,11 +129,11 @@ func runCell(scale float64, days, workers int, snapdir string) cell {
 	c.APDIDs = len(last.Merged)
 
 	storeTotal, storeIndex := p.Store.MemBytes()
-	histTotal, dense, sparse, _ := p.Builder().History().MemBytes()
+	histTotal, cols, _ := p.Builder().History().MemBytes()
 	c.Store = planeBytes{Bytes: storeTotal, BytesPerAddr: float64(storeTotal) / float64(c.Hitlist)}
 	c.StoreMapBytes = storeIndex
 	c.History = planeBytes{Bytes: histTotal, BytesPerAddr: float64(histTotal) / float64(c.APDIDs)}
-	c.HistDense, c.HistSparse = dense, sparse
+	c.HistDense = cols
 	c.LiveHeap = prof.LiveHeap()
 	c.PeakRSS = prof.PeakRSS()
 
@@ -210,7 +209,7 @@ func main() {
 		}
 	}
 	rep.Note = "Cells clip the store's column slack post-collection (its open-addressed membership index stays resident) " +
-		"and record sparse day columns, with per-epoch snapshots whose load throughput is a timed, " +
+		"and record one dense column per day, with per-epoch snapshots whose load throughput is a timed, " +
 		"digest-verified Resume. Peak RSS is cumulative across cells in one process (VmHWM never decreases): " +
 		"per-cell ordering runs small scales first, so a cell's reading bounds that cell from above."
 

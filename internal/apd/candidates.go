@@ -1,6 +1,7 @@
 package apd
 
 import (
+	"cmp"
 	"slices"
 
 	"expanse/internal/bgp"
@@ -86,64 +87,71 @@ func BGPCandidates(table *bgp.Table) []Candidate {
 // may repeat a prefix (hitlist- and BGP-derived candidates are probed
 // independently); such entries share one ID.
 //
-// The table is the one place the alias plane hashes or sorts a prefix:
-// ids resolves a prefix to its ID, and order lists the IDs in
-// ip6.CompareNested (address, length) order, fixed at freeze. Every
-// day's verdict column (Verdicts) is a walk of that order, so nothing
-// downstream — filter compilation, the epoch digest, the nested-pair
-// taxonomy — sorts or looks a prefix up again.
+// The table is the one place the alias plane sorts a prefix: one sort of
+// the entries numbers the prefixes and fixes order, the IDs in
+// ip6.CompareNested (address, length) order. Every day's verdict column
+// (Verdicts) is a walk of that order, so nothing downstream — filter
+// compilation, the epoch digest, the nested-pair taxonomy — sorts or
+// looks a prefix up again.
 type CandidateTable struct {
 	cands    []Candidate
 	entryID  []int32
 	prefixes []ip6.Prefix
-	ids      map[ip6.Prefix]int32
 	order    []int32
 }
 
 // NewCandidateTable freezes a candidate list, assigning IDs in first-
 // occurrence order (deterministic: the list order is the probe order).
+// One sort of the entry indices by (prefix in CompareNested order, entry
+// index) leads each run of equal prefixes with its first occurrence; the
+// runs' leaders, in sorted order, become order once a pass over the
+// entries has numbered them.
 func NewCandidateTable(cands []Candidate) *CandidateTable {
-	t := &CandidateTable{
-		cands:   cands,
-		entryID: make([]int32, len(cands)),
-		ids:     make(map[ip6.Prefix]int32, len(cands)),
+	byPrefix := make([]int32, len(cands))
+	for i := range byPrefix {
+		byPrefix[i] = int32(i)
 	}
-	for i, c := range cands {
-		id, ok := t.ids[c.Prefix]
-		if !ok {
-			id = int32(len(t.prefixes))
-			t.ids[c.Prefix] = id
-			t.prefixes = append(t.prefixes, c.Prefix)
+	slices.SortFunc(byPrefix, func(a, b int32) int {
+		if c := ip6.CompareNested(cands[a].Prefix, cands[b].Prefix); c != 0 {
+			return c
 		}
-		t.entryID[i] = id
-	}
-	t.order = make([]int32, len(t.prefixes))
-	for i := range t.order {
-		t.order[i] = int32(i)
-	}
-	slices.SortFunc(t.order, func(a, b int32) int {
-		return ip6.CompareNested(t.prefixes[a], t.prefixes[b])
+		return cmp.Compare(a, b)
 	})
-	return t
+	// Compact the leaders to the front of byPrefix; entryID holds -1 for
+	// a leader and its leader's entry index for a repeat.
+	entryID := make([]int32, len(cands))
+	leaders := byPrefix[:0]
+	for _, e := range byPrefix {
+		if n := len(leaders); n > 0 && cands[leaders[n-1]].Prefix == cands[e].Prefix {
+			entryID[e] = leaders[n-1]
+			continue
+		}
+		entryID[e] = -1
+		leaders = append(leaders, e)
+	}
+	prefixes := make([]ip6.Prefix, 0, len(leaders))
+	for i, c := range cands {
+		if lead := entryID[i]; lead >= 0 {
+			entryID[i] = entryID[lead] // a leader precedes its repeats
+			continue
+		}
+		entryID[i] = int32(len(prefixes))
+		prefixes = append(prefixes, c.Prefix)
+	}
+	for k, e := range leaders {
+		leaders[k] = entryID[e]
+	}
+	return &CandidateTable{cands: cands, entryID: entryID, prefixes: prefixes, order: slices.Clone(leaders)}
 }
 
 // Candidates returns the full entry list in probe order. Read-only.
 func (t *CandidateTable) Candidates() []Candidate { return t.cands }
-
-// NumEntries returns the number of candidate entries.
-func (t *CandidateTable) NumEntries() int { return len(t.cands) }
 
 // NumIDs returns the number of distinct prefixes (the ID space width).
 func (t *CandidateTable) NumIDs() int { return len(t.prefixes) }
 
 // EntryID returns the prefix ID of entry i.
 func (t *CandidateTable) EntryID(i int) int32 { return t.entryID[i] }
-
-// ID returns the ID of a prefix, or ok=false if it is not in the table.
-func (t *CandidateTable) ID(p ip6.Prefix) (int32, bool) {
-	id, ok := t.ids[p]
-	return id, ok
-}
 
 // PrefixOf returns the prefix assigned the given ID.
 func (t *CandidateTable) PrefixOf(id int32) ip6.Prefix { return t.prefixes[id] }

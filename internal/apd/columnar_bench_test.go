@@ -102,3 +102,27 @@ func BenchmarkWindowMerge(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkCandidateTable compares freezing a candidate list with BGP
+// duplicates appended: one sort of the entries numbering the prefixes
+// ("sort-numbered") vs the retired prefix-keyed map plus a sort of the
+// IDs ("map-ref", ref_test.go).
+func BenchmarkCandidateTable(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	cands := HitlistCandidatesAddrs(randomHitlist(rng, 20000), 100)
+	for i, n := 0, len(cands); i < n/4; i++ {
+		cands = append(cands, Candidate{Prefix: cands[rng.Intn(n)].Prefix})
+	}
+	b.Run("sort-numbered", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			NewCandidateTable(cands)
+		}
+	})
+	b.Run("map-ref", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			newCandidateTableRef(cands)
+		}
+	})
+}

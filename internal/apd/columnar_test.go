@@ -6,6 +6,7 @@ package apd
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -250,7 +251,7 @@ func TestHistoryMatchesMapReference(t *testing.T) {
 			di := len(days) - 1
 			col := h.MergedColumn(di, 3, workers)
 			for _, p := range prefixes {
-				id, ok := h.table.ids[p]
+				id, ok := h.table.ID(p)
 				if !ok {
 					continue
 				}
@@ -305,8 +306,8 @@ func TestCandidateTable(t *testing.T) {
 	p3 := ip6.MustParsePrefix("2001:db8::/48") // BGP-style duplicate region
 	cands := []Candidate{{Prefix: p1, Targets: 150}, {Prefix: p2, Targets: 5}, {Prefix: p3}, {Prefix: p1}}
 	tab := NewCandidateTable(cands)
-	if tab.NumEntries() != 4 || tab.NumIDs() != 3 {
-		t.Fatalf("entries=%d ids=%d, want 4/3", tab.NumEntries(), tab.NumIDs())
+	if len(tab.Candidates()) != 4 || tab.NumIDs() != 3 {
+		t.Fatalf("entries=%d ids=%d, want 4/3", len(tab.Candidates()), tab.NumIDs())
 	}
 	if tab.EntryID(0) != tab.EntryID(3) {
 		t.Error("duplicate prefix entries must share an ID")
@@ -324,6 +325,53 @@ func TestCandidateTable(t *testing.T) {
 	}
 	if len(tab.Candidates()) != 4 || tab.Candidates()[0].Targets != 150 {
 		t.Error("entry list mangled")
+	}
+}
+
+// TestCandidateTableMatchesRef pins the sort-numbered table against the
+// map-based constructor in ref_test.go: the same entry IDs, prefixes and
+// CompareNested order, and ID agreeing with the reference map, over
+// hitlist-derived lists with BGP duplicates appended, random lists with
+// nested and repeated prefixes, and the sizes 0, 1 and 2.
+func TestCandidateTableMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(409))
+	var lists [][]Candidate
+	for _, blocks := range []int{1, 8, 40} {
+		cands := HitlistCandidatesAddrs(randomHitlist(rng, blocks), 0)
+		for i := 0; i < len(cands)/3; i++ { // BGP entries repeat hitlist prefixes
+			cands = append(cands, Candidate{Prefix: cands[rng.Intn(len(cands))].Prefix})
+		}
+		lists = append(lists, cands)
+	}
+	for _, n := range []int{0, 1, 2, 3, 17, 4000} {
+		var pool []ip6.Prefix
+		for len(pool) < n/2+1 {
+			base := ip6.PrefixFrom(ip6.AddrFromUint64(0x20010db8<<32|rng.Uint64()&0xff<<8, rng.Uint64()), 32+rng.Intn(97))
+			pool = append(pool, base)
+			for bits := base.Bits() + 4; bits <= 128 && rng.Intn(3) > 0; bits += 4 {
+				pool = append(pool, base.Subprefix(bits, rng.Uint64()%16)) // nested inside base
+			}
+		}
+		cands := make([]Candidate, n)
+		for i := range cands {
+			cands[i] = Candidate{Prefix: pool[rng.Intn(len(pool))]}
+		}
+		lists = append(lists, cands)
+	}
+	for li, cands := range lists {
+		got := NewCandidateTable(cands)
+		want, ids := newCandidateTableRef(cands)
+		if !slices.Equal(got.entryID, want.entryID) || !slices.Equal(got.prefixes, want.prefixes) || !slices.Equal(got.order, want.order) {
+			t.Fatalf("list %d (%d entries): table diverges from the map-based reference", li, len(cands))
+		}
+		for p, wantID := range ids {
+			if id, ok := got.ID(p); !ok || id != wantID {
+				t.Fatalf("list %d: ID(%v) = %d,%v, reference %d", li, p, id, ok, wantID)
+			}
+		}
+		if _, ok := got.ID(ip6.MustParsePrefix("2001:db9::/64")); ok {
+			t.Fatalf("list %d: unknown prefix resolved", li)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func TestWindowColumnsPinEpoch(t *testing.T) {
 		t.Fatalf("Column width %d, want %d", col.Width(), nIDs)
 	}
 	for _, p := range prefixes {
-		id, ok := h.table.ids[p]
+		id, ok := h.table.ID(p)
 		if !ok {
 			continue
 		}

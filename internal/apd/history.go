@@ -1,7 +1,7 @@
 package apd
 
 import (
-	"sort"
+	"fmt"
 	"sync/atomic"
 
 	"expanse/internal/par"
@@ -22,7 +22,7 @@ import (
 // Bind adopts a table's ID space; the zero value is an empty history.
 type History struct {
 	table *CandidateTable
-	days  []dayColumn
+	days  []DayColumn
 }
 
 // width returns the ID-space width (0 before Bind).
@@ -33,107 +33,12 @@ func (h *History) width() int {
 	return h.table.NumIDs()
 }
 
-// dayColumn is one day's observation in one of two layouts, chosen per
-// day by how much of the ID space was probed:
-//
-//   - dense (masks != nil): masks[id] is the branch mask of prefix id
-//     (zero when absent), present marks the probed IDs. Day 0 probes the
-//     whole candidate universe, so its column is dense.
-//   - sparse (masks == nil): ids lists the probed IDs ascending with
-//     their masks in sm. Narrowed days probe a few near-aliased
-//     candidates out of a candidate universe that grows with the
-//     hitlist, so a dense 2-byte-per-ID column per day dominated the
-//     alias plane's footprint at scale — the sparse form costs 6 bytes
-//     per PROBED id instead of 2.125 bytes per REGISTERED id.
-//
-// Columns are sized to the ID space at the time of recording (width);
-// IDs registered later read as absent via the bounds checks in the
-// scans. Both layouts are immutable once appended.
-type dayColumn struct {
-	masks   []BranchMask
-	present wire.Bitset
-	ids     []int32
-	sm      []BranchMask
-	width   int
-}
-
-// sparseWorthIt decides the layout: sparse entries cost 6 bytes against
-// a dense column's ~2.125 bytes per ID; the ×4 margin keeps the scans'
-// binary searches off columns that are only moderately narrowed.
-func sparseWorthIt(probed, width int) bool { return probed*4 <= width }
-
-// mask returns id's branch mask that day (zero when absent).
-func (c *dayColumn) mask(id int32) BranchMask {
-	if c.masks != nil {
-		if int(id) < len(c.masks) {
-			return c.masks[id]
-		}
-		return 0
-	}
-	i := sort.Search(len(c.ids), func(k int) bool { return c.ids[k] >= id })
-	if i < len(c.ids) && c.ids[i] == id {
-		return c.sm[i]
-	}
-	return 0
-}
-
-// probed reports whether id was probed that day.
-func (c *dayColumn) probed(id int32) bool {
-	if c.masks != nil {
-		return c.present.Get(int(id))
-	}
-	i := sort.Search(len(c.ids), func(k int) bool { return c.ids[k] >= id })
-	return i < len(c.ids) && c.ids[i] == id
-}
-
-// orInto ORs the column's masks into dst for the ID range [lo, hi).
-func (c *dayColumn) orInto(dst []BranchMask, lo, hi int) {
-	if c.masks != nil {
-		m := c.masks
-		if hi > len(m) {
-			hi = len(m)
-		}
-		for id := lo; id < hi; id++ {
-			dst[id] |= m[id]
-		}
-		return
-	}
-	k := sort.Search(len(c.ids), func(i int) bool { return int(c.ids[i]) >= lo })
-	for ; k < len(c.ids) && int(c.ids[k]) < hi; k++ {
-		dst[c.ids[k]] |= c.sm[k]
-	}
-}
-
-// makeColumn builds a day column from (id, mask) observations, OR-merging
-// entries that share an ID (duplicate candidate prefixes), in the layout
-// sparseWorthIt picks for the probed count. The result is a pure function
-// of the observation multiset — input order never shows.
-func makeColumn(ids []int32, masks []BranchMask, width int) dayColumn {
-	if !sparseWorthIt(len(ids), width) {
-		return denseColumn(ids, masks, width)
-	}
-	// Sort (id, mask) pairs by ID and OR-merge duplicates.
-	ord := make([]int, len(ids))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return ids[ord[a]] < ids[ord[b]] })
-	sids := make([]int32, 0, len(ids))
-	sm := make([]BranchMask, 0, len(ids))
-	for _, i := range ord {
-		if n := len(sids); n > 0 && sids[n-1] == ids[i] {
-			sm[n-1] |= masks[i]
-			continue
-		}
-		sids = append(sids, ids[i])
-		sm = append(sm, masks[i])
-	}
-	return dayColumn{ids: sids, sm: sm, width: width}
-}
-
-// denseColumn is makeColumn's dense layout.
-func denseColumn(ids []int32, masks []BranchMask, width int) dayColumn {
-	col := dayColumn{masks: make([]BranchMask, width), present: wire.NewBitset(width), width: width}
+// makeColumn builds a day column of the given width from (id, mask)
+// observations, OR-merging entries that share an ID (duplicate candidate
+// prefixes). The result is a pure function of the observation multiset —
+// input order never shows.
+func makeColumn(ids []int32, masks []BranchMask, width int) DayColumn {
+	col := DayColumn{masks: make([]BranchMask, width), present: wire.NewBitset(width)}
 	for i, id := range ids {
 		col.masks[id] |= masks[i]
 		col.present.Set(int(id))
@@ -173,95 +78,112 @@ func (h *History) Len() int { return len(h.days) }
 // history.
 func (h *History) Restore(t *CandidateTable, cols []DayColumn) {
 	h.Bind(t)
-	for _, c := range cols {
-		h.days = append(h.days, c.col)
-	}
+	h.days = append(h.days, cols...)
 }
 
 // MemBytes estimates the history's resident footprint, split into the
-// day columns (dense vs sparse parts) and the bound table's prefix
-// index. The split drives the alias-plane rows of the bytes-per-address
-// audit.
-func (h *History) MemBytes() (total, denseCols, sparseCols, index int64) {
+// day columns and the bound table's prefix index. The split drives the
+// alias-plane rows of the bytes-per-address audit.
+func (h *History) MemBytes() (total, cols, index int64) {
 	for i := range h.days {
 		d := &h.days[i]
-		denseCols += int64(cap(d.masks))*2 + int64(cap(d.present))*8
-		sparseCols += int64(cap(d.ids))*4 + int64(cap(d.sm))*2
+		cols += int64(cap(d.masks))*2 + int64(cap(d.present))*8
 	}
-	// Prefix = Addr (16B) + length byte, padded to 24; the id map costs
-	// its 24-byte key + 4-byte value plus bucket overhead (~40B/entry).
+	// Prefix = Addr (16B) + length byte, padded to 24, plus its 4-byte
+	// slot in order.
 	if t := h.table; t != nil {
-		index = int64(cap(t.prefixes))*24 + int64(len(t.ids))*40
+		index = int64(cap(t.prefixes))*24 + int64(cap(t.order))*4
 	}
-	return denseCols + sparseCols + index, denseCols, sparseCols, index
+	return cols + index, cols, index
 }
 
-// DayColumn is an immutable snapshot of one recorded day's observation
-// column — dense (per-ID masks plus presence bitmap) or sparse (probed
-// IDs with their masks), matching the live history's layout for that
-// day. A day's column is write-once — AddIDs fills it completely
-// before appending and nothing mutates it afterwards — so the snapshot
-// is a few shared slice headers (copy-on-publish without the copy),
-// safe to read from any goroutine while later days are still being
-// appended to the live history. This is the per-day handoff unit of the
-// epoch pipeline: a published epoch pins its day's column (and the
-// window's columns) without holding a reference to the mutable history,
-// and the snapshot plane (internal/snap) serializes columns through
+// DayColumn is one recorded day's observation, immutable once appended:
+// masks[id] is the branch mask of prefix id (zero when absent) and
+// present marks the IDs probed that day. The column is sized to the ID
+// space at the time of recording; IDs registered later read as absent
+// through the bounds checks in Mask, Probed and the scans. A day's column
+// is write-once — AddIDs fills it completely before appending and nothing
+// mutates it afterwards — so a copy is a few shared slice headers, safe
+// to read from any goroutine while later days are still being appended
+// to the live history. This is the per-day handoff unit of the epoch
+// pipeline: a published epoch pins its day's column (and the window's
+// columns) without holding a reference to the mutable history, and the
+// snapshot plane (internal/snap) serializes columns through
 // Export/ImportDayColumn.
 type DayColumn struct {
-	col dayColumn
+	masks   []BranchMask
+	present wire.Bitset
 }
 
-// Width returns the ID-space width the column was recorded at. IDs
-// registered after the day read as absent.
-func (c DayColumn) Width() int { return c.col.width }
+// Width returns the ID-space width the column was recorded at.
+func (c DayColumn) Width() int { return len(c.masks) }
 
 // Mask returns id's branch mask that day (zero when absent).
-func (c DayColumn) Mask(id int32) BranchMask { return c.col.mask(id) }
+func (c DayColumn) Mask(id int32) BranchMask {
+	if int(id) < len(c.masks) {
+		return c.masks[id]
+	}
+	return 0
+}
 
 // Probed reports whether id was probed that day.
-func (c DayColumn) Probed(id int32) bool { return c.col.probed(id) }
+func (c DayColumn) Probed(id int32) bool { return c.present.Get(int(id)) }
 
 // ProbedCount returns how many distinct IDs were probed that day.
-func (c DayColumn) ProbedCount() int {
-	if c.col.masks == nil {
-		return len(c.col.ids)
+func (c DayColumn) ProbedCount() int { return c.present.Count() }
+
+// orInto ORs the column's masks into dst for the ID range [lo, hi).
+func (c DayColumn) orInto(dst []BranchMask, lo, hi int) {
+	m := c.masks
+	if hi > len(m) {
+		hi = len(m)
 	}
-	return c.col.present.Count()
+	for id := lo; id < hi; id++ {
+		dst[id] |= m[id]
+	}
 }
 
 // Export returns the column's probed IDs in ascending order with their
-// (OR-merged) masks, plus the recorded ID-space width — the canonical
-// layout-independent form the snapshot codec writes. Both slices are
-// freshly allocated.
+// (OR-merged) masks, plus the recorded ID-space width — the form the
+// snapshot codec writes. Both slices are freshly allocated.
 func (c DayColumn) Export() (width int, ids []int32, masks []BranchMask) {
-	if c.col.masks == nil {
-		return c.col.width, append([]int32(nil), c.col.ids...), append([]BranchMask(nil), c.col.sm...)
-	}
 	n := c.ProbedCount()
 	ids = make([]int32, 0, n)
 	masks = make([]BranchMask, 0, n)
-	for id := 0; id < len(c.col.masks); id++ {
-		if c.col.present.Get(id) {
+	for id := range c.masks {
+		if c.present.Get(id) {
 			ids = append(ids, int32(id))
-			masks = append(masks, c.col.masks[id])
+			masks = append(masks, c.masks[id])
 		}
 	}
-	return c.col.width, ids, masks
+	return len(c.masks), ids, masks
 }
 
-// ImportDayColumn rebuilds a column snapshot from its exported form,
-// picking the layout the live history would have used. Mask, Probed and
-// every scan over the imported column behave identically to the
-// original — representation is a pure memory decision.
-func ImportDayColumn(width int, ids []int32, masks []BranchMask) DayColumn {
-	return DayColumn{col: makeColumn(ids, masks, width)}
+// ImportDayColumn rebuilds a column from its exported form. Mask, Probed
+// and every scan over the imported column behave identically to the
+// original. It returns an error unless width is non-negative, ids are
+// strictly ascending inside [0, width) and masks matches ids in length —
+// the shape Export writes.
+func ImportDayColumn(width int, ids []int32, masks []BranchMask) (DayColumn, error) {
+	if width < 0 {
+		return DayColumn{}, fmt.Errorf("apd: day column width %d", width)
+	}
+	if len(ids) != len(masks) {
+		return DayColumn{}, fmt.Errorf("apd: day column has %d ids for %d masks", len(ids), len(masks))
+	}
+	for i, id := range ids {
+		if id < 0 || int(id) >= width {
+			return DayColumn{}, fmt.Errorf("apd: day column id %d outside width %d", id, width)
+		}
+		if i > 0 && id <= ids[i-1] {
+			return DayColumn{}, fmt.Errorf("apd: day column ids not strictly ascending at %d", i)
+		}
+	}
+	return makeColumn(ids, masks, width), nil
 }
 
 // Column returns day di's immutable column snapshot.
-func (h *History) Column(di int) DayColumn {
-	return DayColumn{col: h.days[di]}
-}
+func (h *History) Column(di int) DayColumn { return h.days[di] }
 
 // WindowColumns returns the column snapshots of the sliding window of
 // `window` days TOTAL ending at di (window below 1 clamps to 1), oldest
@@ -288,7 +210,7 @@ func MergeColumns(cols []DayColumn, nIDs, workers int) []BranchMask {
 	out := make([]BranchMask, nIDs)
 	par.Ranges(nIDs, workers, chunkFloor, 1, func(_, clo, chi int) {
 		for i := range cols {
-			cols[i].col.orInto(out, clo, chi)
+			cols[i].orInto(out, clo, chi)
 		}
 	})
 	return out
@@ -308,8 +230,8 @@ func windowStart(di, window int) int {
 // running-mask update of the pipeline's candidate narrowing, chunk-
 // parallel over disjoint ID ranges.
 func (h *History) ORDayInto(di int, dst []BranchMask, workers int) {
-	col := &h.days[di]
-	n := col.width
+	col := h.days[di]
+	n := col.Width()
 	if n > len(dst) {
 		n = len(dst)
 	}
@@ -340,7 +262,7 @@ func (h *History) UnstablePrefixesWorkers(window, workers int) int {
 			for di := start; di < len(h.days); di++ {
 				var m BranchMask
 				for i := windowStart(di, window); i <= di; i++ {
-					m |= h.days[i].mask(int32(id))
+					m |= h.days[i].Mask(int32(id))
 				}
 				cur = m == AllBranches
 				if di > start && cur != prev {

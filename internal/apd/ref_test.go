@@ -124,30 +124,72 @@ func HitlistCandidatesAddrs(addrs []ip6.Addr, minTargets int) []Candidate {
 	return candidatesFromSorted(sorted, minTargets)
 }
 
+// newCandidateTableRef is NewCandidateTable's map-based generation, the
+// oracle the sort-numbered table is pinned against: a prefix-keyed map
+// assigns IDs in first-occurrence order, then the IDs are sorted into
+// CompareNested order. The map is returned beside the table.
+func newCandidateTableRef(cands []Candidate) (*CandidateTable, map[ip6.Prefix]int32) {
+	t := &CandidateTable{cands: cands, entryID: make([]int32, len(cands))}
+	ids := make(map[ip6.Prefix]int32, len(cands))
+	for i, c := range cands {
+		id, ok := ids[c.Prefix]
+		if !ok {
+			id = int32(len(t.prefixes))
+			ids[c.Prefix] = id
+			t.prefixes = append(t.prefixes, c.Prefix)
+		}
+		t.entryID[i] = id
+	}
+	t.order = make([]int32, len(t.prefixes))
+	for i := range t.order {
+		t.order[i] = int32(i)
+	}
+	slices.SortFunc(t.order, func(a, b int32) int {
+		return ip6.CompareNested(t.prefixes[a], t.prefixes[b])
+	})
+	return t, ids
+}
+
+// ID returns the ID of a prefix, or ok=false if it is not in the table:
+// a binary search of order.
+func (t *CandidateTable) ID(p ip6.Prefix) (int32, bool) {
+	k, ok := slices.BinarySearchFunc(t.order, p, func(id int32, p ip6.Prefix) int {
+		return ip6.CompareNested(t.prefixes[id], p)
+	})
+	if !ok {
+		return 0, false
+	}
+	return t.order[k], true
+}
+
 // Add appends one day's observation from a per-prefix mask map. An
 // unbound history grows a private table: unseen prefixes are registered
 // in ComparePrefix order, keeping ID assignment a pure function of the
 // observation sequence.
 func (h *History) Add(day map[ip6.Prefix]BranchMask) {
 	if h.table == nil {
-		h.table = &CandidateTable{ids: map[ip6.Prefix]int32{}}
+		h.table = &CandidateTable{}
 	}
 	t := h.table
 	var fresh []ip6.Prefix
 	for p := range day {
-		if _, ok := t.ids[p]; !ok {
+		if _, ok := t.ID(p); !ok {
 			fresh = append(fresh, p)
 		}
 	}
 	sort.Slice(fresh, func(i, j int) bool { return ip6.ComparePrefix(fresh[i], fresh[j]) < 0 })
 	for _, p := range fresh {
-		t.ids[p] = int32(len(t.prefixes))
+		k, _ := slices.BinarySearchFunc(t.order, p, func(id int32, p ip6.Prefix) int {
+			return ip6.CompareNested(t.prefixes[id], p)
+		})
+		t.order = slices.Insert(t.order, k, int32(len(t.prefixes)))
 		t.prefixes = append(t.prefixes, p)
 	}
 	ids := make([]int32, 0, len(day))
 	masks := make([]BranchMask, 0, len(day))
 	for _, p := range ip6.SortedKeys(day) {
-		ids = append(ids, t.ids[p])
+		id, _ := t.ID(p)
+		ids = append(ids, id)
 		masks = append(masks, day[p])
 	}
 	h.AddIDs(ids, masks)
@@ -167,13 +209,13 @@ func (h *History) MergedAt(p ip6.Prefix, di, window int) BranchMask {
 	if h.table == nil {
 		return 0
 	}
-	id, ok := h.table.ids[p]
+	id, ok := h.table.ID(p)
 	if !ok {
 		return 0
 	}
 	var m BranchMask
 	for i := windowStart(di, window); i <= di && i < len(h.days); i++ {
-		m |= h.days[i].mask(id)
+		m |= h.days[i].Mask(id)
 	}
 	return m
 }
@@ -189,14 +231,8 @@ func (h *History) MergedColumn(di, window, workers int) []BranchMask {
 func (h *History) presentUnion(di, window int) wire.Bitset {
 	u := wire.NewBitset(h.width())
 	for i := windowStart(di, window); i <= di && i < len(h.days); i++ {
-		if d := &h.days[i]; d.masks != nil {
-			for w, word := range d.present {
-				u[w] |= word
-			}
-		} else {
-			for _, id := range d.ids {
-				u.Set(int(id))
-			}
+		for w, word := range h.days[i].present {
+			u[w] |= word
 		}
 	}
 	return u

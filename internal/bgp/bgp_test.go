@@ -27,7 +27,7 @@ func TestTableBasics(t *testing.T) {
 	if asn, ok := tb.Origin(ip6.MustParseAddr("2001:db8::1")); !ok || asn != 64496 {
 		t.Error("Origin wrong")
 	}
-	if info := tb.AS(64496); info.Name != "Example" || tb.NumASes() != 1 {
+	if info := tb.AS(64496); info.Name != "Example" || len(tb.as) != 1 {
 		t.Error("registry lookup wrong")
 	}
 	if info := tb.AS(65000); info.Name != "AS65000" {
@@ -52,7 +52,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	cfg := RegistryConfig{ASes: 100, PrefixesPerAS: 3, Seed: 7}
 	a := Generate(cfg)
 	b := Generate(cfg)
-	if a.NumPrefixes() != b.NumPrefixes() || a.NumASes() != b.NumASes() {
+	if a.NumPrefixes() != b.NumPrefixes() || len(a.as) != len(b.as) {
 		t.Fatal("generation not deterministic in counts")
 	}
 	pa, pb := a.Announcements(), b.Announcements()
@@ -65,8 +65,8 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateShape(t *testing.T) {
 	tb := Generate(RegistryConfig{ASes: 500, PrefixesPerAS: 4.5, Seed: 1})
-	if tb.NumASes() != 500+len(Majors) {
-		t.Errorf("ASes = %d", tb.NumASes())
+	if len(tb.as) != 500+len(Majors) {
+		t.Errorf("ASes = %d", len(tb.as))
 	}
 	// Every announcement's origin is registered and every prefix is
 	// between /29 and /48.
@@ -115,7 +115,7 @@ func TestGenerateScalesRoughly(t *testing.T) {
 	tb := Generate(cfg)
 	// ~2.2k ASes -> expect prefix count an order of magnitude above AS
 	// count is wrong; should be a few per AS.
-	ratio := float64(tb.NumPrefixes()) / float64(tb.NumASes())
+	ratio := float64(tb.NumPrefixes()) / float64(len(tb.as))
 	if ratio < 1.5 || ratio > 12 {
 		t.Errorf("prefixes per AS = %.1f, outside plausible range", ratio)
 	}

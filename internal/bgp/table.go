@@ -101,9 +101,6 @@ func (t *Table) AS(asn ASN) ASInfo {
 // NumPrefixes returns the number of announced prefixes.
 func (t *Table) NumPrefixes() int { return len(t.anns) }
 
-// NumASes returns the number of registered ASes.
-func (t *Table) NumASes() int { return len(t.as) }
-
 // Announcements returns every announcement ordered by address then
 // length; an announcement's index is its ID. The slice is the table's own
 // column, shared between callers: treat it as read-only.

@@ -373,7 +373,9 @@ func Resume(cfg Config, dir string, epoch int) (*Pipeline, *Epoch, error) {
 		if width != table.NumIDs() {
 			return nil, nil, fmt.Errorf("%s: column width %d vs table ID space %d", path, width, table.NumIDs())
 		}
-		cols[i] = apd.ImportDayColumn(width, ids, u16ToMasks(masks))
+		if cols[i], err = apd.ImportDayColumn(width, ids, u16ToMasks(masks)); err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
 		if i == epoch {
 			day, probesSent = d, sent
 		}

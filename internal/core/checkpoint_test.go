@@ -8,6 +8,7 @@ import (
 
 	"expanse/internal/apd"
 	"expanse/internal/ip6"
+	"expanse/internal/snap"
 	"expanse/internal/sources"
 )
 
@@ -191,6 +192,55 @@ func TestResumeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := Resume(cfg, dir, 2); err == nil {
 		t.Fatal("Resume over a corrupted checkpoint succeeded")
+	}
+
+	// A checksum-valid file whose HCOL column names an id outside its
+	// width must be refused, not panic.
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := New(cfg)
+	r, f, err := openSnap(path, p.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = nextSection(r, "META")
+	index, day, sent := r.Int(), r.Int(), r.Int()
+	if err == nil {
+		err = nextSection(r, "HCOL")
+	}
+	width, ids, masks := r.Int(), r.I32s(), r.U16s()
+	if err == nil {
+		err = nextSection(r, "PROB")
+	}
+	prob := r.U16s()
+	if err == nil {
+		err = r.Err()
+	}
+	f.Close()
+	if err != nil || len(ids) == 0 {
+		t.Fatalf("decoding %s: %v (%d ids)", path, err, len(ids))
+	}
+	ids[len(ids)-1] = int32(width)
+	_, err = writeSnapFile(path, func(w *snap.Writer) {
+		w.Section("PIN ")
+		p.pin(w)
+		w.Section("META")
+		w.Int(index)
+		w.Int(day)
+		w.Int(sent)
+		w.Section("HCOL")
+		w.Int(width)
+		w.I32s(ids)
+		w.U16s(masks)
+		w.Section("PROB")
+		w.U16s(prob)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Resume(cfg, dir, 2); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("Resume over an out-of-range HCOL id: err = %v", err)
 	}
 }
 

@@ -361,9 +361,9 @@ func TestAPDNarrowingEquivalence(t *testing.T) {
 		// Old condition over the full history, evaluated on the candidate
 		// set as it stands before the next narrowing.
 		expected := map[ip6.Prefix]bool{}
-		for _, c := range b.cands {
+		for i, c := range b.cands {
 			// The OR of the prefix's masks over days 0..di, for every di.
-			id, _ := b.table.ID(c.Prefix)
+			id := b.candIDs[i]
 			var merged apd.BranchMask
 			for di := 0; di < b.hist.Len(); di++ {
 				merged |= b.hist.Column(di).Mask(id)

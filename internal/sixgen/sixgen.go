@@ -63,20 +63,6 @@ func (r Range) LogSize() float64 {
 	return s / 4
 }
 
-// Size returns the number of addresses in the range, saturating at
-// MaxUint64.
-func (r Range) Size() uint64 {
-	prod := uint64(1)
-	for i := 0; i < 32; i++ {
-		c := uint64(r.hi[i]-r.lo[i]) + 1
-		if c > 1 && prod > math.MaxUint64/c {
-			return math.MaxUint64
-		}
-		prod *= c
-	}
-	return prod
-}
-
 // Contains reports whether the range covers a.
 func (r Range) Contains(a ip6.Addr) bool {
 	n := a.Nybbles()

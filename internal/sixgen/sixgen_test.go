@@ -9,13 +9,13 @@ import (
 func TestRangeBasics(t *testing.T) {
 	a := ip6.MustParseAddr("2001:db8::1")
 	r := NewRange(a)
-	if r.Size() != 1 || !r.Contains(a) {
+	if r.LogSize() != 0 || !r.Contains(a) {
 		t.Fatal("singleton range wrong")
 	}
 	b := ip6.MustParseAddr("2001:db8::2")
 	r.Add(b)
-	if r.Size() != 2 {
-		t.Errorf("two-address range size = %d", r.Size())
+	if r.LogSize() != 0.25 {
+		t.Errorf("two-address range log16 size = %v", r.LogSize())
 	}
 	if !r.Contains(a) || !r.Contains(b) {
 		t.Error("range lost members")
@@ -36,18 +36,18 @@ func TestRangeUnionLogSize(t *testing.T) {
 	r1 := NewRange(ip6.MustParseAddr("2001:db8::1"))
 	r2 := NewRange(ip6.MustParseAddr("2001:db8::2"))
 	u := r1.Union(r2)
-	if u.Size() != 2 {
-		t.Errorf("union size = %d", u.Size())
+	if u.LogSize() != 0.25 || !u.Contains(ip6.MustParseAddr("2001:db8::2")) {
+		t.Errorf("union log16 size = %v", u.LogSize())
 	}
 	if u.LogSize() <= r1.LogSize() {
 		t.Error("union log size must grow")
 	}
-	// Saturation: the range spanning :: to ffff:…:ffff is the whole
-	// space and must saturate rather than overflow.
+	// The range spanning :: to ffff:…:ffff is the whole space: 16^32
+	// addresses, a log size of 32 where a count would overflow.
 	full := NewRange(ip6.MustParseAddr("::"))
 	full.Add(ip6.MustParseAddr("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"))
-	if full.Size() != ^uint64(0) {
-		t.Error("full range should saturate")
+	if full.LogSize() != 32 || !full.Contains(ip6.MustParseAddr("2001:db8::1")) {
+		t.Errorf("full range log16 size = %v", full.LogSize())
 	}
 }
 

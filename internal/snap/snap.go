@@ -159,13 +159,6 @@ func (w *Writer) U8(v uint8) {
 	}
 }
 
-// U16 appends a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	if b := w.grow(2); b != nil {
-		putU16(b, v)
-	}
-}
-
 // U64 appends a little-endian uint64.
 func (w *Writer) U64(v uint64) {
 	if b := w.grow(8); b != nil {
@@ -194,15 +187,6 @@ func (w *Writer) Bool(v bool) {
 		b = 1
 	}
 	w.U8(b)
-}
-
-// U64s appends a length-prefixed []uint64 column.
-func (w *Writer) U64s(vs []uint64) {
-	w.Int(len(vs))
-	b := w.grow(8 * len(vs))
-	for i, v := range vs {
-		putU64(b[8*i:], v)
-	}
 }
 
 // U16s appends a length-prefixed []uint16 column.
@@ -391,14 +375,6 @@ func (r *Reader) U8() uint8 {
 	return 0
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	if b := r.take(2); b != nil {
-		return getU16(b)
-	}
-	return 0
-}
-
 // U64 reads a little-endian uint64.
 func (r *Reader) U64() uint64 {
 	if b := r.take(8); b != nil {
@@ -422,20 +398,6 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Bool reads one byte as a bool.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// U64s reads a length-prefixed []uint64 column.
-func (r *Reader) U64s() []uint64 {
-	n := r.length(8)
-	b := r.take(8 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = getU64(b[8*i:])
-	}
-	return out
-}
 
 // U16s reads a length-prefixed []uint16 column.
 func (r *Reader) U16s() []uint16 {

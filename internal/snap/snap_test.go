@@ -33,13 +33,11 @@ func writeSample(t *testing.T, rng *rand.Rand) ([]byte, []ip6.Addr, []ip6.Prefix
 	w.Int(63)
 	w.F64(16.0)
 	w.Bool(true)
-	w.U16(0xbeef)
 	w.U8(7)
 	w.Bytes([]byte("pipeline"))
 	w.Section("COLS")
 	w.AddrCols(addrs)
 	w.PrefixCols(prefixes)
-	w.U64s([]uint64{1, 1 << 40, 0})
 	w.U16s([]uint16{0xffff, 0, 42})
 	w.I32s([]int32{-1, 0, 1 << 20})
 	w.Bits([]bool{true, false, true, true, false, false, false, true, true})
@@ -72,9 +70,6 @@ func TestRoundTrip(t *testing.T) {
 		if !r.Bool() {
 			t.Fatal("Bool = false")
 		}
-		if v := r.U16(); v != 0xbeef {
-			t.Fatalf("U16 = %04x", v)
-		}
 		if v := r.U8(); v != 7 {
 			t.Fatalf("U8 = %d", v)
 		}
@@ -104,10 +99,6 @@ func TestRoundTrip(t *testing.T) {
 			if gotPfx[i] != prefixes[i] {
 				t.Fatalf("prefix %d diverged", i)
 			}
-		}
-		u64s := r.U64s()
-		if len(u64s) != 3 || u64s[1] != 1<<40 {
-			t.Fatalf("U64s = %v", u64s)
 		}
 		u16s := r.U16s()
 		if len(u16s) != 3 || u16s[2] != 42 {
@@ -142,7 +133,7 @@ func TestSkipUnknownSection(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Section("NEWX")
-	w.U64s(make([]uint64, 100))
+	w.I32s(make([]int32, 100))
 	w.Section("WANT")
 	w.U64(99)
 	if err := w.Close(); err != nil {
@@ -247,8 +238,8 @@ func TestHugeLengthRejected(t *testing.T) {
 	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.U64s(); got != nil {
-		t.Fatalf("U64s returned %d elements from forged length", len(got))
+	if got := r.I32s(); got != nil {
+		t.Fatalf("I32s returned %d elements from forged length", len(got))
 	}
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("Err = %v, want ErrCorrupt", r.Err())
@@ -278,7 +269,7 @@ func TestStickyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		r.U64s() // overruns the META section quickly
+		r.I32s() // overruns the META section quickly
 	}
 	if r.Err() == nil {
 		t.Fatal("overrun did not surface an error")

@@ -283,18 +283,6 @@ func (h *Histogram) FractionAtMost(v int) float64 {
 	return float64(s) / float64(h.N)
 }
 
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	s := 0
-	for i, n := range h.Buckets {
-		s += (h.Min + i) * n
-	}
-	return float64(s) / float64(h.N)
-}
-
 // Median returns the (lower) median sample value.
 func (h *Histogram) Median() int {
 	if h.N == 0 {
@@ -343,18 +331,6 @@ func Median(v []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// Mean returns the arithmetic mean (empty → 0).
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }
 
 // Entropy4 returns the Shannon entropy (base 2) of a distribution over 16

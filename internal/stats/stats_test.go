@@ -236,7 +236,7 @@ func TestSampleCapUniform(t *testing.T) {
 	}
 }
 
-func TestMedianMean(t *testing.T) {
+func TestMedian(t *testing.T) {
 	if m := Median([]float64{3, 1, 2}); m != 2 {
 		t.Errorf("Median odd = %v", m)
 	}
@@ -245,12 +245,6 @@ func TestMedianMean(t *testing.T) {
 	}
 	if m := Median(nil); m != 0 {
 		t.Errorf("Median empty = %v", m)
-	}
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Errorf("Mean = %v", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("Mean empty = %v", m)
 	}
 }
 
