@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"expanse/internal/bgp"
 	"expanse/internal/eip"
 	"expanse/internal/ip6"
@@ -213,13 +215,18 @@ func (l *Lab) AblationGenerators() *Report {
 		sizes[i] = len(as.Addrs)
 	}
 	day := l.measureDay()
-	var exh, rnd []ip6.Addr
-	// Use the largest few ASes for a focused comparison.
-	for _, i := range stats.TopN(sizes, 10) {
-		m := eip.Build(perAS[i].Addrs)
-		exh = append(exh, m.Generate(genBudgetPerAS)...)
-		rnd = append(rnd, m.RandomGenerate(genBudgetPerAS, int64(perAS[i].ASN))...)
-	}
+	// Use the largest few ASes for a focused comparison. Their models are
+	// independent and heavy-tailed in size, so they fan out through a
+	// queue into per-AS slots, concatenated in TopN order.
+	top := stats.TopN(sizes, 10)
+	exhs, rnds := make([][]ip6.Addr, len(top)), make([][]ip6.Addr, len(top))
+	par.Queue(len(top), l.P.Cfg.Workers, func(_, k, _ int) {
+		as := perAS[top[k]]
+		m := eip.Build(as.Addrs)
+		exhs[k] = m.Generate(genBudgetPerAS)
+		rnds[k] = m.RandomGenerate(genBudgetPerAS, int64(as.ASN))
+	})
+	exh, rnd := slices.Concat(exhs...), slices.Concat(rnds...)
 	rate := func(targets []ip6.Addr) float64 {
 		if len(targets) == 0 {
 			return 0

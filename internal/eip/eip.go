@@ -206,10 +206,11 @@ type prefix [32]uint8
 // warm Generate allocates only its result.
 //
 // Equal logP is pervasive (a Laplace-smoothed row is mostly one value),
-// so which of two ties pops first is part of the output: push, pop and
-// trim make exactly the moves of container/heap's Push, Pop and Init, and
-// the trim sorts with sort.Sort over the same Less. generateRef in
-// ref_test.go is the oracle.
+// so which of two ties pops first is part of the output: push and pop
+// make exactly the moves of container/heap's Push and Pop, and the trim
+// leaves the prefix that sort.Sort over the same Less leaves (sortNodes,
+// a frozen copy of its pdqsort). generateRef in ref_test.go is the
+// oracle.
 type walk struct {
 	heap []node
 	slab []prefix
@@ -217,10 +218,6 @@ type walk struct {
 }
 
 var walkPool = sync.Pool{New: func() any { return new(walk) }}
-
-func (w *walk) Len() int           { return len(w.heap) }
-func (w *walk) Less(i, j int) bool { return w.heap[i].logP > w.heap[j].logP }
-func (w *walk) Swap(i, j int)      { w.heap[i], w.heap[j] = w.heap[j], w.heap[i] }
 
 // expand pushes the children of the node (logP, p[:depth]): one per value
 // of segment depth, whose log distribution given the node's last choice
@@ -286,16 +283,16 @@ func (w *walk) down(i int) {
 	h[i] = x
 }
 
-// trim drops all but the keep most probable frontier nodes.
+// trim drops all but the keep most probable frontier nodes. Only the
+// kept prefix is sorted; sorted descending, it is already a max-heap. The
+// dropped nodes only return their slots to the free list, and slot
+// numbers never enter a comparison.
 func (w *walk) trim(keep int) {
-	sort.Sort(w) // heap order is partial; full sort then cut
+	sortNodes(w.heap, keep)
 	for _, n := range w.heap[keep:] {
 		w.free = append(w.free, n.slot)
 	}
 	w.heap = w.heap[:keep]
-	for i := keep/2 - 1; i >= 0; i-- {
-		w.down(i)
-	}
 }
 
 // Generate walks the model exhaustively in probability order and returns

@@ -13,6 +13,12 @@ import (
 // per node, math.Log and condP per child. Generate must return the same
 // addresses in the same order — ties in logP included.
 
+// walk's sort.Interface: sort.Sort over it is the oracle of sortNodes,
+// the trim's frozen pdqsort (FuzzTrimOrder, BenchmarkTrim).
+func (w *walk) Len() int           { return len(w.heap) }
+func (w *walk) Less(i, j int) bool { return w.heap[i].logP > w.heap[j].logP }
+func (w *walk) Swap(i, j int)      { w.heap[i], w.heap[j] = w.heap[j], w.heap[i] }
+
 type partial struct {
 	logP    float64
 	choices []int // value index per segment, len = depth

@@ -127,6 +127,11 @@ var DefaultHotFuncs = []HotFunc{
 	// node, one child per mined value — the loop that used to allocate a
 	// node and a choice vector per child.
 	{PkgPath: "expanse/internal/eip", Func: "expand"},
+	// Its frontier trim and the frozen pdqsort under it: the partial sort
+	// of a ~9k-node frontier each time it outgrows its bound, most of the
+	// walk's cost.
+	{PkgPath: "expanse/internal/eip", Func: "trim"},
+	{PkgPath: "expanse/internal/eip", Func: "pdqsortNodes"},
 	// The reverse zone's lookup: one lower-bound search per DNS query an
 	// rDNS walk issues (hundreds of thousands per §8 study).
 	{PkgPath: "expanse/internal/dnssim", Func: "Query"},
